@@ -29,9 +29,11 @@ const warmupCheckpointSec = 0.5
 // Result is one completed scenario run.
 type Result struct {
 	Spec *Spec
-	// Trace is the canonical event trace; golden tests diff it
-	// byte-for-byte.
-	Trace string
+	// Trace is the canonical behavioural trace — events, invariant
+	// results, FIB generations, the final route trace — and Metrics the
+	// digest over the declared metric families (declaredFamilies);
+	// golden tests diff each byte-for-byte.
+	Trace, Metrics string
 	// Prefixes and Sessions describe the assembled world.
 	Prefixes, Sessions int
 }
@@ -117,7 +119,7 @@ type engine struct {
 	// name in fabric order.
 	prevLink map[string]netsim.LinkStats
 
-	trace strings.Builder
+	trace, metrics strings.Builder
 }
 
 func newEngine(spec *Spec) (*engine, error) {
@@ -129,7 +131,7 @@ func newEngine(spec *Spec) (*engine, error) {
 	sim := &netsim.Sim{}
 	// Telemetry rides the sim clock: metric state is a pure function of
 	// the spec, and trace spans carry virtual timestamps, so checkpoints
-	// can pin both in the golden trace.
+	// can pin both in the goldens.
 	tracer := telemetry.NewTracer(sim.Now, telemetry.DefaultTraceCap)
 	fwd := env.Forwarding(vns.ForwardingConfig{Tracer: tracer}) // sync recompiles
 	reg := health.NewRegistryOn(env.Telemetry)
@@ -253,6 +255,7 @@ func (e *engine) run() (*Result, error) {
 	if seed == 0 {
 		seed = e.env.Cfg.Seed
 	}
+	defer func() { res.Trace, res.Metrics = e.trace.String(), e.metrics.String() }()
 	fmt.Fprintf(&e.trace, "# scenario %s seed=%d numAS=%d\n", e.spec.Name, seed, e.env.Cfg.NumAS)
 	fmt.Fprintf(&e.trace, "# prefixes=%d sessions=%d vantages=%s\n",
 		res.Prefixes, res.Sessions, joinPoPs(e.vantages))
@@ -266,7 +269,6 @@ func (e *engine) run() (*Result, error) {
 	}
 	e.sim.Run(warmupCheckpointSec)
 	if err := e.checkpoint(0, "init", warmupCheckpointSec, false); err != nil {
-		res.Trace = e.trace.String()
 		return res, err
 	}
 
@@ -275,7 +277,6 @@ func (e *engine) run() (*Result, error) {
 		ev := &e.spec.Events[i]
 		e.sim.Run(ev.At)
 		if err := e.apply(ev); err != nil {
-			res.Trace = e.trace.String()
 			return res, fmt.Errorf("scenario %s: event %d (%s): %w", e.spec.Name, i, ev.Op, err)
 		}
 		if ev.Op == OpMediaFlow {
@@ -295,7 +296,6 @@ func (e *engine) run() (*Result, error) {
 		e.sim.Run(cpAt)
 		e.fwd.Flush()
 		if err := e.checkpoint(cp, describe(ev), cpAt, false); err != nil {
-			res.Trace = e.trace.String()
 			return res, err
 		}
 	}
@@ -318,9 +318,7 @@ func (e *engine) run() (*Result, error) {
 	}
 	e.sim.RunAll()
 	e.fwd.Flush()
-	err := e.checkpoint(cp+1, "final", endAt, true)
-	res.Trace = e.trace.String()
-	return res, err
+	return res, e.checkpoint(cp+1, "final", endAt, true)
 }
 
 // describe renders an event for trace and error context.

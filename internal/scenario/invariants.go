@@ -154,15 +154,9 @@ func (e *engine) checkpoint(cp int, label string, at float64, final bool) error 
 		}
 	}
 
-	// Telemetry pin: every checkpoint carries a digest of the
-	// deterministic exposition snapshot (volatile wall-clock families
-	// excluded), so any drift in the observability surface — a renamed
-	// family, a miscounted packet — diverges the golden. The final
-	// checkpoint additionally records a cross-layer route trace from the
-	// first vantage and the full snapshot.
-	snap := e.env.Telemetry.Snapshot()
-	fmt.Fprintf(&e.trace, "  telemetry series=%d digest=%016x spans=%d\n",
-		strings.Count(snap, "\n"), fnv64a(snap), e.tracer.Len())
+	// The final checkpoint records a cross-layer route trace from the
+	// first vantage. Metric state is pinned beside the trace, not in it
+	// (metricsCheckpoint), so the trace holds only behaviour.
 	if final {
 		id := e.fwd.TraceRoute(e.vantages[0], e.env.Topo.Prefixes[0].Prefix.Addr())
 		for _, s := range e.tracer.Spans() {
@@ -170,24 +164,9 @@ func (e *engine) checkpoint(cp int, label string, at float64, final bool) error 
 				fmt.Fprintf(&e.trace, "  trace %s\n", s.JSON())
 			}
 		}
-		fmt.Fprintf(&e.trace, "  snapshot begin\n")
-		for _, line := range strings.Split(strings.TrimRight(snap, "\n"), "\n") {
-			fmt.Fprintf(&e.trace, "    %s\n", line)
-		}
-		fmt.Fprintf(&e.trace, "  snapshot end\n")
 	}
+	e.metricsCheckpoint(cp, final)
 	return nil
-}
-
-// fnv64a is the 64-bit FNV-1a of s, inlined so the digest's definition
-// is pinned here rather than borrowed from hash/fnv's Sum ordering.
-func fnv64a(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }
 
 // universe is every prefix the forwarding plane should know: originated

@@ -4,6 +4,8 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -12,8 +14,29 @@ var (
 	seeds  = flag.Int("seeds", 3, "seeds per spec in the sweep test")
 )
 
-// TestScenarioGolden runs every embedded spec and diffs its canonical
-// trace byte-for-byte against the checked-in golden. Regenerate with
+// checkGolden diffs one artefact of a run against its checked-in golden
+// (or rewrites the golden under -update).
+func checkGolden(t *testing.T, file, got string) {
+	t.Helper()
+	golden := filepath.Join("testdata", "golden", file)
+	if *update {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("no golden (run with -update to create): %v", err)
+	}
+	if string(want) != got {
+		t.Errorf("diverged from golden %s\n--- got ---\n%s--- want ---\n%s", golden, got, want)
+	}
+}
+
+// TestScenarioGolden runs every embedded spec and diffs its behavioural
+// trace and its declared-metric digest byte-for-byte against the
+// checked-in goldens. Regenerate with
 //
 //	go test ./internal/scenario -run Golden -update
 func TestScenarioGolden(t *testing.T) {
@@ -31,22 +54,74 @@ func TestScenarioGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("invariant violation:\n%s\n%v", res.Trace, err)
 			}
-			golden := filepath.Join("testdata", "golden", name+".trace")
-			if *update {
-				if err := os.WriteFile(golden, []byte(res.Trace), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(golden)
-			if err != nil {
-				t.Fatalf("no golden trace (run with -update to create): %v", err)
-			}
-			if string(want) != res.Trace {
-				t.Errorf("trace diverged from golden %s\n--- got ---\n%s--- want ---\n%s", golden, res.Trace, want)
-			}
+			checkGolden(t, name+".trace", res.Trace)
+			checkGolden(t, name+".metrics", res.Metrics)
 		})
 	}
+}
+
+// TestDeclaredFamilies pins the declared list's shape: sorted (declared
+// binary-searches it), each entry with its reason, and every family
+// actually registered by a deployment — a renamed or deleted family
+// must fail here, not silently drop out of the digest.
+func TestDeclaredFamilies(t *testing.T) {
+	if !sort.SliceIsSorted(declaredFamilies, func(i, j int) bool {
+		return declaredFamilies[i].name < declaredFamilies[j].name
+	}) {
+		t.Error("declaredFamilies is not sorted by name")
+	}
+	// The health families register on first use, so it takes a failover
+	// run and a flow-engine run to see every declared family.
+	registered := make(map[string]bool)
+	for _, name := range []string{"churn-failover", "flows-multipath-offload"} {
+		spec, err := Load(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := newEngine(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.run(); err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range e.env.Telemetry.Names() {
+			registered[n] = true
+		}
+	}
+	for _, f := range declaredFamilies {
+		if f.why == "" {
+			t.Errorf("declared family %s has no reason", f.name)
+		}
+		if !registered[f.name] {
+			t.Errorf("declared family %s is not in the registry", f.name)
+		}
+	}
+}
+
+// TestUndeclaredMetricLeavesGoldensUnchanged registers a scratch counter
+// on the scenario's own registry, moves it, and requires both goldens of
+// the spec to hold byte-for-byte: the goldens pin behaviour, not the
+// metric inventory.
+func TestUndeclaredMetricLeavesGoldensUnchanged(t *testing.T) {
+	spec, err := Load("steady-state")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := newEngine(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.env.Telemetry.Counter("scratch_undeclared_total", "not in declaredFamilies").Add(7)
+	res, err := e.run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(e.env.Telemetry.Snapshot(), "scratch_undeclared_total 7") {
+		t.Fatal("scratch counter did not reach the scenario registry")
+	}
+	checkGolden(t, "steady-state.trace", res.Trace)
+	checkGolden(t, "steady-state.metrics", res.Metrics)
 }
 
 // TestScenarioDeterminism runs the busiest spec twice in one process and
@@ -68,6 +143,9 @@ func TestScenarioDeterminism(t *testing.T) {
 	}
 	if a.Trace != b.Trace {
 		t.Errorf("two runs of the same spec diverged\n--- first ---\n%s--- second ---\n%s", a.Trace, b.Trace)
+	}
+	if a.Metrics != b.Metrics {
+		t.Errorf("two runs of the same spec diverged in metrics\n--- first ---\n%s--- second ---\n%s", a.Metrics, b.Metrics)
 	}
 }
 
