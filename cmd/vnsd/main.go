@@ -154,9 +154,8 @@ func main() {
 
 	// Liveness and failover: BFD-lite sessions over every L2 link of the
 	// shared fabric, detected failures feeding the failover controller.
-	reg := health.NewRegistryOn(env.Telemetry)
-	mon := health.NewMonitor(healthSim, fwd.Fabric(), health.Config{}, reg)
-	ctl := health.NewController(fwd, env.RR, reg)
+	mon := health.NewMonitor(healthSim, fwd.Fabric(), health.Config{}, env.Telemetry)
+	ctl := health.NewController(fwd, env.RR, env.Telemetry)
 	ctl.Bind(mon)
 	mon.Start()
 	log.Printf("liveness: %d link sessions at %.0fms hellos, detect multiplier %d",
@@ -168,7 +167,7 @@ func main() {
 			log.Fatalf("bad -faillink %q, want e.g. SIN-SYD", *failLink)
 		}
 		a, b := env.Net.PoP(codes[0]), env.Net.PoP(codes[1])
-		inj := health.NewInjector(healthSim, fwd.Fabric(), reg)
+		inj := health.NewInjector(healthSim, fwd.Fabric(), env.Telemetry)
 		inj.LinkDownAt(failAt.Seconds(), a, b)
 		inj.LinkUpAt((*failAt + *failFor).Seconds(), a, b)
 		log.Printf("fault demo: %s-%s down at t=%v for %v", a.Code, b.Code, *failAt, *failFor)
@@ -206,8 +205,8 @@ func main() {
 				w.RR.NumPeers(), w.RR.NumRoutes(), processed, misses, len(env.RR.DownEgresses()))
 			log.Printf("health: t=%.0fs sessions=%d down=%d hellos tx=%d rx=%d withdrawals=%d restores=%d",
 				healthSim.Now(), len(mon.Sessions()), mon.DownSessions(),
-				reg.Counter("health.hellos_tx"), reg.Counter("health.hellos_rx"),
-				reg.Counter("failover.withdrawals"), reg.Counter("failover.restores"))
+				mon.Metrics().HellosTx.Value(), mon.Metrics().HellosRx.Value(),
+				ctl.Metrics().Withdrawals.Value(), ctl.Metrics().Restores.Value())
 			for _, eng := range fwd.Engines() {
 				s := eng.Stats().FIB
 				pop := env.Net.PoPByID(eng.PoP())

@@ -151,12 +151,23 @@ func TestEndToEndWireControlPlane(t *testing.T) {
 	if err := w.ConnectEgresses(50); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(15 * time.Second)
-	for time.Now().Before(deadline) && w.RR.NumRoutes() < 50 {
-		time.Sleep(25 * time.Millisecond)
+	// Ingest barrier, as internal/vns/wire_test.go's awaitIngest (test
+	// code cannot be shared across packages): every announcement passes
+	// through GeoRR.Assign once, under the lock that applies it to the
+	// Loc-RIB, and nothing else calls Assign on this reflector.
+	want := uint64(0)
+	for _, c := range w.AnnounceCounts() {
+		want += uint64(c)
 	}
-	if w.RR.NumRoutes() < 50 {
-		t.Fatalf("only %d routes converged", w.RR.NumRoutes())
+	deadline := time.Now().Add(30 * time.Second)
+	for got, _ := env.RR.Stats(); got < want; got, _ = env.RR.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("reflector ingested %d of %d announcements", got, want)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if w.RR.NumRoutes() != 50 {
+		t.Fatalf("%d routes converged, want 50", w.RR.NumRoutes())
 	}
 
 	// Drive the management interface end to end: stats, show, exempt,

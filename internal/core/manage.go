@@ -25,7 +25,7 @@ func (rr *GeoRR) ForceExit(prefix netip.Prefix, egress netip.Addr) error {
 	}
 	rr.forced[prefix.Masked()] = egress
 	rr.mu.Unlock()
-	rr.notifyChange(prefix.Masked())
+	rr.NotifyChanged(prefix.Masked())
 	return nil
 }
 
@@ -34,7 +34,7 @@ func (rr *GeoRR) Unforce(prefix netip.Prefix) {
 	rr.mu.Lock()
 	delete(rr.forced, prefix.Masked())
 	rr.mu.Unlock()
-	rr.notifyChange(prefix.Masked())
+	rr.NotifyChanged(prefix.Masked())
 }
 
 // Exempt excludes prefix from geo-routing (used for globally spread
@@ -44,7 +44,7 @@ func (rr *GeoRR) Exempt(prefix netip.Prefix) {
 	rr.mu.Lock()
 	rr.exempt[prefix.Masked()] = true
 	rr.mu.Unlock()
-	rr.notifyChange(prefix.Masked())
+	rr.NotifyChanged(prefix.Masked())
 }
 
 // Unexempt re-enables geo-routing for prefix.
@@ -52,7 +52,7 @@ func (rr *GeoRR) Unexempt(prefix netip.Prefix) {
 	rr.mu.Lock()
 	delete(rr.exempt, prefix.Masked())
 	rr.mu.Unlock()
-	rr.notifyChange(prefix.Masked())
+	rr.NotifyChanged(prefix.Masked())
 }
 
 // IsExempt reports whether prefix is exempted.
@@ -87,7 +87,7 @@ func (rr *GeoRR) AddStatic(prefix netip.Prefix, egress netip.Addr, hasCover func
 	}
 	rr.statics = append(rr.statics, StaticRoute{Prefix: prefix, Egress: egress})
 	rr.mu.Unlock()
-	rr.notifyChange(prefix)
+	rr.NotifyChanged(prefix)
 	return nil
 }
 
@@ -104,7 +104,7 @@ func (rr *GeoRR) RemoveStatic(prefix netip.Prefix, egress netip.Addr) {
 	}
 	rr.statics = kept
 	rr.mu.Unlock()
-	rr.notifyChange(prefix)
+	rr.NotifyChanged(prefix)
 }
 
 // Statics returns the static advertisements sorted by prefix.

@@ -50,7 +50,7 @@ func (rr *GeoRR) SetOverride(prefix netip.Prefix, egress netip.Addr) error {
 		}
 	}
 	rr.mu.Unlock()
-	rr.notifyChange(prefix)
+	rr.NotifyChanged(prefix)
 	return nil
 }
 
@@ -63,7 +63,7 @@ func (rr *GeoRR) ClearOverride(prefix netip.Prefix) bool {
 	delete(rr.overrides, prefix)
 	rr.mu.Unlock()
 	if had {
-		rr.notifyChange(prefix)
+		rr.NotifyChanged(prefix)
 	}
 	return had
 }

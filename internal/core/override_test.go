@@ -73,7 +73,7 @@ func TestOverrideLifecycle(t *testing.T) {
 	}
 
 	var changed []netip.Prefix
-	rr.OnChange(func(pfx netip.Prefix) { changed = append(changed, pfx) })
+	rr.OnChangeBatch(func(pfxs []netip.Prefix) { changed = append(changed, pfxs...) })
 
 	if err := rr.SetOverride(p, addr("10.0.2.1")); err != nil {
 		t.Fatal(err)

@@ -46,7 +46,7 @@ type Env struct {
 	// Telemetry aggregates every subsystem's metrics for this
 	// environment: the GeoRR registers its families at construction,
 	// the forwarding plane on first Forwarding call, and the health
-	// registry can be layered on with health.NewRegistryOn.
+	// components when they are built with it.
 	Telemetry *telemetry.Registry
 
 	fwd *vns.Forwarding // built lazily by Forwarding

@@ -9,6 +9,7 @@ import (
 	"vns/internal/health"
 	"vns/internal/media"
 	"vns/internal/netsim"
+	"vns/internal/telemetry"
 	"vns/internal/vns"
 )
 
@@ -131,7 +132,7 @@ func FailoverStudy(cfg FailoverConfig) *FailoverResult {
 	}
 
 	sim := &netsim.Sim{}
-	reg := health.NewRegistry()
+	reg := telemetry.New()
 	mon := health.NewMonitor(sim, fab, cfg.Health, reg)
 	ctl := health.NewController(fwd, e.RR, reg)
 	ctl.Bind(mon)
@@ -183,11 +184,12 @@ func FailoverStudy(cfg FailoverConfig) *FailoverResult {
 	prop := fab.Link(sin, syd).PropDelayMs / 1000
 	res.DetectionBoundSec = prop + hcfg.TxIntervalMs*float64(hcfg.Multiplier+1)/1000
 
-	res.Withdrawals = reg.Counter("failover.withdrawals")
-	res.Restores = reg.Counter("failover.restores")
-	res.ConvergeMs = reg.Samples("failover.converge_ms")
-	res.RepublishMs = reg.Samples("failover.republish_ms")
-	res.HellosTx = reg.Counter("health.hellos_tx")
+	cm := ctl.Metrics()
+	res.Withdrawals = cm.Withdrawals.Value()
+	res.Restores = cm.Restores.Value()
+	res.ConvergeMs = cm.ConvergeMs.Snapshot()
+	res.RepublishMs = cm.RepublishMs.Snapshot()
+	res.HellosTx = mon.Metrics().HellosTx.Value()
 
 	res.SentPackets = st.Sent
 	res.LostPackets = st.Sent - st.Received

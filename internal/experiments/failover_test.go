@@ -5,6 +5,7 @@ import (
 
 	"vns/internal/health"
 	"vns/internal/netsim"
+	"vns/internal/telemetry"
 	"vns/internal/vns"
 )
 
@@ -94,7 +95,7 @@ func TestControllerFlapSuppression(t *testing.T) {
 	sin, syd := e.Net.PoP("SIN"), e.Net.PoP("SYD")
 
 	sim := &netsim.Sim{}
-	reg := health.NewRegistry()
+	reg := telemetry.New()
 	mon := health.NewMonitor(sim, fwd.Fabric(), health.Config{TxIntervalMs: 50, Multiplier: 3, UpHoldMs: 1000}, reg)
 	ctl := health.NewController(fwd, e.RR, reg)
 	ctl.Bind(mon)
@@ -108,13 +109,14 @@ func TestControllerFlapSuppression(t *testing.T) {
 	sim.RunAll()
 
 	// One down and one up per router across the whole episode.
-	if w := reg.Counter("failover.withdrawals"); w != vns.RoutersPerPoP {
+	cm := ctl.Metrics()
+	if w := cm.Withdrawals.Value(); w != vns.RoutersPerPoP {
 		t.Errorf("withdrawals = %d, want %d", w, vns.RoutersPerPoP)
 	}
-	if r := reg.Counter("failover.restores"); r != vns.RoutersPerPoP {
+	if r := cm.Restores.Value(); r != vns.RoutersPerPoP {
 		t.Errorf("restores = %d, want %d", r, vns.RoutersPerPoP)
 	}
-	if d := reg.Counter("failover.link_down_events"); d != 1 {
+	if d := cm.LinkDownEvents.Value(); d != 1 {
 		t.Errorf("link down events = %d, want 1", d)
 	}
 	for _, r := range syd.Routers {

@@ -120,7 +120,8 @@ func RIBScaleStudy(cfg RIBScaleConfig) *RIBScaleResult {
 			load = append(load, rib.Announce(route(pfx, p, uint32(100+(i+p)%1000))))
 		}
 	}
-	seq := rib.NewTable()
+	// One shard is the sequential table.
+	seq := rib.NewSharded(1)
 	start := time.Now() //vnslint:wallclock measures real ingest cost, not simulated time
 	for lo := 0; lo < len(load); lo += loadChunk {
 		hi := min(lo+loadChunk, len(load))

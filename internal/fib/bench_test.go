@@ -176,7 +176,7 @@ func BenchmarkPublisherInvalidate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		flip = !flip
-		pub.Invalidate(universe[i%len(universe)])
+		pub.InvalidateEvent(0, universe[i%len(universe)])
 	}
 	b.StopTimer()
 	if s := pub.Stats(); s.LastCompile > 0 {

@@ -297,7 +297,7 @@ func TestPublisherDeltaPath(t *testing.T) {
 
 	// Single-prefix churn: must go through the delta path.
 	routes[mustPrefix("10.1.0.0/16")] = nh(3)
-	p.Invalidate(mustPrefix("10.1.0.0/16"))
+	p.InvalidateEvent(0, mustPrefix("10.1.0.0/16"))
 	s := p.Stats()
 	if s.DeltaCompiles != 1 {
 		t.Fatalf("DeltaCompiles = %d, want 1 (single-prefix churn must patch)", s.DeltaCompiles)
@@ -314,7 +314,7 @@ func TestPublisherDeltaPath(t *testing.T) {
 
 	// A withdrawal via delta: span falls back to the /8.
 	delete(routes, mustPrefix("10.1.0.0/16"))
-	p.Invalidate(mustPrefix("10.1.0.0/16"))
+	p.InvalidateEvent(0, mustPrefix("10.1.0.0/16"))
 	if got, _ := p.Lookup(netip.MustParseAddr("10.1.2.3")); got.PoP != 1 {
 		t.Errorf("after delta withdraw: got pop%d, want 1 (cover)", got.PoP)
 	}
@@ -336,7 +336,7 @@ func TestPublisherDeltaDisabled(t *testing.T) {
 	})
 	p.ResolveAll([]netip.Prefix{mustPrefix("10.0.0.0/8")})
 	routes[mustPrefix("10.0.0.0/8")] = nh(2)
-	p.Invalidate(mustPrefix("10.0.0.0/8"))
+	p.InvalidateEvent(0, mustPrefix("10.0.0.0/8"))
 	if s := p.Stats(); s.DeltaCompiles != 0 || s.Compiles != 2 {
 		t.Errorf("DeltaCompiles=%d Compiles=%d, want 0, 2", s.DeltaCompiles, s.Compiles)
 	}
@@ -357,7 +357,7 @@ func TestPublisherDeltaThresholdRoutesLargeBatch(t *testing.T) {
 	for i := 0; i <= DefaultDeltaThreshold; i++ {
 		pfx := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i), 0, 0}), 16)
 		routes[pfx] = nh(1 + i%11)
-		p.Invalidate(pfx)
+		p.InvalidateEvent(0, pfx)
 	}
 	p.Flush()
 	if s := p.Stats(); s.Compiles != 1 || s.DeltaCompiles != 0 {
@@ -369,7 +369,7 @@ func TestPublisherDeltaThresholdRoutesLargeBatch(t *testing.T) {
 	// One more single-prefix change: back on the delta path.
 	pfx := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 0, 0, 0}), 16)
 	routes[pfx] = nh(9)
-	p.Invalidate(pfx)
+	p.InvalidateEvent(0, pfx)
 	p.Flush()
 	if s := p.Stats(); s.DeltaCompiles != 1 {
 		t.Errorf("small follow-up: DeltaCompiles = %d, want 1", s.DeltaCompiles)

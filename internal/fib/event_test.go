@@ -55,9 +55,9 @@ func TestPublisherEventIDReachesFlushObserver(t *testing.T) {
 	// An unstamped invalidation flushes with event 0, and the previous
 	// stamp must not leak into it.
 	routes[mustPrefix("10.0.0.0/8")] = nh(3)
-	p.Invalidate(mustPrefix("10.0.0.0/8"))
+	p.InvalidateEvent(0, mustPrefix("10.0.0.0/8"))
 	if calls != 2 || gotEvent != 0 {
-		t.Errorf("after plain Invalidate: calls=%d event=%d, want 2, 0", calls, gotEvent)
+		t.Errorf("after an event-0 invalidation: calls=%d event=%d, want 2, 0", calls, gotEvent)
 	}
 }
 

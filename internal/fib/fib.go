@@ -1,16 +1,15 @@
 // Package fib is the compiled forwarding plane: it turns the control
-// plane's route decisions (internal/rib tables, the GeoRR's post-policy
-// selections) into an immutable longest-prefix-match structure that the
-// data path queries lock-free, the way a router's FIB is compiled from
-// its RIB.
+// plane's per-prefix route decisions (a Resolve callback per Publisher)
+// into an immutable longest-prefix-match structure that the data path
+// queries lock-free, the way a router's FIB is compiled from its RIB.
 //
 // The lookup structure is an 8-bit-stride leaf-pushed multibit trie for
 // IPv4: at most four array indexes per lookup, no comparisons against
 // prefix lists, no locks. A compiled FIB is immutable; updates are
 // published by compiling a fresh trie and atomically swapping the
 // pointer (see Publisher), so readers are wait-free while the control
-// plane recompiles. A reference linear-scan LPM (Linear) exists solely
-// for differential testing.
+// plane recompiles. The reference linear-scan LPM it is differentially
+// tested against lives in the package's tests (linear_test.go).
 package fib
 
 import (
@@ -18,8 +17,6 @@ import (
 	"net/netip"
 	"sort"
 	"time"
-
-	"vns/internal/rib"
 )
 
 // NextHop is the forwarding action for a destination: the egress PoP to
@@ -237,17 +234,3 @@ func (f *FIB) Nodes() int { return f.nodes }
 
 // CompileDuration returns how long the compile took.
 func (f *FIB) CompileDuration() time.Duration { return f.compile }
-
-// CompileTable compiles a Loc-RIB's best routes. resolve maps each best
-// route to its forwarding action; returning ok=false skips the prefix
-// (e.g. a route whose next hop is not an egress the data plane knows).
-func CompileTable(t *rib.Table, resolve func(*rib.Route) (NextHop, bool), gen uint64) *FIB {
-	entries := make([]Entry, 0, t.Len())
-	t.WalkBest(func(r *rib.Route) bool {
-		if nh, ok := resolve(r); ok {
-			entries = append(entries, Entry{Prefix: r.Prefix, NextHop: nh})
-		}
-		return true
-	})
-	return Compile(entries, gen)
-}

@@ -8,9 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"vns/internal/bgp"
 	"vns/internal/loss"
-	"vns/internal/rib"
 )
 
 func nh(pop int) NextHop {
@@ -167,7 +165,7 @@ func TestPublisherResolveAndInvalidate(t *testing.T) {
 	mu.Lock()
 	routes[mustPrefix("10.1.0.0/16")] = nh(9)
 	mu.Unlock()
-	p.Invalidate(mustPrefix("10.1.0.0/16"))
+	p.InvalidateEvent(0, mustPrefix("10.1.0.0/16"))
 	if got, _ := p.Lookup(netip.MustParseAddr("10.1.2.3")); got.PoP != 9 {
 		t.Errorf("after invalidate: got pop%d, want 9", got.PoP)
 	}
@@ -177,7 +175,7 @@ func TestPublisherResolveAndInvalidate(t *testing.T) {
 
 	// An attribute-identical re-resolution must NOT publish a new FIB
 	// (no spurious churn).
-	p.Invalidate(mustPrefix("10.0.0.0/8"))
+	p.InvalidateEvent(0, mustPrefix("10.0.0.0/8"))
 	if gen := p.Current().Generation(); gen != 2 {
 		t.Errorf("unchanged invalidate bumped generation to %d", gen)
 	}
@@ -189,7 +187,7 @@ func TestPublisherResolveAndInvalidate(t *testing.T) {
 	mu.Lock()
 	delete(routes, mustPrefix("192.168.0.0/16"))
 	mu.Unlock()
-	p.Invalidate(mustPrefix("192.168.0.0/16"))
+	p.InvalidateEvent(0, mustPrefix("192.168.0.0/16"))
 	if _, ok := p.Lookup(netip.MustParseAddr("192.168.1.1")); ok {
 		t.Error("withdrawn prefix still resolves")
 	}
@@ -198,7 +196,7 @@ func TestPublisherResolveAndInvalidate(t *testing.T) {
 	mu.Lock()
 	routes[mustPrefix("172.16.0.0/12")] = nh(4)
 	mu.Unlock()
-	p.Invalidate(mustPrefix("172.16.0.0/12"))
+	p.InvalidateEvent(0, mustPrefix("172.16.0.0/12"))
 	if got, ok := p.Lookup(netip.MustParseAddr("172.20.0.1")); !ok || got.PoP != 4 {
 		t.Errorf("new prefix via invalidate: got %v ok=%v", got, ok)
 	}
@@ -225,7 +223,7 @@ func TestPublisherDebounceBatchesBurst(t *testing.T) {
 		mu.Lock()
 		routes[pfx] = nh(1 + i%11)
 		mu.Unlock()
-		p.Invalidate(pfx)
+		p.InvalidateEvent(0, pfx)
 	}
 	if got := p.Current().Size(); got != 0 {
 		t.Fatalf("compile ran before debounce: size=%d", got)
@@ -253,7 +251,7 @@ func TestPublisherFlushForcesPending(t *testing.T) {
 		},
 	})
 	defer p.Close()
-	p.Invalidate(mustPrefix("10.0.0.0/8"))
+	p.InvalidateEvent(0, mustPrefix("10.0.0.0/8"))
 	if s := p.Stats(); s.Pending != 1 {
 		t.Fatalf("pending = %d, want 1", s.Pending)
 	}
@@ -310,45 +308,11 @@ func TestConcurrentLookupDuringRecompile(t *testing.T) {
 	}
 	for i := 0; i < 300; i++ {
 		gen++
-		p.Invalidate(mustPrefix("10.1.0.0/16"))
+		p.InvalidateEvent(0, mustPrefix("10.1.0.0/16"))
 	}
 	stop.Store(true)
 	wg.Wait()
 	if g := p.Current().Generation(); g < 100 {
 		t.Errorf("generation = %d, want many swaps", g)
-	}
-}
-
-func TestCompileTable(t *testing.T) {
-	tbl := rib.NewTable()
-	routers := map[netip.Addr]int{}
-	add := func(prefix string, pop int, lp uint32) {
-		router := netip.AddrFrom4([4]byte{10, 0, byte(pop), 1})
-		routers[router] = pop
-		tbl.Upsert(&rib.Route{
-			Prefix: mustPrefix(prefix),
-			Attrs:  bgp.Attrs{LocalPref: lp, HasLocalPref: true},
-			PeerID: router, PeerAddr: router,
-		})
-	}
-	add("10.0.0.0/8", 1, 2000)
-	add("10.1.0.0/16", 2, 1500)
-	add("10.1.0.0/16", 3, 1900) // higher local-pref wins the /16
-
-	f := CompileTable(tbl, func(r *rib.Route) (NextHop, bool) {
-		pop, ok := routers[r.PeerID]
-		if !ok {
-			return NextHop{}, false
-		}
-		return NextHop{PoP: pop, Router: r.PeerID}, true
-	}, 42)
-	if f.Size() != 2 {
-		t.Fatalf("size = %d, want 2", f.Size())
-	}
-	if got, _ := f.Lookup(netip.MustParseAddr("10.1.9.9")); got.PoP != 3 {
-		t.Errorf("best-route compile: got pop%d, want 3", got.PoP)
-	}
-	if got, _ := f.Lookup(netip.MustParseAddr("10.2.0.1")); got.PoP != 1 {
-		t.Errorf("covering compile: got pop%d, want 1", got.PoP)
 	}
 }

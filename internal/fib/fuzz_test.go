@@ -86,7 +86,7 @@ func FuzzFIB(f *testing.F) {
 				table[dirty] = e[0].NextHop
 			}
 			mu.Unlock()
-			pub.Invalidate(dirty)
+			pub.InvalidateEvent(0, dirty)
 
 			// Spot-check equivalence after the recompile: addresses near
 			// the mutated prefix plus a few random ones.

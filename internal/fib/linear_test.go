@@ -7,9 +7,9 @@ import (
 )
 
 // Linear is the reference longest-prefix-match implementation: a plain
-// scan over all entries. It exists as the trivially-correct oracle the
-// trie is differentially tested (and benchmarked) against, and as a
-// correct slow path for callers that hold raw entry lists.
+// scan over all entries, the trivially-correct oracle the trie and its
+// delta compiles are differentially tested, fuzzed and benchmarked
+// against (TestTrieMatchesLinearRandom, FuzzFIB, FuzzDeltaCompile).
 type Linear struct {
 	entries []Entry
 }

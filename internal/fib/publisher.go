@@ -18,8 +18,8 @@ type Config struct {
 	Resolve func(netip.Prefix) (NextHop, bool)
 	// Debounce batches a burst of invalidations into one recompile: the
 	// rebuild runs that long after the first invalidation of a batch.
-	// Zero recompiles synchronously inside Invalidate, which is what
-	// deterministic tests want.
+	// Zero recompiles synchronously inside InvalidateEvent, which is
+	// what deterministic tests want.
 	Debounce time.Duration
 	// CompileObserver, when non-nil, receives the duration of every
 	// published trie build — full compiles and delta patches alike
@@ -82,8 +82,8 @@ type Stats struct {
 // Publisher owns the mutable side of a FIB: the resolved entry set, the
 // dirty-prefix batch, and the atomically published current compile.
 // Readers call Current()/Lookup() and never block; one or more control
-// plane goroutines drive ResolveAll/Invalidate/Flush under an internal
-// lock.
+// plane goroutines drive ResolveAll/InvalidateEvent/Flush under an
+// internal lock.
 type Publisher struct {
 	cfg Config
 
@@ -140,18 +140,14 @@ func (p *Publisher) ResolveAll(prefixes []netip.Prefix) *FIB {
 	return p.compileLocked()
 }
 
-// Invalidate marks prefixes dirty. With a zero debounce the recompile
-// happens before Invalidate returns; otherwise it is scheduled so that
-// a burst of updates triggers a single rebuild.
-func (p *Publisher) Invalidate(prefixes ...netip.Prefix) {
-	p.InvalidateEvent(0, prefixes...)
-}
-
-// InvalidateEvent is Invalidate carrying a convergence event ID: the
-// next flush reports it to Config.FlushObserver, tying the publish (and
-// its compile cost) back to the routing-plane event that caused it.
-// Event 0 leaves any earlier attribution in place, so an unattributed
-// invalidation cannot orphan a pending event's flush.
+// InvalidateEvent marks prefixes dirty. With a zero debounce the
+// recompile happens before it returns; otherwise it is scheduled so
+// that a burst of updates triggers a single rebuild. event is the
+// convergence event ID the invalidation belongs to: the next flush
+// reports it to Config.FlushObserver, tying the publish (and its
+// compile cost) back to the routing-plane event that caused it. Event 0
+// means unattributed and leaves any earlier attribution in place, so it
+// cannot orphan a pending event's flush.
 func (p *Publisher) InvalidateEvent(event uint64, prefixes ...netip.Prefix) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

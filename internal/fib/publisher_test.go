@@ -73,7 +73,7 @@ func TestPublisherConcurrentInvalidate(t *testing.T) {
 					for r := 0; r < nRounds; r++ {
 						for i := w; i < nPrefixes; i += nWriters {
 							want[i].Store(int64(2 + (r*nPrefixes+i)%100))
-							p.Invalidate(prefixes[i])
+							p.InvalidateEvent(0, prefixes[i])
 						}
 					}
 				}(w)

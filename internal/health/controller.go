@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"vns/internal/core"
+	"vns/internal/measure"
 	"vns/internal/telemetry"
 	"vns/internal/vns"
 )
@@ -21,18 +22,66 @@ import (
 type Controller struct {
 	fwd *vns.Forwarding
 	rr  *core.GeoRR
-	reg *Registry
+	met *ControllerMetrics // nil when uninstrumented
 
 	// mu serializes reconvergence: events can arrive from a simulation
 	// goroutine while a management drain runs elsewhere.
 	mu sync.Mutex
 }
 
-// NewController builds a controller over the forwarding plane and its
-// reflector. reg may be nil.
-func NewController(fwd *vns.Forwarding, rr *core.GeoRR, reg *Registry) *Controller {
-	return &Controller{fwd: fwd, rr: rr, reg: reg}
+// ControllerMetrics are the failover controller's pre-resolved
+// telemetry handles.
+type ControllerMetrics struct {
+	// Withdrawals and Restores count egress routers taken out of and
+	// returned to service; the link events count effective liveness
+	// transitions (stale ones never reach the counters).
+	Withdrawals, Restores        *telemetry.Counter
+	LinkUpEvents, LinkDownEvents *telemetry.Counter
+	// ConvergeMs holds whole-reconvergence wall times, RepublishMs the
+	// worst per-PoP FIB compile of each; both are bounded windows,
+	// exposed as volatile count/mean/p99 gauges.
+	ConvergeMs, RepublishMs *telemetry.Reservoir
 }
+
+// NewController builds a controller over the forwarding plane and its
+// reflector, registering its metric families in reg; a nil reg leaves
+// it uninstrumented.
+func NewController(fwd *vns.Forwarding, rr *core.GeoRR, reg *telemetry.Registry) *Controller {
+	c := &Controller{fwd: fwd, rr: rr}
+	if reg != nil {
+		c.met = &ControllerMetrics{
+			Withdrawals:    reg.Counter("failover_withdrawals", "egress routers withdrawn because their PoP lost its last adjacency"),
+			Restores:       reg.Counter("failover_restores", "egress routers restored after their PoP regained an adjacency"),
+			LinkUpEvents:   reg.Counter("failover_link_up_events", "effective link-up transitions reconverged"),
+			LinkDownEvents: reg.Counter("failover_link_down_events", "effective link-down transitions reconverged"),
+			ConvergeMs:     sampleSeries(reg, "failover_converge_ms", "wall time of one reconvergence (ms)"),
+			RepublishMs:    sampleSeries(reg, "failover_republish_ms", "worst per-PoP FIB compile of one reconvergence (ms)"),
+		}
+	}
+	return c
+}
+
+// sampleSeries registers a bounded window of wall-clock samples as a
+// volatile count/mean/p99 collector family and returns the window.
+func sampleSeries(reg *telemetry.Registry, name, help string) *telemetry.Reservoir {
+	res := telemetry.NewReservoir(0)
+	reg.RegisterFunc(name, help, telemetry.KindGauge, []string{"stat"},
+		func(emit func([]string, float64)) {
+			xs := res.Snapshot()
+			if len(xs) == 0 {
+				return
+			}
+			emit([]string{"count"}, float64(res.Count()))
+			emit([]string{"mean"}, measure.Summarize(xs).Mean)
+			emit([]string{"p99"}, measure.NewCDF(xs).Percentile(0.99))
+		})
+	reg.MarkVolatile(name)
+	return res
+}
+
+// Metrics returns the controller's telemetry handles, nil when it was
+// built without a registry.
+func (c *Controller) Metrics() *ControllerMetrics { return c.met }
 
 // Bind subscribes the controller to a monitor's liveness events.
 func (c *Controller) Bind(m *Monitor) {
@@ -66,11 +115,11 @@ func (c *Controller) Apply(a, b *vns.PoP, up bool) time.Duration {
 			if !c.rr.SetEgressDown(r, isolated) {
 				continue
 			}
-			if c.reg != nil {
+			if c.met != nil {
 				if isolated {
-					c.reg.Inc("failover.withdrawals", 1)
+					c.met.Withdrawals.Inc()
 				} else {
-					c.reg.Inc("failover.restores", 1)
+					c.met.Restores.Inc()
 				}
 			}
 		}
@@ -82,20 +131,20 @@ func (c *Controller) Apply(a, b *vns.PoP, up bool) time.Duration {
 	ev.StageExclusive(telemetry.StageForwarding, mark)
 	ev.Finish()
 	took := time.Since(start) //vnslint:wallclock measures real reconvergence compute, not simulated time
-	if c.reg != nil {
+	if c.met != nil {
 		if up {
-			c.reg.Inc("failover.link_up_events", 1)
+			c.met.LinkUpEvents.Inc()
 		} else {
-			c.reg.Inc("failover.link_down_events", 1)
+			c.met.LinkDownEvents.Inc()
 		}
-		c.reg.Observe("failover.converge_ms", float64(took)/1e6)
+		c.met.ConvergeMs.Observe(float64(took) / 1e6)
 		var worst time.Duration
 		for _, eng := range c.fwd.Engines() {
 			if lc := eng.Publisher().Stats().LastCompile; lc > worst {
 				worst = lc
 			}
 		}
-		c.reg.Observe("failover.republish_ms", float64(worst)/1e6)
+		c.met.RepublishMs.Observe(float64(worst) / 1e6)
 	}
 	return took
 }

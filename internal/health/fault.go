@@ -2,6 +2,7 @@ package health
 
 import (
 	"vns/internal/netsim"
+	"vns/internal/telemetry"
 	"vns/internal/vns"
 )
 
@@ -15,17 +16,28 @@ import (
 type Injector struct {
 	sim *netsim.Sim
 	fab *vns.L2Fabric
-	reg *Registry
+
+	// Injected-fault counters, nil when uninstrumented.
+	linkDown, linkUp, delaySpike, popDown, popUp *telemetry.Counter
 }
 
-// NewInjector builds an injector over the fabric. reg may be nil.
-func NewInjector(sim *netsim.Sim, fab *vns.L2Fabric, reg *Registry) *Injector {
-	return &Injector{sim: sim, fab: fab, reg: reg}
+// NewInjector builds an injector over the fabric, registering its
+// metric families in reg; a nil reg leaves it uninstrumented.
+func NewInjector(sim *netsim.Sim, fab *vns.L2Fabric, reg *telemetry.Registry) *Injector {
+	in := &Injector{sim: sim, fab: fab}
+	if reg != nil {
+		in.linkDown = reg.Counter("fault_link_down", "link-down faults injected")
+		in.linkUp = reg.Counter("fault_link_up", "link-up restorations injected")
+		in.delaySpike = reg.Counter("fault_delay_spike", "delay spikes injected")
+		in.popDown = reg.Counter("fault_pop_down", "whole-PoP failures injected")
+		in.popUp = reg.Counter("fault_pop_up", "whole-PoP recoveries injected")
+	}
+	return in
 }
 
-func (in *Injector) count(name string) {
-	if in.reg != nil {
-		in.reg.Inc(name, 1)
+func count(c *telemetry.Counter) {
+	if c != nil {
+		c.Inc()
 	}
 }
 
@@ -34,7 +46,7 @@ func (in *Injector) count(name string) {
 func (in *Injector) LinkDownAt(at netsim.Time, a, b *vns.PoP) {
 	in.sim.Schedule(at, func() {
 		in.fab.SetAdmin(a, b, true)
-		in.count("fault.link_down")
+		count(in.linkDown)
 	})
 }
 
@@ -43,7 +55,7 @@ func (in *Injector) LinkDownAt(at netsim.Time, a, b *vns.PoP) {
 func (in *Injector) LinkUpAt(at netsim.Time, a, b *vns.PoP) {
 	in.sim.Schedule(at, func() {
 		in.fab.SetAdmin(a, b, false)
-		in.count("fault.link_up")
+		count(in.linkUp)
 	})
 }
 
@@ -63,7 +75,7 @@ func (in *Injector) FlapLink(a, b *vns.PoP, start, period netsim.Time, cycles in
 func (in *Injector) DelaySpikeAt(at netsim.Time, a, b *vns.PoP, extraMs float64, durSec netsim.Time) {
 	in.sim.Schedule(at, func() {
 		in.fab.SetExtraDelayMs(a, b, extraMs)
-		in.count("fault.delay_spike")
+		count(in.delaySpike)
 	})
 	in.sim.Schedule(at+durSec, func() {
 		in.fab.SetExtraDelayMs(a, b, 0)
@@ -79,7 +91,7 @@ func (in *Injector) FailPoPAt(at netsim.Time, p *vns.PoP) {
 				in.fab.SetAdmin(l[0], l[1], true)
 			}
 		}
-		in.count("fault.pop_down")
+		count(in.popDown)
 	})
 }
 
@@ -91,6 +103,6 @@ func (in *Injector) RecoverPoPAt(at netsim.Time, p *vns.PoP) {
 				in.fab.SetAdmin(l[0], l[1], false)
 			}
 		}
-		in.count("fault.pop_up")
+		count(in.popUp)
 	})
 }

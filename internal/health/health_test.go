@@ -1,6 +1,7 @@
 package health
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -181,45 +182,51 @@ func TestScenarioDeterminism(t *testing.T) {
 	}
 }
 
+// TestRegistry runs one link fault through a monitor and an injector
+// built on a telemetry registry and reads the outcome back through their
+// handles; the same components built with a nil registry expose no
+// handles and still detect (every other test here runs that way).
 func TestRegistry(t *testing.T) {
-	r := NewRegistry()
-	r.Inc("c", 2)
-	r.Inc("c", 3)
-	if got := r.Counter("c"); got != 5 {
-		t.Fatalf("counter = %d", got)
+	sim, fab := testFabric()
+	reg := telemetry.New()
+	m := NewMonitor(sim, fab, Config{TxIntervalMs: 50, Multiplier: 3, UpHoldMs: 1000}, reg)
+	lon, ash := fab.Network().PoP("LON"), fab.Network().PoP("ASH")
+	inj := NewInjector(sim, fab, reg)
+	inj.LinkDownAt(2, lon, ash)
+	inj.LinkUpAt(3, lon, ash)
+	m.Start()
+	sim.Run(6)
+	m.Stop()
+
+	met := m.Metrics()
+	if tx, rx := met.HellosTx.Value(), met.HellosRx.Value(); tx == 0 || rx == 0 || rx >= tx {
+		t.Errorf("hellos tx=%d rx=%d, want 0 < rx < tx (the outage drops some)", tx, rx)
 	}
-	r.Set("g", 1.5)
-	if got := r.Gauge("g"); got != 1.5 {
-		t.Fatalf("gauge = %g", got)
+	if d, u := met.SessionDowns.Value(), met.SessionUps.Value(); d != 1 || u != 1 {
+		t.Errorf("session downs=%d ups=%d, want 1 and 1", d, u)
 	}
-	for _, v := range []float64{1, 2, 3, 4} {
-		r.Observe("s", v)
+	if g := met.SessionsDown.Value(); g != 0 {
+		t.Errorf("sessions down = %g after recovery", g)
 	}
-	if s := r.Summary("s"); s.N != 4 || s.Mean != 2.5 {
-		t.Fatalf("summary = %+v", s)
+	if down, up := inj.linkDown.Value(), inj.linkUp.Value(); down != 1 || up != 1 {
+		t.Errorf("injected faults down=%d up=%d, want 1 and 1", down, up)
 	}
-	if p := r.Percentile("s", 0.5); p < 2 || p > 3 {
-		t.Fatalf("p50 = %g", p)
-	}
-	out := r.Render()
-	for _, want := range []string{"c 5", "g 1.5", "s n=4"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Render missing %q:\n%s", want, out)
-		}
+	if NewMonitor(sim, fab, Config{}, nil).Metrics() != nil {
+		t.Error("a monitor built without a registry exposes handles")
 	}
 }
 
-// TestRegistryObserveBounded pins the fix for the old registry's
-// unbounded sample growth: the series is a ring of the most recent
-// telemetry.DefaultReservoirCap observations, while counts keep
-// lifetime semantics.
+// TestRegistryObserveBounded pins the bound on the controller's sample
+// series: a ring of the most recent telemetry.DefaultReservoirCap
+// observations, while the exposed count keeps lifetime semantics.
 func TestRegistryObserveBounded(t *testing.T) {
-	r := NewRegistry()
+	reg := telemetry.New()
+	res := sampleSeries(reg, "failover_converge_ms", "test series")
 	total := telemetry.DefaultReservoirCap + 500
 	for i := 0; i < total; i++ {
-		r.Observe("failover.converge_ms", float64(i))
+		res.Observe(float64(i))
 	}
-	xs := r.Samples("failover.converge_ms")
+	xs := res.Snapshot()
 	if len(xs) != telemetry.DefaultReservoirCap {
 		t.Fatalf("retained %d samples, want cap %d", len(xs), telemetry.DefaultReservoirCap)
 	}
@@ -227,23 +234,26 @@ func TestRegistryObserveBounded(t *testing.T) {
 	if xs[0] != 500 || xs[len(xs)-1] != float64(total-1) {
 		t.Fatalf("window = [%g..%g], want [500..%d]", xs[0], xs[len(xs)-1], total-1)
 	}
-	if p := r.Percentile("failover.converge_ms", 1); p != float64(total-1) {
-		t.Fatalf("p100 = %g, want %d", p, total-1)
+	if want := fmt.Sprintf(`failover_converge_ms{stat="count"} %d`, total); !strings.Contains(reg.Render(), want) {
+		t.Errorf("render missing lifetime count %q", want)
 	}
 }
 
-// TestRegistryTelemetryExposition checks that legacy dotted names
-// surface in the underlying telemetry registry under snake_case.
+// TestRegistryTelemetryExposition checks that the health families
+// surface in the registry's exposition under their snake_case names,
+// and that the wall-clock series stay out of the deterministic snapshot.
 func TestRegistryTelemetryExposition(t *testing.T) {
+	sim, fab := testFabric()
 	tel := telemetry.New()
-	r := NewRegistryOn(tel)
-	r.Inc("health.hellos_tx", 7)
-	r.Set("health.sessions_down", 2)
-	r.Observe("failover.converge_ms", 12.5)
+	m := NewMonitor(sim, fab, Config{}, tel)
+	m.Start()
+	sim.Run(1)
+	m.Stop()
+	sampleSeries(tel, "failover_converge_ms", "test series").Observe(12.5)
 	out := tel.Render()
 	for _, want := range []string{
-		"health_hellos_tx 7",
-		"health_sessions_down 2",
+		fmt.Sprintf("health_hellos_tx %d", m.Metrics().HellosTx.Value()),
+		"health_sessions_down 0",
 		`failover_converge_ms{stat="count"} 1`,
 	} {
 		if !strings.Contains(out, want) {

@@ -9,7 +9,9 @@
 // (packets silently drop), detection happens by missing hellos, and
 // only then does routing react. Everything runs inside internal/netsim
 // simulated time, so detection latencies and loss windows are exact
-// and deterministic.
+// and deterministic. Monitor, Controller and Injector each register
+// their metric families on the *telemetry.Registry they are built with
+// and hold the handles (nil registry: uninstrumented).
 package health
 
 import (

@@ -25,41 +25,43 @@ type Monitor struct {
 	sim *netsim.Sim
 	fab *vns.L2Fabric
 	cfg Config
-	reg *Registry
+	met *MonitorMetrics // nil when uninstrumented
 
 	sessions []*LinkSession
 	paths    [][2]*netsim.Path // per session, per direction
 	byKey    map[[2]int]*LinkSession
 
-	// Pre-resolved telemetry handles: the hello paths run every
-	// TxInterval for every session, so they pay one atomic add instead
-	// of a name lookup.
-	hellosTx     *telemetry.Counter
-	hellosRx     *telemetry.Counter
-	sessionUps   *telemetry.Counter
-	sessionDowns *telemetry.Counter
-	sessionsDown *telemetry.Gauge
-
 	onEvent []func(Event)
 	running bool
 }
 
-// NewMonitor builds a session for every L2 adjacency. reg may be nil.
-func NewMonitor(sim *netsim.Sim, fab *vns.L2Fabric, cfg Config, reg *Registry) *Monitor {
+// MonitorMetrics are the monitor's pre-resolved telemetry handles: the
+// hello paths run every TxInterval for every session, so they pay one
+// atomic add instead of a name lookup.
+type MonitorMetrics struct {
+	HellosTx, HellosRx       *telemetry.Counter
+	SessionUps, SessionDowns *telemetry.Counter
+	SessionsDown             *telemetry.Gauge
+}
+
+// NewMonitor builds a session for every L2 adjacency, registering its
+// metric families in reg; a nil reg leaves it uninstrumented.
+func NewMonitor(sim *netsim.Sim, fab *vns.L2Fabric, cfg Config, reg *telemetry.Registry) *Monitor {
 	cfg = cfg.withDefaults()
 	m := &Monitor{
 		sim:   sim,
 		fab:   fab,
 		cfg:   cfg,
-		reg:   reg,
 		byKey: make(map[[2]int]*LinkSession),
 	}
 	if reg != nil {
-		m.hellosTx = reg.CounterHandle("health.hellos_tx")
-		m.hellosRx = reg.CounterHandle("health.hellos_rx")
-		m.sessionUps = reg.CounterHandle("health.session_ups")
-		m.sessionDowns = reg.CounterHandle("health.session_downs")
-		m.sessionsDown = reg.GaugeHandle("health.sessions_down")
+		m.met = &MonitorMetrics{
+			HellosTx:     reg.Counter("health_hellos_tx", "liveness hellos transmitted"),
+			HellosRx:     reg.Counter("health_hellos_rx", "liveness hellos received and parsed"),
+			SessionUps:   reg.Counter("health_session_ups", "liveness sessions declared up"),
+			SessionDowns: reg.Counter("health_session_downs", "liveness sessions declared down"),
+			SessionsDown: reg.Gauge("health_sessions_down", "liveness sessions currently down"),
+		}
 	}
 	for _, l := range fab.Network().L2Links() {
 		a, b := l[0], l[1]
@@ -73,6 +75,10 @@ func NewMonitor(sim *netsim.Sim, fab *vns.L2Fabric, cfg Config, reg *Registry) *
 	}
 	return m
 }
+
+// Metrics returns the monitor's telemetry handles, nil when it was built
+// without a registry.
+func (m *Monitor) Metrics() *MonitorMetrics { return m.met }
 
 // Config returns the protocol parameters in use.
 func (m *Monitor) Config() Config { return m.cfg }
@@ -128,11 +134,11 @@ func (m *Monitor) tick() {
 		// received until it has propagated.
 		if s.tick(now) {
 			up := s.State() == StateUp
-			if m.reg != nil {
+			if m.met != nil {
 				if up {
-					m.sessionUps.Inc()
+					m.met.SessionUps.Inc()
 				} else {
-					m.sessionDowns.Inc()
+					m.met.SessionDowns.Inc()
 				}
 			}
 			for _, fn := range m.onEvent {
@@ -143,8 +149,8 @@ func (m *Monitor) tick() {
 			m.send(s, i, dir)
 		}
 	}
-	if m.reg != nil {
-		m.sessionsDown.Set(float64(m.DownSessions()))
+	if m.met != nil {
+		m.met.SessionsDown.Set(float64(m.DownSessions()))
 	}
 	m.sim.Schedule(now+m.cfg.TxIntervalMs/1000, m.tick)
 }
@@ -155,8 +161,8 @@ func (m *Monitor) tick() {
 // exercises.
 func (m *Monitor) send(s *LinkSession, i, dir int) {
 	wire := s.nextHello(dir).Marshal()
-	if m.reg != nil {
-		m.hellosTx.Inc()
+	if m.met != nil {
+		m.met.HellosTx.Inc()
 	}
 	m.paths[i][dir].Send(m.sim, netsim.Packet{Size: len(wire)},
 		func(netsim.Packet) {
@@ -166,8 +172,8 @@ func (m *Monitor) send(s *LinkSession, i, dir int) {
 				return
 			}
 			s.recordRx(dir, m.sim.Now(), h)
-			if m.reg != nil {
-				m.hellosRx.Inc()
+			if m.met != nil {
+				m.met.HellosRx.Inc()
 			}
 		}, nil)
 }

@@ -59,7 +59,7 @@ type opKey struct {
 // reselects. Selection reruns once per touched prefix after all
 // mutations land, so a prefix flapped n times in a batch costs one
 // decision-process run, not n.
-func (t *Table) ApplyBatch(ops []Op) []netip.Prefix {
+func (t *table) ApplyBatch(ops []Op) []netip.Prefix {
 	if len(ops) == 0 {
 		return nil
 	}

@@ -175,7 +175,7 @@ func TestDecisionCompareEqualRoutes(t *testing.T) {
 // Before the fix, reselect compared pointers, so every refresh rippled
 // into re-advertisement and FIB recompiles.
 func TestReselectValueCompareRegression(t *testing.T) {
-	tbl := NewTable()
+	tbl := newTable()
 	orig := decisionRoute(nil)
 	if !tbl.Upsert(orig) {
 		t.Fatal("first route did not change best")
@@ -205,7 +205,7 @@ func TestReselectValueCompareRegression(t *testing.T) {
 // TestReselectLosingRouteRefresh: a refresh of a non-best candidate must
 // not report a change either — the best path's value is untouched.
 func TestReselectLosingRouteRefresh(t *testing.T) {
-	tbl := NewTable()
+	tbl := newTable()
 	best := decisionRoute(func(r *Route) { r.Attrs.LocalPref = 200 })
 	loser := decisionRoute(func(r *Route) {
 		r.PeerID = addr("10.0.7.7")
@@ -226,7 +226,7 @@ func TestReselectLosingRouteRefresh(t *testing.T) {
 // TestWithdrawReselect: withdrawing the best promotes the runner-up and
 // reports a change; withdrawing a loser does not.
 func TestWithdrawReselect(t *testing.T) {
-	tbl := NewTable()
+	tbl := newTable()
 	best := decisionRoute(func(r *Route) { r.Attrs.LocalPref = 200 })
 	second := decisionRoute(func(r *Route) {
 		r.PeerID = addr("10.0.7.7")

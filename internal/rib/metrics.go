@@ -3,9 +3,9 @@ package rib
 import "vns/internal/telemetry"
 
 // Metrics holds pre-resolved telemetry handles for one Loc-RIB, so the
-// update path (Upsert/Withdraw per received UPDATE) pays atomic adds
-// only. Attach with Table.SetMetrics; a table without metrics pays a
-// single nil check per operation.
+// update path (one ApplyBatch per received UPDATE) pays atomic adds
+// only. Attach with ShardedTable.SetMetrics; a table without metrics
+// pays a single nil check per operation.
 type Metrics struct {
 	// Upserts and Withdraws count mutating operations that touched a
 	// candidate; Reselects counts decision-process reruns; BestChanges
@@ -34,7 +34,3 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		Prefixes:    reg.Gauge("rib_prefixes_current", "prefixes with at least one candidate"),
 	}
 }
-
-// SetMetrics attaches metrics to the table (nil detaches). Like the
-// table itself it is not safe to call concurrently with mutations.
-func (t *Table) SetMetrics(m *Metrics) { t.metrics = m }

@@ -1,10 +1,8 @@
 // Package rib implements BGP route storage and selection: routes with
-// their learning context, the full RFC 4271 §9.1 decision process, a
-// Loc-RIB table, and the RFC 4456 route-reflection rules including the
-// best-external behaviour the paper enables to counter hidden routes.
-//
-// Both control planes use this package: the in-process experiment
-// harness (internal/vns) and the wire-level daemon (cmd/vnsd).
+// their learning context, the full RFC 4271 §9.1 decision process with
+// the RFC 4456 tiebreak refinements, and one Loc-RIB type, ShardedTable,
+// ingesting batched route transitions (NewSharded(1) is the sequential
+// table). The wire reflector (core.RRServer) is its production caller.
 package rib
 
 import (
@@ -195,9 +193,9 @@ func Best(routes []*Route) *Route {
 	return best
 }
 
-// Table is a router's Loc-RIB: all candidate routes per prefix plus the
-// current best path. It is not safe for concurrent use.
-type Table struct {
+// table is one shard of a Loc-RIB: all candidate routes per prefix plus
+// the current best path. It is not safe for concurrent use.
+type table struct {
 	entries map[netip.Prefix]*entry
 	metrics *Metrics
 }
@@ -207,13 +205,12 @@ type entry struct {
 	best   *Route
 }
 
-// NewTable returns an empty Loc-RIB.
-func NewTable() *Table {
-	return &Table{entries: make(map[netip.Prefix]*entry)}
+func newTable() *table {
+	return &table{entries: make(map[netip.Prefix]*entry)}
 }
 
 // Len returns the number of prefixes with at least one candidate.
-func (t *Table) Len() int { return len(t.entries) }
+func (t *table) Len() int { return len(t.entries) }
 
 // upsert installs or replaces the candidate from r's peer without
 // rerunning selection; ApplyBatch defers reselection until a batch's
@@ -244,58 +241,6 @@ func (e *entry) remove(peerID, peerAddr netip.Addr) bool {
 	return removed
 }
 
-// Upsert installs or replaces the candidate from r's peer for r's
-// prefix, reruns selection, and reports whether the best path changed.
-func (t *Table) Upsert(r *Route) (bestChanged bool) {
-	e := t.entries[r.Prefix]
-	if e == nil {
-		e = &entry{}
-		t.entries[r.Prefix] = e
-	}
-	e.upsert(r)
-	changed := e.reselect()
-	if m := t.metrics; m != nil {
-		m.Upserts.Inc()
-		m.Reselects.Inc()
-		if changed {
-			m.BestChanges.Inc()
-		}
-		m.Prefixes.Set(float64(len(t.entries)))
-	}
-	return changed
-}
-
-// Withdraw removes the candidate learned from the given peer and reports
-// whether the best path changed. Removing the last candidate deletes the
-// prefix.
-func (t *Table) Withdraw(prefix netip.Prefix, peerID, peerAddr netip.Addr) (bestChanged bool) {
-	e := t.entries[prefix]
-	if e == nil {
-		return false
-	}
-	if !e.remove(peerID, peerAddr) {
-		return false
-	}
-	var changed bool
-	if len(e.routes) == 0 {
-		changed = e.best != nil
-		delete(t.entries, prefix)
-	} else {
-		changed = e.reselect()
-		if m := t.metrics; m != nil {
-			m.Reselects.Inc()
-		}
-	}
-	if m := t.metrics; m != nil {
-		m.Withdraws.Inc()
-		if changed {
-			m.BestChanges.Inc()
-		}
-		m.Prefixes.Set(float64(len(t.entries)))
-	}
-	return changed
-}
-
 // reselect reruns selection and reports whether the best path changed
 // *by value*: replacing a peer's route with an attribute-identical
 // announcement yields a new *Route pointer but must not report a
@@ -308,34 +253,8 @@ func (e *entry) reselect() bool {
 	return changed
 }
 
-// Lookup returns the best route of the longest prefix containing addr,
-// or nil when no installed prefix covers it. This is the reference
-// linear-scan LPM: correct for any caller, and the oracle the compiled
-// forwarding plane (internal/fib) is differentially tested against. On
-// large tables prefer a compiled fib.FIB for the hot path.
-func (t *Table) Lookup(addr netip.Addr) *Route {
-	if addr.Is4In6() {
-		addr = addr.Unmap()
-	}
-	var best *Route
-	bestBits := -1
-	// Two distinct prefixes of equal length cannot both contain addr,
-	// so the strict > comparison admits exactly one winner regardless
-	// of iteration order.
-	//vnslint:maprange max over unique Bits(); order cannot change the winner
-	for p, e := range t.entries {
-		if e.best == nil || !p.Contains(addr) {
-			continue
-		}
-		if p.Bits() > bestBits {
-			best, bestBits = e.best, p.Bits()
-		}
-	}
-	return best
-}
-
 // Best returns the best route for prefix, or nil.
-func (t *Table) Best(prefix netip.Prefix) *Route {
+func (t *table) Best(prefix netip.Prefix) *Route {
 	if e := t.entries[prefix]; e != nil {
 		return e.best
 	}
@@ -343,7 +262,7 @@ func (t *Table) Best(prefix netip.Prefix) *Route {
 }
 
 // Candidates returns all candidate routes for prefix.
-func (t *Table) Candidates(prefix netip.Prefix) []*Route {
+func (t *table) Candidates(prefix netip.Prefix) []*Route {
 	if e := t.entries[prefix]; e != nil {
 		out := make([]*Route, len(e.routes))
 		copy(out, e.routes)
@@ -352,27 +271,8 @@ func (t *Table) Candidates(prefix netip.Prefix) []*Route {
 	return nil
 }
 
-// BestExternal returns the best route among the prefix's eBGP-learned
-// candidates, or nil. This is the route a border router advertises into
-// iBGP under the best-external feature even when its overall best is an
-// iBGP route, which is how the paper mitigates hidden routes behind the
-// geo route reflector.
-func (t *Table) BestExternal(prefix netip.Prefix) *Route {
-	e := t.entries[prefix]
-	if e == nil {
-		return nil
-	}
-	var ext []*Route
-	for _, r := range e.routes {
-		if r.EBGP {
-			ext = append(ext, r)
-		}
-	}
-	return Best(ext)
-}
-
 // Prefixes returns all prefixes in deterministic (sorted) order.
-func (t *Table) Prefixes() []netip.Prefix {
+func (t *table) Prefixes() []netip.Prefix {
 	out := make([]netip.Prefix, 0, len(t.entries))
 	for p := range t.entries {
 		out = append(out, p)
@@ -384,15 +284,4 @@ func (t *Table) Prefixes() []netip.Prefix {
 		return out[i].Bits() < out[j].Bits()
 	})
 	return out
-}
-
-// WalkBest visits the best route of every prefix in sorted order.
-func (t *Table) WalkBest(fn func(*Route) bool) {
-	for _, p := range t.Prefixes() {
-		if b := t.Best(p); b != nil {
-			if !fn(b) {
-				return
-			}
-		}
-	}
 }

@@ -177,7 +177,7 @@ func TestBestEmpty(t *testing.T) {
 }
 
 func TestTableUpsertWithdraw(t *testing.T) {
-	tb := NewTable()
+	tb := newTable()
 	r1 := baseRoute()
 	if !tb.Upsert(r1) {
 		t.Error("first route should change best")
@@ -220,7 +220,7 @@ func TestTableUpsertWithdraw(t *testing.T) {
 }
 
 func TestTableUpsertReplacesSamePeer(t *testing.T) {
-	tb := NewTable()
+	tb := newTable()
 	r1 := baseRoute()
 	tb.Upsert(r1)
 	r1b := baseRoute()
@@ -234,41 +234,12 @@ func TestTableUpsertReplacesSamePeer(t *testing.T) {
 	}
 }
 
-func TestBestExternal(t *testing.T) {
-	tb := NewTable()
-	// iBGP route with a huge local pref wins overall...
-	ib := baseRoute()
-	ib.EBGP = false
-	ib.Attrs.LocalPref, ib.Attrs.HasLocalPref = 900, true
-	ib.PeerID = addr("10.0.0.9")
-	ib.PeerAddr = addr("10.0.0.9")
-	tb.Upsert(ib)
-	// ...but the best external is still advertised by best-external.
-	eb := baseRoute()
-	tb.Upsert(eb)
-	eb2 := baseRoute()
-	eb2.PeerID = addr("10.0.0.3")
-	eb2.PeerAddr = addr("192.0.2.3")
-	eb2.Attrs.ASPath = []bgp.ASPathSegment{{ASNs: []uint16{100, 200, 300}}}
-	tb.Upsert(eb2)
-
-	if got := tb.Best(ib.Prefix); got != ib {
-		t.Fatalf("overall best = %v, want iBGP route", got)
-	}
-	if got := tb.BestExternal(ib.Prefix); got != eb {
-		t.Fatalf("best external = %v, want first eBGP route", got)
-	}
-	if got := tb.BestExternal(prefix("10.99.0.0/16")); got != nil {
-		t.Errorf("best external of unknown prefix = %v", got)
-	}
-}
-
 func TestPrefixesSorted(t *testing.T) {
-	tb := NewTable()
+	tb := NewSharded(1)
 	for _, p := range []string{"10.2.0.0/16", "10.1.0.0/16", "10.1.0.0/24", "9.0.0.0/8"} {
 		r := baseRoute()
 		r.Prefix = prefix(p)
-		tb.Upsert(r)
+		tb.ApplyBatch([]Op{Announce(r)})
 	}
 	ps := tb.Prefixes()
 	want := []string{"9.0.0.0/8", "10.1.0.0/16", "10.1.0.0/24", "10.2.0.0/16"}
@@ -281,103 +252,6 @@ func TestPrefixesSorted(t *testing.T) {
 	tb.WalkBest(func(*Route) bool { n++; return n < 2 })
 	if n != 2 {
 		t.Errorf("WalkBest early stop: %d", n)
-	}
-}
-
-func TestShouldReflect(t *testing.T) {
-	a, b := addr("10.0.0.1"), addr("10.0.0.2")
-	cases := []struct {
-		fromClient, toClient bool
-		from, to             netip.Addr
-		want                 bool
-	}{
-		{true, true, a, b, true},    // client -> client
-		{true, false, a, b, true},   // client -> non-client
-		{false, true, a, b, true},   // non-client -> client
-		{false, false, a, b, false}, // non-client -> non-client
-		{true, true, a, a, false},   // never back to source
-	}
-	for i, c := range cases {
-		if got := ShouldReflect(c.fromClient, c.toClient, c.from, c.to); got != c.want {
-			t.Errorf("case %d: got %v, want %v", i, got, c.want)
-		}
-	}
-}
-
-func TestReflectStampsAttributes(t *testing.T) {
-	in := bgp.Attrs{ASPath: []bgp.ASPathSegment{{ASNs: []uint16{100}}}}
-	orig, cluster := addr("10.0.0.7"), addr("10.0.0.100")
-	out := Reflect(in, orig, cluster)
-	if out.OriginatorID != orig {
-		t.Errorf("originator = %v", out.OriginatorID)
-	}
-	if len(out.ClusterList) != 1 || out.ClusterList[0] != cluster {
-		t.Errorf("cluster list = %v", out.ClusterList)
-	}
-	// Reflecting again preserves the originator and prepends.
-	out2 := Reflect(out, addr("10.0.0.8"), addr("10.0.0.101"))
-	if out2.OriginatorID != orig {
-		t.Error("originator must not be overwritten")
-	}
-	if len(out2.ClusterList) != 2 || out2.ClusterList[0] != addr("10.0.0.101") {
-		t.Errorf("cluster list after second reflect = %v", out2.ClusterList)
-	}
-	if len(in.ClusterList) != 0 {
-		t.Error("Reflect mutated input")
-	}
-}
-
-func TestExportToEBGP(t *testing.T) {
-	in := bgp.Attrs{
-		ASPath:       []bgp.ASPathSegment{{ASNs: []uint16{100}}},
-		LocalPref:    500,
-		HasLocalPref: true,
-		MED:          5,
-		HasMED:       true,
-		OriginatorID: addr("10.0.0.1"),
-		ClusterList:  []netip.Addr{addr("10.0.0.2")},
-	}
-	out, ok := ExportToEBGP(in, 65000, addr("192.0.2.9"))
-	if !ok {
-		t.Fatal("export should be allowed")
-	}
-	if out.FirstAS() != 65000 {
-		t.Errorf("first AS = %d", out.FirstAS())
-	}
-	if out.HasLocalPref || out.HasMED || out.OriginatorID.IsValid() || out.ClusterList != nil {
-		t.Errorf("iBGP attributes leaked: %+v", out)
-	}
-	if out.NextHop != addr("192.0.2.9") {
-		t.Errorf("next hop = %v", out.NextHop)
-	}
-}
-
-func TestExportToEBGPHonorsNoExport(t *testing.T) {
-	in := bgp.Attrs{Communities: []bgp.Community{bgp.CommunityNoExport}}
-	if _, ok := ExportToEBGP(in, 65000, addr("192.0.2.9")); ok {
-		t.Error("no-export route must not be exported over eBGP")
-	}
-	in2 := bgp.Attrs{Communities: []bgp.Community{bgp.CommunityNoAdvertise}}
-	if _, ok := ExportToEBGP(in2, 65000, addr("192.0.2.9")); ok {
-		t.Error("no-advertise route must not be exported")
-	}
-}
-
-func TestExportToIBGP(t *testing.T) {
-	in := bgp.Attrs{
-		ASPath:      []bgp.ASPathSegment{{ASNs: []uint16{100}}},
-		Communities: []bgp.Community{bgp.CommunityNoExport},
-	}
-	out, ok := ExportToIBGP(in)
-	if !ok {
-		t.Fatal("no-export must still flow over iBGP")
-	}
-	if out.FirstAS() != 100 {
-		t.Error("AS path must be preserved over iBGP")
-	}
-	in2 := bgp.Attrs{Communities: []bgp.Community{bgp.CommunityNoAdvertise}}
-	if _, ok := ExportToIBGP(in2); ok {
-		t.Error("no-advertise blocks iBGP export too")
 	}
 }
 
@@ -403,7 +277,7 @@ func BenchmarkCompare(b *testing.B) {
 }
 
 func BenchmarkTableUpsert(b *testing.B) {
-	tb := NewTable()
+	tb := newTable()
 	routes := make([]*Route, 1000)
 	for i := range routes {
 		r := baseRoute()
@@ -418,7 +292,7 @@ func BenchmarkTableUpsert(b *testing.B) {
 }
 
 func TestUpsertIdenticalReannouncementNoChange(t *testing.T) {
-	tb := NewTable()
+	tb := newTable()
 	if !tb.Upsert(baseRoute()) {
 		t.Fatal("first announcement must change best")
 	}
@@ -468,7 +342,7 @@ func TestRouteEqual(t *testing.T) {
 }
 
 func TestTableLookupLongestPrefix(t *testing.T) {
-	tb := NewTable()
+	tb := newTable()
 	add := func(p string, peerID string) {
 		r := baseRoute()
 		r.Prefix = prefix(p)
@@ -502,7 +376,7 @@ func TestTableLookupLongestPrefix(t *testing.T) {
 	}
 
 	// Without a default route, uncovered addresses miss.
-	tb2 := NewTable()
+	tb2 := newTable()
 	r := baseRoute()
 	r.Prefix = prefix("172.16.0.0/12")
 	tb2.Upsert(r)

@@ -6,8 +6,9 @@ import (
 	"sync"
 )
 
-// ShardedTable partitions a Loc-RIB across per-prefix-range shards so
-// batched ingestion runs the decision process on all cores. Sharding is
+// ShardedTable is the Loc-RIB, partitioned across per-prefix-range
+// shards so batched ingestion runs the decision process on all cores
+// (one shard is the sequential table). Sharding is
 // by the top 16 bits of a prefix's (masked) IPv4 address, split into
 // contiguous ranges: every prefix lives in exactly one shard, ops on
 // distinct shards touch disjoint state, and — because the ranges are
@@ -17,16 +18,17 @@ import (
 //
 // The correctness contract (pinned by TestShardedMatchesSequential and
 // exercised under -race) is byte-for-byte equivalence with a single
-// sequential Table fed the same batches: same best routes, same changed
-// sets, same iteration order. Sharding is a scheduling change, never a
-// semantic one.
+// shard fed the same batches, and of that shard with an op-at-a-time
+// walk (TestApplyBatchMatchesSequential): same best routes, same
+// changed sets, same iteration order. Sharding is a scheduling change,
+// never a semantic one.
 //
-// Methods are safe for the same single-writer discipline as Table:
-// ApplyBatch itself fans out internally, but concurrent ApplyBatch
-// calls (or reads concurrent with a batch) need external
-// synchronization, matching how core.RRServer serializes ingestion.
+// Methods follow a single-writer discipline: ApplyBatch itself fans
+// out internally, but concurrent ApplyBatch calls (or reads concurrent
+// with a batch) need external synchronization, matching how
+// core.RRServer serializes ingestion.
 type ShardedTable struct {
-	shards  []*Table
+	shards  []*table
 	metrics *Metrics
 }
 
@@ -35,8 +37,7 @@ type ShardedTable struct {
 const maxShards = 64
 
 // NewSharded returns a Loc-RIB split across n shards; n <= 0 selects
-// GOMAXPROCS. One shard degenerates to a plain Table behind the same
-// API.
+// GOMAXPROCS.
 func NewSharded(n int) *ShardedTable {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -44,9 +45,9 @@ func NewSharded(n int) *ShardedTable {
 	if n > maxShards {
 		n = maxShards
 	}
-	s := &ShardedTable{shards: make([]*Table, n)}
+	s := &ShardedTable{shards: make([]*table, n)}
 	for i := range s.shards {
-		s.shards[i] = NewTable()
+		s.shards[i] = newTable()
 	}
 	return s
 }
@@ -73,14 +74,15 @@ func (s *ShardedTable) shardOf(p netip.Prefix) int {
 	return int(top * uint32(len(s.shards)) >> 16)
 }
 
-// SetMetrics attaches metrics to every shard. The counters are atomic,
+// SetMetrics attaches metrics to every shard (nil detaches); it is not
+// safe to call concurrently with mutations. The counters are atomic,
 // so parallel shard workers increment them safely; the Prefixes gauge —
 // which a single shard would clobber with its local count — is
 // re-asserted with the global value after each batch joins.
 func (s *ShardedTable) SetMetrics(m *Metrics) {
 	s.metrics = m
 	for _, t := range s.shards {
-		t.SetMetrics(m)
+		t.metrics = m
 	}
 }
 
@@ -88,7 +90,7 @@ func (s *ShardedTable) SetMetrics(m *Metrics) {
 // coalesce/mutate/reselect in its own goroutine (spawn-and-join: all
 // workers are WaitGroup-joined before return), and returns the globally
 // sorted prefixes whose best path changed by value — identical to what
-// a sequential Table.ApplyBatch over the same ops would return.
+// one shard applying the same ops would return.
 func (s *ShardedTable) ApplyBatch(ops []Op) []netip.Prefix {
 	if len(ops) == 0 {
 		return nil
@@ -144,39 +146,6 @@ func (s *ShardedTable) Candidates(prefix netip.Prefix) []*Route {
 	return s.shards[s.shardOf(prefix)].Candidates(prefix)
 }
 
-// BestExternal returns the best eBGP-learned route for prefix, or nil.
-func (s *ShardedTable) BestExternal(prefix netip.Prefix) *Route {
-	return s.shards[s.shardOf(prefix)].BestExternal(prefix)
-}
-
-// Upsert installs one candidate immediately (the non-batched path),
-// reporting whether the best path changed.
-func (s *ShardedTable) Upsert(r *Route) bool {
-	return s.shards[s.shardOf(r.Prefix)].Upsert(r)
-}
-
-// Withdraw removes one candidate immediately, reporting whether the
-// best path changed.
-func (s *ShardedTable) Withdraw(prefix netip.Prefix, peerID, peerAddr netip.Addr) bool {
-	return s.shards[s.shardOf(prefix)].Withdraw(prefix, peerID, peerAddr)
-}
-
-// Lookup returns the best route of the longest installed prefix
-// containing addr. Short (< /16) covering prefixes can live in a
-// different shard than addr's own top-16 range, so the reference LPM
-// consults every shard — it is an oracle, not a hot path (compiled
-// lookups go through internal/fib).
-func (s *ShardedTable) Lookup(addr netip.Addr) *Route {
-	var best *Route
-	bestBits := -1
-	for _, t := range s.shards {
-		if r := t.Lookup(addr); r != nil && r.Prefix.Bits() > bestBits {
-			best, bestBits = r, r.Prefix.Bits()
-		}
-	}
-	return best
-}
-
 // Prefixes returns all prefixes in globally sorted order: shard ranges
 // are contiguous in address order, so per-shard sorted lists
 // concatenate.
@@ -189,19 +158,13 @@ func (s *ShardedTable) Prefixes() []netip.Prefix {
 }
 
 // WalkBest visits the best route of every prefix in globally sorted
-// order.
+// order until fn returns false.
 func (s *ShardedTable) WalkBest(fn func(*Route) bool) {
 	for _, t := range s.shards {
-		stopped := false
-		t.WalkBest(func(r *Route) bool {
-			if !fn(r) {
-				stopped = true
-				return false
+		for _, p := range t.Prefixes() {
+			if b := t.Best(p); b != nil && !fn(b) {
+				return
 			}
-			return true
-		})
-		if stopped {
-			return
 		}
 	}
 }

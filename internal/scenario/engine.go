@@ -77,7 +77,6 @@ type engine struct {
 	env      *experiments.Env
 	fwd      *vns.Forwarding
 	sim      *netsim.Sim
-	reg      *health.Registry
 	tracer   *telemetry.Tracer
 	mon      *health.Monitor
 	inj      *health.Injector
@@ -134,9 +133,8 @@ func newEngine(spec *Spec) (*engine, error) {
 	// can pin both in the goldens.
 	tracer := telemetry.NewTracer(sim.Now, telemetry.DefaultTraceCap)
 	fwd := env.Forwarding(vns.ForwardingConfig{Tracer: tracer}) // sync recompiles
-	reg := health.NewRegistryOn(env.Telemetry)
-	mon := health.NewMonitor(sim, fwd.Fabric(), health.Config{}, reg)
-	ctl := health.NewController(fwd, env.RR, reg)
+	mon := health.NewMonitor(sim, fwd.Fabric(), health.Config{}, env.Telemetry)
+	ctl := health.NewController(fwd, env.RR, env.Telemetry)
 	ctl.Bind(mon)
 
 	e := &engine{
@@ -144,10 +142,9 @@ func newEngine(spec *Spec) (*engine, error) {
 		env:        env,
 		fwd:        fwd,
 		sim:        sim,
-		reg:        reg,
 		tracer:     tracer,
 		mon:        mon,
-		inj:        health.NewInjector(sim, fwd.Fabric(), reg),
+		inj:        health.NewInjector(sim, fwd.Fabric(), env.Telemetry),
 		faults:     make(map[[2]int]faultRec),
 		manualDown: make(map[netip.Addr]bool),
 		usedCovers: make(map[netip.Prefix]bool),

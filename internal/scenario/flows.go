@@ -18,8 +18,8 @@ import (
 
 // setupFlows builds the spec's aggregate flow engine on the scenario's
 // virtual clock. The engine registers its flowsim_* families on the
-// scenario telemetry registry, so checkpoints pin its metric state in
-// the golden trace alongside everything else.
+// scenario telemetry registry, so the declared ones land in the golden
+// metric digest alongside everything else.
 func (e *engine) setupFlows() {
 	f := e.spec.Flows
 	e.flowEng = flowsim.New(flowsim.Config{

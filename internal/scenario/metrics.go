@@ -67,6 +67,7 @@ func (e *engine) metricsCheckpoint(cp int, final bool) {
 		lines := byFamily[f.name]
 		sum := 0.0
 		for _, line := range lines {
+			// The value is the registry's own float rendering; it parses.
 			v, _ := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
 			sum += v
 		}

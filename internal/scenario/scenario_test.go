@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -40,9 +41,11 @@ func checkGolden(t *testing.T, file, got string) {
 //
 //	go test ./internal/scenario -run Golden -update
 func TestScenarioGolden(t *testing.T) {
+	t.Parallel() // runs share nothing; under -race the serial suite outlasts the default timeout
 	for _, name := range Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
+			t.Parallel()
 			spec, err := Load(name)
 			if err != nil {
 				t.Fatal(err)
@@ -70,24 +73,19 @@ func TestDeclaredFamilies(t *testing.T) {
 	}) {
 		t.Error("declaredFamilies is not sorted by name")
 	}
-	// The health families register on first use, so it takes a failover
-	// run and a flow-engine run to see every declared family.
+	// Every subsystem registers its families when it is built, so an
+	// assembled deployment with the flow engine on has them all.
+	spec, err := Load("flows-multipath-offload")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := newEngine(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	registered := make(map[string]bool)
-	for _, name := range []string{"churn-failover", "flows-multipath-offload"} {
-		spec, err := Load(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := newEngine(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.run(); err != nil {
-			t.Fatal(err)
-		}
-		for _, n := range e.env.Telemetry.Names() {
-			registered[n] = true
-		}
+	for _, n := range e.env.Telemetry.Names() {
+		registered[n] = true
 	}
 	for _, f := range declaredFamilies {
 		if f.why == "" {
@@ -129,6 +127,7 @@ func TestUndeclaredMetricLeavesGoldensUnchanged(t *testing.T) {
 // liveness timing, FIB recompiles, media flows — must be a pure function
 // of the spec.
 func TestScenarioDeterminism(t *testing.T) {
+	t.Parallel()
 	spec, err := Load("churn-failover")
 	if err != nil {
 		t.Fatal(err)
@@ -156,18 +155,21 @@ func TestScenarioSeedSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("seed sweep is not for -short")
 	}
+	t.Parallel()
 	for _, name := range []string{"churn", "churn-400k", "churn-failover", "adaptive-geo-wrong", "adaptive-flap-damp", "flows-multipath-offload"} {
 		spec, err := Load(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sw := make([]uint64, *seeds)
-		for i := range sw {
-			sw[i] = uint64(7 + i) // small fixed seeds, distinct from the default
-		}
-		for _, f := range Sweep(spec, sw) {
-			t.Errorf("spec %s seed %d fails with %d/%d events: %v\nrepro: %s",
-				name, f.Seed, f.MinEvents, len(spec.Events), f.Err, f.Repro)
+		for i := 0; i < *seeds; i++ {
+			seed := uint64(7 + i) // small fixed seeds, distinct from the default
+			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
+				t.Parallel()
+				for _, f := range Sweep(spec, []uint64{seed}) {
+					t.Errorf("spec %s seed %d fails with %d/%d events: %v\nrepro: %s",
+						name, f.Seed, f.MinEvents, len(spec.Events), f.Err, f.Repro)
+				}
+			})
 		}
 	}
 }
@@ -176,28 +178,28 @@ func TestScenarioSeedSweep(t *testing.T) {
 func TestSpecValidation(t *testing.T) {
 	bad := []string{
 		`{"events":[]}`, // no name
-		`{"name":"x","events":[{"at":0.1,"op":"link-down","link":"A-B"}]}`,               // inside warmup
-		`{"name":"x","events":[{"at":1,"op":"link-down","link":"LONASH"}]}`,              // malformed link
-		`{"name":"x","events":[{"at":1,"op":"flap-link","link":"A-B","cycles":3}]}`,      // no period
-		`{"name":"x","events":[{"at":1,"op":"announce-burst","pop":"SIN"}]}`,             // no count
-		`{"name":"x","events":[{"at":1,"op":"media-flow","pop":"LON","prefix":"#0"}]}`,   // no duration
-		`{"name":"x","events":[{"at":1,"op":"warp-core-breach"}]}`,                       // unknown op
-		`{"name":"x","events":[{"at":1,"op":"link-down","link":"A-B","bogus":true}]}`,    // unknown field
-		`{"name":"x","events":[{"at":1,"op":"link-down","link":"A-B"},{"at":2,"op":"link-up","link":"A-B"}]}`, // inside settle
-		`{"name":"x","events":[{"at":1,"op":"probe-bias","pop":"geo","prefix":"#0","extraMs":50}]}`,           // adaptive op, no adaptive block
-		`{"name":"x","adaptive":{"applyMarginMs":-1},"events":[]}`,                                            // negative margin
-		`{"name":"x","adaptive":{"prefixes":["10.0.0.0/8"]},"events":[]}`,                                     // literal prefix, not "#N"
-		`{"name":"x","adaptive":{},"events":[{"at":1,"op":"probe-oscillate","pop":"geo","prefix":"#0","extraMs":50,"cycles":3}]}`, // no period
+		`{"name":"x","events":[{"at":0.1,"op":"link-down","link":"A-B"}]}`,                                                         // inside warmup
+		`{"name":"x","events":[{"at":1,"op":"link-down","link":"LONASH"}]}`,                                                        // malformed link
+		`{"name":"x","events":[{"at":1,"op":"flap-link","link":"A-B","cycles":3}]}`,                                                // no period
+		`{"name":"x","events":[{"at":1,"op":"announce-burst","pop":"SIN"}]}`,                                                       // no count
+		`{"name":"x","events":[{"at":1,"op":"media-flow","pop":"LON","prefix":"#0"}]}`,                                             // no duration
+		`{"name":"x","events":[{"at":1,"op":"warp-core-breach"}]}`,                                                                 // unknown op
+		`{"name":"x","events":[{"at":1,"op":"link-down","link":"A-B","bogus":true}]}`,                                              // unknown field
+		`{"name":"x","events":[{"at":1,"op":"link-down","link":"A-B"},{"at":2,"op":"link-up","link":"A-B"}]}`,                      // inside settle
+		`{"name":"x","events":[{"at":1,"op":"probe-bias","pop":"geo","prefix":"#0","extraMs":50}]}`,                                // adaptive op, no adaptive block
+		`{"name":"x","adaptive":{"applyMarginMs":-1},"events":[]}`,                                                                 // negative margin
+		`{"name":"x","adaptive":{"prefixes":["10.0.0.0/8"]},"events":[]}`,                                                          // literal prefix, not "#N"
+		`{"name":"x","adaptive":{},"events":[{"at":1,"op":"probe-oscillate","pop":"geo","prefix":"#0","extraMs":50,"cycles":3}]}`,  // no period
 		`{"name":"x","adaptive":{},"events":[{"at":1,"op":"probe-oscillate","pop":"geo","prefix":"#0","periodSec":2,"cycles":3}]}`, // no extraMs
-		`{"name":"x","adaptive":{},"events":[{"at":1,"op":"probe-bias","prefix":"#0","extraMs":50}]}`,         // no pop
-		`{"name":"x","adaptive":{},"events":[{"at":1,"op":"checkpoint","pop":"LON"}]}`,                        // checkpoint takes no operands
-		`{"name":"x","events":[{"at":1,"op":"checkpoint"}]}`,                                                 // checkpoint with neither adaptive nor flows
-		`{"name":"x","events":[{"at":1,"op":"agg-flows","link":"LON-AMS","count":10,"ratePps":50,"durSec":5}]}`,    // agg-flows, no flows block
-		`{"name":"x","flows":{},"events":[{"at":1,"op":"agg-flows","link":"LONAMS","count":10,"ratePps":50,"durSec":5}]}`, // malformed link
-		`{"name":"x","flows":{},"events":[{"at":1,"op":"agg-flows","link":"LON-AMS","ratePps":50,"durSec":5}]}`,    // no count
-		`{"name":"x","flows":{},"events":[{"at":1,"op":"agg-flows","link":"LON-AMS","count":10,"durSec":5}]}`,      // no rate
-		`{"name":"x","flows":{"dupFraction":1.5},"events":[]}`,                                               // dupFraction outside [0,1]
-		`{"name":"x","flows":{"maxSkewMs":-1},"events":[]}`,                                                  // negative skew gate
+		`{"name":"x","adaptive":{},"events":[{"at":1,"op":"probe-bias","prefix":"#0","extraMs":50}]}`,                              // no pop
+		`{"name":"x","adaptive":{},"events":[{"at":1,"op":"checkpoint","pop":"LON"}]}`,                                             // checkpoint takes no operands
+		`{"name":"x","events":[{"at":1,"op":"checkpoint"}]}`,                                                                       // checkpoint with neither adaptive nor flows
+		`{"name":"x","events":[{"at":1,"op":"agg-flows","link":"LON-AMS","count":10,"ratePps":50,"durSec":5}]}`,                    // agg-flows, no flows block
+		`{"name":"x","flows":{},"events":[{"at":1,"op":"agg-flows","link":"LONAMS","count":10,"ratePps":50,"durSec":5}]}`,          // malformed link
+		`{"name":"x","flows":{},"events":[{"at":1,"op":"agg-flows","link":"LON-AMS","ratePps":50,"durSec":5}]}`,                    // no count
+		`{"name":"x","flows":{},"events":[{"at":1,"op":"agg-flows","link":"LON-AMS","count":10,"durSec":5}]}`,                      // no rate
+		`{"name":"x","flows":{"dupFraction":1.5},"events":[]}`,                                                                     // dupFraction outside [0,1]
+		`{"name":"x","flows":{"maxSkewMs":-1},"events":[]}`,                                                                        // negative skew gate
 	}
 	for i, in := range bad {
 		if _, err := ParseSpec([]byte(in)); err == nil {

@@ -4,7 +4,8 @@
 // spec, drives a scripted event timeline on the virtual clock, quiesces
 // after every event, and runs an invariant suite across control and data
 // plane. Each run emits a canonical trace — simulated timestamps only,
-// stable ordering — that golden tests diff byte-for-byte.
+// stable ordering — and a digest over the declared metric families
+// (metrics.go); golden tests diff both byte-for-byte.
 package scenario
 
 import (
@@ -25,8 +26,8 @@ var specFS embed.FS
 // timeline to drive through it. Specs are checked in as JSON under
 // specs/ and embedded in the package.
 type Spec struct {
-	// Name identifies the scenario; the golden trace lives at
-	// testdata/golden/<Name>.trace.
+	// Name identifies the scenario; its goldens live at
+	// testdata/golden/<Name>.trace and <Name>.metrics.
 	Name string `json:"name"`
 	// Seed drives every stochastic component (0 uses the environment's
 	// default). Seed sweeps override it.

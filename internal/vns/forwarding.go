@@ -165,17 +165,12 @@ func (f *Forwarding) RecompileAll() {
 	}
 }
 
-// Invalidate marks one prefix dirty at every PoP. PoPs are visited
-// in id order so debounce timers arm in a reproducible sequence.
-func (f *Forwarding) Invalidate(prefix netip.Prefix) {
-	f.InvalidateBatch([]netip.Prefix{prefix})
-}
-
 // InvalidateBatch marks a set of prefixes dirty at every PoP in one
 // call per publisher. It is the rr.OnChangeBatch callback: the whole
 // batch lands in a publisher's dirty set before its flush runs, so a
 // change event costs one publish — a copy-on-write delta when the
-// batch is small — rather than one per prefix.
+// batch is small — rather than one per prefix. PoPs are visited in id
+// order so debounce timers arm in a reproducible sequence.
 func (f *Forwarding) InvalidateBatch(prefixes []netip.Prefix) {
 	// Stamp each publisher with the in-flight convergence event, so the
 	// flushes this invalidation causes report their compiles back to it

@@ -43,6 +43,32 @@ func wireDeployment(t *testing.T, maxPrefixes int) (*WireDeployment, *Peering) {
 	return w, pr
 }
 
+// awaitIngest blocks until the reflector has ingested every
+// announcement the egress routers wrote. ConnectEgresses returns once
+// the bytes are on the sockets; the reflector's 22 session goroutines
+// are still decoding them. The barrier is the GeoRR's processed count:
+// RRServer.handleUpdate runs each announced prefix through Assign
+// exactly once, inside the critical section that also applies the
+// UPDATE to the Loc-RIB, so once the count reaches the number of
+// announcements every later RRServer read (they take the same lock)
+// sees the full table. It holds while nothing else calls Assign — no
+// Forwarding is attached to this reflector.
+func awaitIngest(t *testing.T, w *WireDeployment) {
+	t.Helper()
+	want := uint64(0)
+	for _, c := range w.AnnounceCounts() {
+		want += uint64(c)
+	}
+	rr := w.RR.GeoRR()
+	deadline := time.Now().Add(30 * time.Second)
+	for got, _ := rr.Stats(); got < want; got, _ = rr.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("reflector ingested %d of %d announcements", got, want)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 func TestWireDeploymentAllRoutersConnect(t *testing.T) {
 	w, pr := wireDeployment(t, 50)
 	routers := 0
@@ -60,13 +86,9 @@ func TestWireDeploymentAllRoutersConnect(t *testing.T) {
 
 func TestWireDeploymentRoutesConvergeToGeo(t *testing.T) {
 	w, pr := wireDeployment(t, 60)
-	// Wait until the reflector has routes for 60 prefixes.
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) && w.RR.NumRoutes() < 60 {
-		time.Sleep(20 * time.Millisecond)
-	}
-	if got := w.RR.NumRoutes(); got < 60 {
-		t.Fatalf("routes = %d, want >= 60", got)
+	awaitIngest(t, w)
+	if got := w.RR.NumRoutes(); got != 60 {
+		t.Fatalf("routes = %d, want 60", got)
 	}
 
 	// For a sample of prefixes, the wire-level best must exit at (or

@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # Sustained-load soak driver: run the combined churn-at-scale +
-# million-flow experiment for a wall duration, collect the self-scraped
-# metrics JSONL, and summarize the stage-latency percentiles next to
-# the most recent BENCH_<date>.json snapshot so one report covers both
-# the steady-state (bench) and under-load (soak) numbers.
+# million-flow experiment for a wall duration and collect the
+# self-scraped metrics JSONL. The steady-state numbers come from the
+# repository's benchmark (bench/README.md).
 #
 #   scripts/soak.sh                 # full soak: 400k prefixes, 1M flows, 30s
 #   scripts/soak.sh -short          # CI smoke: 20k prefixes, 20k flows, 8s
@@ -43,17 +42,5 @@ grep -q '^soak: PASS$' "$report" || status=1
 
 echo
 echo "soak JSONL: $out ($(wc -l <"$out") scrapes)"
-
-# Join with the latest bench snapshot, if one exists, so the soak
-# percentiles land beside the per-op microbenchmark numbers.
-latest_bench=$(ls -1 BENCH_*.json 2>/dev/null | sort | tail -1 || true)
-if [[ -n "$latest_bench" ]]; then
-  echo "bench snapshot: $latest_bench"
-  # No jq dependency: the snapshot schema is one benchmark per "name"/
-  # "ns_per_op" pair, extracted with POSIX tools.
-  grep -o '"name": *"[^"]*"\|"ns_per_op": *[0-9.]*' "$latest_bench" |
-    sed 's/"name": *"\([^"]*\)"/\1/; s/"ns_per_op": *//' |
-    paste - - | awk '{printf "  bench %-28s %12.1f ns/op\n", $1, $2}'
-fi
 
 exit "$status"
