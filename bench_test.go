@@ -87,8 +87,8 @@ func BenchmarkFig6DelayDifference(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r = experiments.Fig6DelayDifference(e)
 	}
-	b.ReportMetric(r.BetterOrEqualShare("SIN")*100, "%SINbetter")
-	b.ReportMetric(r.Within50msShare("AMS")*100, "%AMSwithin50")
+	b.ReportMetric(r.PerPoP["SIN"].At(0)*100, "%SINbetter")
+	b.ReportMetric(r.PerPoP["AMS"].At(50)*100, "%AMSwithin50")
 }
 
 // BenchmarkFig7IncomingTraffic regenerates Figure 7: the anycast
@@ -214,10 +214,17 @@ func BenchmarkRepairStudy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r = experiments.RepairStudy(e, 20)
 	}
-	random, _ := r.ResidualFor("random 0.5%", "fec 1/10")
-	bursty, _ := r.ResidualFor("bursty 0.5%", "fec 1/10")
-	b.ReportMetric(random, "fecResidRandom%")
-	b.ReportMetric(bursty, "fecResidBursty%")
+	for _, row := range r.Rows {
+		if row.Strategy != "fec 1/10" {
+			continue
+		}
+		switch row.Regime {
+		case "random 0.5%":
+			b.ReportMetric(row.Residual, "fecResidRandom%")
+		case "bursty 0.5%":
+			b.ReportMetric(row.Residual, "fecResidBursty%")
+		}
+	}
 }
 
 // BenchmarkQoEStudy regenerates the adaptive-rate user-experience
@@ -228,10 +235,17 @@ func BenchmarkQoEStudy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r = experiments.QoEStudy(e, 4)
 	}
-	vns, _ := r.TopShareFor("SYD", geo.RegionAP, experiments.ViaVNS)
-	transit, _ := r.TopShareFor("SYD", geo.RegionAP, experiments.ViaTransit)
-	b.ReportMetric(vns, "%1080pVNS")
-	b.ReportMetric(transit, "%1080pTransit")
+	for _, row := range r.Rows {
+		if row.Client != "SYD" || row.ServerRegion != geo.RegionAP {
+			continue
+		}
+		switch row.Path {
+		case experiments.ViaVNS:
+			b.ReportMetric(row.TopSharePct, "%1080pVNS")
+		case experiments.ViaTransit:
+			b.ReportMetric(row.TopSharePct, "%1080pTransit")
+		}
+	}
 }
 
 // BenchmarkEconStudy regenerates the §6 cost analysis.
@@ -292,7 +306,6 @@ func BenchmarkCapacityStudy(b *testing.B) {
 		r = experiments.CapacityStudy(e, 20000, 0.7)
 	}
 	b.ReportMetric(r.IntraRegionShare*100, "%intraRegion")
-	b.ReportMetric(r.LongHaulShare(e)*100, "%longHaul")
 }
 
 // BenchmarkForwardingLookup measures one compiled-FIB lookup on the

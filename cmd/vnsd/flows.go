@@ -47,28 +47,7 @@ func setupFlows(sim *netsim.Sim, env *experiments.Env, fwd *vns.Forwarding, reg 
 	for i, pr := range conferencePairs {
 		a, b := env.Net.PoP(pr[0]), env.Net.PoP(pr[1])
 
-		var cands []relay.PathCandidate
-		var links [][]*netsim.Link
-		add := func(name string, ls ...*netsim.Link) {
-			total := 0.0
-			for _, l := range ls {
-				total += l.PropDelayMs
-			}
-			cands = append(cands, relay.PathCandidate{Name: name, DelayMs: total})
-			links = append(links, ls)
-		}
-		if l := fabric.Link(a, b); l != nil {
-			add(a.Code+"-"+b.Code, l)
-		}
-		for _, m := range env.Net.PoPs {
-			if m == a || m == b {
-				continue
-			}
-			l1, l2 := fabric.Link(a, m), fabric.Link(m, b)
-			if l1 != nil && l2 != nil {
-				add(a.Code+"-"+m.Code+"-"+b.Code, l1, l2)
-			}
-		}
+		cands, links := fabric.OverlayPaths(a, b, 0)
 		choices := relay.SelectPaths(cands, 2, 30)
 		paths := make([]flowsim.PathSpec, 0, len(choices))
 		for _, c := range choices {

@@ -101,10 +101,7 @@ func main() {
 	log.Printf("forwarding plane: %d per-PoP FIBs compiled", len(fwd.Engines()))
 
 	// Measured-delay adaptive routing: probe rounds ride the health
-	// clock, overrides land on the same reflector vnsctl manages. Built
-	// before the egress goroutine starts so AdaptiveTracks prewarms the
-	// per-origin candidate cache while the process is still single-
-	// threaded.
+	// clock, overrides land on the same reflector vnsctl manages.
 	var actl *adaptive.Controller
 	if *adaptiveOn {
 		actl = adaptive.NewController(adaptive.Config{

@@ -169,10 +169,3 @@ func (e *Estimator) Lookup(key Key) (*PathEstimator, bool) {
 	e.mu.RUnlock()
 	return p, ok
 }
-
-// Len returns the number of registered paths.
-func (e *Estimator) Len() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return len(e.paths)
-}

@@ -150,8 +150,8 @@ func TestEstimatorRegistry(t *testing.T) {
 	if e.Path(k2) == p1 {
 		t.Error("distinct keys must get distinct estimators")
 	}
-	if e.Len() != 2 {
-		t.Errorf("Len = %d, want 2", e.Len())
+	if len(e.paths) != 2 {
+		t.Errorf("paths = %d, want 2", len(e.paths))
 	}
 	if _, ok := e.Lookup(k1); !ok {
 		t.Error("Lookup missed a registered key")

@@ -34,7 +34,6 @@ var registrars = map[string]int{
 	"Gauge":        -1,
 	"Histogram":    -1,
 	"CounterVec":   2,
-	"GaugeVec":     2,
 	"HistogramVec": 3,
 	"RegisterFunc": -1,
 }

@@ -14,12 +14,12 @@ func register(r *telemetry.Registry) {
 	r.RegisterFunc("netsim_link_tx_packets_total", "ok", telemetry.KindCounter,
 		[]string{"link"}, nil)
 
-	r.Counter("Lookups", "bad")                                // want `metric name "Lookups" is not snake_case`
-	r.Counter("fib", "bad")                                    // want `metric name "fib" is not snake_case`
-	r.Gauge("fib-lookups", "bad")                              // want `metric name "fib-lookups" is not snake_case`
-	r.Histogram("fib_Compile", "bad", nil)                     // want `metric name "fib_Compile" is not snake_case`
-	r.CounterVec("rib_events_total", "bad label", "Type")      // want `metric label "Type" is not snake_case`
-	r.GaugeVec("rib_depth_current", "bad label", "ok", "9bad") // want `metric label "9bad" is not snake_case`
+	r.Counter("Lookups", "bad")                                         // want `metric name "Lookups" is not snake_case`
+	r.Counter("fib", "bad")                                             // want `metric name "fib" is not snake_case`
+	r.Gauge("fib-lookups", "bad")                                       // want `metric name "fib-lookups" is not snake_case`
+	r.Histogram("fib_Compile", "bad", nil)                              // want `metric name "fib_Compile" is not snake_case`
+	r.CounterVec("rib_events_total", "bad label", "Type")               // want `metric label "Type" is not snake_case`
+	r.HistogramVec("rib_depth_current", "bad label", nil, "ok", "9bad") // want `metric label "9bad" is not snake_case`
 	r.RegisterFunc("netsim_drops_total", "bad label", telemetry.KindCounter,
 		[]string{"cause", "Link"}, nil) // want `metric label "Link" is not snake_case`
 

@@ -48,7 +48,6 @@ const (
 const (
 	flagOptional   = 0x80
 	flagTransitive = 0x40
-	flagPartial    = 0x20
 	flagExtLen     = 0x10
 )
 
@@ -131,35 +130,6 @@ func (a Attrs) FirstAS() uint16 {
 		}
 	}
 	return 0
-}
-
-// HasASLoop reports whether asn appears anywhere in the AS path.
-func (a Attrs) HasASLoop(asn uint16) bool {
-	for _, seg := range a.ASPath {
-		if slices.Contains(seg.ASNs, asn) {
-			return true
-		}
-	}
-	return false
-}
-
-// PrependAS returns a copy of the attributes with asn prepended to the
-// AS path, merging into the leading AS_SEQUENCE when possible, as an
-// eBGP speaker does when propagating a route.
-func (a Attrs) PrependAS(asn uint16) Attrs {
-	out := a.Clone()
-	if len(out.ASPath) > 0 && !out.ASPath[0].Set {
-		seg := out.ASPath[0]
-		out.ASPath[0] = ASPathSegment{ASNs: append([]uint16{asn}, seg.ASNs...)}
-	} else {
-		out.ASPath = append([]ASPathSegment{{ASNs: []uint16{asn}}}, out.ASPath...)
-	}
-	return out
-}
-
-// HasCommunity reports whether c is attached.
-func (a Attrs) HasCommunity(c Community) bool {
-	return slices.Contains(a.Communities, c)
 }
 
 // HasClusterLoop reports whether id appears in the CLUSTER_LIST, the

@@ -225,35 +225,8 @@ func TestAttrsHelpers(t *testing.T) {
 	if got := a.FirstAS(); got != 65001 {
 		t.Errorf("FirstAS = %d", got)
 	}
-	if !a.HasASLoop(65010) || a.HasASLoop(64999) {
-		t.Error("HasASLoop wrong")
-	}
-	if !a.HasCommunity(CommunityNoExport) || a.HasCommunity(CommunityNoAdvertise) {
-		t.Error("HasCommunity wrong")
-	}
 	if !a.HasClusterLoop(addr("10.0.0.10")) || a.HasClusterLoop(addr("10.0.0.99")) {
 		t.Error("HasClusterLoop wrong")
-	}
-}
-
-func TestPrependAS(t *testing.T) {
-	a := Attrs{ASPath: []ASPathSegment{{ASNs: []uint16{2, 3}}}}
-	b := a.PrependAS(1)
-	if got := b.ASPath[0].ASNs; !reflect.DeepEqual(got, []uint16{1, 2, 3}) {
-		t.Errorf("prepend into sequence: %v", got)
-	}
-	if !reflect.DeepEqual(a.ASPath[0].ASNs, []uint16{2, 3}) {
-		t.Error("PrependAS mutated the original")
-	}
-	// Prepend onto empty path.
-	c := Attrs{}.PrependAS(7)
-	if c.ASPathLen() != 1 || c.FirstAS() != 7 {
-		t.Errorf("prepend onto empty: %+v", c.ASPath)
-	}
-	// Prepend before an AS_SET creates a new sequence segment.
-	d := Attrs{ASPath: []ASPathSegment{{Set: true, ASNs: []uint16{9}}}}.PrependAS(8)
-	if len(d.ASPath) != 2 || d.ASPath[0].Set || d.ASPath[0].ASNs[0] != 8 {
-		t.Errorf("prepend before set: %+v", d.ASPath)
 	}
 }
 

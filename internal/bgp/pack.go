@@ -2,60 +2,26 @@ package bgp
 
 import "net/netip"
 
-// PackUpdates groups prefixes sharing one attribute set into as few
-// UPDATE messages as fit the 4096-byte protocol limit — what real
-// speakers do during table transfer instead of sending one prefix per
-// message. Withdrawals pack the same way with empty attributes.
-func PackUpdates(attrs Attrs, nlri []netip.Prefix) ([]Update, error) {
-	return packUpdates(attrs, nlri, false)
-}
-
-// PackWithdrawals groups withdrawn prefixes into minimal UPDATEs.
-func PackWithdrawals(withdrawn []netip.Prefix) ([]Update, error) {
-	return packUpdates(Attrs{}, withdrawn, true)
-}
-
-func packUpdates(attrs Attrs, prefixes []netip.Prefix, withdraw bool) ([]Update, error) {
-	if len(prefixes) == 0 {
-		return nil, nil
-	}
-	// Fixed per-message cost: header + the two length fields + the
-	// attribute block (absent for withdrawals).
-	overhead := headerLen + 4
-	if !withdraw {
-		encoded, err := attrs.marshal()
-		if err != nil {
-			return nil, err
-		}
-		overhead += len(encoded)
-	}
-
+// PackWithdrawals groups withdrawn prefixes into as few UPDATE messages
+// as fit the 4096-byte protocol limit — what real speakers do instead
+// of sending one prefix per message.
+func PackWithdrawals(withdrawn []netip.Prefix) []Update {
+	// Fixed per-message cost: header + the two length fields.
+	const capacity = maxMsgLen - headerLen - 4
 	var out []Update
 	var cur []netip.Prefix
-	room := maxMsgLen - overhead
-	flush := func() {
-		if len(cur) == 0 {
-			return
-		}
-		u := Update{}
-		if withdraw {
-			u.Withdrawn = cur
-		} else {
-			u.Attrs = attrs
-			u.NLRI = cur
-		}
-		out = append(out, u)
-		cur = nil
-		room = maxMsgLen - overhead
-	}
-	for _, p := range prefixes {
+	room := capacity
+	for _, p := range withdrawn {
 		need := 1 + (p.Bits()+7)/8
 		if need > room {
-			flush()
+			out = append(out, Update{Withdrawn: cur})
+			cur, room = nil, capacity
 		}
 		cur = append(cur, p)
 		room -= need
 	}
-	flush()
-	return out, nil
+	if len(cur) > 0 {
+		out = append(out, Update{Withdrawn: cur})
+	}
+	return out
 }

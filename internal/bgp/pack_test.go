@@ -16,31 +16,24 @@ func manyPrefixes(n int) []netip.Prefix {
 }
 
 func TestPackUpdatesEmpty(t *testing.T) {
-	ups, err := PackUpdates(fullAttrs(), nil)
-	if err != nil || ups != nil {
-		t.Errorf("empty pack: %v %v", ups, err)
+	if ups := PackWithdrawals(nil); ups != nil {
+		t.Errorf("empty pack: %v", ups)
 	}
 }
 
 func TestPackUpdatesSingleMessage(t *testing.T) {
-	ups, err := PackUpdates(fullAttrs(), manyPrefixes(10))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ups := PackWithdrawals(manyPrefixes(10))
 	if len(ups) != 1 {
 		t.Fatalf("messages = %d, want 1", len(ups))
 	}
-	if len(ups[0].NLRI) != 10 {
-		t.Errorf("NLRI = %d", len(ups[0].NLRI))
+	if len(ups[0].Withdrawn) != 10 {
+		t.Errorf("Withdrawn = %d", len(ups[0].Withdrawn))
 	}
 }
 
 func TestPackUpdatesRespectsSizeLimit(t *testing.T) {
 	prefixes := manyPrefixes(5000)
-	ups, err := PackUpdates(fullAttrs(), prefixes)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ups := PackWithdrawals(prefixes)
 	if len(ups) < 2 {
 		t.Fatalf("5000 prefixes in %d message(s)", len(ups))
 	}
@@ -58,7 +51,7 @@ func TestPackUpdatesRespectsSizeLimit(t *testing.T) {
 		if err != nil {
 			t.Fatalf("message %d: %v", i, err)
 		}
-		total += len(m.(Update).NLRI)
+		total += len(m.(Update).Withdrawn)
 	}
 	if total != len(prefixes) {
 		t.Errorf("packed %d prefixes, want %d", total, len(prefixes))
@@ -66,7 +59,7 @@ func TestPackUpdatesRespectsSizeLimit(t *testing.T) {
 	// Order preserved across messages.
 	idx := 0
 	for _, u := range ups {
-		for _, p := range u.NLRI {
+		for _, p := range u.Withdrawn {
 			if p != prefixes[idx] {
 				t.Fatalf("order broken at %d", idx)
 			}
@@ -77,10 +70,7 @@ func TestPackUpdatesRespectsSizeLimit(t *testing.T) {
 
 func TestPackWithdrawals(t *testing.T) {
 	prefixes := manyPrefixes(3000)
-	ups, err := PackWithdrawals(prefixes)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ups := PackWithdrawals(prefixes)
 	total := 0
 	for i, u := range ups {
 		if len(u.NLRI) != 0 {
@@ -106,20 +96,13 @@ func TestPackUpdatesProperty(t *testing.T) {
 			prefixes[i] = netip.PrefixFrom(
 				netip.AddrFrom4([4]byte{byte(1 + i>>16), byte(i >> 8), byte(i), 0}), b).Masked()
 		}
-		ups, err := PackUpdates(Attrs{
-			ASPath:  []ASPathSegment{{ASNs: []uint16{65001}}},
-			NextHop: addr("192.0.2.1"),
-		}, prefixes)
-		if err != nil {
-			return false
-		}
 		total := 0
-		for _, u := range ups {
+		for _, u := range PackWithdrawals(prefixes) {
 			buf, err := Marshal(u)
 			if err != nil || len(buf) > 4096 {
 				return false
 			}
-			total += len(u.NLRI)
+			total += len(u.Withdrawn)
 		}
 		return total == n
 	}

@@ -82,7 +82,6 @@ type Session struct {
 
 	closeOnce sync.Once
 	closed    chan struct{}
-	closeErr  atomic.Value // error
 }
 
 // Handshake runs the OPEN exchange over conn and returns an Established
@@ -192,17 +191,11 @@ func Handshake(conn net.Conn, cfg SessionConfig) (*Session, error) {
 	return s, nil
 }
 
-// State returns the current FSM state.
-func (s *Session) State() State { return State(s.state.Load()) }
-
 // setState enters a new FSM state and counts the transition.
 func (s *Session) setState(st State) {
 	s.state.Store(int32(st))
 	s.cfg.Metrics.transition(st)
 }
-
-// PeerAS returns the peer's AS number from its OPEN.
-func (s *Session) PeerAS() uint16 { return s.peer.AS }
 
 // PeerID returns the peer's BGP identifier.
 func (s *Session) PeerID() netip.Addr { return s.peer.ID }
@@ -210,18 +203,6 @@ func (s *Session) PeerID() netip.Addr { return s.peer.ID }
 // Updates returns the channel on which received UPDATE messages are
 // delivered. The channel is closed when the session ends.
 func (s *Session) Updates() <-chan Update { return s.updates }
-
-// Done returns a channel closed when the session has shut down.
-func (s *Session) Done() <-chan struct{} { return s.closed }
-
-// Err returns the error that terminated the session, or nil while the
-// session is live or after a clean Close.
-func (s *Session) Err() error {
-	if e, ok := s.closeErr.Load().(error); ok {
-		return e
-	}
-	return nil
-}
 
 // SendUpdate transmits an UPDATE message.
 func (s *Session) SendUpdate(u Update) error {
@@ -264,7 +245,6 @@ func (s *Session) notifyAndClose(code, subcode uint8) {
 func (s *Session) shutdown(err error, sendCease bool) {
 	s.closeOnce.Do(func() {
 		if err != nil {
-			s.closeErr.Store(err)
 			s.cfg.logf("session with AS%d closed: %v", s.peer.AS, err)
 		}
 		if sendCease {

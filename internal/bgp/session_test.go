@@ -1,9 +1,11 @@
 package bgp
 
 import (
+	"fmt"
 	"net"
 	"net/netip"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -63,15 +65,34 @@ func handshakePair(t *testing.T, cfgA, cfgB SessionConfig) (*Session, *Session) 
 	return sa, r.s
 }
 
+// state reads a session's FSM state.
+func state(s *Session) State { return State(s.state.Load()) }
+
+// eventLog collects a session's Logf lines; the one written at shutdown
+// names the error that ended the session.
+type eventLog struct {
+	mu    sync.Mutex
+	lines []string
+}
+
+func (l *eventLog) logf(format string, args ...any) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.lines = append(l.lines, fmt.Sprintf(format, args...))
+}
+
+func (l *eventLog) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return strings.Join(l.lines, "\n")
+}
+
 func TestHandshakeEstablishes(t *testing.T) {
 	a, b := handshakePair(t,
 		SessionConfig{LocalAS: 65001, LocalID: addr("10.0.0.1")},
 		SessionConfig{LocalAS: 65002, LocalID: addr("10.0.0.2")})
-	if a.State() != StateEstablished || b.State() != StateEstablished {
-		t.Errorf("states: %v %v", a.State(), b.State())
-	}
-	if a.PeerAS() != 65002 || b.PeerAS() != 65001 {
-		t.Errorf("peer AS: %d %d", a.PeerAS(), b.PeerAS())
+	if state(a) != StateEstablished || state(b) != StateEstablished {
+		t.Errorf("states: %v %v", state(a), state(b))
 	}
 	if a.PeerID() != addr("10.0.0.2") {
 		t.Errorf("peer ID: %v", a.PeerID())
@@ -127,7 +148,7 @@ func TestManyUpdates(t *testing.T) {
 		select {
 		case _, ok := <-b.Updates():
 			if !ok {
-				t.Fatalf("session closed after %d updates: %v", seen, b.Err())
+				t.Fatalf("session closed after %d updates", seen)
 			}
 			seen++
 		case <-timeout:
@@ -137,17 +158,18 @@ func TestManyUpdates(t *testing.T) {
 }
 
 func TestCloseSendsCease(t *testing.T) {
+	var log eventLog
 	a, b := handshakePair(t,
 		SessionConfig{LocalAS: 65001, LocalID: addr("10.0.0.1")},
-		SessionConfig{LocalAS: 65002, LocalID: addr("10.0.0.2")})
+		SessionConfig{LocalAS: 65002, LocalID: addr("10.0.0.2"), Logf: log.logf})
 	a.Close()
 	select {
-	case <-b.Done():
+	case <-b.closed:
 	case <-time.After(5 * time.Second):
 		t.Fatal("peer did not observe close")
 	}
-	if n, ok := b.Err().(Notification); !ok || n.Code != NotifCease {
-		t.Errorf("peer err = %v, want Cease notification", b.Err())
+	if want := (Notification{Code: NotifCease}).Error(); !strings.Contains(log.String(), want) {
+		t.Errorf("peer log = %q, want Cease notification", log.String())
 	}
 	if err := a.SendUpdate(Update{}); err != ErrSessionClosed {
 		t.Errorf("send after close = %v, want ErrSessionClosed", err)
@@ -182,14 +204,14 @@ func TestHoldTimerExpiry(t *testing.T) {
 	// Negotiated hold time is min(3s, 1h) = 3s on both sides; both sides
 	// keepalive at 1s so the session should stay up for several seconds.
 	select {
-	case <-a.Done():
-		t.Fatalf("session died prematurely: %v", a.Err())
+	case <-a.closed:
+		t.Fatal("session died prematurely")
 	case <-time.After(4 * time.Second):
 	}
 	// Now silence B entirely: stop its loops by closing its conn.
 	b.Close()
 	select {
-	case <-a.Done():
+	case <-a.closed:
 	case <-time.After(10 * time.Second):
 		t.Fatal("A did not notice dead peer")
 	}
@@ -274,28 +296,29 @@ func TestHoldTimerExpiryNotification(t *testing.T) {
 		}
 	}()
 
-	s, err := Handshake(ca, SessionConfig{LocalAS: 65000, LocalID: addr("10.0.0.1"), HoldTime: 3 * time.Second})
+	var log eventLog
+	s, err := Handshake(ca, SessionConfig{LocalAS: 65000, LocalID: addr("10.0.0.1"), HoldTime: 3 * time.Second, Logf: log.logf})
 	if err != nil {
 		t.Fatalf("handshake: %v", err)
 	}
-	if s.State() != StateEstablished {
-		t.Fatalf("state = %v, want Established", s.State())
+	if state(s) != StateEstablished {
+		t.Fatalf("state = %v, want Established", state(s))
 	}
 
 	start := time.Now()
 	select {
-	case <-s.Done():
+	case <-s.closed:
 	case <-time.After(10 * time.Second):
 		t.Fatal("session did not detect peer silence")
 	}
 	if waited := time.Since(start); waited > 5*time.Second {
 		t.Errorf("expiry took %v, hold time is 3s", waited)
 	}
-	if err := s.Err(); err == nil || !strings.Contains(err.Error(), "hold timer") {
-		t.Errorf("session error = %v, want hold timer expiry", err)
+	if !strings.Contains(log.String(), "hold timer") {
+		t.Errorf("session log = %q, want hold timer expiry", log.String())
 	}
-	if s.State() != StateIdle {
-		t.Errorf("state after expiry = %v, want Idle", s.State())
+	if state(s) != StateIdle {
+		t.Errorf("state after expiry = %v, want Idle", state(s))
 	}
 	select {
 	case n := <-notifCh:

@@ -19,6 +19,7 @@ import (
 	"net/netip"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"vns/internal/bgp"
 	"vns/internal/detsort"
@@ -111,11 +112,10 @@ type GeoRR struct {
 	// geographic preference, below a management force.
 	overrides map[netip.Prefix]netip.Addr
 
-	// Counters for observability. misses has its own lock because it
-	// is incremented while mu is read-held.
-	processed uint64
-	missMu    sync.Mutex
-	misses    uint64
+	// Counters for observability, incremented while mu is at most
+	// read-held.
+	processed atomic.Uint64
+	misses    atomic.Uint64
 
 	// Change subscribers (the forwarding plane's FIB publishers). Own
 	// lock so notification never nests inside mu: subscribers typically
@@ -256,10 +256,7 @@ type Decision struct {
 // Assign computes the local preference for a route to prefix learned
 // from egress router from. This is the heart of the paper's mechanism.
 func (rr *GeoRR) Assign(from netip.Addr, prefix netip.Prefix) Decision {
-	rr.mu.Lock()
-	rr.processed++
-	rr.mu.Unlock()
-
+	rr.processed.Add(1)
 	rr.mu.RLock()
 	defer rr.mu.RUnlock()
 
@@ -300,7 +297,7 @@ func (rr *GeoRR) Assign(from netip.Addr, prefix netip.Prefix) Decision {
 	}
 	rec, ok := rr.cfg.DB.LookupPrefix(prefix)
 	if !ok {
-		rr.missed()
+		rr.misses.Add(1)
 		rr.metrics.assigned("no_geolocation")
 		return Decision{Reason: "no geolocation"}
 	}
@@ -384,12 +381,6 @@ func (rr *GeoRR) NotifyChanged(prefixes ...netip.Prefix) {
 	}
 }
 
-func (rr *GeoRR) missed() {
-	rr.missMu.Lock()
-	rr.misses++
-	rr.missMu.Unlock()
-}
-
 // ProcessUpdateQuiet applies geo-routing to one received UPDATE from
 // an egress router and returns the modified update to re-advertise to
 // all other iBGP peers (RFC 4456 reflection with the geo local-pref
@@ -439,11 +430,5 @@ func (rr *GeoRR) DB() *geoip.DB { return rr.cfg.DB }
 
 // Stats returns (routes processed, geolocation misses).
 func (rr *GeoRR) Stats() (processed, misses uint64) {
-	rr.mu.RLock()
-	p := rr.processed
-	rr.mu.RUnlock()
-	rr.missMu.Lock()
-	m := rr.misses
-	rr.missMu.Unlock()
-	return p, m
+	return rr.processed.Load(), rr.misses.Load()
 }

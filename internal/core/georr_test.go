@@ -2,8 +2,10 @@ package core
 
 import (
 	"net/netip"
+	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"vns/internal/bgp"
 	"vns/internal/geo"
@@ -174,7 +176,7 @@ func TestStaticRoutes(t *testing.T) {
 		t.Fatalf("updates = %d", len(ups))
 	}
 	u := ups[0]
-	if !u.Attrs.HasCommunity(bgp.CommunityNoExport) {
+	if !slices.Contains(u.Attrs.Communities, bgp.CommunityNoExport) {
 		t.Error("static route must carry no-export")
 	}
 	if u.NLRI[0] != sub {
@@ -192,6 +194,25 @@ func TestStaticRoutes(t *testing.T) {
 	rr.RemoveStatic(sub, addr("10.0.3.1"))
 	if got := rr.Statics(); len(got) != 0 {
 		t.Fatalf("statics after remove = %v", got)
+	}
+}
+
+// TestAddStaticCoverRunsUnlocked: hasCover is the caller's code (the
+// mgmt server's takes RRServer.mu, which handleUpdate holds while it
+// waits for rr.mu), so AddStatic must not hold rr.mu across it. A cover
+// that reads GeoRR state deadlocks if it does.
+func TestAddStaticCoverRunsUnlocked(t *testing.T) {
+	rr, _ := testRR(t)
+	cover := func(netip.Prefix) bool { return len(rr.Egresses()) > 0 }
+	done := make(chan error, 1)
+	go func() { done <- rr.AddStatic(prefix("10.1.200.0/24"), addr("10.0.3.1"), cover) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("AddStatic called hasCover with rr.mu held")
 	}
 }
 

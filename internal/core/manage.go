@@ -69,12 +69,16 @@ func (rr *GeoRR) IsExempt(prefix netip.Prefix) bool {
 // covering less-specific; the paper requires this so traffic can
 // actually be delivered.
 func (rr *GeoRR) AddStatic(prefix netip.Prefix, egress netip.Addr, hasCover func(netip.Prefix) bool) error {
+	// hasCover is the caller's code and may take locks that are held
+	// while waiting for rr.mu (the wire server's, around Assign), so it
+	// runs before rr.mu is taken.
+	covered := hasCover == nil || hasCover(prefix)
 	rr.mu.Lock()
 	if _, ok := rr.egresses[egress]; !ok {
 		rr.mu.Unlock()
 		return fmt.Errorf("core: unknown egress %v", egress)
 	}
-	if hasCover != nil && !hasCover(prefix) {
+	if !covered {
 		rr.mu.Unlock()
 		return fmt.Errorf("core: no covering route for %v at %v", prefix, egress)
 	}

@@ -201,11 +201,7 @@ func (s *RRServer) purgePeer(peerID netip.Addr) {
 	if len(gone) == 0 {
 		return
 	}
-	updates, err := bgp.PackWithdrawals(gone)
-	if err != nil {
-		return
-	}
-	for _, u := range updates {
+	for _, u := range bgp.PackWithdrawals(gone) {
 		for _, sess := range targets {
 			_ = sess.SendUpdate(u)
 		}

@@ -183,9 +183,10 @@ func TestRRServerPeerReplacement(t *testing.T) {
 	// A second session with the same router ID replaces the first.
 	second := dialEgress(t, srv, "10.0.1.1")
 	waitFor(t, "replacement", func() bool {
+		// Updates() is closed when the session ends.
 		select {
-		case <-first.Done():
-			return true
+		case _, ok := <-first.Updates():
+			return !ok
 		default:
 			return false
 		}

@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 	"sort"
-	"strings"
 
-	"vns/internal/detsort"
 	"vns/internal/geo"
 	"vns/internal/measure"
 	"vns/internal/vns"
@@ -122,22 +120,6 @@ func (r *CapacityResult) TopLinks(n int) []string {
 		out[i] = all[i].name
 	}
 	return out
-}
-
-// LongHaulShare returns the fraction of link traffic on inter-cluster
-// links — the expensive capacity the cost model's commit covers.
-func (r *CapacityResult) LongHaulShare(e *Env) float64 {
-	var longHaul float64
-	// Sorted: float accumulation order changes the low bits of the sum.
-	for _, name := range detsort.Keys(r.Load) {
-		load := r.Load[name]
-		codes := strings.SplitN(name, "-", 2)
-		a, b := e.Net.PoP(codes[0]), e.Net.PoP(codes[1])
-		if a.Region() != b.Region() {
-			longHaul += load
-		}
-	}
-	return longHaul
 }
 
 // Render prints the busiest links and the headline shares.

@@ -166,14 +166,14 @@ func TestFig6Shape(t *testing.T) {
 		}
 		// Cold potato does not stretch delay much: most destinations
 		// within +50 ms (paper: 87-93%).
-		if got := r.Within50msShare(pop); got < 0.75 {
+		if got := r.PerPoP[pop].At(50); got < 0.75 {
 			t.Errorf("%s: within 50ms = %.2f, want >= 0.75", pop, got)
 		}
 	}
 	// Singapore benefits most from the dedicated long-haul links.
-	if r.BetterOrEqualShare("SIN") <= r.BetterOrEqualShare("AMS") {
+	if r.PerPoP["SIN"].At(0) <= r.PerPoP["AMS"].At(0) {
 		t.Errorf("SIN (%.2f) should beat AMS (%.2f)",
-			r.BetterOrEqualShare("SIN"), r.BetterOrEqualShare("AMS"))
+			r.PerPoP["SIN"].At(0), r.PerPoP["AMS"].At(0))
 	}
 }
 

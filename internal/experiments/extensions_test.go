@@ -35,8 +35,8 @@ func TestRepairStudy(t *testing.T) {
 	if len(r.Rows) != 7 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
-	fecRandom, ok1 := r.ResidualFor("random 0.5%", "fec 1/10")
-	fecBursty, ok2 := r.ResidualFor("bursty 0.5%", "fec 1/10")
+	fecRandom, ok1 := residualFor(r, "random 0.5%", "fec 1/10")
+	fecBursty, ok2 := residualFor(r, "bursty 0.5%", "fec 1/10")
 	if !ok1 || !ok2 {
 		t.Fatal("missing FEC rows")
 	}
@@ -117,8 +117,8 @@ func TestQoEStudy(t *testing.T) {
 	// Through VNS, calls essentially stay at 1080p; through transit to
 	// AP they degrade noticeably.
 	for _, client := range fig9Clients {
-		vnsTop, ok1 := r.TopShareFor(client, geo.RegionAP, ViaVNS)
-		tTop, ok2 := r.TopShareFor(client, geo.RegionAP, ViaTransit)
+		vnsTop, ok1 := topShareFor(r, client, geo.RegionAP, ViaVNS)
+		tTop, ok2 := topShareFor(r, client, geo.RegionAP, ViaTransit)
 		if !ok1 || !ok2 {
 			t.Fatal("missing cells")
 		}
@@ -130,7 +130,7 @@ func TestQoEStudy(t *testing.T) {
 		}
 	}
 	// Sydney to AP via transit must be visibly degraded.
-	if tTop, _ := r.TopShareFor("SYD", geo.RegionAP, ViaTransit); tTop > 97 {
+	if tTop, _ := topShareFor(r, "SYD", geo.RegionAP, ViaTransit); tTop > 97 {
 		t.Errorf("SYD->AP transit at %.1f%% 1080p; expected degradation", tTop)
 	}
 	if r.Render() == "" {
@@ -186,7 +186,7 @@ func TestCapacityStudy(t *testing.T) {
 	}
 	// Long-haul crossings carry a minority of internal link traffic but
 	// not a negligible one (the 30% inter-region calls ride them).
-	lh := r.LongHaulShare(e)
+	lh := longHaulShare(r, e)
 	if lh <= 0.05 || lh >= 0.9 {
 		t.Errorf("long-haul share = %.2f", lh)
 	}
@@ -196,4 +196,38 @@ func TestCapacityStudy(t *testing.T) {
 	if r.Render() == "" {
 		t.Error("render broken")
 	}
+}
+
+// residualFor returns the residual loss of a (regime, strategy) cell.
+func residualFor(r *RepairResult, regime, strategy string) (float64, bool) {
+	for _, row := range r.Rows {
+		if row.Regime == regime && row.Strategy == strategy {
+			return row.Residual, true
+		}
+	}
+	return 0, false
+}
+
+// topShareFor returns the full-definition share for one cell.
+func topShareFor(r *QoEResult, client string, region geo.Region, path PathKind) (float64, bool) {
+	for _, row := range r.Rows {
+		if row.Client == client && row.ServerRegion == region && row.Path == path {
+			return row.TopSharePct, true
+		}
+	}
+	return 0, false
+}
+
+// longHaulShare returns the fraction of link traffic on inter-cluster
+// links — the expensive capacity the cost model's commit covers.
+func longHaulShare(r *CapacityResult, e *Env) float64 {
+	var longHaul float64
+	for name, load := range r.Load {
+		codes := strings.SplitN(name, "-", 2)
+		a, b := e.Net.PoP(codes[0]), e.Net.PoP(codes[1])
+		if a.Region() != b.Region() {
+			longHaul += load
+		}
+	}
+	return longHaul
 }

@@ -58,26 +58,6 @@ func Fig6DelayDifference(e *Env) *Fig6Result {
 	return res
 }
 
-// BetterOrEqualShare returns the fraction of destinations where VNS is
-// at least as fast as the upstreams, from the given vantage.
-func (r *Fig6Result) BetterOrEqualShare(pop string) float64 {
-	cdf := r.PerPoP[pop]
-	if cdf == nil {
-		return 0
-	}
-	return cdf.At(0)
-}
-
-// Within50msShare returns the fraction where cold potato stretches RTT
-// by at most 50 ms (the paper: 87-93%).
-func (r *Fig6Result) Within50msShare(pop string) float64 {
-	cdf := r.PerPoP[pop]
-	if cdf == nil {
-		return 0
-	}
-	return cdf.At(50)
-}
-
 // Render prints the CDF rows of Figure 6.
 func (r *Fig6Result) Render() string {
 	var b strings.Builder

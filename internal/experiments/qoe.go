@@ -70,16 +70,6 @@ func QoEStudy(e *Env, callsPerPair int) *QoEResult {
 	return res
 }
 
-// TopShareFor returns the full-definition share for one cell.
-func (r *QoEResult) TopShareFor(client string, region geo.Region, path PathKind) (float64, bool) {
-	for _, row := range r.Rows {
-		if row.Client == client && row.ServerRegion == region && row.Path == path {
-			return row.TopSharePct, true
-		}
-	}
-	return 0, false
-}
-
 // Render prints the comparison.
 func (r *QoEResult) Render() string {
 	tb := measure.NewTable("QoE study: adaptive 1-hour calls, share of time at full 1080p",

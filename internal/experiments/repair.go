@@ -117,13 +117,3 @@ func (r *RepairResult) Render() string {
 	}
 	return tb.String()
 }
-
-// ResidualFor returns the residual loss of a (regime, strategy) cell.
-func (r *RepairResult) ResidualFor(regime, strategy string) (float64, bool) {
-	for _, row := range r.Rows {
-		if row.Regime == regime && row.Strategy == strategy {
-			return row.Residual, true
-		}
-	}
-	return 0, false
-}

@@ -98,26 +98,13 @@ func RIBScaleStudy(cfg RIBScaleConfig) *RIBScaleResult {
 	res.Prefixes = len(prefixes)
 	res.Routes = len(prefixes) * cfg.Peers
 
-	peerID := func(p int) netip.Addr { return netip.AddrFrom4([4]byte{10, 255, 0, byte(1 + p)}) }
-	route := func(pfx netip.Prefix, peer int, lp uint32) *rib.Route {
-		id := peerID(peer)
-		return &rib.Route{
-			Prefix:   pfx,
-			Attrs:    bgp.Attrs{LocalPref: lp, HasLocalPref: true, NextHop: id},
-			EBGP:     true,
-			PeerAS:   uint16(64500 + peer),
-			PeerID:   id,
-			PeerAddr: id,
-		}
-	}
-
 	// Phase 1: full-table download through the batched ingest path, in
 	// session-reset-sized chunks, into both implementations.
 	const loadChunk = 8192
 	load := make([]rib.Op, 0, len(prefixes)*cfg.Peers)
 	for i, pfx := range prefixes {
 		for p := 0; p < cfg.Peers; p++ {
-			load = append(load, rib.Announce(route(pfx, p, uint32(100+(i+p)%1000))))
+			load = append(load, rib.Announce(synthRoute(pfx, p, uint32(100+(i+p)%1000))))
 		}
 	}
 	// One shard is the sequential table.
@@ -146,9 +133,9 @@ func RIBScaleStudy(cfg RIBScaleConfig) *RIBScaleResult {
 			pfx := prefixes[int(rng.Float64()*float64(len(prefixes)))]
 			peer := int(rng.Float64() * float64(cfg.Peers))
 			if rng.Float64() < 0.25 {
-				ops = append(ops, rib.WithdrawOp(pfx, peerID(peer), peerID(peer)))
+				ops = append(ops, rib.WithdrawOp(pfx, synthPeerID(peer), synthPeerID(peer)))
 			} else {
-				ops = append(ops, rib.Announce(route(pfx, peer, uint32(100+int(rng.Float64()*2000)))))
+				ops = append(ops, rib.Announce(synthRoute(pfx, peer, uint32(100+int(rng.Float64()*2000)))))
 			}
 		}
 		t0 := time.Now() //vnslint:wallclock measures real churn cost, not simulated time
@@ -191,7 +178,7 @@ func RIBScaleStudy(cfg RIBScaleConfig) *RIBScaleResult {
 	gen := uint64(1)
 	for e := 0; e < res.DeltaEvents; e++ {
 		pfx := prefixes[int(rng.Float64()*float64(len(prefixes)))]
-		nh := fib.NextHop{PoP: 1 + e%cfg.Peers, Router: peerID(e % cfg.Peers)}
+		nh := fib.NextHop{PoP: 1 + e%cfg.Peers, Router: synthPeerID(e % cfg.Peers)}
 		_, existed := entries[pfx]
 		entries[pfx] = nh
 		gen++
@@ -212,6 +199,23 @@ func RIBScaleStudy(cfg RIBScaleConfig) *RIBScaleResult {
 		res.DeltaMean /= time.Duration(res.DeltaEvents)
 	}
 	return res
+}
+
+// synthPeerID is the router ID of the study's p-th synthetic peer.
+func synthPeerID(p int) netip.Addr { return netip.AddrFrom4([4]byte{10, 255, 0, byte(1 + p)}) }
+
+// synthRoute is the eBGP route the p-th synthetic peer announces for
+// pfx at the given local preference.
+func synthRoute(pfx netip.Prefix, peer int, lp uint32) *rib.Route {
+	id := synthPeerID(peer)
+	return &rib.Route{
+		Prefix:   pfx,
+		Attrs:    bgp.Attrs{LocalPref: lp, HasLocalPref: true, NextHop: id},
+		EBGP:     true,
+		PeerAS:   uint16(64500 + peer),
+		PeerID:   id,
+		PeerAddr: id,
+	}
 }
 
 // internetPrefixes builds an n-prefix set shaped like a full Internet

@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"vns/internal/bgp"
 	"vns/internal/fib"
 	"vns/internal/flowsim"
 	"vns/internal/loss"
@@ -179,7 +178,6 @@ func SoakStudy(cfg SoakConfig) *SoakResult {
 	res.Routes = len(prefixes) * cfg.Peers
 	table := rib.NewSharded(0)
 	table.SetMetrics(rib.NewMetrics(reg))
-	peerID := func(p int) netip.Addr { return netip.AddrFrom4([4]byte{10, 255, 0, byte(1 + p)}) }
 
 	// The synthetic geo step: localpref from the prefix's address bits,
 	// standing in for the geoip lookup + distance ranking the GeoRR
@@ -188,17 +186,6 @@ func SoakStudy(cfg SoakConfig) *SoakResult {
 		a := pfx.Addr().As4()
 		h := uint32(a[0])*131 + uint32(a[1])*31 + uint32(a[2])*7 + uint32(peer)
 		return 100 + h%400
-	}
-	route := func(pfx netip.Prefix, peer int, lp uint32) *rib.Route {
-		id := peerID(peer)
-		return &rib.Route{
-			Prefix:   pfx,
-			Attrs:    bgp.Attrs{LocalPref: lp, HasLocalPref: true, NextHop: id},
-			EBGP:     true,
-			PeerAS:   uint16(64500 + peer),
-			PeerID:   id,
-			PeerAddr: id,
-		}
 	}
 
 	h := reg.Histogram("fib_compile_seconds", "FIB trie compile latency", telemetry.DefBuckets)
@@ -226,7 +213,7 @@ func SoakStudy(cfg SoakConfig) *SoakResult {
 	load := make([]rib.Op, 0, res.Routes)
 	for _, pfx := range prefixes {
 		for p := 0; p < cfg.Peers; p++ {
-			load = append(load, rib.Announce(route(pfx, p, 0)))
+			load = append(load, rib.Announce(synthRoute(pfx, p, 0)))
 		}
 	}
 	ev.Stage(telemetry.StageIngest, mark)
@@ -282,9 +269,9 @@ func SoakStudy(cfg SoakConfig) *SoakResult {
 				peer := int(rng.Float64() * float64(cfg.Peers))
 				picks = append(picks, peer)
 				if rng.Float64() < 0.25 {
-					ops = append(ops, rib.WithdrawOp(prefixes[pi], peerID(peer), peerID(peer)))
+					ops = append(ops, rib.WithdrawOp(prefixes[pi], synthPeerID(peer), synthPeerID(peer)))
 				} else {
-					ops = append(ops, rib.Announce(route(prefixes[pi], peer, 0)))
+					ops = append(ops, rib.Announce(synthRoute(prefixes[pi], peer, 0)))
 				}
 			}
 			ev.Stage(telemetry.StageIngest, mark)

@@ -69,26 +69,3 @@ func DistanceKm(a, b LatLon) float64 {
 func RTTMs(a, b LatLon) float64 {
 	return DistanceKm(a, b) / KmPerMsRTT
 }
-
-// Midpoint returns the great-circle midpoint between a and b. It is used
-// when synthesizing intermediate waypoints for long-haul paths.
-func Midpoint(a, b LatLon) LatLon {
-	lat1, lon1 := radians(a.Lat), radians(a.Lon)
-	lat2, lon2 := radians(b.Lat), radians(b.Lon)
-	bx := math.Cos(lat2) * math.Cos(lon2-lon1)
-	by := math.Cos(lat2) * math.Sin(lon2-lon1)
-	lat := math.Atan2(math.Sin(lat1)+math.Sin(lat2),
-		math.Sqrt((math.Cos(lat1)+bx)*(math.Cos(lat1)+bx)+by*by))
-	lon := lon1 + math.Atan2(by, math.Cos(lat1)+bx)
-	return LatLon{Lat: lat * 180 / math.Pi, Lon: normalizeLon(lon * 180 / math.Pi)}
-}
-
-func normalizeLon(lon float64) float64 {
-	for lon > 180 {
-		lon -= 360
-	}
-	for lon < -180 {
-		lon += 360
-	}
-	return lon
-}

@@ -95,19 +95,6 @@ func TestRTTMs(t *testing.T) {
 	}
 }
 
-func TestMidpoint(t *testing.T) {
-	a, b := MustLookup("London"), MustLookup("NewYork")
-	m := Midpoint(a.Pos, b.Pos)
-	if !m.Valid() {
-		t.Fatalf("midpoint invalid: %v", m)
-	}
-	da := DistanceKm(a.Pos, m)
-	db := DistanceKm(b.Pos, m)
-	if math.Abs(da-db) > 1 {
-		t.Errorf("midpoint not equidistant: %.1f vs %.1f km", da, db)
-	}
-}
-
 func TestLatLonValid(t *testing.T) {
 	valid := []LatLon{{0, 0}, {90, 180}, {-90, -180}, {52.4, 4.9}}
 	for _, p := range valid {
@@ -124,12 +111,11 @@ func TestLatLonValid(t *testing.T) {
 }
 
 func TestPlacesCatalog(t *testing.T) {
-	all := Places()
-	if len(all) < 80 {
-		t.Fatalf("catalog has %d places, want >= 80", len(all))
+	if len(places) < 80 {
+		t.Fatalf("catalog has %d places, want >= 80", len(places))
 	}
 	seen := map[string]bool{}
-	for _, p := range all {
+	for _, p := range places {
 		if seen[p.Name] {
 			t.Errorf("duplicate place name %q", p.Name)
 		}
@@ -152,10 +138,10 @@ func TestPlacesInRegionAllRegionsPopulated(t *testing.T) {
 }
 
 func TestLookup(t *testing.T) {
-	if _, ok := Lookup("Amsterdam"); !ok {
+	if _, ok := placeByName["Amsterdam"]; !ok {
 		t.Error("Amsterdam missing")
 	}
-	if _, ok := Lookup("Atlantis"); ok {
+	if _, ok := placeByName["Atlantis"]; ok {
 		t.Error("Atlantis should not exist")
 	}
 }

@@ -146,28 +146,15 @@ var placeByName = func() map[string]Place {
 	return m
 }()
 
-// Lookup returns the catalog entry with the given name.
-func Lookup(name string) (Place, bool) {
-	p, ok := placeByName[name]
-	return p, ok
-}
-
-// MustLookup is Lookup for names known at compile time; it panics on a
-// missing name, which indicates a programming error in the caller.
+// MustLookup returns the catalog entry with the given name, which is
+// known at compile time; it panics on a missing name, which indicates a
+// programming error in the caller.
 func MustLookup(name string) Place {
 	p, ok := placeByName[name]
 	if !ok {
 		panic("geo: unknown place " + name)
 	}
 	return p
-}
-
-// Places returns all catalog entries, sorted by name for determinism.
-func Places() []Place {
-	out := make([]Place, len(places))
-	copy(out, places)
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 // PlacesInRegion returns the catalog entries in region r that host

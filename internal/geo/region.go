@@ -40,11 +40,6 @@ func Regions() []Region {
 	return []Region{RegionOC, RegionAP, RegionME, RegionAF, RegionEU, RegionNA, RegionSA}
 }
 
-// PoPRegions lists the four regions VNS PoPs are grouped into.
-func PoPRegions() []Region {
-	return []Region{RegionEU, RegionNA, RegionAP, RegionOC}
-}
-
 // PoPRegion collapses the seven traffic regions onto the four PoP regions:
 // the Middle East and Africa are served from Europe, South America from
 // North America, matching how the deployed network anycast catchments

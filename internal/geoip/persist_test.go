@@ -14,7 +14,7 @@ func populatedDB(t *testing.T, n int) *DB {
 	t.Helper()
 	db := New()
 	rng := loss.NewRNG(9)
-	places := geo.Places()
+	places := catalog()
 	for i := 0; i < n; i++ {
 		p := places[rng.Intn(len(places))]
 		addr := netip.AddrFrom4([4]byte{byte(1 + i/65536), byte(i >> 8), byte(i), 0})

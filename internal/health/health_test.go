@@ -69,7 +69,7 @@ func TestMonitorStableWithoutFaults(t *testing.T) {
 		if s.State() != StateUp {
 			t.Errorf("session %v not up", s)
 		}
-		if st := s.Stats(); st.RxHellos == 0 || st.RxBad != 0 {
+		if st := s.stats; st.RxHellos == 0 || st.RxBad != 0 {
 			t.Errorf("session %v stats = %+v", s, st)
 		}
 	}
@@ -140,7 +140,7 @@ func TestFlapSuppression(t *testing.T) {
 	m.Stop()
 
 	s := m.Session(sin, syd)
-	if st := s.Stats(); st.Downs != 1 || st.Ups != 1 {
+	if st := s.stats; st.Downs != 1 || st.Ups != 1 {
 		t.Fatalf("flap episode produced %d downs / %d ups, hysteresis broken", st.Downs, st.Ups)
 	}
 	if len(events) != 2 || events[0].Up || !events[1].Up {
@@ -164,7 +164,7 @@ func TestScenarioDeterminism(t *testing.T) {
 		m.OnEvent(func(ev Event) { events = append(events, ev) })
 		m.Start()
 		sim.Run(5)
-		return events, m.Session(lon, ash).Stats()
+		return events, m.Session(lon, ash).stats
 	}
 	ev1, st1 := run()
 	ev2, st2 := run()

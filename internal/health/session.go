@@ -90,9 +90,6 @@ func (s *LinkSession) State() State { return s.state }
 // LastChange returns the simulated time of the last state transition.
 func (s *LinkSession) LastChange() netsim.Time { return s.lastChange }
 
-// Stats returns a snapshot of the session's counters.
-func (s *LinkSession) Stats() SessionStats { return s.stats }
-
 func (s *LinkSession) String() string {
 	return fmt.Sprintf("%s-%s %v", s.a.Code, s.b.Code, s.state)
 }

@@ -218,7 +218,7 @@ func TestGilbertElliottDegenerate(t *testing.T) {
 	if got := g.Rate(0); got != 0.1 {
 		t.Errorf("degenerate rate in good state = %v", got)
 	}
-	if g.InBadState() {
+	if g.bad {
 		t.Error("should start in good state")
 	}
 }

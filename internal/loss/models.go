@@ -86,10 +86,6 @@ func (g *GilbertElliott) Rate(float64) float64 {
 	return pb*g.PBad + (1-pb)*g.PGood
 }
 
-// InBadState reports whether the chain currently sits in the Bad state.
-// Exposed for tests and loss-nature analysis.
-func (g *GilbertElliott) InBadState() bool { return g.bad }
-
 // Diurnal scales an underlying model's loss by a time-of-day factor,
 // producing the daily congestion pattern of Figure 12. The factor peaks
 // during the destination region's busy hours.

@@ -12,7 +12,6 @@ import (
 type AsciiPlot struct {
 	Title  string
 	XLabel string
-	YLabel string
 	Width  int // plot columns (default 64)
 	Height int // plot rows (default 16)
 

@@ -1,6 +1,6 @@
 // Package measure provides the statistical machinery the experiment
 // harness uses to summarize measurements: empirical CDFs and CCDFs,
-// percentiles, histograms, and fixed-width table rendering matching the
+// percentiles, ASCII plots, and fixed-width table rendering matching the
 // rows and series the paper reports.
 package measure
 
@@ -46,18 +46,6 @@ func Summarize(xs []float64) Summary {
 		s.Stddev = math.Sqrt(ss / float64(s.N-1))
 	}
 	return s
-}
-
-// Mean returns the arithmetic mean, or 0 for an empty sample.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
 }
 
 // CDF is an empirical cumulative distribution function over a sample.
@@ -136,63 +124,6 @@ func (c *CDF) Points(n int) []Point {
 // Point is one (x, y) pair of a plotted series.
 type Point struct {
 	X, Y float64
-}
-
-// Histogram counts samples into equal-width bins over [lo, hi).
-// Samples outside the range are clamped into the end bins.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	total  int
-}
-
-// NewHistogram creates a histogram with the given bin count over [lo, hi).
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic("measure: invalid histogram parameters")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Counts) {
-		i = len(h.Counts) - 1
-	}
-	h.Counts[i]++
-	h.total++
-}
-
-// Total returns the number of recorded samples.
-func (h *Histogram) Total() int { return h.total }
-
-// Fraction returns the share of samples in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
-}
-
-// LogBins returns logarithmically spaced bin edges from lo to hi,
-// inclusive, matching the log-scale axes of the paper's CCDF plots.
-func LogBins(lo, hi float64, n int) []float64 {
-	if lo <= 0 || hi <= lo || n < 2 {
-		panic("measure: invalid log bins")
-	}
-	edges := make([]float64, n)
-	ratio := math.Pow(hi/lo, 1/float64(n-1))
-	x := lo
-	for i := range edges {
-		edges[i] = x
-		x *= ratio
-	}
-	edges[n-1] = hi
-	return edges
 }
 
 // Pct formats a fraction as a percentage string like "12.3%".

@@ -25,20 +25,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, cells)
 }
 
-// AddRowf appends a row formatting each value with the given verb, e.g.
-// "%.2f" for floats.
-func (t *Table) AddRowf(label string, verb string, vals ...float64) {
-	cells := make([]string, 0, len(vals)+1)
-	cells = append(cells, label)
-	for _, v := range vals {
-		cells = append(cells, fmt.Sprintf(verb, v))
-	}
-	t.rows = append(t.rows, cells)
-}
-
-// NumRows returns the number of data rows added.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // String renders the table.
 func (t *Table) String() string {
 	ncols := len(t.Headers)

@@ -24,14 +24,6 @@ type FECScheme struct {
 	Block int
 }
 
-// Overhead returns the bandwidth overhead fraction (parity per source).
-func (f FECScheme) Overhead() float64 {
-	if f.Block <= 0 {
-		return 0
-	}
-	return 1 / float64(f.Block)
-}
-
 func (f FECScheme) String() string {
 	return fmt.Sprintf("xor-fec(1/%d)", f.Block)
 }

@@ -87,12 +87,6 @@ func TestFECDefaults(t *testing.T) {
 	if st.Parity == 0 {
 		t.Error("zero block size should default, not disable")
 	}
-	if (FECScheme{Block: 10}).Overhead() != 0.1 {
-		t.Error("overhead wrong")
-	}
-	if (FECScheme{}).Overhead() != 0 {
-		t.Error("zero scheme overhead should be 0")
-	}
 	if (FECScheme{Block: 10}).String() == "" {
 		t.Error("empty string")
 	}

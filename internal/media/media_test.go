@@ -101,9 +101,6 @@ func TestJitterEstimatorVariableDelay(t *testing.T) {
 	if j.Max() < j.Jitter() {
 		t.Error("max < current")
 	}
-	if j.Observations() != 999 {
-		t.Errorf("observations = %d", j.Observations())
-	}
 }
 
 func TestGenerateTraceBitrate(t *testing.T) {

@@ -78,11 +78,10 @@ func UnmarshalRTP(buf []byte) (RTPPacket, error) {
 // JitterEstimator implements the interarrival jitter estimator of
 // RFC 3550 §6.4.1 / appendix A.8, in milliseconds.
 type JitterEstimator struct {
-	initialized  bool
-	lastTransit  float64 // arrival - media time, ms
-	jitterMs     float64
-	maxJitterMs  float64
-	observations int
+	initialized bool
+	lastTransit float64 // arrival - media time, ms
+	jitterMs    float64
+	maxJitterMs float64
 }
 
 // Observe records a packet with the given media timestamp (in ms of
@@ -103,7 +102,6 @@ func (j *JitterEstimator) Observe(mediaMs, arrivalMs float64) {
 	if j.jitterMs > j.maxJitterMs {
 		j.maxJitterMs = j.jitterMs
 	}
-	j.observations++
 }
 
 // Jitter returns the current smoothed jitter estimate in milliseconds.
@@ -111,6 +109,3 @@ func (j *JitterEstimator) Jitter() float64 { return j.jitterMs }
 
 // Max returns the maximum smoothed estimate observed.
 func (j *JitterEstimator) Max() float64 { return j.maxJitterMs }
-
-// Observations returns the number of packets that updated the estimate.
-func (j *JitterEstimator) Observations() int { return j.observations }

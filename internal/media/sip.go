@@ -127,10 +127,7 @@ func ReadSIP(r *bufio.Reader) (*SIPMessage, error) {
 // pointed the media session (the examples echo RTP over UDP).
 type EchoServer struct {
 	ln net.Listener
-
-	mu       sync.Mutex
-	sessions map[string]bool
-	wg       sync.WaitGroup
+	wg sync.WaitGroup
 }
 
 // NewEchoServer starts a server listening on addr (e.g. "127.0.0.1:0").
@@ -139,7 +136,7 @@ func NewEchoServer(addr string) (*EchoServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &EchoServer{ln: ln, sessions: make(map[string]bool)}
+	s := &EchoServer{ln: ln}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -147,20 +144,6 @@ func NewEchoServer(addr string) (*EchoServer, error) {
 
 // Addr returns the listening address.
 func (s *EchoServer) Addr() string { return s.ln.Addr().String() }
-
-// ActiveSessions returns the number of calls that were INVITEd and not
-// yet BYEd.
-func (s *EchoServer) ActiveSessions() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, active := range s.sessions {
-		if active {
-			n++
-		}
-	}
-	return n
-}
 
 // Close stops the server.
 func (s *EchoServer) Close() error {
@@ -204,14 +187,9 @@ func (s *EchoServer) serve(conn net.Conn) {
 		}
 		switch msg.Method {
 		case "INVITE":
-			s.mu.Lock()
-			s.sessions[msg.CallID()] = true
-			s.mu.Unlock()
 			resp.Body = []byte("v=0\r\nm=video 0 RTP/AVP 96\r\na=echo\r\n")
 		case "BYE":
-			s.mu.Lock()
-			s.sessions[msg.CallID()] = false
-			s.mu.Unlock()
+			// acknowledged with the bare 200
 		case "ACK":
 			continue // ACK gets no response
 		default:

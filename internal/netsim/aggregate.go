@@ -142,7 +142,3 @@ func (l *Link) TransitAggregate(now Time, pkts uint64, size int) AggregateResult
 	}
 	return res
 }
-
-// AggregateBacklogBytes exposes the fluid queue occupancy as of the last
-// TransitAggregate call, for telemetry and tests.
-func (l *Link) AggregateBacklogBytes() float64 { return l.aggBacklogBytes }

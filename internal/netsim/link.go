@@ -14,8 +14,6 @@ type Packet struct {
 	Size int
 	// SentAt is stamped by Path.Send.
 	SentAt Time
-	// Marking distinguishes flows or payload kinds for receivers.
-	Marking uint32
 }
 
 // Link is one directed hop: propagation delay, serialization at a given
@@ -180,15 +178,6 @@ func (l *Link) SetExtraDelayMs(ms float64) { l.extraDelayMs = ms }
 // ExtraDelayMs returns the currently installed delay spike.
 func (l *Link) ExtraDelayMs() float64 { return l.extraDelayMs }
 
-// UtilizationMbps returns the mean offered load over a window of
-// simulated seconds, for capacity planning against BandwidthMbps.
-func (l *Link) UtilizationMbps(windowSec float64) float64 {
-	if windowSec <= 0 {
-		return 0
-	}
-	return float64(l.txBytes.Load()) * 8 / windowSec / 1e6
-}
-
 // Path is an ordered sequence of links from sender to receiver.
 type Path struct {
 	Links []*Link
@@ -196,15 +185,6 @@ type Path struct {
 
 // NewPath builds a path over the given links.
 func NewPath(links ...*Link) *Path { return &Path{Links: links} }
-
-// OneWayDelayMs returns the path's zero-load propagation delay.
-func (p *Path) OneWayDelayMs() float64 {
-	var d float64
-	for _, l := range p.Links {
-		d += l.PropDelayMs
-	}
-	return d
-}
 
 // Send injects pkt at the path head at the current simulated time and
 // schedules deliver when (and if) it survives all hops. If the packet is

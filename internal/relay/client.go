@@ -51,28 +51,6 @@ func (c *Client) roundTrip(req *STUNMessage, timeout time.Duration) (*STUNMessag
 	}
 }
 
-// Bind performs a binding request and returns the reflexive address the
-// server saw.
-func (c *Client) Bind(timeout time.Duration) (string, error) {
-	req := &STUNMessage{Type: TypeBindingRequest, Transaction: NewTransaction()}
-	resp, err := c.roundTrip(req, timeout)
-	if err != nil {
-		return "", err
-	}
-	if resp.Type != TypeBindingResponse {
-		return "", fmt.Errorf("relay: unexpected response type %#x", resp.Type)
-	}
-	v, ok := resp.Attr(AttrXORMappedAddr)
-	if !ok {
-		return "", fmt.Errorf("relay: no XOR-MAPPED-ADDRESS")
-	}
-	ap, err := DecodeXORMappedAddr(v)
-	if err != nil {
-		return "", err
-	}
-	return ap.String(), nil
-}
-
 // Allocate authenticates and requests a relay allocation; it returns
 // the realm identifying the serving PoP.
 func (c *Client) Allocate(username string, timeout time.Duration) (string, error) {

@@ -3,9 +3,7 @@ package relay
 import (
 	"encoding/binary"
 	"net"
-	"net/netip"
 	"sync"
-	"sync/atomic"
 )
 
 // AuthFunc validates a username; the deployment uses the TURN relays as
@@ -15,14 +13,11 @@ type AuthFunc func(username string) bool
 // Server is a TURN-style authentication relay front end over UDP. Each
 // PoP runs one; all share the same anycast address in the deployment.
 type Server struct {
-	// PoP is the hosting PoP's code, for accounting.
+	// PoP is the hosting PoP's code, named in the realm it grants.
 	PoP string
 
 	conn net.PacketConn
 	auth AuthFunc
-
-	requests atomic.Uint64
-	granted  atomic.Uint64
 
 	wg       sync.WaitGroup
 	closeOne sync.Once
@@ -43,13 +38,6 @@ func NewServer(pop, addr string, auth AuthFunc) (*Server, error) {
 
 // Addr returns the bound address.
 func (s *Server) Addr() string { return s.conn.LocalAddr().String() }
-
-// Requests returns the number of requests received (Figure 7 counts
-// these per PoP).
-func (s *Server) Requests() uint64 { return s.requests.Load() }
-
-// Granted returns the number of successful allocations.
-func (s *Server) Granted() uint64 { return s.granted.Load() }
 
 // Close shuts the server down.
 func (s *Server) Close() error {
@@ -86,7 +74,6 @@ func (s *Server) serve() {
 }
 
 func (s *Server) handle(msg *STUNMessage, from net.Addr) *STUNMessage {
-	s.requests.Add(1)
 	switch msg.Type {
 	case TypeBindingRequest:
 		resp := &STUNMessage{Type: TypeBindingResponse, Transaction: msg.Transaction}
@@ -102,7 +89,6 @@ func (s *Server) handle(msg *STUNMessage, from net.Addr) *STUNMessage {
 				Attrs:       []STUNAttr{{Type: AttrErrorCode, Value: []byte{0, 0, 4, 1}}}, // 401
 			}
 		}
-		s.granted.Add(1)
 		resp := &STUNMessage{Type: TypeAllocateResponse, Transaction: msg.Transaction}
 		resp.Attrs = append(resp.Attrs, STUNAttr{Type: AttrRealm, Value: []byte("vns." + s.PoP)})
 		return resp
@@ -134,20 +120,4 @@ func xorMappedAddr(a net.Addr) ([]byte, bool) {
 		v[4+i] = ip[i] ^ magic[i]
 	}
 	return v, true
-}
-
-// DecodeXORMappedAddr parses an XOR-MAPPED-ADDRESS value back into an
-// address and port.
-func DecodeXORMappedAddr(v []byte) (netip.AddrPort, error) {
-	if len(v) != 8 || v[1] != 0x01 {
-		return netip.AddrPort{}, ErrSTUNMalformed
-	}
-	port := binary.BigEndian.Uint16(v[2:4]) ^ uint16(stunMagic>>16)
-	var magic [4]byte
-	binary.BigEndian.PutUint32(magic[:], stunMagic)
-	var ip [4]byte
-	for i := 0; i < 4; i++ {
-		ip[i] = v[4+i] ^ magic[i]
-	}
-	return netip.AddrPortFrom(netip.AddrFrom4(ip), port), nil
 }

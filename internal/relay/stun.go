@@ -1,12 +1,13 @@
 // Package relay implements the media-relay front of VNS: a STUN/TURN-
 // style authentication protocol (RFC 5389 message framing) served over
-// UDP, and the anycast catchment model that decides which PoP's relay a
-// client's request reaches — the mechanism behind the paper's
-// incoming-traffic analysis (Figure 7).
+// UDP, one server per PoP, and the multipath selection that splits a
+// relayed flow across overlay paths. Which PoP's relay a client's
+// request reaches — the anycast catchment behind the paper's
+// incoming-traffic analysis (Figure 7) — is vns.Peering.EntryPoP.
 //
 // Media relaying itself (TURN allocations carrying RTP) is modeled at
-// the level the experiments need: authentication requests routed by
-// anycast, and relay endpoints that media sessions are pinned to.
+// the level the experiments need: authentication requests and relay
+// endpoints that media sessions are pinned to.
 package relay
 
 import (

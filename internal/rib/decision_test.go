@@ -181,7 +181,7 @@ func TestReselectValueCompareRegression(t *testing.T) {
 		t.Fatal("first route did not change best")
 	}
 
-	refresh := orig.Clone() // same value, different pointer
+	refresh := cloneRoute(orig) // same value, different pointer
 	if tbl.Upsert(refresh) {
 		t.Fatal("attribute-identical re-announcement reported a best-path change")
 	}
@@ -189,7 +189,7 @@ func TestReselectValueCompareRegression(t *testing.T) {
 		t.Fatal("refresh was not installed as the current best")
 	}
 
-	changed := refresh.Clone()
+	changed := cloneRoute(refresh)
 	changed.Attrs.MED = 999
 	if !tbl.Upsert(changed) {
 		t.Fatal("genuinely changed announcement did not report a best-path change")
@@ -197,7 +197,7 @@ func TestReselectValueCompareRegression(t *testing.T) {
 
 	// Same peer re-announcing the *old* value again: the best flips back,
 	// and that is a change even though the value matches a historic best.
-	if !tbl.Upsert(orig.Clone()) {
+	if !tbl.Upsert(cloneRoute(orig)) {
 		t.Fatal("reverting announcement did not report a best-path change")
 	}
 }
@@ -215,7 +215,7 @@ func TestReselectLosingRouteRefresh(t *testing.T) {
 	if tbl.Upsert(loser) {
 		t.Fatal("losing candidate reported a best-path change")
 	}
-	if tbl.Upsert(loser.Clone()) {
+	if tbl.Upsert(cloneRoute(loser)) {
 		t.Fatal("refresh of losing candidate reported a best-path change")
 	}
 	if got := tbl.Best(best.Prefix); got != best {

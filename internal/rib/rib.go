@@ -50,13 +50,6 @@ func (r *Route) LocalPref() uint32 {
 	return DefaultLocalPref
 }
 
-// Clone returns a deep copy of the route.
-func (r *Route) Clone() *Route {
-	out := *r
-	out.Attrs = r.Attrs.Clone()
-	return &out
-}
-
 // Equal reports whether two routes are identical by value: same prefix,
 // learning context and attributes. Selection uses it to distinguish a
 // genuinely changed best path from an attribute-identical

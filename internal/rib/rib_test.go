@@ -255,9 +255,16 @@ func TestPrefixesSorted(t *testing.T) {
 	}
 }
 
+// cloneRoute returns a deep copy of the route.
+func cloneRoute(r *Route) *Route {
+	out := *r
+	out.Attrs = r.Attrs.Clone()
+	return &out
+}
+
 func TestRouteCloneAndString(t *testing.T) {
 	r := baseRoute()
-	c := r.Clone()
+	c := cloneRoute(r)
 	c.Attrs.ASPath[0].ASNs[0] = 999
 	if r.Attrs.ASPath[0].ASNs[0] == 999 {
 		t.Error("Clone not deep")

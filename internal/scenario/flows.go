@@ -5,9 +5,7 @@ import (
 	"strings"
 
 	"vns/internal/flowsim"
-	"vns/internal/netsim"
 	"vns/internal/relay"
-	"vns/internal/vns"
 )
 
 // This file wires internal/flowsim into the scenario harness: agg-flows
@@ -38,37 +36,6 @@ func (e *engine) setupFlows() {
 	})
 }
 
-// overlayCandidates enumerates the ingress→egress overlay paths the
-// fabric offers: the direct adjacency plus every two-hop detour through
-// an intermediate PoP, each priced at its links' propagation sum plus
-// the spec's fixed tail. Two hops is as deep as conferencing relays go
-// in practice (and as deep as the reorder bound tolerates); longer
-// walks only show up as ever-later candidates SelectPaths would reject.
-func (e *engine) overlayCandidates(a, b *vns.PoP) (cands []relay.PathCandidate, links [][]*netsim.Link) {
-	fabric := e.fwd.Fabric()
-	add := func(name string, ls ...*netsim.Link) {
-		total := e.spec.Flows.TailMs
-		for _, l := range ls {
-			total += l.PropDelayMs
-		}
-		cands = append(cands, relay.PathCandidate{Name: name, DelayMs: total})
-		links = append(links, ls)
-	}
-	if l := fabric.Link(a, b); l != nil {
-		add(a.Code+"-"+b.Code, l)
-	}
-	for _, m := range e.env.Net.PoPs {
-		if m == a || m == b {
-			continue
-		}
-		l1, l2 := fabric.Link(a, m), fabric.Link(m, b)
-		if l1 != nil && l2 != nil {
-			add(a.Code+"-"+m.Code+"-"+b.Code, l1, l2)
-		}
-	}
-	return cands, links
-}
-
 // applyAggFlows handles the agg-flows op: build the group's overlay
 // path set from the fabric, register the population, and write the
 // trace line naming the paths the scheduler selected.
@@ -76,7 +43,7 @@ func (e *engine) applyAggFlows(ev *Event) error {
 	f := e.spec.Flows
 	codes := strings.Split(ev.Link, "-")
 	a, b := e.env.Net.PoP(codes[0]), e.env.Net.PoP(codes[1])
-	cands, links := e.overlayCandidates(a, b)
+	cands, links := e.fwd.Fabric().OverlayPaths(a, b, f.TailMs)
 
 	k := f.MaxPaths
 	if k <= 0 {

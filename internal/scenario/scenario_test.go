@@ -83,15 +83,12 @@ func TestDeclaredFamilies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	registered := make(map[string]bool)
-	for _, n := range e.env.Telemetry.Names() {
-		registered[n] = true
-	}
+	exposition := e.env.Telemetry.Render()
 	for _, f := range declaredFamilies {
 		if f.why == "" {
 			t.Errorf("declared family %s has no reason", f.name)
 		}
-		if !registered[f.name] {
+		if !strings.Contains(exposition, "# TYPE "+f.name+" ") {
 			t.Errorf("declared family %s is not in the registry", f.name)
 		}
 	}

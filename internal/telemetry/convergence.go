@@ -124,14 +124,6 @@ func NewConvergence(reg *Registry, tracer *Tracer, clock func() float64) *Conver
 	return c
 }
 
-// Now reads the convergence clock (0 on a nil receiver).
-func (c *Convergence) Now() float64 {
-	if c == nil {
-		return 0
-	}
-	return c.clock()
-}
-
 // Begin opens a convergence event of the given kind, makes it the
 // active event (the one FIB compiles are attributed to), and returns
 // it. Returns nil on a nil receiver. Mutation paths are serialized in
@@ -255,14 +247,6 @@ type ConvEvent struct {
 	compile  float64
 	compiles int
 	done     bool
-}
-
-// ID returns the event's ID (0 on nil).
-func (ev *ConvEvent) ID() uint64 {
-	if ev == nil {
-		return 0
-	}
-	return ev.id
 }
 
 // Mark captures the current clock and compile attribution as a stage

@@ -13,12 +13,6 @@ var DefBuckets = []float64{
 	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5,
 }
 
-// MsBuckets is a bucket layout for values already in milliseconds
-// (one-way delays, convergence times).
-var MsBuckets = []float64{
-	0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000,
-}
-
 // Histogram is a lock-free fixed-bucket histogram: Observe is a binary
 // search over the immutable bucket bounds plus three atomic adds, safe
 // for any number of concurrent observers and renderers.

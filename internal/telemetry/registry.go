@@ -3,7 +3,6 @@ package telemetry
 import (
 	"fmt"
 	"regexp"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -46,11 +45,11 @@ func CheckName(name string) bool { return nameRE.MatchString(name) }
 // metricname analyzer applies the same check statically.
 func CheckLabel(name string) bool { return labelRE.MatchString(name) }
 
-// child is one labeled instance inside a vector family.
+// child is one labeled instance inside a vector family (counters and
+// histograms; labeled gauges come from render-time collectors).
 type child struct {
 	values []string
 	c      *Counter
-	g      *Gauge
 	h      *Histogram
 }
 
@@ -163,11 +162,6 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 	return &CounterVec{f: r.register(name, help, KindCounter, labels, nil)}
 }
 
-// GaugeVec registers a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{f: r.register(name, help, KindGauge, labels, nil)}
-}
-
 // HistogramVec registers a labeled histogram family.
 func (r *Registry) HistogramVec(name, help string, bounds []float64, labels ...string) *HistogramVec {
 	return &HistogramVec{f: r.register(name, help, KindHistogram, labels, bounds)}
@@ -201,18 +195,6 @@ func (r *Registry) MarkVolatile(names ...string) {
 	}
 }
 
-// Names returns all registered family names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.families))
-	for n := range r.families {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 const keySep = "\x1f"
 
 func (f *family) childFor(values []string) *child {
@@ -231,8 +213,6 @@ func (f *family) childFor(values []string) *child {
 	switch f.kind {
 	case KindCounter:
 		c.c = &Counter{}
-	case KindGauge:
-		c.g = &Gauge{}
 	case KindHistogram:
 		c.h = newHistogram(f.bounds)
 	}
@@ -248,12 +228,6 @@ type CounterVec struct{ f *family }
 // With returns the counter for the given label values, creating it on
 // first use.
 func (v *CounterVec) With(values ...string) *Counter { return v.f.childFor(values).c }
-
-// GaugeVec is a labeled gauge family.
-type GaugeVec struct{ f *family }
-
-// With returns the gauge for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge { return v.f.childFor(values).g }
 
 // HistogramVec is a labeled histogram family.
 type HistogramVec struct{ f *family }

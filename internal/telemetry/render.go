@@ -103,7 +103,7 @@ func (f *family) samples() []sample {
 		f.mu.Unlock()
 		sort.Slice(children, func(i, j int) bool { return lessStrings(children[i].values, children[j].values) })
 		for _, c := range children {
-			out = f.appendInstance(out, c.values, c.c, c.g, c.h)
+			out = f.appendInstance(out, c.values, c.c, nil, c.h)
 		}
 	}
 	if f.collect != nil {

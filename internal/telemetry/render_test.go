@@ -37,9 +37,11 @@ func goldenRegistry() *Registry {
 		})
 
 	r.Counter("health_hellos_tx_total", `hellos sent (escapes: \ " and newline)`).Inc()
-	gv := r.GaugeVec("core_egress_up", "egress liveness by PoP", "pop")
-	gv.With(`we"ird\pop`).Set(1)
-	gv.With("LON").Set(0)
+	r.RegisterFunc("core_egress_up", "egress liveness by PoP",
+		KindGauge, []string{"pop"}, func(emit func([]string, float64)) {
+			emit([]string{`we"ird\pop`}, 1)
+			emit([]string{"LON"}, 0)
+		})
 	return r
 }
 

@@ -6,8 +6,8 @@ import "sync"
 const DefaultReservoirCap = 1024
 
 // Reservoir is a bounded sample window: it keeps the most recent
-// capacity observations in a ring while tracking the lifetime count and
-// sum, so long-running daemons can expose percentiles without the
+// capacity observations in a ring while tracking the lifetime count,
+// so long-running daemons can expose percentiles without the
 // unbounded slice growth the old health registry suffered from.
 // Exact-percentile semantics hold over the retained window.
 type Reservoir struct {
@@ -16,7 +16,6 @@ type Reservoir struct {
 	next int
 	full bool
 	n    uint64
-	sum  float64
 }
 
 // NewReservoir builds a reservoir retaining the last capacity samples
@@ -38,7 +37,6 @@ func (r *Reservoir) Observe(v float64) {
 		r.full = true
 	}
 	r.n++
-	r.sum += v
 	r.mu.Unlock()
 }
 
@@ -49,16 +47,6 @@ func (r *Reservoir) Count() uint64 {
 	defer r.mu.Unlock()
 	return r.n
 }
-
-// Sum returns the lifetime sum.
-func (r *Reservoir) Sum() float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.sum
-}
-
-// Cap returns the window capacity.
-func (r *Reservoir) Cap() int { return len(r.buf) }
 
 // Snapshot returns the retained samples oldest-first. Before the
 // window fills this is every sample ever observed, so callers keep the

@@ -29,9 +29,6 @@ func Int(k string, v int) Attr { return Attr{Key: k, Value: strconv.Itoa(v)} }
 // Uint builds an unsigned integer attribute.
 func Uint(k string, v uint64) Attr { return Attr{Key: k, Value: strconv.FormatUint(v, 10)} }
 
-// Float builds a float attribute with canonical formatting.
-func Float(k string, v float64) Attr { return Attr{Key: k, Value: formatFloat(v)} }
-
 // Span is one timed operation inside a trace, attributed to the layer
 // that performed it ("geoip", "rib", "fib", "netsim", "media"). Start
 // and End are in the tracer's clock domain — simulated seconds for
@@ -152,16 +149,6 @@ func (t *Tracer) Dropped() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.dropped
-}
-
-// Traces returns how many trace IDs have been assigned.
-func (t *Tracer) Traces() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.nextID
 }
 
 // Spans returns the retained spans in record order (oldest first).

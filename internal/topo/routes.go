@@ -179,16 +179,6 @@ func filled(n int, v uint16) []uint16 {
 	return s
 }
 
-func min16(a, b uint16) uint16 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// Src returns the source AS of this view.
-func (v *RouteView) Src() uint16 { return v.src }
-
 // Best returns the source's preferred route to dst under Gao–Rexford
 // preference (customer > peer > provider, then fewest hops within the
 // class). hops counts AS-level links; ok is false if unreachable.

@@ -308,7 +308,7 @@ func TestRouteViewUnknownASN(t *testing.T) {
 	if _, _, ok := v.Best(65000); ok {
 		t.Error("unknown ASN should be unreachable")
 	}
-	if v.Src() != tp.ASNs()[0] {
+	if v.src != tp.ASNs()[0] {
 		t.Error("Src wrong")
 	}
 }

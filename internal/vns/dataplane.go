@@ -3,7 +3,6 @@ package vns
 import (
 	"net/netip"
 
-	"vns/internal/fib"
 	"vns/internal/geo"
 	"vns/internal/topo"
 )
@@ -107,39 +106,4 @@ func (dp *DataPlane) ThroughVNSRTT(ingress, egress *PoP, dst *topo.PrefixInfo) (
 	}
 	external := dp.Delay.RTT(egress.Place, dst, c.PathLen, dp.hairpinWaypoint(c, dst)...)
 	return dp.InternalRTTMs(ingress, egress) + external, true
-}
-
-// ThroughVNSRTTFIB is the FIB-backed counterpart of ThroughVNSRTT: the
-// egress PoP and session come from the ingress PoP's compiled
-// forwarding table rather than from an analytic selection, so the
-// modeled RTT reflects the routing state packets actually traverse
-// (including force-exit and static-override prefixes). The analytic
-// path remains for the measurement sweeps; congruence between the two
-// is asserted in tests.
-func (dp *DataPlane) ThroughVNSRTTFIB(f *Forwarding, ingress *PoP, dst *topo.PrefixInfo) (float64, bool) {
-	nh, ok := f.EngineByID(ingress.ID).Lookup(dst.Prefix.Addr())
-	if !ok {
-		return 0, false
-	}
-	egress := dp.Peering.Net.PoPByID(nh.PoP)
-	c, ok := dp.sessionFor(egress, nh, dst.Origin)
-	if !ok {
-		return 0, false
-	}
-	external := dp.Delay.RTT(egress.Place, dst, c.PathLen, dp.hairpinWaypoint(c, dst)...)
-	return dp.InternalRTTMs(ingress, egress) + external, true
-}
-
-// sessionFor maps a FIB next hop back to the candidate session carrying
-// the external leg. Statically pinned next hops (Neighbor 0) have no
-// session of their own; traffic leaves on the egress PoP's local best,
-// which is what holding a covering route guarantees exists.
-func (dp *DataPlane) sessionFor(egress *PoP, nh fib.NextHop, origin uint16) (Candidate, bool) {
-	for _, c := range dp.Peering.Candidates(origin) {
-		if c.Session.PoP == egress && c.Session.Router == nh.Router &&
-			c.Session.Neighbor.Index == nh.Neighbor {
-			return c, true
-		}
-	}
-	return dp.LocalEgressSession(egress, origin)
 }

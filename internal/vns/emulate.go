@@ -1,18 +1,12 @@
 package vns
 
-import (
-	"vns/internal/geo"
-	"vns/internal/loss"
-	"vns/internal/netsim"
-)
+import "vns/internal/loss"
 
-// This file builds packet-level (netsim) paths for VNS routes, so media
-// sessions can run through the full discrete-event simulator — queueing,
-// serialization, jitter and all — instead of the statistical fast path.
-// The experiments use the fast path for scale and the emulated path to
-// validate it (TestEmulationAgreesWithFastPath).
-
-// EmulateOptions tunes the constructed path.
+// EmulateOptions tunes the packet-level (netsim) links of the L2
+// fabric, over which media sessions run through the full discrete-event
+// simulator — queueing, serialization, jitter and all — instead of the
+// statistical fast path. The experiments use the fast path for scale
+// and the fabric to validate it (TestEmulationAgreesWithFastPath).
 type EmulateOptions struct {
 	// BandwidthMbps per L2 link; the overlay is well-provisioned, so
 	// the default of 1000 leaves media traffic far from saturation.
@@ -35,38 +29,4 @@ func (o EmulateOptions) withDefaults() EmulateOptions {
 		o.JitterMsSigma = 0.5
 	}
 	return o
-}
-
-// EmulatedPath builds a netsim path following the internal L2 route from
-// one PoP to another: one simulated link per L2 hop, with propagation
-// delay from great-circle geometry.
-func (n *Network) EmulatedPath(from, to *PoP, opts EmulateOptions) *netsim.Path {
-	opts = opts.withDefaults()
-	rng := loss.NewRNG(opts.Seed ^ 0xE1117)
-	pops := n.InternalPath(from, to)
-	var links []*netsim.Link
-	for i := 1; i < len(pops); i++ {
-		a, b := pops[i-1], pops[i]
-		dist := geo.DistanceKm(a.Place.Pos, b.Place.Pos)
-		var lm loss.Model
-		jitter := opts.JitterMsSigma / 10
-		if dist >= 7000 {
-			jitter = opts.JitterMsSigma
-			if opts.LongHaulLoss != nil {
-				lm = opts.LongHaulLoss(rng.Fork(uint64(i)))
-			}
-		}
-		// geo.KmPerMsRTT converts km to round-trip ms; a link's
-		// propagation delay is one way, i.e. half of that.
-		link := netsim.NewLink(
-			a.Code+"-"+b.Code,
-			dist/geo.KmPerMsRTT/2,
-			opts.BandwidthMbps,
-			lm,
-			rng.Fork(uint64(i)+1000),
-		)
-		link.JitterMsSigma = jitter
-		links = append(links, link)
-	}
-	return netsim.NewPath(links...)
 }

@@ -6,13 +6,14 @@ import (
 	"vns/internal/geo"
 	"vns/internal/loss"
 	"vns/internal/netsim"
+	"vns/internal/relay"
 )
 
 // L2Fabric is the deployment's physical internal fabric: exactly one
 // simulated link per directed L2 adjacency, shared by every path that
 // crosses it. Sharing is what makes failures meaningful — downing the
 // LON→ASH link affects every flow and liveness session that traverses
-// it, unlike EmulatedPath, which builds private links per call.
+// it.
 //
 // The fabric separates the two halves of a failure. SetAdmin downs the
 // data-plane links themselves (fault injection: packets start dropping
@@ -32,8 +33,9 @@ type L2Fabric struct {
 	blackhole *netsim.Link
 }
 
-// NewL2Fabric builds the shared links for every directed L2 adjacency,
-// with the same geometry-derived parameters EmulatedPath uses.
+// NewL2Fabric builds the shared links for every directed L2 adjacency:
+// one simulated link per direction, with propagation delay from
+// great-circle geometry.
 func NewL2Fabric(n *Network, opts EmulateOptions) *L2Fabric {
 	opts = opts.withDefaults()
 	f := &L2Fabric{
@@ -83,6 +85,36 @@ func (f *L2Fabric) Link(from, to *PoP) *netsim.Link {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.links[[2]int{from.ID, to.ID}]
+}
+
+// OverlayPaths enumerates the ingress→egress overlay paths the fabric
+// offers: the direct adjacency plus every two-hop detour through an
+// intermediate PoP, each priced at its links' propagation sum plus a
+// fixed tail. Two hops is as deep as conferencing relays go in practice
+// (and as deep as the reorder bound tolerates); longer walks only show
+// up as ever-later candidates relay.SelectPaths would reject.
+func (f *L2Fabric) OverlayPaths(a, b *PoP, tailMs float64) (cands []relay.PathCandidate, links [][]*netsim.Link) {
+	add := func(name string, ls ...*netsim.Link) {
+		total := tailMs
+		for _, l := range ls {
+			total += l.PropDelayMs
+		}
+		cands = append(cands, relay.PathCandidate{Name: name, DelayMs: total})
+		links = append(links, ls)
+	}
+	if l := f.Link(a, b); l != nil {
+		add(a.Code+"-"+b.Code, l)
+	}
+	for _, m := range f.net.PoPs {
+		if m == a || m == b {
+			continue
+		}
+		l1, l2 := f.Link(a, m), f.Link(m, b)
+		if l1 != nil && l2 != nil {
+			add(a.Code+"-"+m.Code+"-"+b.Code, l1, l2)
+		}
+	}
+	return cands, links
 }
 
 // Links returns every directed link in deterministic order, for stats

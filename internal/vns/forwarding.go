@@ -2,7 +2,6 @@ package vns
 
 import (
 	"net/netip"
-	"sync"
 	"time"
 
 	"vns/internal/core"
@@ -27,9 +26,6 @@ type ForwardingConfig struct {
 	// deterministic tests want; daemons should set a few tens of
 	// milliseconds.
 	Debounce time.Duration
-	// Emulate tunes the internal netsim paths packets are forwarded
-	// over.
-	Emulate EmulateOptions
 	// Telemetry, when non-nil, receives the forwarding-plane metric
 	// families: per-PoP engine and FIB state through render-time
 	// collectors, per-link fabric counters, media flow counters, and
@@ -58,11 +54,6 @@ type Forwarding struct {
 	pubs    map[int]*fib.Publisher // by 1-based PoP id
 	engines map[int]*fib.Engine
 
-	// resolveMu serializes route resolution: Peering's candidate cache
-	// is not safe for concurrent mutation, and publisher flushes may run
-	// on debounce-timer goroutines.
-	resolveMu sync.Mutex
-
 	fabric *L2Fabric
 
 	tracer *telemetry.Tracer
@@ -87,7 +78,7 @@ func NewForwarding(pr *Peering, rr *core.GeoRR, cfg ForwardingConfig) *Forwardin
 		RR:      rr,
 		pubs:    make(map[int]*fib.Publisher, len(pr.Net.PoPs)),
 		engines: make(map[int]*fib.Engine, len(pr.Net.PoPs)),
-		fabric:  NewL2Fabric(pr.Net, cfg.Emulate),
+		fabric:  NewL2Fabric(pr.Net, EmulateOptions{}),
 		tracer:  cfg.Tracer,
 	}
 	var compileObs func(time.Duration)
@@ -121,7 +112,7 @@ func NewForwarding(pr *Peering, rr *core.GeoRR, cfg ForwardingConfig) *Forwardin
 	for _, p := range pr.Net.PoPs {
 		vantage := p
 		pub := fib.NewPublisher(fib.Config{
-			Resolve:         func(pfx netip.Prefix) (fib.NextHop, bool) { return f.resolveLocked(vantage, pfx) },
+			Resolve:         func(pfx netip.Prefix) (fib.NextHop, bool) { return f.Resolve(vantage, pfx) },
 			Debounce:        cfg.Debounce,
 			CompileObserver: compileObs,
 			FlushObserver:   flushObs,
@@ -209,25 +200,13 @@ func (f *Forwarding) Flush() {
 }
 
 // Resolve computes the control-plane decision for one prefix as seen
-// from a vantage PoP, under the resolver lock. It is the reference
-// answer the compiled per-PoP FIBs are differentially tested against
-// (internal/scenario's three-way agreement invariant).
-func (f *Forwarding) Resolve(vantage *PoP, prefix netip.Prefix) (fib.NextHop, bool) {
-	return f.resolveLocked(vantage, prefix)
-}
-
-// resolveLocked computes the control-plane decision for one prefix as
-// seen from a vantage PoP: static more-specifics pin their configured
+// from a vantage PoP: static more-specifics pin their configured
 // egress; everything else runs the post-policy (GeoRR local-pref)
-// decision process over the candidate sessions. Called from publishers
-// with their lock held.
-func (f *Forwarding) resolveLocked(vantage *PoP, prefix netip.Prefix) (fib.NextHop, bool) {
-	f.resolveMu.Lock()
-	defer f.resolveMu.Unlock()
-	return f.resolve(vantage, prefix)
-}
-
-func (f *Forwarding) resolve(vantage *PoP, prefix netip.Prefix) (fib.NextHop, bool) {
+// decision process over the candidate sessions. Publishers call it from
+// their flushes (debounce-timer goroutines included), and it is the
+// reference answer the compiled per-PoP FIBs are differentially tested
+// against (internal/scenario's three-way agreement invariant).
+func (f *Forwarding) Resolve(vantage *PoP, prefix netip.Prefix) (fib.NextHop, bool) {
 	for _, s := range f.RR.Statics() {
 		if s.Prefix == prefix {
 			if p, ok := f.Peering.Net.RouterPoP(s.Egress); ok && f.usable(vantage, p, s.Egress) {
@@ -318,12 +297,10 @@ func (f *Forwarding) Engines() []*fib.Engine {
 // caught up.
 func (f *Forwarding) Congruence(vantage *PoP) (match, total int) {
 	eng := f.engines[vantage.ID]
-	f.resolveMu.Lock()
-	defer f.resolveMu.Unlock()
 	for i := range f.Peering.Topo.Prefixes {
 		pfx := f.Peering.Topo.Prefixes[i].Prefix
 		nh, fibOK := eng.Lookup(pfx.Addr())
-		want, cpOK := f.resolve(vantage, pfx)
+		want, cpOK := f.Resolve(vantage, pfx)
 		if !fibOK && !cpOK {
 			continue // unreachable on both sides: congruent, uncounted
 		}

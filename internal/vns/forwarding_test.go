@@ -9,7 +9,6 @@ import (
 	"vns/internal/geoip"
 	"vns/internal/media"
 	"vns/internal/netsim"
-	"vns/internal/probe"
 )
 
 // forwardingSetup builds a peering with a perfect-GeoIP GeoRR (every
@@ -207,41 +206,6 @@ func TestForwardStreamReachesControlPlaneEgress(t *testing.T) {
 	}
 }
 
-// TestProbeTrainThroughForwardingPlane sends a probe train from London
-// through the compiled plane and checks it exits at the FIB-selected
-// PoP with a transit time consistent with the internal topology.
-func TestProbeTrainThroughForwardingPlane(t *testing.T) {
-	pr, _, f := forwardingSetup(t, ForwardingConfig{})
-	lon := pr.Net.PoP("LON")
-	eng := f.Engine("LON")
-
-	var dst netip.Addr
-	var wantPoP int
-	for i := range pr.Topo.Prefixes {
-		pi := &pr.Topo.Prefixes[i]
-		if nh, ok := eng.Lookup(pi.Prefix.Addr()); ok && nh.PoP != lon.ID {
-			dst, wantPoP = pi.Prefix.Addr(), nh.PoP
-			break
-		}
-	}
-	if !dst.IsValid() {
-		t.Fatal("no remote-egress destination found")
-	}
-
-	var sim netsim.Sim
-	res := probe.FIBTrain(&sim, eng, dst, 100)
-	sim.RunAll()
-	if res.Delivered != 100 || res.Egress[wantPoP] != 100 {
-		t.Fatalf("delivered=%d egress=%v, want 100 at PoP %d", res.Delivered, res.Egress, wantPoP)
-	}
-	// The fastest probe cannot beat the IGP one-way delay (half the
-	// internal RTT), and with no cross traffic should sit near it.
-	oneWay := pr.Net.IGPMetricMs(lon, pr.Net.PoPByID(wantPoP))
-	if res.MinTransitMs < oneWay-0.001 || res.MinTransitMs > oneWay+5 {
-		t.Errorf("MinTransitMs = %.3f, want within [%.3f, %.3f]", res.MinTransitMs, oneWay, oneWay+5)
-	}
-}
-
 // TestForwardingDebounce checks an update burst coalesces into one
 // recompile per PoP and Flush forces pending state visible.
 func TestForwardingDebounce(t *testing.T) {
@@ -285,38 +249,5 @@ func TestForwardingDebounce(t *testing.T) {
 	f.Flush()
 	if nh, ok := eng.Lookup(prefix.Addr()); !ok || nh.PoP != altPoP {
 		t.Errorf("after Flush: egress PoP %d, want forced %d", nh.PoP, altPoP)
-	}
-}
-
-// TestThroughVNSRTTFIBAgrees checks the FIB-backed RTT matches the
-// analytic cold-potato RTT whenever both resolve — the data plane and
-// the measurement model describe the same network.
-func TestThroughVNSRTTFIBAgrees(t *testing.T) {
-	pr, _, f := forwardingSetup(t, ForwardingConfig{})
-	dp := NewDataPlane(pr, 11)
-	lon := pr.Net.PoP("LON")
-	eng := f.Engine("LON")
-	checked := 0
-	for i := 0; i < len(pr.Topo.Prefixes) && checked < 200; i += 5 {
-		pi := &pr.Topo.Prefixes[i]
-		nh, ok := eng.Lookup(pi.Prefix.Addr())
-		if !ok {
-			continue
-		}
-		gotMs, ok := dp.ThroughVNSRTTFIB(f, lon, pi)
-		if !ok {
-			t.Fatalf("%v: FIB RTT unresolvable despite FIB hit", pi.Prefix)
-		}
-		wantMs, ok := dp.ThroughVNSRTT(lon, pr.Net.PoPByID(nh.PoP), pi)
-		if !ok {
-			continue
-		}
-		if gotMs != wantMs {
-			t.Errorf("%v: FIB RTT %.3f ms, analytic %.3f ms", pi.Prefix, gotMs, wantMs)
-		}
-		checked++
-	}
-	if checked < 100 {
-		t.Fatalf("only %d prefixes checked", checked)
 	}
 }

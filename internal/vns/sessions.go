@@ -79,13 +79,16 @@ func (c ConnectConfig) withDefaults() ConnectConfig {
 
 // Peering is the VNS control plane attached to a synthetic Internet:
 // the neighbor set, all eBGP sessions, and the route candidates they
-// yield.
+// yield. It is immutable once Connect returns, so any number of
+// goroutines may read it.
 type Peering struct {
 	Net       *Network
 	Topo      *topo.Topology
 	Neighbors []*Neighbor
 
-	candCache map[uint16][]Candidate
+	// candidates holds the route offers of every origin AS in
+	// Topo.Prefixes, built by Connect.
+	candidates map[uint16][]Candidate
 }
 
 // Connect selects upstreams and peers from the topology and establishes
@@ -96,7 +99,7 @@ func Connect(n *Network, t *topo.Topology, cfg ConnectConfig) *Peering {
 	cfg = cfg.withDefaults()
 	rng := loss.NewRNG(cfg.Seed ^ 0xa5a5)
 
-	pr := &Peering{Net: n, Topo: t, candCache: make(map[uint16][]Candidate)}
+	pr := &Peering{Net: n, Topo: t, candidates: make(map[uint16][]Candidate)}
 
 	// Upstream selection: LTPs ranked by North-American presence so
 	// neighbor 1 is the big US-based tier-1 (the paper's upstream 1 and
@@ -149,6 +152,12 @@ func Connect(n *Network, t *topo.Topology, cfg ConnectConfig) *Peering {
 	}
 
 	pr.placeSessions(cfg)
+	for i := range t.Prefixes {
+		origin := t.Prefixes[i].Origin
+		if _, ok := pr.candidates[origin]; !ok {
+			pr.candidates[origin] = pr.offers(origin)
+		}
+	}
 	return pr
 }
 
@@ -254,12 +263,17 @@ type Candidate struct {
 
 // Candidates returns the route offers for a destination origin AS,
 // applying Gao–Rexford export policy: upstreams export their best route
-// of any class, peers only customer routes. Results are cached per
-// origin AS (all prefixes of an AS share them).
+// of any class, peers only customer routes. All prefixes of an AS share
+// one slice, which callers must not modify; an origin that announces no
+// prefix is computed on the spot.
 func (pr *Peering) Candidates(origin uint16) []Candidate {
-	if c, ok := pr.candCache[origin]; ok {
+	if c, ok := pr.candidates[origin]; ok {
 		return c
 	}
+	return pr.offers(origin)
+}
+
+func (pr *Peering) offers(origin uint16) []Candidate {
 	var out []Candidate
 	for _, nb := range pr.Neighbors {
 		var hops int
@@ -277,7 +291,6 @@ func (pr *Peering) Candidates(origin uint16) []Candidate {
 			out = append(out, Candidate{Session: s, PathLen: hops + 1})
 		}
 	}
-	pr.candCache[origin] = out
 	return out
 }
 

@@ -2,6 +2,7 @@ package vns
 
 import (
 	"net/netip"
+	"sync"
 	"testing"
 
 	"vns/internal/core"
@@ -190,12 +191,30 @@ func TestCandidatesCoverage(t *testing.T) {
 	if missing > 0 {
 		t.Errorf("%d ASes unreachable from VNS", missing)
 	}
-	// Cache hit returns the same slice.
+	// A second call returns the same offers.
 	a := pr.Candidates(pr.Topo.ASNs()[0])
 	b := pr.Candidates(pr.Topo.ASNs()[0])
 	if len(a) != len(b) {
-		t.Error("candidate cache inconsistent")
+		t.Error("candidates inconsistent")
 	}
+}
+
+// TestCandidatesConcurrent: a Peering is immutable after Connect, so
+// any number of goroutines may ask it for candidates (publisher flushes
+// on debounce timers do). Run under -race.
+func TestCandidatesConcurrent(t *testing.T) {
+	_, pr := testSetup(t)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, asn := range pr.Topo.ASNs() {
+				pr.Candidates(asn)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestSelectHotPotatoPrefersLocalEBGP(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 
 	"vns/internal/bgp"
 	"vns/internal/core"
-	"vns/internal/topo"
 )
 
 // WireDeployment runs the VNS control plane over real BGP/TCP: the geo
@@ -141,9 +140,4 @@ func wirePath(c Candidate, origin uint16) []uint16 {
 		path = append(path, uint16(64000+len(path)))
 	}
 	return path
-}
-
-// prefixInfoFor resolves ground truth for a prefix (helper for tests).
-func (w *WireDeployment) prefixInfoFor(p netip.Prefix) (*topo.PrefixInfo, bool) {
-	return w.dp.Peering.Topo.PrefixInfoFor(p)
 }

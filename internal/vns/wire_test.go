@@ -138,14 +138,3 @@ func TestWireDeploymentAnnounceCounts(t *testing.T) {
 		t.Errorf("total announcements = %d, want %d", total, 440)
 	}
 }
-
-func TestWireDeploymentPrefixInfo(t *testing.T) {
-	w, pr := wireDeployment(t, 5)
-	pi, ok := w.prefixInfoFor(pr.Topo.Prefixes[0].Prefix)
-	if !ok || pi.Origin != pr.Topo.Prefixes[0].Origin {
-		t.Error("prefixInfoFor broken")
-	}
-	if _, ok := w.prefixInfoFor(netip.MustParsePrefix("192.0.2.0/24")); ok {
-		t.Error("unknown prefix should miss")
-	}
-}
