@@ -267,7 +267,7 @@ func BenchmarkAdaptiveStudy(b *testing.B) {
 	e := sharedEnv(b)
 	var r *experiments.AdaptiveResult
 	for i := 0; i < b.N; i++ {
-		r = experiments.AdaptiveStudy(e, experiments.AdaptiveConfig{})
+		r = experiments.AdaptiveStudy(e)
 	}
 	b.ReportMetric(float64(r.Overridden), "overridden")
 	b.ReportMetric(r.OverriddenGeoMs.Percentile(0.5)-r.OverriddenAdaptiveMs.Percentile(0.5), "p50gainMs")

@@ -129,9 +129,7 @@ func main() {
 	section("fig12", func() string { return lastMile.RenderFig12() })
 
 	section("congruence", func() string { return experiments.CongruenceStudy(env()).Render() })
-	section("adaptive", func() string {
-		return experiments.AdaptiveStudy(env(), experiments.AdaptiveConfig{}).Render()
-	})
+	section("adaptive", func() string { return experiments.AdaptiveStudy(env()).Render() })
 	section("repair", func() string { return experiments.RepairStudy(env(), 30).Render() })
 	section("mediaclaims", func() string { return experiments.MediaClaims(env(), 100).Render() })
 	section("qoe", func() string { return experiments.QoEStudy(env(), 8).Render() })
@@ -144,9 +142,9 @@ func main() {
 	// The failover study mutates link state, so it builds its own
 	// (smaller) environment rather than sharing env.
 	section("failover", func() string {
-		cfg := experiments.FailoverConfig{Cfg: experiments.Config{Seed: *seed, NumAS: *numAS}}
+		cfg := experiments.Config{Seed: *seed, NumAS: *numAS}
 		if *numAS == 0 {
-			cfg.Cfg.NumAS = 1500
+			cfg.NumAS = 1500
 		}
 		return experiments.FailoverStudy(cfg).Render()
 	})

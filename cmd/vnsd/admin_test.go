@@ -36,7 +36,7 @@ func newTestAdmin(t *testing.T) (*httptest.Server, *experiments.Env) {
 	tracer := telemetry.NewTracer(sim.Now, telemetry.DefaultTraceCap)
 	fwd := env.Forwarding(vns.ForwardingConfig{Tracer: tracer})
 
-	mon := health.NewMonitor(sim, fwd.Fabric(), health.Config{}, env.Telemetry)
+	mon := health.NewMonitor(sim, fwd.Fabric(), env.Telemetry)
 	mon.Start()
 
 	actl := adaptive.NewController(adaptive.Config{

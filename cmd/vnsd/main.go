@@ -151,12 +151,12 @@ func main() {
 
 	// Liveness and failover: BFD-lite sessions over every L2 link of the
 	// shared fabric, detected failures feeding the failover controller.
-	mon := health.NewMonitor(healthSim, fwd.Fabric(), health.Config{}, env.Telemetry)
+	mon := health.NewMonitor(healthSim, fwd.Fabric(), env.Telemetry)
 	ctl := health.NewController(fwd, env.RR, env.Telemetry)
 	ctl.Bind(mon)
 	mon.Start()
 	log.Printf("liveness: %d link sessions at %.0fms hellos, detect multiplier %d",
-		len(mon.Sessions()), mon.Config().TxIntervalMs, mon.Config().Multiplier)
+		len(mon.Sessions()), health.TxIntervalMs, health.Multiplier)
 
 	if *failLink != "" {
 		codes := strings.SplitN(strings.ToUpper(*failLink), "-", 2)

@@ -2,6 +2,7 @@ package vns
 
 import (
 	"net/netip"
+	"os/exec"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +13,23 @@ import (
 	"vns/internal/netsim"
 	"vns/internal/vns"
 )
+
+// TestBenchHarnessBuilds vets the benchmark harness. bench/ is its own
+// module, so `go build ./...` and `go test ./...` never compile it, and an
+// identifier vnsbench uses that a change renames would otherwise surface
+// only when the benchmark runs.
+func TestBenchHarnessBuilds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles the bench module")
+	}
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go is not on PATH")
+	}
+	if out, err := exec.Command(goBin, "-C", "bench", "vet", "./...").CombinedOutput(); err != nil {
+		t.Fatalf("go -C bench vet ./...: %v\n%s", err, out)
+	}
+}
 
 // TestEndToEndPipeline drives the whole stack once at small scale: world
 // generation, every experiment driver, and every renderer. It guards

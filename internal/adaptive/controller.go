@@ -42,8 +42,8 @@ type Config struct {
 	Budget int
 	// HalfLifeSec is the estimator half-life (0: DefaultHalfLifeSec).
 	HalfLifeSec float64
-	// Stability tunes the decision and damping layers; zero fields take
-	// the documented defaults.
+	// Stability tunes the decision layer; zero fields take the
+	// documented defaults.
 	Stability StabilityConfig
 	// Probe measures one path.
 	Probe ProbeFunc
@@ -218,7 +218,7 @@ func (c *Controller) Track(prefix netip.Prefix, cands []Cand) error {
 		cands:      append([]Cand(nil), cands...),
 		handles:    make([]*PathEstimator, len(cands)),
 		geoBest:    geoBest,
-		damper:     NewDamper(c.stab),
+		damper:     &Damper{},
 		desiredIdx: -1,
 		activeIdx:  -1,
 	}

@@ -66,11 +66,8 @@ func (w *probeWorld) set(pop int, ms float64) {
 }
 
 // fastStab is a stability config that reacts within a round or two:
-// warm after one sample, no jitter widening, default damping.
-var fastStab = StabilityConfig{
-	ApplyMarginMs: 20, ReleaseMarginMs: 8, JitterFactor: -1,
-	MinSamples: 1, MaxStalenessSec: 30,
-}
+// warm after one sample.
+var fastStab = StabilityConfig{ApplyMarginMs: 20, MinSamples: 1}
 
 func twoCands() []Cand {
 	return []Cand{
@@ -171,11 +168,11 @@ func TestControllerDampsOscillation(t *testing.T) {
 	}
 	world.set(1, 200)
 	world.set(2, 100)
-	rounds(sim, c, 1, 2)               // install at t=1
+	rounds(sim, c, 1, 2)                                               // install at t=1
 	sim.Schedule(2.5, func() { world.set(1, 100); world.set(2, 200) }) // flip
-	rounds(sim, c, 3, 3)               // withdraw at t=3 (flap 2)
+	rounds(sim, c, 3, 3)                                               // withdraw at t=3 (flap 2)
 	sim.Schedule(3.5, func() { world.set(1, 200); world.set(2, 100) }) // flip back
-	rounds(sim, c, 4, 30)              // flap 3 at t=4 → suppressed; then steady
+	rounds(sim, c, 4, 30)                                              // flap 3 at t=4 → suppressed; then steady
 	sim.Run(30)
 
 	got := sink.calls()

@@ -5,88 +5,62 @@ import (
 	"net/netip"
 )
 
-// StabilityConfig tunes the decision and stability layers. Zero values
-// take the documented defaults, so a zero StabilityConfig is usable.
+// StabilityConfig tunes the decision layer. Zero values take the
+// documented defaults, so a zero StabilityConfig is usable.
 type StabilityConfig struct {
 	// ApplyMarginMs is how much faster (smoothed ms) the measured-best
 	// egress must be than the geographically predicted one before an
 	// override is installed — and how much faster a new target must be
 	// than the incumbent override before the override switches. The
-	// effective margin widens by JitterFactor times the candidate's
+	// effective margin widens by jitterFactor times the candidate's
 	// jitter, so noisy paths need a larger, steadier advantage.
 	ApplyMarginMs float64
-	// ReleaseMarginMs is the advantage below which an installed
-	// override is withdrawn. It sits well under ApplyMarginMs: the gap
-	// between the two thresholds is the switch hysteresis band that
-	// keeps a path hovering near the margin from toggling the route.
-	ReleaseMarginMs float64
-	// JitterFactor scales the measured-best path's jitter into the
-	// apply margin (margin + factor*jitter must be beaten).
-	JitterFactor float64
 	// MinSamples is how many samples both the geographic choice's and
 	// the challenger's estimators need before a decision trusts them.
 	MinSamples uint64
-	// MaxStalenessSec invalidates estimates whose latest sample is
-	// older than this; a stale challenger cannot install an override,
-	// and a stale incumbent releases its override.
-	MaxStalenessSec float64
-
-	// PenaltyPerFlap is the damping penalty added per override
-	// transition (RFC 2439's fixed per-flap increment).
-	PenaltyPerFlap float64
-	// PenaltyHalfLifeSec is the penalty's exponential-decay half-life.
-	PenaltyHalfLifeSec float64
-	// SuppressThreshold suppresses a prefix's overrides when its
-	// decayed penalty reaches it; while suppressed the prefix routes
-	// purely geographically no matter what the measurements say.
-	SuppressThreshold float64
-	// ReuseThreshold re-enables overrides once the decayed penalty
-	// falls below it.
-	ReuseThreshold float64
 }
 
 // Stability defaults.
 const (
-	DefaultApplyMarginMs      = 20.0
-	DefaultReleaseMarginMs    = 8.0
-	DefaultJitterFactor       = 2.0
-	DefaultMinSamples         = 3
-	DefaultMaxStalenessSec    = 30.0
-	DefaultPenaltyPerFlap     = 1000.0
-	DefaultPenaltyHalfLifeSec = 15.0
-	DefaultSuppressThreshold  = 2500.0
-	DefaultReuseThreshold     = 800.0
+	DefaultApplyMarginMs = 20.0
+	DefaultMinSamples    = 3
+)
+
+// The fixed decision and damping parameters.
+const (
+	// releaseMarginMs is the advantage below which an installed
+	// override is withdrawn. It sits well under the apply margin: the
+	// gap between the two thresholds is the switch hysteresis band that
+	// keeps a path hovering near the margin from toggling the route.
+	releaseMarginMs = 8.0
+	// jitterFactor scales the measured-best path's jitter into the
+	// apply margin (margin + factor*jitter must be beaten).
+	jitterFactor = 2.0
+	// maxStalenessSec invalidates estimates whose latest sample is
+	// older than this; a stale challenger cannot install an override,
+	// and a stale incumbent releases its override.
+	maxStalenessSec = 30.0
+
+	// penaltyPerFlap is the damping penalty added per override
+	// transition (RFC 2439's fixed per-flap increment).
+	penaltyPerFlap = 1000.0
+	// penaltyHalfLifeSec is the penalty's exponential-decay half-life.
+	penaltyHalfLifeSec = 15.0
+	// suppressThreshold suppresses a prefix's overrides when its
+	// decayed penalty reaches it; while suppressed the prefix routes
+	// purely geographically no matter what the measurements say.
+	suppressThreshold = 2500.0
+	// reuseThreshold re-enables overrides once the decayed penalty
+	// falls below it.
+	reuseThreshold = 800.0
 )
 
 func (c StabilityConfig) withDefaults() StabilityConfig {
 	if c.ApplyMarginMs <= 0 {
 		c.ApplyMarginMs = DefaultApplyMarginMs
 	}
-	if c.ReleaseMarginMs <= 0 {
-		c.ReleaseMarginMs = DefaultReleaseMarginMs
-	}
-	if c.JitterFactor < 0 {
-		c.JitterFactor = 0
-	} else if c.JitterFactor == 0 {
-		c.JitterFactor = DefaultJitterFactor
-	}
 	if c.MinSamples == 0 {
 		c.MinSamples = DefaultMinSamples
-	}
-	if c.MaxStalenessSec <= 0 {
-		c.MaxStalenessSec = DefaultMaxStalenessSec
-	}
-	if c.PenaltyPerFlap <= 0 {
-		c.PenaltyPerFlap = DefaultPenaltyPerFlap
-	}
-	if c.PenaltyHalfLifeSec <= 0 {
-		c.PenaltyHalfLifeSec = DefaultPenaltyHalfLifeSec
-	}
-	if c.SuppressThreshold <= 0 {
-		c.SuppressThreshold = DefaultSuppressThreshold
-	}
-	if c.ReuseThreshold <= 0 {
-		c.ReuseThreshold = DefaultReuseThreshold
 	}
 	return c
 }
@@ -94,25 +68,19 @@ func (c StabilityConfig) withDefaults() StabilityConfig {
 // Damper is the per-prefix RFC 2439-style flap damper: every override
 // transition (install, switch, withdraw — actual or merely desired
 // while suppressed) accumulates a fixed penalty; the penalty decays
-// exponentially; crossing SuppressThreshold suppresses the prefix's
-// overrides and only falling below ReuseThreshold releases it.
+// exponentially; crossing suppressThreshold suppresses the prefix's
+// overrides and only falling below reuseThreshold releases it.
 type Damper struct {
-	cfg        StabilityConfig
 	penalty    float64
 	decayedAt  float64
 	suppressed bool
 	flips      uint64
 }
 
-// NewDamper returns a damper with the given (default-filled) config.
-func NewDamper(cfg StabilityConfig) *Damper {
-	return &Damper{cfg: cfg.withDefaults()}
-}
-
 // decay brings the penalty forward to simulated time now.
 func (d *Damper) decay(now float64) {
 	if dt := now - d.decayedAt; dt > 0 && d.penalty > 0 {
-		d.penalty *= math.Exp2(-dt / d.cfg.PenaltyHalfLifeSec)
+		d.penalty *= math.Exp2(-dt / penaltyHalfLifeSec)
 	}
 	d.decayedAt = now
 }
@@ -121,9 +89,9 @@ func (d *Damper) decay(now float64) {
 // returns whether the prefix is suppressed afterwards.
 func (d *Damper) Flap(now float64) bool {
 	d.decay(now)
-	d.penalty += d.cfg.PenaltyPerFlap
+	d.penalty += penaltyPerFlap
 	d.flips++
-	if d.penalty >= d.cfg.SuppressThreshold {
+	if d.penalty >= suppressThreshold {
 		d.suppressed = true
 	}
 	return d.suppressed
@@ -134,7 +102,7 @@ func (d *Damper) Flap(now float64) bool {
 // the reuse threshold.
 func (d *Damper) Suppressed(now float64) bool {
 	d.decay(now)
-	if d.suppressed && d.penalty < d.cfg.ReuseThreshold {
+	if d.suppressed && d.penalty < reuseThreshold {
 		d.suppressed = false
 	}
 	return d.suppressed
@@ -183,7 +151,7 @@ type decision struct {
 func evaluate(cfg StabilityConfig, cands []Cand, geoBest int, incumbent int,
 	state func(Key) Snapshot, prefix netip.Prefix, now float64) decision {
 	geoSnap := state(Key{PoP: cands[geoBest].PoP, Prefix: prefix})
-	if !geoSnap.Warm(cfg.MinSamples) || !geoSnap.Fresh(now, cfg.MaxStalenessSec) {
+	if !geoSnap.Warm(cfg.MinSamples) || !geoSnap.Fresh(now, maxStalenessSec) {
 		// Without a trustworthy measurement of the geographic choice
 		// there is nothing to contradict: route geographically.
 		return decision{}
@@ -196,7 +164,7 @@ func evaluate(cfg StabilityConfig, cands []Cand, geoBest int, incumbent int,
 	var bestSnap Snapshot
 	for i := range cands {
 		s := state(Key{PoP: cands[i].PoP, Prefix: prefix})
-		if !s.Warm(cfg.MinSamples) || !s.Fresh(now, cfg.MaxStalenessSec) {
+		if !s.Warm(cfg.MinSamples) || !s.Fresh(now, maxStalenessSec) {
 			continue
 		}
 		if best < 0 || s.SmoothedMs < bestSnap.SmoothedMs ||
@@ -208,7 +176,7 @@ func evaluate(cfg StabilityConfig, cands []Cand, geoBest int, incumbent int,
 		return decision{}
 	}
 
-	applyMargin := cfg.ApplyMarginMs + cfg.JitterFactor*bestSnap.JitterMs
+	applyMargin := cfg.ApplyMarginMs + jitterFactor*bestSnap.JitterMs
 
 	if incumbent != 0 {
 		// An override is installed: find it among the candidates.
@@ -223,7 +191,7 @@ func evaluate(cfg StabilityConfig, cands []Cand, geoBest int, incumbent int,
 			return decision{} // target vanished from the candidate set
 		}
 		incSnap := state(Key{PoP: incumbent, Prefix: prefix})
-		if !incSnap.Warm(cfg.MinSamples) || !incSnap.Fresh(now, cfg.MaxStalenessSec) {
+		if !incSnap.Warm(cfg.MinSamples) || !incSnap.Fresh(now, maxStalenessSec) {
 			return decision{} // stale incumbent: release
 		}
 		if incumbent == cands[geoBest].PoP {
@@ -232,7 +200,7 @@ func evaluate(cfg StabilityConfig, cands []Cand, geoBest int, incumbent int,
 			return decision{}
 		}
 		adv := geoSnap.SmoothedMs - incSnap.SmoothedMs
-		if adv < cfg.ReleaseMarginMs {
+		if adv < releaseMarginMs {
 			return decision{} // hysteresis floor crossed: withdraw
 		}
 		// Switch hysteresis: a different egress must beat the incumbent

@@ -9,7 +9,7 @@ import (
 // --- Damper -----------------------------------------------------------
 
 func TestDamperPenaltyDecay(t *testing.T) {
-	d := NewDamper(StabilityConfig{PenaltyPerFlap: 1000, PenaltyHalfLifeSec: 15})
+	d := &Damper{}
 	d.Flap(0)
 	if got := d.Penalty(0); got != 1000 {
 		t.Fatalf("penalty at t=0: %v, want 1000", got)
@@ -26,11 +26,7 @@ func TestDamperPenaltyDecay(t *testing.T) {
 // flaps cross the suppress threshold, the penalty decays, and only the
 // reuse threshold releases the suppression.
 func TestDamperSuppressReuseCycle(t *testing.T) {
-	cfg := StabilityConfig{
-		PenaltyPerFlap: 1000, PenaltyHalfLifeSec: 15,
-		SuppressThreshold: 2500, ReuseThreshold: 800,
-	}
-	d := NewDamper(cfg)
+	d := &Damper{}
 	if d.Flap(0) {
 		t.Fatal("one flap must not suppress")
 	}
@@ -61,10 +57,7 @@ func TestDamperSuppressReuseCycle(t *testing.T) {
 // TestDamperSlowFlapsNeverSuppress: flaps spaced several half-lives
 // apart decay away before the penalty can accumulate.
 func TestDamperSlowFlapsNeverSuppress(t *testing.T) {
-	d := NewDamper(StabilityConfig{
-		PenaltyPerFlap: 1000, PenaltyHalfLifeSec: 15,
-		SuppressThreshold: 2500, ReuseThreshold: 800,
-	})
+	d := &Damper{}
 	for i := 0; i < 10; i++ {
 		if d.Flap(float64(i) * 60) { // 4 half-lives apart
 			t.Fatalf("flap %d at 60s spacing suppressed", i)
@@ -76,20 +69,13 @@ func TestDamperSlowFlapsNeverSuppress(t *testing.T) {
 // suppresses; exactly at the reuse threshold stays suppressed (release
 // requires strictly below).
 func TestDamperEdgeAtThreshold(t *testing.T) {
-	d := NewDamper(StabilityConfig{
-		PenaltyPerFlap: 2500, PenaltyHalfLifeSec: 15,
-		SuppressThreshold: 2500, ReuseThreshold: 800,
-	})
+	d := &Damper{penalty: suppressThreshold - penaltyPerFlap}
 	if !d.Flap(0) {
-		t.Fatal("penalty == SuppressThreshold must suppress")
+		t.Fatal("penalty == suppressThreshold must suppress")
 	}
-	d2 := NewDamper(StabilityConfig{
-		PenaltyPerFlap: 800, PenaltyHalfLifeSec: 15,
-		SuppressThreshold: 800, ReuseThreshold: 800,
-	})
-	d2.Flap(0)
+	d2 := &Damper{penalty: reuseThreshold, suppressed: true}
 	if !d2.Suppressed(0) {
-		t.Error("penalty == ReuseThreshold must stay suppressed (strictly-below release)")
+		t.Error("penalty == reuseThreshold must stay suppressed (strictly-below release)")
 	}
 }
 
@@ -130,20 +116,19 @@ func (f *evalFixture) eval(cfg StabilityConfig, incumbent int, now float64) deci
 }
 
 var evalCfg = StabilityConfig{
-	ApplyMarginMs: 20, ReleaseMarginMs: 8, JitterFactor: 2,
-	MinSamples: 3, MaxStalenessSec: 30,
+	ApplyMarginMs: 20, MinSamples: 3,
 }
 
 // TestEvaluateApplyThreshold walks the install margin: advantage must
-// strictly exceed ApplyMarginMs + JitterFactor*jitter.
+// strictly exceed ApplyMarginMs + jitterFactor*jitter.
 func TestEvaluateApplyThreshold(t *testing.T) {
 	cases := []struct {
-		name        string
-		geoMs       float64
-		altMs       float64
-		altJitter   float64
-		wantActive  bool
-		wantTarget  int
+		name       string
+		geoMs      float64
+		altMs      float64
+		altJitter  float64
+		wantActive bool
+		wantTarget int
 	}{
 		{"well_over_margin", 150, 100, 0, true, 2},
 		{"exactly_at_margin_not_enough", 120, 100, 0, false, 0},
@@ -169,7 +154,7 @@ func TestEvaluateApplyThreshold(t *testing.T) {
 }
 
 // TestEvaluateReleaseHysteresis: an installed override holds until the
-// advantage drops below ReleaseMarginMs — the band between the two
+// advantage drops below releaseMarginMs — the band between the two
 // margins neither installs nor releases.
 func TestEvaluateReleaseHysteresis(t *testing.T) {
 	f := newEvalFixture(t)
@@ -263,15 +248,7 @@ func TestEvaluateIncumbentVanished(t *testing.T) {
 
 func TestStabilityDefaults(t *testing.T) {
 	c := StabilityConfig{}.withDefaults()
-	if c.ApplyMarginMs != DefaultApplyMarginMs || c.ReleaseMarginMs != DefaultReleaseMarginMs ||
-		c.JitterFactor != DefaultJitterFactor || c.MinSamples != DefaultMinSamples ||
-		c.MaxStalenessSec != DefaultMaxStalenessSec || c.PenaltyPerFlap != DefaultPenaltyPerFlap ||
-		c.PenaltyHalfLifeSec != DefaultPenaltyHalfLifeSec ||
-		c.SuppressThreshold != DefaultSuppressThreshold || c.ReuseThreshold != DefaultReuseThreshold {
+	if c.ApplyMarginMs != DefaultApplyMarginMs || c.MinSamples != DefaultMinSamples {
 		t.Errorf("withDefaults() = %+v", c)
-	}
-	// JitterFactor < 0 means "explicitly off", not "take default".
-	if got := (StabilityConfig{JitterFactor: -1}).withDefaults().JitterFactor; got != 0 {
-		t.Errorf("negative JitterFactor should clamp to 0, got %v", got)
 	}
 }

@@ -100,19 +100,13 @@ func (e *Env) AdaptiveProbe() adaptive.ProbeFunc {
 	}
 }
 
-// AdaptiveConfig scales the adaptive study.
-type AdaptiveConfig struct {
-	// RunSec is how long (simulated) the controller probes before the
-	// override set is frozen and measured (0: 30 s).
-	RunSec float64
-	// IntervalSec and Budget are the controller's probe schedule
-	// (0: every tracked path once per simulated second).
-	IntervalSec float64
-	Budget      int
-	// Vantages are the ingress PoP codes traffic enters at (empty: LON,
-	// SJS, SIN — one per continent, as in the scenario harness).
-	Vantages []string
-}
+// ContinentVantages are the ingress PoPs traffic enters at in the
+// adaptive study and the scenario harness: one per continent.
+var ContinentVantages = []string{"LON", "SJS", "SIN"}
+
+// adaptiveRunSec is how long (simulated) the study's controller probes
+// before the override set is frozen and measured.
+const adaptiveRunSec = 30
 
 // AdaptiveResult compares assigned-path delay under pure geo routing vs
 // the measured-delay overrides, over (vantage, prefix) pairs.
@@ -129,27 +123,19 @@ type AdaptiveResult struct {
 	OverriddenGeoMs, OverriddenAdaptiveMs *measure.CDF
 }
 
-// AdaptiveStudy runs the controller for cfg.RunSec simulated seconds on
-// a fresh clock, freezes its override set, and measures the through-VNS
-// delay every vantage would see per tracked prefix under geo-only and
-// adaptive exits. The environment's reflector is left override-free on
-// return, so later studies see pure geography again.
-func AdaptiveStudy(e *Env, cfg AdaptiveConfig) *AdaptiveResult {
-	if cfg.RunSec == 0 {
-		cfg.RunSec = 30
-	}
-	if len(cfg.Vantages) == 0 {
-		cfg.Vantages = []string{"LON", "SJS", "SIN"}
-	}
-
+// AdaptiveStudy runs the controller, probing every tracked path once
+// per simulated second, for adaptiveRunSec on a fresh clock, freezes its
+// override set, and measures the through-VNS delay every vantage would
+// see per tracked prefix under geo-only and adaptive exits. The
+// environment's reflector is left override-free on return, so later
+// studies see pure geography again.
+func AdaptiveStudy(e *Env) *AdaptiveResult {
 	tracks := e.AdaptiveTracks()
 	sim := &netsim.Sim{}
 	ctl := adaptive.NewController(adaptive.Config{
-		Sim:         sim,
-		IntervalSec: cfg.IntervalSec,
-		Budget:      cfg.Budget,
-		Probe:       e.AdaptiveProbe(),
-		Sink:        e.RR,
+		Sim:   sim,
+		Probe: e.AdaptiveProbe(),
+		Sink:  e.RR,
 	})
 	for _, tr := range tracks {
 		if err := ctl.Track(tr.Prefix, tr.Cands); err != nil {
@@ -157,7 +143,7 @@ func AdaptiveStudy(e *Env, cfg AdaptiveConfig) *AdaptiveResult {
 		}
 	}
 	ctl.Start()
-	sim.Run(cfg.RunSec)
+	sim.Run(adaptiveRunSec)
 	ctl.Stop()
 	sim.RunAll()
 
@@ -168,7 +154,7 @@ func AdaptiveStudy(e *Env, cfg AdaptiveConfig) *AdaptiveResult {
 
 	res := &AdaptiveResult{Prefixes: len(tracks), Overridden: len(overridePoP)}
 	var geoAll, adAll, geoOver, adOver []float64
-	for _, code := range cfg.Vantages {
+	for _, code := range ContinentVantages {
 		ingress := e.Net.PoP(code)
 		for _, tr := range tracks {
 			pi, _ := e.Topo.PrefixInfoFor(tr.Prefix)

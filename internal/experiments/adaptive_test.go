@@ -7,7 +7,7 @@ import (
 
 func TestAdaptiveStudy(t *testing.T) {
 	e := NewEnv(Config{Seed: 11, NumAS: 400})
-	r := AdaptiveStudy(e, AdaptiveConfig{})
+	r := AdaptiveStudy(e)
 
 	if r.Prefixes < 100 {
 		t.Fatalf("only %d tracked prefixes", r.Prefixes)

@@ -22,47 +22,25 @@ import (
 // possible) raises L2 utilization and with it the value extracted from
 // the committed spend.
 
-// EconConfig sets the price book. Zero values take the defaults the
-// paper's ranges imply.
-type EconConfig struct {
-	// EquipmentPerPoP is the amortized monthly equipment cost per PoP.
-	EquipmentPerPoP float64
-	// FixedPerPoP is hosting+power+cooling+ops per PoP per month.
-	FixedPerPoP float64
-	// TransitPerMbps is the regional IP transit price at low volume
+// The price book, at the values the paper's ranges imply.
+const (
+	// econEquipmentPerPoP is the amortized monthly equipment cost per
+	// PoP.
+	econEquipmentPerPoP = 1500
+	// econFixedPerPoP is hosting+power+cooling+ops per PoP per month.
+	econFixedPerPoP = 4000
+	// econTransitPerMbps is the regional IP transit price at low volume
 	// (the paper's "one USD per Mbps" Internet is the floor at scale).
-	TransitPerMbps float64
-	// TransitScaleExp is the economies-of-scale exponent: price_per_Mbps
-	// ∝ volume^(-exp).
-	TransitScaleExp float64
-	// L2Multiplier is the L2 price premium over regional transit (the
-	// paper: typically 2-3x).
-	L2Multiplier float64
-	// L2CommitMbps is the committed minimum per L2 link.
-	L2CommitMbps float64
-}
-
-func (c EconConfig) withDefaults() EconConfig {
-	if c.EquipmentPerPoP == 0 {
-		c.EquipmentPerPoP = 1500
-	}
-	if c.FixedPerPoP == 0 {
-		c.FixedPerPoP = 4000
-	}
-	if c.TransitPerMbps == 0 {
-		c.TransitPerMbps = 4
-	}
-	if c.TransitScaleExp == 0 {
-		c.TransitScaleExp = 0.25
-	}
-	if c.L2Multiplier == 0 {
-		c.L2Multiplier = 2.5
-	}
-	if c.L2CommitMbps == 0 {
-		c.L2CommitMbps = 200
-	}
-	return c
-}
+	econTransitPerMbps = 4
+	// econTransitScaleExp is the economies-of-scale exponent:
+	// price_per_Mbps ∝ volume^(-exp).
+	econTransitScaleExp = 0.25
+	// econL2Multiplier is the L2 price premium over regional transit
+	// (the paper: typically 2-3x).
+	econL2Multiplier = 2.5
+	// econL2CommitMbps is the committed minimum per L2 link.
+	econL2CommitMbps = 200
+)
 
 // EconPoint is the cost breakdown at one traffic volume.
 type EconPoint struct {
@@ -89,7 +67,6 @@ type EconResult struct {
 // cold-potato (the geo policy carries traffic across the overlay to the
 // destination's PoP, loading the committed L2 links).
 func EconStudy(e *Env, coldPotato bool, volumesMbps []float64) *EconResult {
-	cfg := EconConfig{}.withDefaults()
 	if len(volumesMbps) == 0 {
 		volumesMbps = []float64{50, 100, 200, 400, 800, 1600, 3200, 6400}
 	}
@@ -117,10 +94,10 @@ func EconStudy(e *Env, coldPotato bool, volumesMbps []float64) *EconResult {
 	}
 
 	res := &EconResult{ColdPotato: coldPotato, NumPoPs: numPoPs, NumL2Links: numL2}
-	fixed := float64(numPoPs) * (cfg.EquipmentPerPoP + cfg.FixedPerPoP)
+	fixed := float64(numPoPs) * (econEquipmentPerPoP + econFixedPerPoP)
 	for _, v := range volumesMbps {
 		// Transit price falls with volume (economies of scale).
-		unitTransit := cfg.TransitPerMbps * math.Pow(v/100, -cfg.TransitScaleExp)
+		unitTransit := econTransitPerMbps * math.Pow(v/100, -econTransitScaleExp)
 		if unitTransit < 0.5 {
 			unitTransit = 0.5
 		}
@@ -129,8 +106,8 @@ func EconStudy(e *Env, coldPotato bool, volumesMbps []float64) *EconResult {
 		// L2: pay the commit on every link regardless; overage beyond
 		// the commit is billed at the L2 unit price.
 		l2Traffic := v * l2Share
-		commitTotal := cfg.L2CommitMbps * float64(numL2)
-		unitL2 := unitTransit * cfg.L2Multiplier
+		commitTotal := econL2CommitMbps * float64(numL2)
+		unitL2 := unitTransit * econL2Multiplier
 		l2Cost := commitTotal * unitL2
 		if l2Traffic > commitTotal {
 			l2Cost += (l2Traffic - commitTotal) * unitL2 * 0.7 // overage discount

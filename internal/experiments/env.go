@@ -59,7 +59,7 @@ func NewEnv(cfg Config) *Env {
 
 	e.Topo = topo.Generate(topo.GenConfig{Seed: cfg.Seed, NumAS: cfg.NumAS})
 	e.Net = vns.NewNetwork()
-	e.Peering = vns.Connect(e.Net, e.Topo, vns.ConnectConfig{Seed: cfg.Seed})
+	e.Peering = vns.Connect(e.Net, e.Topo, cfg.Seed)
 
 	e.TruthDB = geoip.New()
 	e.DB = geoip.New()

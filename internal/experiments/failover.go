@@ -22,40 +22,18 @@ import (
 // chain: BFD-lite detection, GeoRR withdrawal, IGP recompute, per-PoP
 // FIB republish, and recovery.
 
-// FailoverConfig parameterizes the study.
-type FailoverConfig struct {
-	// Cfg scales the environment.
-	Cfg Config
-	// Health tunes the liveness protocol (defaults: 50 ms hellos,
-	// multiplier 3, 1 s up-hold).
-	Health health.Config
-	// FailAtSec and HealAtSec schedule the SIN-SYD fault in simulated
-	// stream time; EndSec bounds the simulation.
-	FailAtSec, HealAtSec, EndSec float64
-	// TraceSeed drives the RTP trace.
-	TraceSeed uint64
-}
-
-func (c FailoverConfig) withDefaults() FailoverConfig {
-	if c.FailAtSec == 0 {
-		c.FailAtSec = 8
-	}
-	if c.HealAtSec == 0 {
-		c.HealAtSec = 16
-	}
-	if c.EndSec == 0 {
-		c.EndSec = 35
-	}
-	if c.TraceSeed == 0 {
-		c.TraceSeed = 9
-	}
-	return c
-}
+// The scenario: the SIN-SYD fault at 8 s and its heal at 16 s of
+// simulated stream time, the run ending at 35 s, under an RTP trace from
+// a fixed seed.
+const (
+	failoverFailAtSec = 8.0
+	failoverHealAtSec = 16.0
+	failoverEndSec    = 35.0
+	failoverTraceSeed = 9
+)
 
 // FailoverResult holds everything the failover study measures.
 type FailoverResult struct {
-	Cfg FailoverConfig
-
 	// Prefix is the studied destination; Forced reports whether it had
 	// to be pinned to Sydney (no prefix geo-routed there naturally).
 	Prefix netip.Prefix
@@ -96,14 +74,13 @@ type FailoverResult struct {
 // FailoverStudy builds its own environment (it mutates link state),
 // runs the SIN-SYD failure scenario under an active stream, and
 // returns the measurements. The scenario is deterministic in cfg.
-func FailoverStudy(cfg FailoverConfig) *FailoverResult {
-	cfg = cfg.withDefaults()
-	e := NewEnv(cfg.Cfg)
+func FailoverStudy(cfg Config) *FailoverResult {
+	e := NewEnv(cfg)
 	fwd := e.Forwarding(vns.ForwardingConfig{})
 	fab := fwd.Fabric()
 	lon, sin, syd := e.Net.PoP("LON"), e.Net.PoP("SIN"), e.Net.PoP("SYD")
 
-	res := &FailoverResult{Cfg: cfg}
+	res := &FailoverResult{}
 
 	// A destination London sends to Sydney. Prefer one geography picks
 	// naturally; otherwise pin one there with the management interface.
@@ -133,7 +110,7 @@ func FailoverStudy(cfg FailoverConfig) *FailoverResult {
 
 	sim := &netsim.Sim{}
 	reg := telemetry.New()
-	mon := health.NewMonitor(sim, fab, cfg.Health, reg)
+	mon := health.NewMonitor(sim, fab, reg)
 	ctl := health.NewController(fwd, e.RR, reg)
 	ctl.Bind(mon)
 
@@ -141,16 +118,16 @@ func FailoverStudy(cfg FailoverConfig) *FailoverResult {
 	mon.OnEvent(func(ev health.Event) { events = append(events, ev) })
 
 	inj := health.NewInjector(sim, fab, reg)
-	inj.LinkDownAt(cfg.FailAtSec, sin, syd)
-	inj.LinkUpAt(cfg.HealAtSec, sin, syd)
+	inj.LinkDownAt(failoverFailAtSec, sin, syd)
+	inj.LinkUpAt(failoverHealAtSec, sin, syd)
 
-	tr := media.GenerateTrace(media.TraceConfig{DurationSec: cfg.EndSec - 5, Seed: cfg.TraceSeed})
+	tr := media.GenerateTrace(media.TraceConfig{DurationSec: failoverEndSec - 5, Seed: failoverTraceSeed})
 	st, egress := fwd.ForwardStream(sim, lon, res.Prefix.Addr(), tr)
 
 	mon.Start()
 
 	// Phase 1: run into the outage, sample the failed-over state.
-	sim.Run(cfg.HealAtSec - 0.5)
+	sim.Run(failoverHealAtSec - 0.5)
 	if nh, ok := eng.Lookup(res.Prefix.Addr()); ok {
 		res.FailEgress = e.Net.PoPByID(nh.PoP).Code
 	}
@@ -160,7 +137,7 @@ func FailoverStudy(cfg FailoverConfig) *FailoverResult {
 	}
 
 	// Phase 2: recovery and drain.
-	sim.Run(cfg.EndSec)
+	sim.Run(failoverEndSec)
 	mon.Stop()
 	sim.RunAll()
 
@@ -174,15 +151,14 @@ func FailoverStudy(cfg FailoverConfig) *FailoverResult {
 
 	for _, ev := range events {
 		if !ev.Up && res.DetectionSec == 0 {
-			res.DetectionSec = ev.At - cfg.FailAtSec
+			res.DetectionSec = ev.At - failoverFailAtSec
 		}
 		if ev.Up {
-			res.RecoverySec = ev.At - cfg.HealAtSec
+			res.RecoverySec = ev.At - failoverHealAtSec
 		}
 	}
-	hcfg := mon.Config()
 	prop := fab.Link(sin, syd).PropDelayMs / 1000
-	res.DetectionBoundSec = prop + hcfg.TxIntervalMs*float64(hcfg.Multiplier+1)/1000
+	res.DetectionBoundSec = prop + health.TxIntervalMs*(health.Multiplier+1)/1000
 
 	cm := ctl.Metrics()
 	res.Withdrawals = cm.Withdrawals.Value()
@@ -230,7 +206,7 @@ func (r *FailoverResult) Render() string {
 	fmt.Fprintf(&b, "destination %v via %s%s, failover to %s, restored to %s\n",
 		r.Prefix, r.OrigEgress, forced, r.FailEgress, r.RestoredEgress)
 	fmt.Fprintf(&b, "detection %.0fms (bound %.0fms), recovery %.0fms after heal (incl. %.0fms up-hold)\n",
-		r.DetectionSec*1000, r.DetectionBoundSec*1000, r.RecoverySec*1000, r.Cfg.Health.UpHoldMs)
+		r.DetectionSec*1000, r.DetectionBoundSec*1000, r.RecoverySec*1000, health.UpHoldMs)
 	fmt.Fprintf(&b, "reconvergence: %d withdrawals, %d restores", r.Withdrawals, r.Restores)
 	if len(r.ConvergeMs) > 0 {
 		fmt.Fprintf(&b, ", control plane %.1fms max, worst FIB compile %.2fms max",

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strings"
 	"testing"
 
 	"vns/internal/health"
@@ -15,11 +16,15 @@ import (
 // withdrawal, FIB reconvergence with congruence intact, a bounded loss
 // window, and full restoration after recovery.
 func TestFailoverEndToEnd(t *testing.T) {
-	res := FailoverStudy(FailoverConfig{Cfg: Config{Seed: 42, NumAS: 900}})
+	res := FailoverStudy(Config{Seed: 42, NumAS: 900})
 	if !res.Prefix.IsValid() {
 		t.Fatal("no routable destination found")
 	}
-	t.Logf("\n%s", res.Render())
+	out := res.Render()
+	t.Logf("\n%s", out)
+	if want := "after heal (incl. 1000ms up-hold)"; !strings.Contains(out, want) {
+		t.Errorf("render missing %q", want)
+	}
 
 	if res.OrigEgress != "SYD" {
 		t.Errorf("stream did not start via SYD: %q", res.OrigEgress)
@@ -56,10 +61,7 @@ func TestFailoverEndToEnd(t *testing.T) {
 			res.OutageSec, res.DetectionBoundSec)
 	}
 	// Recovery waits out the up-hold hysteresis, then reconverges.
-	upHold := res.Cfg.Health.UpHoldMs / 1000
-	if upHold == 0 {
-		upHold = 1.0 // health default
-	}
+	const upHold = health.UpHoldMs / 1000
 	if res.RecoverySec < upHold || res.RecoverySec > upHold+res.DetectionBoundSec+0.2 {
 		t.Errorf("recovery %.3fs outside [%.2f, %.2f]",
 			res.RecoverySec, upHold, upHold+res.DetectionBoundSec+0.2)
@@ -76,7 +78,7 @@ func TestFailoverStudyDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full environments")
 	}
-	cfg := FailoverConfig{Cfg: Config{Seed: 42, NumAS: 900}}
+	cfg := Config{Seed: 42, NumAS: 900}
 	a, b := FailoverStudy(cfg), FailoverStudy(cfg)
 	if a.Prefix != b.Prefix || a.DetectionSec != b.DetectionSec ||
 		a.RecoverySec != b.RecoverySec || a.LostPackets != b.LostPackets ||
@@ -96,7 +98,7 @@ func TestControllerFlapSuppression(t *testing.T) {
 
 	sim := &netsim.Sim{}
 	reg := telemetry.New()
-	mon := health.NewMonitor(sim, fwd.Fabric(), health.Config{TxIntervalMs: 50, Multiplier: 3, UpHoldMs: 1000}, reg)
+	mon := health.NewMonitor(sim, fwd.Fabric(), reg)
 	ctl := health.NewController(fwd, e.RR, reg)
 	ctl.Bind(mon)
 

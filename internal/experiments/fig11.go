@@ -28,11 +28,14 @@ type LastMileConfig struct {
 	Days int
 	// HostsPerCell is hosts per (AS type, region) cell (paper: 50).
 	HostsPerCell int
-	// IntervalSec between rounds per host (paper: 600).
-	IntervalSec float64
-	// PacketsPerRound per train (paper: 100, back to back).
-	PacketsPerRound int
 }
+
+// The paper's probe schedule: a train of 100 back-to-back packets per
+// host every 600 s.
+const (
+	lastMileIntervalSec     = 600
+	lastMilePacketsPerRound = 100
+)
 
 func (c LastMileConfig) withDefaults() LastMileConfig {
 	if c.Days == 0 {
@@ -40,12 +43,6 @@ func (c LastMileConfig) withDefaults() LastMileConfig {
 	}
 	if c.HostsPerCell == 0 {
 		c.HostsPerCell = 50
-	}
-	if c.IntervalSec == 0 {
-		c.IntervalSec = 600
-	}
-	if c.PacketsPerRound == 0 {
-		c.PacketsPerRound = 100
 	}
 	return c
 }
@@ -104,8 +101,8 @@ func LastMileStudy(e *Env, cfg LastMileConfig) *LastMileResult {
 		}
 		campaign := probe.Campaign{
 			Targets:         targets,
-			IntervalSec:     cfg.IntervalSec,
-			PacketsPerRound: cfg.PacketsPerRound,
+			IntervalSec:     lastMileIntervalSec,
+			PacketsPerRound: lastMilePacketsPerRound,
 			DurationSec:     float64(cfg.Days) * 86400,
 		}
 		res.Results[code] = campaign.Run()

@@ -23,29 +23,26 @@ import (
 type FlowsConfig struct {
 	// Flows is the concurrent flow population (default 1,000,000).
 	Flows int
-	// RatePps is each flow's packet rate (default 25, an audio+video
-	// conference leg at the 1200-byte media MTU).
-	RatePps float64
 	// DurSec is the simulated run length (default 60).
 	DurSec float64
-	// Shards spreads the epoch load (default 64).
-	Shards int
 	// EpochSec is the aggregation interval (default 0.1).
 	EpochSec float64
 }
+
+// The flow population (flow and soak studies): each flow sends 25
+// packets/s, an audio+video conference leg at the 1200-byte media MTU,
+// and the flow study spreads its epoch load over 64 shards.
+const (
+	flowRatePps = 25.0
+	flowShards  = 64
+)
 
 func (c FlowsConfig) withDefaults() FlowsConfig {
 	if c.Flows <= 0 {
 		c.Flows = 1_000_000
 	}
-	if c.RatePps <= 0 {
-		c.RatePps = 25
-	}
 	if c.DurSec <= 0 {
 		c.DurSec = 60
-	}
-	if c.Shards <= 0 {
-		c.Shards = 64
 	}
 	if c.EpochSec <= 0 {
 		c.EpochSec = 0.1
@@ -109,7 +106,7 @@ func FlowStudy(cfg FlowsConfig) *FlowsResult {
 	sim := &netsim.Sim{}
 	eng := flowsim.New(flowsim.Config{
 		Sim:      sim,
-		Shards:   cfg.Shards,
+		Shards:   flowShards,
 		EpochSec: cfg.EpochSec,
 		Offload:  flowsim.OffloadConfig{Enabled: true},
 	})
@@ -125,7 +122,7 @@ func FlowStudy(cfg FlowsConfig) *FlowsResult {
 			// Size each dedicated link for its share of the load with 30%
 			// headroom, so queueing is visible but not the story.
 			share := 1.0 / float64(len(t.delays))
-			loadMbps := float64(n) * share * cfg.RatePps * 1200 * 8 / 1e6
+			loadMbps := float64(n) * share * flowRatePps * 1200 * 8 / 1e6
 			l := netsim.NewLink(t.name, d, loadMbps*1.3, lm, nil)
 			l.QueueLimit = 1 << 20
 			paths = append(paths, flowsim.PathSpec{
@@ -146,7 +143,7 @@ func FlowStudy(cfg FlowsConfig) *FlowsResult {
 		if err != nil {
 			panic(err) // templates are static; a failure is a programming error
 		}
-		if err := eng.AddFlows(gid, n, cfg.RatePps, 0); err != nil {
+		if err := eng.AddFlows(gid, n, flowRatePps, 0); err != nil {
 			panic(err)
 		}
 	}
@@ -188,7 +185,7 @@ func (r *FlowsResult) Render() string {
 	var b strings.Builder
 	t := r.Totals
 	fmt.Fprintf(&b, "Aggregate flow engine: %d flows x %.0f pps, %.0fs simulated (%d shards, %.2fs epoch, wall %.0fms)\n",
-		t.Flows, r.Cfg.RatePps, r.Cfg.DurSec, r.Cfg.Shards, r.Cfg.EpochSec, r.WallMs)
+		t.Flows, flowRatePps, r.Cfg.DurSec, flowShards, r.Cfg.EpochSec, r.WallMs)
 	fmt.Fprintf(&b, "  scheduled %d  delivered %d (%.4f%%)  direct %d\n",
 		t.Scheduled, t.Delivered, 100*float64(t.Delivered)/float64(t.Scheduled), t.DirectDelivered)
 	fmt.Fprintf(&b, "  drops: loss=%d queue=%d admin=%d late=%d\n",

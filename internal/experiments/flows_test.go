@@ -10,7 +10,7 @@ import (
 // and direct-only populations offloaded, multipath reorder wait
 // reported, duplication repairing real loss.
 func TestFlowStudySmall(t *testing.T) {
-	r := FlowStudy(FlowsConfig{Flows: 20000, DurSec: 15, Shards: 8})
+	r := FlowStudy(FlowsConfig{Flows: 20000, DurSec: 15})
 	if r.ConservationErr != nil {
 		t.Fatalf("conservation: %v", r.ConservationErr)
 	}

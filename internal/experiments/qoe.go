@@ -50,7 +50,7 @@ func QoEStudy(e *Env, callsPerPair int) *QoEResult {
 				var top, mbps, downs float64
 				for call := 0; call < callsPerPair; call++ {
 					start := float64(call) * 86400 / float64(callsPerPair)
-					st := media.RunAdaptive(media.AdaptiveConfig{}, model, 3600, start)
+					st := media.RunAdaptive(model, 3600, start)
 					top += st.TopShare
 					mbps += st.MeanBitrateBps / 1e6
 					downs += float64(st.Downgrades)

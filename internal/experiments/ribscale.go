@@ -25,17 +25,7 @@ import (
 type RIBScaleConfig struct {
 	// Prefixes is the table size (default 400,000 — the paper's scale).
 	Prefixes int
-	// Peers is the number of egress routers advertising every prefix
-	// (default 4), so each prefix has a real decision to run.
-	Peers int
-	// Shards is the ShardedTable width (default 0 = GOMAXPROCS).
-	Shards int
-	// ChurnBatches is the number of post-load UPDATE bursts (default
-	// 200).
-	ChurnBatches int
-	// BatchSize is the transitions per burst (default 16).
-	BatchSize int
-	// Seed drives the churn workload (default 0x51B5CALE's low bits).
+	// Seed drives the churn workload (default 0x51B5CA1E).
 	Seed uint64
 }
 
@@ -43,20 +33,18 @@ func (c RIBScaleConfig) withDefaults() RIBScaleConfig {
 	if c.Prefixes <= 0 {
 		c.Prefixes = 400_000
 	}
-	if c.Peers <= 0 {
-		c.Peers = 4
-	}
-	if c.ChurnBatches <= 0 {
-		c.ChurnBatches = 200
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 16
-	}
 	if c.Seed == 0 {
 		c.Seed = 0x51B5CA1E
 	}
 	return c
 }
+
+// The study's churn phase: 200 post-load UPDATE bursts of 16
+// transitions each.
+const (
+	ribScaleChurnBatches = 200
+	ribScaleBatchSize    = 16
+)
 
 // RIBScaleResult is the study's outcome.
 type RIBScaleResult struct {
@@ -96,14 +84,14 @@ func RIBScaleStudy(cfg RIBScaleConfig) *RIBScaleResult {
 
 	prefixes := internetPrefixes(cfg.Prefixes)
 	res.Prefixes = len(prefixes)
-	res.Routes = len(prefixes) * cfg.Peers
+	res.Routes = len(prefixes) * synthPeers
 
 	// Phase 1: full-table download through the batched ingest path, in
 	// session-reset-sized chunks, into both implementations.
 	const loadChunk = 8192
-	load := make([]rib.Op, 0, len(prefixes)*cfg.Peers)
+	load := make([]rib.Op, 0, len(prefixes)*synthPeers)
 	for i, pfx := range prefixes {
-		for p := 0; p < cfg.Peers; p++ {
+		for p := 0; p < synthPeers; p++ {
 			load = append(load, rib.Announce(synthRoute(pfx, p, uint32(100+(i+p)%1000))))
 		}
 	}
@@ -116,7 +104,7 @@ func RIBScaleStudy(cfg RIBScaleConfig) *RIBScaleResult {
 	}
 	res.SeqLoad = time.Since(start) //vnslint:wallclock measures real ingest cost, not simulated time
 
-	sharded := rib.NewSharded(cfg.Shards)
+	sharded := rib.NewSharded(0) // one shard per GOMAXPROCS
 	res.Shards = sharded.Shards()
 	start = time.Now() //vnslint:wallclock measures real ingest cost, not simulated time
 	for lo := 0; lo < len(load); lo += loadChunk {
@@ -126,12 +114,12 @@ func RIBScaleStudy(cfg RIBScaleConfig) *RIBScaleResult {
 	res.ShardedLoad = time.Since(start) //vnslint:wallclock measures real ingest cost, not simulated time
 
 	// Phase 2: churn bursts, applied to both, changed-sets compared.
-	res.Batches = cfg.ChurnBatches
-	for b := 0; b < cfg.ChurnBatches; b++ {
-		ops := make([]rib.Op, 0, cfg.BatchSize)
-		for j := 0; j < cfg.BatchSize; j++ {
+	res.Batches = ribScaleChurnBatches
+	for b := 0; b < ribScaleChurnBatches; b++ {
+		ops := make([]rib.Op, 0, ribScaleBatchSize)
+		for j := 0; j < ribScaleBatchSize; j++ {
 			pfx := prefixes[int(rng.Float64()*float64(len(prefixes)))]
-			peer := int(rng.Float64() * float64(cfg.Peers))
+			peer := int(rng.Float64() * synthPeers)
 			if rng.Float64() < 0.25 {
 				ops = append(ops, rib.WithdrawOp(pfx, synthPeerID(peer), synthPeerID(peer)))
 			} else {
@@ -174,11 +162,11 @@ func RIBScaleStudy(cfg RIBScaleConfig) *RIBScaleResult {
 	res.FullCompile = cur.CompileDuration()
 	res.FIBNodes = cur.Nodes()
 
-	res.DeltaEvents = cfg.ChurnBatches
+	res.DeltaEvents = ribScaleChurnBatches
 	gen := uint64(1)
 	for e := 0; e < res.DeltaEvents; e++ {
 		pfx := prefixes[int(rng.Float64()*float64(len(prefixes)))]
-		nh := fib.NextHop{PoP: 1 + e%cfg.Peers, Router: synthPeerID(e % cfg.Peers)}
+		nh := fib.NextHop{PoP: 1 + e%synthPeers, Router: synthPeerID(e % synthPeers)}
 		_, existed := entries[pfx]
 		entries[pfx] = nh
 		gen++
@@ -200,6 +188,11 @@ func RIBScaleStudy(cfg RIBScaleConfig) *RIBScaleResult {
 	}
 	return res
 }
+
+// synthPeers is the number of egress routers advertising every prefix
+// of the synthetic full-Internet table (RIB scale and soak studies), so
+// each prefix has a real decision to run.
+const synthPeers = 4
 
 // synthPeerID is the router ID of the study's p-th synthetic peer.
 func synthPeerID(p int) netip.Addr { return netip.AddrFrom4([4]byte{10, 255, 0, byte(1 + p)}) }
@@ -238,11 +231,11 @@ func internetPrefixes(n int) []netip.Prefix {
 func (r *RIBScaleResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "RIB scale study: %d prefixes × %d peers = %d routes, %d shards\n",
-		r.Prefixes, r.Cfg.Peers, r.Routes, r.Shards)
+		r.Prefixes, synthPeers, r.Routes, r.Shards)
 	fmt.Fprintf(&b, "  full-table ingest   sequential %-12v sharded %v\n",
 		r.SeqLoad.Round(time.Millisecond), r.ShardedLoad.Round(time.Millisecond))
 	fmt.Fprintf(&b, "  churn (%d×%d ops)   sequential %-12v sharded %v, %d best-path changes\n",
-		r.Batches, r.Cfg.BatchSize, r.SeqChurnTotal.Round(time.Microsecond),
+		r.Batches, ribScaleBatchSize, r.SeqChurnTotal.Round(time.Microsecond),
 		r.ShardChurnTotal.Round(time.Microsecond), r.BestChangedTotal)
 	fmt.Fprintf(&b, "  sharded-vs-sequential changed-set mismatches: %d (want 0)\n", r.EquivMismatches)
 	fmt.Fprintf(&b, "  FIB full compile    %v (%d nodes)\n", r.FullCompile.Round(time.Microsecond), r.FIBNodes)

@@ -10,7 +10,7 @@ import (
 // delta-vs-table lookup disagreements, and delta patches far cheaper
 // than the full compile they replace.
 func TestRIBScaleStudy(t *testing.T) {
-	res := RIBScaleStudy(RIBScaleConfig{Prefixes: 30_000, ChurnBatches: 60, Shards: 4})
+	res := RIBScaleStudy(RIBScaleConfig{Prefixes: 30_000})
 	if res.Prefixes != 30_000 {
 		t.Fatalf("Prefixes = %d, want 30000", res.Prefixes)
 	}
@@ -44,8 +44,8 @@ func TestRIBScaleDefaults(t *testing.T) {
 	if cfg.Prefixes != 400_000 {
 		t.Errorf("default Prefixes = %d, want 400000", cfg.Prefixes)
 	}
-	if cfg.Peers != 4 || cfg.ChurnBatches != 200 || cfg.BatchSize != 16 {
-		t.Errorf("defaults = %+v", cfg)
+	if cfg.Seed != 0x51B5CA1E {
+		t.Errorf("default Seed = %#x", cfg.Seed)
 	}
 }
 

@@ -38,8 +38,6 @@ import (
 type SoakConfig struct {
 	// Prefixes is the routing table size (default 400,000).
 	Prefixes int
-	// Peers is the number of egress routers per prefix (default 4).
-	Peers int
 	// Flows is the concurrent aggregate-flow population (default
 	// 1,000,000).
 	Flows int
@@ -48,14 +46,6 @@ type SoakConfig struct {
 	DurationSec float64
 	// ScrapeIntervalSec is the metrics self-scrape period (default 1).
 	ScrapeIntervalSec float64
-	// BatchSize is the routing transitions per churn burst (default 64).
-	BatchSize int
-	// ChurnIntervalMs is the pause between churn bursts (default 1ms).
-	// The pacing is what makes the load *sustained* rather than a CPU
-	// saturation test: the scraper must keep its cadence alongside the
-	// churn, and an unpaced spin on a small machine starves it — which
-	// would report a harness artifact, not a system regression.
-	ChurnIntervalMs float64
 	// Seed drives the churn workload (default the RIB scale seed).
 	Seed uint64
 	// Out receives one JSON object per scrape (nil discards them).
@@ -66,9 +56,6 @@ func (c SoakConfig) withDefaults() SoakConfig {
 	if c.Prefixes <= 0 {
 		c.Prefixes = 400_000
 	}
-	if c.Peers <= 0 {
-		c.Peers = 4
-	}
 	if c.Flows <= 0 {
 		c.Flows = 1_000_000
 	}
@@ -78,17 +65,21 @@ func (c SoakConfig) withDefaults() SoakConfig {
 	if c.ScrapeIntervalSec <= 0 {
 		c.ScrapeIntervalSec = 1
 	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 64
-	}
-	if c.ChurnIntervalMs <= 0 {
-		c.ChurnIntervalMs = 1
-	}
 	if c.Seed == 0 {
 		c.Seed = 0x51B5CA1E
 	}
 	return c
 }
+
+// The churn load: bursts of 64 routing transitions, 1 ms apart. The
+// pacing is what makes the load *sustained* rather than a CPU saturation
+// test: the scraper must keep its cadence alongside the churn, and an
+// unpaced spin on a small machine starves it — which would report a
+// harness artifact, not a system regression.
+const (
+	soakBatchSize  = 64
+	soakChurnPause = time.Millisecond
+)
 
 // SoakResult is the soak run's outcome.
 type SoakResult struct {
@@ -175,7 +166,7 @@ func SoakStudy(cfg SoakConfig) *SoakResult {
 	// event-ID round trip the deployment runs, minus the TCP.
 	prefixes := internetPrefixes(cfg.Prefixes)
 	res.Prefixes = len(prefixes)
-	res.Routes = len(prefixes) * cfg.Peers
+	res.Routes = len(prefixes) * synthPeers
 	table := rib.NewSharded(0)
 	table.SetMetrics(rib.NewMetrics(reg))
 
@@ -212,7 +203,7 @@ func SoakStudy(cfg SoakConfig) *SoakResult {
 	mark := ev.Mark()
 	load := make([]rib.Op, 0, res.Routes)
 	for _, pfx := range prefixes {
-		for p := 0; p < cfg.Peers; p++ {
+		for p := 0; p < synthPeers; p++ {
 			load = append(load, rib.Announce(synthRoute(pfx, p, 0)))
 		}
 	}
@@ -251,22 +242,21 @@ func SoakStudy(cfg SoakConfig) *SoakResult {
 	flowDone := make(chan struct{})
 	var simSecBits atomic.Uint64
 
-	churnPause := time.Duration(cfg.ChurnIntervalMs * float64(time.Millisecond))
 	go func() { // churn driver
 		defer close(churnDone)
 		for {
 			select {
 			case <-stop:
 				return
-			case <-time.After(churnPause): //vnslint:wallclock paces the sustained churn against real time
+			case <-time.After(soakChurnPause): //vnslint:wallclock paces the sustained churn against real time
 			}
 			ev := conv.Begin(telemetry.ConvChurn)
 			mark := ev.Mark()
-			ops := make([]rib.Op, 0, cfg.BatchSize)
-			picks := make([]int, 0, cfg.BatchSize)
-			for j := 0; j < cfg.BatchSize; j++ {
+			ops := make([]rib.Op, 0, soakBatchSize)
+			picks := make([]int, 0, soakBatchSize)
+			for j := 0; j < soakBatchSize; j++ {
 				pi := int(rng.Float64() * float64(len(prefixes)))
-				peer := int(rng.Float64() * float64(cfg.Peers))
+				peer := int(rng.Float64() * synthPeers)
 				picks = append(picks, peer)
 				if rng.Float64() < 0.25 {
 					ops = append(ops, rib.WithdrawOp(prefixes[pi], synthPeerID(peer), synthPeerID(peer)))
@@ -416,7 +406,6 @@ run:
 // soakAddFlows spreads the population over the flow study's template
 // geometries (scaled links, same shares).
 func soakAddFlows(eng *flowsim.Engine, n int) {
-	const rate = 25.0
 	for _, t := range flowsTemplates {
 		cnt := int(float64(n) * t.share)
 		if cnt == 0 {
@@ -429,7 +418,7 @@ func soakAddFlows(eng *flowsim.Engine, n int) {
 				lm = loss.NewUniform(t.lossRate, nil)
 			}
 			share := 1.0 / float64(len(t.delays))
-			loadMbps := float64(cnt) * share * rate * 1200 * 8 / 1e6
+			loadMbps := float64(cnt) * share * flowRatePps * 1200 * 8 / 1e6
 			l := netsim.NewLink("soak-"+t.name, d, loadMbps*1.3, lm, nil)
 			l.QueueLimit = 1 << 20
 			paths = append(paths, flowsim.PathSpec{
@@ -449,7 +438,7 @@ func soakAddFlows(eng *flowsim.Engine, n int) {
 		if err != nil {
 			panic(err) // templates are static; a failure is a programming error
 		}
-		if err := eng.AddFlows(gid, cnt, rate, 0); err != nil {
+		if err := eng.AddFlows(gid, cnt, flowRatePps, 0); err != nil {
 			panic(err)
 		}
 	}
@@ -508,7 +497,7 @@ func (r *SoakResult) Passed() bool {
 func (r *SoakResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Soak: %d prefixes × %d peers, %d flows, %.0fs wall (scrape every %.1fs)\n",
-		r.Prefixes, r.Cfg.Peers, r.FlowTotals.Flows, r.WallSec, r.Cfg.ScrapeIntervalSec)
+		r.Prefixes, synthPeers, r.FlowTotals.Flows, r.WallSec, r.Cfg.ScrapeIntervalSec)
 	fmt.Fprintf(&b, "  churn: %d events, %d ops, %d best-path changes (%.0f events/s)\n",
 		r.Events, r.OpsApplied, r.BestChanged, float64(r.Events)/max(r.WallSec, 1e-9))
 	fmt.Fprintf(&b, "  convergence: end-to-end %.3fs vs stage sum %.3fs over all events (drift %.2f%%, gate 5%%)\n",

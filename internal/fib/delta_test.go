@@ -323,22 +323,30 @@ func TestPublisherDeltaPath(t *testing.T) {
 	}
 }
 
-// TestPublisherDeltaDisabled pins the opt-out: a negative threshold must
-// route every publish through a full compile.
-func TestPublisherDeltaDisabled(t *testing.T) {
+// TestPublisherDeltaMatchesCompile holds a delta publish to its
+// reference: the same entries compiled from scratch must answer every
+// probe the same way.
+func TestPublisherDeltaMatchesCompile(t *testing.T) {
 	routes := map[netip.Prefix]NextHop{mustPrefix("10.0.0.0/8"): nh(1)}
-	p := NewPublisher(Config{
-		DeltaThreshold: -1,
-		Resolve: func(pfx netip.Prefix) (NextHop, bool) {
-			h, ok := routes[pfx]
-			return h, ok
-		},
-	})
+	p := NewPublisher(Config{Resolve: func(pfx netip.Prefix) (NextHop, bool) {
+		h, ok := routes[pfx]
+		return h, ok
+	}})
 	p.ResolveAll([]netip.Prefix{mustPrefix("10.0.0.0/8")})
 	routes[mustPrefix("10.0.0.0/8")] = nh(2)
-	p.InvalidateEvent(0, mustPrefix("10.0.0.0/8"))
-	if s := p.Stats(); s.DeltaCompiles != 0 || s.Compiles != 2 {
-		t.Errorf("DeltaCompiles=%d Compiles=%d, want 0, 2", s.DeltaCompiles, s.Compiles)
+	routes[mustPrefix("10.1.0.0/16")] = nh(3)
+	p.InvalidateEvent(0, mustPrefix("10.0.0.0/8"), mustPrefix("10.1.0.0/16"))
+	if s := p.Stats(); s.DeltaCompiles != 1 || s.Compiles != 1 {
+		t.Fatalf("DeltaCompiles=%d Compiles=%d, want 1, 1", s.DeltaCompiles, s.Compiles)
+	}
+	got, ref := p.Current(), Compile(entriesOf(routes), 0)
+	for _, a := range []string{"10.0.0.1", "10.1.2.3", "10.255.255.255", "11.0.0.0"} {
+		addr := netip.MustParseAddr(a)
+		gotNH, gotOK := got.Lookup(addr)
+		wantNH, wantOK := ref.Lookup(addr)
+		if gotNH != wantNH || gotOK != wantOK {
+			t.Errorf("Lookup(%v): delta=%v,%v compile=%v,%v", addr, gotNH, gotOK, wantNH, wantOK)
+		}
 	}
 }
 
@@ -353,8 +361,8 @@ func TestPublisherDeltaThresholdRoutesLargeBatch(t *testing.T) {
 			return h, ok
 		},
 	})
-	// Batch of DefaultDeltaThreshold+1 new prefixes: full compile.
-	for i := 0; i <= DefaultDeltaThreshold; i++ {
+	// Batch of deltaThreshold+1 new prefixes: full compile.
+	for i := 0; i <= deltaThreshold; i++ {
 		pfx := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i), 0, 0}), 16)
 		routes[pfx] = nh(1 + i%11)
 		p.InvalidateEvent(0, pfx)

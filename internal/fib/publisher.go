@@ -27,13 +27,6 @@ type Config struct {
 	// with the Publisher's internal lock held and must not call back
 	// into the Publisher.
 	CompileObserver func(time.Duration)
-	// DeltaThreshold caps the number of changed prefixes a flush may
-	// publish as a copy-on-write delta patch (FIB.Delta) instead of a
-	// full recompile. Zero means DefaultDeltaThreshold; negative
-	// disables delta compilation entirely (every publish rebuilds).
-	// Above the threshold a full compile is both cheaper per prefix and
-	// the natural compaction point.
-	DeltaThreshold int
 	// FlushObserver, when non-nil, receives every published flush with
 	// the convergence event ID the dirtying InvalidateEvent carried
 	// (0 when the flush was not event-attributed), the patch count,
@@ -45,11 +38,11 @@ type Config struct {
 	FlushObserver func(event uint64, patches int, delta bool, d time.Duration)
 }
 
-// DefaultDeltaThreshold is the changed-prefix count up to which a flush
-// patches the published trie in place of a full rebuild. Steady-state
-// churn is single-prefix; bursts past this size amortize a full compile
-// fine.
-const DefaultDeltaThreshold = 64
+// deltaThreshold is the changed-prefix count up to which a flush
+// publishes a copy-on-write delta patch (FIB.Delta) in place of a full
+// rebuild. Steady-state churn is single-prefix; above this size a full
+// compile is both cheaper per prefix and the natural compaction point.
+const deltaThreshold = 64
 
 // deltaCompactAfter bounds patch drift: after this many consecutive
 // delta generations the next publish recompiles from scratch, pruning
@@ -87,7 +80,14 @@ type Stats struct {
 type Publisher struct {
 	cfg Config
 
+	// cur is loaded by every lookup on the reader goroutines while the
+	// control plane writes the fields below and allocates beside the
+	// Publisher. The pads keep every other write off cur's cache line:
+	// without them the dataplane lookup rate depended on which size
+	// class the struct fell in (at 160 bytes it dropped by up to half).
+	_   [64]byte
 	cur atomic.Pointer[FIB]
+	_   [56]byte
 
 	mu      sync.Mutex
 	entries map[netip.Prefix]NextHop
@@ -230,11 +230,7 @@ func (p *Publisher) flushLocked() bool {
 // deltaEligible reports whether a flush of n changed prefixes should
 // patch the published trie instead of rebuilding it.
 func (p *Publisher) deltaEligible(n int) bool {
-	threshold := p.cfg.DeltaThreshold
-	if threshold == 0 {
-		threshold = DefaultDeltaThreshold
-	}
-	if threshold < 0 || n > threshold {
+	if n > deltaThreshold {
 		return false
 	}
 	// Compaction: a long run of patches accumulates orphaned nodes, so

@@ -98,38 +98,34 @@ type OffloadConfig struct {
 	// HalfLifeSec is the overlay delay estimator half-life (0 means
 	// adaptive.DefaultHalfLifeSec).
 	HalfLifeSec float64
-	// OffloadBelowMs: offload when the overlay's advantage over direct
-	// (directMs - overlayMs) stays below this. Default 2.
-	OffloadBelowMs float64
-	// ReclaimAboveMs: return to the overlay when the advantage climbs
-	// above this. Must exceed OffloadBelowMs — the gap is the
-	// hysteresis. Default 10.
-	ReclaimAboveMs float64
 	// DwellSec is how long a condition must hold before the transition
 	// fires. Default 5.
 	DwellSec float64
-	// MinSamples the estimator needs before any transition. Default 3.
-	MinSamples uint64
 }
+
+// The offload controller's fixed hysteresis: offload when the overlay's
+// advantage over direct (directMs - overlayMs) stays below
+// offloadBelowMs, return to the overlay when it climbs above
+// reclaimAboveMs — the gap is the hysteresis — and decide nothing
+// before the estimator holds minSamples samples.
+const (
+	offloadBelowMs = 2.0
+	reclaimAboveMs = 10.0
+	minSamples     = 3
+)
 
 func (c OffloadConfig) withDefaults() OffloadConfig {
 	if c.HalfLifeSec <= 0 {
 		c.HalfLifeSec = adaptive.DefaultHalfLifeSec
 	}
-	if c.OffloadBelowMs == 0 {
-		c.OffloadBelowMs = 2
-	}
-	if c.ReclaimAboveMs == 0 {
-		c.ReclaimAboveMs = 10
-	}
 	if c.DwellSec <= 0 {
 		c.DwellSec = 5
 	}
-	if c.MinSamples == 0 {
-		c.MinSamples = 3
-	}
 	return c
 }
+
+// pktSize is the aggregate packet size in bytes: the media MTU payload.
+const pktSize = 1200
 
 // Config configures an Engine.
 type Config struct {
@@ -143,9 +139,6 @@ type Config struct {
 	// epochs resolve finer delay dynamics at more events per simulated
 	// second.
 	EpochSec float64
-	// PktSize is the aggregate packet size in bytes (default 1200, the
-	// media MTU payload).
-	PktSize int
 	// Offload tunes the offload controller.
 	Offload OffloadConfig
 	// Telemetry, when non-nil, registers the flowsim_* metric families.
@@ -160,9 +153,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.EpochSec <= 0 {
 		c.EpochSec = 0.1
-	}
-	if c.PktSize <= 0 {
-		c.PktSize = 1200
 	}
 	c.Offload = c.Offload.withDefaults()
 	return c

@@ -3,9 +3,9 @@ package flowsim
 // The offload controller ("Saving Private WAN"): once per epoch, every
 // group's overlay delay estimate is refreshed and compared against its
 // direct-Internet alternative. A group whose overlay advantage
-// (directMs - overlayMs) stays below OffloadBelowMs for DwellSec moves
+// (directMs - overlayMs) stays below offloadBelowMs for DwellSec moves
 // off the overlay; it returns only when the advantage climbs above
-// ReclaimAboveMs for DwellSec. The gap between the two thresholds plus
+// reclaimAboveMs for DwellSec. The gap between the two thresholds plus
 // the dwell is the hysteresis that keeps borderline groups from
 // ping-ponging — the same discipline internal/adaptive applies to
 // LOCAL_PREF overrides.
@@ -17,7 +17,7 @@ package flowsim
 // While offloaded, no traffic measures the overlay, so the estimate is
 // fed by an analytic probe of the primary path (propagation + installed
 // extra delay + tail). The probe cannot see queueing, which is exactly
-// why ReclaimAboveMs must clear OffloadBelowMs by a real margin: a
+// why reclaimAboveMs must clear offloadBelowMs by a real margin: a
 // reclaimed group that re-congests the overlay will be offloaded again,
 // but only after burning a full dwell.
 
@@ -64,16 +64,16 @@ func (e *Engine) controllerStep() {
 // decide applies the hysteresis + dwell state machine to one group.
 func (e *Engine) decide(g *group, now float64) {
 	st := g.est.State()
-	if !st.Warm(e.cfg.Offload.MinSamples) {
+	if !st.Warm(minSamples) {
 		return
 	}
 	advantage := g.cfg.DirectMs - st.SmoothedMs
 
 	var pending bool
 	if g.offloaded {
-		pending = advantage > e.cfg.Offload.ReclaimAboveMs
+		pending = advantage > reclaimAboveMs
 	} else {
-		pending = advantage < e.cfg.Offload.OffloadBelowMs
+		pending = advantage < offloadBelowMs
 	}
 	if !pending {
 		g.condSince = -1

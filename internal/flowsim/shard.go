@@ -213,7 +213,7 @@ func (e *Engine) processOverlay(g *group, now float64, total uint64, a *batchAll
 		}
 		delay := paths[j].TailMs
 		for _, l := range paths[j].Links {
-			r := l.TransitAggregate(now, n, e.cfg.PktSize)
+			r := l.TransitAggregate(now, n, pktSize)
 			dropLoss += r.DropsLoss
 			dropQueue += r.DropsQueue
 			dropAdmin += r.DropsAdmin
@@ -246,7 +246,7 @@ func (e *Engine) processOverlay(g *group, now float64, total uint64, a *batchAll
 			e.tot.DupSent += d
 			n := d
 			for _, l := range paths[1].Links {
-				r := l.TransitAggregate(now, n, e.cfg.PktSize)
+				r := l.TransitAggregate(now, n, pktSize)
 				n = r.Delivered
 				if n == 0 {
 					break

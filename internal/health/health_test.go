@@ -12,7 +12,7 @@ import (
 
 func testFabric() (*netsim.Sim, *vns.L2Fabric) {
 	sim := &netsim.Sim{}
-	fab := vns.NewL2Fabric(vns.NewNetwork(), vns.EmulateOptions{Seed: 42})
+	fab := vns.NewL2Fabric(vns.NewNetwork())
 	return sim, fab
 }
 
@@ -56,7 +56,7 @@ func TestParseHelloRejects(t *testing.T) {
 
 func TestMonitorStableWithoutFaults(t *testing.T) {
 	sim, fab := testFabric()
-	m := NewMonitor(sim, fab, Config{}, nil)
+	m := NewMonitor(sim, fab, nil)
 	var events int
 	m.OnEvent(func(Event) { events++ })
 	m.Start()
@@ -77,8 +77,7 @@ func TestMonitorStableWithoutFaults(t *testing.T) {
 
 func TestDetectionAndRecoveryTiming(t *testing.T) {
 	sim, fab := testFabric()
-	cfg := Config{TxIntervalMs: 50, Multiplier: 3, UpHoldMs: 1000}
-	m := NewMonitor(sim, fab, cfg, nil)
+	m := NewMonitor(sim, fab, nil)
 	lon, ash := fab.Network().PoP("LON"), fab.Network().PoP("ASH")
 	inj := NewInjector(sim, fab, nil)
 
@@ -104,8 +103,8 @@ func TestDetectionAndRecoveryTiming(t *testing.T) {
 	// tick granularity.
 	prop := fab.Link(lon, ash).PropDelayMs / 1000
 	detect := down.At - failAt
-	lo := cfg.DetectTimeMs() / 1000
-	hi := prop + (cfg.DetectTimeMs()+cfg.TxIntervalMs)/1000 + 0.02
+	lo := DetectTimeMs / 1000
+	hi := prop + (DetectTimeMs+TxIntervalMs)/1000 + 0.02
 	if detect < lo || detect > hi {
 		t.Fatalf("detection latency = %.3fs, want in [%.3f, %.3f]", detect, lo, hi)
 	}
@@ -114,8 +113,8 @@ func TestDetectionAndRecoveryTiming(t *testing.T) {
 		t.Fatalf("second event = %+v", up)
 	}
 	rec := up.At - healAt
-	recLo := cfg.UpHoldMs / 1000
-	recHi := recLo + prop + (cfg.DetectTimeMs()+cfg.TxIntervalMs)/1000 + 0.02
+	recLo := UpHoldMs / 1000
+	recHi := recLo + prop + (DetectTimeMs+TxIntervalMs)/1000 + 0.02
 	if rec < recLo || rec > recHi {
 		t.Fatalf("recovery latency = %.3fs, want in [%.3f, %.3f]", rec, recLo, recHi)
 	}
@@ -123,8 +122,7 @@ func TestDetectionAndRecoveryTiming(t *testing.T) {
 
 func TestFlapSuppression(t *testing.T) {
 	sim, fab := testFabric()
-	cfg := Config{TxIntervalMs: 50, Multiplier: 3, UpHoldMs: 1000}
-	m := NewMonitor(sim, fab, cfg, nil)
+	m := NewMonitor(sim, fab, nil)
 	sin, syd := fab.Network().PoP("SIN"), fab.Network().PoP("SYD")
 	inj := NewInjector(sim, fab, nil)
 
@@ -154,8 +152,7 @@ func TestFlapSuppression(t *testing.T) {
 func TestScenarioDeterminism(t *testing.T) {
 	run := func() ([]Event, SessionStats) {
 		sim, fab := testFabric()
-		cfg := Config{TxIntervalMs: 50, Multiplier: 3, UpHoldMs: 500}
-		m := NewMonitor(sim, fab, cfg, nil)
+		m := NewMonitor(sim, fab, nil)
 		lon, ash := fab.Network().PoP("LON"), fab.Network().PoP("ASH")
 		inj := NewInjector(sim, fab, nil)
 		inj.FlapLink(lon, ash, 1.0, 0.4, 3)
@@ -189,7 +186,7 @@ func TestScenarioDeterminism(t *testing.T) {
 func TestRegistry(t *testing.T) {
 	sim, fab := testFabric()
 	reg := telemetry.New()
-	m := NewMonitor(sim, fab, Config{TxIntervalMs: 50, Multiplier: 3, UpHoldMs: 1000}, reg)
+	m := NewMonitor(sim, fab, reg)
 	lon, ash := fab.Network().PoP("LON"), fab.Network().PoP("ASH")
 	inj := NewInjector(sim, fab, reg)
 	inj.LinkDownAt(2, lon, ash)
@@ -211,7 +208,7 @@ func TestRegistry(t *testing.T) {
 	if down, up := inj.linkDown.Value(), inj.linkUp.Value(); down != 1 || up != 1 {
 		t.Errorf("injected faults down=%d up=%d, want 1 and 1", down, up)
 	}
-	if NewMonitor(sim, fab, Config{}, nil).Metrics() != nil {
+	if NewMonitor(sim, fab, nil).Metrics() != nil {
 		t.Error("a monitor built without a registry exposes handles")
 	}
 }
@@ -245,7 +242,7 @@ func TestRegistryObserveBounded(t *testing.T) {
 func TestRegistryTelemetryExposition(t *testing.T) {
 	sim, fab := testFabric()
 	tel := telemetry.New()
-	m := NewMonitor(sim, fab, Config{}, tel)
+	m := NewMonitor(sim, fab, tel)
 	m.Start()
 	sim.Run(1)
 	m.Stop()

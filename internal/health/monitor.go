@@ -24,7 +24,6 @@ type Event struct {
 type Monitor struct {
 	sim *netsim.Sim
 	fab *vns.L2Fabric
-	cfg Config
 	met *MonitorMetrics // nil when uninstrumented
 
 	sessions []*LinkSession
@@ -46,12 +45,10 @@ type MonitorMetrics struct {
 
 // NewMonitor builds a session for every L2 adjacency, registering its
 // metric families in reg; a nil reg leaves it uninstrumented.
-func NewMonitor(sim *netsim.Sim, fab *vns.L2Fabric, cfg Config, reg *telemetry.Registry) *Monitor {
-	cfg = cfg.withDefaults()
+func NewMonitor(sim *netsim.Sim, fab *vns.L2Fabric, reg *telemetry.Registry) *Monitor {
 	m := &Monitor{
 		sim:   sim,
 		fab:   fab,
-		cfg:   cfg,
 		byKey: make(map[[2]int]*LinkSession),
 	}
 	if reg != nil {
@@ -65,7 +62,7 @@ func NewMonitor(sim *netsim.Sim, fab *vns.L2Fabric, cfg Config, reg *telemetry.R
 	}
 	for _, l := range fab.Network().L2Links() {
 		a, b := l[0], l[1]
-		s := newLinkSession(a, b, cfg, sim.Now())
+		s := newLinkSession(a, b, sim.Now())
 		m.sessions = append(m.sessions, s)
 		m.paths = append(m.paths, [2]*netsim.Path{
 			netsim.NewPath(fab.Link(a, b)),
@@ -79,9 +76,6 @@ func NewMonitor(sim *netsim.Sim, fab *vns.L2Fabric, cfg Config, reg *telemetry.R
 // Metrics returns the monitor's telemetry handles, nil when it was built
 // without a registry.
 func (m *Monitor) Metrics() *MonitorMetrics { return m.met }
-
-// Config returns the protocol parameters in use.
-func (m *Monitor) Config() Config { return m.cfg }
 
 // Sessions returns every session in L2 specification order.
 func (m *Monitor) Sessions() []*LinkSession { return m.sessions }
@@ -152,7 +146,7 @@ func (m *Monitor) tick() {
 	if m.met != nil {
 		m.met.SessionsDown.Set(float64(m.DownSessions()))
 	}
-	m.sim.Schedule(now+m.cfg.TxIntervalMs/1000, m.tick)
+	m.sim.Schedule(now+TxIntervalMs/1000, m.tick)
 }
 
 // send transmits one hello for session s in direction dir over the

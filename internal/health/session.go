@@ -7,38 +7,23 @@ import (
 	"vns/internal/vns"
 )
 
-// Config tunes the liveness protocol. The defaults (50 ms hellos,
-// multiplier 3) detect a hard failure within 200 ms of simulated time
-// on any link — fast enough that a video call survives with a sub-
-// second glitch.
-type Config struct {
+// The liveness protocol: 50 ms hellos with detect multiplier 3 detect a
+// hard failure within 200 ms of simulated time on any link — fast enough
+// that a video call survives with a sub-second glitch.
+const (
 	// TxIntervalMs is the hello transmit interval per direction.
-	TxIntervalMs float64
+	TxIntervalMs = 50.0
 	// Multiplier is the detect multiplier: a direction silent for
-	// longer than TxIntervalMs*Multiplier downs the session.
-	Multiplier int
+	// longer than DetectTimeMs downs the session.
+	Multiplier = 3
+	// DetectTimeMs is the silence threshold that downs a session.
+	DetectTimeMs = TxIntervalMs * Multiplier
 	// UpHoldMs is the up hysteresis: after a failure, hellos must flow
 	// uninterrupted in both directions for this long before the session
 	// is declared up again. A link flapping faster than UpHoldMs stays
 	// down, so routing churns at most once per flap episode.
-	UpHoldMs float64
-}
-
-func (c Config) withDefaults() Config {
-	if c.TxIntervalMs <= 0 {
-		c.TxIntervalMs = 50
-	}
-	if c.Multiplier <= 0 {
-		c.Multiplier = 3
-	}
-	if c.UpHoldMs <= 0 {
-		c.UpHoldMs = 1000
-	}
-	return c
-}
-
-// DetectTimeMs is the silence threshold that downs a session.
-func (c Config) DetectTimeMs() float64 { return c.TxIntervalMs * float64(c.Multiplier) }
+	UpHoldMs = 1000.0
+)
 
 // SessionStats snapshots one session's counters.
 type SessionStats struct {
@@ -56,7 +41,6 @@ type SessionStats struct {
 // tick scheduling; the session is pure protocol state.
 type LinkSession struct {
 	a, b *vns.PoP
-	cfg  Config
 
 	state      State
 	lastChange netsim.Time
@@ -69,8 +53,8 @@ type LinkSession struct {
 	stats SessionStats
 }
 
-func newLinkSession(a, b *vns.PoP, cfg Config, now netsim.Time) *LinkSession {
-	s := &LinkSession{a: a, b: b, cfg: cfg, state: StateUp, lastChange: now}
+func newLinkSession(a, b *vns.PoP, now netsim.Time) *LinkSession {
+	s := &LinkSession{a: a, b: b, state: StateUp, lastChange: now}
 	// Provisioned links start up; seed the silence detectors with "now"
 	// so a link that is dead from the start is still detected one
 	// detect time later.
@@ -104,8 +88,8 @@ func (s *LinkSession) nextHello(dir int) Hello {
 		Discriminator: uint32(from.ID)<<16 | uint32(to.ID),
 		Seq:           s.seq[dir],
 		State:         s.state,
-		TxIntervalMs:  uint32(s.cfg.TxIntervalMs),
-		Multiplier:    uint8(s.cfg.Multiplier),
+		TxIntervalMs:  TxIntervalMs,
+		Multiplier:    Multiplier,
 	}
 	s.seq[dir]++
 	return h
@@ -116,7 +100,7 @@ func (s *LinkSession) nextHello(dir int) Hello {
 // uninterrupted-run clock, which feeds the up-hold hysteresis.
 func (s *LinkSession) recordRx(dir int, now netsim.Time, h Hello) {
 	s.stats.RxHellos++
-	if now-s.lastRx[dir] > s.cfg.DetectTimeMs()/1000 {
+	if now-s.lastRx[dir] > DetectTimeMs/1000 {
 		s.streak[dir] = now
 	}
 	s.lastRx[dir] = now
@@ -128,7 +112,7 @@ func (s *LinkSession) recordBad() { s.stats.RxBad++ }
 // tick runs the detection logic at simulated time now and reports
 // whether the session changed state.
 func (s *LinkSession) tick(now netsim.Time) bool {
-	detectSec := s.cfg.DetectTimeMs() / 1000
+	const detectSec = DetectTimeMs / 1000
 	switch s.state {
 	case StateUp:
 		for d := range s.lastRx {
@@ -140,7 +124,7 @@ func (s *LinkSession) tick(now netsim.Time) bool {
 			}
 		}
 	case StateDown:
-		holdSec := s.cfg.UpHoldMs / 1000
+		const holdSec = UpHoldMs / 1000
 		for d := range s.lastRx {
 			if now-s.lastRx[d] > detectSec || now-s.streak[d] < holdSec {
 				return false

@@ -19,45 +19,23 @@ type Rung struct {
 	BitrateBps float64
 }
 
-// DefaultLadder is a conferencing-style ladder from full HD down to a
-// thumbnail stream.
-var DefaultLadder = []Rung{
+// ladder is a conferencing-style rate ladder from full HD down to a
+// thumbnail stream, highest first.
+var ladder = []Rung{
 	{"1080p", 4.0e6},
 	{"720p", 2.5e6},
 	{"480p", 1.2e6},
 	{"360p", 0.7e6},
 }
 
-// AdaptiveConfig tunes the controller.
-type AdaptiveConfig struct {
-	// Ladder is the available rate ladder, highest first. Nil means
-	// DefaultLadder.
-	Ladder []Rung
-	// WindowSec is the loss-report interval (RTCP-like), default 5 s.
-	WindowSec float64
-	// DownThresholdPct steps down when window loss exceeds it
-	// (default 0.5%).
-	DownThresholdPct float64
-	// UpAfterWindows steps up after this many consecutive clean
-	// windows (default 12, i.e. a minute of clean video).
-	UpAfterWindows int
-}
-
-func (c AdaptiveConfig) withDefaults() AdaptiveConfig {
-	if c.Ladder == nil {
-		c.Ladder = DefaultLadder
-	}
-	if c.WindowSec == 0 {
-		c.WindowSec = 5
-	}
-	if c.DownThresholdPct == 0 {
-		c.DownThresholdPct = 0.5
-	}
-	if c.UpAfterWindows == 0 {
-		c.UpAfterWindows = 12
-	}
-	return c
-}
+// The controller: receiver loss reports every windowSec (RTCP-like);
+// window loss above downThresholdPct steps down, upAfterWindows
+// consecutive clean windows (a minute of clean video) step up.
+const (
+	windowSec        = 5.0
+	downThresholdPct = 0.5
+	upAfterWindows   = 12
+)
 
 // AdaptiveStats summarizes an adaptive session.
 type AdaptiveStats struct {
@@ -80,39 +58,38 @@ func (s AdaptiveStats) String() string {
 // given duration: each window's loss is sampled at the current rung's
 // packet rate; loss above the threshold steps the rate down, sustained
 // clean windows step it back up.
-func RunAdaptive(cfg AdaptiveConfig, lm loss.Model, durationSec, startSec float64) AdaptiveStats {
-	cfg = cfg.withDefaults()
-	st := AdaptiveStats{TimeAtRung: make([]float64, len(cfg.Ladder))}
+func RunAdaptive(lm loss.Model, durationSec, startSec float64) AdaptiveStats {
+	st := AdaptiveStats{TimeAtRung: make([]float64, len(ladder))}
 	rung := 0
 	clean := 0
 	var rateTime float64
 
-	for at := 0.0; at < durationSec; at += cfg.WindowSec {
-		r := cfg.Ladder[rung]
+	for at := 0.0; at < durationSec; at += windowSec {
+		r := ladder[rung]
 		// Packets in this window at the rung's bitrate (1200 B payloads).
-		pkts := int(r.BitrateBps / 8 / 1200 * cfg.WindowSec)
+		pkts := int(r.BitrateBps / 8 / 1200 * windowSec)
 		lost := 0
 		for i := 0; i < pkts; i++ {
-			if lm != nil && lm.Drop(startSec+at+float64(i)*cfg.WindowSec/float64(pkts)) {
+			if lm != nil && lm.Drop(startSec+at+float64(i)*windowSec/float64(pkts)) {
 				lost++
 			}
 		}
-		st.TimeAtRung[rung] += cfg.WindowSec
-		rateTime += r.BitrateBps * cfg.WindowSec
+		st.TimeAtRung[rung] += windowSec
+		rateTime += r.BitrateBps * windowSec
 
 		lossPct := 0.0
 		if pkts > 0 {
 			lossPct = float64(lost) / float64(pkts) * 100
 		}
-		if lossPct > cfg.DownThresholdPct {
+		if lossPct > downThresholdPct {
 			clean = 0
-			if rung < len(cfg.Ladder)-1 {
+			if rung < len(ladder)-1 {
 				rung++
 				st.Downgrades++
 			}
 		} else {
 			clean++
-			if clean >= cfg.UpAfterWindows && rung > 0 {
+			if clean >= upAfterWindows && rung > 0 {
 				rung--
 				clean = 0
 			}

@@ -8,7 +8,7 @@ import (
 )
 
 func TestAdaptiveStaysUpWhenClean(t *testing.T) {
-	st := RunAdaptive(AdaptiveConfig{}, loss.None{}, 600, 0)
+	st := RunAdaptive(loss.None{}, 600, 0)
 	if st.TopShare != 1 {
 		t.Errorf("top share = %v, want 1 on a clean path", st.TopShare)
 	}
@@ -22,7 +22,7 @@ func TestAdaptiveStaysUpWhenClean(t *testing.T) {
 
 func TestAdaptiveDowngradesUnderLoss(t *testing.T) {
 	lm := loss.NewUniform(0.02, loss.NewRNG(1)) // 2% loss, above threshold
-	st := RunAdaptive(AdaptiveConfig{}, lm, 600, 0)
+	st := RunAdaptive(lm, 600, 0)
 	if st.Downgrades == 0 {
 		t.Fatal("no downgrades under 2% loss")
 	}
@@ -46,7 +46,7 @@ func TestAdaptiveRecoversAfterBurst(t *testing.T) {
 	// Loss only during the first 30 s, then clean: the sender must climb
 	// back to the top rung before the call ends.
 	lm := timeGate{until: 30, inner: loss.NewUniform(0.05, loss.NewRNG(3))}
-	st := RunAdaptive(AdaptiveConfig{}, lm, 900, 0)
+	st := RunAdaptive(lm, 900, 0)
 	if st.Downgrades == 0 {
 		t.Fatal("no downgrade during the burst")
 	}
@@ -80,21 +80,20 @@ func TestAdaptiveTransientLossCostsMinutes(t *testing.T) {
 	// degradation because recovery is slow. 10 s of loss must cost well
 	// over 10 s of degraded video.
 	lm := timeGate{until: 10, inner: loss.NewUniform(0.1, loss.NewRNG(4))}
-	st := RunAdaptive(AdaptiveConfig{}, lm, 600, 0)
+	st := RunAdaptive(lm, 600, 0)
 	degraded := 600 - st.TimeAtRung[0]
 	if degraded < 40 {
 		t.Errorf("10s of loss cost only %.0fs of degradation", degraded)
 	}
 }
 
-func TestAdaptiveCustomLadder(t *testing.T) {
-	ladder := []Rung{{"hi", 2e6}, {"lo", 1e6}}
+func TestAdaptiveBottomsOutUnderTotalLoss(t *testing.T) {
 	lm := loss.NewUniform(1, loss.NewRNG(5)) // total loss
-	st := RunAdaptive(AdaptiveConfig{Ladder: ladder}, lm, 100, 0)
-	if len(st.TimeAtRung) != 2 {
+	st := RunAdaptive(lm, 100, 0)
+	if len(st.TimeAtRung) != len(ladder) {
 		t.Fatalf("rungs = %d", len(st.TimeAtRung))
 	}
-	if st.TimeAtRung[1] == 0 {
+	if st.TimeAtRung[len(ladder)-1] == 0 {
 		t.Error("never reached the bottom rung under total loss")
 	}
 	if st.String() == "" {

@@ -55,9 +55,6 @@ type Trace struct {
 type TraceConfig struct {
 	Definition  Definition
 	DurationSec float64 // default 120 s, the paper's session length
-	FPS         int     // default 30
-	GOP         int     // frames per group of pictures, default 30
-	MTUPayload  int     // RTP payload bytes per packet, default 1200
 	Seed        uint64
 }
 
@@ -65,17 +62,16 @@ func (c TraceConfig) withDefaults() TraceConfig {
 	if c.DurationSec == 0 {
 		c.DurationSec = 120
 	}
-	if c.FPS == 0 {
-		c.FPS = 30
-	}
-	if c.GOP == 0 {
-		c.GOP = 30
-	}
-	if c.MTUPayload == 0 {
-		c.MTUPayload = 1200
-	}
 	return c
 }
+
+// The video encode: 30 frames/s, one keyframe per 30-frame group of
+// pictures, packetized into 1200-byte RTP payloads.
+const (
+	fps        = 30
+	gop        = 30
+	mtuPayload = 1200
+)
 
 // GenerateTrace synthesizes a packet trace. Frame sizes vary ±20%
 // around their nominal size; keyframes are four times P-frame size, as
@@ -88,15 +84,15 @@ func GenerateTrace(cfg TraceConfig) *Trace {
 	// one keyframe of 4x P size per GOP:
 	//   bytes/GOP = (4 + (GOP-1)) * P  and  bytes/s = bitrate/8.
 	bytesPerSec := cfg.Definition.BitrateBps() / 8
-	gopsPerSec := float64(cfg.FPS) / float64(cfg.GOP)
-	pSize := bytesPerSec / gopsPerSec / float64(cfg.GOP+3)
+	gopsPerSec := float64(fps) / float64(gop)
+	pSize := bytesPerSec / gopsPerSec / float64(gop+3)
 	iSize := 4 * pSize
 
-	numFrames := int(cfg.DurationSec * float64(cfg.FPS))
+	numFrames := int(cfg.DurationSec * float64(fps))
 	tr := &Trace{Definition: cfg.Definition, DurationSec: cfg.DurationSec}
-	frameInterval := 1.0 / float64(cfg.FPS)
+	frameInterval := 1.0 / float64(fps)
 	for f := 0; f < numFrames; f++ {
-		key := f%cfg.GOP == 0
+		key := f%gop == 0
 		nominal := pSize
 		if key {
 			nominal = iSize
@@ -110,11 +106,11 @@ func GenerateTrace(cfg TraceConfig) *Trace {
 		// Packetize the frame; packets of one frame leave paced evenly
 		// across a quarter of the frame interval, as hardware encoders
 		// burst them.
-		npkts := (size + cfg.MTUPayload - 1) / cfg.MTUPayload
+		npkts := (size + mtuPayload - 1) / mtuPayload
 		for i := 0; i < npkts; i++ {
-			psize := cfg.MTUPayload
+			psize := mtuPayload
 			if i == npkts-1 {
-				psize = size - (npkts-1)*cfg.MTUPayload
+				psize = size - (npkts-1)*mtuPayload
 			}
 			tr.Packets = append(tr.Packets, PacketSpec{
 				AtSec:      at + float64(i)*frameInterval/4/float64(npkts),
@@ -150,11 +146,9 @@ func (t *Trace) String() string {
 
 // AudioTraceConfig controls synthetic voice stream generation. A
 // conference's audio is a constant-rate stream of small packets (an
-// Opus-like 50 packets/s at ~64 kbit/s).
+// Opus-like 50 packets/s of 160 bytes, ~64 kbit/s).
 type AudioTraceConfig struct {
 	DurationSec float64 // default 120 s
-	PacketRate  float64 // packets per second, default 50
-	PayloadB    int     // bytes per packet, default 160
 	Seed        uint64
 }
 
@@ -162,26 +156,25 @@ func (c AudioTraceConfig) withDefaults() AudioTraceConfig {
 	if c.DurationSec == 0 {
 		c.DurationSec = 120
 	}
-	if c.PacketRate == 0 {
-		c.PacketRate = 50
-	}
-	if c.PayloadB == 0 {
-		c.PayloadB = 160
-	}
 	return c
 }
+
+const (
+	audioPacketRate = 50.0
+	audioPayloadB   = 160
+)
 
 // GenerateAudioTrace synthesizes a constant-rate voice stream with ±10%
 // payload variation (voice activity).
 func GenerateAudioTrace(cfg AudioTraceConfig) *Trace {
 	cfg = cfg.withDefaults()
 	rng := loss.NewRNG(cfg.Seed ^ 0xa0d10)
-	n := int(cfg.DurationSec * cfg.PacketRate)
+	n := int(cfg.DurationSec * audioPacketRate)
 	tr := &Trace{Definition: Def720p, DurationSec: cfg.DurationSec}
 	for i := 0; i < n; i++ {
-		size := int(float64(cfg.PayloadB) * (0.9 + 0.2*rng.Float64()))
+		size := int(float64(audioPayloadB) * (0.9 + 0.2*rng.Float64()))
 		tr.Packets = append(tr.Packets, PacketSpec{
-			AtSec:      float64(i) / cfg.PacketRate,
+			AtSec:      float64(i) / audioPacketRate,
 			Size:       size + RTPHeaderLen,
 			FrameStart: true,
 			FrameEnd:   true,

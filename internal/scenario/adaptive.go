@@ -26,17 +26,7 @@ func (e *engine) setupAdaptive() error {
 		IntervalSec: a.IntervalSec,
 		Budget:      a.Budget,
 		HalfLifeSec: a.HalfLifeSec,
-		Stability: adaptive.StabilityConfig{
-			ApplyMarginMs:      a.ApplyMarginMs,
-			ReleaseMarginMs:    a.ReleaseMarginMs,
-			JitterFactor:       a.JitterFactor,
-			MinSamples:         a.MinSamples,
-			MaxStalenessSec:    a.StalenessSec,
-			PenaltyPerFlap:     a.PenaltyPerFlap,
-			PenaltyHalfLifeSec: a.PenaltyHalfLifeSec,
-			SuppressThreshold:  a.SuppressThreshold,
-			ReuseThreshold:     a.ReuseThreshold,
-		},
+		Stability:   adaptive.StabilityConfig{MinSamples: a.MinSamples},
 		Probe:       e.probeRTT,
 		Sink:        e.env.RR,
 		Telemetry:   e.env.Telemetry,

@@ -133,7 +133,7 @@ func newEngine(spec *Spec) (*engine, error) {
 	// can pin both in the goldens.
 	tracer := telemetry.NewTracer(sim.Now, telemetry.DefaultTraceCap)
 	fwd := env.Forwarding(vns.ForwardingConfig{Tracer: tracer}) // sync recompiles
-	mon := health.NewMonitor(sim, fwd.Fabric(), health.Config{}, env.Telemetry)
+	mon := health.NewMonitor(sim, fwd.Fabric(), env.Telemetry)
 	ctl := health.NewController(fwd, env.RR, env.Telemetry)
 	ctl.Bind(mon)
 
@@ -152,11 +152,9 @@ func newEngine(spec *Spec) (*engine, error) {
 		prevLink:   make(map[string]netsim.LinkStats),
 	}
 
-	codes := spec.Vantages
-	if len(codes) == 0 {
-		codes = []string{"LON", "SJS", "SIN"}
-	}
-	for _, c := range codes {
+	// The per-checkpoint invariants examine these PoPs' FIBs; every-PoP
+	// sweeps are reserved for the final checkpoint.
+	for _, c := range experiments.ContinentVantages {
 		e.vantages = append(e.vantages, env.Net.PoP(c))
 	}
 

@@ -21,16 +21,12 @@ import (
 func (e *engine) setupFlows() {
 	f := e.spec.Flows
 	e.flowEng = flowsim.New(flowsim.Config{
-		Sim:      e.sim,
-		Shards:   f.Shards,
-		EpochSec: f.EpochSec,
+		Sim:    e.sim,
+		Shards: f.Shards,
 		Offload: flowsim.OffloadConfig{
-			Enabled:        f.Offload,
-			HalfLifeSec:    f.HalfLifeSec,
-			OffloadBelowMs: f.OffloadBelowMs,
-			ReclaimAboveMs: f.ReclaimAboveMs,
-			DwellSec:       f.DwellSec,
-			MinSamples:     f.MinSamples,
+			Enabled:     f.Offload,
+			HalfLifeSec: f.HalfLifeSec,
+			DwellSec:    f.DwellSec,
 		},
 		Telemetry: e.env.Telemetry,
 	})

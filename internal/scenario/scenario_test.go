@@ -171,6 +171,32 @@ func TestScenarioSeedSweep(t *testing.T) {
 	}
 }
 
+// TestParseSpecRejectsRetiredKeys: keys whose knobs became constants
+// fail the parse instead of silently running a stale spec on defaults.
+func TestParseSpecRejectsRetiredKeys(t *testing.T) {
+	for _, tc := range []struct{ key, spec string }{
+		{"vantages", `{"name":"x","vantages":["LON"],"events":[]}`},
+		{"endSec", `{"name":"x","endSec":30,"events":[]}`},
+		{"applyMarginMs", `{"name":"x","adaptive":{"applyMarginMs":20},"events":[]}`},
+		{"releaseMarginMs", `{"name":"x","adaptive":{"releaseMarginMs":8},"events":[]}`},
+		{"jitterFactor", `{"name":"x","adaptive":{"jitterFactor":2},"events":[]}`},
+		{"stalenessSec", `{"name":"x","adaptive":{"stalenessSec":30},"events":[]}`},
+		{"penaltyPerFlap", `{"name":"x","adaptive":{"penaltyPerFlap":1000},"events":[]}`},
+		{"penaltyHalfLifeSec", `{"name":"x","adaptive":{"penaltyHalfLifeSec":15},"events":[]}`},
+		{"suppressThreshold", `{"name":"x","adaptive":{"suppressThreshold":2500},"events":[]}`},
+		{"reuseThreshold", `{"name":"x","adaptive":{"reuseThreshold":800},"events":[]}`},
+		{"epochSec", `{"name":"x","flows":{"epochSec":0.1},"events":[]}`},
+		{"offloadBelowMs", `{"name":"x","flows":{"offloadBelowMs":2},"events":[]}`},
+		{"reclaimAboveMs", `{"name":"x","flows":{"reclaimAboveMs":10},"events":[]}`},
+		{"flows.minSamples", `{"name":"x","flows":{"minSamples":3},"events":[]}`},
+	} {
+		_, err := ParseSpec([]byte(tc.spec))
+		if err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Errorf("%s: ParseSpec error = %v, want an unknown-field rejection", tc.key, err)
+		}
+	}
+}
+
 // TestSpecValidation exercises the cheap static checks sweeps rely on.
 func TestSpecValidation(t *testing.T) {
 	bad := []string{
@@ -184,7 +210,7 @@ func TestSpecValidation(t *testing.T) {
 		`{"name":"x","events":[{"at":1,"op":"link-down","link":"A-B","bogus":true}]}`,                                              // unknown field
 		`{"name":"x","events":[{"at":1,"op":"link-down","link":"A-B"},{"at":2,"op":"link-up","link":"A-B"}]}`,                      // inside settle
 		`{"name":"x","events":[{"at":1,"op":"probe-bias","pop":"geo","prefix":"#0","extraMs":50}]}`,                                // adaptive op, no adaptive block
-		`{"name":"x","adaptive":{"applyMarginMs":-1},"events":[]}`,                                                                 // negative margin
+		`{"name":"x","adaptive":{"halfLifeSec":-1},"events":[]}`,                                                                   // negative half-life
 		`{"name":"x","adaptive":{"prefixes":["10.0.0.0/8"]},"events":[]}`,                                                          // literal prefix, not "#N"
 		`{"name":"x","adaptive":{},"events":[{"at":1,"op":"probe-oscillate","pop":"geo","prefix":"#0","extraMs":50,"cycles":3}]}`,  // no period
 		`{"name":"x","adaptive":{},"events":[{"at":1,"op":"probe-oscillate","pop":"geo","prefix":"#0","periodSec":2,"cycles":3}]}`, // no extraMs

@@ -35,15 +35,8 @@ type Spec struct {
 	// NumAS sizes the synthetic Internet; 0 means 250, which keeps a
 	// full invariant sweep per checkpoint under a second.
 	NumAS int `json:"numAS"`
-	// Vantages are the PoP codes whose FIBs the per-checkpoint
-	// invariants examine (every-PoP sweeps are reserved for the final
-	// checkpoint). Empty means LON, SJS, SIN — one per continent.
-	Vantages []string `json:"vantages"`
 	// Events is the scripted timeline, sorted by At.
 	Events []Event `json:"events"`
-	// EndSec extends the run past the last checkpoint (flows need the
-	// room to finish); 0 derives it from the timeline.
-	EndSec float64 `json:"endSec"`
 	// Adaptive, when present, runs the measured-delay adaptive routing
 	// controller (internal/adaptive) over the scenario: probe rounds on
 	// the virtual clock feed per-path estimators, and overrides install
@@ -70,37 +63,19 @@ type AdaptiveSpec struct {
 	Budget int `json:"budget,omitempty"`
 	// HalfLifeSec is the estimator EWMA half-life.
 	HalfLifeSec float64 `json:"halfLifeSec,omitempty"`
-	// ApplyMarginMs / ReleaseMarginMs / JitterFactor / MinSamples /
-	// StalenessSec tune the decision layer.
-	ApplyMarginMs   float64 `json:"applyMarginMs,omitempty"`
-	ReleaseMarginMs float64 `json:"releaseMarginMs,omitempty"`
-	JitterFactor    float64 `json:"jitterFactor,omitempty"`
-	MinSamples      uint64  `json:"minSamples,omitempty"`
-	StalenessSec    float64 `json:"stalenessSec,omitempty"`
-	// PenaltyPerFlap / PenaltyHalfLifeSec / SuppressThreshold /
-	// ReuseThreshold tune RFC 2439-style flap damping.
-	PenaltyPerFlap     float64 `json:"penaltyPerFlap,omitempty"`
-	PenaltyHalfLifeSec float64 `json:"penaltyHalfLifeSec,omitempty"`
-	SuppressThreshold  float64 `json:"suppressThreshold,omitempty"`
-	ReuseThreshold     float64 `json:"reuseThreshold,omitempty"`
+	// MinSamples is the estimator warm-up the decision layer waits for.
+	MinSamples uint64 `json:"minSamples,omitempty"`
 	// Prefixes lists "#N" selectors to track; empty tracks every
 	// originated, geolocated, unforced prefix.
 	Prefixes []string `json:"prefixes,omitempty"`
 }
 
 func (a *AdaptiveSpec) validate() error {
-	fields := map[string]float64{
-		"intervalSec": a.IntervalSec, "halfLifeSec": a.HalfLifeSec,
-		"applyMarginMs": a.ApplyMarginMs, "releaseMarginMs": a.ReleaseMarginMs,
-		"stalenessSec": a.StalenessSec, "penaltyPerFlap": a.PenaltyPerFlap,
-		"penaltyHalfLifeSec": a.PenaltyHalfLifeSec,
-		"suppressThreshold":  a.SuppressThreshold, "reuseThreshold": a.ReuseThreshold,
+	if a.HalfLifeSec < 0 {
+		return fmt.Errorf("adaptive: negative halfLifeSec")
 	}
-	// Sorted so two bad fields always report the same one first.
-	for _, name := range detsort.Keys(fields) {
-		if fields[name] < 0 {
-			return fmt.Errorf("adaptive: negative %s", name)
-		}
+	if a.IntervalSec < 0 {
+		return fmt.Errorf("adaptive: negative intervalSec")
 	}
 	if a.Budget < 0 {
 		return fmt.Errorf("adaptive: negative budget")
@@ -116,10 +91,8 @@ func (a *AdaptiveSpec) validate() error {
 // FlowsSpec configures the scenario's aggregate flow engine. Zero
 // fields take the internal/flowsim defaults.
 type FlowsSpec struct {
-	// EpochSec is the aggregation interval; Shards the number of
-	// staggered epoch queues.
-	EpochSec float64 `json:"epochSec,omitempty"`
-	Shards   int     `json:"shards,omitempty"`
+	// Shards is the number of staggered epoch queues.
+	Shards int `json:"shards,omitempty"`
 	// MaxPaths caps the multipath fan-out per group (default 2, hard cap
 	// flowsim.MaxPaths); MaxSkewMs is the path-selection skew gate
 	// (default 30): candidate overlay paths slower than the fastest by
@@ -135,22 +108,18 @@ type FlowsSpec struct {
 	// model (client access, external egress leg), making overlay totals
 	// comparable with the events' directMs.
 	TailMs float64 `json:"tailMs,omitempty"`
-	// Offload enables the overlay/direct offload controller; the rest
-	// tune its hysteresis (flowsim defaults when zero).
-	Offload        bool    `json:"offload,omitempty"`
-	OffloadBelowMs float64 `json:"offloadBelowMs,omitempty"`
-	ReclaimAboveMs float64 `json:"reclaimAboveMs,omitempty"`
-	DwellSec       float64 `json:"dwellSec,omitempty"`
-	MinSamples     uint64  `json:"minSamples,omitempty"`
-	HalfLifeSec    float64 `json:"halfLifeSec,omitempty"`
+	// Offload enables the overlay/direct offload controller; DwellSec
+	// and HalfLifeSec tune its dwell and estimator (flowsim defaults
+	// when zero).
+	Offload     bool    `json:"offload,omitempty"`
+	DwellSec    float64 `json:"dwellSec,omitempty"`
+	HalfLifeSec float64 `json:"halfLifeSec,omitempty"`
 }
 
 func (f *FlowsSpec) validate() error {
 	fields := map[string]float64{
-		"epochSec": f.EpochSec, "maxSkewMs": f.MaxSkewMs,
-		"maxReorderMs": f.MaxReorderMs, "tailMs": f.TailMs,
-		"offloadBelowMs": f.OffloadBelowMs, "reclaimAboveMs": f.ReclaimAboveMs,
-		"dwellSec": f.DwellSec, "halfLifeSec": f.HalfLifeSec,
+		"maxSkewMs": f.MaxSkewMs, "maxReorderMs": f.MaxReorderMs,
+		"tailMs": f.TailMs, "dwellSec": f.DwellSec, "halfLifeSec": f.HalfLifeSec,
 	}
 	// Sorted so two bad fields always report the same one first.
 	for _, name := range detsort.Keys(fields) {
@@ -421,9 +390,6 @@ func (s *Spec) end() float64 {
 				end = fin
 			}
 		}
-	}
-	if s.EndSec > end {
-		end = s.EndSec
 	}
 	return end
 }

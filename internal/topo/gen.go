@@ -16,37 +16,30 @@ type GenConfig struct {
 	Seed uint64
 	// NumAS is the total number of ASes (default 4000).
 	NumAS int
-	// NumLTP is the number of tier-1-like transit providers forming the
-	// fully meshed core (default 12, the historical tier-1 clique size).
-	NumLTP int
-	// FracSTP and FracCAHP are the fractions of NumAS that are small
-	// transit providers and content/access/hosting providers; the
-	// remainder (minus LTPs) are enterprise stubs. Defaults 0.10/0.22.
-	FracSTP, FracCAHP float64
-	// TransPacificFrac is the fraction of AP-region ASes that haul
-	// traffic over their own trans-Pacific capacity to the US (default
-	// 0.15, calibrated to reproduce Figure 3's AP displacement tail).
-	TransPacificFrac float64
 }
 
 func (c GenConfig) withDefaults() GenConfig {
 	if c.NumAS == 0 {
 		c.NumAS = 4000
 	}
-	if c.NumLTP == 0 {
-		c.NumLTP = 12
-	}
-	if c.FracSTP == 0 {
-		c.FracSTP = 0.10
-	}
-	if c.FracCAHP == 0 {
-		c.FracCAHP = 0.22
-	}
-	if c.TransPacificFrac == 0 {
-		c.TransPacificFrac = 0.15
-	}
 	return c
 }
+
+// The AS population's shape.
+const (
+	// numLTP is the number of tier-1-like transit providers forming the
+	// fully meshed core: the historical tier-1 clique size.
+	numLTP = 12
+	// fracSTP and fracCAHP are the fractions of NumAS that are small
+	// transit providers and content/access/hosting providers; the
+	// remainder (minus LTPs) are enterprise stubs.
+	fracSTP  = 0.10
+	fracCAHP = 0.22
+	// transPacificFrac is the fraction of AP-region ASes that haul
+	// traffic over their own trans-Pacific capacity to the US,
+	// calibrated to reproduce Figure 3's AP displacement tail.
+	transPacificFrac = 0.15
+)
 
 // regionWeights is the share of ASes homed in each region, loosely
 // following registry allocation shares of the paper's era.
@@ -91,11 +84,11 @@ func Generate(cfg GenConfig) *Topology {
 		prefixByAddr: make(map[netip.Prefix]*PrefixInfo),
 	}
 
-	numSTP := int(float64(cfg.NumAS) * cfg.FracSTP)
-	numCAHP := int(float64(cfg.NumAS) * cfg.FracCAHP)
-	numEC := cfg.NumAS - cfg.NumLTP - numSTP - numCAHP
+	numSTP := int(float64(cfg.NumAS) * fracSTP)
+	numCAHP := int(float64(cfg.NumAS) * fracCAHP)
+	numEC := cfg.NumAS - numLTP - numSTP - numCAHP
 	if numEC < 0 {
-		panic(fmt.Sprintf("topo: NumAS=%d too small for %d LTPs", cfg.NumAS, cfg.NumLTP))
+		panic(fmt.Sprintf("topo: NumAS=%d too small for %d LTPs", cfg.NumAS, numLTP))
 	}
 
 	asn := uint16(firstASN)
@@ -109,7 +102,7 @@ func Generate(cfg GenConfig) *Topology {
 
 	// Pass 1: create ASes with regions and sites.
 	var ltps, stps, cahps, ecs []*AS
-	for i := 0; i < cfg.NumLTP; i++ {
+	for i := 0; i < numLTP; i++ {
 		a := newAS(LTP)
 		a.Region = pickRegion(rng)
 		a.Home = pickPlace(rng, a.Region)
@@ -198,7 +191,7 @@ func Generate(cfg GenConfig) *Topology {
 	// randomize which ASes the draws land on.
 	for _, n := range t.asns {
 		a := t.ASes[n]
-		if a.Region == geo.RegionAP && a.Type != LTP && rng.Bool(cfg.TransPacificFrac) {
+		if a.Region == geo.RegionAP && a.Type != LTP && rng.Bool(transPacificFrac) {
 			a.TransPacific = true
 		}
 	}

@@ -8,7 +8,7 @@ import (
 
 func smallTopo(t *testing.T) *Topology {
 	t.Helper()
-	return Generate(GenConfig{Seed: 1, NumAS: 600, NumLTP: 8})
+	return Generate(GenConfig{Seed: 1, NumAS: 600})
 }
 
 func TestGenerateDeterministic(t *testing.T) {
@@ -45,8 +45,8 @@ func TestGenerateCounts(t *testing.T) {
 	for _, asn := range tp.ASNs() {
 		counts[tp.AS(asn).Type]++
 	}
-	if counts[LTP] != 8 {
-		t.Errorf("LTP count = %d, want 8", counts[LTP])
+	if counts[LTP] != numLTP {
+		t.Errorf("LTP count = %d, want %d", counts[LTP], numLTP)
 	}
 	if counts[STP] == 0 || counts[CAHP] == 0 || counts[EC] == 0 {
 		t.Errorf("missing AS types: %v", counts)
@@ -530,7 +530,7 @@ func TestComputeStats(t *testing.T) {
 	if s.ASes != 600 || s.Prefixes != len(tp.Prefixes) {
 		t.Errorf("counts: %+v", s)
 	}
-	if s.ByType[LTP] != 8 {
+	if s.ByType[LTP] != numLTP {
 		t.Errorf("LTPs = %d", s.ByType[LTP])
 	}
 	if s.MeanDegree <= 1 {

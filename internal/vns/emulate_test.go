@@ -10,8 +10,8 @@ import (
 )
 
 // fabricPath is the path production forwards over between two PoPs.
-func fabricPath(n *Network, from, to string, opts EmulateOptions) *netsim.Path {
-	return NewL2Fabric(n, opts).Path(n.PoP(from).ID, n.PoP(to).ID)
+func fabricPath(n *Network, from, to string) *netsim.Path {
+	return NewL2Fabric(n).Path(n.PoP(from).ID, n.PoP(to).ID)
 }
 
 // oneWayDelayMs is a path's zero-load propagation delay.
@@ -26,7 +26,7 @@ func oneWayDelayMs(p *netsim.Path) float64 {
 func TestEmulatedPathDelayMatchesIGP(t *testing.T) {
 	n := NewNetwork()
 	for _, pair := range [][2]string{{"AMS", "SIN"}, {"LON", "ASH"}, {"OSL", "SYD"}, {"SJS", "ATL"}} {
-		path := fabricPath(n, pair[0], pair[1], EmulateOptions{})
+		path := fabricPath(n, pair[0], pair[1])
 		// One-way emulated delay must equal the IGP metric (both derive
 		// from the same L2 geometry).
 		want := n.IGPMetricMs(n.PoP(pair[0]), n.PoP(pair[1]))
@@ -37,7 +37,7 @@ func TestEmulatedPathDelayMatchesIGP(t *testing.T) {
 }
 
 func TestEmulatedPathSamePoP(t *testing.T) {
-	if p := fabricPath(NewNetwork(), "AMS", "AMS", EmulateOptions{}); p != nil {
+	if p := fabricPath(NewNetwork(), "AMS", "AMS"); p != nil {
 		t.Errorf("self path = %+v", p)
 	}
 }
@@ -50,23 +50,19 @@ func TestEmulationAgreesWithFastPath(t *testing.T) {
 	trace := media.GenerateTrace(media.TraceConfig{Definition: media.Def1080p, DurationSec: 60, Seed: 9})
 
 	const legLoss = 0.0005 // 0.05% per long-haul crossing
-	emu := fabricPath(n, "AMS", "SIN", EmulateOptions{
-		Seed: 4,
-		LongHaulLoss: func(rng *loss.RNG) loss.Model {
-			return loss.NewUniform(legLoss, rng)
-		},
-	})
+	emu := fabricPath(n, "AMS", "SIN")
+	crossings := 0
+	for i, l := range emu.Links {
+		if l.JitterMsSigma == longHaulJitterMs {
+			l.Loss = loss.NewUniform(legLoss, loss.NewRNG(4).Fork(uint64(i)))
+			crossings++
+		}
+	}
 	var sim netsim.Sim
 	emuStats := media.RunOverPath(&sim, emu, trace)
 	sim.RunAll()
 
 	// Fast path: one uniform model per long-haul crossing, composed.
-	crossings := 0
-	for _, l := range emu.Links {
-		if l.Loss != nil {
-			crossings++
-		}
-	}
 	if crossings == 0 {
 		t.Fatal("no lossy crossings on AMS-SIN")
 	}
@@ -98,7 +94,7 @@ func TestEmulationAgreesWithFastPath(t *testing.T) {
 
 func TestEmulatedPathJitterOnLongHaul(t *testing.T) {
 	n := NewNetwork()
-	path := fabricPath(n, "AMS", "SIN", EmulateOptions{JitterMsSigma: 2, Seed: 8})
+	path := fabricPath(n, "AMS", "SIN")
 	trace := media.GenerateTrace(media.TraceConfig{Definition: media.Def720p, DurationSec: 10, Seed: 10})
 	var sim netsim.Sim
 	st := media.RunOverPath(&sim, path, trace)

@@ -21,8 +21,7 @@ import (
 // Network IGP — and invalidates composed paths, and is only called once
 // liveness detection has noticed the fault (internal/health).
 type L2Fabric struct {
-	net  *Network
-	opts EmulateOptions
+	net *Network
 
 	mu    sync.Mutex
 	links map[[2]int]*netsim.Link // directed, keyed by 1-based PoP id pair
@@ -33,36 +32,39 @@ type L2Fabric struct {
 	blackhole *netsim.Link
 }
 
-// NewL2Fabric builds the shared links for every directed L2 adjacency:
-// one simulated link per direction, with propagation delay from
-// great-circle geometry.
-func NewL2Fabric(n *Network, opts EmulateOptions) *L2Fabric {
-	opts = opts.withDefaults()
+// The fabric's links: the overlay is well provisioned, so 1 Gbit/s
+// leaves media traffic far from saturation; long-haul crossings carry
+// residual cross-traffic jitter, intra-cluster links a tenth of it.
+const (
+	linkBandwidthMbps = 1000
+	longHaulKm        = 7000
+	longHaulJitterMs  = 0.5
+)
+
+// NewL2Fabric builds the shared, lossless links for every directed L2
+// adjacency: one simulated link per direction, with propagation delay
+// from great-circle geometry.
+func NewL2Fabric(n *Network) *L2Fabric {
 	f := &L2Fabric{
 		net:   n,
-		opts:  opts,
 		links: make(map[[2]int]*netsim.Link),
 		paths: make(map[[2]int]*netsim.Path),
 	}
-	rng := loss.NewRNG(opts.Seed ^ 0xFAB21C)
+	rng := loss.NewRNG(0xFAB21C)
 	for i, l := range n.L2Links() {
 		a, b := l[0], l[1]
 		dist := geo.DistanceKm(a.Place.Pos, b.Place.Pos)
 		for dir, ends := range [][2]*PoP{{a, b}, {b, a}} {
 			from, to := ends[0], ends[1]
-			var lm loss.Model
-			jitter := opts.JitterMsSigma / 10
-			if dist >= 7000 {
-				jitter = opts.JitterMsSigma
-				if opts.LongHaulLoss != nil {
-					lm = opts.LongHaulLoss(rng.Fork(uint64(2*i + dir)))
-				}
+			jitter := longHaulJitterMs / 10
+			if dist >= longHaulKm {
+				jitter = longHaulJitterMs
 			}
 			link := netsim.NewLink(
 				from.Code+"-"+to.Code,
 				dist/geo.KmPerMsRTT/2,
-				opts.BandwidthMbps,
-				lm,
+				linkBandwidthMbps,
+				nil,
 				rng.Fork(uint64(2*i+dir)+1000),
 			)
 			link.JitterMsSigma = jitter

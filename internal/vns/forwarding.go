@@ -78,7 +78,7 @@ func NewForwarding(pr *Peering, rr *core.GeoRR, cfg ForwardingConfig) *Forwardin
 		RR:      rr,
 		pubs:    make(map[int]*fib.Publisher, len(pr.Net.PoPs)),
 		engines: make(map[int]*fib.Engine, len(pr.Net.PoPs)),
-		fabric:  NewL2Fabric(pr.Net, EmulateOptions{}),
+		fabric:  NewL2Fabric(pr.Net),
 		tracer:  cfg.Tracer,
 	}
 	var compileObs func(time.Duration)

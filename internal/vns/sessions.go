@@ -31,7 +31,7 @@ func (k NeighborKind) String() string {
 
 // Neighbor is one external AS VNS has sessions with.
 type Neighbor struct {
-	// Index is the 1-based display ID of Figure 5: indexes 1..NumUpstreams
+	// Index is the 1-based display ID of Figure 5: indexes 1..numUpstreams
 	// are upstreams (1 = the NA-heavy tier-1), the rest peers.
 	Index    int
 	ASN      uint16
@@ -53,29 +53,14 @@ type Session struct {
 	peerAddr netip.Addr
 }
 
-// ConnectConfig controls how VNS attaches to the synthetic Internet.
-type ConnectConfig struct {
-	// NumUpstreams is the number of transit providers (default 7, per
-	// Figure 5).
-	NumUpstreams int
-	// NumPeers is the number of settlement-free peers. VNS peers openly
-	// with any interested AS; the default of 26 gives the deployment's
-	// open-peering posture while Figure 5 displays the top 20 neighbors
-	// (7 upstreams + 13 peers) as the paper does.
-	NumPeers int
-	// Seed drives tie-breaking randomness in neighbor selection.
-	Seed uint64
-}
-
-func (c ConnectConfig) withDefaults() ConnectConfig {
-	if c.NumUpstreams == 0 {
-		c.NumUpstreams = 7
-	}
-	if c.NumPeers == 0 {
-		c.NumPeers = 26
-	}
-	return c
-}
+// The neighbor set: seven transit providers, per Figure 5, and 26
+// settlement-free peers. VNS peers openly with any interested AS; 26
+// gives the deployment's open-peering posture while Figure 5 displays
+// the top 20 neighbors (7 upstreams + 13 peers) as the paper does.
+const (
+	numUpstreams = 7
+	numPeers     = 26
+)
 
 // Peering is the VNS control plane attached to a synthetic Internet:
 // the neighbor set, all eBGP sessions, and the route candidates they
@@ -94,10 +79,10 @@ type Peering struct {
 // Connect selects upstreams and peers from the topology and establishes
 // sessions following the deployment's placement policy: upstreams where
 // they have regional presence (with guaranteed transit coverage at every
-// PoP), peers at every PoP in their home region.
-func Connect(n *Network, t *topo.Topology, cfg ConnectConfig) *Peering {
-	cfg = cfg.withDefaults()
-	rng := loss.NewRNG(cfg.Seed ^ 0xa5a5)
+// PoP), peers at every PoP in their home region. seed drives
+// tie-breaking randomness in neighbor selection.
+func Connect(n *Network, t *topo.Topology, seed uint64) *Peering {
+	rng := loss.NewRNG(seed ^ 0xa5a5)
 
 	pr := &Peering{Net: n, Topo: t, candidates: make(map[uint16][]Candidate)}
 
@@ -117,8 +102,8 @@ func Connect(n *Network, t *topo.Topology, cfg ConnectConfig) *Peering {
 		}
 		return ltps[i].ASN < ltps[j].ASN
 	})
-	if len(ltps) > cfg.NumUpstreams {
-		ltps = ltps[:cfg.NumUpstreams]
+	if len(ltps) > numUpstreams {
+		ltps = ltps[:numUpstreams]
 	}
 	for i, a := range ltps {
 		nb := &Neighbor{Index: i + 1, ASN: a.ASN, Kind: Upstream, View: t.RoutesFrom(a.ASN)}
@@ -145,13 +130,13 @@ func Connect(n *Network, t *topo.Topology, cfg ConnectConfig) *Peering {
 		peerPool = append(peerPool, scored{a, float64(t.CustomerConeSize(asn)) + rng.Float64()})
 	}
 	sort.Slice(peerPool, func(i, j int) bool { return peerPool[i].cone > peerPool[j].cone })
-	for i := 0; i < cfg.NumPeers && i < len(peerPool); i++ {
+	for i := 0; i < numPeers && i < len(peerPool); i++ {
 		a := peerPool[i].a
-		nb := &Neighbor{Index: cfg.NumUpstreams + i + 1, ASN: a.ASN, Kind: Peer, View: t.RoutesFrom(a.ASN)}
+		nb := &Neighbor{Index: numUpstreams + i + 1, ASN: a.ASN, Kind: Peer, View: t.RoutesFrom(a.ASN)}
 		pr.Neighbors = append(pr.Neighbors, nb)
 	}
 
-	pr.placeSessions(cfg)
+	pr.placeSessions()
 	for i := range t.Prefixes {
 		origin := t.Prefixes[i].Origin
 		if _, ok := pr.candidates[origin]; !ok {
@@ -172,7 +157,7 @@ func naSites(a *topo.AS) int {
 }
 
 // placeSessions establishes eBGP sessions per the deployment policy.
-func (pr *Peering) placeSessions(cfg ConnectConfig) {
+func (pr *Peering) placeSessions() {
 	n := pr.Net
 	for _, nb := range pr.Neighbors {
 		a := pr.Topo.AS(nb.ASN)

@@ -14,8 +14,8 @@ import (
 func testSetup(t *testing.T) (*Network, *Peering) {
 	t.Helper()
 	n := NewNetwork()
-	tp := topo.Generate(topo.GenConfig{Seed: 3, NumAS: 800, NumLTP: 10})
-	pr := Connect(n, tp, ConnectConfig{Seed: 1})
+	tp := topo.Generate(topo.GenConfig{Seed: 3, NumAS: 800})
+	pr := Connect(n, tp, 1)
 	return n, pr
 }
 
@@ -422,7 +422,7 @@ func TestPoPLookupPanics(t *testing.T) {
 func BenchmarkCandidates(b *testing.B) {
 	n := NewNetwork()
 	tp := topo.Generate(topo.GenConfig{Seed: 3, NumAS: 2000})
-	pr := Connect(n, tp, ConnectConfig{})
+	pr := Connect(n, tp, 0)
 	asns := tp.ASNs()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -15,7 +15,7 @@ func wireDeployment(t *testing.T, maxPrefixes int) (*WireDeployment, *Peering) {
 	t.Helper()
 	n := NewNetwork()
 	tp := topo.Generate(topo.GenConfig{Seed: 5, NumAS: 300})
-	pr := Connect(n, tp, ConnectConfig{Seed: 5})
+	pr := Connect(n, tp, 5)
 	dp := NewDataPlane(pr, 5)
 
 	db := geoip.New()
