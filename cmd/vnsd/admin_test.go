@@ -89,7 +89,7 @@ func TestAdminMetricsCoversSubsystems(t *testing.T) {
 	for _, family := range []string{
 		"bgp_sessions_established",
 		"rib_prefixes_current",
-		"fib_lookups_total",
+		"fib_forwarded_total",
 		"health_hellos_tx",
 		"netsim_link_tx_packets_total",
 		"media_packets_sent_total",

@@ -130,3 +130,44 @@ func TestControllerFlapSuppression(t *testing.T) {
 		t.Error("SYD unreachable after recovery")
 	}
 }
+
+// TestControllerRepublishMs pins what failover_republish_ms samples: the
+// worst FIB build, full or delta, among the PoPs a reconvergence
+// republished. An OSL–LON failure reroutes the IGP but moves no next
+// hop, so nothing republishes and the sample is 0, not a compile from
+// before the event. A LON–ASH failure republishes most PoPs as deltas,
+// and the sample is the slowest of those builds.
+func TestControllerRepublishMs(t *testing.T) {
+	e := NewEnv(Config{Seed: 11, NumAS: 400})
+	fwd := e.Forwarding(vns.ForwardingConfig{})
+	ctl := health.NewController(fwd, e.RR, telemetry.New())
+	// fail downs the a–b link and returns the worst build among the PoPs
+	// that republished, and how many did.
+	fail := func(a, b string) (worst float64, republished int) {
+		var gens []uint64
+		for _, eng := range fwd.Engines() {
+			gens = append(gens, eng.Current().Generation())
+		}
+		if ctl.Apply(e.Net.PoP(a), e.Net.PoP(b), false) == 0 {
+			t.Fatalf("%s–%s down was not an effective transition", a, b)
+		}
+		for i, eng := range fwd.Engines() {
+			if f := eng.Current(); f.Generation() != gens[i] {
+				republished++
+				worst = max(worst, float64(f.CompileDuration())/1e6)
+			}
+		}
+		return worst, republished
+	}
+
+	if _, n := fail("OSL", "LON"); n != 0 {
+		t.Fatalf("OSL–LON down republished %d PoPs, want 0", n)
+	}
+	want, n := fail("LON", "ASH")
+	if n == 0 {
+		t.Fatal("LON–ASH down republished no PoP")
+	}
+	if got := ctl.Metrics().RepublishMs.Snapshot(); len(got) != 2 || got[0] != 0 || got[1] != want {
+		t.Errorf("republish samples = %v, want [0 %v]", got, want)
+	}
+}

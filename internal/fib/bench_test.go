@@ -92,6 +92,94 @@ func BenchmarkFIBLookupParallel(b *testing.B) {
 	<-done
 }
 
+// BenchmarkEngineLookupBesideWriter is vnsbench's dataplane workload
+// without the harness: one reader round-robins 11 engines over 65 536
+// seeded addresses (15 of 16 inside an installed /20) while a writer
+// publishes a one-prefix delta to every engine at 200 events/s. One op
+// is one lookup, so ns/op is the cost per lookup; it fails on any wrong
+// answer.
+func BenchmarkEngineLookupBesideWriter(b *testing.B) {
+	const (
+		pops     = 11
+		prefixes = 358 // the vnsbench world's table
+		addrs    = 1 << 16
+		writerHz = 200
+	)
+	// Consecutive /20s from 1.0.0.0, as the world allocates them, so the
+	// tries are as small and cache-resident as the deployment's.
+	table := make(map[netip.Prefix]NextHop, prefixes)
+	universe := make([]netip.Prefix, prefixes)
+	for i := range universe {
+		a := uint32(1)<<24 | uint32(i)<<12
+		universe[i] = netip.PrefixFrom(netip.AddrFrom4([4]byte{byte(a >> 24), byte(a >> 16), byte(a >> 8), 0}), 20)
+		table[universe[i]] = nh(1 + i%pops)
+	}
+	rng := loss.NewRNG(0xDA7A)
+	probe := make([]netip.Addr, addrs)
+	inside := make([]bool, addrs)
+	for k := range probe {
+		if k%16 == 15 {
+			probe[k] = netip.AddrFrom4([4]byte{200, byte(rng.Float64() * 256), byte(rng.Float64() * 256), byte(rng.Float64() * 256)})
+			continue
+		}
+		a := universe[int(rng.Float64()*prefixes)].Addr().As4()
+		a[2] |= byte(rng.Float64() * 16)
+		a[3] = byte(rng.Float64() * 256)
+		probe[k], inside[k] = netip.AddrFrom4(a), true
+	}
+	// Only the writer goroutine touches table: Debounce 0 resolves inside
+	// InvalidateEvent.
+	engines := make([]*Engine, pops)
+	for i := range engines {
+		engines[i] = NewEngine(i+1, Config{Resolve: func(p netip.Prefix) (NextHop, bool) {
+			h, ok := table[p]
+			return h, ok
+		}}, nil)
+		engines[i].Publisher().ResolveAll(universe)
+	}
+
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(time.Second / writerHz)
+		defer tick.Stop()
+		for k := 0; ; k++ {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+			}
+			pfx := universe[k%prefixes]
+			h := table[pfx]
+			h.Neighbor ^= 1
+			table[pfx] = h
+			for _, e := range engines {
+				e.Publisher().InvalidateEvent(0, pfx)
+			}
+		}
+	}()
+
+	var wrong int
+	e := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i & (addrs - 1)
+		if _, ok := engines[e].Lookup(probe[k]); ok != inside[k] {
+			wrong++
+		}
+		if e++; e == pops {
+			e = 0
+		}
+	}
+	b.StopTimer()
+	close(stop)
+	<-done
+	if wrong != 0 {
+		b.Errorf("%d of %d lookups answered wrongly", wrong, b.N)
+	}
+}
+
 // internetTable builds a ~400k-prefix entry set shaped like a full
 // Internet table: dense /24 coverage under a handful of /8s plus /16
 // covers, concentrated so the trie's node count stays realistic.
@@ -171,8 +259,7 @@ func BenchmarkPublisherInvalidate(b *testing.B) {
 		}
 		return h, ok
 	}})
-	pub.ResolveAll(universe)
-	b.ReportMetric(float64(pub.Current().Size()), "prefixes")
+	b.ReportMetric(float64(pub.ResolveAll(universe).Size()), "prefixes")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		flip = !flip

@@ -289,10 +289,11 @@ func TestPublisherDeltaPath(t *testing.T) {
 		mustPrefix("10.0.0.0/8"):  nh(1),
 		mustPrefix("10.1.0.0/16"): nh(2),
 	}
-	p := NewPublisher(Config{Resolve: func(pfx netip.Prefix) (NextHop, bool) {
+	e := NewEngine(1, Config{Resolve: func(pfx netip.Prefix) (NextHop, bool) {
 		h, ok := routes[pfx]
 		return h, ok
-	}})
+	}}, nil)
+	p := e.Publisher()
 	p.ResolveAll([]netip.Prefix{mustPrefix("10.0.0.0/8"), mustPrefix("10.1.0.0/16")})
 
 	// Single-prefix churn: must go through the delta path.
@@ -305,17 +306,17 @@ func TestPublisherDeltaPath(t *testing.T) {
 	if s.Compiles != 1 {
 		t.Errorf("Compiles = %d, want 1 (only the initial ResolveAll)", s.Compiles)
 	}
-	if got, _ := p.Lookup(netip.MustParseAddr("10.1.2.3")); got.PoP != 3 {
+	if got, _ := e.Lookup(netip.MustParseAddr("10.1.2.3")); got.PoP != 3 {
 		t.Errorf("after delta publish: got pop%d, want 3", got.PoP)
 	}
-	if gen := p.Current().Generation(); gen != 2 {
+	if gen := e.Current().Generation(); gen != 2 {
 		t.Errorf("generation = %d, want 2", gen)
 	}
 
 	// A withdrawal via delta: span falls back to the /8.
 	delete(routes, mustPrefix("10.1.0.0/16"))
 	p.InvalidateEvent(0, mustPrefix("10.1.0.0/16"))
-	if got, _ := p.Lookup(netip.MustParseAddr("10.1.2.3")); got.PoP != 1 {
+	if got, _ := e.Lookup(netip.MustParseAddr("10.1.2.3")); got.PoP != 1 {
 		t.Errorf("after delta withdraw: got pop%d, want 1 (cover)", got.PoP)
 	}
 	if s := p.Stats(); s.DeltaCompiles != 2 || s.Prefixes != 1 {
@@ -328,10 +329,11 @@ func TestPublisherDeltaPath(t *testing.T) {
 // probe the same way.
 func TestPublisherDeltaMatchesCompile(t *testing.T) {
 	routes := map[netip.Prefix]NextHop{mustPrefix("10.0.0.0/8"): nh(1)}
-	p := NewPublisher(Config{Resolve: func(pfx netip.Prefix) (NextHop, bool) {
+	e := NewEngine(1, Config{Resolve: func(pfx netip.Prefix) (NextHop, bool) {
 		h, ok := routes[pfx]
 		return h, ok
-	}})
+	}}, nil)
+	p := e.Publisher()
 	p.ResolveAll([]netip.Prefix{mustPrefix("10.0.0.0/8")})
 	routes[mustPrefix("10.0.0.0/8")] = nh(2)
 	routes[mustPrefix("10.1.0.0/16")] = nh(3)
@@ -339,7 +341,7 @@ func TestPublisherDeltaMatchesCompile(t *testing.T) {
 	if s := p.Stats(); s.DeltaCompiles != 1 || s.Compiles != 1 {
 		t.Fatalf("DeltaCompiles=%d Compiles=%d, want 1, 1", s.DeltaCompiles, s.Compiles)
 	}
-	got, ref := p.Current(), Compile(entriesOf(routes), 0)
+	got, ref := e.Current(), Compile(entriesOf(routes), 0)
 	for _, a := range []string{"10.0.0.1", "10.1.2.3", "10.255.255.255", "11.0.0.0"} {
 		addr := netip.MustParseAddr(a)
 		gotNH, gotOK := got.Lookup(addr)
@@ -354,13 +356,14 @@ func TestPublisherDeltaMatchesCompile(t *testing.T) {
 // a batch over the threshold recompiles (and resets the delta counter).
 func TestPublisherDeltaThresholdRoutesLargeBatch(t *testing.T) {
 	routes := make(map[netip.Prefix]NextHop)
-	p := NewPublisher(Config{
+	e := NewEngine(1, Config{
 		Debounce: time.Hour, // flush manually
 		Resolve: func(pfx netip.Prefix) (NextHop, bool) {
 			h, ok := routes[pfx]
 			return h, ok
 		},
-	})
+	}, nil)
+	p := e.Publisher()
 	// Batch of deltaThreshold+1 new prefixes: full compile.
 	for i := 0; i <= deltaThreshold; i++ {
 		pfx := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i), 0, 0}), 16)
@@ -371,8 +374,8 @@ func TestPublisherDeltaThresholdRoutesLargeBatch(t *testing.T) {
 	if s := p.Stats(); s.Compiles != 1 || s.DeltaCompiles != 0 {
 		t.Fatalf("large batch: Compiles=%d DeltaCompiles=%d, want 1, 0", s.Compiles, s.DeltaCompiles)
 	}
-	if p.Current().Deltas() != 0 {
-		t.Errorf("Deltas() = %d, want 0 after full compile", p.Current().Deltas())
+	if e.Current().Deltas() != 0 {
+		t.Errorf("Deltas() = %d, want 0 after full compile", e.Current().Deltas())
 	}
 	// One more single-prefix change: back on the delta path.
 	pfx := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 0, 0, 0}), 16)

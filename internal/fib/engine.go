@@ -17,28 +17,36 @@ type Fabric interface {
 	Path(fromPoP, toPoP int) *netsim.Path
 }
 
+// reader is the read side of one PoP's FIB: the pointer every lookup
+// loads. Only the Publisher feeding it stores through it.
+type reader struct{ cur atomic.Pointer[FIB] }
+
 // Engine is one PoP's forwarding engine: it resolves destinations
 // against the PoP's compiled FIB and drives packets hop by hop through
-// the internal fabric to the egress PoP. Lookups are against the
-// publisher's current table, so a recompile mid-stream is picked up by
-// the next packet — exactly the semantics of swapping a router's FIB
-// under live traffic.
+// the internal fabric to the egress PoP. It owns the PoP's published
+// FIB pointer, which its publisher swaps, so a recompile mid-stream is
+// picked up by the next packet — exactly the semantics of swapping a
+// router's FIB under live traffic. A lookup writes nothing.
 type Engine struct {
+	reader
 	pop    int
 	pub    *Publisher
 	fabric Fabric
 
-	lookups    atomic.Uint64
 	forwarded  atomic.Uint64
 	localExits atomic.Uint64
 	relayed    atomic.Uint64
 	noRoute    atomic.Uint64
 }
 
-// NewEngine builds the engine for the 1-based PoP id, forwarding with
-// pub's current FIB over fabric.
-func NewEngine(pop int, pub *Publisher, fabric Fabric) *Engine {
-	return &Engine{pop: pop, pub: pub, fabric: fabric}
+// NewEngine builds the engine for the 1-based PoP id, with a Publisher
+// configured by cfg that publishes into the engine's FIB pointer, and
+// forwards over fabric. The engine starts at the publisher's empty
+// generation-0 FIB.
+func NewEngine(pop int, cfg Config, fabric Fabric) *Engine {
+	e := &Engine{pop: pop, fabric: fabric}
+	e.pub = newPublisher(cfg, &e.reader)
+	return e
 }
 
 // PoP returns the owning PoP's 1-based id.
@@ -47,11 +55,16 @@ func (e *Engine) PoP() int { return e.pop }
 // Publisher returns the engine's FIB publisher (for stats and tests).
 func (e *Engine) Publisher() *Publisher { return e.pub }
 
+// Current returns the FIB lookups read now. The table is immutable, so
+// an answer and the generation it came from can be taken from one load.
+func (e *Engine) Current() *FIB { return e.cur.Load() }
+
 // Lookup resolves dst against the PoP's current FIB without sending
 // anything.
+//
+//vnslint:hotpath
 func (e *Engine) Lookup(dst netip.Addr) (NextHop, bool) {
-	e.lookups.Add(1)
-	return e.pub.Lookup(dst)
+	return e.cur.Load().Lookup(dst)
 }
 
 // Forward resolves dst and, when a route exists, injects pkt into the
@@ -63,8 +76,7 @@ func (e *Engine) Lookup(dst netip.Addr) (NextHop, bool) {
 // neither callback runs).
 func (e *Engine) Forward(sim *netsim.Sim, dst netip.Addr, pkt netsim.Packet,
 	deliver func(netsim.Packet, NextHop), drop func(hop int)) (NextHop, bool) {
-	e.lookups.Add(1)
-	nh, ok := e.pub.Lookup(dst)
+	nh, ok := e.Lookup(dst)
 	if !ok {
 		e.noRoute.Add(1)
 		return NextHop{}, false
@@ -94,15 +106,13 @@ func (e *Engine) Forward(sim *netsim.Sim, dst netip.Addr, pkt netsim.Packet,
 
 // EngineStats counts an engine's forwarding outcomes.
 type EngineStats struct {
-	// Lookups counts FIB queries (Lookup and Forward alike).
-	Lookups uint64
 	// Forwarded is the number of packets with a route (local + relayed).
 	Forwarded uint64
 	// LocalExits left through the engine's own PoP; Relayed crossed the
 	// internal fabric to another PoP first.
 	LocalExits uint64
 	Relayed    uint64
-	// NoRoute is the number of lookups that missed the FIB entirely.
+	// NoRoute is the number of packets that missed the FIB entirely.
 	NoRoute uint64
 	// FIB is the underlying publisher's state.
 	FIB Stats
@@ -111,7 +121,6 @@ type EngineStats struct {
 // Stats returns a snapshot of the engine's counters.
 func (e *Engine) Stats() EngineStats {
 	return EngineStats{
-		Lookups:    e.lookups.Load(),
 		Forwarded:  e.forwarded.Load(),
 		LocalExits: e.localExits.Load(),
 		Relayed:    e.relayed.Load(),

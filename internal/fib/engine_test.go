@@ -26,11 +26,10 @@ func TestEngineForward(t *testing.T) {
 	link := netsim.NewLink("a-b", 10, 1000, nil, nil)
 	want := NextHop{PoP: 2, Router: netip.MustParseAddr("10.0.2.1"), Neighbor: 1}
 	routed := mustPrefix("203.0.113.0/24")
-	pub := NewPublisher(Config{Resolve: func(p netip.Prefix) (NextHop, bool) {
+	eng := NewEngine(1, Config{Resolve: func(p netip.Prefix) (NextHop, bool) {
 		return want, p == routed
-	}})
-	pub.ResolveAll([]netip.Prefix{routed})
-	eng := NewEngine(1, pub, oneLinkFabric{link})
+	}}, oneLinkFabric{link})
+	eng.Publisher().ResolveAll([]netip.Prefix{routed})
 	dst := netip.MustParseAddr("203.0.113.7")
 
 	var sim netsim.Sim
@@ -68,5 +67,65 @@ func TestEngineForward(t *testing.T) {
 	sim.RunAll()
 	if st := eng.Stats(); st.Forwarded != 2 || st.Relayed != 2 || st.NoRoute != 1 {
 		t.Errorf("stats = %+v, want 2 relayed and 1 no-route", st)
+	}
+}
+
+// TestEngineSeesEveryPublish pins the one published pointer per PoP: an
+// Engine starts at its Publisher's empty generation-0 FIB, reads the
+// initial full compile and every later delta and full publish, and
+// stays on the same table across a flush that changes nothing.
+func TestEngineSeesEveryPublish(t *testing.T) {
+	sub := mustPrefix("10.1.0.0/16")
+	routes := map[netip.Prefix]NextHop{mustPrefix("10.0.0.0/8"): nh(1)}
+	e := NewEngine(1, Config{Resolve: func(pfx netip.Prefix) (NextHop, bool) {
+		h, ok := routes[pfx]
+		return h, ok
+	}}, nil)
+	p := e.Publisher()
+	if f := e.Current(); f.Generation() != 0 || f.Size() != 0 {
+		t.Fatalf("engine starts at generation %d with %d prefixes, want an empty generation 0", f.Generation(), f.Size())
+	}
+	if first := p.ResolveAll([]netip.Prefix{mustPrefix("10.0.0.0/8")}); e.Current() != first {
+		t.Fatalf("engine reads generation %d, want the published %d", e.Current().Generation(), first.Generation())
+	}
+
+	// More than deltaThreshold changed prefixes force a full compile.
+	bulk := []netip.Prefix{sub}
+	for i := 0; i <= deltaThreshold; i++ {
+		bulk = append(bulk, netip.PrefixFrom(netip.AddrFrom4([4]byte{11, 0, byte(i), 0}), 24))
+	}
+	addr := netip.MustParseAddr("10.1.2.3")
+	for _, step := range []struct {
+		name    string
+		do      func()
+		publish bool
+		pop     int
+	}{
+		{"delta", func() { routes[sub] = nh(2); p.InvalidateEvent(0, sub) }, true, 2},
+		{"skipped", func() { p.InvalidateEvent(0, sub) }, false, 2},
+		{"full", func() {
+			routes[sub] = nh(3)
+			for _, pfx := range bulk[1:] {
+				routes[pfx] = nh(4)
+			}
+			p.InvalidateEvent(0, bulk...)
+		}, true, 3},
+		{"delta-withdraw", func() { delete(routes, sub); p.InvalidateEvent(0, sub) }, true, 1},
+	} {
+		before := e.Current()
+		step.do()
+		got := e.Current()
+		if published := got != before; published != step.publish {
+			t.Errorf("%s: engine moved to a new FIB = %v, want %v", step.name, published, step.publish)
+		}
+		if s := p.Stats(); got.Generation() != s.Generation {
+			t.Errorf("%s: engine reads generation %d, publisher is at %d", step.name, got.Generation(), s.Generation)
+		}
+		if h, ok := e.Lookup(addr); !ok || h.PoP != step.pop {
+			t.Errorf("%s: Lookup(%v) = %v,%v, want pop%d", step.name, addr, h, ok, step.pop)
+		}
+	}
+	if s := p.Stats(); s.Compiles != 2 || s.DeltaCompiles != 2 || s.SkippedCompiles != 1 {
+		t.Errorf("compiles=%d deltas=%d skipped=%d, want 2, 2, 1", s.Compiles, s.DeltaCompiles, s.SkippedCompiles)
 	}
 }

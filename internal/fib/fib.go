@@ -7,9 +7,10 @@
 // IPv4: at most four array indexes per lookup, no comparisons against
 // prefix lists, no locks. A compiled FIB is immutable; updates are
 // published by compiling a fresh trie and atomically swapping the
-// pointer (see Publisher), so readers are wait-free while the control
-// plane recompiles. The reference linear-scan LPM it is differentially
-// tested against lives in the package's tests (linear_test.go).
+// pointer (owned by the Engine, the read side; stored by the Publisher,
+// the write side), so readers are wait-free while the control plane
+// recompiles. The reference linear-scan LPM it is differentially tested
+// against lives in the package's tests (linear_test.go).
 package fib
 
 import (

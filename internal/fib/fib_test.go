@@ -148,12 +148,13 @@ func TestPublisherResolveAndInvalidate(t *testing.T) {
 		mustPrefix("192.168.0.0/16"): nh(3),
 	}
 	var mu sync.Mutex
-	p := NewPublisher(Config{Resolve: func(pfx netip.Prefix) (NextHop, bool) {
+	e := NewEngine(1, Config{Resolve: func(pfx netip.Prefix) (NextHop, bool) {
 		mu.Lock()
 		defer mu.Unlock()
 		h, ok := routes[pfx]
 		return h, ok
-	}})
+	}}, nil)
+	p := e.Publisher()
 
 	universe := []netip.Prefix{mustPrefix("10.0.0.0/8"), mustPrefix("10.1.0.0/16"), mustPrefix("192.168.0.0/16")}
 	f := p.ResolveAll(universe)
@@ -166,17 +167,17 @@ func TestPublisherResolveAndInvalidate(t *testing.T) {
 	routes[mustPrefix("10.1.0.0/16")] = nh(9)
 	mu.Unlock()
 	p.InvalidateEvent(0, mustPrefix("10.1.0.0/16"))
-	if got, _ := p.Lookup(netip.MustParseAddr("10.1.2.3")); got.PoP != 9 {
+	if got, _ := e.Lookup(netip.MustParseAddr("10.1.2.3")); got.PoP != 9 {
 		t.Errorf("after invalidate: got pop%d, want 9", got.PoP)
 	}
-	if gen := p.Current().Generation(); gen != 2 {
+	if gen := e.Current().Generation(); gen != 2 {
 		t.Errorf("generation = %d, want 2", gen)
 	}
 
 	// An attribute-identical re-resolution must NOT publish a new FIB
 	// (no spurious churn).
 	p.InvalidateEvent(0, mustPrefix("10.0.0.0/8"))
-	if gen := p.Current().Generation(); gen != 2 {
+	if gen := e.Current().Generation(); gen != 2 {
 		t.Errorf("unchanged invalidate bumped generation to %d", gen)
 	}
 	if s := p.Stats(); s.SkippedCompiles != 1 {
@@ -188,7 +189,7 @@ func TestPublisherResolveAndInvalidate(t *testing.T) {
 	delete(routes, mustPrefix("192.168.0.0/16"))
 	mu.Unlock()
 	p.InvalidateEvent(0, mustPrefix("192.168.0.0/16"))
-	if _, ok := p.Lookup(netip.MustParseAddr("192.168.1.1")); ok {
+	if _, ok := e.Lookup(netip.MustParseAddr("192.168.1.1")); ok {
 		t.Error("withdrawn prefix still resolves")
 	}
 
@@ -197,7 +198,7 @@ func TestPublisherResolveAndInvalidate(t *testing.T) {
 	routes[mustPrefix("172.16.0.0/12")] = nh(4)
 	mu.Unlock()
 	p.InvalidateEvent(0, mustPrefix("172.16.0.0/12"))
-	if got, ok := p.Lookup(netip.MustParseAddr("172.20.0.1")); !ok || got.PoP != 4 {
+	if got, ok := e.Lookup(netip.MustParseAddr("172.20.0.1")); !ok || got.PoP != 4 {
 		t.Errorf("new prefix via invalidate: got %v ok=%v", got, ok)
 	}
 }
@@ -205,7 +206,7 @@ func TestPublisherResolveAndInvalidate(t *testing.T) {
 func TestPublisherDebounceBatchesBurst(t *testing.T) {
 	routes := make(map[netip.Prefix]NextHop)
 	var mu sync.Mutex
-	p := NewPublisher(Config{
+	e := NewEngine(1, Config{
 		Debounce: 20 * time.Millisecond,
 		Resolve: func(pfx netip.Prefix) (NextHop, bool) {
 			mu.Lock()
@@ -213,7 +214,8 @@ func TestPublisherDebounceBatchesBurst(t *testing.T) {
 			h, ok := routes[pfx]
 			return h, ok
 		},
-	})
+	}, nil)
+	p := e.Publisher()
 	defer p.Close()
 
 	// A burst of 100 updates must produce one recompile, after the
@@ -225,14 +227,14 @@ func TestPublisherDebounceBatchesBurst(t *testing.T) {
 		mu.Unlock()
 		p.InvalidateEvent(0, pfx)
 	}
-	if got := p.Current().Size(); got != 0 {
+	if got := e.Current().Size(); got != 0 {
 		t.Fatalf("compile ran before debounce: size=%d", got)
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for p.Current().Size() != 100 && time.Now().Before(deadline) {
+	for e.Current().Size() != 100 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	f := p.Current()
+	f := e.Current()
 	if f.Size() != 100 {
 		t.Fatalf("size = %d, want 100", f.Size())
 	}
@@ -243,13 +245,14 @@ func TestPublisherDebounceBatchesBurst(t *testing.T) {
 
 func TestPublisherFlushForcesPending(t *testing.T) {
 	routes := map[netip.Prefix]NextHop{mustPrefix("10.0.0.0/8"): nh(1)}
-	p := NewPublisher(Config{
+	e := NewEngine(1, Config{
 		Debounce: time.Hour, // effectively never fires on its own
 		Resolve: func(pfx netip.Prefix) (NextHop, bool) {
 			h, ok := routes[pfx]
 			return h, ok
 		},
-	})
+	}, nil)
+	p := e.Publisher()
 	defer p.Close()
 	p.InvalidateEvent(0, mustPrefix("10.0.0.0/8"))
 	if s := p.Stats(); s.Pending != 1 {
@@ -258,7 +261,7 @@ func TestPublisherFlushForcesPending(t *testing.T) {
 	if !p.Flush() {
 		t.Fatal("Flush reported no publish")
 	}
-	if got, ok := p.Lookup(netip.MustParseAddr("10.1.1.1")); !ok || got.PoP != 1 {
+	if got, ok := e.Lookup(netip.MustParseAddr("10.1.1.1")); !ok || got.PoP != 1 {
 		t.Errorf("after flush: got %v ok=%v", got, ok)
 	}
 }
@@ -273,7 +276,7 @@ func TestConcurrentLookupDuringRecompile(t *testing.T) {
 		mustPrefix("10.1.0.0/16"): nh(2),
 	}
 	gen := 0
-	p := NewPublisher(Config{Resolve: func(pfx netip.Prefix) (NextHop, bool) {
+	e := NewEngine(1, Config{Resolve: func(pfx netip.Prefix) (NextHop, bool) {
 		h, ok := base[pfx]
 		if !ok {
 			return NextHop{}, false
@@ -283,7 +286,8 @@ func TestConcurrentLookupDuringRecompile(t *testing.T) {
 			h = nh(2 + gen%2)
 		}
 		return h, ok
-	}})
+	}}, nil)
+	p := e.Publisher()
 	p.ResolveAll([]netip.Prefix{mustPrefix("10.0.0.0/8"), mustPrefix("10.1.0.0/16")})
 
 	var stop atomic.Bool
@@ -295,11 +299,11 @@ func TestConcurrentLookupDuringRecompile(t *testing.T) {
 			addrCovered := netip.MustParseAddr("10.1.2.3")
 			addrOuter := netip.MustParseAddr("10.200.0.1")
 			for !stop.Load() {
-				if got, ok := p.Lookup(addrCovered); !ok || (got.PoP != 2 && got.PoP != 3) {
+				if got, ok := e.Lookup(addrCovered); !ok || (got.PoP != 2 && got.PoP != 3) {
 					t.Errorf("covered lookup: %v ok=%v", got, ok)
 					return
 				}
-				if got, ok := p.Lookup(addrOuter); !ok || got.PoP != 1 {
+				if got, ok := e.Lookup(addrOuter); !ok || got.PoP != 1 {
 					t.Errorf("outer lookup: %v ok=%v", got, ok)
 					return
 				}
@@ -312,7 +316,7 @@ func TestConcurrentLookupDuringRecompile(t *testing.T) {
 	}
 	stop.Store(true)
 	wg.Wait()
-	if g := p.Current().Generation(); g < 100 {
+	if g := e.Current().Generation(); g < 100 {
 		t.Errorf("generation = %d, want many swaps", g)
 	}
 }

@@ -42,18 +42,20 @@ func FuzzFIB(f *testing.F) {
 			}
 		}
 
-		// Phase 2: equivalence across upsert/withdraw-driven recompiles.
+		// Phase 2: equivalence across upsert/withdraw-driven recompiles,
+		// read through the Engine the Publisher feeds.
 		var mu sync.Mutex
 		table := make(map[netip.Prefix]NextHop, len(entries))
 		for _, e := range entries {
 			table[e.Prefix.Masked()] = e.NextHop
 		}
-		pub := NewPublisher(Config{Resolve: func(p netip.Prefix) (NextHop, bool) {
+		eng := NewEngine(1, Config{Resolve: func(p netip.Prefix) (NextHop, bool) {
 			mu.Lock()
 			defer mu.Unlock()
 			h, ok := table[p]
 			return h, ok
-		}})
+		}}, nil)
+		pub := eng.Publisher()
 		universe := make([]netip.Prefix, 0, len(table))
 		for p := range table {
 			universe = append(universe, p)
@@ -99,7 +101,7 @@ func FuzzFIB(f *testing.F) {
 			ref := NewLinear(cur)
 			probes := []netip.Addr{dirty.Addr(), randomAddr(rng), randomAddr(rng)}
 			for _, addr := range probes {
-				gotNH, gotOK := pub.Lookup(addr)
+				gotNH, gotOK := eng.Lookup(addr)
 				wantNH, wantOK := ref.Lookup(addr)
 				if gotOK != wantOK || gotNH != wantNH {
 					t.Fatalf("op %d (dirty %v): Lookup(%v): trie=%v,%v linear=%v,%v",

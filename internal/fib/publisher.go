@@ -3,7 +3,6 @@ package fib
 import (
 	"net/netip"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"vns/internal/detsort"
@@ -72,24 +71,17 @@ type Stats struct {
 	Pending int
 }
 
-// Publisher owns the mutable side of a FIB: the resolved entry set, the
-// dirty-prefix batch, and the atomically published current compile.
-// Readers call Current()/Lookup() and never block; one or more control
-// plane goroutines drive ResolveAll/InvalidateEvent/Flush under an
-// internal lock.
+// Publisher owns the write side of a FIB: the resolved entry set, the
+// dirty-prefix batch, and every publish. Readers go through the Engine
+// it feeds and never block; one or more control plane goroutines drive
+// ResolveAll/InvalidateEvent/Flush under an internal lock.
 type Publisher struct {
 	cfg Config
 
-	// cur is loaded by every lookup on the reader goroutines while the
-	// control plane writes the fields below and allocates beside the
-	// Publisher. The pads keep every other write off cur's cache line:
-	// without them the dataplane lookup rate depended on which size
-	// class the struct fell in (at 160 bytes it dropped by up to half).
-	_   [64]byte
-	cur atomic.Pointer[FIB]
-	_   [56]byte
-
-	mu      sync.Mutex
+	mu sync.Mutex
+	// out is where publishes are stored: the owning Engine's pointer, or
+	// a reader of the Publisher's own when it has no Engine.
+	out     *reader
 	entries map[netip.Prefix]NextHop
 	dirty   map[netip.Prefix]struct{}
 	timer   *time.Timer
@@ -102,26 +94,22 @@ type Publisher struct {
 	pendingEvent uint64
 }
 
-// NewPublisher creates a Publisher that starts out publishing an empty
+// NewPublisher creates a Publisher with no Engine, for pipelines that
+// only publish. Like an Engine's, it starts out publishing an empty
 // generation-0 FIB.
-func NewPublisher(cfg Config) *Publisher {
+func NewPublisher(cfg Config) *Publisher { return newPublisher(cfg, new(reader)) }
+
+// newPublisher creates a Publisher that stores every publish through
+// out, starting with an empty generation-0 FIB.
+func newPublisher(cfg Config, out *reader) *Publisher {
 	p := &Publisher{
 		cfg:     cfg,
+		out:     out,
 		entries: make(map[netip.Prefix]NextHop),
 		dirty:   make(map[netip.Prefix]struct{}),
 	}
-	p.cur.Store(Compile(nil, 0))
+	p.out.cur.Store(Compile(nil, 0))
 	return p
-}
-
-// Current returns the most recently published FIB. The returned table
-// is immutable and remains valid (and correct for its generation) even
-// after later publishes.
-func (p *Publisher) Current() *FIB { return p.cur.Load() }
-
-// Lookup queries the current FIB.
-func (p *Publisher) Lookup(addr netip.Addr) (NextHop, bool) {
-	return p.cur.Load().Lookup(addr)
 }
 
 // ResolveAll resolves every given prefix from scratch and publishes a
@@ -235,7 +223,7 @@ func (p *Publisher) deltaEligible(n int) bool {
 	}
 	// Compaction: a long run of patches accumulates orphaned nodes, so
 	// periodically pay for a fresh build.
-	return p.cur.Load().Deltas() < deltaCompactAfter
+	return p.out.cur.Load().Deltas() < deltaCompactAfter
 }
 
 // deltaLocked publishes the patch batch as a copy-on-write delta of the
@@ -249,10 +237,10 @@ func (p *Publisher) deltaLocked(patches []Patch) *FIB {
 		}
 	}
 	p.gen++
-	f := p.cur.Load().Delta(patches, p.gen)
+	f := p.out.cur.Load().Delta(patches, p.gen)
 	p.stats.DeltaCompiles++
 	p.stats.LastDelta = f.CompileDuration()
-	p.cur.Store(f)
+	p.out.cur.Store(f)
 	if p.cfg.CompileObserver != nil {
 		//vnslint:lockheld CompileObserver is documented to run under the lock and must not call back (see Config.CompileObserver)
 		p.cfg.CompileObserver(f.CompileDuration())
@@ -286,7 +274,7 @@ func (p *Publisher) compileLocked() *FIB {
 	f := Compile(entries, p.gen)
 	p.stats.Compiles++
 	p.stats.LastCompile = f.CompileDuration()
-	p.cur.Store(f)
+	p.out.cur.Store(f)
 	if p.cfg.CompileObserver != nil {
 		//vnslint:lockheld CompileObserver is documented to run under the lock and must not call back (see Config.CompileObserver)
 		p.cfg.CompileObserver(f.CompileDuration())
@@ -300,7 +288,7 @@ func (p *Publisher) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	s := p.stats
-	f := p.cur.Load()
+	f := p.out.cur.Load()
 	s.Generation = f.Generation()
 	s.Prefixes = f.Size()
 	s.Pending = len(p.dirty)

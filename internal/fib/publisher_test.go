@@ -29,12 +29,13 @@ func TestPublisherConcurrentInvalidate(t *testing.T) {
 				prefixes[i] = netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i), 0, 0}), 16)
 				want[i].Store(1)
 			}
-			p := NewPublisher(Config{
+			e := NewEngine(1, Config{
 				Debounce: debounce,
 				Resolve: func(pfx netip.Prefix) (NextHop, bool) {
 					return NextHop{PoP: int(want[pfx.Addr().As4()[1]].Load())}, true
 				},
-			})
+			}, nil)
+			p := e.Publisher()
 			defer p.Close()
 			p.ResolveAll(prefixes)
 
@@ -51,13 +52,13 @@ func TestPublisherConcurrentInvalidate(t *testing.T) {
 						return
 					default:
 					}
-					gen := p.Current().Generation()
+					gen := e.Current().Generation()
 					if gen < lastGen {
 						readerErr.Store(fmt.Sprintf("generation went backwards: %d after %d", gen, lastGen))
 						return
 					}
 					lastGen = gen
-					p.Lookup(prefixes[int(gen)%nPrefixes].Addr())
+					e.Lookup(prefixes[int(gen)%nPrefixes].Addr())
 				}
 			}()
 
@@ -87,7 +88,7 @@ func TestPublisherConcurrentInvalidate(t *testing.T) {
 
 			p.Flush()
 			for i, pfx := range prefixes {
-				nh, ok := p.Lookup(pfx.Addr())
+				nh, ok := e.Lookup(pfx.Addr())
 				if !ok || int64(nh.PoP) != want[i].Load() {
 					t.Fatalf("prefix %v: got (%v, %v), want pop %d — dirty prefix lost",
 						pfx, nh, ok, want[i].Load())

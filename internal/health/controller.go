@@ -38,8 +38,9 @@ type ControllerMetrics struct {
 	Withdrawals, Restores        *telemetry.Counter
 	LinkUpEvents, LinkDownEvents *telemetry.Counter
 	// ConvergeMs holds whole-reconvergence wall times, RepublishMs the
-	// worst per-PoP FIB compile of each; both are bounded windows,
-	// exposed as volatile count/mean/p99 gauges.
+	// worst per-PoP FIB build (full or delta) each one published, 0 when
+	// it published none; both are bounded windows, exposed as volatile
+	// count/mean/p99 gauges.
 	ConvergeMs, RepublishMs *telemetry.Reservoir
 }
 
@@ -55,7 +56,7 @@ func NewController(fwd *vns.Forwarding, rr *core.GeoRR, reg *telemetry.Registry)
 			LinkUpEvents:   reg.Counter("failover_link_up_events", "effective link-up transitions reconverged"),
 			LinkDownEvents: reg.Counter("failover_link_down_events", "effective link-down transitions reconverged"),
 			ConvergeMs:     sampleSeries(reg, "failover_converge_ms", "wall time of one reconvergence (ms)"),
-			RepublishMs:    sampleSeries(reg, "failover_republish_ms", "worst per-PoP FIB compile of one reconvergence (ms)"),
+			RepublishMs:    sampleSeries(reg, "failover_republish_ms", "worst per-PoP FIB build (full or delta) one reconvergence published, 0 if none (ms)"),
 		}
 	}
 	return c
@@ -125,6 +126,12 @@ func (c *Controller) Apply(a, b *vns.PoP, up bool) time.Duration {
 		}
 	}
 	ev.Stage(telemetry.StageGeoRR, mark)
+	var gens []uint64 // per-PoP FIB generations before the republish
+	if c.met != nil {
+		for _, eng := range c.fwd.Engines() {
+			gens = append(gens, eng.Current().Generation())
+		}
+	}
 	mark = ev.Mark()
 	c.fwd.InvalidateAll()
 	c.fwd.Flush()
@@ -139,9 +146,9 @@ func (c *Controller) Apply(a, b *vns.PoP, up bool) time.Duration {
 		}
 		c.met.ConvergeMs.Observe(float64(took) / 1e6)
 		var worst time.Duration
-		for _, eng := range c.fwd.Engines() {
-			if lc := eng.Publisher().Stats().LastCompile; lc > worst {
-				worst = lc
+		for i, eng := range c.fwd.Engines() {
+			if f := eng.Current(); f.Generation() != gens[i] && f.CompileDuration() > worst {
+				worst = f.CompileDuration()
 			}
 		}
 		c.met.RepublishMs.Observe(float64(worst) / 1e6)

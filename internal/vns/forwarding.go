@@ -111,14 +111,14 @@ func NewForwarding(pr *Peering, rr *core.GeoRR, cfg ForwardingConfig) *Forwardin
 	}
 	for _, p := range pr.Net.PoPs {
 		vantage := p
-		pub := fib.NewPublisher(fib.Config{
+		eng := fib.NewEngine(p.ID, fib.Config{
 			Resolve:         func(pfx netip.Prefix) (fib.NextHop, bool) { return f.Resolve(vantage, pfx) },
 			Debounce:        cfg.Debounce,
 			CompileObserver: compileObs,
 			FlushObserver:   flushObs,
-		})
-		f.pubs[p.ID] = pub
-		f.engines[p.ID] = fib.NewEngine(p.ID, pub, f)
+		}, f)
+		f.engines[p.ID] = eng
+		f.pubs[p.ID] = eng.Publisher()
 	}
 	if cfg.Telemetry != nil {
 		f.registerTelemetry(cfg.Telemetry)

@@ -25,15 +25,13 @@ func (f *Forwarding) registerTelemetry(reg *telemetry.Registry) {
 				}
 			})
 	}
-	engineCounter("fib_lookups_total", "FIB queries per PoP engine",
-		func(s fib.EngineStats) uint64 { return s.Lookups })
 	engineCounter("fib_forwarded_total", "packets with a route, per ingress PoP",
 		func(s fib.EngineStats) uint64 { return s.Forwarded })
 	engineCounter("fib_local_exits_total", "packets that exited through their ingress PoP",
 		func(s fib.EngineStats) uint64 { return s.LocalExits })
 	engineCounter("fib_relayed_total", "packets relayed across the internal fabric",
 		func(s fib.EngineStats) uint64 { return s.Relayed })
-	engineCounter("fib_no_route_total", "FIB lookups that found no route",
+	engineCounter("fib_no_route_total", "packets the FIB had no route for, per ingress PoP",
 		func(s fib.EngineStats) uint64 { return s.NoRoute })
 	engineCounter("fib_compiles_total", "published full trie builds per PoP",
 		func(s fib.EngineStats) uint64 { return s.FIB.Compiles })
@@ -118,9 +116,11 @@ func (f *Forwarding) TraceRoute(vantage *PoP, dst netip.Addr) telemetry.TraceID 
 		}
 	}
 
-	eng := f.engines[vantage.ID]
-	nh, ok := eng.Lookup(dst)
-	gen := eng.Publisher().Current().Generation()
+	// One load: the answer and its generation come from the same FIB
+	// even when a publish lands mid-trace.
+	cur := f.engines[vantage.ID].Current()
+	nh, ok := cur.Lookup(dst)
+	gen := cur.Generation()
 	if !ok {
 		tr.Record(id, "fib", "lookup", now, now,
 			telemetry.Uint("generation", gen), telemetry.String("result", "no_route"))
