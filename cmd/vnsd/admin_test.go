@@ -4,40 +4,27 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"net/netip"
 	"strings"
 	"testing"
 
 	"vns/internal/adaptive"
-	"vns/internal/core"
 	"vns/internal/experiments"
-	"vns/internal/health"
-	"vns/internal/netsim"
-	"vns/internal/telemetry"
 	"vns/internal/vns"
 )
 
-// newTestAdmin assembles a small environment the way main() does —
-// reflector telemetry, health registry, forwarding plane, tracer, and
-// an adaptive controller on the same clock — and returns an httptest
-// server on the admin mux.
+// newTestAdmin deploys a small environment the way main() does — wire
+// reflector and management server, forwarding plane, liveness and
+// failover, tracer, and an adaptive controller on the same clock — and
+// returns an httptest server on the admin mux.
 func newTestAdmin(t *testing.T) (*httptest.Server, *experiments.Env) {
 	t.Helper()
-	env := experiments.NewEnv(experiments.Config{Seed: 7, NumAS: 64})
-
-	rr, err := core.NewRRServer("127.0.0.1:0", env.RR, 64512, netip.MustParseAddr("10.0.0.100"))
-	if err != nil {
-		t.Fatalf("NewRRServer: %v", err)
+	d := experiments.Deploy(experiments.Config{Seed: 7, NumAS: 64}, vns.ForwardingConfig{})
+	if err := d.Listen("127.0.0.1:0", "127.0.0.1:0"); err != nil {
+		t.Fatalf("Listen: %v", err)
 	}
-	t.Cleanup(func() { rr.Close() })
-	rr.SetTelemetry(env.Telemetry)
-
-	sim := &netsim.Sim{}
-	tracer := telemetry.NewTracer(sim.Now, telemetry.DefaultTraceCap)
-	fwd := env.Forwarding(vns.ForwardingConfig{Tracer: tracer})
-
-	mon := health.NewMonitor(sim, fwd.Fabric(), env.Telemetry)
-	mon.Start()
+	t.Cleanup(d.Close)
+	env, sim, fwd := d.Env, d.Sim, d.Fwd
+	d.Monitor.Start()
 
 	actl := adaptive.NewController(adaptive.Config{
 		Sim:       sim,
@@ -53,13 +40,13 @@ func newTestAdmin(t *testing.T) (*httptest.Server, *experiments.Env) {
 	actl.Start()
 	sim.Run(8)
 
-	feng, err := setupFlows(sim, env, fwd, env.Telemetry, 400, 25, true)
+	feng, err := setupFlows(d, 400, 25, true)
 	if err != nil {
 		t.Fatalf("setupFlows: %v", err)
 	}
 	sim.Run(12)
 
-	srv := httptest.NewServer(newAdminMux(env.Telemetry, tracer, fwd, env.Net, actl, feng))
+	srv := httptest.NewServer(newAdminMux(env.Telemetry, d.Tracer, fwd, env.Net, actl, feng))
 	t.Cleanup(srv.Close)
 	return srv, env
 }

@@ -7,10 +7,7 @@ import (
 	"vns/internal/experiments"
 	"vns/internal/flowsim"
 	"vns/internal/geo"
-	"vns/internal/netsim"
 	"vns/internal/relay"
-	"vns/internal/telemetry"
-	"vns/internal/vns"
 )
 
 // conferencePairs are the ingress/egress PoP pairs the demo flow
@@ -35,17 +32,16 @@ const directDetourFactor = 1.5
 // picked by relay.SelectPaths from the direct adjacency plus two-hop
 // detours, and the direct-Internet alternative priced at the pair's
 // great-circle delay times the detour factor.
-func setupFlows(sim *netsim.Sim, env *experiments.Env, fwd *vns.Forwarding, reg *telemetry.Registry,
-	n int, rate float64, offload bool) (*flowsim.Engine, error) {
+func setupFlows(d *experiments.Deployment, n int, rate float64, offload bool) (*flowsim.Engine, error) {
 	eng := flowsim.New(flowsim.Config{
-		Sim:       sim,
+		Sim:       d.Sim,
 		Offload:   flowsim.OffloadConfig{Enabled: offload},
-		Telemetry: reg,
+		Telemetry: d.Telemetry,
 	})
-	fabric := fwd.Fabric()
+	fabric := d.Fwd.Fabric()
 	per := n / len(conferencePairs)
 	for i, pr := range conferencePairs {
-		a, b := env.Net.PoP(pr[0]), env.Net.PoP(pr[1])
+		a, b := d.Net.PoP(pr[0]), d.Net.PoP(pr[1])
 
 		cands, links := fabric.OverlayPaths(a, b, 0)
 		choices := relay.SelectPaths(cands, 2, 30)

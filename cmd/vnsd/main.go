@@ -11,7 +11,6 @@ package main
 import (
 	"flag"
 	"log"
-	"net/netip"
 	"os"
 	"os/signal"
 	"strings"
@@ -19,12 +18,9 @@ import (
 	"time"
 
 	"vns/internal/adaptive"
-	"vns/internal/core"
 	"vns/internal/experiments"
 	"vns/internal/flowsim"
 	"vns/internal/health"
-	"vns/internal/netsim"
-	"vns/internal/telemetry"
 	"vns/internal/vns"
 )
 
@@ -51,54 +47,33 @@ func main() {
 	log.SetPrefix("vnsd: ")
 	log.SetFlags(log.Ltime)
 
-	env := experiments.NewEnv(experiments.Config{Seed: *seed, NumAS: *numAS})
-	for _, line := range strings.Split(env.Topo.ComputeStats().String(), "\n") {
-		log.Printf("world: %s", line)
-	}
-	log.Printf("world: %d eBGP sessions to %d neighbors", len(env.Peering.Sessions()), len(env.Peering.Neighbors))
-
-	rrID := netip.MustParseAddr("10.0.0.100")
-	w, err := vns.StartWireDeployment(*listen, env.DP, env.RR, rrID)
-	if err != nil {
-		log.Fatalf("starting reflector: %v", err)
-	}
-	defer w.Close()
-	w.RR.SetTelemetry(env.Telemetry)
-	log.Printf("geo route reflector listening on %s (cluster id %v)", w.RR.Addr(), rrID)
-
-	mg, err := core.NewMgmtServer(*mgmt, w.RR)
-	if err != nil {
-		log.Fatalf("starting management interface: %v", err)
-	}
-	defer mg.Close()
-	log.Printf("management interface on %s", mg.Addr())
-
-	// The tracer and BFD-lite liveness share one simulated clock,
-	// advanced in lockstep with the status ticker (5 simulated seconds
-	// per wall tick), so trace spans carry deterministic timestamps.
-	healthSim := &netsim.Sim{}
-	tracer := telemetry.NewTracer(healthSim.Now, telemetry.DefaultTraceCap)
-
-	// Compile the per-PoP forwarding plane and keep it subscribed to the
-	// reflector: management overrides and re-advertisements trigger
-	// debounced incremental FIB recompiles. Convergence stages run on
-	// wall time (the families are volatile — rendered on /metrics but
-	// excluded from deterministic snapshots), unlike the tracer's
-	// simulated clock.
+	// Convergence stages run on wall time (the families are volatile —
+	// rendered on /metrics but excluded from deterministic snapshots),
+	// unlike the tracer, whose simulated clock the status ticker advances
+	// five simulated seconds per wall tick, so trace spans carry
+	// deterministic timestamps. FIB recompiles are debounced: management
+	// overrides and re-advertisements trigger incremental republishes.
 	startedAt := time.Now() //vnslint:wallclock convergence stage latencies measure real compute
-	fwd := env.Forwarding(vns.ForwardingConfig{
+	d := experiments.Deploy(experiments.Config{Seed: *seed, NumAS: *numAS}, vns.ForwardingConfig{
 		Debounce: 50 * time.Millisecond,
-		Tracer:   tracer,
 		ConvergenceClock: func() float64 {
 			return time.Since(startedAt).Seconds() //vnslint:wallclock convergence stage latencies measure real compute
 		},
 	})
-	env.Telemetry.MarkVolatile(telemetry.ConvVolatileFamilies...)
-	// The reflector joins the same event space: every UPDATE batch it
-	// ingests becomes an "update" convergence event whose compiles the
-	// publishers attribute back through the event ID.
-	w.RR.SetConvergence(fwd.Convergence())
+	env, fwd, healthSim := d.Env, d.Fwd, d.Sim
+	for _, line := range strings.Split(env.Topo.ComputeStats().String(), "\n") {
+		log.Printf("world: %s", line)
+	}
+	log.Printf("world: %d eBGP sessions to %d neighbors", len(env.Peering.Sessions()), len(env.Peering.Neighbors))
 	log.Printf("forwarding plane: %d per-PoP FIBs compiled", len(fwd.Engines()))
+
+	if err := d.Listen(*listen, *mgmt); err != nil {
+		log.Fatalf("starting reflector: %v", err)
+	}
+	defer d.Close()
+	w := d.Wire
+	log.Printf("geo route reflector listening on %s (cluster id %v)", w.RR.Addr(), experiments.ReflectorID)
+	log.Printf("management interface on %s", d.Mgmt.Addr())
 
 	// Measured-delay adaptive routing: probe rounds ride the health
 	// clock, overrides land on the same reflector vnsctl manages.
@@ -131,7 +106,8 @@ func main() {
 	// and adaptive probing.
 	var feng *flowsim.Engine
 	if *flowsN > 0 {
-		feng, err = setupFlows(healthSim, env, fwd, env.Telemetry, *flowsN, *flowsRate, *flowsOffload)
+		var err error
+		feng, err = setupFlows(d, *flowsN, *flowsRate, *flowsOffload)
 		if err != nil {
 			log.Fatalf("flows: %v", err)
 		}
@@ -139,7 +115,7 @@ func main() {
 			*flowsN, *flowsRate, len(conferencePairs), *flowsOffload)
 	}
 
-	adminSrv, adminAddr, adminDone, err := startAdmin(*admin, env.Telemetry, tracer, fwd, env.Net, actl, feng)
+	adminSrv, adminAddr, adminDone, err := startAdmin(*admin, env.Telemetry, d.Tracer, fwd, env.Net, actl, feng)
 	if err != nil {
 		log.Fatalf("starting admin endpoint: %v", err)
 	}
@@ -151,9 +127,7 @@ func main() {
 
 	// Liveness and failover: BFD-lite sessions over every L2 link of the
 	// shared fabric, detected failures feeding the failover controller.
-	mon := health.NewMonitor(healthSim, fwd.Fabric(), env.Telemetry)
-	ctl := health.NewController(fwd, env.RR, env.Telemetry)
-	ctl.Bind(mon)
+	mon, ctl := d.Monitor, d.Controller
 	mon.Start()
 	log.Printf("liveness: %d link sessions at %.0fms hellos, detect multiplier %d",
 		len(mon.Sessions()), health.TxIntervalMs, health.Multiplier)
@@ -164,9 +138,8 @@ func main() {
 			log.Fatalf("bad -faillink %q, want e.g. SIN-SYD", *failLink)
 		}
 		a, b := env.Net.PoP(codes[0]), env.Net.PoP(codes[1])
-		inj := health.NewInjector(healthSim, fwd.Fabric(), env.Telemetry)
-		inj.LinkDownAt(failAt.Seconds(), a, b)
-		inj.LinkUpAt((*failAt + *failFor).Seconds(), a, b)
+		d.Injector.LinkDownAt(failAt.Seconds(), a, b)
+		d.Injector.LinkUpAt((*failAt + *failFor).Seconds(), a, b)
 		log.Printf("fault demo: %s-%s down at t=%v for %v", a.Code, b.Code, *failAt, *failFor)
 	}
 

@@ -51,35 +51,31 @@ func TestConvStatusLine(t *testing.T) {
 }
 
 // TestFIBStatusGolden drives a real (small) deployment through a drain
-// and restore and golden-diffs the daemon's per-PoP FIB status lines.
-// The lines contain only virtual-clock state, so the transcript is
-// byte-stable; regenerate with
+// and restore on the failover controller, the path vnsctl egress-down
+// and egress-up take, and golden-diffs the daemon's per-PoP FIB status
+// lines. The lines contain only virtual-clock state, so the transcript
+// is byte-stable; regenerate with
 //
 //	go test ./cmd/vnsd -run Golden -update
 func TestFIBStatusGolden(t *testing.T) {
-	env := experiments.NewEnv(experiments.Config{NumAS: 60})
-	fwd := env.Forwarding(vns.ForwardingConfig{}) // synchronous recompiles
+	d := experiments.Deploy(experiments.Config{NumAS: 60}, vns.ForwardingConfig{}) // synchronous recompiles
 
 	var b strings.Builder
 	snapshot := func(label string) {
 		fmt.Fprintf(&b, "== %s\n", label)
-		for _, eng := range fwd.Engines() {
+		for _, eng := range d.Fwd.Engines() {
 			s := eng.Stats().FIB
-			fmt.Fprintf(&b, "%s\n", fibStatusLine(env.Net.PoPByID(eng.PoP()).Code, s))
+			fmt.Fprintf(&b, "%s\n", fibStatusLine(d.Net.PoPByID(eng.PoP()).Code, s))
 		}
 	}
 
 	snapshot("initial")
 
 	drained := netip.MustParseAddr("10.0.7.1") // SIN router 1
-	env.RR.SetEgressDown(drained, true)
-	fwd.InvalidateAll()
-	fwd.Flush()
+	d.Controller.Drain(drained, true)
 	snapshot("egress-down SIN:1")
 
-	env.RR.SetEgressDown(drained, false)
-	fwd.InvalidateAll()
-	fwd.Flush()
+	d.Controller.Drain(drained, false)
 	snapshot("egress-up SIN:1")
 
 	golden := filepath.Join("testdata", "fib_status.golden")

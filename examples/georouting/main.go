@@ -30,7 +30,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	rr := core.New(core.Config{DB: db, ClusterID: netip.MustParseAddr("10.0.0.100")})
+	rr := core.New(core.Config{DB: db})
 	egresses := []struct {
 		id   string
 		city string
@@ -47,6 +47,8 @@ func main() {
 		})
 	}
 
+	// The router ID is also the reflector's cluster ID: reflected routes
+	// carry it in their CLUSTER_LIST.
 	srv, err := core.NewRRServer("127.0.0.1:0", rr, 65000, netip.MustParseAddr("10.0.0.100"))
 	if err != nil {
 		log.Fatal(err)

@@ -7,10 +7,10 @@ import (
 	"testing"
 	"time"
 
-	"vns/internal/core"
 	"vns/internal/experiments"
 	"vns/internal/media"
 	"vns/internal/netsim"
+	"vns/internal/telemetry"
 	"vns/internal/vns"
 )
 
@@ -149,36 +149,34 @@ func TestEndToEndForwardingCongruence(t *testing.T) {
 }
 
 // TestEndToEndWireControlPlane runs the control plane over real BGP/TCP
-// with the management interface, exactly as cmd/vnsd and cmd/vnsctl do.
+// with the management interface, deployed as cmd/vnsd deploys it and
+// driven as cmd/vnsctl drives it.
 func TestEndToEndWireControlPlane(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
-	env := experiments.NewEnv(experiments.Config{Seed: 321, NumAS: 400})
-	w, err := vns.StartWireDeployment("127.0.0.1:0", env.DP, env.RR, netip.MustParseAddr("10.0.0.100"))
-	if err != nil {
+	d := experiments.Deploy(experiments.Config{Seed: 321, NumAS: 400}, vns.ForwardingConfig{})
+	if err := d.Listen("127.0.0.1:0", "127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
-	mg, err := core.NewMgmtServer("127.0.0.1:0", w.RR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mg.Close()
+	defer d.Close()
+	env, w, mg := d.Env, d.Wire, d.Mgmt
 
 	if err := w.ConnectEgresses(50); err != nil {
 		t.Fatal(err)
 	}
-	// Ingest barrier, as internal/vns/wire_test.go's awaitIngest (test
-	// code cannot be shared across packages): every announcement passes
-	// through GeoRR.Assign once, under the lock that applies it to the
-	// Loc-RIB, and nothing else calls Assign on this reflector.
+	// Ingest barrier: every announcement is its own UPDATE, and the
+	// reflector records one forwarding stage per UPDATE, after applying
+	// it to the Loc-RIB and under the lock that does. (GeoRR.Assign
+	// counts cannot serve, as internal/vns/wire_test.go's awaitIngest
+	// uses them: the forwarding plane's resolves call Assign too.)
 	want := uint64(0)
 	for _, c := range w.AnnounceCounts() {
 		want += uint64(c)
 	}
+	conv := d.Fwd.Convergence()
 	deadline := time.Now().Add(30 * time.Second)
-	for got, _ := env.RR.Stats(); got < want; got, _ = env.RR.Stats() {
+	for got := conv.StageCount(telemetry.StageForwarding); got < want; got = conv.StageCount(telemetry.StageForwarding) {
 		if time.Now().After(deadline) {
 			t.Fatalf("reflector ingested %d of %d announcements", got, want)
 		}

@@ -83,8 +83,6 @@ type Config struct {
 	DB *geoip.DB
 	// LocalPref maps distance to preference; nil means LinearLocalPref.
 	LocalPref LocalPrefFunc
-	// ClusterID is the reflector's RFC 4456 cluster identifier.
-	ClusterID netip.Addr
 	// Telemetry, when non-nil, receives assignment-outcome counters and
 	// collectors for the processed/miss totals.
 	Telemetry *telemetry.Registry
@@ -315,8 +313,10 @@ func (rr *GeoRR) Assign(from netip.Addr, prefix netip.Prefix) Decision {
 // restored (down=false) for liveness purposes and reports whether the
 // state changed. While down, Assign refuses to prefer the router's
 // routes, so reselection falls to the geographically next-best healthy
-// egress. The failover controller (internal/health) is the intended
-// caller; the management interface exposes it for drains.
+// egress. It republishes nothing: the failover controller
+// (internal/health) calls it from its link-state sweep and its Drain,
+// and republishes the FIBs itself; Drain is what the management
+// interface's egress-down and egress-up reach in a deployment.
 func (rr *GeoRR) SetEgressDown(id netip.Addr, down bool) bool {
 	rr.mu.Lock()
 	defer rr.mu.Unlock()
@@ -382,9 +382,10 @@ func (rr *GeoRR) NotifyChanged(prefixes ...netip.Prefix) {
 }
 
 // ProcessUpdateQuiet applies geo-routing to one received UPDATE from
-// an egress router and returns the modified update to re-advertise to
-// all other iBGP peers (RFC 4456 reflection with the geo local-pref
-// rewrite); withdrawals pass through. It does not notify change
+// an egress router and returns it with the geo local-pref rewrite on a
+// copy of its attributes; withdrawals pass through. The RFC 4456
+// reflection attributes are the wire reflector's to stamp (RRServer),
+// since they carry its identity. It does not notify change
 // subscribers: a caller ingesting a whole UPDATE (RRServer) processes
 // every NLRI through this, then delivers one NotifyChanged for the
 // union, so the forwarding plane's per-PoP publishers flush once per
@@ -404,24 +405,9 @@ func (rr *GeoRR) ProcessUpdateQuiet(from netip.Addr, u bgp.Update) bgp.Update {
 		attrs.LocalPref = dec.LocalPref
 		attrs.HasLocalPref = true
 	}
-	attrs = reflectAttrs(attrs, from, rr.cfg.ClusterID)
 	out.Attrs = attrs
 	out.NLRI = u.NLRI
 	return out
-}
-
-// reflectAttrs is the RFC 4456 attribute rule: stamp ORIGINATOR_ID with
-// the originating router unless already set, and prepend the reflector's
-// cluster ID to the CLUSTER_LIST. The caller has already dropped routes
-// whose CLUSTER_LIST contains this cluster (the loop check).
-func reflectAttrs(attrs bgp.Attrs, originator, clusterID netip.Addr) bgp.Attrs {
-	if !attrs.OriginatorID.IsValid() {
-		attrs.OriginatorID = originator
-	}
-	if clusterID.IsValid() {
-		attrs.ClusterList = append([]netip.Addr{clusterID}, attrs.ClusterList...)
-	}
-	return attrs
 }
 
 // DB returns the geolocation database the reflector queries (the

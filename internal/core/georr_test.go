@@ -28,7 +28,7 @@ func testRR(t *testing.T) (*GeoRR, *geoip.DB) {
 	must(db.Insert(geoip.Record{Prefix: prefix("10.2.0.0/16"), Pos: geo.MustLookup("NewYork").Pos, Country: "US", Region: geo.RegionNA}))
 	must(db.Insert(geoip.Record{Prefix: prefix("10.3.0.0/16"), Pos: geo.MustLookup("HongKong").Pos, Country: "HK", Region: geo.RegionAP}))
 
-	rr := New(Config{DB: db, ClusterID: addr("10.0.0.100")})
+	rr := New(Config{DB: db})
 	rr.AddEgress(Egress{ID: addr("10.0.1.1"), Pos: geo.MustLookup("Amsterdam").Pos, PoP: "AMS"})
 	rr.AddEgress(Egress{ID: addr("10.0.2.1"), Pos: geo.MustLookup("Ashburn").Pos, PoP: "ASH"})
 	rr.AddEgress(Egress{ID: addr("10.0.3.1"), Pos: geo.MustLookup("HongKong").Pos, PoP: "HK"})
@@ -229,11 +229,10 @@ func TestProcessUpdateRewritesLocalPref(t *testing.T) {
 	if !out.Attrs.HasLocalPref || out.Attrs.LocalPref < 1000 {
 		t.Errorf("local pref not rewritten: %+v", out.Attrs)
 	}
-	if out.Attrs.OriginatorID != addr("10.0.1.1") {
-		t.Errorf("originator = %v", out.Attrs.OriginatorID)
-	}
-	if len(out.Attrs.ClusterList) != 1 || out.Attrs.ClusterList[0] != addr("10.0.0.100") {
-		t.Errorf("cluster list = %v", out.Attrs.ClusterList)
+	// The reflection attributes are the wire reflector's to stamp.
+	if out.Attrs.OriginatorID.IsValid() || len(out.Attrs.ClusterList) != 0 {
+		t.Errorf("reflection attributes stamped: originator=%v cluster list=%v",
+			out.Attrs.OriginatorID, out.Attrs.ClusterList)
 	}
 	// Input attributes untouched.
 	if in.Attrs.HasLocalPref {
@@ -243,7 +242,7 @@ func TestProcessUpdateRewritesLocalPref(t *testing.T) {
 
 // TestReflectStampsAttributes pins the RFC 4456 attribute rule: stamp
 // the originator once, prepend the cluster ID each hop, leave the input
-// alone, and skip the prepend for a reflector without a cluster ID.
+// alone.
 func TestReflectStampsAttributes(t *testing.T) {
 	in := bgp.Attrs{ASPath: []bgp.ASPathSegment{{ASNs: []uint16{100}}}}
 	orig, cluster := addr("10.0.0.7"), addr("10.0.0.100")
@@ -264,9 +263,6 @@ func TestReflectStampsAttributes(t *testing.T) {
 	}
 	if len(in.ClusterList) != 0 || len(out.ClusterList) != 1 {
 		t.Error("reflectAttrs mutated its input")
-	}
-	if out3 := reflectAttrs(in, orig, netip.Addr{}); len(out3.ClusterList) != 0 {
-		t.Errorf("cluster list without a cluster ID = %v", out3.ClusterList)
 	}
 }
 

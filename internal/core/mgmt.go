@@ -26,22 +26,28 @@ import (
 //	stats                            counters
 //
 // Responses are a single "OK", "ERR <reason>", or data lines terminated
-// by a blank line.
+// by a blank line. Overrides reach the FIBs through the reflector's change
+// notifications; drains change no route, so they go through the server's
+// drain function, which in a deployment republishes every PoP's FIB
+// (health.Controller.Drain).
 type MgmtServer struct {
-	srv *RRServer
-	ln  net.Listener
-	wg  sync.WaitGroup
+	srv   *RRServer
+	drain func(router netip.Addr, down bool) bool
+	ln    net.Listener
+	wg    sync.WaitGroup
 
 	closeOnce sync.Once
 }
 
-// NewMgmtServer starts the management listener on addr.
-func NewMgmtServer(addr string, srv *RRServer) (*MgmtServer, error) {
+// NewMgmtServer starts the management listener on addr. drain takes an
+// egress router out of service (down) or returns it and reports whether
+// its state changed.
+func NewMgmtServer(addr string, srv *RRServer, drain func(router netip.Addr, down bool) bool) (*MgmtServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	m := &MgmtServer{srv: srv, ln: ln}
+	m := &MgmtServer{srv: srv, drain: drain, ln: ln}
 	m.wg.Add(1)
 	go m.acceptLoop()
 	return m, nil
@@ -172,7 +178,7 @@ func (m *MgmtServer) Execute(line string) string {
 		if e != "" {
 			return e
 		}
-		rr.SetEgressDown(a, cmd == "egress-down")
+		m.drain(a, cmd == "egress-down")
 		return "OK"
 
 	case "show":

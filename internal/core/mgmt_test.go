@@ -11,7 +11,7 @@ import (
 func mgmtSetup(t *testing.T) (*MgmtServer, *RRServer) {
 	t.Helper()
 	srv := wireRR(t)
-	m, err := NewMgmtServer("127.0.0.1:0", srv)
+	m, err := NewMgmtServer("127.0.0.1:0", srv, srv.GeoRR().SetEgressDown)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -217,7 +217,8 @@ func (s *RRServer) purgePeer(peerID netip.Addr) {
 // local-pref and are reflected to all other peers (splitting
 // multi-prefix NLRI so each prefix geolocates independently).
 func (s *RRServer) handleUpdate(from netip.Addr, u bgp.Update) {
-	// Reflection loop check (RFC 4456 §8).
+	// Reflection loop check (RFC 4456 §8); the cluster ID is the router
+	// ID, as reflectAttrs stamps it.
 	if u.Attrs.HasClusterLoop(s.cfg.LocalID) {
 		return
 	}
@@ -239,6 +240,7 @@ func (s *RRServer) handleUpdate(from netip.Addr, u bgp.Update) {
 	for _, p := range u.NLRI {
 		single := bgp.Update{Attrs: u.Attrs, NLRI: []netip.Prefix{p}}
 		out := s.rr.ProcessUpdateQuiet(from, single)
+		out.Attrs = reflectAttrs(out.Attrs, from, s.cfg.LocalID)
 		ops = append(ops, rib.Announce(&rib.Route{
 			Prefix:   p,
 			Attrs:    out.Attrs,
@@ -298,6 +300,18 @@ func (s *RRServer) handleUpdate(from netip.Addr, u bgp.Update) {
 			_ = sess.SendUpdate(out)
 		}
 	}
+}
+
+// reflectAttrs is the RFC 4456 attribute rule: stamp ORIGINATOR_ID with
+// the originating router unless already set, and prepend the reflector's
+// cluster ID to the CLUSTER_LIST. The reflector's cluster ID is its
+// router ID, the one the loop check in handleUpdate drops routes on.
+func reflectAttrs(attrs bgp.Attrs, originator, clusterID netip.Addr) bgp.Attrs {
+	if !attrs.OriginatorID.IsValid() {
+		attrs.OriginatorID = originator
+	}
+	attrs.ClusterList = append([]netip.Addr{clusterID}, attrs.ClusterList...)
+	return attrs
 }
 
 // ErrNotEstablished reports a dial that never reached Established.

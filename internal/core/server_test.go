@@ -73,7 +73,8 @@ func TestRRServerReflectsWithGeoPref(t *testing.T) {
 		if u.Attrs.OriginatorID != addr("10.0.1.1") {
 			t.Errorf("originator = %v", u.Attrs.OriginatorID)
 		}
-		if len(u.Attrs.ClusterList) != 1 {
+		// The cluster ID is the reflector's router ID.
+		if len(u.Attrs.ClusterList) != 1 || u.Attrs.ClusterList[0] != addr("10.0.0.100") {
 			t.Errorf("cluster list = %v", u.Attrs.ClusterList)
 		}
 	case <-time.After(5 * time.Second):

@@ -8,8 +8,6 @@ import (
 	"vns/internal/detsort"
 	"vns/internal/health"
 	"vns/internal/media"
-	"vns/internal/netsim"
-	"vns/internal/telemetry"
 	"vns/internal/vns"
 )
 
@@ -71,32 +69,31 @@ type FailoverResult struct {
 	HellosTx uint64
 }
 
-// FailoverStudy builds its own environment (it mutates link state),
+// FailoverStudy deploys its own environment (it mutates link state),
 // runs the SIN-SYD failure scenario under an active stream, and
 // returns the measurements. The scenario is deterministic in cfg.
 func FailoverStudy(cfg Config) *FailoverResult {
-	e := NewEnv(cfg)
-	fwd := e.Forwarding(vns.ForwardingConfig{})
-	fab := fwd.Fabric()
-	lon, sin, syd := e.Net.PoP("LON"), e.Net.PoP("SIN"), e.Net.PoP("SYD")
+	d := Deploy(cfg, vns.ForwardingConfig{})
+	fwd, sim, mon := d.Fwd, d.Sim, d.Monitor
+	lon, sin, syd := d.Net.PoP("LON"), d.Net.PoP("SIN"), d.Net.PoP("SYD")
 
 	res := &FailoverResult{}
 
 	// A destination London sends to Sydney. Prefer one geography picks
 	// naturally; otherwise pin one there with the management interface.
 	eng := fwd.Engine("LON")
-	for i := range e.Topo.Prefixes {
-		pi := &e.Topo.Prefixes[i]
+	for i := range d.Topo.Prefixes {
+		pi := &d.Topo.Prefixes[i]
 		if nh, ok := eng.Lookup(pi.Prefix.Addr()); ok && nh.PoP == syd.ID {
 			res.Prefix = pi.Prefix
 			break
 		}
 	}
 	if !res.Prefix.IsValid() {
-		for i := range e.Topo.Prefixes {
-			pi := &e.Topo.Prefixes[i]
+		for i := range d.Topo.Prefixes {
+			pi := &d.Topo.Prefixes[i]
 			if _, ok := eng.Lookup(pi.Prefix.Addr()); ok {
-				if err := e.RR.ForceExit(pi.Prefix, syd.Routers[0]); err == nil {
+				if err := d.RR.ForceExit(pi.Prefix, syd.Routers[0]); err == nil {
 					res.Prefix, res.Forced = pi.Prefix, true
 					fwd.Flush()
 					break
@@ -108,18 +105,11 @@ func FailoverStudy(cfg Config) *FailoverResult {
 		return res
 	}
 
-	sim := &netsim.Sim{}
-	reg := telemetry.New()
-	mon := health.NewMonitor(sim, fab, reg)
-	ctl := health.NewController(fwd, e.RR, reg)
-	ctl.Bind(mon)
-
 	var events []health.Event
 	mon.OnEvent(func(ev health.Event) { events = append(events, ev) })
 
-	inj := health.NewInjector(sim, fab, reg)
-	inj.LinkDownAt(failoverFailAtSec, sin, syd)
-	inj.LinkUpAt(failoverHealAtSec, sin, syd)
+	d.Injector.LinkDownAt(failoverFailAtSec, sin, syd)
+	d.Injector.LinkUpAt(failoverHealAtSec, sin, syd)
 
 	tr := media.GenerateTrace(media.TraceConfig{DurationSec: failoverEndSec - 5, Seed: failoverTraceSeed})
 	st, egress := fwd.ForwardStream(sim, lon, res.Prefix.Addr(), tr)
@@ -129,7 +119,7 @@ func FailoverStudy(cfg Config) *FailoverResult {
 	// Phase 1: run into the outage, sample the failed-over state.
 	sim.Run(failoverHealAtSec - 0.5)
 	if nh, ok := eng.Lookup(res.Prefix.Addr()); ok {
-		res.FailEgress = e.Net.PoPByID(nh.PoP).Code
+		res.FailEgress = d.Net.PoPByID(nh.PoP).Code
 	}
 	match, total := fwd.Congruence(lon)
 	if total > 0 {
@@ -142,7 +132,7 @@ func FailoverStudy(cfg Config) *FailoverResult {
 	sim.RunAll()
 
 	if nh, ok := eng.Lookup(res.Prefix.Addr()); ok {
-		res.RestoredEgress = e.Net.PoPByID(nh.PoP).Code
+		res.RestoredEgress = d.Net.PoPByID(nh.PoP).Code
 	}
 	match, total = fwd.Congruence(lon)
 	if total > 0 {
@@ -157,10 +147,10 @@ func FailoverStudy(cfg Config) *FailoverResult {
 			res.RecoverySec = ev.At - failoverHealAtSec
 		}
 	}
-	prop := fab.Link(sin, syd).PropDelayMs / 1000
+	prop := fwd.Fabric().Link(sin, syd).PropDelayMs / 1000
 	res.DetectionBoundSec = prop + health.TxIntervalMs*(health.Multiplier+1)/1000
 
-	cm := ctl.Metrics()
+	cm := d.Controller.Metrics()
 	res.Withdrawals = cm.Withdrawals.Value()
 	res.Restores = cm.Restores.Value()
 	res.ConvergeMs = cm.ConvergeMs.Snapshot()
@@ -186,7 +176,7 @@ func FailoverStudy(cfg Config) *FailoverResult {
 		res.OrigEgress = syd.Code
 	}
 	if bestOther != 0 && res.FailEgress == "" {
-		res.FailEgress = e.Net.PoPByID(bestOther).Code
+		res.FailEgress = d.Net.PoPByID(bestOther).Code
 	}
 	return res
 }

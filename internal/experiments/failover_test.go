@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"vns/internal/health"
-	"vns/internal/netsim"
-	"vns/internal/telemetry"
 	"vns/internal/vns"
 )
 
@@ -92,26 +90,18 @@ func TestFailoverStudyDeterministic(t *testing.T) {
 // must collapse six flap cycles into at most one withdraw/restore
 // cycle per router.
 func TestControllerFlapSuppression(t *testing.T) {
-	e := NewEnv(Config{Seed: 11, NumAS: 400})
-	fwd := e.Forwarding(vns.ForwardingConfig{})
-	sin, syd := e.Net.PoP("SIN"), e.Net.PoP("SYD")
+	d := Deploy(Config{Seed: 11, NumAS: 400}, vns.ForwardingConfig{})
+	sin, syd := d.Net.PoP("SIN"), d.Net.PoP("SYD")
 
-	sim := &netsim.Sim{}
-	reg := telemetry.New()
-	mon := health.NewMonitor(sim, fwd.Fabric(), reg)
-	ctl := health.NewController(fwd, e.RR, reg)
-	ctl.Bind(mon)
+	d.Injector.FlapLink(sin, syd, 1.0, 0.5, 6)
 
-	inj := health.NewInjector(sim, fwd.Fabric(), reg)
-	inj.FlapLink(sin, syd, 1.0, 0.5, 6)
-
-	mon.Start()
-	sim.Run(8)
-	mon.Stop()
-	sim.RunAll()
+	d.Monitor.Start()
+	d.Sim.Run(8)
+	d.Monitor.Stop()
+	d.Sim.RunAll()
 
 	// One down and one up per router across the whole episode.
-	cm := ctl.Metrics()
+	cm := d.Controller.Metrics()
 	if w := cm.Withdrawals.Value(); w != vns.RoutersPerPoP {
 		t.Errorf("withdrawals = %d, want %d", w, vns.RoutersPerPoP)
 	}
@@ -122,11 +112,11 @@ func TestControllerFlapSuppression(t *testing.T) {
 		t.Errorf("link down events = %d, want 1", d)
 	}
 	for _, r := range syd.Routers {
-		if e.RR.EgressDown(r) {
+		if d.RR.EgressDown(r) {
 			t.Errorf("router %v still withdrawn after flapping stopped", r)
 		}
 	}
-	if !e.Net.Reachable(sin, syd) {
+	if !d.Net.Reachable(sin, syd) {
 		t.Error("SYD unreachable after recovery")
 	}
 }
@@ -138,9 +128,8 @@ func TestControllerFlapSuppression(t *testing.T) {
 // before the event. A LON–ASH failure republishes most PoPs as deltas,
 // and the sample is the slowest of those builds.
 func TestControllerRepublishMs(t *testing.T) {
-	e := NewEnv(Config{Seed: 11, NumAS: 400})
-	fwd := e.Forwarding(vns.ForwardingConfig{})
-	ctl := health.NewController(fwd, e.RR, telemetry.New())
+	d := Deploy(Config{Seed: 11, NumAS: 400}, vns.ForwardingConfig{})
+	fwd, ctl := d.Fwd, d.Controller
 	// fail downs the a–b link and returns the worst build among the PoPs
 	// that republished, and how many did.
 	fail := func(a, b string) (worst float64, republished int) {
@@ -148,7 +137,7 @@ func TestControllerRepublishMs(t *testing.T) {
 		for _, eng := range fwd.Engines() {
 			gens = append(gens, eng.Current().Generation())
 		}
-		if ctl.Apply(e.Net.PoP(a), e.Net.PoP(b), false) == 0 {
+		if ctl.Apply(d.Net.PoP(a), d.Net.PoP(b), false) == 0 {
 			t.Fatalf("%s–%s down was not an effective transition", a, b)
 		}
 		for i, eng := range fwd.Engines() {

@@ -100,19 +100,11 @@ var flowsTemplates = []flowsGroupTemplate{
 	{name: "direct-only", share: 0.10, directMs: 70, directLn: 0.005},
 }
 
-// FlowStudy runs the population to quiescence and checks conservation.
-func FlowStudy(cfg FlowsConfig) *FlowsResult {
-	cfg = cfg.withDefaults()
-	sim := &netsim.Sim{}
-	eng := flowsim.New(flowsim.Config{
-		Sim:      sim,
-		Shards:   flowShards,
-		EpochSec: cfg.EpochSec,
-		Offload:  flowsim.OffloadConfig{Enabled: true},
-	})
-
+// addTemplateFlows spreads a population of n flows over flowsTemplates
+// by share, at least one flow per template (the flow and soak studies).
+func addTemplateFlows(eng *flowsim.Engine, n int) {
 	for _, t := range flowsTemplates {
-		n := int(float64(cfg.Flows) * t.share)
+		cnt := max(int(float64(n)*t.share), 1)
 		var paths []flowsim.PathSpec
 		for pi, d := range t.delays {
 			var lm loss.Model
@@ -122,13 +114,12 @@ func FlowStudy(cfg FlowsConfig) *FlowsResult {
 			// Size each dedicated link for its share of the load with 30%
 			// headroom, so queueing is visible but not the story.
 			share := 1.0 / float64(len(t.delays))
-			loadMbps := float64(n) * share * flowRatePps * 1200 * 8 / 1e6
+			loadMbps := float64(cnt) * share * flowRatePps * 1200 * 8 / 1e6
 			l := netsim.NewLink(t.name, d, loadMbps*1.3, lm, nil)
 			l.QueueLimit = 1 << 20
 			paths = append(paths, flowsim.PathSpec{
 				Name:   fmt.Sprintf("%s/p%d", t.name, pi),
 				Links:  []*netsim.Link{l},
-				TailMs: 0,
 				Weight: share,
 			})
 		}
@@ -143,10 +134,24 @@ func FlowStudy(cfg FlowsConfig) *FlowsResult {
 		if err != nil {
 			panic(err) // templates are static; a failure is a programming error
 		}
-		if err := eng.AddFlows(gid, n, flowRatePps, 0); err != nil {
+		if err := eng.AddFlows(gid, cnt, flowRatePps, 0); err != nil {
 			panic(err)
 		}
 	}
+}
+
+// FlowStudy runs the population to quiescence and checks conservation.
+func FlowStudy(cfg FlowsConfig) *FlowsResult {
+	cfg = cfg.withDefaults()
+	sim := &netsim.Sim{}
+	eng := flowsim.New(flowsim.Config{
+		Sim:      sim,
+		Shards:   flowShards,
+		EpochSec: cfg.EpochSec,
+		Offload:  flowsim.OffloadConfig{Enabled: true},
+	})
+
+	addTemplateFlows(eng, cfg.Flows)
 
 	t0 := time.Now() //vnslint:wallclock measures real engine throughput, not simulated time
 	eng.Start()

@@ -189,9 +189,9 @@ func SoakStudy(cfg SoakConfig) *SoakResult {
 			}
 			return fib.NextHop{PoP: int(r.PeerID.As4()[3]), Router: r.PeerID}, true
 		},
-		Debounce:        0,
-		CompileObserver: func(d time.Duration) { h.Observe(d.Seconds()) },
-		FlushObserver: func(event uint64, patches int, delta bool, d time.Duration) {
+		Debounce: 0,
+		PublishObserver: func(event uint64, d time.Duration) {
+			h.Observe(d.Seconds())
 			conv.ObserveCompileFor(event, d.Seconds())
 		},
 	})
@@ -235,7 +235,7 @@ func SoakStudy(cfg SoakConfig) *SoakResult {
 		Offload:   flowsim.OffloadConfig{Enabled: true},
 		Telemetry: reg,
 	})
-	soakAddFlows(feng, cfg.Flows)
+	addTemplateFlows(feng, cfg.Flows)
 
 	stop := make(chan struct{})
 	churnDone := make(chan struct{})
@@ -401,47 +401,6 @@ run:
 		res.StageP99[s] = conv.StageQuantile(s, 0.99)
 	}
 	return res
-}
-
-// soakAddFlows spreads the population over the flow study's template
-// geometries (scaled links, same shares).
-func soakAddFlows(eng *flowsim.Engine, n int) {
-	for _, t := range flowsTemplates {
-		cnt := int(float64(n) * t.share)
-		if cnt == 0 {
-			cnt = 1
-		}
-		var paths []flowsim.PathSpec
-		for pi, d := range t.delays {
-			var lm loss.Model
-			if pi == 0 && t.lossRate > 0 {
-				lm = loss.NewUniform(t.lossRate, nil)
-			}
-			share := 1.0 / float64(len(t.delays))
-			loadMbps := float64(cnt) * share * flowRatePps * 1200 * 8 / 1e6
-			l := netsim.NewLink("soak-"+t.name, d, loadMbps*1.3, lm, nil)
-			l.QueueLimit = 1 << 20
-			paths = append(paths, flowsim.PathSpec{
-				Name:   fmt.Sprintf("%s/p%d", t.name, pi),
-				Links:  []*netsim.Link{l},
-				Weight: share,
-			})
-		}
-		gid, err := eng.AddGroup(flowsim.GroupConfig{
-			Name:           t.name,
-			Paths:          paths,
-			DirectMs:       t.directMs,
-			DirectLossRate: t.directLn,
-			MaxReorderMs:   30,
-			DupFraction:    t.dup,
-		})
-		if err != nil {
-			panic(err) // templates are static; a failure is a programming error
-		}
-		if err := eng.AddFlows(gid, cnt, flowRatePps, 0); err != nil {
-			panic(err)
-		}
-	}
 }
 
 // soakScrape fetches and parses one exposition-text scrape, returning

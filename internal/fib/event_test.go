@@ -11,11 +11,11 @@ import (
 // These tests pin the event-ID handoff across the rib→fib boundary: the
 // routing side stamps an invalidation with the active convergence
 // event's ID, the publisher carries it to the flush, and the
-// FlushObserver reports the compile back to the span layer — which
+// PublishObserver reports the compile back to the span layer — which
 // attributes it only if that event is still in flight. The publisher
 // itself stays telemetry-free; the observer func is the entire contract.
 
-func eventPublisher(obs func(event uint64, patches int, delta bool, d time.Duration), debounce time.Duration) (*Publisher, map[netip.Prefix]NextHop) {
+func eventPublisher(obs func(event uint64, d time.Duration), debounce time.Duration) (*Publisher, map[netip.Prefix]NextHop) {
 	routes := map[netip.Prefix]NextHop{mustPrefix("10.0.0.0/8"): nh(1)}
 	p := NewPublisher(Config{
 		Debounce: debounce,
@@ -23,41 +23,45 @@ func eventPublisher(obs func(event uint64, patches int, delta bool, d time.Durat
 			h, ok := routes[pfx]
 			return h, ok
 		},
-		FlushObserver: obs,
+		PublishObserver: obs,
 	})
 	p.ResolveAll([]netip.Prefix{mustPrefix("10.0.0.0/8")})
 	return p, routes
 }
 
-func TestPublisherEventIDReachesFlushObserver(t *testing.T) {
+func TestPublisherEventIDReachesPublishObserver(t *testing.T) {
 	var gotEvent uint64
-	var gotPatches int
-	var gotDelta bool
 	var calls int
-	p, routes := eventPublisher(func(event uint64, patches int, delta bool, d time.Duration) {
+	p, routes := eventPublisher(func(event uint64, d time.Duration) {
 		calls++
-		gotEvent, gotPatches, gotDelta = event, patches, delta
+		gotEvent = event
 	}, 0)
 	defer p.Close()
+	// The initial ResolveAll is a publish no event caused.
+	if calls != 1 || gotEvent != 0 {
+		t.Fatalf("after ResolveAll: calls=%d event=%d, want 1, 0", calls, gotEvent)
+	}
 
 	routes[mustPrefix("10.0.0.0/8")] = nh(2)
 	p.InvalidateEvent(42, mustPrefix("10.0.0.0/8"))
-	if calls != 1 {
-		t.Fatalf("FlushObserver calls = %d, want 1", calls)
+	if calls != 2 {
+		t.Fatalf("PublishObserver calls = %d, want 2", calls)
 	}
 	if gotEvent != 42 {
 		t.Errorf("observed event = %d, want 42", gotEvent)
 	}
-	if gotPatches != 1 || !gotDelta {
-		t.Errorf("observed patches=%d delta=%v, want 1 patch via delta", gotPatches, gotDelta)
-	}
 
 	// An unstamped invalidation flushes with event 0, and the previous
-	// stamp must not leak into it.
+	// stamp must not leak into it; a flush that changes nothing is no
+	// publish and is not observed.
 	routes[mustPrefix("10.0.0.0/8")] = nh(3)
 	p.InvalidateEvent(0, mustPrefix("10.0.0.0/8"))
-	if calls != 2 || gotEvent != 0 {
-		t.Errorf("after an event-0 invalidation: calls=%d event=%d, want 2, 0", calls, gotEvent)
+	if calls != 3 || gotEvent != 0 {
+		t.Errorf("after an event-0 invalidation: calls=%d event=%d, want 3, 0", calls, gotEvent)
+	}
+	p.InvalidateEvent(7, mustPrefix("10.0.0.0/8"))
+	if calls != 3 {
+		t.Errorf("a skipped flush was observed: calls=%d, want 3", calls)
 	}
 }
 
@@ -69,7 +73,7 @@ func TestPublisherEventRoundTrip(t *testing.T) {
 	reg := telemetry.New()
 	clock := 0.0
 	conv := telemetry.NewConvergence(reg, nil, func() float64 { return clock })
-	p, routes := eventPublisher(func(event uint64, patches int, delta bool, d time.Duration) {
+	p, routes := eventPublisher(func(event uint64, d time.Duration) {
 		conv.ObserveCompileFor(event, 0.002)
 	}, 0)
 	defer p.Close()
@@ -89,7 +93,7 @@ func TestPublisherEventRoundTrip(t *testing.T) {
 	// Debounced path: the invalidation is stamped while the event is
 	// active, but the flush only happens after Finish — the compile
 	// must NOT be attributed (it belongs to fib_compile_seconds alone).
-	p2, routes2 := eventPublisher(func(event uint64, patches int, delta bool, d time.Duration) {
+	p2, routes2 := eventPublisher(func(event uint64, d time.Duration) {
 		conv.ObserveCompileFor(event, 0.002)
 	}, time.Hour)
 	defer p2.Close()

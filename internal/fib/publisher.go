@@ -20,21 +20,15 @@ type Config struct {
 	// Zero recompiles synchronously inside InvalidateEvent, which is
 	// what deterministic tests want.
 	Debounce time.Duration
-	// CompileObserver, when non-nil, receives the duration of every
-	// published trie build — full compiles and delta patches alike
-	// (telemetry's compile-latency histogram). Like Resolve it runs
-	// with the Publisher's internal lock held and must not call back
+	// PublishObserver, when non-nil, receives every publish — full
+	// compiles and delta patches alike — with its build duration and the
+	// convergence event ID the dirtying InvalidateEvent carried (0 for
+	// ResolveAll and for a flush no event was attributed to). This is how
+	// a compile is causally tied back to the routing-plane event that
+	// triggered it without fib depending on telemetry. Like Resolve it
+	// runs with the Publisher's internal lock held and must not call back
 	// into the Publisher.
-	CompileObserver func(time.Duration)
-	// FlushObserver, when non-nil, receives every published flush with
-	// the convergence event ID the dirtying InvalidateEvent carried
-	// (0 when the flush was not event-attributed), the patch count,
-	// whether the publish was a delta, and the build duration. This is
-	// how a compile is causally tied back to the routing-plane event
-	// that triggered it without fib depending on telemetry. Like
-	// Resolve it runs with the Publisher's internal lock held and must
-	// not call back into the Publisher.
-	FlushObserver func(event uint64, patches int, delta bool, d time.Duration)
+	PublishObserver func(event uint64, d time.Duration)
 }
 
 // deltaThreshold is the changed-prefix count up to which a flush
@@ -125,14 +119,16 @@ func (p *Publisher) ResolveAll(prefixes []netip.Prefix) *FIB {
 		}
 	}
 	p.dirty = make(map[netip.Prefix]struct{})
-	return p.compileLocked()
+	f := p.compileLocked()
+	p.observe(0, f)
+	return f
 }
 
 // InvalidateEvent marks prefixes dirty. With a zero debounce the
 // recompile happens before it returns; otherwise it is scheduled so
 // that a burst of updates triggers a single rebuild. event is the
 // convergence event ID the invalidation belongs to: the next flush
-// reports it to Config.FlushObserver, tying the publish (and its
+// reports it to Config.PublishObserver, tying the publish (and its
 // compile cost) back to the routing-plane event that caused it. Event 0
 // means unattributed and leaves any earlier attribution in place, so it
 // cannot orphan a pending event's flush.
@@ -202,17 +198,21 @@ func (p *Publisher) flushLocked() bool {
 		return false
 	}
 	var f *FIB
-	delta := p.deltaEligible(len(patches))
-	if delta {
+	if p.deltaEligible(len(patches)) {
 		f = p.deltaLocked(patches)
 	} else {
 		f = p.compileLocked()
 	}
-	if p.cfg.FlushObserver != nil {
-		//vnslint:lockheld FlushObserver is documented to run under the lock and must not call back (see Config.FlushObserver)
-		p.cfg.FlushObserver(event, len(patches), delta, f.CompileDuration())
-	}
+	p.observe(event, f)
 	return true
+}
+
+// observe reports one publish to Config.PublishObserver.
+func (p *Publisher) observe(event uint64, f *FIB) {
+	if p.cfg.PublishObserver != nil {
+		//vnslint:lockheld PublishObserver is documented to run under the lock and must not call back (see Config.PublishObserver)
+		p.cfg.PublishObserver(event, f.CompileDuration())
+	}
 }
 
 // deltaEligible reports whether a flush of n changed prefixes should
@@ -241,10 +241,6 @@ func (p *Publisher) deltaLocked(patches []Patch) *FIB {
 	p.stats.DeltaCompiles++
 	p.stats.LastDelta = f.CompileDuration()
 	p.out.cur.Store(f)
-	if p.cfg.CompileObserver != nil {
-		//vnslint:lockheld CompileObserver is documented to run under the lock and must not call back (see Config.CompileObserver)
-		p.cfg.CompileObserver(f.CompileDuration())
-	}
 	return f
 }
 
@@ -275,10 +271,6 @@ func (p *Publisher) compileLocked() *FIB {
 	p.stats.Compiles++
 	p.stats.LastCompile = f.CompileDuration()
 	p.out.cur.Store(f)
-	if p.cfg.CompileObserver != nil {
-		//vnslint:lockheld CompileObserver is documented to run under the lock and must not call back (see Config.CompileObserver)
-		p.cfg.CompileObserver(f.CompileDuration())
-	}
 	return f
 }
 

@@ -1,6 +1,7 @@
 package health
 
 import (
+	"net/netip"
 	"sync"
 	"time"
 
@@ -18,7 +19,8 @@ import (
 // healthy egress everywhere. Either way it then invalidates the whole
 // prefix universe and flushes every PoP's FIB publisher — the
 // publisher's no-spurious-churn fast path keeps that cheap for
-// prefixes whose next hop didn't move. Recovery reverses each step.
+// prefixes whose next hop didn't move. Recovery reverses each step, and
+// Drain gives an operator's egress drain the same republish.
 type Controller struct {
 	fwd *vns.Forwarding
 	rr  *core.GeoRR
@@ -154,6 +156,24 @@ func (c *Controller) Apply(a, b *vns.PoP, up bool) time.Duration {
 		c.met.RepublishMs.Observe(float64(worst) / 1e6)
 	}
 	return took
+}
+
+// Drain takes an egress router out of service (down) or returns it, as
+// the management interface's egress-down and egress-up do, and reports
+// whether its state changed. A drain moves no route in the reflector, so
+// like a liveness withdrawal it republishes every PoP's FIB itself: one
+// "drain" convergence event, serialized with Apply.
+func (c *Controller) Drain(router netip.Addr, down bool) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ev := c.fwd.Convergence().Begin(telemetry.ConvDrain)
+	mark := ev.Mark()
+	changed := c.rr.SetEgressDown(router, down)
+	c.fwd.InvalidateAll()
+	c.fwd.Flush()
+	ev.StageExclusive(telemetry.StageForwarding, mark)
+	ev.Finish()
+	return changed
 }
 
 // popIsolated reports whether every L2 adjacency of p is down — the

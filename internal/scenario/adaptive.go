@@ -22,19 +22,19 @@ func (e *engine) setupAdaptive() error {
 	e.geoBestPoP = make(map[netip.Prefix]int)
 
 	e.adaptive = adaptive.NewController(adaptive.Config{
-		Sim:         e.sim,
+		Sim:         e.Sim,
 		IntervalSec: a.IntervalSec,
 		Budget:      a.Budget,
 		HalfLifeSec: a.HalfLifeSec,
 		Stability:   adaptive.StabilityConfig{MinSamples: a.MinSamples},
 		Probe:       e.probeRTT,
-		Sink:        e.env.RR,
-		Telemetry:   e.env.Telemetry,
-		Convergence: e.fwd.Convergence(),
+		Sink:        e.RR,
+		Telemetry:   e.Telemetry,
+		Convergence: e.Fwd.Convergence(),
 	})
 
 	track := func(pfx netip.Prefix) error {
-		tr, ok := e.env.AdaptiveTrack(pfx)
+		tr, ok := e.AdaptiveTrack(pfx)
 		if !ok {
 			return nil
 		}
@@ -53,8 +53,8 @@ func (e *engine) setupAdaptive() error {
 		}
 		return nil
 	}
-	for i := range e.env.Topo.Prefixes {
-		if err := track(e.env.Topo.Prefixes[i].Prefix); err != nil {
+	for i := range e.Topo.Prefixes {
+		if err := track(e.Topo.Prefixes[i].Prefix); err != nil {
 			return err
 		}
 	}
@@ -65,11 +65,11 @@ func (e *engine) setupAdaptive() error {
 // truth-based external RTT from the egress PoP, plus any scripted bias.
 // Everything runs on the sim goroutine, so the bias map needs no lock.
 func (e *engine) probeRTT(pop int, pfx netip.Prefix) (float64, bool) {
-	pi, ok := e.env.Topo.PrefixInfoFor(pfx)
+	pi, ok := e.Topo.PrefixInfoFor(pfx)
 	if !ok {
 		return 0, false
 	}
-	rtt, ok := e.env.DP.ExternalRTT(e.env.Net.PoPByID(pop), pi)
+	rtt, ok := e.DP.ExternalRTT(e.Net.PoPByID(pop), pi)
 	if !ok {
 		return 0, false
 	}
@@ -94,7 +94,7 @@ func (e *engine) biasKey(ev *Event) (adaptive.Key, error) {
 			return adaptive.Key{}, fmt.Errorf("prefix %v is not adaptively tracked", pfx)
 		}
 	} else {
-		pop = e.env.Net.PoP(ev.PoP).ID
+		pop = e.Net.PoP(ev.PoP).ID
 	}
 	return adaptive.Key{PoP: pop, Prefix: pfx}, nil
 }
@@ -120,11 +120,11 @@ func (e *engine) applyProbeOscillate(ev *Event) error {
 	if err != nil {
 		return err
 	}
-	now := e.sim.Now()
+	now := e.Sim.Now()
 	for i := 0; i < ev.Cycles; i++ {
 		at := now + float64(i)*ev.PeriodSec
-		e.sim.Schedule(at, func() { e.probeBias[k] = ev.ExtraMs })
-		e.sim.Schedule(at+ev.PeriodSec/2, func() { delete(e.probeBias, k) })
+		e.Sim.Schedule(at, func() { e.probeBias[k] = ev.ExtraMs })
+		e.Sim.Schedule(at+ev.PeriodSec/2, func() { delete(e.probeBias, k) })
 	}
 	return nil
 }
@@ -134,7 +134,7 @@ func (e *engine) applyProbeOscillate(ev *Event) error {
 // the final checkpoint's trace: the subsystem's whole point is that the
 // adaptive column is lower.
 func (e *engine) adaptiveGain() (n int, geoMs, adMs float64) {
-	st := e.adaptive.Status(e.sim.Now())
+	st := e.adaptive.Status(e.Sim.Now())
 	for _, o := range st.Overrides {
 		g, okG := e.probeRTT(e.geoBestPoP[o.Prefix], o.Prefix)
 		a, okA := e.probeRTT(o.PoP, o.Prefix)

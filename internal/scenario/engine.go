@@ -10,7 +10,6 @@ import (
 	"vns/internal/experiments"
 	"vns/internal/fib"
 	"vns/internal/flowsim"
-	"vns/internal/health"
 	"vns/internal/media"
 	"vns/internal/netsim"
 	"vns/internal/telemetry"
@@ -73,13 +72,8 @@ type faultRec struct {
 }
 
 type engine struct {
+	*experiments.Deployment
 	spec     *Spec
-	env      *experiments.Env
-	fwd      *vns.Forwarding
-	sim      *netsim.Sim
-	tracer   *telemetry.Tracer
-	mon      *health.Monitor
-	inj      *health.Injector
 	vantages []*vns.PoP
 
 	// faults keys by normalized [2]int PoP ids.
@@ -126,25 +120,13 @@ func newEngine(spec *Spec) (*engine, error) {
 	if cfg.NumAS == 0 {
 		cfg.NumAS = defaultNumAS
 	}
-	env := experiments.NewEnv(cfg)
-	sim := &netsim.Sim{}
-	// Telemetry rides the sim clock: metric state is a pure function of
-	// the spec, and trace spans carry virtual timestamps, so checkpoints
-	// can pin both in the goldens.
-	tracer := telemetry.NewTracer(sim.Now, telemetry.DefaultTraceCap)
-	fwd := env.Forwarding(vns.ForwardingConfig{Tracer: tracer}) // sync recompiles
-	mon := health.NewMonitor(sim, fwd.Fabric(), env.Telemetry)
-	ctl := health.NewController(fwd, env.RR, env.Telemetry)
-	ctl.Bind(mon)
-
 	e := &engine{
+		// Telemetry rides the sim clock (no wall ConvergenceClock): metric
+		// state is a pure function of the spec, and trace spans carry
+		// virtual timestamps, so checkpoints can pin both in the goldens. A
+		// zero debounce recompiles synchronously.
+		Deployment: experiments.Deploy(cfg, vns.ForwardingConfig{}),
 		spec:       spec,
-		env:        env,
-		fwd:        fwd,
-		sim:        sim,
-		tracer:     tracer,
-		mon:        mon,
-		inj:        health.NewInjector(sim, fwd.Fabric(), env.Telemetry),
 		faults:     make(map[[2]int]faultRec),
 		manualDown: make(map[netip.Addr]bool),
 		usedCovers: make(map[netip.Prefix]bool),
@@ -155,7 +137,7 @@ func newEngine(spec *Spec) (*engine, error) {
 	// The per-checkpoint invariants examine these PoPs' FIBs; every-PoP
 	// sweeps are reserved for the final checkpoint.
 	for _, c := range experiments.ContinentVantages {
-		e.vantages = append(e.vantages, env.Net.PoP(c))
+		e.vantages = append(e.vantages, e.Net.PoP(c))
 	}
 
 	// Resolve every prefix selector against the initial steady state, so
@@ -188,7 +170,7 @@ func (e *engine) resolveSelector(sel string) (netip.Prefix, error) {
 	if p, ok := e.selectors[sel]; ok {
 		return p, nil
 	}
-	topoPfx := e.env.Topo.Prefixes
+	topoPfx := e.Topo.Prefixes
 	var out netip.Prefix
 	switch {
 	case strings.HasPrefix(sel, "#"):
@@ -198,8 +180,8 @@ func (e *engine) resolveSelector(sel string) (netip.Prefix, error) {
 		}
 		out = topoPfx[n].Prefix
 	case strings.HasPrefix(sel, "egress="):
-		pop := e.env.Net.PoP(strings.TrimPrefix(sel, "egress="))
-		eng := e.fwd.EngineByID(e.vantages[0].ID)
+		pop := e.Net.PoP(strings.TrimPrefix(sel, "egress="))
+		eng := e.Fwd.EngineByID(e.vantages[0].ID)
 		for i := range topoPfx {
 			if nh, ok := eng.Lookup(topoPfx[i].Prefix.Addr()); ok && nh.PoP == pop.ID {
 				out = topoPfx[i].Prefix
@@ -213,7 +195,7 @@ func (e *engine) resolveSelector(sel string) (netip.Prefix, error) {
 			// pick the router from the candidate set at the requested PoP.
 			for i := range topoPfx {
 				var router netip.Addr
-				for _, c := range e.env.Peering.Candidates(topoPfx[i].Origin) {
+				for _, c := range e.Peering.Candidates(topoPfx[i].Origin) {
 					if c.Session.PoP == pop {
 						router = c.Session.Router
 						break
@@ -222,10 +204,10 @@ func (e *engine) resolveSelector(sel string) (netip.Prefix, error) {
 				if !router.IsValid() {
 					continue
 				}
-				if err := e.env.RR.ForceExit(topoPfx[i].Prefix, router); err != nil {
+				if err := e.RR.ForceExit(topoPfx[i].Prefix, router); err != nil {
 					return netip.Prefix{}, err
 				}
-				e.fwd.Flush()
+				e.Fwd.Flush()
 				out = topoPfx[i].Prefix
 				break
 			}
@@ -243,26 +225,26 @@ func (e *engine) resolveSelector(sel string) (netip.Prefix, error) {
 func (e *engine) run() (*Result, error) {
 	res := &Result{
 		Spec:     e.spec,
-		Prefixes: len(e.env.Topo.Prefixes),
-		Sessions: len(e.env.Peering.Sessions()),
+		Prefixes: len(e.Topo.Prefixes),
+		Sessions: len(e.Peering.Sessions()),
 	}
 	seed := e.spec.Seed
 	if seed == 0 {
-		seed = e.env.Cfg.Seed
+		seed = e.Cfg.Seed
 	}
 	defer func() { res.Trace, res.Metrics = e.trace.String(), e.metrics.String() }()
-	fmt.Fprintf(&e.trace, "# scenario %s seed=%d numAS=%d\n", e.spec.Name, seed, e.env.Cfg.NumAS)
+	fmt.Fprintf(&e.trace, "# scenario %s seed=%d numAS=%d\n", e.spec.Name, seed, e.Cfg.NumAS)
 	fmt.Fprintf(&e.trace, "# prefixes=%d sessions=%d vantages=%s\n",
 		res.Prefixes, res.Sessions, joinPoPs(e.vantages))
 
-	e.mon.Start()
+	e.Monitor.Start()
 	if e.adaptive != nil {
 		e.adaptive.Start()
 	}
 	if e.flowEng != nil {
 		e.flowEng.Start()
 	}
-	e.sim.Run(warmupCheckpointSec)
+	e.Sim.Run(warmupCheckpointSec)
 	if err := e.checkpoint(0, "init", warmupCheckpointSec, false); err != nil {
 		return res, err
 	}
@@ -270,7 +252,7 @@ func (e *engine) run() (*Result, error) {
 	cp := 0
 	for i := range e.spec.Events {
 		ev := &e.spec.Events[i]
-		e.sim.Run(ev.At)
+		e.Sim.Run(ev.At)
 		if err := e.apply(ev); err != nil {
 			return res, fmt.Errorf("scenario %s: event %d (%s): %w", e.spec.Name, i, ev.Op, err)
 		}
@@ -288,19 +270,19 @@ func (e *engine) run() (*Result, error) {
 		}
 		cp++
 		cpAt := ev.checkpointAt()
-		e.sim.Run(cpAt)
-		e.fwd.Flush()
+		e.Sim.Run(cpAt)
+		e.Fwd.Flush()
 		if err := e.checkpoint(cp, describe(ev), cpAt, false); err != nil {
 			return res, err
 		}
 	}
 
 	endAt := e.spec.end()
-	if endAt < e.sim.Now() {
-		endAt = e.sim.Now()
+	if endAt < e.Sim.Now() {
+		endAt = e.Sim.Now()
 	}
-	e.sim.Run(endAt)
-	e.mon.Stop()
+	e.Sim.Run(endAt)
+	e.Monitor.Stop()
 	if e.adaptive != nil {
 		// Stop before the final drain: the probe loop reschedules itself
 		// until stopped, and conservation requires an empty event queue.
@@ -311,8 +293,8 @@ func (e *engine) run() (*Result, error) {
 		// so RunAll can drain to zero pending events.
 		e.flowEng.Stop()
 	}
-	e.sim.RunAll()
-	e.fwd.Flush()
+	e.Sim.RunAll()
+	e.Fwd.Flush()
 	return res, e.checkpoint(cp+1, "final", endAt, true)
 }
 
@@ -332,8 +314,8 @@ func describe(ev *Event) string {
 
 func (e *engine) linkPoPs(link string) (*vns.PoP, *vns.PoP, error) {
 	codes := strings.Split(link, "-")
-	a, b := e.env.Net.PoP(codes[0]), e.env.Net.PoP(codes[1])
-	if e.fwd.Fabric().Link(a, b) == nil {
+	a, b := e.Net.PoP(codes[0]), e.Net.PoP(codes[1])
+	if e.Fwd.Fabric().Link(a, b) == nil {
 		return nil, nil, fmt.Errorf("no L2 link %s", link)
 	}
 	return a, b, nil
@@ -347,7 +329,7 @@ func (e *engine) routerOf(sel string) (netip.Addr, error) {
 			return netip.Addr{}, fmt.Errorf("bad router selector %q (want CODE:N)", sel)
 		}
 	}
-	p := e.env.Net.PoP(code)
+	p := e.Net.PoP(code)
 	if n > len(p.Routers) {
 		return netip.Addr{}, fmt.Errorf("router selector %q: PoP has %d routers", sel, len(p.Routers))
 	}
@@ -363,14 +345,13 @@ func (e *engine) recordFault(a, b *vns.PoP, down bool, at float64) {
 }
 
 // convKindFor maps a scripted op to its convergence event kind, "" for
-// ops that do not mutate routing (fault injections converge through the
-// failover controller, which opens its own "failover" events).
+// ops that do not mutate routing and for ops the failover controller
+// converges, which opens its own event: fault injections ("failover")
+// and drains ("drain").
 func convKindFor(op string) string {
 	switch op {
 	case OpAnnounceBurst, OpWithdrawBurst:
 		return telemetry.ConvChurn
-	case OpEgressDown, OpEgressUp:
-		return telemetry.ConvDrain
 	case OpForceExit, OpUnforce, OpExempt, OpUnexempt:
 		return telemetry.ConvMgmt
 	}
@@ -384,14 +365,14 @@ func (e *engine) apply(ev *Event) error {
 	// observations decompose it. On the virtual clock every duration is
 	// zero — the event and stage counts are what the goldens pin.
 	if kind := convKindFor(ev.Op); kind != "" {
-		ce := e.fwd.Convergence().Begin(kind)
+		ce := e.Fwd.Convergence().Begin(kind)
 		mark := ce.Mark()
 		defer func() {
 			ce.StageExclusive(telemetry.StageForwarding, mark)
 			ce.Finish()
 		}()
 	}
-	now := e.sim.Now()
+	now := e.Sim.Now()
 	switch ev.Op {
 	case OpLinkDown, OpLinkUp:
 		a, b, err := e.linkPoPs(ev.Link)
@@ -400,9 +381,9 @@ func (e *engine) apply(ev *Event) error {
 		}
 		down := ev.Op == OpLinkDown
 		if down {
-			e.inj.LinkDownAt(now, a, b)
+			e.Injector.LinkDownAt(now, a, b)
 		} else {
-			e.inj.LinkUpAt(now, a, b)
+			e.Injector.LinkUpAt(now, a, b)
 		}
 		e.recordFault(a, b, down, now)
 	case OpFlapLink:
@@ -410,7 +391,7 @@ func (e *engine) apply(ev *Event) error {
 		if err != nil {
 			return err
 		}
-		e.inj.FlapLink(a, b, now, ev.PeriodSec, ev.Cycles)
+		e.Injector.FlapLink(a, b, now, ev.PeriodSec, ev.Cycles)
 		// The last cycle leaves the link up, half a period after its
 		// final down.
 		lastUp := now + float64(ev.Cycles-1)*ev.PeriodSec + ev.PeriodSec/2
@@ -420,16 +401,16 @@ func (e *engine) apply(ev *Event) error {
 		if err != nil {
 			return err
 		}
-		e.inj.DelaySpikeAt(now, a, b, ev.ExtraMs, ev.DurSec)
+		e.Injector.DelaySpikeAt(now, a, b, ev.ExtraMs, ev.DurSec)
 	case OpPoPFail, OpPoPRecover:
-		p := e.env.Net.PoP(ev.PoP)
+		p := e.Net.PoP(ev.PoP)
 		down := ev.Op == OpPoPFail
 		if down {
-			e.inj.FailPoPAt(now, p)
+			e.Injector.FailPoPAt(now, p)
 		} else {
-			e.inj.RecoverPoPAt(now, p)
+			e.Injector.RecoverPoPAt(now, p)
 		}
-		for _, l := range e.env.Net.L2Links() {
+		for _, l := range e.Net.L2Links() {
 			if l[0] == p || l[1] == p {
 				e.recordFault(l[0], l[1], down, now)
 			}
@@ -440,29 +421,25 @@ func (e *engine) apply(ev *Event) error {
 			return err
 		}
 		down := ev.Op == OpEgressDown
-		e.env.RR.SetEgressDown(r, down)
+		e.Controller.Drain(r, down)
 		if down {
 			e.manualDown[r] = true
 		} else {
 			delete(e.manualDown, r)
 		}
-		// Management drains republish explicitly (liveness withdrawals go
-		// through the controller, which does this itself).
-		e.fwd.InvalidateAll()
-		e.fwd.Flush()
 	case OpForceExit:
 		r, err := e.routerOf(ev.Router)
 		if err != nil {
 			return err
 		}
 		pfx := e.selectors[ev.Prefix]
-		return e.env.RR.ForceExit(pfx, r)
+		return e.RR.ForceExit(pfx, r)
 	case OpUnforce:
-		e.env.RR.Unforce(e.selectors[ev.Prefix])
+		e.RR.Unforce(e.selectors[ev.Prefix])
 	case OpExempt:
-		e.env.RR.Exempt(e.selectors[ev.Prefix])
+		e.RR.Exempt(e.selectors[ev.Prefix])
 	case OpUnexempt:
-		e.env.RR.Unexempt(e.selectors[ev.Prefix])
+		e.RR.Unexempt(e.selectors[ev.Prefix])
 	case OpAnnounceBurst:
 		return e.announceBurst(ev)
 	case OpWithdrawBurst:
@@ -473,7 +450,7 @@ func (e *engine) apply(ev *Event) error {
 		for i := 0; i < n; i++ {
 			top := e.statics[len(e.statics)-1]
 			e.statics = e.statics[:len(e.statics)-1]
-			e.env.RR.RemoveStatic(netip.MustParsePrefix(top[0]), netip.MustParseAddr(top[1]))
+			e.RR.RemoveStatic(netip.MustParsePrefix(top[0]), netip.MustParseAddr(top[1]))
 		}
 	case OpMediaFlow:
 		return e.startFlow(ev)
@@ -496,8 +473,8 @@ func (e *engine) apply(ev *Event) error {
 // the covering prefixes' own representative addresses (their network
 // addresses, in the lower half) keep resolving unchanged.
 func (e *engine) announceBurst(ev *Event) error {
-	pop := e.env.Net.PoP(ev.PoP)
-	topoPfx := e.env.Topo.Prefixes
+	pop := e.Net.PoP(ev.PoP)
+	topoPfx := e.Topo.Prefixes
 	installed := 0
 	for installed < ev.Count && e.burstCur < len(topoPfx) {
 		cover := topoPfx[e.burstCur].Prefix
@@ -508,7 +485,7 @@ func (e *engine) announceBurst(ev *Event) error {
 		e.usedCovers[cover] = true
 		sub := upperHalf(cover)
 		router := pop.Routers[installed%len(pop.Routers)]
-		if err := e.env.RR.AddStatic(sub, router, nil); err != nil {
+		if err := e.RR.AddStatic(sub, router, nil); err != nil {
 			return err
 		}
 		e.statics = append(e.statics, [2]string{sub.String(), router.String()})
@@ -531,23 +508,23 @@ func upperHalf(p netip.Prefix) netip.Prefix {
 }
 
 func (e *engine) startFlow(ev *Event) error {
-	ingress := e.env.Net.PoP(ev.PoP)
+	ingress := e.Net.PoP(ev.PoP)
 	dst := e.selectors[ev.Prefix].Addr()
-	seed := e.env.Cfg.Seed ^ uint64(len(e.flows)+1)
+	seed := e.Cfg.Seed ^ uint64(len(e.flows)+1)
 	tr := media.GenerateTrace(media.TraceConfig{DurationSec: ev.DurSec, Seed: seed})
 	fl := &flow{
 		name:  fmt.Sprintf("%s->%s", ev.PoP, ev.Prefix),
-		endAt: e.sim.Now() + ev.DurSec,
+		endAt: e.Sim.Now() + ev.DurSec,
 	}
 	e.flows = append(e.flows, fl)
-	eng := e.fwd.EngineByID(ingress.ID)
-	start := e.sim.Now()
+	eng := e.Fwd.EngineByID(ingress.ID)
+	start := e.Sim.Now()
 	for i := range tr.Packets {
 		p := tr.Packets[i]
 		seq := uint32(i)
-		e.sim.Schedule(start+p.AtSec, func() {
+		e.Sim.Schedule(start+p.AtSec, func() {
 			fl.scheduled++
-			_, ok := eng.Forward(e.sim, dst, netsim.Packet{Seq: seq, Size: p.Size},
+			_, ok := eng.Forward(e.Sim, dst, netsim.Packet{Seq: seq, Size: p.Size},
 				func(netsim.Packet, fib.NextHop) { fl.delivered++ },
 				func(int) { fl.dropped++ })
 			if !ok {
@@ -569,7 +546,7 @@ func joinPoPs(pops []*vns.PoP) string {
 // sortedDownEgresses renders the withdrawn egress set deterministically.
 func (e *engine) sortedDownEgresses() []string {
 	var out []string
-	for _, id := range e.env.RR.DownEgresses() {
+	for _, id := range e.RR.DownEgresses() {
 		out = append(out, id.String())
 	}
 	sort.Strings(out)

@@ -21,14 +21,14 @@ import (
 func (e *engine) setupFlows() {
 	f := e.spec.Flows
 	e.flowEng = flowsim.New(flowsim.Config{
-		Sim:    e.sim,
+		Sim:    e.Sim,
 		Shards: f.Shards,
 		Offload: flowsim.OffloadConfig{
 			Enabled:     f.Offload,
 			HalfLifeSec: f.HalfLifeSec,
 			DwellSec:    f.DwellSec,
 		},
-		Telemetry: e.env.Telemetry,
+		Telemetry: e.Telemetry,
 	})
 }
 
@@ -38,8 +38,8 @@ func (e *engine) setupFlows() {
 func (e *engine) applyAggFlows(ev *Event) error {
 	f := e.spec.Flows
 	codes := strings.Split(ev.Link, "-")
-	a, b := e.env.Net.PoP(codes[0]), e.env.Net.PoP(codes[1])
-	cands, links := e.fwd.Fabric().OverlayPaths(a, b, f.TailMs)
+	a, b := e.Net.PoP(codes[0]), e.Net.PoP(codes[1])
+	cands, links := e.Fwd.Fabric().OverlayPaths(a, b, f.TailMs)
 
 	k := f.MaxPaths
 	if k <= 0 {

@@ -31,7 +31,7 @@ const convergeBoundSec = 2.0
 func (e *engine) checkpoint(cp int, label string, at float64, final bool) error {
 	vants := e.vantages
 	if final {
-		vants = e.env.Net.PoPs
+		vants = e.Net.PoPs
 	}
 	fmt.Fprintf(&e.trace, "t=%.3f cp=%d %s\n", at, cp, label)
 
@@ -101,7 +101,7 @@ func (e *engine) checkpoint(cp int, label string, at float64, final bool) error 
 	// Canonical state block: FIB generations, failed state, traffic.
 	parts = parts[:0]
 	for _, v := range vants {
-		s := e.fwd.EngineByID(v.ID).Publisher().Stats()
+		s := e.Fwd.EngineByID(v.ID).Publisher().Stats()
 		parts = append(parts, fmt.Sprintf("%s gen=%d size=%d", v.Code, s.Generation, s.Prefixes))
 	}
 	fmt.Fprintf(&e.trace, "  fib %s\n", strings.Join(parts, " "))
@@ -158,8 +158,8 @@ func (e *engine) checkpoint(cp int, label string, at float64, final bool) error 
 	// first vantage. Metric state is pinned beside the trace, not in it
 	// (metricsCheckpoint), so the trace holds only behaviour.
 	if final {
-		id := e.fwd.TraceRoute(e.vantages[0], e.env.Topo.Prefixes[0].Prefix.Addr())
-		for _, s := range e.tracer.Spans() {
+		id := e.Fwd.TraceRoute(e.vantages[0], e.Topo.Prefixes[0].Prefix.Addr())
+		for _, s := range e.Tracer.Spans() {
 			if s.Trace == id {
 				fmt.Fprintf(&e.trace, "  trace %s\n", s.JSON())
 			}
@@ -173,10 +173,10 @@ func (e *engine) checkpoint(cp int, label string, at float64, final bool) error 
 // prefixes in allocation order, then static more-specifics in the
 // reflector's sorted order.
 func (e *engine) universe() []netip.Prefix {
-	statics := e.env.RR.Statics()
-	out := make([]netip.Prefix, 0, len(e.env.Topo.Prefixes)+len(statics))
-	for i := range e.env.Topo.Prefixes {
-		out = append(out, e.env.Topo.Prefixes[i].Prefix)
+	statics := e.RR.Statics()
+	out := make([]netip.Prefix, 0, len(e.Topo.Prefixes)+len(statics))
+	for i := range e.Topo.Prefixes {
+		out = append(out, e.Topo.Prefixes[i].Prefix)
 	}
 	for _, s := range statics {
 		out = append(out, s.Prefix)
@@ -187,8 +187,8 @@ func (e *engine) universe() []netip.Prefix {
 // usableFrom mirrors the forwarding plane's health filter: the egress
 // router is not withdrawn and its PoP is IGP-reachable from the vantage.
 func (e *engine) usableFrom(v *vns.PoP, router netip.Addr) bool {
-	p, ok := e.env.Net.RouterPoP(router)
-	return ok && !e.env.RR.EgressDown(router) && e.env.Net.Reachable(v, p)
+	p, ok := e.Net.RouterPoP(router)
+	return ok && !e.RR.EgressDown(router) && e.Net.Reachable(v, p)
 }
 
 // checkCongruence verifies the paper's core claim against an oracle the
@@ -200,16 +200,16 @@ func (e *engine) usableFrom(v *vns.PoP, router netip.Addr) bool {
 // pinned egress is out of service are skipped; a forced prefix with a
 // healthy pin must use exactly that router.
 func (e *engine) checkCongruence(v *vns.PoP) (okN, skipped int, err error) {
-	eng := e.fwd.EngineByID(v.ID)
-	for i := range e.env.Topo.Prefixes {
-		pi := &e.env.Topo.Prefixes[i]
+	eng := e.Fwd.EngineByID(v.ID)
+	for i := range e.Topo.Prefixes {
+		pi := &e.Topo.Prefixes[i]
 		pfx := pi.Prefix
-		if e.env.RR.IsExempt(pfx) {
+		if e.RR.IsExempt(pfx) {
 			skipped++
 			continue
 		}
 		nh, routed := eng.Lookup(pfx.Addr())
-		if fr, forced := e.env.RR.ForcedExit(pfx); forced {
+		if fr, forced := e.RR.ForcedExit(pfx); forced {
 			if !e.usableFrom(v, fr) {
 				skipped++
 				continue
@@ -220,7 +220,7 @@ func (e *engine) checkCongruence(v *vns.PoP) (okN, skipped int, err error) {
 			okN++
 			continue
 		}
-		if or, overridden := e.env.RR.OverrideFor(pfx); overridden {
+		if or, overridden := e.RR.OverrideFor(pfx); overridden {
 			// Sanctioned divergence: the adaptive controller measured
 			// this prefix faster away from its great-circle egress, so
 			// the oracle's claim is suspended — the FIB must instead
@@ -237,13 +237,13 @@ func (e *engine) checkCongruence(v *vns.PoP) (okN, skipped int, err error) {
 			okN++
 			continue
 		}
-		rec, located := e.env.DB.LookupPrefix(pfx)
+		rec, located := e.DB.LookupPrefix(pfx)
 		if !located {
 			skipped++
 			continue
 		}
 		bestLP, healthy := uint32(0), 0
-		for _, c := range e.env.Peering.Candidates(pi.Origin) {
+		for _, c := range e.Peering.Candidates(pi.Origin) {
 			if !e.usableFrom(v, c.Session.Router) {
 				continue
 			}
@@ -262,7 +262,7 @@ func (e *engine) checkCongruence(v *vns.PoP) (okN, skipped int, err error) {
 		if !routed {
 			return okN, skipped, fmt.Errorf("%s: %v has %d healthy egresses but no FIB route", v.Code, pfx, healthy)
 		}
-		gotLP := core.LinearLocalPref(geo.DistanceKm(e.env.Net.PoPByID(nh.PoP).Place.Pos, rec.Pos))
+		gotLP := core.LinearLocalPref(geo.DistanceKm(e.Net.PoPByID(nh.PoP).Place.Pos, rec.Pos))
 		if gotLP != bestLP {
 			return okN, skipped, fmt.Errorf("%s: %v exits pop%d (local-pref %d) but the oracle's closest healthy egress scores %d",
 				v.Code, pfx, nh.PoP, gotLP, bestLP)
@@ -278,7 +278,7 @@ func (e *engine) checkCongruence(v *vns.PoP) (okN, skipped int, err error) {
 // service), of the longest universe prefix covering the address —
 // exactly how longest-prefix match falls back to the covering route.
 func (e *engine) resolveLPM(v *vns.PoP, pfx netip.Prefix, uni []netip.Prefix) (fib.NextHop, bool) {
-	if nh, ok := e.fwd.Resolve(v, pfx); ok {
+	if nh, ok := e.Fwd.Resolve(v, pfx); ok {
 		return nh, true
 	}
 	addr := pfx.Addr()
@@ -290,7 +290,7 @@ func (e *engine) resolveLPM(v *vns.PoP, pfx netip.Prefix, uni []netip.Prefix) (f
 	}
 	sort.Slice(covers, func(i, j int) bool { return covers[i].Bits() > covers[j].Bits() })
 	for _, q := range covers {
-		if nh, ok := e.fwd.Resolve(v, q); ok {
+		if nh, ok := e.Fwd.Resolve(v, q); ok {
 			return nh, true
 		}
 	}
@@ -302,8 +302,8 @@ func (e *engine) resolveLPM(v *vns.PoP, pfx netip.Prefix, uni []netip.Prefix) (f
 // the netsim fabric (the IGP path to the chosen egress must exist, end
 // there, and cross no admin-down data-plane link).
 func (e *engine) checkThreeWay(v *vns.PoP, uni []netip.Prefix) (checked int, err error) {
-	eng := e.fwd.EngineByID(v.ID)
-	fabric := e.fwd.Fabric()
+	eng := e.Fwd.EngineByID(v.ID)
+	fabric := e.Fwd.Fabric()
 	for _, pfx := range uni {
 		want, wantOK := e.resolveLPM(v, pfx, uni)
 		got, gotOK := eng.Lookup(pfx.Addr())
@@ -314,8 +314,8 @@ func (e *engine) checkThreeWay(v *vns.PoP, uni []netip.Prefix) (checked int, err
 			if got.PoP != want.PoP || got.Router != want.Router {
 				return checked, fmt.Errorf("%s: %v FIB says %v, control plane says %v", v.Code, pfx, got, want)
 			}
-			egress := e.env.Net.PoPByID(got.PoP)
-			hops := e.env.Net.InternalPath(v, egress)
+			egress := e.Net.PoPByID(got.PoP)
+			hops := e.Net.InternalPath(v, egress)
 			if hops == nil || hops[len(hops)-1] != egress {
 				return checked, fmt.Errorf("%s: %v routed to %s but the IGP has no internal path there", v.Code, pfx, egress.Code)
 			}
@@ -342,23 +342,23 @@ func (e *engine) checkThreeWay(v *vns.PoP, uni []netip.Prefix) (checked int, err
 func (e *engine) checkNoLoop(v *vns.PoP, uni []netip.Prefix) (walked int, err error) {
 	for _, pfx := range uni {
 		addr := pfx.Addr()
-		if _, ok := e.fwd.EngineByID(v.ID).Lookup(addr); !ok {
+		if _, ok := e.Fwd.EngineByID(v.ID).Lookup(addr); !ok {
 			continue
 		}
 		cur := v
 		visited := map[int]bool{v.ID: true}
 		for hop := 0; ; hop++ {
-			if hop > len(e.env.Net.PoPs) {
+			if hop > len(e.Net.PoPs) {
 				return walked, fmt.Errorf("%s: %v walk did not terminate within %d hops", v.Code, pfx, hop)
 			}
-			nh, ok := e.fwd.EngineByID(cur.ID).Lookup(addr)
+			nh, ok := e.Fwd.EngineByID(cur.ID).Lookup(addr)
 			if !ok {
 				return walked, fmt.Errorf("%s: %v blackholes at transit PoP %s", v.Code, pfx, cur.Code)
 			}
 			if nh.PoP == cur.ID {
 				break // cur is the egress: the packet leaves the network here
 			}
-			hops := e.env.Net.InternalPath(cur, e.env.Net.PoPByID(nh.PoP))
+			hops := e.Net.InternalPath(cur, e.Net.PoPByID(nh.PoP))
 			if hops == nil || len(hops) < 2 {
 				return walked, fmt.Errorf("%s: %v at %s selects unreachable egress pop%d", v.Code, pfx, cur.Code, nh.PoP)
 			}
@@ -394,12 +394,12 @@ func (e *engine) checkConvergence(at float64) (settled int, err error) {
 	inFlight := false
 	for _, k := range keys {
 		rec := e.faults[k]
-		a, b := e.env.Net.PoPByID(k[0]), e.env.Net.PoPByID(k[1])
+		a, b := e.Net.PoPByID(k[0]), e.Net.PoPByID(k[1])
 		if at-rec.at < convergeBoundSec {
 			inFlight = true
 			continue
 		}
-		sess := e.mon.Session(a, b)
+		sess := e.Monitor.Session(a, b)
 		if sess == nil {
 			return settled, fmt.Errorf("no liveness session for %s-%s", a.Code, b.Code)
 		}
@@ -411,7 +411,7 @@ func (e *engine) checkConvergence(at float64) (settled int, err error) {
 			return settled, fmt.Errorf("%s-%s liveness is %v %.2fs after its scripted transition (want %v)",
 				a.Code, b.Code, sess.State(), at-rec.at, want)
 		}
-		if e.env.Net.L2LinkDown(a, b) != rec.down {
+		if e.Net.L2LinkDown(a, b) != rec.down {
 			return settled, fmt.Errorf("%s-%s IGP view disagrees with scripted state (want down=%v)", a.Code, b.Code, rec.down)
 		}
 		if lc := sess.LastChange(); lc > rec.at+convergeBoundSec {
@@ -420,7 +420,7 @@ func (e *engine) checkConvergence(at float64) (settled int, err error) {
 		}
 		settled++
 	}
-	for _, s := range e.mon.Sessions() {
+	for _, s := range e.Monitor.Sessions() {
 		a, b := s.Ends()
 		k := [2]int{a.ID, b.ID}
 		if k[0] > k[1] {
@@ -432,7 +432,7 @@ func (e *engine) checkConvergence(at float64) (settled int, err error) {
 		if s.State() != health.StateUp {
 			return settled, fmt.Errorf("unscripted failure: %s-%s liveness is down", a.Code, b.Code)
 		}
-		if e.env.Net.L2LinkDown(a, b) {
+		if e.Net.L2LinkDown(a, b) {
 			return settled, fmt.Errorf("unscripted failure: %s-%s is down in the IGP", a.Code, b.Code)
 		}
 	}
@@ -453,14 +453,14 @@ func (e *engine) checkWithdrawals() error {
 	for r := range e.manualDown {
 		want[r] = true
 	}
-	for _, p := range e.env.Net.PoPs {
+	for _, p := range e.Net.PoPs {
 		adjacencies, downs := 0, 0
-		for _, l := range e.env.Net.L2Links() {
+		for _, l := range e.Net.L2Links() {
 			if l[0] != p && l[1] != p {
 				continue
 			}
 			adjacencies++
-			if e.env.Net.L2LinkDown(l[0], l[1]) {
+			if e.Net.L2LinkDown(l[0], l[1]) {
 				downs++
 			}
 		}
@@ -471,7 +471,7 @@ func (e *engine) checkWithdrawals() error {
 		}
 	}
 	got := make(map[netip.Addr]bool)
-	for _, r := range e.env.RR.DownEgresses() {
+	for _, r := range e.RR.DownEgresses() {
 		got[r] = true
 	}
 	if len(want) != len(got) {
@@ -508,7 +508,7 @@ type linkAgg struct {
 // packet was delivered, dropped on a named link, or refused for lack of
 // a route, with the event queue fully drained.
 func (e *engine) checkConservation(final bool) (agg linkAgg, err error) {
-	for _, l := range e.fwd.Fabric().Links() {
+	for _, l := range e.Fwd.Fabric().Links() {
 		st := l.Stats()
 		prev := e.prevLink[l.Name]
 		if st.TxPackets < prev.TxPackets || st.TxBytes < prev.TxBytes || st.Drops < prev.Drops ||
@@ -546,7 +546,7 @@ func (e *engine) checkConservation(final bool) (agg linkAgg, err error) {
 				return agg, fmt.Errorf("aggregate flows scheduled no packets")
 			}
 		}
-		if n := e.sim.Pending(); n != 0 {
+		if n := e.Sim.Pending(); n != 0 {
 			return agg, fmt.Errorf("%d events still pending after the final drain", n)
 		}
 	}
@@ -557,8 +557,8 @@ func (e *engine) checkConservation(final bool) (agg linkAgg, err error) {
 // specification order, "-" when empty.
 func (e *engine) igpDownLinks() string {
 	var out []string
-	for _, l := range e.env.Net.L2Links() {
-		if e.env.Net.L2LinkDown(l[0], l[1]) {
+	for _, l := range e.Net.L2Links() {
+		if e.Net.L2LinkDown(l[0], l[1]) {
 			out = append(out, l[0].Code+"-"+l[1].Code)
 		}
 	}

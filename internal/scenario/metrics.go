@@ -50,7 +50,7 @@ func declared(family string) bool {
 func (e *engine) metricsCheckpoint(cp int, final bool) {
 	byFamily := make(map[string][]string)
 	var all strings.Builder
-	for _, line := range strings.Split(e.env.Telemetry.Snapshot(), "\n") {
+	for _, line := range strings.Split(e.Telemetry.Snapshot(), "\n") {
 		i := strings.IndexAny(line, "{ ")
 		if i < 0 || !declared(line[:i]) || strings.HasSuffix(line, " 0") {
 			continue
@@ -59,7 +59,7 @@ func (e *engine) metricsCheckpoint(cp int, final bool) {
 		all.WriteString(line)
 		all.WriteByte('\n')
 	}
-	fmt.Fprintf(&e.metrics, "cp=%d spans=%d digest=%016x\n", cp, e.tracer.Len(), fnv64a(all.String()))
+	fmt.Fprintf(&e.metrics, "cp=%d spans=%d digest=%016x\n", cp, e.Tracer.Len(), fnv64a(all.String()))
 	if !final {
 		return
 	}

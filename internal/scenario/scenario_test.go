@@ -83,7 +83,7 @@ func TestDeclaredFamilies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exposition := e.env.Telemetry.Render()
+	exposition := e.Telemetry.Render()
 	for _, f := range declaredFamilies {
 		if f.why == "" {
 			t.Errorf("declared family %s has no reason", f.name)
@@ -107,12 +107,12 @@ func TestUndeclaredMetricLeavesGoldensUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.env.Telemetry.Counter("scratch_undeclared_total", "not in declaredFamilies").Add(7)
+	e.Telemetry.Counter("scratch_undeclared_total", "not in declaredFamilies").Add(7)
 	res, err := e.run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(e.env.Telemetry.Snapshot(), "scratch_undeclared_total 7") {
+	if !strings.Contains(e.Telemetry.Snapshot(), "scratch_undeclared_total 7") {
 		t.Fatal("scratch counter did not reach the scenario registry")
 	}
 	checkGolden(t, "steady-state.trace", res.Trace)

@@ -167,7 +167,7 @@ func (c *Convergence) ActiveID() uint64 {
 
 // ObserveCompileFor attributes one published FIB compile of the given
 // duration to the event that invalidated it (the fib.Publisher's
-// FlushObserver calls this with the event ID it was handed). A compile
+// PublishObserver calls this with the event ID it was handed). A compile
 // whose event is no longer active — a debounced flush landing after
 // Finish — is left to the fib_compile_seconds family alone.
 func (c *Convergence) ObserveCompileFor(event uint64, seconds float64) {

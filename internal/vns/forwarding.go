@@ -81,18 +81,16 @@ func NewForwarding(pr *Peering, rr *core.GeoRR, cfg ForwardingConfig) *Forwardin
 		fabric:  NewL2Fabric(pr.Net),
 		tracer:  cfg.Tracer,
 	}
-	var compileObs func(time.Duration)
-	var flushObs func(uint64, int, bool, time.Duration)
+	var publishObs func(uint64, time.Duration)
 	if cfg.Telemetry != nil {
 		// Compile latency is wall-clock, so the family is volatile:
 		// rendered on the admin endpoint, excluded from deterministic
 		// snapshots.
 		h := cfg.Telemetry.Histogram("fib_compile_seconds", "FIB trie compile latency", telemetry.DefBuckets)
 		cfg.Telemetry.MarkVolatile("fib_compile_seconds")
-		compileObs = func(d time.Duration) { h.Observe(d.Seconds()) }
-		// The convergence span layer: each publisher flush reports the
-		// event ID its invalidation carried, closing the causal loop
-		// from routing-plane event to FIB compile.
+		// The convergence span layer: each publish reports the event ID
+		// its invalidation carried, closing the causal loop from
+		// routing-plane event to FIB compile.
 		f.conv = telemetry.NewConvergence(cfg.Telemetry, cfg.Tracer, cfg.ConvergenceClock)
 		conv := f.conv
 		// Compile durations are wall time (fib.FIB.CompileDuration); the
@@ -101,7 +99,8 @@ func NewForwarding(pr *Peering, rr *core.GeoRR, cfg ForwardingConfig) *Forwardin
 		// compile takes zero simulated time — record 0 so the observation
 		// counts stay pinnable and the sums deterministic.
 		wall := cfg.ConvergenceClock != nil
-		flushObs = func(event uint64, patches int, delta bool, d time.Duration) {
+		publishObs = func(event uint64, d time.Duration) {
+			h.Observe(d.Seconds())
 			sec := 0.0
 			if wall {
 				sec = d.Seconds()
@@ -114,8 +113,7 @@ func NewForwarding(pr *Peering, rr *core.GeoRR, cfg ForwardingConfig) *Forwardin
 		eng := fib.NewEngine(p.ID, fib.Config{
 			Resolve:         func(pfx netip.Prefix) (fib.NextHop, bool) { return f.Resolve(vantage, pfx) },
 			Debounce:        cfg.Debounce,
-			CompileObserver: compileObs,
-			FlushObserver:   flushObs,
+			PublishObserver: publishObs,
 		}, f)
 		f.engines[p.ID] = eng
 		f.pubs[p.ID] = eng.Publisher()
@@ -123,13 +121,16 @@ func NewForwarding(pr *Peering, rr *core.GeoRR, cfg ForwardingConfig) *Forwardin
 	if cfg.Telemetry != nil {
 		f.registerTelemetry(cfg.Telemetry)
 	}
-	// Subscribe before the initial compile so no change can fall
-	// between them. The batch form hands each change event's full
-	// prefix set to the publishers in one call, so a multi-prefix
-	// UPDATE costs one flush (typically one delta publish) per PoP
-	// instead of one per prefix.
+	// Subscribe before the initial compile (the table download) so no
+	// change can fall between them. The batch form hands each change
+	// event's full prefix set to the publishers in one call, so a
+	// multi-prefix UPDATE costs one flush (typically one delta publish)
+	// per PoP instead of one per prefix.
 	rr.OnChangeBatch(f.InvalidateBatch)
-	f.RecompileAll()
+	u := f.universe()
+	for _, p := range pr.Net.PoPs {
+		f.pubs[p.ID].ResolveAll(u)
+	}
 	return f
 }
 
@@ -147,15 +148,6 @@ func (f *Forwarding) universe() []netip.Prefix {
 	return out
 }
 
-// RecompileAll rebuilds every PoP's FIB from scratch (the initial table
-// download; also useful after wholesale topology changes).
-func (f *Forwarding) RecompileAll() {
-	u := f.universe()
-	for _, p := range f.Peering.Net.PoPs {
-		f.pubs[p.ID].ResolveAll(u)
-	}
-}
-
 // InvalidateBatch marks a set of prefixes dirty at every PoP in one
 // call per publisher. It is the rr.OnChangeBatch callback: the whole
 // batch lands in a publisher's dirty set before its flush runs, so a
@@ -165,7 +157,7 @@ func (f *Forwarding) RecompileAll() {
 func (f *Forwarding) InvalidateBatch(prefixes []netip.Prefix) {
 	// Stamp each publisher with the in-flight convergence event, so the
 	// flushes this invalidation causes report their compiles back to it
-	// (fib.Config.FlushObserver) — the event ID's rib→fib crossing.
+	// (fib.Config.PublishObserver) — the event ID's rib→fib crossing.
 	event := f.conv.ActiveID()
 	for _, id := range detsort.Keys(f.pubs) {
 		f.pubs[id].InvalidateEvent(event, prefixes...)
@@ -173,10 +165,10 @@ func (f *Forwarding) InvalidateBatch(prefixes []netip.Prefix) {
 }
 
 // InvalidateAll marks the whole universe dirty at every PoP — the
-// failover controller's reconvergence path after a link or PoP event.
-// Unlike RecompileAll it flows through the dirty-prefix machinery, so
-// prefixes whose next hop is unaffected cost a resolve but no publish
-// (the Publisher's no-spurious-churn fast path).
+// failover controller's reconvergence path after a link or PoP event or
+// a drain. Unlike the initial compile it flows through the dirty-prefix
+// machinery, so prefixes whose next hop is unaffected cost a resolve but
+// no publish (the Publisher's no-spurious-churn fast path).
 func (f *Forwarding) InvalidateAll() {
 	u := f.universe()
 	event := f.conv.ActiveID()

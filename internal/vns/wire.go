@@ -11,8 +11,9 @@ import (
 
 // WireDeployment runs the VNS control plane over real BGP/TCP: the geo
 // route reflector listening for sessions plus one in-process speaker per
-// egress router, each announcing its best-external routes. cmd/vnsd is a
-// thin wrapper over this; tests drive it directly.
+// egress router, each announcing its best-external routes.
+// experiments.Deploy starts it for cmd/vnsd; this package's tests drive
+// it directly.
 type WireDeployment struct {
 	RR  *core.RRServer
 	dp  *DataPlane

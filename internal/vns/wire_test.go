@@ -25,7 +25,7 @@ func wireDeployment(t *testing.T, maxPrefixes int) (*WireDeployment, *Peering) {
 			t.Fatal(err)
 		}
 	}
-	rr := core.New(core.Config{DB: db, ClusterID: netip.MustParseAddr("10.0.0.100")})
+	rr := core.New(core.Config{DB: db})
 	for _, p := range n.PoPs {
 		for _, r := range p.Routers {
 			rr.AddEgress(core.Egress{ID: r, Pos: p.Place.Pos, PoP: p.Code})
