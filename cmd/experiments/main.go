@@ -25,7 +25,7 @@ import (
 )
 
 func main() {
-	run := flag.String("run", "all", "comma-separated experiments: fig3,fig4,fig5,fig6,fig7,fig9,fig10,fig11,table1,fig12,congruence,adaptive,repair,mediaclaims,qoe,capacity,econ,ablations,failover,flows,ribscale,scenario,soak or all (soak never runs under all)")
+	run := flag.String("run", "all", "comma-separated experiments: fig3,fig4,fig5,fig6,fig7,fig9,fig10,fig11,table1,fig12,congruence,adaptive,repair,mediaclaims,qoe,capacity,econ,ablations,failover,flows,scenario,soak or all (soak never runs under all)")
 	seed := flag.Uint64("seed", 0, "random seed (0 = default)")
 	numAS := flag.Int("numas", 0, "synthetic Internet size in ASes (0 = default 3000)")
 	days := flag.Int("days", 0, "measurement days for fig9/fig10/fig11/fig12/table1 (0 = defaults)")
@@ -153,13 +153,6 @@ func main() {
 	// and needs no shared environment.
 	section("flows", func() string {
 		return experiments.FlowStudy(experiments.FlowsConfig{Flows: *flows}).Render()
-	})
-
-	// The RIB scale study builds its own full-Internet-sized table
-	// (-numas does not apply; the table is synthetic prefixes, not
-	// ASes) and needs no shared environment.
-	section("ribscale", func() string {
-		return experiments.RIBScaleStudy(experiments.RIBScaleConfig{Seed: *seed}).Render()
 	})
 
 	// The soak study holds the combined churn + flow load for real wall

@@ -1,7 +1,10 @@
-// Command geoipgen builds a geolocation database for the synthetic
-// Internet — either ground truth or commercial-quality (with the
-// calibrated error model) — and writes it in the binary format the
-// reflector hosts load.
+// Command geoipgen writes a world's GeoIP database to a file in the
+// binary geoip format, or dumps such a file. The database is the one the
+// geo route reflector queries in the world vnsd, cmd/experiments and the
+// scenario harness build from the same -seed and -numas: commercial
+// quality (the calibrated error model), or under -truth the ground truth
+// it was corrupted from. Nothing in the tree loads the file; it is for
+// inspection and for tools outside the tree.
 //
 //	geoipgen -numas 3000 -out geoip.db          # commercial quality
 //	geoipgen -truth -out truth.db               # ground truth
@@ -14,83 +17,81 @@ import (
 	"log"
 	"os"
 
+	"vns/internal/experiments"
 	"vns/internal/geoip"
-	"vns/internal/loss"
-	"vns/internal/topo"
 )
 
 func main() {
 	numAS := flag.Int("numas", 3000, "synthetic Internet size")
-	seed := flag.Uint64("seed", 1, "generation seed")
+	seed := flag.Uint64("seed", 1, "world seed")
 	truth := flag.Bool("truth", false, "write ground truth instead of commercial quality")
 	out := flag.String("out", "geoip.db", "output file")
-	dump := flag.String("dump", "", "dump an existing database file and exit")
+	dumpFile := flag.String("dump", "", "dump an existing database file and exit")
 	flag.Parse()
 
 	log.SetPrefix("geoipgen: ")
 	log.SetFlags(0)
 
-	if *dump != "" {
-		f, err := os.Open(*dump)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		db := geoip.New()
-		if _, err := db.ReadFrom(f); err != nil {
-			log.Fatal(err)
-		}
-		stale := 0
-		db.Walk(func(rec geoip.Record) bool {
-			flag := ""
-			if rec.Stale {
-				flag = " [stale]"
-				stale++
-			}
-			fmt.Printf("%-18v %-2s %v (%.2f, %.2f)%s\n",
-				rec.Prefix, rec.Country, rec.Region, rec.Pos.Lat, rec.Pos.Lon, flag)
-			return true
-		})
-		fmt.Fprintf(os.Stderr, "%d records, %d stale\n", db.Len(), stale)
-		return
+	var err error
+	if *dumpFile != "" {
+		err = dump(*dumpFile)
+	} else {
+		err = write(*out, *seed, *numAS, *truth)
 	}
-
-	t := topo.Generate(topo.GenConfig{Seed: *seed, NumAS: *numAS})
-	db := geoip.New()
-	truthDB := geoip.New()
-	corr := geoip.NewCorruptor(loss.NewRNG(*seed ^ 0xDB))
-	for i := range t.Prefixes {
-		pi := &t.Prefixes[i]
-		rec := geoip.Record{Prefix: pi.Prefix, Pos: pi.Loc, Country: pi.Country, Region: pi.Region}
-		if err := truthDB.Insert(rec); err != nil {
-			log.Fatal(err)
-		}
-		if !*truth {
-			rec = corr.Apply(rec)
-		}
-		if err := db.Insert(rec); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if !*truth {
-		log.Printf("accuracy vs ground truth: %v", geoip.CompareAccuracy(truthDB, db))
-	}
-
-	f, err := os.Create(*out)
 	if err != nil {
 		log.Fatal(err)
+	}
+}
+
+// write builds the world for seed and numAS and writes its reflector's
+// database to path, or with truth the ground-truth database.
+func write(path string, seed uint64, numAS int, truth bool) error {
+	env := experiments.NewEnv(experiments.Config{Seed: seed, NumAS: numAS})
+	db, kind := env.DB, "commercial-quality"
+	if truth {
+		db, kind = env.TruthDB, "ground-truth"
+	} else {
+		log.Printf("accuracy vs ground truth: %v", geoip.CompareAccuracy(env.TruthDB, env.DB))
+	}
+
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
 	n, err := db.WriteTo(f)
 	if err != nil {
 		f.Close()
-		log.Fatal(err)
+		return err
 	}
 	if err := f.Close(); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	kind := "commercial-quality"
-	if *truth {
-		kind = "ground-truth"
+	log.Printf("wrote %s database: %d records, %d bytes -> %s", kind, db.Len(), n, path)
+	return nil
+}
+
+// dump prints every record of the database file at path.
+func dump(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
 	}
-	log.Printf("wrote %s database: %d records, %d bytes -> %s", kind, db.Len(), n, *out)
+	defer f.Close()
+	db := geoip.New()
+	if _, err := db.ReadFrom(f); err != nil {
+		return err
+	}
+	stale := 0
+	db.Walk(func(rec geoip.Record) bool {
+		flag := ""
+		if rec.Stale {
+			flag = " [stale]"
+			stale++
+		}
+		fmt.Printf("%-18v %-2s %v (%.2f, %.2f)%s\n",
+			rec.Prefix, rec.Country, rec.Region, rec.Pos.Lat, rec.Pos.Lon, flag)
+		return true
+	})
+	fmt.Fprintf(os.Stderr, "%d records, %d stale\n", db.Len(), stale)
+	return nil
 }

@@ -134,14 +134,9 @@ func listWorst(env *experiments.Env, n int) {
 		if !ok {
 			continue
 		}
-		best, bestCode := geoRTT, geoPoP.Code
-		for _, pop := range env.Net.PoPs {
-			if rtt, ok := env.DP.ExternalRTT(pop, pi); ok && rtt < best {
-				best, bestCode = rtt, pop.Code
-			}
-		}
+		bestPoP, best := env.DelayBestPoP(pi)
 		if d := geoRTT - best; d > 0 {
-			all = append(all, displaced{pi, d, geoPoP.Code, bestCode})
+			all = append(all, displaced{pi, d, geoPoP.Code, bestPoP.Code})
 		}
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].diff > all[j].diff })

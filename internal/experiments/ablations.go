@@ -7,6 +7,7 @@ import (
 	"vns/internal/geoip"
 	"vns/internal/measure"
 	"vns/internal/topo"
+	"vns/internal/vns"
 )
 
 // Ablations isolate the design choices DESIGN.md calls out: the BGP
@@ -40,30 +41,23 @@ func (r *AblationResult) Render() string {
 	return tb.String()
 }
 
-// egressPicker selects an egress PoP for a prefix.
-type egressPicker func(pi *topo.PrefixInfo) (popCode string, ok bool)
-
-// precision measures an egress-selection policy against the
-// delay-optimal choice over all prefixes.
-func precision(e *Env, pick egressPicker) AblationRow {
+// precision measures an egress-selection policy (pick returns nil for
+// an unreachable prefix) against the delay-optimal choice over all
+// prefixes.
+func precision(e *Env, pick func(*topo.PrefixInfo) *vns.PoP) AblationRow {
 	var diffs []float64
 	optimal := 0
 	for i := range e.Topo.Prefixes {
 		pi := &e.Topo.Prefixes[i]
-		code, ok := pick(pi)
+		pop := pick(pi)
+		if pop == nil {
+			continue
+		}
+		rtt, ok := e.DP.ExternalRTT(pop, pi)
 		if !ok {
 			continue
 		}
-		rtt, ok := e.DP.ExternalRTT(e.Net.PoP(code), pi)
-		if !ok {
-			continue
-		}
-		best := rtt
-		for _, p := range e.Net.PoPs {
-			if r, ok := e.DP.ExternalRTT(p, pi); ok && r < best {
-				best = r
-			}
-		}
+		_, best := e.DelayBestPoP(pi)
 		d := rtt - best
 		diffs = append(diffs, d)
 		if d <= 1 {
@@ -77,15 +71,9 @@ func precision(e *Env, pick egressPicker) AblationRow {
 	}
 }
 
-func geoPicker(e *Env, rr *core.GeoRR) egressPicker {
-	return func(pi *topo.PrefixInfo) (string, bool) {
-		cands := e.Peering.Candidates(pi.Origin)
-		best, ok := e.Peering.SelectGeo(rr, e.Net.PoP("LON"), cands, pi.Prefix)
-		if !ok {
-			return "", false
-		}
-		return best.Session.PoP.Code, true
-	}
+// geoPrecision is precision of geo routing under the given reflector.
+func geoPrecision(e *Env, rr *core.GeoRR) AblationRow {
+	return precision(e, func(pi *topo.PrefixInfo) *vns.PoP { return e.geoEgress(rr, pi) })
 }
 
 // AblationBestExternal compares geo-routing with best-external enabled
@@ -95,17 +83,17 @@ func geoPicker(e *Env, rr *core.GeoRR) egressPicker {
 func AblationBestExternal(e *Env) *AblationResult {
 	res := &AblationResult{Title: "Ablation: hidden routes vs BGP best-external"}
 
-	withRow := precision(e, geoPicker(e, e.RR))
+	withRow := geoPrecision(e, e.RR)
 	withRow.Variant = "best-external (deployed)"
 	res.Rows = append(res.Rows, withRow)
 
-	withoutRow := precision(e, func(pi *topo.PrefixInfo) (string, bool) {
+	withoutRow := precision(e, func(pi *topo.PrefixInfo) *vns.PoP {
 		cands := e.Peering.Candidates(pi.Origin)
 		best, ok := e.Peering.SelectFirstArrival(cands, pi.Prefix)
 		if !ok {
-			return "", false
+			return nil
 		}
-		return best.Session.PoP.Code, true
+		return best.Session.PoP
 	})
 	withoutRow.Variant = "hidden routes (no best-external)"
 	res.Rows = append(res.Rows, withoutRow)
@@ -123,13 +111,7 @@ func AblationLocalPref(e *Env) *AblationResult {
 		{"linear (deployed)", core.LinearLocalPref},
 		{"500km steps", core.StepLocalPref},
 	} {
-		rr := core.New(core.Config{DB: e.DB, LocalPref: v.fn})
-		for _, p := range e.Net.PoPs {
-			for _, r := range p.Routers {
-				rr.AddEgress(core.Egress{ID: r, Pos: p.Place.Pos, PoP: p.Code})
-			}
-		}
-		row := precision(e, geoPicker(e, rr))
+		row := geoPrecision(e, e.newReflector(core.Config{DB: e.DB, LocalPref: v.fn}))
 		row.Variant = v.name
 		res.Rows = append(res.Rows, row)
 	}
@@ -150,31 +132,19 @@ func AblationGeoDBError(e *Env) *AblationResult {
 		{"degraded (300km jitter, 20% collapse)", degradedDB(e)},
 	}
 	for _, v := range variants {
-		rr := core.New(core.Config{DB: v.db})
-		for _, p := range e.Net.PoPs {
-			for _, r := range p.Routers {
-				rr.AddEgress(core.Egress{ID: r, Pos: p.Place.Pos, PoP: p.Code})
-			}
-		}
-		row := precision(e, geoPicker(e, rr))
+		row := geoPrecision(e, e.newReflector(core.Config{DB: v.db}))
 		row.Variant = v.name
 		res.Rows = append(res.Rows, row)
 	}
 	return res
 }
 
+// degradedDB is the commercial database's error model turned up: 300 km
+// city jitter, 20% country collapse, half the records stale.
 func degradedDB(e *Env) *geoip.DB {
-	db := geoip.New()
 	corr := geoip.NewCorruptor(e.RNG.Fork(0xBAD))
 	corr.CityJitterKmSigma = 300
 	corr.CountryCollapseRate = 0.2
 	corr.StaleRate = 0.5
-	for i := range e.Topo.Prefixes {
-		pi := &e.Topo.Prefixes[i]
-		rec := corr.Apply(geoip.Record{Prefix: pi.Prefix, Pos: pi.Loc, Country: pi.Country, Region: pi.Region})
-		if err := db.Insert(rec); err != nil {
-			panic(err)
-		}
-	}
-	return db
+	return e.geoDB(corr)
 }

@@ -34,22 +34,6 @@ func CongruenceStudy(e *Env) *CongruenceResult {
 		byOrigin[pi.Origin] = append(byOrigin[pi.Origin], i)
 	}
 
-	closest := func(idx int) *vns.PoP {
-		pi := &e.Topo.Prefixes[idx]
-		var best *vns.PoP
-		bestRTT := 0.0
-		for _, p := range e.Net.PoPs {
-			rtt, ok := e.DP.ExternalRTT(p, pi)
-			if !ok {
-				continue
-			}
-			if best == nil || rtt < bestRTT {
-				best, bestRTT = p, rtt
-			}
-		}
-		return best
-	}
-
 	var fracs []float64
 	// Sorted by origin AS so the fraction series (and its CDF) is
 	// reproducible run to run.
@@ -61,7 +45,7 @@ func CongruenceStudy(e *Env) *CongruenceResult {
 		counts := map[*vns.PoP]int{}
 		total := 0
 		for _, idx := range idxs {
-			if p := closest(idx); p != nil {
+			if p, _ := e.DelayBestPoP(&e.Topo.Prefixes[idx]); p != nil {
 				counts[p]++
 				total++
 			}

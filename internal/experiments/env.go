@@ -61,39 +61,68 @@ func NewEnv(cfg Config) *Env {
 	e.Net = vns.NewNetwork()
 	e.Peering = vns.Connect(e.Net, e.Topo, cfg.Seed)
 
-	e.TruthDB = geoip.New()
-	e.DB = geoip.New()
-	corr := geoip.NewCorruptor(e.RNG.Fork(0xDB))
-	for i := range e.Topo.Prefixes {
-		pi := &e.Topo.Prefixes[i]
-		truth := geoip.Record{Prefix: pi.Prefix, Pos: pi.Loc, Country: pi.Country, Region: pi.Region}
-		if err := e.TruthDB.Insert(truth); err != nil {
-			panic(err)
-		}
-		if err := e.DB.Insert(corr.Apply(truth)); err != nil {
-			panic(err)
-		}
-	}
-
-	e.RR = core.New(core.Config{DB: e.DB, Telemetry: e.Telemetry})
-	for _, p := range e.Net.PoPs {
-		for _, r := range p.Routers {
-			e.RR.AddEgress(core.Egress{ID: r, Pos: p.Place.Pos, PoP: p.Code})
-		}
-	}
+	e.TruthDB = e.geoDB(nil)
+	e.DB = e.geoDB(geoip.NewCorruptor(e.RNG.Fork(0xDB)))
+	e.RR = e.newReflector(core.Config{DB: e.DB, Telemetry: e.Telemetry})
 	e.DP = vns.NewDataPlane(e.Peering, cfg.Seed^0xDA7A)
 	return e
 }
 
+// geoDB builds a GeoIP database over every prefix of the topology:
+// ground truth when corr is nil, else each record through corr.
+func (e *Env) geoDB(corr *geoip.Corruptor) *geoip.DB {
+	db := geoip.New()
+	for i := range e.Topo.Prefixes {
+		pi := &e.Topo.Prefixes[i]
+		rec := geoip.Record{Prefix: pi.Prefix, Pos: pi.Loc, Country: pi.Country, Region: pi.Region}
+		if corr != nil {
+			rec = corr.Apply(rec)
+		}
+		if err := db.Insert(rec); err != nil {
+			panic(err)
+		}
+	}
+	return db
+}
+
+// newReflector builds a GeoRR over cfg with every egress router of the
+// deployment registered at its PoP.
+func (e *Env) newReflector(cfg core.Config) *core.GeoRR {
+	rr := core.New(cfg)
+	for _, p := range e.Net.PoPs {
+		for _, r := range p.Routers {
+			rr.AddEgress(core.Egress{ID: r, Pos: p.Place.Pos, PoP: p.Code})
+		}
+	}
+	return rr
+}
+
 // GeoEgressPoP returns the egress PoP geo-based routing selects for a
 // prefix, or nil when the destination is unreachable.
-func (e *Env) GeoEgressPoP(pi *topo.PrefixInfo) *vns.PoP {
+func (e *Env) GeoEgressPoP(pi *topo.PrefixInfo) *vns.PoP { return e.geoEgress(e.RR, pi) }
+
+// geoEgress is GeoEgressPoP under the decisions of the given reflector.
+func (e *Env) geoEgress(rr *core.GeoRR, pi *topo.PrefixInfo) *vns.PoP {
 	cands := e.Peering.Candidates(pi.Origin)
-	best, ok := e.Peering.SelectGeo(e.RR, e.Net.PoP("LON"), cands, pi.Prefix)
+	best, ok := e.Peering.SelectGeo(rr, e.Net.PoP("LON"), cands, pi.Prefix)
 	if !ok {
 		return nil
 	}
 	return best.Session.PoP
+}
+
+// DelayBestPoP returns the PoP whose immediate exit (DataPlane.ExternalRTT)
+// reaches the prefix in the least RTT, and that RTT: the first PoP in
+// id order on a tie, nil when no PoP reaches the prefix.
+func (e *Env) DelayBestPoP(pi *topo.PrefixInfo) (*vns.PoP, float64) {
+	var best *vns.PoP
+	bestRTT := 0.0
+	for _, p := range e.Net.PoPs {
+		if rtt, ok := e.DP.ExternalRTT(p, pi); ok && (best == nil || rtt < bestRTT) {
+			best, bestRTT = p, rtt
+		}
+	}
+	return best, bestRTT
 }
 
 // Forwarding compiles the per-PoP forwarding plane (internal/fib) over

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"vns/internal/geo"
 	"vns/internal/media"
 	"vns/internal/topo"
+	"vns/internal/vns"
 )
 
 // testEnv is shared across tests: building the world once keeps the
@@ -67,6 +69,50 @@ func TestEnvDatabases(t *testing.T) {
 	}
 	if far > len(e.Topo.Prefixes)/4 {
 		t.Errorf("too many gross errors: %d", far)
+	}
+}
+
+// TestDelayBestPoPTiesGoToLowestID pins the delay-best exit's tie rule:
+// among PoPs whose immediate exits reach a prefix in equal RTT, the one
+// with the lowest id. Moving every PoP to one place leaves only the
+// exit's AS-path length between them, so ties are common.
+func TestDelayBestPoPTiesGoToLowestID(t *testing.T) {
+	e := NewEnv(Config{Seed: 1, NumAS: 120})
+	for _, p := range e.Net.PoPs {
+		p.Place = e.Net.PoPs[0].Place
+	}
+	ties := 0
+	for i := range e.Topo.Prefixes {
+		pi := &e.Topo.Prefixes[i]
+		var tied []*vns.PoP
+		least := math.Inf(1)
+		for _, p := range e.Net.PoPs {
+			rtt, ok := e.DP.ExternalRTT(p, pi)
+			switch {
+			case !ok:
+			case rtt < least:
+				least, tied = rtt, []*vns.PoP{p}
+			case rtt == least:
+				tied = append(tied, p)
+			}
+		}
+		if len(tied) < 2 {
+			continue
+		}
+		ties++
+		want := tied[0]
+		for _, p := range tied[1:] {
+			if p.ID < want.ID {
+				want = p
+			}
+		}
+		if got, rtt := e.DelayBestPoP(pi); got != want || rtt != least {
+			t.Fatalf("%v: DelayBestPoP = %v at %.3f ms, want %s (lowest id of %d tied at %.3f ms)",
+				pi.Prefix, got, rtt, want.Code, len(tied), least)
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no prefix has tied exits; the test checks nothing")
 	}
 }
 

@@ -47,12 +47,7 @@ func Fig3GeoPrecision(e *Env) *Fig3Result {
 		if !ok {
 			continue
 		}
-		best := rttGeo
-		for _, p := range e.Net.PoPs {
-			if rtt, ok := e.DP.ExternalRTT(p, pi); ok && rtt < best {
-				best = rtt
-			}
-		}
+		_, best := e.DelayBestPoP(pi)
 		diff := rttGeo - best
 		all = append(all, diff)
 		res.Probes++

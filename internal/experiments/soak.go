@@ -14,20 +14,22 @@ import (
 	"sync/atomic"
 	"time"
 
+	"vns/internal/bgp"
 	"vns/internal/fib"
 	"vns/internal/flowsim"
 	"vns/internal/loss"
 	"vns/internal/netsim"
 	"vns/internal/rib"
 	"vns/internal/telemetry"
+	"vns/internal/vns"
 )
 
-// The soak study is the continuous-performance harness: it drives the
-// full-Internet churn pipeline (RIB scale study's table shape) and the
-// million-flow aggregate population (flow study's load) at the same
-// time for a configurable wall duration, while self-scraping its own
-// /metrics endpoint over loopback HTTP on a fixed interval into
-// schema-stable JSONL. Every churn burst is one convergence event whose
+// The soak study is the continuous-performance harness: it drives a
+// full-Internet-shaped table (internetPrefixes) through the sharded RIB
+// and a delta-compiling FIB publisher, and the million-flow aggregate
+// population (flow study's load), at the same time for a configurable
+// wall duration, while self-scraping its own /metrics endpoint over
+// loopback HTTP on a fixed interval into schema-stable JSONL. Every churn burst is one convergence event whose
 // stage decomposition (ingest → georr → select → fib_compile →
 // forwarding) must tile the observed end-to-end latency — the run
 // fails if the summed stages drift more than 5% from the end-to-end
@@ -46,7 +48,7 @@ type SoakConfig struct {
 	DurationSec float64
 	// ScrapeIntervalSec is the metrics self-scrape period (default 1).
 	ScrapeIntervalSec float64
-	// Seed drives the churn workload (default the RIB scale seed).
+	// Seed drives the churn workload (default 0x51B5CA1E).
 	Seed uint64
 	// Out receives one JSON object per scrape (nil discards them).
 	Out io.Writer
@@ -88,6 +90,11 @@ type SoakResult struct {
 	Prefixes int
 	Routes   int
 	WallSec  float64
+
+	// The full-table load, the run's first convergence event: its select
+	// stage (every route through the sharded table's batched ingest) and
+	// the initial full FIB compile, in wall seconds.
+	LoadSelectSec, LoadCompileSec float64
 
 	// Churn side.
 	Events      uint64 // churn convergence events driven
@@ -179,8 +186,6 @@ func SoakStudy(cfg SoakConfig) *SoakResult {
 		return 100 + h%400
 	}
 
-	h := reg.Histogram("fib_compile_seconds", "FIB trie compile latency", telemetry.DefBuckets)
-	reg.MarkVolatile("fib_compile_seconds")
 	pub := fib.NewPublisher(fib.Config{
 		Resolve: func(pfx netip.Prefix) (fib.NextHop, bool) {
 			r := table.Best(pfx)
@@ -189,11 +194,8 @@ func SoakStudy(cfg SoakConfig) *SoakResult {
 			}
 			return fib.NextHop{PoP: int(r.PeerID.As4()[3]), Router: r.PeerID}, true
 		},
-		Debounce: 0,
-		PublishObserver: func(event uint64, d time.Duration) {
-			h.Observe(d.Seconds())
-			conv.ObserveCompileFor(event, d.Seconds())
-		},
+		Debounce:        0,
+		PublishObserver: vns.CompileObserver(reg, conv, true),
 	})
 
 	// Full-table download, chunked like session resets, as one "update"
@@ -204,7 +206,7 @@ func SoakStudy(cfg SoakConfig) *SoakResult {
 	load := make([]rib.Op, 0, res.Routes)
 	for _, pfx := range prefixes {
 		for p := 0; p < synthPeers; p++ {
-			load = append(load, rib.Announce(synthRoute(pfx, p, 0)))
+			load = append(load, rib.Announce(synthRoute(pfx, p)))
 		}
 	}
 	ev.Stage(telemetry.StageIngest, mark)
@@ -215,13 +217,15 @@ func SoakStudy(cfg SoakConfig) *SoakResult {
 	}
 	ev.Stage(telemetry.StageGeoRR, mark)
 	mark = ev.Mark()
+	t0 := wallNow()
 	for lo := 0; lo < len(load); lo += loadChunk {
 		hi := min(lo+loadChunk, len(load))
 		table.ApplyBatch(load[lo:hi])
 	}
+	res.LoadSelectSec = wallNow() - t0
 	ev.Stage(telemetry.StageSelect, mark)
 	mark = ev.Mark()
-	pub.ResolveAll(prefixes)
+	res.LoadCompileSec = pub.ResolveAll(prefixes).CompileDuration().Seconds()
 	ev.StageExclusive(telemetry.StageForwarding, mark)
 	ev.Finish()
 
@@ -261,7 +265,7 @@ func SoakStudy(cfg SoakConfig) *SoakResult {
 				if rng.Float64() < 0.25 {
 					ops = append(ops, rib.WithdrawOp(prefixes[pi], synthPeerID(peer), synthPeerID(peer)))
 				} else {
-					ops = append(ops, rib.Announce(synthRoute(prefixes[pi], peer, 0)))
+					ops = append(ops, rib.Announce(synthRoute(prefixes[pi], peer)))
 				}
 			}
 			ev.Stage(telemetry.StageIngest, mark)
@@ -443,6 +447,44 @@ func soakScrape(client *http.Client, url string) (map[string]float64, error) {
 	return out, sc.Err()
 }
 
+// synthPeers is the number of egress routers advertising every prefix
+// of the synthetic full-Internet table, so each prefix has a real
+// decision to run.
+const synthPeers = 4
+
+// synthPeerID is the router ID of the soak's p-th synthetic peer.
+func synthPeerID(p int) netip.Addr { return netip.AddrFrom4([4]byte{10, 255, 0, byte(1 + p)}) }
+
+// synthRoute is the eBGP route the p-th synthetic peer announces for
+// pfx; the soak's geo step sets its local preference.
+func synthRoute(pfx netip.Prefix, peer int) *rib.Route {
+	id := synthPeerID(peer)
+	return &rib.Route{
+		Prefix:   pfx,
+		Attrs:    bgp.Attrs{HasLocalPref: true, NextHop: id},
+		EBGP:     true,
+		PeerAS:   uint16(64500 + peer),
+		PeerID:   id,
+		PeerAddr: id,
+	}
+}
+
+// internetPrefixes builds an n-prefix set shaped like a full Internet
+// table: dense /24 coverage under consecutive /8s plus /16 covers,
+// concentrated so trie node count (memory) stays realistic.
+func internetPrefixes(n int) []netip.Prefix {
+	out := make([]netip.Prefix, 0, n)
+	for a := 1; len(out) < n && a < 224; a++ {
+		for b := 0; len(out) < n && b < 256; b++ {
+			out = append(out, netip.PrefixFrom(netip.AddrFrom4([4]byte{byte(a), byte(b), 0, 0}), 16))
+			for c := 0; len(out) < n && c < 256; c++ {
+				out = append(out, netip.PrefixFrom(netip.AddrFrom4([4]byte{byte(a), byte(b), byte(c), 0}), 24))
+			}
+		}
+	}
+	return out
+}
+
 // Passed reports whether the run met the soak gates: no scrape gaps, no
 // counter conservation violations, exact flow conservation, and stage
 // additivity within 5%.
@@ -457,6 +499,8 @@ func (r *SoakResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Soak: %d prefixes × %d peers, %d flows, %.0fs wall (scrape every %.1fs)\n",
 		r.Prefixes, synthPeers, r.FlowTotals.Flows, r.WallSec, r.Cfg.ScrapeIntervalSec)
+	fmt.Fprintf(&b, "  load: %d routes through the sharded table in %.3fs (select), initial FIB compile %.1fms\n",
+		r.Routes, r.LoadSelectSec, 1e3*r.LoadCompileSec)
 	fmt.Fprintf(&b, "  churn: %d events, %d ops, %d best-path changes (%.0f events/s)\n",
 		r.Events, r.OpsApplied, r.BestChanged, float64(r.Events)/max(r.WallSec, 1e-9))
 	fmt.Fprintf(&b, "  convergence: end-to-end %.3fs vs stage sum %.3fs over all events (drift %.2f%%, gate 5%%)\n",

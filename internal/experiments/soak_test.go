@@ -35,6 +35,9 @@ func TestSoakStudyShort(t *testing.T) {
 	if res.AdditivityErr > 0.05 {
 		t.Errorf("stage additivity drift %.2f%% over 5%% gate", 100*res.AdditivityErr)
 	}
+	if res.LoadSelectSec <= 0 || res.LoadCompileSec <= 0 {
+		t.Errorf("full-table load: select %vs, compile %vs, want both > 0", res.LoadSelectSec, res.LoadCompileSec)
+	}
 	for _, s := range []string{"fib_compile", "select"} {
 		if res.StageP99[s] <= 0 {
 			t.Errorf("stage %s p99 = %v, want > 0 under load", s, res.StageP99[s])
@@ -85,7 +88,32 @@ func TestSoakStudyShort(t *testing.T) {
 	}
 
 	r := res.Render()
-	if !strings.Contains(r, "soak: PASS") {
-		t.Errorf("Render missing PASS line:\n%s", r)
+	for _, want := range []string{"  load: 16000 routes through the sharded table", "soak: PASS"} {
+		if !strings.Contains(r, want) {
+			t.Errorf("Render missing %q:\n%s", want, r)
+		}
+	}
+}
+
+// TestInternetPrefixesShape checks the soak's synthetic table generator:
+// exact count, uniqueness, and cover/specific mixture.
+func TestInternetPrefixesShape(t *testing.T) {
+	ps := internetPrefixes(10_000)
+	if len(ps) != 10_000 {
+		t.Fatalf("len = %d, want 10000", len(ps))
+	}
+	seen := make(map[string]bool, len(ps))
+	covers := 0
+	for _, p := range ps {
+		if seen[p.String()] {
+			t.Fatalf("duplicate prefix %v", p)
+		}
+		seen[p.String()] = true
+		if p.Bits() == 16 {
+			covers++
+		}
+	}
+	if covers == 0 {
+		t.Error("no /16 covers generated")
 	}
 }

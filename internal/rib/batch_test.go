@@ -320,23 +320,6 @@ func TestShardedMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestShardedWalkBestStops pins early termination across shard
-// boundaries.
-func TestShardedWalkBestStops(t *testing.T) {
-	s := NewSharded(8)
-	for i := 0; i < 32; i++ {
-		s.ApplyBatch([]Op{Announce(routeFor(netip.PrefixFrom(netip.AddrFrom4([4]byte{byte(i * 8), 0, 0, 0}), 16), 1, 100))})
-	}
-	seen := 0
-	s.WalkBest(func(*Route) bool {
-		seen++
-		return seen < 5
-	})
-	if seen != 5 {
-		t.Errorf("walk visited %d, want 5 (stop honored)", seen)
-	}
-}
-
 // BenchmarkRIBChurn measures batched UPDATE churn against a full-scale
 // table: each op is a batch of 16 announce/withdraw transitions over a
 // 100k-prefix Loc-RIB with 4 candidates per prefix, the coalesce +

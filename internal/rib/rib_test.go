@@ -248,11 +248,6 @@ func TestPrefixesSorted(t *testing.T) {
 			t.Errorf("Prefixes[%d] = %v, want %v", i, ps[i], w)
 		}
 	}
-	n := 0
-	tb.WalkBest(func(*Route) bool { n++; return n < 2 })
-	if n != 2 {
-		t.Errorf("WalkBest early stop: %d", n)
-	}
 }
 
 // cloneRoute returns a deep copy of the route.

@@ -52,9 +52,6 @@ func NewSharded(n int) *ShardedTable {
 	return s
 }
 
-// Shards returns the shard count.
-func (s *ShardedTable) Shards() int { return len(s.shards) }
-
 // shardOf maps a prefix to its shard: the top 16 bits of the masked
 // address, scaled into the shard count. Contiguity of the resulting
 // ranges is what keeps per-shard sorted output globally sorted. It runs
@@ -155,16 +152,4 @@ func (s *ShardedTable) Prefixes() []netip.Prefix {
 		out = append(out, t.Prefixes()...)
 	}
 	return out
-}
-
-// WalkBest visits the best route of every prefix in globally sorted
-// order until fn returns false.
-func (s *ShardedTable) WalkBest(fn func(*Route) bool) {
-	for _, t := range s.shards {
-		for _, p := range t.Prefixes() {
-			if b := t.Best(p); b != nil && !fn(b) {
-				return
-			}
-		}
-	}
 }

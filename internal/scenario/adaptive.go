@@ -21,13 +21,29 @@ func (e *engine) setupAdaptive() error {
 	e.probeBias = make(map[adaptive.Key]float64)
 	e.geoBestPoP = make(map[netip.Prefix]int)
 
+	// The controller's measurement backend: the deployment's own probe
+	// (Env.AdaptiveProbe, the delay model's truth-based external RTT from
+	// the egress PoP) plus any scripted bias. Everything runs on the sim
+	// goroutine, so the bias map needs no lock.
+	unbiased := e.AdaptiveProbe()
+	e.probe = func(pop int, pfx netip.Prefix) (float64, bool) {
+		rtt, ok := unbiased(pop, pfx)
+		if !ok {
+			return 0, false
+		}
+		rtt += e.probeBias[adaptive.Key{PoP: pop, Prefix: pfx}]
+		if rtt < 0.1 {
+			rtt = 0.1
+		}
+		return rtt, true
+	}
 	e.adaptive = adaptive.NewController(adaptive.Config{
 		Sim:         e.Sim,
 		IntervalSec: a.IntervalSec,
 		Budget:      a.Budget,
 		HalfLifeSec: a.HalfLifeSec,
 		Stability:   adaptive.StabilityConfig{MinSamples: a.MinSamples},
-		Probe:       e.probeRTT,
+		Probe:       e.probe,
 		Sink:        e.RR,
 		Telemetry:   e.Telemetry,
 		Convergence: e.Fwd.Convergence(),
@@ -59,25 +75,6 @@ func (e *engine) setupAdaptive() error {
 		}
 	}
 	return nil
-}
-
-// probeRTT is the controller's measurement backend: the delay model's
-// truth-based external RTT from the egress PoP, plus any scripted bias.
-// Everything runs on the sim goroutine, so the bias map needs no lock.
-func (e *engine) probeRTT(pop int, pfx netip.Prefix) (float64, bool) {
-	pi, ok := e.Topo.PrefixInfoFor(pfx)
-	if !ok {
-		return 0, false
-	}
-	rtt, ok := e.DP.ExternalRTT(e.Net.PoPByID(pop), pi)
-	if !ok {
-		return 0, false
-	}
-	rtt += e.probeBias[adaptive.Key{PoP: pop, Prefix: pfx}]
-	if rtt < 0.1 {
-		rtt = 0.1
-	}
-	return rtt, true
 }
 
 // biasKey resolves a probe-bias/probe-oscillate event to its path key.
@@ -136,8 +133,8 @@ func (e *engine) applyProbeOscillate(ev *Event) error {
 func (e *engine) adaptiveGain() (n int, geoMs, adMs float64) {
 	st := e.adaptive.Status(e.Sim.Now())
 	for _, o := range st.Overrides {
-		g, okG := e.probeRTT(e.geoBestPoP[o.Prefix], o.Prefix)
-		a, okA := e.probeRTT(o.PoP, o.Prefix)
+		g, okG := e.probe(e.geoBestPoP[o.Prefix], o.Prefix)
+		a, okA := e.probe(o.PoP, o.Prefix)
 		if !okG || !okA {
 			continue
 		}

@@ -92,11 +92,12 @@ type engine struct {
 	// selectors caches resolved prefix selectors.
 	selectors map[string]netip.Prefix
 
-	// Adaptive-routing state (spec.Adaptive != nil): the controller, the
-	// scripted probe biases, and each tracked prefix's geographically
-	// predicted egress PoP (the "geo" bias target and the gain
-	// baseline). All mutated on the sim goroutine only.
+	// Adaptive-routing state (spec.Adaptive != nil): the controller, its
+	// probe backend, the scripted probe biases, and each tracked prefix's
+	// geographically predicted egress PoP (the "geo" bias target and the
+	// gain baseline). All mutated on the sim goroutine only.
 	adaptive   *adaptive.Controller
+	probe      adaptive.ProbeFunc
 	probeBias  map[adaptive.Key]float64
 	geoBestPoP map[netip.Prefix]int
 

@@ -25,10 +25,15 @@ func NewDataPlane(pr *Peering, seed uint64) *DataPlane {
 // immediately" at PoP p uses for a destination: the local BGP best among
 // sessions at p (shortest AS path, deterministic tie-break).
 func (dp *DataPlane) LocalEgressSession(p *PoP, origin uint16) (Candidate, bool) {
-	all := dp.Peering.Candidates(origin)
+	return dp.localSession(p, origin, false)
+}
+
+// localSession is LocalEgressSession, restricted to transit sessions
+// when upstreamOnly is set.
+func (dp *DataPlane) localSession(p *PoP, origin uint16, upstreamOnly bool) (Candidate, bool) {
 	local := make([]Candidate, 0, 8)
-	for _, c := range all {
-		if c.Session.PoP == p {
+	for _, c := range dp.Peering.Candidates(origin) {
+		if c.Session.PoP == p && (!upstreamOnly || c.Session.Neighbor.Kind == Upstream) {
 			local = append(local, c)
 		}
 	}
@@ -38,33 +43,6 @@ func (dp *DataPlane) LocalEgressSession(p *PoP, origin uint16) (Candidate, bool)
 	// All-local candidates: hot-potato selection degenerates to path
 	// length plus deterministic tie-breaks.
 	return dp.Peering.SelectHotPotato(p, local, netip.Prefix{})
-}
-
-// LocalUpstreamSession is LocalEgressSession restricted to transit
-// sessions, used when a measurement is explicitly sent "through the
-// upstreams" as in the paper's delay comparison.
-func (dp *DataPlane) LocalUpstreamSession(p *PoP, origin uint16) (Candidate, bool) {
-	all := dp.Peering.Candidates(origin)
-	local := make([]Candidate, 0, 8)
-	for _, c := range all {
-		if c.Session.PoP == p && c.Session.Neighbor.Kind == Upstream {
-			local = append(local, c)
-		}
-	}
-	if len(local) == 0 {
-		return Candidate{}, false
-	}
-	return dp.Peering.SelectHotPotato(p, local, netip.Prefix{})
-}
-
-// ExternalRTTViaUpstream is ExternalRTT forced through the vantage
-// PoP's best transit session.
-func (dp *DataPlane) ExternalRTTViaUpstream(p *PoP, dst *topo.PrefixInfo) (float64, bool) {
-	c, ok := dp.LocalUpstreamSession(p, dst.Origin)
-	if !ok {
-		return 0, false
-	}
-	return dp.Delay.RTT(p.Place, dst, c.PathLen, dp.hairpinWaypoint(c, dst)...), true
 }
 
 // hairpinWaypoint returns the forced detour for the session, modeling
@@ -83,7 +61,18 @@ func (dp *DataPlane) hairpinWaypoint(c Candidate, dst *topo.PrefixInfo) []geo.La
 // at PoP p toward dst over the public Internet (the paper's per-PoP
 // probing methodology).
 func (dp *DataPlane) ExternalRTT(p *PoP, dst *topo.PrefixInfo) (float64, bool) {
-	c, ok := dp.LocalEgressSession(p, dst.Origin)
+	return dp.externalRTT(p, dst, false)
+}
+
+// ExternalRTTViaUpstream is ExternalRTT forced through the vantage
+// PoP's best transit session, as the paper's delay comparison sends
+// its measurements "through the upstreams".
+func (dp *DataPlane) ExternalRTTViaUpstream(p *PoP, dst *topo.PrefixInfo) (float64, bool) {
+	return dp.externalRTT(p, dst, true)
+}
+
+func (dp *DataPlane) externalRTT(p *PoP, dst *topo.PrefixInfo, upstreamOnly bool) (float64, bool) {
+	c, ok := dp.localSession(p, dst.Origin, upstreamOnly)
 	if !ok {
 		return 0, false
 	}
@@ -100,10 +89,9 @@ func (dp *DataPlane) InternalRTTMs(a, b *PoP) float64 {
 // when traffic rides VNS's dedicated links to the egress PoP and exits
 // there (cold potato): internal leg plus the egress's external leg.
 func (dp *DataPlane) ThroughVNSRTT(ingress, egress *PoP, dst *topo.PrefixInfo) (float64, bool) {
-	c, ok := dp.LocalEgressSession(egress, dst.Origin)
+	external, ok := dp.ExternalRTT(egress, dst)
 	if !ok {
 		return 0, false
 	}
-	external := dp.Delay.RTT(egress.Place, dst, c.PathLen, dp.hairpinWaypoint(c, dst)...)
 	return dp.InternalRTTMs(ingress, egress) + external, true
 }

@@ -83,30 +83,11 @@ func NewForwarding(pr *Peering, rr *core.GeoRR, cfg ForwardingConfig) *Forwardin
 	}
 	var publishObs func(uint64, time.Duration)
 	if cfg.Telemetry != nil {
-		// Compile latency is wall-clock, so the family is volatile:
-		// rendered on the admin endpoint, excluded from deterministic
-		// snapshots.
-		h := cfg.Telemetry.Histogram("fib_compile_seconds", "FIB trie compile latency", telemetry.DefBuckets)
-		cfg.Telemetry.MarkVolatile("fib_compile_seconds")
 		// The convergence span layer: each publish reports the event ID
 		// its invalidation carried, closing the causal loop from
 		// routing-plane event to FIB compile.
 		f.conv = telemetry.NewConvergence(cfg.Telemetry, cfg.Tracer, cfg.ConvergenceClock)
-		conv := f.conv
-		// Compile durations are wall time (fib.FIB.CompileDuration); the
-		// stage families must stay on one clock. Without a wall
-		// ConvergenceClock the layer runs on the virtual clock, where a
-		// compile takes zero simulated time — record 0 so the observation
-		// counts stay pinnable and the sums deterministic.
-		wall := cfg.ConvergenceClock != nil
-		publishObs = func(event uint64, d time.Duration) {
-			h.Observe(d.Seconds())
-			sec := 0.0
-			if wall {
-				sec = d.Seconds()
-			}
-			conv.ObserveCompileFor(event, sec)
-		}
+		publishObs = CompileObserver(cfg.Telemetry, f.conv, cfg.ConvergenceClock != nil)
 	}
 	for _, p := range pr.Net.PoPs {
 		vantage := p

@@ -3,6 +3,7 @@ package vns
 import (
 	"net/netip"
 	"strconv"
+	"time"
 
 	"vns/internal/fib"
 	"vns/internal/telemetry"
@@ -13,6 +14,28 @@ import (
 // and links already keep atomically is re-exported through render-time
 // collectors (no added per-packet cost, no double counting), while the
 // media flow driver holds pre-resolved counter handles.
+
+// CompileObserver registers fib_compile_seconds in reg and returns the
+// fib.Config.PublishObserver a deployment's publishers share: every
+// publish lands in the histogram and is attributed to the convergence
+// event that invalidated it. Compile latency is wall-clock, so the family
+// is volatile: rendered on the admin endpoint, excluded from
+// deterministic snapshots. The stage families must stay on conv's clock:
+// unless wall says conv runs on wall seconds, a compile takes zero
+// simulated time and is recorded as 0, which keeps the observation
+// counts pinnable and the sums deterministic.
+func CompileObserver(reg *telemetry.Registry, conv *telemetry.Convergence, wall bool) func(event uint64, d time.Duration) {
+	h := reg.Histogram("fib_compile_seconds", "FIB trie compile latency", telemetry.DefBuckets)
+	reg.MarkVolatile("fib_compile_seconds")
+	return func(event uint64, d time.Duration) {
+		h.Observe(d.Seconds())
+		sec := 0.0
+		if wall {
+			sec = d.Seconds()
+		}
+		conv.ObserveCompileFor(event, sec)
+	}
+}
 
 // registerTelemetry registers the forwarding plane's metric families in
 // reg. Called once from NewForwarding.
