@@ -174,11 +174,12 @@ func (f *Forwarding) Flush() {
 
 // Resolve computes the control-plane decision for one prefix as seen
 // from a vantage PoP: static more-specifics pin their configured
-// egress; everything else runs the post-policy (GeoRR local-pref)
-// decision process over the candidate sessions. Publishers call it from
-// their flushes (debounce-timer goroutines included), and it is the
-// reference answer the compiled per-PoP FIBs are differentially tested
-// against (internal/scenario's three-way agreement invariant).
+// egress (when usable); everything else is SelectGeo over the origin's
+// candidate sessions, which also leaves out withdrawn egress routers and
+// PoPs the vantage cannot reach. Publishers call it from their flushes
+// (debounce-timer goroutines included), and it is the reference answer
+// the compiled per-PoP FIBs are differentially tested against
+// (internal/scenario's three-way agreement invariant).
 func (f *Forwarding) Resolve(vantage *PoP, prefix netip.Prefix) (fib.NextHop, bool) {
 	for _, s := range f.RR.Statics() {
 		if s.Prefix == prefix {
@@ -191,9 +192,7 @@ func (f *Forwarding) Resolve(vantage *PoP, prefix netip.Prefix) (fib.NextHop, bo
 	if !ok {
 		return fib.NextHop{}, false
 	}
-	cands := f.Peering.Candidates(pi.Origin)
-	cands = f.healthyCandidates(vantage, cands)
-	best, ok := f.Peering.SelectGeo(f.RR, vantage, cands, prefix)
+	best, ok := f.Peering.SelectGeo(f.RR, vantage, f.Peering.Candidates(pi.Origin), prefix)
 	if !ok {
 		return fib.NextHop{}, false
 	}
@@ -204,30 +203,12 @@ func (f *Forwarding) Resolve(vantage *PoP, prefix netip.Prefix) (fib.NextHop, bo
 	}, true
 }
 
-// usable reports whether an egress router at a PoP can currently carry
-// traffic from the vantage: the reflector must not have marked the
-// router down (liveness withdrawal) and the PoP must be IGP-reachable.
+// usable reports whether a static's egress router at a PoP can
+// currently carry traffic from the vantage: the reflector must not have
+// marked the router down (liveness withdrawal) and the PoP must be
+// IGP-reachable — the rule SelectGeo applies to candidate sessions.
 func (f *Forwarding) usable(vantage, at *PoP, router netip.Addr) bool {
 	return !f.RR.EgressDown(router) && f.Peering.Net.Reachable(vantage, at)
-}
-
-// healthyCandidates filters a candidate set down to usable sessions —
-// the forwarding-plane half of route withdrawal. With no failures
-// present it returns the input slice unchanged (no allocation).
-func (f *Forwarding) healthyCandidates(vantage *PoP, cands []Candidate) []Candidate {
-	for i, c := range cands {
-		if !f.usable(vantage, c.Session.PoP, c.Session.Router) {
-			out := make([]Candidate, 0, len(cands)-1)
-			out = append(out, cands[:i]...)
-			for _, c := range cands[i+1:] {
-				if f.usable(vantage, c.Session.PoP, c.Session.Router) {
-					out = append(out, c)
-				}
-			}
-			return out
-		}
-	}
-	return cands
 }
 
 // Path implements fib.Fabric: the internal netsim path between two

@@ -43,8 +43,9 @@ func (p *PoP) Region() geo.Region { return geo.PoPRegion(p.Place.Region) }
 func (p *PoP) String() string { return fmt.Sprintf("PoP%d(%s)", p.ID, p.Code) }
 
 // popSpec defines the deployment footprint. The cities are the ones the
-// paper names (Figure 11 codes) plus Tokyo as the eleventh PoP.
-var popSpec = []struct {
+// paper names (Figure 11 codes) plus Tokyo as the eleventh PoP. It is an
+// array so its length sizes SelectGeo's per-PoP and per-router scratch.
+var popSpec = [...]struct {
 	id   int
 	code string
 	city string

@@ -51,6 +51,9 @@ type Session struct {
 	Router netip.Addr
 	// peerAddr uniquely identifies the remote end for tie-breaking.
 	peerAddr netip.Addr
+	// egress indexes Router among the deployment's egress routers (PoP
+	// id major); it keys SelectGeo's per-router scratch.
+	egress int
 }
 
 // The neighbor set: seven transit providers, per Figure 5, and 26
@@ -210,12 +213,13 @@ func (pr *Peering) placeSessions() {
 
 func (pr *Peering) addSession(nb *Neighbor, p *PoP) {
 	// Spread sessions across the PoP's routers.
-	router := p.Routers[len(nb.Sessions)%len(p.Routers)]
+	ri := len(nb.Sessions) % len(p.Routers)
 	s := &Session{
 		Neighbor: nb,
 		PoP:      p,
-		Router:   router,
+		Router:   p.Routers[ri],
 		peerAddr: netip.AddrFrom4([4]byte{172, byte(nb.Index), byte(p.ID), 1}),
+		egress:   (p.ID-1)*RoutersPerPoP + ri,
 	}
 	nb.Sessions = append(nb.Sessions, s)
 }
@@ -289,24 +293,29 @@ var dummyPath = func() []uint16 {
 	return p
 }()
 
-// candidateRoute converts a candidate to a rib.Route as seen from the
-// vantage PoP. lp == 0 means no LOCAL_PREF attribute (pre-geo routing).
-// The AS_PATH is synthetic (only its length enters the decision
-// process) and shares a read-only backing array across candidates.
-func (pr *Peering) candidateRoute(vantage *PoP, c Candidate, prefix netip.Prefix, lp uint32) *rib.Route {
-	pathLen := c.PathLen
-	if pathLen > len(dummyPath) {
-		pathLen = len(dummyPath)
+// dummySegments[n] is a one-segment AS_PATH of length n over dummyPath
+// (nil for n = 0), shared read-only by every synthetic route.
+var dummySegments = func() [][]bgp.ASPathSegment {
+	s := make([][]bgp.ASPathSegment, len(dummyPath)+1)
+	for n := 1; n < len(s); n++ {
+		s[n] = []bgp.ASPathSegment{{ASNs: dummyPath[:n]}}
 	}
+	return s
+}()
+
+// fillRoute writes into r the route candidate c offers as seen from the
+// vantage PoP, igpMs away over the IGP. lp == 0 means no LOCAL_PREF
+// attribute (pre-geo routing). The AS_PATH is synthetic (only its
+// length enters the decision process).
+func fillRoute(r *rib.Route, vantage *PoP, c Candidate, prefix netip.Prefix, igpMs float64, lp uint32) {
 	// The IGP metric is the microsecond-scale internal delay; the PoP ID
 	// breaks exact ties deterministically. Unreachable PoPs (partitions
 	// under link failures) clamp to a huge finite metric so the route
 	// ranks last instead of overflowing the conversion.
-	igpMs := pr.Net.IGPMetricMs(vantage, c.Session.PoP)
 	if igpMs > 1e9 {
 		igpMs = 1e9
 	}
-	r := &rib.Route{
+	*r = rib.Route{
 		Prefix:    prefix,
 		EBGP:      c.Session.PoP == vantage,
 		PeerAS:    c.Session.Neighbor.ASN,
@@ -314,52 +323,84 @@ func (pr *Peering) candidateRoute(vantage *PoP, c Candidate, prefix netip.Prefix
 		PeerAddr:  c.Session.peerAddr,
 		IGPMetric: int(igpMs*1000) + c.Session.PoP.ID,
 	}
-	if pathLen > 0 {
-		r.Attrs.ASPath = []bgp.ASPathSegment{{ASNs: dummyPath[:pathLen]}}
-	}
+	r.Attrs.ASPath = dummySegments[min(c.PathLen, len(dummyPath))]
 	if lp > 0 {
 		r.Attrs.LocalPref = lp
 		r.Attrs.HasLocalPref = true
 	}
-	return r
 }
 
 // SelectHotPotato runs the pre-geo-routing decision process from the
 // vantage PoP: default local preference everywhere, so selection falls
 // to AS-path length, then eBGP-over-iBGP, then the IGP metric — classic
 // hot-potato. It returns the winning candidate, or ok=false when the
-// destination is unreachable.
+// destination is unreachable. Candidates are compared as two routes on
+// the stack; nothing is allocated.
 func (pr *Peering) SelectHotPotato(vantage *PoP, cands []Candidate, prefix netip.Prefix) (Candidate, bool) {
-	if len(cands) == 0 {
-		return Candidate{}, false
-	}
+	var r, bestRoute rib.Route
 	best := -1
-	var bestRoute *rib.Route
 	for i, c := range cands {
-		r := pr.candidateRoute(vantage, c, prefix, 0)
-		if bestRoute == nil || rib.Compare(r, bestRoute) < 0 {
+		fillRoute(&r, vantage, c, prefix, pr.Net.IGPMetricMs(vantage, c.Session.PoP), 0)
+		if best < 0 || rib.Compare(&r, &bestRoute) < 0 {
 			bestRoute, best = r, i
 		}
+	}
+	if best < 0 {
+		return Candidate{}, false
 	}
 	return cands[best], true
 }
 
-// SelectGeo runs the post-geo-routing decision process: the GeoRR has
-// assigned each candidate a distance-derived LOCAL_PREF, which dominates
-// every later step, so the geographically closest egress (per the GeoIP
-// database) wins network-wide. The vantage only matters for tie-breaks.
+// SelectGeo runs the post-geo-routing decision process from the vantage
+// PoP: the GeoRR assigns each route a distance-derived LOCAL_PREF, which
+// dominates every later step, so the geographically closest egress (per
+// the GeoIP database) wins network-wide and the vantage only breaks ties
+// through its IGP metric. The preference is a fact about the egress
+// router, not the session: each distinct router among the candidates
+// costs one liveness read and one GeoRR.Assign, each egress PoP one IGP
+// read, and candidates are compared as two routes on the stack, in
+// their given order. A candidate whose router is withdrawn
+// (GeoRR.EgressDown) or whose PoP the vantage cannot reach is skipped;
+// ok=false when none is left.
 func (pr *Peering) SelectGeo(rr *core.GeoRR, vantage *PoP, cands []Candidate, prefix netip.Prefix) (Candidate, bool) {
-	if len(cands) == 0 {
-		return Candidate{}, false
+	type routerPref struct {
+		read, down bool
+		lp         uint32
 	}
+	type popIGP struct {
+		read bool
+		ms   float64
+	}
+	var prefs [len(popSpec) * RoutersPerPoP]routerPref
+	var igps [len(popSpec)]popIGP
+	var r, bestRoute rib.Route
 	best := -1
-	var bestRoute *rib.Route
 	for i, c := range cands {
-		dec := rr.Assign(c.Session.Router, prefix)
-		r := pr.candidateRoute(vantage, c, prefix, dec.LocalPref)
-		if bestRoute == nil || rib.Compare(r, bestRoute) < 0 {
+		s := c.Session
+		p := &prefs[s.egress]
+		if !p.read {
+			p.read, p.down = true, rr.EgressDown(s.Router)
+			if !p.down {
+				p.lp = rr.Assign(s.Router, prefix).LocalPref
+			}
+		}
+		if p.down {
+			continue
+		}
+		g := &igps[s.PoP.ID-1]
+		if !g.read {
+			g.read, g.ms = true, pr.Net.IGPMetricMs(vantage, s.PoP)
+		}
+		if g.ms >= igpInf {
+			continue
+		}
+		fillRoute(&r, vantage, c, prefix, g.ms, p.lp)
+		if best < 0 || rib.Compare(&r, &bestRoute) < 0 {
 			bestRoute, best = r, i
 		}
+	}
+	if best < 0 {
+		return Candidate{}, false
 	}
 	return cands[best], true
 }
