@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
+	"slices"
 )
 
 // Message is one BGP protocol message.
@@ -60,6 +61,12 @@ const (
 	minMsgLen = 19   // a KEEPALIVE is exactly the header
 	markerLen = 16   // all-ones marker
 )
+
+// marker is the all-ones marker every message starts with.
+var marker = [markerLen]byte{
+	0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+	0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+}
 
 // Protocol error sentinels. Notification codes carry finer detail.
 var (
@@ -122,22 +129,26 @@ func (Keepalive) Type() MessageType { return MsgKeepalive }
 
 // Marshal encodes m into wire format, including the common header.
 func Marshal(m Message) ([]byte, error) {
+	return appendMessage(nil, m)
+}
+
+// appendMessage appends m's wire encoding, common header included, to
+// dst. On error dst is returned unchanged, so one message that cannot be
+// encoded leaves the messages already in dst intact.
+func appendMessage(dst []byte, m Message) ([]byte, error) {
 	body, err := marshalBody(m)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	total := headerLen + len(body)
 	if total > maxMsgLen {
-		return nil, fmt.Errorf("%w: %d bytes exceeds maximum %d", ErrBadLength, total, maxMsgLen)
+		return dst, fmt.Errorf("%w: %d bytes exceeds maximum %d", ErrBadLength, total, maxMsgLen)
 	}
-	buf := make([]byte, total)
-	for i := 0; i < markerLen; i++ {
-		buf[i] = 0xFF
-	}
-	binary.BigEndian.PutUint16(buf[16:18], uint16(total))
-	buf[18] = uint8(m.Type())
-	copy(buf[headerLen:], body)
-	return buf, nil
+	dst = slices.Grow(dst, total)
+	dst = append(dst, marker[:]...)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(total))
+	dst = append(dst, uint8(m.Type()))
+	return append(dst, body...), nil
 }
 
 func marshalBody(m Message) ([]byte, error) {

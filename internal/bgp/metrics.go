@@ -47,11 +47,11 @@ func (m *Metrics) msgIn(t MessageType) {
 	m.msgsIn[t].Inc()
 }
 
-func (m *Metrics) msgOut(t MessageType) {
+func (m *Metrics) msgsSent(t MessageType, n int) {
 	if m == nil || int(t) >= len(m.msgsOut) || m.msgsOut[t] == nil {
 		return
 	}
-	m.msgsOut[t].Inc()
+	m.msgsOut[t].Add(uint64(n))
 }
 
 func (m *Metrics) transition(st State) {

@@ -68,7 +68,8 @@ var ErrSessionClosed = errors.New("bgp: session closed")
 
 // Session is one established BGP session over a reliable transport.
 // Create it with Handshake. Received UPDATEs are delivered on Updates();
-// the caller sends routes with SendUpdate.
+// the caller sends routes with SendUpdate, or a batch encoded once with
+// EncodeUpdates with Send.
 type Session struct {
 	conn net.Conn
 	cfg  SessionConfig
@@ -204,14 +205,57 @@ func (s *Session) PeerID() netip.Addr { return s.peer.ID }
 // delivered. The channel is closed when the session ends.
 func (s *Session) Updates() <-chan Update { return s.updates }
 
-// SendUpdate transmits an UPDATE message.
+// Encoded is a run of UPDATE messages in wire format, back to back. It
+// is encoded once (EncodeUpdates) and can be sent unchanged on any
+// number of sessions; Send never modifies it.
+type Encoded struct {
+	buf []byte
+	n   int // messages in buf
+}
+
+// EncodeUpdates encodes us, in order, into one buffer. An UPDATE that
+// cannot be encoded is left out and the rest are kept; the error
+// returned is the first such failure.
+func EncodeUpdates(us []Update) (Encoded, error) {
+	var e Encoded
+	var first error
+	for _, u := range us {
+		var err error
+		if e.buf, err = appendMessage(e.buf, u); err != nil {
+			if first == nil {
+				first = err
+			}
+			continue
+		}
+		e.n++
+	}
+	return e, first
+}
+
+// SendUpdate transmits one UPDATE message: Send of a one-message
+// encoding.
 func (s *Session) SendUpdate(u Update) error {
+	e, err := EncodeUpdates([]Update{u})
+	if err != nil {
+		return err
+	}
+	return s.Send(e)
+}
+
+// Send writes every message of e to the peer in one Write under one
+// write deadline, so a reflector fanning one received UPDATE out to n
+// clients makes n writes however many messages it reflects. An empty e
+// writes nothing.
+func (s *Session) Send(e Encoded) error {
 	select {
 	case <-s.closed:
 		return ErrSessionClosed
 	default:
 	}
-	return s.write(u)
+	if e.n == 0 {
+		return nil
+	}
+	return s.send(e.buf, MsgUpdate, e.n)
 }
 
 // Close terminates the session with a Cease notification.
@@ -220,11 +264,18 @@ func (s *Session) Close() error {
 	return nil
 }
 
+// write encodes and sends one message of any type.
 func (s *Session) write(m Message) error {
 	buf, err := Marshal(m)
 	if err != nil {
 		return err
 	}
+	return s.send(buf, m.Type(), 1)
+}
+
+// send is the one write path: buf holds n messages of type t, written
+// with one Write under one 10 s deadline and counted once written.
+func (s *Session) send(buf []byte, t MessageType, n int) error {
 	s.sendMu.Lock()
 	defer s.sendMu.Unlock()
 	if err := s.conn.SetWriteDeadline(time.Now().Add(10 * time.Second)); err != nil {
@@ -233,7 +284,7 @@ func (s *Session) write(m Message) error {
 	if _, err := s.conn.Write(buf); err != nil {
 		return err
 	}
-	s.cfg.Metrics.msgOut(m.Type())
+	s.cfg.Metrics.msgsSent(t, n)
 	return nil
 }
 

@@ -1,13 +1,18 @@
 package bgp
 
 import (
+	"bytes"
 	"fmt"
 	"net"
 	"net/netip"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"vns/internal/telemetry"
 )
 
 // pairTCP returns two connected TCP conns over loopback. TCP (rather
@@ -327,5 +332,156 @@ func TestHoldTimerExpiryNotification(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Error("peer never received a NOTIFICATION")
+	}
+}
+
+// countingConn counts the Write calls made on the wrapped conn.
+type countingConn struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *countingConn) Write(b []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(b)
+}
+
+// pipeSession returns a session writing to one end of a net.Pipe
+// through a countingConn, and a channel of every message decoded from
+// the other end. Handshake would deadlock on a pipe (both ends write
+// OPEN first), so the session is built directly, with no read or
+// keepalive loop: only the send side is under test.
+func pipeSession(t *testing.T, m *Metrics) (*Session, *countingConn, <-chan Message) {
+	t.Helper()
+	local, remote := net.Pipe()
+	t.Cleanup(func() { local.Close(); remote.Close() })
+	cc := &countingConn{Conn: local}
+	s := &Session{
+		conn:   cc,
+		cfg:    SessionConfig{LocalAS: 65001, LocalID: addr("10.0.0.1"), Metrics: m},
+		closed: make(chan struct{}),
+	}
+	msgs := make(chan Message, 64)
+	go func() {
+		defer close(msgs)
+		for {
+			msg, err := ReadMessage(remote)
+			if err != nil {
+				return
+			}
+			msgs <- msg
+		}
+	}()
+	return s, cc, msgs
+}
+
+// sendBatch is a run of UPDATEs of every shape the reflector sends: a
+// withdrawal, single- and multi-prefix announcements, reflection
+// attributes.
+func sendBatch() []Update {
+	attrs := Attrs{
+		ASPath:       []ASPathSegment{{ASNs: []uint16{65001, 65002}}},
+		NextHop:      addr("192.0.2.1"),
+		LocalPref:    1500,
+		HasLocalPref: true,
+		OriginatorID: addr("10.0.1.1"),
+		ClusterList:  []netip.Addr{addr("10.0.0.100")},
+	}
+	return []Update{
+		{Withdrawn: []netip.Prefix{prefix("198.51.100.0/24")}},
+		{Attrs: attrs, NLRI: []netip.Prefix{prefix("203.0.113.0/24")}},
+		{Attrs: attrs, NLRI: []netip.Prefix{prefix("10.1.0.0/16"), prefix("10.2.0.0/16")}},
+		{Withdrawn: []netip.Prefix{prefix("10.9.0.0/16"), prefix("10.8.0.0/15")}},
+		{Attrs: attrs, NLRI: []netip.Prefix{prefix("172.16.0.0/12")}},
+	}
+}
+
+func sameUpdate(a, b Update) bool {
+	return slices.Equal(a.Withdrawn, b.Withdrawn) && slices.Equal(a.NLRI, b.NLRI) && a.Attrs.Equal(b.Attrs)
+}
+
+// TestSessionSendBatchOneWrite: a batch of m UPDATEs is one Write of
+// exactly the bytes Marshal gives each message, counts m UPDATEs out,
+// and decodes on the far end as the same m messages in order. An UPDATE
+// that cannot be encoded is left out alone.
+func TestSessionSendBatchOneWrite(t *testing.T) {
+	reg := telemetry.New()
+	m := NewMetrics(reg)
+	s, cc, msgs := pipeSession(t, m)
+	want := sendBatch()
+
+	// An IPv6 NLRI cannot be encoded; it is dropped, the rest kept.
+	in := slices.Insert(slices.Clone(want), 2, Update{
+		Attrs: want[1].Attrs, NLRI: []netip.Prefix{prefix("2001:db8::/32")},
+	})
+	enc, err := EncodeUpdates(in)
+	if err == nil {
+		t.Fatal("EncodeUpdates accepted an IPv6 NLRI")
+	}
+	var wire []byte
+	for _, u := range want {
+		b, err := Marshal(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire = append(wire, b...)
+	}
+	if !bytes.Equal(enc.buf, wire) || enc.n != len(want) {
+		t.Fatalf("encoded %d messages / %d bytes, want %d / %d (Marshal of each)", enc.n, len(enc.buf), len(want), len(wire))
+	}
+
+	out := m.msgsOut[MsgUpdate]
+	before := out.Value()
+	if err := s.Send(enc); err != nil {
+		t.Fatal(err)
+	}
+	if got := cc.writes.Load(); got != 1 {
+		t.Errorf("a batch of %d UPDATEs took %d writes, want 1", len(want), got)
+	}
+	if got := out.Value() - before; got != uint64(len(want)) {
+		t.Errorf("bgp_messages_out_total{type=update} advanced by %d, want %d", got, len(want))
+	}
+	for i, w := range want {
+		select {
+		case msg := <-msgs:
+			if u, ok := msg.(Update); !ok || !sameUpdate(u, w) {
+				t.Fatalf("message %d = %+v, want %+v", i, msg, w)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("message %d never arrived", i)
+		}
+	}
+
+	// An empty batch writes nothing.
+	if err := s.Send(Encoded{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := cc.writes.Load(); got != 1 {
+		t.Errorf("an empty batch wrote: %d writes in total, want 1", got)
+	}
+}
+
+// TestSessionSendClosed: once a session is closed, Send and SendUpdate
+// return ErrSessionClosed and write and count nothing.
+func TestSessionSendClosed(t *testing.T) {
+	m := NewMetrics(telemetry.New())
+	s, cc, _ := pipeSession(t, m)
+	enc, err := EncodeUpdates(sendBatch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close() // writes the Cease
+	writes, sent := cc.writes.Load(), m.msgsOut[MsgUpdate].Value()
+	if err := s.Send(enc); err != ErrSessionClosed {
+		t.Errorf("Send after close = %v, want ErrSessionClosed", err)
+	}
+	if err := s.SendUpdate(sendBatch()[1]); err != ErrSessionClosed {
+		t.Errorf("SendUpdate after close = %v, want ErrSessionClosed", err)
+	}
+	if got := cc.writes.Load(); got != writes {
+		t.Errorf("closed session made %d writes", got-writes)
+	}
+	if got := m.msgsOut[MsgUpdate].Value(); got != sent {
+		t.Errorf("closed session counted %d UPDATEs out", got-sent)
 	}
 }

@@ -15,7 +15,7 @@ import (
 func addr(s string) netip.Addr     { return netip.MustParseAddr(s) }
 func prefix(s string) netip.Prefix { return netip.MustParsePrefix(s) }
 
-func testRR(t *testing.T) (*GeoRR, *geoip.DB) {
+func testRR(t testing.TB) (*GeoRR, *geoip.DB) {
 	t.Helper()
 	db := geoip.New()
 	// Prefixes in Amsterdam, New York, and Hong Kong.

@@ -49,6 +49,11 @@ func NewRRServer(addr string, rr *GeoRR, localAS uint16, routerID netip.Addr) (*
 	if err != nil {
 		return nil, err
 	}
+	return newRRServer(ln, rr, localAS, routerID), nil
+}
+
+// newRRServer starts the reflector accepting sessions on ln.
+func newRRServer(ln net.Listener, rr *GeoRR, localAS uint16, routerID netip.Addr) *RRServer {
 	s := &RRServer{
 		rr:    rr,
 		cfg:   bgp.SessionConfig{LocalAS: localAS, LocalID: routerID},
@@ -58,7 +63,7 @@ func NewRRServer(addr string, rr *GeoRR, localAS uint16, routerID netip.Addr) (*
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
-	return s, nil
+	return s
 }
 
 // Addr returns the listening address.
@@ -177,7 +182,8 @@ func (s *RRServer) serveConn(conn net.Conn) {
 
 // purgePeer withdraws every route learned from a dead peer and
 // propagates the withdrawals, so a crashed egress router does not leave
-// stale geo-routed paths behind.
+// stale geo-routed paths behind. The withdrawals are packed, encoded
+// once and written to each remaining peer in one write (fanOut).
 func (s *RRServer) purgePeer(peerID netip.Addr) {
 	s.mu.Lock()
 	var ops []rib.Op
@@ -201,11 +207,7 @@ func (s *RRServer) purgePeer(peerID netip.Addr) {
 	if len(gone) == 0 {
 		return
 	}
-	for _, u := range bgp.PackWithdrawals(gone) {
-		for _, sess := range targets {
-			_ = sess.SendUpdate(u)
-		}
-	}
+	fanOut(targets, bgp.PackWithdrawals(gone))
 }
 
 // handleUpdate processes one UPDATE from an egress router as a single
@@ -215,7 +217,9 @@ func (s *RRServer) purgePeer(peerID netip.Addr) {
 // sequential RFC 4271 processing would), then withdrawals whose best
 // path actually changed are propagated, and announcements get the geo
 // local-pref and are reflected to all other peers (splitting
-// multi-prefix NLRI so each prefix geolocates independently).
+// multi-prefix NLRI so each prefix geolocates independently). Every
+// outbound UPDATE is encoded once, shared by all peers, and each peer
+// receives this UPDATE's reflections in one write (fanOut).
 func (s *RRServer) handleUpdate(from netip.Addr, u bgp.Update) {
 	// Reflection loop check (RFC 4456 §8); the cluster ID is the router
 	// ID, as reflectAttrs stamps it.
@@ -293,12 +297,17 @@ func (s *RRServer) handleUpdate(from netip.Addr, u bgp.Update) {
 	// convergence.
 	ev.Finish()
 
-	for _, out := range outs {
-		for _, sess := range targets {
-			// A dead session is reaped by its own serveConn; ignore
-			// send errors here.
-			_ = sess.SendUpdate(out)
-		}
+	fanOut(targets, outs)
+}
+
+// fanOut encodes outs once and sends all of them to each target in one
+// write, so every target sees the messages in order. An UPDATE that
+// fails to encode is dropped alone. A dead session is reaped by its own
+// serveConn; send errors are ignored here.
+func fanOut(targets []*bgp.Session, outs []bgp.Update) {
+	enc, _ := bgp.EncodeUpdates(outs)
+	for _, sess := range targets {
+		_ = sess.Send(enc)
 	}
 }
 
