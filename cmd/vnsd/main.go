@@ -180,7 +180,7 @@ func main() {
 			for _, eng := range fwd.Engines() {
 				s := eng.Stats().FIB
 				pop := env.Net.PoPByID(eng.PoP())
-				log.Printf("%s last-compile=%v last-delta=%v", fibStatusLine(pop.Code, s), s.LastCompile, s.LastDelta)
+				log.Printf("%s last-compile=%v last-delta=%v", fibStatusLine(pop.Code, s, fwd.Pending()), s.LastCompile, s.LastDelta)
 			}
 			if conv := fwd.Convergence(); conv != nil && conv.Events() > 0 {
 				log.Printf("%s%s", convStatusLine(conv), convQuantileSuffix(conv))

@@ -9,12 +9,13 @@ import (
 )
 
 // fibStatusLine renders one PoP's FIB counters for the periodic status
-// log. Only deterministic fields appear here — the caller appends
-// wall-clock extras like the last-compile age — so tests can golden-diff
-// the output of a virtual-clock run.
-func fibStatusLine(code string, s fib.Stats) string {
+// log, with the forwarding plane's pending (dirty, not yet resolved)
+// prefix count, which every PoP shares. Only deterministic fields appear
+// here — the caller appends wall-clock extras like the last-compile
+// age — so tests can golden-diff the output of a virtual-clock run.
+func fibStatusLine(code string, s fib.Stats, pending int) string {
 	return fmt.Sprintf("fib %s: prefixes=%d gen=%d compiles=%d deltas=%d skipped=%d pending=%d",
-		code, s.Prefixes, s.Generation, s.Compiles, s.DeltaCompiles, s.SkippedCompiles, s.Pending)
+		code, s.Prefixes, s.Generation, s.Compiles, s.DeltaCompiles, s.SkippedCompiles, pending)
 }
 
 // convStatusLine renders the convergence event and per-stage

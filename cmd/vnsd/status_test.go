@@ -65,7 +65,7 @@ func TestFIBStatusGolden(t *testing.T) {
 		fmt.Fprintf(&b, "== %s\n", label)
 		for _, eng := range d.Fwd.Engines() {
 			s := eng.Stats().FIB
-			fmt.Fprintf(&b, "%s\n", fibStatusLine(d.Net.PoPByID(eng.PoP()).Code, s))
+			fmt.Fprintf(&b, "%s\n", fibStatusLine(d.Net.PoPByID(eng.PoP()).Code, s, d.Fwd.Pending()))
 		}
 	}
 

@@ -187,14 +187,13 @@ func SoakStudy(cfg SoakConfig) *SoakResult {
 	}
 
 	pub := fib.NewPublisher(fib.Config{
-		Resolve: func(pfx netip.Prefix) (fib.NextHop, bool) {
+		Resolve: func(_ int, pfx netip.Prefix) (fib.NextHop, bool) {
 			r := table.Best(pfx)
 			if r == nil {
 				return fib.NextHop{}, false
 			}
 			return fib.NextHop{PoP: int(r.PeerID.As4()[3]), Router: r.PeerID}, true
 		},
-		Debounce:        0,
 		PublishObserver: vns.CompileObserver(reg, conv, true),
 	})
 
@@ -281,7 +280,9 @@ func SoakStudy(cfg SoakConfig) *SoakResult {
 			ev.Stage(telemetry.StageSelect, mark)
 			mark = ev.Mark()
 			// The rib→fib boundary: the publisher is stamped with the
-			// active event, so its flush reports the compile back.
+			// active event, so its publish reports the compile back.
+			// ApplyBatch's changed set is already the sorted, unique
+			// batch InvalidateEvent takes.
 			pub.InvalidateEvent(conv.ActiveID(), changed...)
 			ev.StageExclusive(telemetry.StageForwarding, mark)
 			total, stages := ev.Finish()

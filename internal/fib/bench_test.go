@@ -127,11 +127,11 @@ func BenchmarkEngineLookupBesideWriter(b *testing.B) {
 		a[3] = byte(rng.Float64() * 256)
 		probe[k], inside[k] = netip.AddrFrom4(a), true
 	}
-	// Only the writer goroutine touches table: Debounce 0 resolves inside
-	// InvalidateEvent.
+	// Only the writer goroutine touches table: InvalidateEvent resolves
+	// before it returns.
 	engines := make([]*Engine, pops)
 	for i := range engines {
-		engines[i] = NewEngine(i+1, Config{Resolve: func(p netip.Prefix) (NextHop, bool) {
+		engines[i] = NewEngine(i+1, Config{Resolve: func(_ int, p netip.Prefix) (NextHop, bool) {
 			h, ok := table[p]
 			return h, ok
 		}}, nil)
@@ -252,7 +252,7 @@ func BenchmarkPublisherInvalidate(b *testing.B) {
 		table[p] = e.NextHop
 	}
 	flip := false
-	pub := NewPublisher(Config{Resolve: func(p netip.Prefix) (NextHop, bool) {
+	pub := NewPublisher(Config{Resolve: func(_ int, p netip.Prefix) (NextHop, bool) {
 		h, ok := table[p]
 		if ok && flip {
 			h.Neighbor++

@@ -3,7 +3,6 @@ package fib
 import (
 	"net/netip"
 	"testing"
-	"time"
 
 	"vns/internal/detsort"
 	"vns/internal/loss"
@@ -283,13 +282,13 @@ func mutateModel(rng *loss.RNG, model map[netip.Prefix]NextHop, n int) map[netip
 }
 
 // TestPublisherDeltaPath drives the Publisher through its delta-eligible
-// flush path and checks the stats split between delta and full publishes.
+// publish path and checks the stats split between delta and full publishes.
 func TestPublisherDeltaPath(t *testing.T) {
 	routes := map[netip.Prefix]NextHop{
 		mustPrefix("10.0.0.0/8"):  nh(1),
 		mustPrefix("10.1.0.0/16"): nh(2),
 	}
-	e := NewEngine(1, Config{Resolve: func(pfx netip.Prefix) (NextHop, bool) {
+	e := NewEngine(1, Config{Resolve: func(_ int, pfx netip.Prefix) (NextHop, bool) {
 		h, ok := routes[pfx]
 		return h, ok
 	}}, nil)
@@ -329,7 +328,7 @@ func TestPublisherDeltaPath(t *testing.T) {
 // probe the same way.
 func TestPublisherDeltaMatchesCompile(t *testing.T) {
 	routes := map[netip.Prefix]NextHop{mustPrefix("10.0.0.0/8"): nh(1)}
-	e := NewEngine(1, Config{Resolve: func(pfx netip.Prefix) (NextHop, bool) {
+	e := NewEngine(1, Config{Resolve: func(_ int, pfx netip.Prefix) (NextHop, bool) {
 		h, ok := routes[pfx]
 		return h, ok
 	}}, nil)
@@ -357,20 +356,20 @@ func TestPublisherDeltaMatchesCompile(t *testing.T) {
 func TestPublisherDeltaThresholdRoutesLargeBatch(t *testing.T) {
 	routes := make(map[netip.Prefix]NextHop)
 	e := NewEngine(1, Config{
-		Debounce: time.Hour, // flush manually
-		Resolve: func(pfx netip.Prefix) (NextHop, bool) {
+		Resolve: func(_ int, pfx netip.Prefix) (NextHop, bool) {
 			h, ok := routes[pfx]
 			return h, ok
 		},
 	}, nil)
 	p := e.Publisher()
-	// Batch of deltaThreshold+1 new prefixes: full compile.
+	// One batch of deltaThreshold+1 new prefixes: full compile.
+	var batch []netip.Prefix
 	for i := 0; i <= deltaThreshold; i++ {
 		pfx := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i), 0, 0}), 16)
 		routes[pfx] = nh(1 + i%11)
-		p.InvalidateEvent(0, pfx)
+		batch = append(batch, pfx)
 	}
-	p.Flush()
+	p.InvalidateEvent(0, batch...)
 	if s := p.Stats(); s.Compiles != 1 || s.DeltaCompiles != 0 {
 		t.Fatalf("large batch: Compiles=%d DeltaCompiles=%d, want 1, 0", s.Compiles, s.DeltaCompiles)
 	}
@@ -381,7 +380,6 @@ func TestPublisherDeltaThresholdRoutesLargeBatch(t *testing.T) {
 	pfx := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 0, 0, 0}), 16)
 	routes[pfx] = nh(9)
 	p.InvalidateEvent(0, pfx)
-	p.Flush()
 	if s := p.Stats(); s.DeltaCompiles != 1 {
 		t.Errorf("small follow-up: DeltaCompiles = %d, want 1", s.DeltaCompiles)
 	}

@@ -26,7 +26,7 @@ func TestEngineForward(t *testing.T) {
 	link := netsim.NewLink("a-b", 10, 1000, nil, nil)
 	want := NextHop{PoP: 2, Router: netip.MustParseAddr("10.0.2.1"), Neighbor: 1}
 	routed := mustPrefix("203.0.113.0/24")
-	eng := NewEngine(1, Config{Resolve: func(p netip.Prefix) (NextHop, bool) {
+	eng := NewEngine(1, Config{Resolve: func(_ int, p netip.Prefix) (NextHop, bool) {
 		return want, p == routed
 	}}, oneLinkFabric{link})
 	eng.Publisher().ResolveAll([]netip.Prefix{routed})
@@ -73,11 +73,11 @@ func TestEngineForward(t *testing.T) {
 // TestEngineSeesEveryPublish pins the one published pointer per PoP: an
 // Engine starts at its Publisher's empty generation-0 FIB, reads the
 // initial full compile and every later delta and full publish, and
-// stays on the same table across a flush that changes nothing.
+// stays on the same table across an invalidation that changes nothing.
 func TestEngineSeesEveryPublish(t *testing.T) {
 	sub := mustPrefix("10.1.0.0/16")
 	routes := map[netip.Prefix]NextHop{mustPrefix("10.0.0.0/8"): nh(1)}
-	e := NewEngine(1, Config{Resolve: func(pfx netip.Prefix) (NextHop, bool) {
+	e := NewEngine(1, Config{Resolve: func(_ int, pfx netip.Prefix) (NextHop, bool) {
 		h, ok := routes[pfx]
 		return h, ok
 	}}, nil)

@@ -10,16 +10,15 @@ import (
 
 // These tests pin the event-ID handoff across the rib→fib boundary: the
 // routing side stamps an invalidation with the active convergence
-// event's ID, the publisher carries it to the flush, and the
+// event's ID, the publisher carries it to the publish, and the
 // PublishObserver reports the compile back to the span layer — which
 // attributes it only if that event is still in flight. The publisher
 // itself stays telemetry-free; the observer func is the entire contract.
 
-func eventPublisher(obs func(event uint64, d time.Duration), debounce time.Duration) (*Publisher, map[netip.Prefix]NextHop) {
+func eventPublisher(obs func(event uint64, d time.Duration)) (*Publisher, map[netip.Prefix]NextHop) {
 	routes := map[netip.Prefix]NextHop{mustPrefix("10.0.0.0/8"): nh(1)}
 	p := NewPublisher(Config{
-		Debounce: debounce,
-		Resolve: func(pfx netip.Prefix) (NextHop, bool) {
+		Resolve: func(_ int, pfx netip.Prefix) (NextHop, bool) {
 			h, ok := routes[pfx]
 			return h, ok
 		},
@@ -35,8 +34,7 @@ func TestPublisherEventIDReachesPublishObserver(t *testing.T) {
 	p, routes := eventPublisher(func(event uint64, d time.Duration) {
 		calls++
 		gotEvent = event
-	}, 0)
-	defer p.Close()
+	})
 	// The initial ResolveAll is a publish no event caused.
 	if calls != 1 || gotEvent != 0 {
 		t.Fatalf("after ResolveAll: calls=%d event=%d, want 1, 0", calls, gotEvent)
@@ -51,9 +49,9 @@ func TestPublisherEventIDReachesPublishObserver(t *testing.T) {
 		t.Errorf("observed event = %d, want 42", gotEvent)
 	}
 
-	// An unstamped invalidation flushes with event 0, and the previous
-	// stamp must not leak into it; a flush that changes nothing is no
-	// publish and is not observed.
+	// An unstamped invalidation publishes with event 0, and the previous
+	// stamp must not leak into it; an invalidation that changes nothing
+	// is no publish and is not observed.
 	routes[mustPrefix("10.0.0.0/8")] = nh(3)
 	p.InvalidateEvent(0, mustPrefix("10.0.0.0/8"))
 	if calls != 3 || gotEvent != 0 {
@@ -61,50 +59,31 @@ func TestPublisherEventIDReachesPublishObserver(t *testing.T) {
 	}
 	p.InvalidateEvent(7, mustPrefix("10.0.0.0/8"))
 	if calls != 3 {
-		t.Errorf("a skipped flush was observed: calls=%d, want 3", calls)
+		t.Errorf("a skipped invalidation was observed: calls=%d, want 3", calls)
 	}
 }
 
 // TestPublisherEventRoundTrip wires a real Convergence to the observer
 // — the deployment topology — and checks the span layer ends up with
-// the compile attributed to the right event, including the stale case
-// where a debounced flush lands after the event finished.
+// the compile attributed to the right event. (The stale case, a
+// debounced pass that lands after its event finished, is
+// vns.TestForwardingStaleEventNotAttributed.)
 func TestPublisherEventRoundTrip(t *testing.T) {
 	reg := telemetry.New()
 	clock := 0.0
 	conv := telemetry.NewConvergence(reg, nil, func() float64 { return clock })
 	p, routes := eventPublisher(func(event uint64, d time.Duration) {
 		conv.ObserveCompileFor(event, 0.002)
-	}, 0)
-	defer p.Close()
+	})
 
 	ev := conv.Begin(telemetry.ConvUpdate)
 	routes[mustPrefix("10.0.0.0/8")] = nh(2)
 	p.InvalidateEvent(conv.ActiveID(), mustPrefix("10.0.0.0/8"))
-	total, stageSum := ev.Finish()
-	_ = total
+	_, stageSum := ev.Finish()
 	if stageSum != 0.002 {
 		t.Errorf("attributed stage sum = %v, want the 2ms compile", stageSum)
 	}
 	if got := conv.StageCount(telemetry.StageFIBCompile); got != 1 {
 		t.Fatalf("fib_compile observations = %d, want 1", got)
-	}
-
-	// Debounced path: the invalidation is stamped while the event is
-	// active, but the flush only happens after Finish — the compile
-	// must NOT be attributed (it belongs to fib_compile_seconds alone).
-	p2, routes2 := eventPublisher(func(event uint64, d time.Duration) {
-		conv.ObserveCompileFor(event, 0.002)
-	}, time.Hour)
-	defer p2.Close()
-	p2.ResolveAll([]netip.Prefix{mustPrefix("10.0.0.0/8")})
-
-	late := conv.Begin(telemetry.ConvChurn)
-	routes2[mustPrefix("10.0.0.0/8")] = nh(4)
-	p2.InvalidateEvent(conv.ActiveID(), mustPrefix("10.0.0.0/8"))
-	late.Finish()
-	p2.Flush() // debounce elapses after the event closed
-	if got := conv.StageCount(telemetry.StageFIBCompile); got != 1 {
-		t.Errorf("fib_compile observations after stale flush = %d, want still 1", got)
 	}
 }

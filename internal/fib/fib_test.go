@@ -1,12 +1,10 @@
 package fib
 
 import (
-	"fmt"
 	"net/netip"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"vns/internal/loss"
 )
@@ -148,7 +146,7 @@ func TestPublisherResolveAndInvalidate(t *testing.T) {
 		mustPrefix("192.168.0.0/16"): nh(3),
 	}
 	var mu sync.Mutex
-	e := NewEngine(1, Config{Resolve: func(pfx netip.Prefix) (NextHop, bool) {
+	e := NewEngine(1, Config{Resolve: func(_ int, pfx netip.Prefix) (NextHop, bool) {
 		mu.Lock()
 		defer mu.Unlock()
 		h, ok := routes[pfx]
@@ -203,69 +201,6 @@ func TestPublisherResolveAndInvalidate(t *testing.T) {
 	}
 }
 
-func TestPublisherDebounceBatchesBurst(t *testing.T) {
-	routes := make(map[netip.Prefix]NextHop)
-	var mu sync.Mutex
-	e := NewEngine(1, Config{
-		Debounce: 20 * time.Millisecond,
-		Resolve: func(pfx netip.Prefix) (NextHop, bool) {
-			mu.Lock()
-			defer mu.Unlock()
-			h, ok := routes[pfx]
-			return h, ok
-		},
-	}, nil)
-	p := e.Publisher()
-	defer p.Close()
-
-	// A burst of 100 updates must produce one recompile, after the
-	// debounce window.
-	for i := 0; i < 100; i++ {
-		pfx := mustPrefix(fmt.Sprintf("10.%d.0.0/16", i))
-		mu.Lock()
-		routes[pfx] = nh(1 + i%11)
-		mu.Unlock()
-		p.InvalidateEvent(0, pfx)
-	}
-	if got := e.Current().Size(); got != 0 {
-		t.Fatalf("compile ran before debounce: size=%d", got)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for e.Current().Size() != 100 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	f := e.Current()
-	if f.Size() != 100 {
-		t.Fatalf("size = %d, want 100", f.Size())
-	}
-	if f.Generation() != 1 {
-		t.Errorf("generation = %d, want 1 (single batched recompile)", f.Generation())
-	}
-}
-
-func TestPublisherFlushForcesPending(t *testing.T) {
-	routes := map[netip.Prefix]NextHop{mustPrefix("10.0.0.0/8"): nh(1)}
-	e := NewEngine(1, Config{
-		Debounce: time.Hour, // effectively never fires on its own
-		Resolve: func(pfx netip.Prefix) (NextHop, bool) {
-			h, ok := routes[pfx]
-			return h, ok
-		},
-	}, nil)
-	p := e.Publisher()
-	defer p.Close()
-	p.InvalidateEvent(0, mustPrefix("10.0.0.0/8"))
-	if s := p.Stats(); s.Pending != 1 {
-		t.Fatalf("pending = %d, want 1", s.Pending)
-	}
-	if !p.Flush() {
-		t.Fatal("Flush reported no publish")
-	}
-	if got, ok := e.Lookup(netip.MustParseAddr("10.1.1.1")); !ok || got.PoP != 1 {
-		t.Errorf("after flush: got %v ok=%v", got, ok)
-	}
-}
-
 // TestConcurrentLookupDuringRecompile exercises the lock-free reader
 // contract under -race: reader goroutines hammer Lookup while the
 // writer recompiles and swaps continuously. Readers must always see a
@@ -276,12 +211,12 @@ func TestConcurrentLookupDuringRecompile(t *testing.T) {
 		mustPrefix("10.1.0.0/16"): nh(2),
 	}
 	gen := 0
-	e := NewEngine(1, Config{Resolve: func(pfx netip.Prefix) (NextHop, bool) {
+	e := NewEngine(1, Config{Resolve: func(_ int, pfx netip.Prefix) (NextHop, bool) {
 		h, ok := base[pfx]
 		if !ok {
 			return NextHop{}, false
 		}
-		// Alternate the /16's next hop so every flush really swaps.
+		// Alternate the /16's next hop so every invalidation really swaps.
 		if pfx == mustPrefix("10.1.0.0/16") {
 			h = nh(2 + gen%2)
 		}

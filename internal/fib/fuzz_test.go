@@ -49,7 +49,7 @@ func FuzzFIB(f *testing.F) {
 		for _, e := range entries {
 			table[e.Prefix.Masked()] = e.NextHop
 		}
-		eng := NewEngine(1, Config{Resolve: func(p netip.Prefix) (NextHop, bool) {
+		eng := NewEngine(1, Config{Resolve: func(_ int, p netip.Prefix) (NextHop, bool) {
 			mu.Lock()
 			defer mu.Unlock()
 			h, ok := table[p]

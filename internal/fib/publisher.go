@@ -1,6 +1,7 @@
 package fib
 
 import (
+	"fmt"
 	"net/netip"
 	"sync"
 	"time"
@@ -11,30 +12,29 @@ import (
 // Config configures a Publisher.
 type Config struct {
 	// Resolve computes the forwarding action for one prefix from the
-	// control plane's current state. Returning ok=false withdraws the
-	// prefix from the FIB. It is called with the Publisher's internal
-	// lock held, so it must not call back into the Publisher.
-	Resolve func(netip.Prefix) (NextHop, bool)
-	// Debounce batches a burst of invalidations into one recompile: the
-	// rebuild runs that long after the first invalidation of a batch.
-	// Zero recompiles synchronously inside InvalidateEvent, which is
-	// what deterministic tests want.
-	Debounce time.Duration
+	// control plane's current state; i is the prefix's index in the
+	// slice ResolveAll or InvalidateEvent was given, so a caller that
+	// read a batch's facts up front can look them up by position.
+	// Returning ok=false withdraws the prefix from the FIB. It is called
+	// once per prefix, in slice order, with the Publisher's internal lock
+	// held, so it must not call back into the Publisher.
+	Resolve func(i int, pfx netip.Prefix) (NextHop, bool)
 	// PublishObserver, when non-nil, receives every publish — full
 	// compiles and delta patches alike — with its build duration and the
-	// convergence event ID the dirtying InvalidateEvent carried (0 for
-	// ResolveAll and for a flush no event was attributed to). This is how
-	// a compile is causally tied back to the routing-plane event that
-	// triggered it without fib depending on telemetry. Like Resolve it
-	// runs with the Publisher's internal lock held and must not call back
-	// into the Publisher.
+	// convergence event ID InvalidateEvent carried (0 for ResolveAll and
+	// for an unattributed invalidation). This is how a compile is
+	// causally tied back to the routing-plane event that triggered it
+	// without fib depending on telemetry. Like Resolve it runs with the
+	// Publisher's internal lock held and must not call back into the
+	// Publisher.
 	PublishObserver func(event uint64, d time.Duration)
 }
 
-// deltaThreshold is the changed-prefix count up to which a flush
-// publishes a copy-on-write delta patch (FIB.Delta) in place of a full
-// rebuild. Steady-state churn is single-prefix; above this size a full
-// compile is both cheaper per prefix and the natural compaction point.
+// deltaThreshold is the changed-prefix count up to which an
+// invalidation publishes a copy-on-write delta patch (FIB.Delta) in
+// place of a full rebuild. Steady-state churn is single-prefix; above
+// this size a full compile is both cheaper per prefix and the natural
+// compaction point.
 const deltaThreshold = 64
 
 // deltaCompactAfter bounds patch drift: after this many consecutive
@@ -53,7 +53,7 @@ type Stats struct {
 	LastCompile time.Duration
 	// Compiles counts full trie builds; DeltaCompiles counts publishes
 	// that patched the current trie copy-on-write instead (FIB.Delta);
-	// SkippedCompiles counts flushes whose dirty prefixes all resolved
+	// SkippedCompiles counts invalidations whose prefixes all resolved
 	// to unchanged next hops, so no publish was needed (the
 	// no-spurious-churn fast path).
 	Compiles        uint64
@@ -61,14 +61,14 @@ type Stats struct {
 	SkippedCompiles uint64
 	// LastDelta is the duration of the most recent delta patch.
 	LastDelta time.Duration
-	// Pending is the number of dirty prefixes awaiting the next flush.
-	Pending int
 }
 
-// Publisher owns the write side of a FIB: the resolved entry set, the
-// dirty-prefix batch, and every publish. Readers go through the Engine
-// it feeds and never block; one or more control plane goroutines drive
-// ResolveAll/InvalidateEvent/Flush under an internal lock.
+// Publisher owns the write side of a FIB: the resolved entry set and
+// every publish. Readers go through the Engine it feeds and never block;
+// control plane goroutines drive ResolveAll/InvalidateEvent under an
+// internal lock. It batches nothing itself: a caller that wants a burst
+// to cost one publish hands it over as one batch (vns.Forwarding owns
+// the deployment's debounce).
 type Publisher struct {
 	cfg Config
 
@@ -77,15 +77,8 @@ type Publisher struct {
 	// a reader of the Publisher's own when it has no Engine.
 	out     *reader
 	entries map[netip.Prefix]NextHop
-	dirty   map[netip.Prefix]struct{}
-	timer   *time.Timer
 	gen     uint64
 	stats   Stats
-	closed  bool
-	// pendingEvent is the convergence event ID the next flush is
-	// attributed to: the latest nonzero ID any InvalidateEvent carried
-	// since the last flush.
-	pendingEvent uint64
 }
 
 // NewPublisher creates a Publisher with no Engine, for pipelines that
@@ -100,7 +93,6 @@ func newPublisher(cfg Config, out *reader) *Publisher {
 		cfg:     cfg,
 		out:     out,
 		entries: make(map[netip.Prefix]NextHop),
-		dirty:   make(map[netip.Prefix]struct{}),
 	}
 	p.out.cur.Store(Compile(nil, 0))
 	return p
@@ -112,74 +104,41 @@ func (p *Publisher) ResolveAll(prefixes []netip.Prefix) *FIB {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.entries = make(map[netip.Prefix]NextHop, len(prefixes))
-	for _, pfx := range prefixes {
+	for i, pfx := range prefixes {
 		//vnslint:lockheld Resolve is documented to run under the lock and must not call back (see Config.Resolve)
-		if nh, ok := p.cfg.Resolve(pfx); ok {
+		if nh, ok := p.cfg.Resolve(i, pfx); ok {
 			p.entries[pfx] = nh
 		}
 	}
-	p.dirty = make(map[netip.Prefix]struct{})
 	f := p.compileLocked()
 	p.observe(0, f)
 	return f
 }
 
-// InvalidateEvent marks prefixes dirty. With a zero debounce the
-// recompile happens before it returns; otherwise it is scheduled so
-// that a burst of updates triggers a single rebuild. event is the
-// convergence event ID the invalidation belongs to: the next flush
-// reports it to Config.PublishObserver, tying the publish (and its
-// compile cost) back to the routing-plane event that caused it. Event 0
-// means unattributed and leaves any earlier attribution in place, so it
-// cannot orphan a pending event's flush.
+// InvalidateEvent re-resolves a batch of prefixes and, if any next hop
+// changed, publishes before it returns: a copy-on-write delta for a
+// small batch, a full compile otherwise. The batch must be sorted by
+// detsort.PrefixCompare without duplicates, so Resolve callbacks fire
+// in a reproducible order and the delta patch applies covers before the
+// prefixes they contain (the order puts a covering prefix ahead of its
+// contents); an unsorted batch panics. event is the convergence event ID the batch belongs to: the
+// publish reports it to Config.PublishObserver, tying the compile cost
+// back to the routing-plane event that caused it.
 func (p *Publisher) InvalidateEvent(event uint64, prefixes ...netip.Prefix) {
+	for i := 1; i < len(prefixes); i++ {
+		if detsort.PrefixCompare(prefixes[i-1], prefixes[i]) >= 0 {
+			panic(fmt.Sprintf("fib: invalidation batch not sorted and unique at %v, %v", prefixes[i-1], prefixes[i]))
+		}
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
+	if len(prefixes) == 0 {
 		return
-	}
-	if event != 0 {
-		p.pendingEvent = event
-	}
-	for _, pfx := range prefixes {
-		p.dirty[pfx] = struct{}{}
-	}
-	if len(p.dirty) == 0 {
-		return
-	}
-	if p.cfg.Debounce == 0 {
-		p.flushLocked()
-		return
-	}
-	if p.timer == nil {
-		//vnslint:wallclock the debounce batches real control-plane bursts in vnsd; sim tests use Debounce=0
-		p.timer = time.AfterFunc(p.cfg.Debounce, func() { p.Flush() })
-	}
-}
-
-// Flush resolves all pending dirty prefixes now and publishes a new
-// compile if any next hop actually changed. It reports whether a new
-// FIB was published.
-func (p *Publisher) Flush() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.flushLocked()
-}
-
-func (p *Publisher) flushLocked() bool {
-	if p.timer != nil {
-		p.timer.Stop()
-		p.timer = nil
-	}
-	if len(p.dirty) == 0 {
-		return false
 	}
 	patches := make([]Patch, 0, 8)
-	// Sorted so Resolve callbacks fire in a reproducible order — and so
-	// the patch batch applies covers before the prefixes they contain
-	// (PrefixCompare orders a covering prefix ahead of its contents).
-	for _, pfx := range detsort.KeysFunc(p.dirty, detsort.PrefixCompare) {
-		nh, ok := p.cfg.Resolve(pfx)
+	for i, pfx := range prefixes {
+		//vnslint:lockheld Resolve is documented to run under the lock and must not call back (see Config.Resolve)
+		nh, ok := p.cfg.Resolve(i, pfx)
 		old, had := p.entries[pfx]
 		switch {
 		case ok && (!had || old != nh):
@@ -190,12 +149,9 @@ func (p *Publisher) flushLocked() bool {
 			patches = append(patches, Patch{Prefix: pfx, Existed: true})
 		}
 	}
-	p.dirty = make(map[netip.Prefix]struct{})
-	event := p.pendingEvent
-	p.pendingEvent = 0
 	if len(patches) == 0 {
 		p.stats.SkippedCompiles++
-		return false
+		return
 	}
 	var f *FIB
 	if p.deltaEligible(len(patches)) {
@@ -204,7 +160,6 @@ func (p *Publisher) flushLocked() bool {
 		f = p.compileLocked()
 	}
 	p.observe(event, f)
-	return true
 }
 
 // observe reports one publish to Config.PublishObserver.
@@ -215,7 +170,7 @@ func (p *Publisher) observe(event uint64, f *FIB) {
 	}
 }
 
-// deltaEligible reports whether a flush of n changed prefixes should
+// deltaEligible reports whether a publish of n changed prefixes should
 // patch the published trie instead of rebuilding it.
 func (p *Publisher) deltaEligible(n int) bool {
 	if n > deltaThreshold {
@@ -283,18 +238,5 @@ func (p *Publisher) Stats() Stats {
 	f := p.out.cur.Load()
 	s.Generation = f.Generation()
 	s.Prefixes = f.Size()
-	s.Pending = len(p.dirty)
 	return s
-}
-
-// Close stops any pending debounce timer. Lookups against the last
-// published FIB keep working.
-func (p *Publisher) Close() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.closed = true
-	if p.timer != nil {
-		p.timer.Stop()
-		p.timer = nil
-	}
 }

@@ -17,10 +17,11 @@ import (
 // a PoP loses its last adjacency it withdraws the PoP's egress routers
 // from the GeoRR, so reselection falls to the geographically next-best
 // healthy egress everywhere. Either way it then invalidates the whole
-// prefix universe and flushes every PoP's FIB publisher — the
-// publisher's no-spurious-churn fast path keeps that cheap for
-// prefixes whose next hop didn't move. Recovery reverses each step, and
-// Drain gives an operator's egress drain the same republish.
+// prefix universe and flushes the forwarding plane: one resolve pass
+// that reads each prefix's router preferences once for all PoPs, with
+// each publisher's no-spurious-churn fast path keeping the prefixes
+// whose next hop didn't move free of publishes. Recovery reverses each
+// step, and Drain gives an operator's egress drain the same republish.
 type Controller struct {
 	fwd *vns.Forwarding
 	rr  *core.GeoRR
@@ -94,8 +95,9 @@ func (c *Controller) Bind(m *Monitor) {
 // Apply reconverges the control plane after a liveness transition on
 // the a-b link and returns how long the reconvergence took (zero when
 // the event was stale — the IGP already agreed). It is the whole
-// failover path: IGP update, egress withdrawal/restoration, and FIB
-// republish.
+// failover path: IGP update, egress withdrawal/restoration, and one
+// universe-wide resolve pass that republishes every PoP's FIB before it
+// returns (Flush runs it even under a debounce).
 func (c *Controller) Apply(a, b *vns.PoP, up bool) time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -161,8 +163,9 @@ func (c *Controller) Apply(a, b *vns.PoP, up bool) time.Duration {
 // Drain takes an egress router out of service (down) or returns it, as
 // the management interface's egress-down and egress-up do, and reports
 // whether its state changed. A drain moves no route in the reflector, so
-// like a liveness withdrawal it republishes every PoP's FIB itself: one
-// "drain" convergence event, serialized with Apply.
+// like a liveness withdrawal it republishes every PoP's FIB itself, in
+// one universe-wide resolve pass: one "drain" convergence event,
+// serialized with Apply.
 func (c *Controller) Drain(router netip.Addr, down bool) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -15,11 +15,7 @@ func widestPrefix(pr *Peering) (pfx netip.Prefix, sessions, routers int) {
 			pfx, widest = pi.Prefix, cands
 		}
 	}
-	distinct := map[netip.Addr]bool{}
-	for _, c := range widest {
-		distinct[c.Session.Router] = true
-	}
-	return pfx, len(widest), len(distinct)
+	return pfx, len(widest), distinctRouters(pr, pfx)
 }
 
 // BenchmarkResolve measures one PoP's decision for the seed-1 world's

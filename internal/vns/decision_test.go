@@ -48,7 +48,7 @@ func decisionWorld(tb testing.TB, seed uint64, numAS int) (*Peering, *core.GeoRR
 func refResolve(f *Forwarding, vantage *PoP, prefix netip.Prefix) (fib.NextHop, bool) {
 	for _, s := range f.RR.Statics() {
 		if s.Prefix == prefix {
-			if p, ok := f.Peering.Net.RouterPoP(s.Egress); ok && f.usable(vantage, p, s.Egress) {
+			if p, ok := f.Peering.Net.RouterPoP(s.Egress); ok && refUsable(f, vantage, p, s.Egress) {
 				return fib.NextHop{PoP: p.ID, Router: s.Egress}, true
 			}
 		}
@@ -70,13 +70,19 @@ func refResolve(f *Forwarding, vantage *PoP, prefix netip.Prefix) (fib.NextHop, 
 	}, true
 }
 
+// refUsable reports whether a router at a PoP can carry traffic from the
+// vantage: not withdrawn by liveness, and the PoP IGP-reachable.
+func refUsable(f *Forwarding, vantage, at *PoP, router netip.Addr) bool {
+	return !f.RR.EgressDown(router) && f.Peering.Net.Reachable(vantage, at)
+}
+
 func refHealthyCandidates(f *Forwarding, vantage *PoP, cands []Candidate) []Candidate {
 	for i, c := range cands {
-		if !f.usable(vantage, c.Session.PoP, c.Session.Router) {
+		if !refUsable(f, vantage, c.Session.PoP, c.Session.Router) {
 			out := make([]Candidate, 0, len(cands)-1)
 			out = append(out, cands[:i]...)
 			for _, c := range cands[i+1:] {
-				if f.usable(vantage, c.Session.PoP, c.Session.Router) {
+				if refUsable(f, vantage, c.Session.PoP, c.Session.Router) {
 					out = append(out, c)
 				}
 			}
@@ -144,32 +150,19 @@ func refSelectGeo(pr *Peering, rr *core.GeoRR, vantage *PoP, cands []Candidate, 
 	return cands[best], true
 }
 
-// TestResolveMatchesReference drives the seed-1 world through a seeded
-// sequence of states and requires Resolve to give the reference
-// decision's answer for every prefix (statics included) at every PoP,
-// and SelectHotPotato to give its reference's. The states cover every
-// input the decision reads: an isolated PoP with its routers withdrawn,
-// an IGP change that withdraws nothing, a drained egress, a force-exit
-// to one router of a two-router PoP (a preference keyed by PoP instead
-// of router fails here), exemption, an adaptive override, and a static
-// more-specific whose egress is then drained.
+// TestResolveMatchesReference drives the seed-1 world through the
+// decision states (driveDecisionStates) and requires Resolve to give the
+// reference decision's answer for every prefix (statics included) at
+// every PoP, and SelectHotPotato to give its reference's.
 func TestResolveMatchesReference(t *testing.T) {
 	pr, rr, f := decisionWorld(t, 1, 120)
 	net := pr.Net
-	rng := loss.NewRNG(29)
 
 	checked := 0
-	check := func(state string) {
+	driveDecisionStates(t, pr, rr, func(state string) {
 		t.Helper()
-		var universe []netip.Prefix
-		for i := range pr.Topo.Prefixes {
-			universe = append(universe, pr.Topo.Prefixes[i].Prefix)
-		}
-		for _, s := range rr.Statics() {
-			universe = append(universe, s.Prefix)
-		}
 		bad := 0
-		for _, pfx := range universe {
+		for _, pfx := range refUniverse(pr, rr) {
 			pi, known := pr.Topo.PrefixInfoFor(pfx)
 			for _, v := range net.PoPs {
 				got, gotOK := f.Resolve(v, pfx)
@@ -198,7 +191,36 @@ func TestResolveMatchesReference(t *testing.T) {
 		if bad > 0 {
 			t.Errorf("%s: %d decisions differ from the reference", state, bad)
 		}
+	})
+	if want := 11 * len(pr.Topo.Prefixes) * 10; checked < want {
+		t.Fatalf("checked %d decisions, want at least %d", checked, want)
 	}
+}
+
+// refUniverse is every prefix the forwarding plane knows: the
+// originated prefixes, then the statics.
+func refUniverse(pr *Peering, rr *core.GeoRR) []netip.Prefix {
+	var universe []netip.Prefix
+	for i := range pr.Topo.Prefixes {
+		universe = append(universe, pr.Topo.Prefixes[i].Prefix)
+	}
+	for _, s := range rr.Statics() {
+		universe = append(universe, s.Prefix)
+	}
+	return universe
+}
+
+// driveDecisionStates walks the world through a seeded sequence of
+// states, calling check in each. The states cover every input the
+// decision reads: an isolated PoP with its routers withdrawn, an IGP
+// change that withdraws nothing, a drained egress, a force-exit to one
+// router of a two-router PoP (a preference keyed by PoP instead of
+// router fails here), exemption, an adaptive override, and a static
+// more-specific whose egress is then drained.
+func driveDecisionStates(t *testing.T, pr *Peering, rr *core.GeoRR, check func(state string)) {
+	t.Helper()
+	net := pr.Net
+	rng := loss.NewRNG(29)
 
 	check("steady")
 
@@ -314,8 +336,4 @@ func TestResolveMatchesReference(t *testing.T) {
 	check("static " + more.String())
 	rr.SetEgressDown(pinned, true)
 	check("static egress drained")
-
-	if want := 11 * len(pr.Topo.Prefixes) * 10; checked < want {
-		t.Fatalf("checked %d decisions, want at least %d", checked, want)
-	}
 }

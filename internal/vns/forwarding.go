@@ -2,6 +2,8 @@ package vns
 
 import (
 	"net/netip"
+	"slices"
+	"sync"
 	"time"
 
 	"vns/internal/core"
@@ -21,10 +23,12 @@ import (
 
 // ForwardingConfig tunes the forwarding plane.
 type ForwardingConfig struct {
-	// Debounce batches a burst of control-plane changes into one FIB
-	// recompile per PoP. Zero recompiles synchronously, which
-	// deterministic tests want; daemons should set a few tens of
-	// milliseconds.
+	// Debounce batches a burst of control-plane changes into one resolve
+	// pass: the pass runs that long after the first invalidation since
+	// the last pass, on one timer for the whole forwarding plane. Zero
+	// runs the pass inside each invalidation, which deterministic tests
+	// want; daemons should set a few tens of milliseconds. Either way a
+	// pass resolves and publishes the same batch the same way.
 	Debounce time.Duration
 	// Telemetry, when non-nil, receives the forwarding-plane metric
 	// families: per-PoP engine and FIB state through render-time
@@ -47,14 +51,44 @@ type ForwardingConfig struct {
 // and fib.Engine per PoP, compiled from the GeoRR's post-policy routes,
 // plus the shared L2 fabric the engines forward over. It implements
 // fib.Fabric.
+//
+// Its unit of work is the resolve pass: the initial download, one
+// InvalidateBatch or InvalidateAll without a debounce, or one debounced
+// flush. A pass reads each dirty prefix's vantage-independent facts
+// once — the statics pinned to it, the origin's candidate sessions, and
+// each distinct candidate router's liveness and GeoRR.Assign — and then
+// every PoP, in id order, reads its IGP row once and publishes the
+// batch, deciding each prefix from those shared facts. Nothing read in
+// a pass outlives it.
 type Forwarding struct {
 	Peering *Peering
 	RR      *core.GeoRR
 
-	pubs    map[int]*fib.Publisher // by 1-based PoP id
-	engines map[int]*fib.Engine
+	// pops[id-1] is the PoP with that id; a pass publishes in this order.
+	pops []*popPass
 
 	fabric *L2Fabric
+
+	debounce time.Duration
+
+	// Lock order: mu → a fib.Publisher's lock → the GeoRR's and the
+	// Network's read locks. mu serializes passes and guards facts.
+	// dirtyMu guards the dirty set; it nests inside mu and is never held
+	// while a pass resolves, so a debounced invalidation — the
+	// reflector's InvalidateBatch runs under its own lock — never waits
+	// on a running pass.
+	mu sync.Mutex
+	// facts[i] holds the running pass's facts for the i-th prefix of its
+	// batch; nil between passes.
+	facts []prefixFacts
+
+	dirtyMu sync.Mutex
+	dirty   map[netip.Prefix]struct{}
+	// pendingEvent is the convergence event the next pass is attributed
+	// to: the latest nonzero event ID any invalidation carried since the
+	// last pass.
+	pendingEvent uint64
+	timer        *time.Timer
 
 	tracer *telemetry.Tracer
 	// conv is the deployment's shared convergence span layer (nil
@@ -69,49 +103,74 @@ type Forwarding struct {
 	mediaLost     *telemetry.Counter
 }
 
+// popPass is one PoP's share of a pass: its engine, whose publisher the
+// pass publishes to, and the IGP row the pass read for it first.
+type popPass struct {
+	pop *PoP
+	eng *fib.Engine
+	igp igpRow
+}
+
+// staticFact is a static more-specific as a pass reads it: the pinned
+// router, its PoP (nil for an unknown router) and whether liveness has
+// withdrawn it.
+type staticFact struct {
+	prefix netip.Prefix
+	router netip.Addr
+	pop    *PoP
+	down   bool
+}
+
+// prefixFacts is everything a prefix's decision reads that is the same
+// at every vantage.
+type prefixFacts struct {
+	statics []staticFact // the statics for this prefix, in Statics order
+	cands   []Candidate  // the origin's candidate sessions
+	prefs   routerPrefs  // each distinct candidate router's preference
+}
+
 // NewForwarding compiles the initial per-PoP FIBs and subscribes to the
 // reflector's change notifications, so later management overrides and
 // re-advertisements trigger incremental recompiles.
 func NewForwarding(pr *Peering, rr *core.GeoRR, cfg ForwardingConfig) *Forwarding {
 	f := &Forwarding{
-		Peering: pr,
-		RR:      rr,
-		pubs:    make(map[int]*fib.Publisher, len(pr.Net.PoPs)),
-		engines: make(map[int]*fib.Engine, len(pr.Net.PoPs)),
-		fabric:  NewL2Fabric(pr.Net),
-		tracer:  cfg.Tracer,
+		Peering:  pr,
+		RR:       rr,
+		fabric:   NewL2Fabric(pr.Net),
+		debounce: cfg.Debounce,
+		dirty:    make(map[netip.Prefix]struct{}),
+		tracer:   cfg.Tracer,
 	}
 	var publishObs func(uint64, time.Duration)
 	if cfg.Telemetry != nil {
 		// The convergence span layer: each publish reports the event ID
-		// its invalidation carried, closing the causal loop from
-		// routing-plane event to FIB compile.
+		// its pass carried, closing the causal loop from routing-plane
+		// event to FIB compile.
 		f.conv = telemetry.NewConvergence(cfg.Telemetry, cfg.Tracer, cfg.ConvergenceClock)
 		publishObs = CompileObserver(cfg.Telemetry, f.conv, cfg.ConvergenceClock != nil)
 	}
 	for _, p := range pr.Net.PoPs {
-		vantage := p
-		eng := fib.NewEngine(p.ID, fib.Config{
-			Resolve:         func(pfx netip.Prefix) (fib.NextHop, bool) { return f.Resolve(vantage, pfx) },
-			Debounce:        cfg.Debounce,
+		v := &popPass{pop: p}
+		v.eng = fib.NewEngine(p.ID, fib.Config{
+			// Publishers only run inside a pass, which holds mu and has
+			// filled facts for exactly the batch being published.
+			Resolve:         func(i int, pfx netip.Prefix) (fib.NextHop, bool) { return v.decide(&f.facts[i], pfx) },
 			PublishObserver: publishObs,
 		}, f)
-		f.engines[p.ID] = eng
-		f.pubs[p.ID] = eng.Publisher()
+		f.pops = append(f.pops, v)
 	}
 	if cfg.Telemetry != nil {
 		f.registerTelemetry(cfg.Telemetry)
 	}
 	// Subscribe before the initial compile (the table download) so no
 	// change can fall between them. The batch form hands each change
-	// event's full prefix set to the publishers in one call, so a
-	// multi-prefix UPDATE costs one flush (typically one delta publish)
-	// per PoP instead of one per prefix.
+	// event's full prefix set over in one call, so a multi-prefix UPDATE
+	// costs one pass (typically one delta publish per PoP) instead of
+	// one per prefix.
 	rr.OnChangeBatch(f.InvalidateBatch)
-	u := f.universe()
-	for _, p := range pr.Net.PoPs {
-		f.pubs[p.ID].ResolveAll(u)
-	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.pass(0, f.universe(), true)
 	return f
 }
 
@@ -129,33 +188,43 @@ func (f *Forwarding) universe() []netip.Prefix {
 	return out
 }
 
-// InvalidateBatch marks a set of prefixes dirty at every PoP in one
-// call per publisher. It is the rr.OnChangeBatch callback: the whole
-// batch lands in a publisher's dirty set before its flush runs, so a
-// change event costs one publish — a copy-on-write delta when the
-// batch is small — rather than one per prefix. PoPs are visited in id
-// order so debounce timers arm in a reproducible sequence.
+// InvalidateBatch marks a set of prefixes dirty at every PoP. It is the
+// rr.OnChangeBatch callback: the whole batch joins the dirty set at
+// once, so a change event costs at most one pass — a copy-on-write
+// delta per PoP when the batch is small — rather than one per prefix.
+// Without a debounce the pass runs before it returns; with one, it
+// takes only the dirty set's lock and arms the forwarding plane's one
+// timer, and the pass resolves everything dirty when that fires.
 func (f *Forwarding) InvalidateBatch(prefixes []netip.Prefix) {
-	// Stamp each publisher with the in-flight convergence event, so the
-	// flushes this invalidation causes report their compiles back to it
+	// Stamp the dirty set with the in-flight convergence event, so the
+	// pass this invalidation causes reports its compiles back to it
 	// (fib.Config.PublishObserver) — the event ID's rib→fib crossing.
 	event := f.conv.ActiveID()
-	for _, id := range detsort.Keys(f.pubs) {
-		f.pubs[id].InvalidateEvent(event, prefixes...)
+	f.dirtyMu.Lock()
+	if event != 0 {
+		f.pendingEvent = event
+	}
+	for _, pfx := range prefixes {
+		f.dirty[pfx] = struct{}{}
+	}
+	if f.debounce > 0 && f.timer == nil && len(f.dirty) > 0 {
+		//vnslint:wallclock the debounce batches real control-plane bursts in vnsd; sim tests use Debounce=0
+		f.timer = time.AfterFunc(f.debounce, f.Flush)
+	}
+	f.dirtyMu.Unlock()
+	if f.debounce == 0 {
+		f.Flush()
 	}
 }
 
-// InvalidateAll marks the whole universe dirty at every PoP — the
-// failover controller's reconvergence path after a link or PoP event or
-// a drain. Unlike the initial compile it flows through the dirty-prefix
-// machinery, so prefixes whose next hop is unaffected cost a resolve but
-// no publish (the Publisher's no-spurious-churn fast path).
+// InvalidateAll marks the whole universe dirty — the failover
+// controller's reconvergence path after a link or PoP event or a drain.
+// Unlike the initial compile it goes through the dirty set like any
+// batch, so prefixes whose next hop is unaffected cost their share of
+// the pass but no publish (the Publisher's no-spurious-churn fast
+// path).
 func (f *Forwarding) InvalidateAll() {
-	u := f.universe()
-	event := f.conv.ActiveID()
-	for _, id := range detsort.Keys(f.pubs) {
-		f.pubs[id].InvalidateEvent(event, u...)
-	}
+	f.InvalidateBatch(f.universe())
 }
 
 // Convergence returns the deployment's shared convergence span layer
@@ -164,51 +233,125 @@ func (f *Forwarding) InvalidateAll() {
 // the ID space the publishers attribute compiles against.
 func (f *Forwarding) Convergence() *telemetry.Convergence { return f.conv }
 
-// Flush forces every pending recompile now (useful with a non-zero
-// debounce when a test or shutdown needs a consistent state).
+// Flush runs the pending pass now, if anything is dirty: the debounce
+// timer's callback, and what a test, a shutdown or the failover
+// controller calls for a consistent state. Without a debounce every
+// invalidation has already run its pass, so it finds nothing to do.
 func (f *Forwarding) Flush() {
-	for _, id := range detsort.Keys(f.pubs) {
-		f.pubs[id].Flush()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.dirtyMu.Lock()
+	if f.timer != nil {
+		f.timer.Stop()
+		f.timer = nil
 	}
+	if len(f.dirty) == 0 {
+		f.dirtyMu.Unlock()
+		return
+	}
+	batch := make([]netip.Prefix, 0, len(f.dirty))
+	for pfx := range f.dirty {
+		batch = append(batch, pfx)
+	}
+	f.dirty = make(map[netip.Prefix]struct{})
+	event := f.pendingEvent
+	f.pendingEvent = 0
+	f.dirtyMu.Unlock()
+	// Sorted so the publishers resolve in a reproducible order and patch
+	// covers before the prefixes they contain (fib.Publisher's batch).
+	slices.SortFunc(batch, detsort.PrefixCompare)
+	f.pass(event, batch, false)
+}
+
+// Pending returns the number of dirty prefixes awaiting the next pass.
+func (f *Forwarding) Pending() int {
+	f.dirtyMu.Lock()
+	defer f.dirtyMu.Unlock()
+	return len(f.dirty)
+}
+
+// pass is one resolve pass over batch, with f.mu held: it reads every
+// prefix's vantage-independent facts once, then publishes the batch at
+// each PoP in id order, the initial download (full) as a full compile
+// and anything later through the Publisher's delta/skip path with event
+// attributed. The facts are dropped with the pass, so nothing read here
+// can answer a later one.
+func (f *Forwarding) pass(event uint64, batch []netip.Prefix, full bool) {
+	statics := f.readStatics(nil)
+	f.facts = make([]prefixFacts, len(batch))
+	for i, pfx := range batch {
+		f.readFacts(&f.facts[i], pfx, statics)
+	}
+	for _, v := range f.pops {
+		v.igp = f.Peering.Net.igpRow(v.pop)
+		if full {
+			v.eng.Publisher().ResolveAll(batch)
+		} else {
+			v.eng.Publisher().InvalidateEvent(event, batch...)
+		}
+	}
+	f.facts = nil
+}
+
+// readStatics appends the reflector's static more-specifics to dst, in
+// Statics order, with each pinned router's PoP and liveness.
+func (f *Forwarding) readStatics(dst []staticFact) []staticFact {
+	for _, s := range f.RR.Statics() {
+		p, _ := f.Peering.Net.RouterPoP(s.Egress)
+		dst = append(dst, staticFact{prefix: s.Prefix, router: s.Egress, pop: p, down: f.RR.EgressDown(s.Egress)})
+	}
+	return dst
+}
+
+// readFacts fills r with prefix's vantage-independent facts: its run of
+// statics (Statics sorts by prefix, so one prefix's statics are
+// adjacent), and for an originated prefix the origin's candidates with
+// one liveness read and one GeoRR.Assign per distinct candidate router.
+func (f *Forwarding) readFacts(r *prefixFacts, prefix netip.Prefix, statics []staticFact) {
+	lo := 0
+	for lo < len(statics) && statics[lo].prefix != prefix {
+		lo++
+	}
+	hi := lo
+	for hi < len(statics) && statics[hi].prefix == prefix {
+		hi++
+	}
+	r.statics = statics[lo:hi]
+	r.cands = nil
+	if pi, ok := f.Peering.Topo.PrefixInfoFor(prefix); ok {
+		r.cands = f.Peering.Candidates(pi.Origin)
+		r.prefs.read(f.RR, r.cands, prefix)
+	}
+}
+
+// decide is a PoP's decision for one prefix from the prefix's facts and
+// the vantage's IGP row: the first static whose router is up and whose
+// PoP the vantage reaches pins the egress; everything else is the geo
+// decision process over the candidates (pickGeo).
+func (v *popPass) decide(r *prefixFacts, prefix netip.Prefix) (fib.NextHop, bool) {
+	for _, s := range r.statics {
+		if s.pop != nil && !s.down && v.igp[s.pop.ID-1] < igpInf {
+			return fib.NextHop{PoP: s.pop.ID, Router: s.router}, true
+		}
+	}
+	i := pickGeo(v.pop, r.cands, prefix, &r.prefs, &v.igp)
+	if i < 0 {
+		return fib.NextHop{}, false
+	}
+	s := r.cands[i].Session
+	return fib.NextHop{PoP: s.PoP.ID, Router: s.Router, Neighbor: s.Neighbor.Index}, true
 }
 
 // Resolve computes the control-plane decision for one prefix as seen
-// from a vantage PoP: static more-specifics pin their configured
-// egress (when usable); everything else is SelectGeo over the origin's
-// candidate sessions, which also leaves out withdrawn egress routers and
-// PoPs the vantage cannot reach. Publishers call it from their flushes
-// (debounce-timer goroutines included), and it is the reference answer
-// the compiled per-PoP FIBs are differentially tested against
-// (internal/scenario's three-way agreement invariant).
+// from a vantage PoP: the decision a pass makes (popPass.decide), over
+// facts read fresh for this one call. It is the reference answer the
+// compiled per-PoP FIBs are differentially tested against
+// (internal/scenario's three-way agreement invariant, Congruence).
 func (f *Forwarding) Resolve(vantage *PoP, prefix netip.Prefix) (fib.NextHop, bool) {
-	for _, s := range f.RR.Statics() {
-		if s.Prefix == prefix {
-			if p, ok := f.Peering.Net.RouterPoP(s.Egress); ok && f.usable(vantage, p, s.Egress) {
-				return fib.NextHop{PoP: p.ID, Router: s.Egress}, true
-			}
-		}
-	}
-	pi, ok := f.Peering.Topo.PrefixInfoFor(prefix)
-	if !ok {
-		return fib.NextHop{}, false
-	}
-	best, ok := f.Peering.SelectGeo(f.RR, vantage, f.Peering.Candidates(pi.Origin), prefix)
-	if !ok {
-		return fib.NextHop{}, false
-	}
-	return fib.NextHop{
-		PoP:      best.Session.PoP.ID,
-		Router:   best.Session.Router,
-		Neighbor: best.Session.Neighbor.Index,
-	}, true
-}
-
-// usable reports whether a static's egress router at a PoP can
-// currently carry traffic from the vantage: the reflector must not have
-// marked the router down (liveness withdrawal) and the PoP must be
-// IGP-reachable — the rule SelectGeo applies to candidate sessions.
-func (f *Forwarding) usable(vantage, at *PoP, router netip.Addr) bool {
-	return !f.RR.EgressDown(router) && f.Peering.Net.Reachable(vantage, at)
+	var r prefixFacts
+	f.readFacts(&r, prefix, f.readStatics(nil))
+	v := popPass{pop: vantage, igp: f.Peering.Net.igpRow(vantage)}
+	return v.decide(&r, prefix)
 }
 
 // Path implements fib.Fabric: the internal netsim path between two
@@ -226,18 +369,18 @@ func (f *Forwarding) Fabric() *L2Fabric { return f.fabric }
 // Engine returns the forwarding engine of the PoP with the given
 // Figure 11 code ("LON").
 func (f *Forwarding) Engine(code string) *fib.Engine {
-	return f.engines[f.Peering.Net.PoP(code).ID]
+	return f.EngineByID(f.Peering.Net.PoP(code).ID)
 }
 
 // EngineByID returns the forwarding engine of the PoP with the given
 // paper number.
-func (f *Forwarding) EngineByID(id int) *fib.Engine { return f.engines[id] }
+func (f *Forwarding) EngineByID(id int) *fib.Engine { return f.pops[id-1].eng }
 
 // Engines returns all engines in PoP-id order.
 func (f *Forwarding) Engines() []*fib.Engine {
-	out := make([]*fib.Engine, 0, len(f.engines))
-	for _, p := range f.Peering.Net.PoPs {
-		out = append(out, f.engines[p.ID])
+	out := make([]*fib.Engine, 0, len(f.pops))
+	for _, v := range f.pops {
+		out = append(out, v.eng)
 	}
 	return out
 }
@@ -250,7 +393,7 @@ func (f *Forwarding) Engines() []*fib.Engine {
 // should match for (nearly) all destinations whenever the FIB is
 // caught up.
 func (f *Forwarding) Congruence(vantage *PoP) (match, total int) {
-	eng := f.engines[vantage.ID]
+	eng := f.EngineByID(vantage.ID)
 	for i := range f.Peering.Topo.Prefixes {
 		pfx := f.Peering.Topo.Prefixes[i].Prefix
 		nh, fibOK := eng.Lookup(pfx.Addr())
@@ -283,7 +426,7 @@ func (f *Forwarding) Congruence(vantage *PoP) (match, total int) {
 // stable routing a single egress carries the whole stream; a recompile
 // mid-stream shifts the remainder). The caller runs the simulator.
 func (f *Forwarding) ForwardStream(sim *netsim.Sim, ingress *PoP, dst netip.Addr, tr *media.Trace) (*media.StreamStats, map[int]int) {
-	eng := f.engines[ingress.ID]
+	eng := f.EngineByID(ingress.ID)
 	st := media.NewStreamStats(tr.Definition, tr.DurationSec)
 	egress := make(map[int]int)
 	start := sim.Now()

@@ -206,8 +206,8 @@ func TestForwardStreamReachesControlPlaneEgress(t *testing.T) {
 	}
 }
 
-// TestForwardingDebounce checks an update burst coalesces into one
-// recompile per PoP and Flush forces pending state visible.
+// TestForwardingDebounce checks that a debounced invalidation waits in
+// the forwarding plane's dirty set and Flush forces it visible.
 func TestForwardingDebounce(t *testing.T) {
 	pr, rr, f := forwardingSetup(t, ForwardingConfig{Debounce: time.Hour})
 	eng := f.Engine("LON")
@@ -243,11 +243,14 @@ func TestForwardingDebounce(t *testing.T) {
 	if gen := eng.Stats().FIB.Generation; gen != genBefore {
 		t.Fatalf("recompile ran before debounce: gen %d -> %d", genBefore, gen)
 	}
-	if eng.Stats().FIB.Pending == 0 {
-		t.Error("no pending dirty prefixes after ForceExit")
+	if got := f.Pending(); got != 1 {
+		t.Errorf("pending = %d after ForceExit, want 1", got)
 	}
 	f.Flush()
 	if nh, ok := eng.Lookup(prefix.Addr()); !ok || nh.PoP != altPoP {
 		t.Errorf("after Flush: egress PoP %d, want forced %d", nh.PoP, altPoP)
+	}
+	if got := f.Pending(); got != 0 {
+		t.Errorf("pending = %d after Flush", got)
 	}
 }

@@ -44,7 +44,8 @@ func (p *PoP) String() string { return fmt.Sprintf("PoP%d(%s)", p.ID, p.Code) }
 
 // popSpec defines the deployment footprint. The cities are the ones the
 // paper names (Figure 11 codes) plus Tokyo as the eleventh PoP. It is an
-// array so its length sizes SelectGeo's per-PoP and per-router scratch.
+// array so its length sizes a decision's per-PoP and per-router tables
+// (igpRow, routerPrefs).
 var popSpec = [...]struct {
 	id   int
 	code string
@@ -286,6 +287,18 @@ func (n *Network) IGPMetricMs(a, b *PoP) float64 {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	return n.igp[a.ID-1][b.ID-1]
+}
+
+// igpRow is one vantage's IGP metric to every PoP, indexed by PoP id−1.
+type igpRow [len(popSpec)]float64
+
+// igpRow returns the IGP metrics from a to every PoP, read under one
+// lock acquisition.
+func (n *Network) igpRow(a *PoP) (row igpRow) {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	copy(row[:], n.igp[a.ID-1])
+	return row
 }
 
 // InternalPath returns the PoP sequence of the shortest internal path

@@ -52,7 +52,7 @@ type Session struct {
 	// peerAddr uniquely identifies the remote end for tie-breaking.
 	peerAddr netip.Addr
 	// egress indexes Router among the deployment's egress routers (PoP
-	// id major); it keys SelectGeo's per-router scratch.
+	// id major); it keys a decision's per-router table (routerPrefs).
 	egress int
 }
 
@@ -303,10 +303,12 @@ var dummySegments = func() [][]bgp.ASPathSegment {
 	return s
 }()
 
-// fillRoute writes into r the route candidate c offers as seen from the
-// vantage PoP, igpMs away over the IGP. lp == 0 means no LOCAL_PREF
-// attribute (pre-geo routing). The AS_PATH is synthetic (only its
-// length enters the decision process).
+// fillRoute writes into r, field by field, the route candidate c offers
+// as seen from the vantage PoP, igpMs away over the IGP. lp == 0 means
+// no LOCAL_PREF attribute (pre-geo routing). The AS_PATH is synthetic
+// (only its length enters the decision process). The fields it leaves
+// alone stay zero for a route only fillRoute writes, so a decision can
+// refill two routes in turn without copying either.
 func fillRoute(r *rib.Route, vantage *PoP, c Candidate, prefix netip.Prefix, igpMs float64, lp uint32) {
 	// The IGP metric is the microsecond-scale internal delay; the PoP ID
 	// breaks exact ties deterministically. Unreachable PoPs (partitions
@@ -315,19 +317,16 @@ func fillRoute(r *rib.Route, vantage *PoP, c Candidate, prefix netip.Prefix, igp
 	if igpMs > 1e9 {
 		igpMs = 1e9
 	}
-	*r = rib.Route{
-		Prefix:    prefix,
-		EBGP:      c.Session.PoP == vantage,
-		PeerAS:    c.Session.Neighbor.ASN,
-		PeerID:    c.Session.Router,
-		PeerAddr:  c.Session.peerAddr,
-		IGPMetric: int(igpMs*1000) + c.Session.PoP.ID,
-	}
+	s := c.Session
+	r.Prefix = prefix
+	r.EBGP = s.PoP == vantage
+	r.PeerAS = s.Neighbor.ASN
+	r.PeerID = s.Router
+	r.PeerAddr = s.peerAddr
+	r.IGPMetric = int(igpMs*1000) + s.PoP.ID
 	r.Attrs.ASPath = dummySegments[min(c.PathLen, len(dummyPath))]
-	if lp > 0 {
-		r.Attrs.LocalPref = lp
-		r.Attrs.HasLocalPref = true
-	}
+	r.Attrs.LocalPref = lp
+	r.Attrs.HasLocalPref = lp > 0
 }
 
 // SelectHotPotato runs the pre-geo-routing decision process from the
@@ -337,12 +336,13 @@ func fillRoute(r *rib.Route, vantage *PoP, c Candidate, prefix netip.Prefix, igp
 // destination is unreachable. Candidates are compared as two routes on
 // the stack; nothing is allocated.
 func (pr *Peering) SelectHotPotato(vantage *PoP, cands []Candidate, prefix netip.Prefix) (Candidate, bool) {
-	var r, bestRoute rib.Route
+	var routes [2]rib.Route
+	r, bestRoute := &routes[0], &routes[1]
 	best := -1
 	for i, c := range cands {
-		fillRoute(&r, vantage, c, prefix, pr.Net.IGPMetricMs(vantage, c.Session.PoP), 0)
-		if best < 0 || rib.Compare(&r, &bestRoute) < 0 {
-			bestRoute, best = r, i
+		fillRoute(r, vantage, c, prefix, pr.Net.IGPMetricMs(vantage, c.Session.PoP), 0)
+		if best < 0 || rib.Compare(r, bestRoute) < 0 {
+			r, bestRoute, best = bestRoute, r, i
 		}
 	}
 	if best < 0 {
@@ -351,58 +351,84 @@ func (pr *Peering) SelectHotPotato(vantage *PoP, cands []Candidate, prefix netip
 	return cands[best], true
 }
 
+// numEgress is the deployment's egress router count (Session.egress
+// ranges over it).
+const numEgress = len(popSpec) * RoutersPerPoP
+
+// routerPref is an egress router's standing for one prefix, the same at
+// every vantage: withdrawn by liveness (down), or else the LOCAL_PREF
+// the GeoRR assigns its route.
+type routerPref struct {
+	lp   uint32
+	down bool
+}
+
+// routerPrefs holds, by Session.egress, the preference of each distinct
+// router among a prefix's candidates; slots of other routers are never
+// read.
+type routerPrefs [numEgress]routerPref
+
+// read fills p for cands: one GeoRR.EgressDown and, for a router in
+// service, one GeoRR.Assign per distinct router.
+func (p *routerPrefs) read(rr *core.GeoRR, cands []Candidate, prefix netip.Prefix) {
+	var seen [numEgress]bool
+	for _, c := range cands {
+		s := c.Session
+		if seen[s.egress] {
+			continue
+		}
+		seen[s.egress] = true
+		pref := routerPref{down: rr.EgressDown(s.Router)}
+		if !pref.down {
+			pref.lp = rr.Assign(s.Router, prefix).LocalPref
+		}
+		p[s.egress] = pref
+	}
+}
+
 // SelectGeo runs the post-geo-routing decision process from the vantage
 // PoP: the GeoRR assigns each route a distance-derived LOCAL_PREF, which
 // dominates every later step, so the geographically closest egress (per
 // the GeoIP database) wins network-wide and the vantage only breaks ties
-// through its IGP metric. The preference is a fact about the egress
-// router, not the session: each distinct router among the candidates
-// costs one liveness read and one GeoRR.Assign, each egress PoP one IGP
-// read, and candidates are compared as two routes on the stack, in
-// their given order. A candidate whose router is withdrawn
-// (GeoRR.EgressDown) or whose PoP the vantage cannot reach is skipped;
-// ok=false when none is left.
+// through its IGP metric. It is pickGeo over freshly read facts: each
+// distinct router among the candidates costs one liveness read and one
+// GeoRR.Assign, and the vantage's IGP row one read. A candidate whose
+// router is withdrawn (GeoRR.EgressDown) or whose PoP the vantage cannot
+// reach is skipped; ok=false when none is left.
 func (pr *Peering) SelectGeo(rr *core.GeoRR, vantage *PoP, cands []Candidate, prefix netip.Prefix) (Candidate, bool) {
-	type routerPref struct {
-		read, down bool
-		lp         uint32
+	var prefs routerPrefs
+	prefs.read(rr, cands, prefix)
+	igp := pr.Net.igpRow(vantage)
+	if i := pickGeo(vantage, cands, prefix, &prefs, &igp); i >= 0 {
+		return cands[i], true
 	}
-	type popIGP struct {
-		read bool
-		ms   float64
-	}
-	var prefs [len(popSpec) * RoutersPerPoP]routerPref
-	var igps [len(popSpec)]popIGP
-	var r, bestRoute rib.Route
+	return Candidate{}, false
+}
+
+// pickGeo is the geo decision itself, the one both SelectGeo and every
+// forwarding-plane decision run: over the candidates in their given
+// order, skip those on a withdrawn router or an unreachable PoP, and
+// keep the best by rib.Compare of each candidate's route with its
+// router's LOCAL_PREF and the vantage's IGP metric. It returns the
+// winner's index, or -1. The candidate and the running best are two
+// routes on the stack that swap roles when the candidate wins, so no
+// route is copied or allocated.
+func pickGeo(vantage *PoP, cands []Candidate, prefix netip.Prefix, prefs *routerPrefs, igp *igpRow) int {
+	var routes [2]rib.Route
+	r, bestRoute := &routes[0], &routes[1]
 	best := -1
 	for i, c := range cands {
 		s := c.Session
-		p := &prefs[s.egress]
-		if !p.read {
-			p.read, p.down = true, rr.EgressDown(s.Router)
-			if !p.down {
-				p.lp = rr.Assign(s.Router, prefix).LocalPref
-			}
-		}
-		if p.down {
+		p, ms := prefs[s.egress], igp[s.PoP.ID-1]
+		if p.down || ms >= igpInf {
 			continue
 		}
-		g := &igps[s.PoP.ID-1]
-		if !g.read {
-			g.read, g.ms = true, pr.Net.IGPMetricMs(vantage, s.PoP)
-		}
-		if g.ms >= igpInf {
-			continue
-		}
-		fillRoute(&r, vantage, c, prefix, g.ms, p.lp)
-		if best < 0 || rib.Compare(&r, &bestRoute) < 0 {
-			bestRoute, best = r, i
+		fillRoute(r, vantage, c, prefix, ms, p.lp)
+		if best < 0 || rib.Compare(r, bestRoute) < 0 {
+			r, bestRoute, best = bestRoute, r, i
 		}
 	}
-	if best < 0 {
-		return Candidate{}, false
-	}
-	return cands[best], true
+	return best
 }
 
 // SelectFirstArrival models the hidden-route failure mode the paper

@@ -43,8 +43,8 @@ func (f *Forwarding) registerTelemetry(reg *telemetry.Registry) {
 	engineCounter := func(name, help string, get func(fib.EngineStats) uint64) {
 		reg.RegisterFunc(name, help, telemetry.KindCounter, []string{"pop"},
 			func(emit func([]string, float64)) {
-				for _, p := range f.Peering.Net.PoPs {
-					emit([]string{p.Code}, float64(get(f.engines[p.ID].Stats())))
+				for _, v := range f.pops {
+					emit([]string{v.pop.Code}, float64(get(v.eng.Stats())))
 				}
 			})
 	}
@@ -66,8 +66,8 @@ func (f *Forwarding) registerTelemetry(reg *telemetry.Registry) {
 	engineGauge := func(name, help string, get func(fib.EngineStats) float64) {
 		reg.RegisterFunc(name, help, telemetry.KindGauge, []string{"pop"},
 			func(emit func([]string, float64)) {
-				for _, p := range f.Peering.Net.PoPs {
-					emit([]string{p.Code}, get(f.engines[p.ID].Stats()))
+				for _, v := range f.pops {
+					emit([]string{v.pop.Code}, get(v.eng.Stats()))
 				}
 			})
 	}
@@ -141,7 +141,7 @@ func (f *Forwarding) TraceRoute(vantage *PoP, dst netip.Addr) telemetry.TraceID 
 
 	// One load: the answer and its generation come from the same FIB
 	// even when a publish lands mid-trace.
-	cur := f.engines[vantage.ID].Current()
+	cur := f.EngineByID(vantage.ID).Current()
 	nh, ok := cur.Lookup(dst)
 	gen := cur.Generation()
 	if !ok {
