@@ -172,7 +172,7 @@ func main() {
 			healthSim.Run(healthSim.Now() + 5)
 			processed, misses := env.RR.Stats()
 			log.Printf("status: peers=%d routes=%d processed=%d geo-misses=%d egress-down=%d",
-				w.RR.NumPeers(), w.RR.NumRoutes(), processed, misses, len(env.RR.DownEgresses()))
+				w.RR.NumPeers(), w.RR.NumRoutes(), processed, misses, len(env.RR.Policy().DownEgresses()))
 			log.Printf("health: t=%.0fs sessions=%d down=%d hellos tx=%d rx=%d withdrawals=%d restores=%d",
 				healthSim.Now(), len(mon.Sessions()), mon.DownSessions(),
 				mon.Metrics().HellosTx.Value(), mon.Metrics().HellosRx.Value(),

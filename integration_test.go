@@ -207,7 +207,7 @@ func TestEndToEndWireControlPlane(t *testing.T) {
 	if out := mg.Execute("static " + sub.String() + " " + egress.String()); out != "OK" {
 		t.Errorf("static = %q", out)
 	}
-	if got := len(env.RR.StaticUpdates()); got != 1 {
+	if got := len(env.RR.Policy().StaticUpdates()); got != 1 {
 		t.Errorf("static updates = %d", got)
 	}
 }

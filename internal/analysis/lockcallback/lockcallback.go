@@ -1,11 +1,14 @@
 // Package lockcallback flags user callbacks invoked, and channel
 // sends performed, while a sync.Mutex or sync.RWMutex is held.
 //
-// This is the fib.Publisher / core.GeoRR.OnChangeBatch deadlock shape: a
-// component fans an event out to subscriber functions while holding
-// the lock its subscribers need (the callback calls back into the
-// component), or blocks on a channel send its consumer can only drain
-// after taking the same lock. Both compile, pass small tests, and
+// This is the deadlock shape a callback-wired pipeline invites — the
+// reflector's change notifications (core.GeoRR.OnChangeBatch, which
+// holds no lock: its policy is an atomically published snapshot) feed
+// the forwarding plane, whose fib.Publisher calls its resolver under
+// its own lock: a component fans an event out to subscriber functions
+// while holding the lock its subscribers need (the callback calls back
+// into the component), or blocks on a channel send its consumer can
+// only drain after taking the same lock. Both compile, pass small tests, and
 // deadlock under load.
 //
 // The check is intra-procedural and syntactic: within one function

@@ -15,10 +15,9 @@
 package core
 
 import (
-	"fmt"
+	"maps"
 	"net/netip"
-	"sort"
-	"sync"
+	"slices"
 	"sync/atomic"
 
 	"vns/internal/bgp"
@@ -88,52 +87,28 @@ type Config struct {
 	Telemetry *telemetry.Registry
 }
 
-// GeoRR is the geo-based route reflector. It is safe for concurrent use.
+// GeoRR is the geo-based route reflector. It is safe for concurrent use:
+// its routing state is one immutable Policy behind an atomic pointer,
+// so readers take no lock, and each mutation publishes the next Policy
+// before it notifies the change subscribers.
 type GeoRR struct {
 	cfg Config
 
-	mu       sync.RWMutex
-	egresses map[netip.Addr]Egress
+	policy atomic.Pointer[Policy]
 
-	// downEgress marks egress routers withdrawn by liveness monitoring
-	// (internal/health): a PoP failure downs all its routers, and their
-	// routes stop being candidates everywhere until recovery.
-	downEgress map[netip.Addr]bool
-
-	// Management state (the paper's overrides).
-	forced  map[netip.Prefix]netip.Addr // prefix -> forced egress router
-	exempt  map[netip.Prefix]bool       // prefixes excluded from geo-routing
-	statics []StaticRoute
-
-	// Measured-delay overrides installed by internal/adaptive: the
-	// prefix prefers this egress at AdaptiveLocalPref — above any
-	// geographic preference, below a management force.
-	overrides map[netip.Prefix]netip.Addr
-
-	// Counters for observability, incremented while mu is at most
-	// read-held.
+	// Counters for observability, shared by every Policy's Assign.
 	processed atomic.Uint64
 	misses    atomic.Uint64
-
-	// Change subscribers (the forwarding plane's FIB publishers). Own
-	// lock so notification never nests inside mu: subscribers typically
-	// re-resolve prefixes, which calls back into Assign. Each subscriber
-	// gets a changed set in one call, which is what lets a FIB publisher
-	// turn an UPDATE burst into a single delta publish.
-	changeMu sync.Mutex
-	onBatch  []func([]netip.Prefix)
 
 	metrics *georrMetrics
 }
 
-// georrMetrics holds pre-resolved handles for every assignment outcome
-// Assign can produce, so the per-route path pays one atomic add. Nil
-// methods are no-ops.
+// georrMetrics holds the GeoRR's pre-resolved metric handles. The
+// handle of each assignment outcome, which Assign pays one atomic add
+// into, is the Policy's (Policy.assign).
 type georrMetrics struct {
-	assign     map[string]*telemetry.Counter // keyed by reason label
-	assignVec  *telemetry.CounterVec         // for the lazily added "adaptive" child
-	egressDown *telemetry.Counter
-	egressUp   *telemetry.Counter
+	assignVec   *telemetry.CounterVec       // for the lazily added "adaptive" child
+	transitions map[bool]*telemetry.Counter // egress liveness, keyed by down
 }
 
 // assignReasons are the reason labels of core_assignments_total; "geo"
@@ -144,19 +119,17 @@ var assignReasons = []string{
 	"forced_here", "forced_other", "no_geolocation",
 }
 
-func newGeorrMetrics(rr *GeoRR, reg *telemetry.Registry) *georrMetrics {
-	m := &georrMetrics{assign: make(map[string]*telemetry.Counter, len(assignReasons))}
+func newGeorrMetrics(rr *GeoRR, reg *telemetry.Registry) (*georrMetrics, map[string]*telemetry.Counter) {
 	vec := reg.CounterVec("core_assignments_total", "geo local-pref assignments, by outcome", "reason")
+	assign := make(map[string]*telemetry.Counter, len(assignReasons))
 	for _, reason := range assignReasons {
-		m.assign[reason] = vec.With(reason)
+		assign[reason] = vec.With(reason)
 	}
 	// The "adaptive" child is NOT pre-created: it appears (at zero) in
 	// rendered output the moment it exists, and only adaptive-enabled
 	// runs should see it. SetOverride creates it on first use.
-	m.assignVec = vec
 	trans := reg.CounterVec("core_egress_transitions_total", "egress liveness withdrawals and restores", "state")
-	m.egressDown = trans.With("down")
-	m.egressUp = trans.With("up")
+	m := &georrMetrics{assignVec: vec, transitions: map[bool]*telemetry.Counter{true: trans.With("down"), false: trans.With("up")}}
 	reg.RegisterFunc("core_routes_processed_total", "routes run through geo assignment",
 		telemetry.KindCounter, nil, func(emit func([]string, float64)) {
 			p, _ := rr.Stats()
@@ -167,27 +140,7 @@ func newGeorrMetrics(rr *GeoRR, reg *telemetry.Registry) *georrMetrics {
 			_, misses := rr.Stats()
 			emit(nil, float64(misses))
 		})
-	return m
-}
-
-func (m *georrMetrics) assigned(reason string) {
-	if m == nil {
-		return
-	}
-	if c, ok := m.assign[reason]; ok {
-		c.Inc()
-	}
-}
-
-func (m *georrMetrics) egressTransition(down bool) {
-	if m == nil {
-		return
-	}
-	if down {
-		m.egressDown.Inc()
-	} else {
-		m.egressUp.Inc()
-	}
+	return m, assign
 }
 
 // StaticRoute is a more-specific prefix statically advertised from a
@@ -203,38 +156,28 @@ func New(cfg Config) *GeoRR {
 	if cfg.LocalPref == nil {
 		cfg.LocalPref = LinearLocalPref
 	}
-	rr := &GeoRR{
-		cfg:        cfg,
-		egresses:   make(map[netip.Addr]Egress),
-		downEgress: make(map[netip.Addr]bool),
-		forced:     make(map[netip.Prefix]netip.Addr),
-		exempt:     make(map[netip.Prefix]bool),
-		overrides:  make(map[netip.Prefix]netip.Addr),
-	}
+	rr := &GeoRR{cfg: cfg}
+	first := &Policy{rr: rr}
 	if cfg.Telemetry != nil {
-		rr.metrics = newGeorrMetrics(rr, cfg.Telemetry)
+		rr.metrics, first.assign = newGeorrMetrics(rr, cfg.Telemetry)
 	}
+	rr.policy.Store(first)
 	return rr
 }
 
+// Policy returns the current policy. Everything read from one Policy
+// belongs to one state of the GeoRR, whatever mutations land meanwhile.
+func (rr *GeoRR) Policy() *Policy { return rr.policy.Load() }
+
 // AddEgress registers an egress router with its location.
 func (rr *GeoRR) AddEgress(e Egress) {
-	rr.mu.Lock()
-	defer rr.mu.Unlock()
-	rr.egresses[e.ID] = e
-}
-
-// Egresses returns the registered egress routers in router-id order, so
-// listings (the management interface's `egresses` command) are stable.
-func (rr *GeoRR) Egresses() []Egress {
-	rr.mu.RLock()
-	defer rr.mu.RUnlock()
-	out := make([]Egress, 0, len(rr.egresses))
-	for _, e := range rr.egresses {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID.Less(out[j].ID) })
-	return out
+	rr.update(func(p *Policy) (bool, error) {
+		if !put(&p.egresses, e.ID, e) {
+			return false, nil
+		}
+		p.egressList = slices.SortedFunc(maps.Values(p.egresses), func(a, b Egress) int { return a.ID.Compare(b.ID) })
+		return true, nil
+	}, netip.Prefix{})
 }
 
 // Decision is the outcome of geo-processing one route.
@@ -252,61 +195,9 @@ type Decision struct {
 }
 
 // Assign computes the local preference for a route to prefix learned
-// from egress router from. This is the heart of the paper's mechanism.
+// from egress router from under the current policy: Policy().Assign.
 func (rr *GeoRR) Assign(from netip.Addr, prefix netip.Prefix) Decision {
-	rr.processed.Add(1)
-	rr.mu.RLock()
-	defer rr.mu.RUnlock()
-
-	if rr.exempt[prefix] {
-		rr.metrics.assigned("exempt")
-		return Decision{Reason: "exempt"}
-	}
-	eg, ok := rr.egresses[from]
-	if !ok {
-		rr.metrics.assigned("unknown_egress")
-		return Decision{Reason: fmt.Sprintf("unknown egress %v", from)}
-	}
-	if rr.downEgress[from] {
-		// Withdrawn by liveness monitoring: no preference, so the route
-		// never beats a geo-processed alternative while the egress is
-		// out of service.
-		rr.metrics.assigned("egress_down")
-		return Decision{Reason: "egress down"}
-	}
-	if forcedTo, ok := rr.forced[prefix]; ok {
-		// A forced prefix gets maximum preference at its designated
-		// egress and none elsewhere, overriding geography.
-		if forcedTo == from {
-			rr.metrics.assigned("forced_here")
-			return Decision{LocalPref: 4000, Reason: "forced here"}
-		}
-		rr.metrics.assigned("forced_other")
-		return Decision{Reason: "forced to other egress"}
-	}
-	if over, ok := rr.overrides[prefix]; ok && over == from {
-		// Measured delay contradicts geography here: the adaptive
-		// controller pinned this egress. Other egresses keep their
-		// geographic preference (always below AdaptiveLocalPref), so if
-		// this router is withdrawn the prefix degrades to geo-routing
-		// instead of losing all preference.
-		rr.metrics.assigned("adaptive")
-		return Decision{LocalPref: AdaptiveLocalPref, Reason: "adaptive"}
-	}
-	rec, ok := rr.cfg.DB.LookupPrefix(prefix)
-	if !ok {
-		rr.misses.Add(1)
-		rr.metrics.assigned("no_geolocation")
-		return Decision{Reason: "no geolocation"}
-	}
-	d := geo.DistanceKm(eg.Pos, rec.Pos)
-	rr.metrics.assigned("geo")
-	return Decision{
-		//vnslint:lockheld LocalPref is a pure distance→preference curve; it cannot re-enter the GeoRR
-		LocalPref:  rr.cfg.LocalPref(d),
-		DistanceKm: d,
-		Record:     rec,
-	}
+	return rr.Policy().Assign(from, prefix)
 }
 
 // SetEgressDown marks an egress router withdrawn (down=true) or
@@ -318,34 +209,17 @@ func (rr *GeoRR) Assign(from netip.Addr, prefix netip.Prefix) Decision {
 // and republishes the FIBs itself; Drain is what the management
 // interface's egress-down and egress-up reach in a deployment.
 func (rr *GeoRR) SetEgressDown(id netip.Addr, down bool) bool {
-	rr.mu.Lock()
-	defer rr.mu.Unlock()
-	if rr.downEgress[id] == down {
-		return false
+	changed, _ := rr.update(func(p *Policy) (bool, error) {
+		if !put(&p.down, id, down) {
+			return false, nil
+		}
+		p.downList = detsort.KeysFunc(p.down, netip.Addr.Compare)
+		return true, nil
+	}, netip.Prefix{})
+	if changed && rr.metrics != nil {
+		rr.metrics.transitions[down].Inc()
 	}
-	if down {
-		rr.downEgress[id] = true
-	} else {
-		delete(rr.downEgress, id)
-	}
-	rr.metrics.egressTransition(down)
-	return true
-}
-
-// EgressDown reports whether liveness monitoring has withdrawn the
-// egress router.
-func (rr *GeoRR) EgressDown(id netip.Addr) bool {
-	rr.mu.RLock()
-	defer rr.mu.RUnlock()
-	return rr.downEgress[id]
-}
-
-// DownEgresses returns the currently withdrawn egress routers in
-// address order.
-func (rr *GeoRR) DownEgresses() []netip.Addr {
-	rr.mu.RLock()
-	defer rr.mu.RUnlock()
-	return detsort.KeysFunc(rr.downEgress, netip.Addr.Compare)
+	return changed
 }
 
 // OnChangeBatch registers fn to be invoked once per change event with
@@ -355,12 +229,14 @@ func (rr *GeoRR) DownEgresses() []netip.Addr {
 // subscribers mark the set dirty and rebuild their compiled tables
 // (vns.Forwarding.InvalidateBatch is the intended callback, one flush
 // per PoP per event). Callbacks run synchronously on the mutating
-// goroutine, after GeoRR locks are released; they may call back into
-// the GeoRR.
+// goroutine after the new Policy is published, so they read it; the
+// GeoRR holds no lock, so they may call back into it. A mutation that
+// changes nothing notifies nobody.
 func (rr *GeoRR) OnChangeBatch(fn func([]netip.Prefix)) {
-	rr.changeMu.Lock()
-	defer rr.changeMu.Unlock()
-	rr.onBatch = append(rr.onBatch, fn)
+	rr.update(func(p *Policy) (bool, error) {
+		p.onBatch = append(slices.Clip(p.onBatch), fn)
+		return true, nil
+	}, netip.Prefix{})
 }
 
 // NotifyChanged fans a change event out to every subscriber — the
@@ -368,17 +244,57 @@ func (rr *GeoRR) OnChangeBatch(fn func([]netip.Prefix)) {
 // (RRServer) uses it to deliver one batched event per UPDATE after
 // processing every NLRI through ProcessUpdateQuiet, so the forwarding
 // plane sees one invalidation per UPDATE instead of one per prefix.
-// Callers must not hold rr.mu.
+// It may be called from anywhere, a subscriber included.
 func (rr *GeoRR) NotifyChanged(prefixes ...netip.Prefix) {
 	if len(prefixes) == 0 {
 		return
 	}
-	rr.changeMu.Lock()
-	fns := rr.onBatch
-	rr.changeMu.Unlock()
-	for _, fn := range fns {
+	for _, fn := range rr.Policy().onBatch {
 		fn(prefixes)
 	}
+}
+
+// update publishes the next policy, then notifies subscribers of the
+// prefix it changed, if valid. edit gets a copy of the current policy
+// and reports whether it changed it; it replaces the maps and slices
+// it changes (put does), since they are shared with the current one.
+// Writers meet in a compare-and-swap: if another published first, edit
+// runs again on the newer policy, so it must only build.
+func (rr *GeoRR) update(edit func(next *Policy) (bool, error), changed netip.Prefix) (bool, error) {
+	for {
+		cur := rr.policy.Load()
+		next := *cur
+		if ok, err := edit(&next); !ok || err != nil {
+			return false, err
+		}
+		if next.changed[0] = changed; rr.policy.CompareAndSwap(cur, &next) {
+			if changed.IsValid() {
+				rr.NotifyChanged(next.changed[:]...)
+			}
+			return true, nil
+		}
+	}
+}
+
+// put points *m at a copy of it in which k maps to v, or has no k when
+// v is the zero value (what reading an absent key gives; a map left
+// empty is nil). It reports whether that changed anything, and copies
+// nothing when it did not.
+func put[K, V comparable](m *map[K]V, k K, v V) bool {
+	var zero V
+	if old, ok := (*m)[k]; old == v && ok == (v != zero) {
+		return false
+	}
+	var c map[K]V
+	if v != zero || len(*m) > 1 {
+		c = make(map[K]V, len(*m)+1)
+		maps.Copy(c, *m)
+		if c[k] = v; v == zero {
+			delete(c, k)
+		}
+	}
+	*m = c
+	return true
 }
 
 // ProcessUpdateQuiet applies geo-routing to one received UPDATE from
@@ -390,7 +306,8 @@ func (rr *GeoRR) NotifyChanged(prefixes ...netip.Prefix) {
 // every NLRI through this, then delivers one NotifyChanged for the
 // union, so the forwarding plane's per-PoP publishers flush once per
 // UPDATE — and so the convergence span's geo-assignment stage does not
-// overlap its forwarding stage.
+// overlap its forwarding stage. The assignment reads the policy current
+// when it runs and takes no lock, so a caller may hold its own.
 func (rr *GeoRR) ProcessUpdateQuiet(from netip.Addr, u bgp.Update) bgp.Update {
 	out := bgp.Update{Withdrawn: u.Withdrawn}
 	if len(u.NLRI) == 0 {

@@ -118,14 +118,14 @@ func TestExempt(t *testing.T) {
 	rr, _ := testRR(t)
 	p := prefix("10.1.0.0/16")
 	rr.Exempt(p)
-	if !rr.IsExempt(p) {
+	if !rr.Policy().IsExempt(p) {
 		t.Fatal("not exempt")
 	}
 	if dec := rr.Assign(addr("10.0.1.1"), p); dec.LocalPref != 0 || dec.Reason != "exempt" {
 		t.Errorf("dec = %+v", dec)
 	}
 	rr.Unexempt(p)
-	if rr.IsExempt(p) {
+	if rr.Policy().IsExempt(p) {
 		t.Fatal("still exempt")
 	}
 	if dec := rr.Assign(addr("10.0.1.1"), p); dec.LocalPref == 0 {
@@ -145,11 +145,11 @@ func TestForceExit(t *testing.T) {
 	if hk.LocalPref <= ams.LocalPref {
 		t.Errorf("forced egress lp %d should beat geo winner %d", hk.LocalPref, ams.LocalPref)
 	}
-	if got, ok := rr.ForcedExit(p); !ok || got != addr("10.0.3.1") {
+	if got, ok := rr.Policy().ForcedExit(p); !ok || got != addr("10.0.3.1") {
 		t.Error("ForcedExit lookup wrong")
 	}
 	rr.Unforce(p)
-	if _, ok := rr.ForcedExit(p); ok {
+	if _, ok := rr.Policy().ForcedExit(p); ok {
 		t.Error("Unforce failed")
 	}
 	if err := rr.ForceExit(p, addr("10.99.0.1")); err == nil {
@@ -168,10 +168,10 @@ func TestStaticRoutes(t *testing.T) {
 	if err := rr.AddStatic(sub, addr("10.0.3.1"), cover); err != nil {
 		t.Fatal(err)
 	}
-	if got := rr.Statics(); len(got) != 1 {
+	if got := rr.Policy().Statics(); len(got) != 1 {
 		t.Fatalf("statics = %v", got)
 	}
-	ups := rr.StaticUpdates()
+	ups := rr.Policy().StaticUpdates()
 	if len(ups) != 1 {
 		t.Fatalf("updates = %d", len(ups))
 	}
@@ -192,18 +192,23 @@ func TestStaticRoutes(t *testing.T) {
 		t.Error("AddStatic to unknown egress should fail")
 	}
 	rr.RemoveStatic(sub, addr("10.0.3.1"))
-	if got := rr.Statics(); len(got) != 0 {
+	if got := rr.Policy().Statics(); len(got) != 0 {
 		t.Fatalf("statics after remove = %v", got)
 	}
 }
 
 // TestAddStaticCoverRunsUnlocked: hasCover is the caller's code (the
 // mgmt server's takes RRServer.mu, which handleUpdate holds while it
-// waits for rr.mu), so AddStatic must not hold rr.mu across it. A cover
-// that reads GeoRR state deadlocks if it does.
+// assigns routes through the GeoRR), so AddStatic must not run it while
+// holding anything a GeoRR reader or writer waits on. A cover that
+// re-enters the GeoRR — reads its policy, assigns, mutates it —
+// deadlocks if it does.
 func TestAddStaticCoverRunsUnlocked(t *testing.T) {
 	rr, _ := testRR(t)
-	cover := func(netip.Prefix) bool { return len(rr.Egresses()) > 0 }
+	cover := func(p netip.Prefix) bool {
+		rr.Exempt(prefix("10.2.0.0/16"))
+		return len(rr.Policy().Egresses()) > 0 && rr.Assign(addr("10.0.3.1"), p).Reason == ""
+	}
 	done := make(chan error, 1)
 	go func() { done <- rr.AddStatic(prefix("10.1.200.0/24"), addr("10.0.3.1"), cover) }()
 	select {
@@ -212,7 +217,10 @@ func TestAddStaticCoverRunsUnlocked(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("AddStatic called hasCover with rr.mu held")
+		t.Fatal("AddStatic ran hasCover while holding something the GeoRR waits on")
+	}
+	if pol := rr.Policy(); len(pol.Statics()) != 1 || !pol.IsExempt(prefix("10.2.0.0/16")) {
+		t.Fatalf("statics %v, exempt %v: the cover's mutation or the static was lost", pol.Statics(), pol.IsExempt(prefix("10.2.0.0/16")))
 	}
 }
 
@@ -277,7 +285,7 @@ func TestProcessUpdateWithdrawOnly(t *testing.T) {
 
 func TestEgressesListing(t *testing.T) {
 	rr, _ := testRR(t)
-	if got := len(rr.Egresses()); got != 3 {
+	if got := len(rr.Policy().Egresses()); got != 3 {
 		t.Errorf("egresses = %d", got)
 	}
 	p, _ := rr.Stats()
@@ -317,7 +325,7 @@ func TestEgressDownWithdraws(t *testing.T) {
 	if rr.SetEgressDown(ams, true) {
 		t.Fatal("repeated SetEgressDown(down) reported a change")
 	}
-	if !rr.EgressDown(ams) {
+	if !rr.Policy().EgressDown(ams) {
 		t.Fatal("EgressDown = false after withdraw")
 	}
 	if dec := rr.Assign(ams, p); dec.LocalPref != 0 || dec.Reason != "egress down" {
@@ -327,7 +335,7 @@ func TestEgressDownWithdraws(t *testing.T) {
 	if dec := rr.Assign(addr("10.0.2.1"), p); dec.LocalPref == 0 {
 		t.Fatalf("unrelated egress withdrawn: %+v", dec)
 	}
-	if got := rr.DownEgresses(); len(got) != 1 || got[0] != ams {
+	if got := rr.Policy().DownEgresses(); len(got) != 1 || got[0] != ams {
 		t.Fatalf("DownEgresses = %v", got)
 	}
 
@@ -337,7 +345,7 @@ func TestEgressDownWithdraws(t *testing.T) {
 	if dec := rr.Assign(ams, p); dec.LocalPref == 0 {
 		t.Fatalf("restored egress still withdrawn: %+v", dec)
 	}
-	if got := rr.DownEgresses(); len(got) != 0 {
+	if got := rr.Policy().DownEgresses(); len(got) != 0 {
 		t.Fatalf("DownEgresses after restore = %v", got)
 	}
 }

@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"net/netip"
-	"sort"
-
-	"vns/internal/bgp"
+	"slices"
+	"strings"
 )
 
 // This file implements the paper's management interface: it
@@ -18,48 +18,34 @@ import (
 // geography (used when the geographically closest PoP is not closest
 // data-plane-wise). The egress must be registered.
 func (rr *GeoRR) ForceExit(prefix netip.Prefix, egress netip.Addr) error {
-	rr.mu.Lock()
-	if _, ok := rr.egresses[egress]; !ok {
-		rr.mu.Unlock()
-		return fmt.Errorf("core: unknown egress %v", egress)
-	}
-	rr.forced[prefix.Masked()] = egress
-	rr.mu.Unlock()
-	rr.NotifyChanged(prefix.Masked())
-	return nil
+	prefix = prefix.Masked()
+	_, err := rr.update(func(p *Policy) (bool, error) {
+		if _, ok := p.egresses[egress]; !ok {
+			return false, fmt.Errorf("core: unknown egress %v", egress)
+		}
+		return put(&p.forced, prefix, egress), nil
+	}, prefix)
+	return err
 }
 
 // Unforce removes a forced exit.
 func (rr *GeoRR) Unforce(prefix netip.Prefix) {
-	rr.mu.Lock()
-	delete(rr.forced, prefix.Masked())
-	rr.mu.Unlock()
-	rr.NotifyChanged(prefix.Masked())
+	prefix = prefix.Masked()
+	rr.update(func(p *Policy) (bool, error) { return put(&p.forced, prefix, netip.Addr{}), nil }, prefix)
 }
 
 // Exempt excludes prefix from geo-routing (used for globally spread
 // prefixes that have no meaningful single location). Exempt routes keep
 // their original attributes, so ordinary hot-potato selection applies.
 func (rr *GeoRR) Exempt(prefix netip.Prefix) {
-	rr.mu.Lock()
-	rr.exempt[prefix.Masked()] = true
-	rr.mu.Unlock()
-	rr.NotifyChanged(prefix.Masked())
+	prefix = prefix.Masked()
+	rr.update(func(p *Policy) (bool, error) { return put(&p.exempt, prefix, true), nil }, prefix)
 }
 
 // Unexempt re-enables geo-routing for prefix.
 func (rr *GeoRR) Unexempt(prefix netip.Prefix) {
-	rr.mu.Lock()
-	delete(rr.exempt, prefix.Masked())
-	rr.mu.Unlock()
-	rr.NotifyChanged(prefix.Masked())
-}
-
-// IsExempt reports whether prefix is exempted.
-func (rr *GeoRR) IsExempt(prefix netip.Prefix) bool {
-	rr.mu.RLock()
-	defer rr.mu.RUnlock()
-	return rr.exempt[prefix.Masked()]
+	prefix = prefix.Masked()
+	rr.update(func(p *Policy) (bool, error) { return put(&p.exempt, prefix, false), nil }, prefix)
 }
 
 // AddStatic installs a static more-specific advertisement: the given
@@ -67,94 +53,51 @@ func (rr *GeoRR) IsExempt(prefix netip.Prefix) bool {
 // global table, covering subnets whose real location is far from their
 // covering prefix. hasCover must confirm the egress holds a route to a
 // covering less-specific; the paper requires this so traffic can
-// actually be delivered.
+// actually be delivered. hasCover is the caller's code and may take its
+// own locks or call back into the GeoRR; it runs once, before the new
+// policy is built.
 func (rr *GeoRR) AddStatic(prefix netip.Prefix, egress netip.Addr, hasCover func(netip.Prefix) bool) error {
-	// hasCover is the caller's code and may take locks that are held
-	// while waiting for rr.mu (the wire server's, around Assign), so it
-	// runs before rr.mu is taken.
 	covered := hasCover == nil || hasCover(prefix)
-	rr.mu.Lock()
-	if _, ok := rr.egresses[egress]; !ok {
-		rr.mu.Unlock()
-		return fmt.Errorf("core: unknown egress %v", egress)
-	}
-	if !covered {
-		rr.mu.Unlock()
-		return fmt.Errorf("core: no covering route for %v at %v", prefix, egress)
-	}
-	prefix = prefix.Masked()
-	for _, s := range rr.statics {
-		if s.Prefix == prefix && s.Egress == egress {
-			rr.mu.Unlock()
-			return nil // idempotent
+	key := prefix.Masked()
+	_, err := rr.update(func(p *Policy) (bool, error) {
+		if _, ok := p.egresses[egress]; !ok {
+			return false, fmt.Errorf("core: unknown egress %v", egress)
 		}
-	}
-	rr.statics = append(rr.statics, StaticRoute{Prefix: prefix, Egress: egress})
-	rr.mu.Unlock()
-	rr.NotifyChanged(prefix)
-	return nil
+		if !covered {
+			return false, fmt.Errorf("core: no covering route for %v at %v", prefix, egress)
+		}
+		s := StaticRoute{Prefix: key, Egress: egress}
+		if slices.Contains(p.statics[key], s) {
+			return false, nil // idempotent
+		}
+		p.setStatics(key, append(slices.Clip(p.statics[key]), s))
+		return true, nil
+	}, key)
+	return err
 }
 
 // RemoveStatic removes a static advertisement.
 func (rr *GeoRR) RemoveStatic(prefix netip.Prefix, egress netip.Addr) {
-	rr.mu.Lock()
 	prefix = prefix.Masked()
-	kept := rr.statics[:0]
-	for _, s := range rr.statics {
-		if s.Prefix == prefix && s.Egress == egress {
-			continue
+	rr.update(func(p *Policy) (bool, error) {
+		kept := slices.DeleteFunc(slices.Clone(p.statics[prefix]), func(s StaticRoute) bool { return s.Egress == egress })
+		if len(kept) == len(p.statics[prefix]) {
+			return false, nil
 		}
-		kept = append(kept, s)
+		p.setStatics(prefix, kept)
+		return true, nil
+	}, prefix)
+}
+
+// setStatics replaces prefix's statics in p, a policy not yet
+// published, and re-sorts the listing (stably: one prefix's statics
+// keep their installation order).
+func (p *Policy) setStatics(prefix netip.Prefix, ss []StaticRoute) {
+	m := make(map[netip.Prefix][]StaticRoute, len(p.statics)+1)
+	maps.Copy(m, p.statics)
+	if m[prefix] = ss; len(ss) == 0 {
+		delete(m, prefix)
 	}
-	rr.statics = kept
-	rr.mu.Unlock()
-	rr.NotifyChanged(prefix)
-}
-
-// Statics returns the static advertisements sorted by prefix.
-func (rr *GeoRR) Statics() []StaticRoute {
-	rr.mu.RLock()
-	defer rr.mu.RUnlock()
-	out := make([]StaticRoute, len(rr.statics))
-	copy(out, rr.statics)
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].Prefix.String() < out[j].Prefix.String()
-	})
-	return out
-}
-
-// StaticUpdates renders the static routes as BGP updates originated at
-// their egress routers, tagged no-export so they never leak outside the
-// VNS AS.
-func (rr *GeoRR) StaticUpdates() []bgp.Update {
-	rr.mu.RLock()
-	defer rr.mu.RUnlock()
-	out := make([]bgp.Update, 0, len(rr.statics))
-	for _, s := range rr.statics {
-		eg := rr.egresses[s.Egress]
-		var nh netip.Addr
-		if eg.ID.IsValid() {
-			nh = eg.ID
-		}
-		out = append(out, bgp.Update{
-			Attrs: bgp.Attrs{
-				Origin:       bgp.OriginIGP,
-				NextHop:      nh,
-				LocalPref:    4000,
-				HasLocalPref: true,
-				Communities:  []bgp.Community{bgp.CommunityNoExport},
-				OriginatorID: s.Egress,
-			},
-			NLRI: []netip.Prefix{s.Prefix},
-		})
-	}
-	return out
-}
-
-// ForcedExit returns the forced egress for prefix, if any.
-func (rr *GeoRR) ForcedExit(prefix netip.Prefix) (netip.Addr, bool) {
-	rr.mu.RLock()
-	defer rr.mu.RUnlock()
-	a, ok := rr.forced[prefix.Masked()]
-	return a, ok
+	p.statics, p.staticList = m, slices.Concat(slices.Collect(maps.Values(m))...)
+	slices.SortStableFunc(p.staticList, func(a, b StaticRoute) int { return strings.Compare(a.Prefix.String(), b.Prefix.String()) })
 }

@@ -96,6 +96,7 @@ func (m *MgmtServer) Execute(line string) string {
 		return "ERR empty command"
 	}
 	rr := m.srv.GeoRR()
+	pol := rr.Policy() // what show, egresses and stats read
 	cmd := strings.ToLower(fields[0])
 
 	parsePrefix := func(s string) (netip.Prefix, string) {
@@ -194,19 +195,19 @@ func (m *MgmtServer) Execute(line string) string {
 			return "no route"
 		}
 		flags := ""
-		if rr.IsExempt(p) {
+		if pol.IsExempt(p) {
 			flags += " exempt"
 		}
-		if fa, ok := rr.ForcedExit(p); ok {
+		if fa, ok := pol.ForcedExit(p); ok {
 			flags += " forced=" + fa.String()
 		}
 		return fmt.Sprintf("%v via %v lp=%d%s", p, best.PeerID, best.LocalPref(), flags)
 
 	case "egresses":
 		var b strings.Builder
-		for _, e := range rr.Egresses() {
+		for _, e := range pol.Egresses() {
 			state := ""
-			if rr.EgressDown(e.ID) {
+			if pol.EgressDown(e.ID) {
 				state = " down"
 			}
 			fmt.Fprintf(&b, "%s %v %v%s\n", e.PoP, e.ID, e.Pos, state)
@@ -217,7 +218,7 @@ func (m *MgmtServer) Execute(line string) string {
 	case "stats":
 		processed, misses := rr.Stats()
 		return fmt.Sprintf("peers=%d routes=%d processed=%d geo-misses=%d statics=%d egress-down=%d",
-			m.srv.NumPeers(), m.srv.NumRoutes(), processed, misses, len(rr.Statics()), len(rr.DownEgresses()))
+			m.srv.NumPeers(), m.srv.NumRoutes(), processed, misses, len(pol.Statics()), len(pol.DownEgresses()))
 
 	default:
 		return "ERR unknown command " + cmd

@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"net/netip"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // This file is the GeoRR end of the measurement→routing loop:
@@ -30,63 +32,35 @@ type Override struct {
 // exit on the same prefix keeps winning: Assign checks forces first.
 func (rr *GeoRR) SetOverride(prefix netip.Prefix, egress netip.Addr) error {
 	prefix = prefix.Masked()
-	rr.mu.Lock()
-	if _, ok := rr.egresses[egress]; !ok {
-		rr.mu.Unlock()
-		return fmt.Errorf("core: unknown egress %v", egress)
-	}
-	if cur, ok := rr.overrides[prefix]; ok && cur == egress {
-		rr.mu.Unlock()
-		return nil
-	}
-	rr.overrides[prefix] = egress
-	if rr.metrics != nil {
-		// Lazily create the "adaptive" assignment-reason child so runs
-		// that never install an override render (and digest) exactly as
-		// before this subsystem existed. Safe here: metric mutation
-		// happens under rr.mu's write lock, reads under its read lock.
-		if _, ok := rr.metrics.assign["adaptive"]; !ok {
-			rr.metrics.assign["adaptive"] = rr.metrics.assignVec.With("adaptive")
+	_, err := rr.update(func(p *Policy) (bool, error) {
+		if _, ok := p.egresses[egress]; !ok {
+			return false, fmt.Errorf("core: unknown egress %v", egress)
 		}
-	}
-	rr.mu.Unlock()
-	rr.NotifyChanged(prefix)
-	return nil
+		if rr.metrics != nil && p.assign["adaptive"] == nil {
+			// Only now, so runs that never install an override render
+			// (and digest) exactly as before this subsystem existed.
+			put(&p.assign, "adaptive", rr.metrics.assignVec.With("adaptive"))
+		}
+		return p.setOverride(prefix, Override{prefix, egress}), nil
+	}, prefix)
+	return err
 }
 
 // ClearOverride removes prefix's measured-delay override and reports
 // whether one was installed.
 func (rr *GeoRR) ClearOverride(prefix netip.Prefix) bool {
 	prefix = prefix.Masked()
-	rr.mu.Lock()
-	_, had := rr.overrides[prefix]
-	delete(rr.overrides, prefix)
-	rr.mu.Unlock()
-	if had {
-		rr.NotifyChanged(prefix)
-	}
+	had, _ := rr.update(func(p *Policy) (bool, error) { return p.setOverride(prefix, Override{}), nil }, prefix)
 	return had
 }
 
-// OverrideFor returns prefix's override egress, if one is installed.
-func (rr *GeoRR) OverrideFor(prefix netip.Prefix) (netip.Addr, bool) {
-	rr.mu.RLock()
-	defer rr.mu.RUnlock()
-	eg, ok := rr.overrides[prefix.Masked()]
-	return eg, ok
-}
-
-// Overrides lists the installed overrides sorted by prefix, for the
-// management interface and checkpoint traces.
-func (rr *GeoRR) Overrides() []Override {
-	rr.mu.RLock()
-	out := make([]Override, 0, len(rr.overrides))
-	for p, eg := range rr.overrides {
-		out = append(out, Override{Prefix: p, Egress: eg})
+// setOverride makes o prefix's override in p, a policy not yet
+// published (the zero Override clears it), and re-sorts the listing. It
+// reports whether that changed anything.
+func (p *Policy) setOverride(prefix netip.Prefix, o Override) bool {
+	if !put(&p.overrides, prefix, o) {
+		return false
 	}
-	rr.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].Prefix.String() < out[j].Prefix.String()
-	})
-	return out
+	p.overrideList = slices.SortedFunc(maps.Values(p.overrides), func(a, b Override) int { return strings.Compare(a.Prefix.String(), b.Prefix.String()) })
+	return true
 }

@@ -91,13 +91,13 @@ func TestOverrideLifecycle(t *testing.T) {
 		t.Fatalf("idempotent set re-notified: %v", changed)
 	}
 
-	if eg, ok := rr.OverrideFor(p); !ok || eg != addr("10.0.2.1") {
+	if eg, ok := rr.Policy().OverrideFor(p); !ok || eg != addr("10.0.2.1") {
 		t.Fatalf("OverrideFor = %v %v", eg, ok)
 	}
 	if err := rr.SetOverride(prefix("10.3.0.0/16"), addr("10.0.1.1")); err != nil {
 		t.Fatal(err)
 	}
-	ovs := rr.Overrides()
+	ovs := rr.Policy().Overrides()
 	if len(ovs) != 2 || ovs[0].Prefix != p || ovs[1].Prefix != prefix("10.3.0.0/16") {
 		t.Fatalf("Overrides = %+v", ovs)
 	}
@@ -108,10 +108,53 @@ func TestOverrideLifecycle(t *testing.T) {
 	if len(changed) != 3 {
 		t.Fatalf("change notifications after clear: %v", changed)
 	}
-	if _, ok := rr.OverrideFor(p); ok {
+	if _, ok := rr.Policy().OverrideFor(p); ok {
 		t.Fatal("override survived clear")
 	}
 	if d := rr.Assign(addr("10.0.2.1"), p); d.Reason == "adaptive" {
 		t.Fatalf("cleared override still assigns: %+v", d)
+	}
+}
+
+// TestNoOpMutationsNotifyNobody: a mutation that changes nothing
+// publishes no new policy and notifies no subscriber, so it costs the
+// forwarding plane no resolve pass. Each case runs after a setup that
+// makes it a no-op.
+func TestNoOpMutationsNotifyNobody(t *testing.T) {
+	p, ams, hk := prefix("10.1.0.0/16"), addr("10.0.1.1"), addr("10.0.3.1")
+	sub := prefix("10.1.200.0/24")
+	cases := []struct {
+		name   string
+		setup  func(rr *GeoRR)
+		mutate func(rr *GeoRR)
+	}{
+		{"Exempt of an exempt prefix", func(rr *GeoRR) { rr.Exempt(p) }, func(rr *GeoRR) { rr.Exempt(p) }},
+		{"Unexempt with nothing exempt", nil, func(rr *GeoRR) { rr.Unexempt(p) }},
+		{"Unforce with nothing forced", nil, func(rr *GeoRR) { rr.Unforce(p) }},
+		{"ForceExit to the forced egress", func(rr *GeoRR) { _ = rr.ForceExit(p, hk) }, func(rr *GeoRR) { _ = rr.ForceExit(p, hk) }},
+		{"ForceExit to an unknown egress", nil, func(rr *GeoRR) { _ = rr.ForceExit(p, addr("10.9.9.9")) }},
+		{"AddStatic of an installed static", func(rr *GeoRR) { _ = rr.AddStatic(sub, hk, nil) }, func(rr *GeoRR) { _ = rr.AddStatic(sub, hk, nil) }},
+		{"RemoveStatic of an absent static", func(rr *GeoRR) { _ = rr.AddStatic(sub, hk, nil) }, func(rr *GeoRR) { rr.RemoveStatic(sub, ams) }},
+		{"SetOverride of the installed override", func(rr *GeoRR) { _ = rr.SetOverride(p, hk) }, func(rr *GeoRR) { _ = rr.SetOverride(p, hk) }},
+		{"ClearOverride with nothing installed", nil, func(rr *GeoRR) { rr.ClearOverride(p) }},
+		{"SetEgressDown of a live egress to up", nil, func(rr *GeoRR) { rr.SetEgressDown(ams, false) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rr, _ := testRR(t)
+			if c.setup != nil {
+				c.setup(rr)
+			}
+			calls := 0
+			rr.OnChangeBatch(func([]netip.Prefix) { calls++ })
+			before := rr.Policy()
+			c.mutate(rr)
+			if calls != 0 {
+				t.Errorf("%d OnChangeBatch calls, want none", calls)
+			}
+			if rr.Policy() != before {
+				t.Error("published a new policy")
+			}
+		})
 	}
 }

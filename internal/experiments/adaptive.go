@@ -32,10 +32,11 @@ type AdaptiveTrack struct {
 // already pinned them), ungeolocated, unknown to the topology, or with
 // fewer than two egress choices.
 func (e *Env) AdaptiveTrack(pfx netip.Prefix) (AdaptiveTrack, bool) {
-	if e.RR.IsExempt(pfx) {
+	pol := e.RR.Policy()
+	if pol.IsExempt(pfx) {
 		return AdaptiveTrack{}, false
 	}
-	if _, forced := e.RR.ForcedExit(pfx); forced {
+	if _, forced := pol.ForcedExit(pfx); forced {
 		return AdaptiveTrack{}, false
 	}
 	rec, located := e.DB.LookupPrefix(pfx)
@@ -184,7 +185,7 @@ func AdaptiveStudy(e *Env) *AdaptiveResult {
 	res.OverriddenAdaptiveMs = measure.NewCDF(adOver)
 
 	// Leave the shared reflector the way we found it.
-	for _, o := range e.RR.Overrides() {
+	for _, o := range e.RR.Policy().Overrides() {
 		e.RR.ClearOverride(o.Prefix)
 	}
 	return res

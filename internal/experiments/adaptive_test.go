@@ -29,7 +29,7 @@ func TestAdaptiveStudy(t *testing.T) {
 		t.Errorf("overall p90: adaptive %.1fms > geo %.1fms", a, g)
 	}
 	// The study must leave the shared reflector override-free.
-	if n := len(e.RR.Overrides()); n != 0 {
+	if n := len(e.RR.Policy().Overrides()); n != 0 {
 		t.Errorf("%d overrides left behind on the reflector", n)
 	}
 	out := r.Render()

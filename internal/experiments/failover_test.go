@@ -112,7 +112,7 @@ func TestControllerFlapSuppression(t *testing.T) {
 		t.Errorf("link down events = %d, want 1", d)
 	}
 	for _, r := range syd.Routers {
-		if d.RR.EgressDown(r) {
+		if d.RR.Policy().EgressDown(r) {
 			t.Errorf("router %v still withdrawn after flapping stopped", r)
 		}
 	}

@@ -547,7 +547,7 @@ func joinPoPs(pops []*vns.PoP) string {
 // sortedDownEgresses renders the withdrawn egress set deterministically.
 func (e *engine) sortedDownEgresses() []string {
 	var out []string
-	for _, id := range e.RR.DownEgresses() {
+	for _, id := range e.RR.Policy().DownEgresses() {
 		out = append(out, id.String())
 	}
 	sort.Strings(out)

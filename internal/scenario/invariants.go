@@ -173,7 +173,7 @@ func (e *engine) checkpoint(cp int, label string, at float64, final bool) error 
 // prefixes in allocation order, then static more-specifics in the
 // reflector's sorted order.
 func (e *engine) universe() []netip.Prefix {
-	statics := e.RR.Statics()
+	statics := e.RR.Policy().Statics()
 	out := make([]netip.Prefix, 0, len(e.Topo.Prefixes)+len(statics))
 	for i := range e.Topo.Prefixes {
 		out = append(out, e.Topo.Prefixes[i].Prefix)
@@ -184,11 +184,12 @@ func (e *engine) universe() []netip.Prefix {
 	return out
 }
 
-// usableFrom mirrors the forwarding plane's health filter: the egress
-// router is not withdrawn and its PoP is IGP-reachable from the vantage.
-func (e *engine) usableFrom(v *vns.PoP, router netip.Addr) bool {
+// usableFrom mirrors the forwarding plane's health filter: under pol,
+// the egress router is not withdrawn, and its PoP is IGP-reachable from
+// the vantage.
+func (e *engine) usableFrom(pol *core.Policy, v *vns.PoP, router netip.Addr) bool {
 	p, ok := e.Net.RouterPoP(router)
-	return ok && !e.RR.EgressDown(router) && e.Net.Reachable(v, p)
+	return ok && !pol.EgressDown(router) && e.Net.Reachable(v, p)
 }
 
 // checkCongruence verifies the paper's core claim against an oracle the
@@ -198,19 +199,21 @@ func (e *engine) usableFrom(v *vns.PoP, router netip.Addr) bool {
 // local-pref curve's quantization. Exempt prefixes, geolocation misses
 // (both fall back to hot-potato by design), and forced prefixes whose
 // pinned egress is out of service are skipped; a forced prefix with a
-// healthy pin must use exactly that router.
+// healthy pin must use exactly that router. Every prefix is judged
+// under one reflector policy.
 func (e *engine) checkCongruence(v *vns.PoP) (okN, skipped int, err error) {
 	eng := e.Fwd.EngineByID(v.ID)
+	pol := e.RR.Policy()
 	for i := range e.Topo.Prefixes {
 		pi := &e.Topo.Prefixes[i]
 		pfx := pi.Prefix
-		if e.RR.IsExempt(pfx) {
+		if pol.IsExempt(pfx) {
 			skipped++
 			continue
 		}
 		nh, routed := eng.Lookup(pfx.Addr())
-		if fr, forced := e.RR.ForcedExit(pfx); forced {
-			if !e.usableFrom(v, fr) {
+		if fr, forced := pol.ForcedExit(pfx); forced {
+			if !e.usableFrom(pol, v, fr) {
 				skipped++
 				continue
 			}
@@ -220,14 +223,14 @@ func (e *engine) checkCongruence(v *vns.PoP) (okN, skipped int, err error) {
 			okN++
 			continue
 		}
-		if or, overridden := e.RR.OverrideFor(pfx); overridden {
+		if or, overridden := pol.OverrideFor(pfx); overridden {
 			// Sanctioned divergence: the adaptive controller measured
 			// this prefix faster away from its great-circle egress, so
 			// the oracle's claim is suspended — the FIB must instead
 			// follow the override exactly (while its router is usable;
 			// when it is not, routing degrades to geography mid-
 			// transition and the oracle can't know which, so skip).
-			if !e.usableFrom(v, or) {
+			if !e.usableFrom(pol, v, or) {
 				skipped++
 				continue
 			}
@@ -244,7 +247,7 @@ func (e *engine) checkCongruence(v *vns.PoP) (okN, skipped int, err error) {
 		}
 		bestLP, healthy := uint32(0), 0
 		for _, c := range e.Peering.Candidates(pi.Origin) {
-			if !e.usableFrom(v, c.Session.Router) {
+			if !e.usableFrom(pol, v, c.Session.Router) {
 				continue
 			}
 			healthy++
@@ -471,7 +474,7 @@ func (e *engine) checkWithdrawals() error {
 		}
 	}
 	got := make(map[netip.Addr]bool)
-	for _, r := range e.RR.DownEgresses() {
+	for _, r := range e.RR.Policy().DownEgresses() {
 		got[r] = true
 	}
 	if len(want) != len(got) {

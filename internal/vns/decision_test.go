@@ -46,7 +46,7 @@ func decisionWorld(tb testing.TB, seed uint64, numAS int) (*Peering, *core.GeoRR
 // candidate.
 
 func refResolve(f *Forwarding, vantage *PoP, prefix netip.Prefix) (fib.NextHop, bool) {
-	for _, s := range f.RR.Statics() {
+	for _, s := range f.RR.Policy().Statics() {
 		if s.Prefix == prefix {
 			if p, ok := f.Peering.Net.RouterPoP(s.Egress); ok && refUsable(f, vantage, p, s.Egress) {
 				return fib.NextHop{PoP: p.ID, Router: s.Egress}, true
@@ -73,7 +73,7 @@ func refResolve(f *Forwarding, vantage *PoP, prefix netip.Prefix) (fib.NextHop, 
 // refUsable reports whether a router at a PoP can carry traffic from the
 // vantage: not withdrawn by liveness, and the PoP IGP-reachable.
 func refUsable(f *Forwarding, vantage, at *PoP, router netip.Addr) bool {
-	return !f.RR.EgressDown(router) && f.Peering.Net.Reachable(vantage, at)
+	return !f.RR.Policy().EgressDown(router) && f.Peering.Net.Reachable(vantage, at)
 }
 
 func refHealthyCandidates(f *Forwarding, vantage *PoP, cands []Candidate) []Candidate {
@@ -204,7 +204,7 @@ func refUniverse(pr *Peering, rr *core.GeoRR) []netip.Prefix {
 	for i := range pr.Topo.Prefixes {
 		universe = append(universe, pr.Topo.Prefixes[i].Prefix)
 	}
-	for _, s := range rr.Statics() {
+	for _, s := range rr.Policy().Statics() {
 		universe = append(universe, s.Prefix)
 	}
 	return universe

@@ -54,12 +54,12 @@ type ForwardingConfig struct {
 //
 // Its unit of work is the resolve pass: the initial download, one
 // InvalidateBatch or InvalidateAll without a debounce, or one debounced
-// flush. A pass reads each dirty prefix's vantage-independent facts
-// once — the statics pinned to it, the origin's candidate sessions, and
-// each distinct candidate router's liveness and GeoRR.Assign — and then
-// every PoP, in id order, reads its IGP row once and publishes the
-// batch, deciding each prefix from those shared facts. Nothing read in
-// a pass outlives it.
+// flush. A pass loads the reflector's policy once and reads from it
+// each dirty prefix's vantage-independent facts once — the statics
+// pinned to it, the origin's candidate sessions, and each distinct
+// candidate router's liveness and Assign — and then every PoP, in id
+// order, reads its IGP row once and publishes the batch, deciding each
+// prefix from those shared facts. Nothing read in a pass outlives it.
 type Forwarding struct {
 	Peering *Peering
 	RR      *core.GeoRR
@@ -71,8 +71,9 @@ type Forwarding struct {
 
 	debounce time.Duration
 
-	// Lock order: mu → a fib.Publisher's lock → the GeoRR's and the
-	// Network's read locks. mu serializes passes and guards facts.
+	// Lock order: mu → a fib.Publisher's lock → the Network's read
+	// lock (the GeoRR's policy takes none). mu serializes passes and
+	// guards facts.
 	// dirtyMu guards the dirty set; it nests inside mu and is never held
 	// while a pass resolves, so a debounced invalidation — the
 	// reflector's InvalidateBatch runs under its own lock — never waits
@@ -83,7 +84,7 @@ type Forwarding struct {
 	facts []prefixFacts
 
 	dirtyMu sync.Mutex
-	dirty   map[netip.Prefix]struct{}
+	dirty   map[netip.Prefix]struct{} // nil from a pass until the next invalidation
 	// pendingEvent is the convergence event the next pass is attributed
 	// to: the latest nonzero event ID any invalidation carried since the
 	// last pass.
@@ -115,7 +116,6 @@ type popPass struct {
 // router, its PoP (nil for an unknown router) and whether liveness has
 // withdrawn it.
 type staticFact struct {
-	prefix netip.Prefix
 	router netip.Addr
 	pop    *PoP
 	down   bool
@@ -124,7 +124,7 @@ type staticFact struct {
 // prefixFacts is everything a prefix's decision reads that is the same
 // at every vantage.
 type prefixFacts struct {
-	statics []staticFact // the statics for this prefix, in Statics order
+	statics []staticFact // the statics for this prefix, in installation order
 	cands   []Candidate  // the origin's candidate sessions
 	prefs   routerPrefs  // each distinct candidate router's preference
 }
@@ -138,7 +138,6 @@ func NewForwarding(pr *Peering, rr *core.GeoRR, cfg ForwardingConfig) *Forwardin
 		RR:       rr,
 		fabric:   NewL2Fabric(pr.Net),
 		debounce: cfg.Debounce,
-		dirty:    make(map[netip.Prefix]struct{}),
 		tracer:   cfg.Tracer,
 	}
 	var publishObs func(uint64, time.Duration)
@@ -177,7 +176,7 @@ func NewForwarding(pr *Peering, rr *core.GeoRR, cfg ForwardingConfig) *Forwardin
 // universe returns every prefix the forwarding plane should know: all
 // originated prefixes plus statically advertised more-specifics.
 func (f *Forwarding) universe() []netip.Prefix {
-	statics := f.RR.Statics()
+	statics := f.RR.Policy().Statics()
 	out := make([]netip.Prefix, 0, len(f.Peering.Topo.Prefixes)+len(statics))
 	for i := range f.Peering.Topo.Prefixes {
 		out = append(out, f.Peering.Topo.Prefixes[i].Prefix)
@@ -203,6 +202,10 @@ func (f *Forwarding) InvalidateBatch(prefixes []netip.Prefix) {
 	f.dirtyMu.Lock()
 	if event != 0 {
 		f.pendingEvent = event
+	}
+	if f.dirty == nil {
+		// Sized for this batch, so a universe-wide one never rehashes.
+		f.dirty = make(map[netip.Prefix]struct{}, len(prefixes))
 	}
 	for _, pfx := range prefixes {
 		f.dirty[pfx] = struct{}{}
@@ -253,7 +256,7 @@ func (f *Forwarding) Flush() {
 	for pfx := range f.dirty {
 		batch = append(batch, pfx)
 	}
-	f.dirty = make(map[netip.Prefix]struct{})
+	f.dirty = nil
 	event := f.pendingEvent
 	f.pendingEvent = 0
 	f.dirtyMu.Unlock()
@@ -271,16 +274,16 @@ func (f *Forwarding) Pending() int {
 }
 
 // pass is one resolve pass over batch, with f.mu held: it reads every
-// prefix's vantage-independent facts once, then publishes the batch at
-// each PoP in id order, the initial download (full) as a full compile
-// and anything later through the Publisher's delta/skip path with event
-// attributed. The facts are dropped with the pass, so nothing read here
-// can answer a later one.
+// prefix's vantage-independent facts once, all under one reflector
+// policy, then publishes the batch at each PoP in id order, the initial
+// download (full) as a full compile and anything later through the
+// Publisher's delta/skip path with event attributed. The facts are
+// dropped with the pass, so nothing read here can answer a later one.
 func (f *Forwarding) pass(event uint64, batch []netip.Prefix, full bool) {
-	statics := f.readStatics(nil)
+	pol := f.RR.Policy()
 	f.facts = make([]prefixFacts, len(batch))
 	for i, pfx := range batch {
-		f.readFacts(&f.facts[i], pfx, statics)
+		f.readFacts(&f.facts[i], pol, pfx)
 	}
 	for _, v := range f.pops {
 		v.igp = f.Peering.Net.igpRow(v.pop)
@@ -293,34 +296,19 @@ func (f *Forwarding) pass(event uint64, batch []netip.Prefix, full bool) {
 	f.facts = nil
 }
 
-// readStatics appends the reflector's static more-specifics to dst, in
-// Statics order, with each pinned router's PoP and liveness.
-func (f *Forwarding) readStatics(dst []staticFact) []staticFact {
-	for _, s := range f.RR.Statics() {
+// readFacts fills r, a zero prefixFacts, with prefix's
+// vantage-independent facts under pol: its statics, each with its
+// router's PoP and liveness, and for an originated prefix the origin's
+// candidates with one liveness read and one Assign per distinct
+// candidate router.
+func (f *Forwarding) readFacts(r *prefixFacts, pol *core.Policy, prefix netip.Prefix) {
+	for _, s := range pol.StaticsFor(prefix) {
 		p, _ := f.Peering.Net.RouterPoP(s.Egress)
-		dst = append(dst, staticFact{prefix: s.Prefix, router: s.Egress, pop: p, down: f.RR.EgressDown(s.Egress)})
+		r.statics = append(r.statics, staticFact{router: s.Egress, pop: p, down: pol.EgressDown(s.Egress)})
 	}
-	return dst
-}
-
-// readFacts fills r with prefix's vantage-independent facts: its run of
-// statics (Statics sorts by prefix, so one prefix's statics are
-// adjacent), and for an originated prefix the origin's candidates with
-// one liveness read and one GeoRR.Assign per distinct candidate router.
-func (f *Forwarding) readFacts(r *prefixFacts, prefix netip.Prefix, statics []staticFact) {
-	lo := 0
-	for lo < len(statics) && statics[lo].prefix != prefix {
-		lo++
-	}
-	hi := lo
-	for hi < len(statics) && statics[hi].prefix == prefix {
-		hi++
-	}
-	r.statics = statics[lo:hi]
-	r.cands = nil
 	if pi, ok := f.Peering.Topo.PrefixInfoFor(prefix); ok {
 		r.cands = f.Peering.Candidates(pi.Origin)
-		r.prefs.read(f.RR, r.cands, prefix)
+		r.prefs.read(pol, r.cands, prefix)
 	}
 }
 
@@ -344,12 +332,13 @@ func (v *popPass) decide(r *prefixFacts, prefix netip.Prefix) (fib.NextHop, bool
 
 // Resolve computes the control-plane decision for one prefix as seen
 // from a vantage PoP: the decision a pass makes (popPass.decide), over
-// facts read fresh for this one call. It is the reference answer the
-// compiled per-PoP FIBs are differentially tested against
-// (internal/scenario's three-way agreement invariant, Congruence).
+// facts read fresh under one reflector policy for this one call. It is
+// the reference answer the compiled per-PoP FIBs are differentially
+// tested against (internal/scenario's three-way agreement invariant,
+// Congruence).
 func (f *Forwarding) Resolve(vantage *PoP, prefix netip.Prefix) (fib.NextHop, bool) {
 	var r prefixFacts
-	f.readFacts(&r, prefix, f.readStatics(nil))
+	f.readFacts(&r, f.RR.Policy(), prefix)
 	v := popPass{pop: vantage, igp: f.Peering.Net.igpRow(vantage)}
 	return v.decide(&r, prefix)
 }

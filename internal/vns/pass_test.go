@@ -418,3 +418,131 @@ func concurrentInvalidate(t *testing.T, debounce time.Duration) {
 		t.Errorf("pending = %d after the final Flush", got)
 	}
 }
+
+// TestResolveNotTorn: a decision reads the reflector's policy once, so
+// Resolve beside a writer answers as some single policy state would,
+// never as a mix of two. The writer cycles prefix p through four
+// states: ForceExit(p, a), SetEgressDown(b), Unforce(p), and b restored.
+// Every PoP's answer for p and for a few prefixes that exit at b is
+// recorded under each state with nothing else running; then readers
+// resolve the same prefixes while the writer cycles, and every answer
+// must be one of the recorded ones. Without one policy per decision, a
+// Resolve that read p's geo-best router as "forced elsewhere" and the
+// rest after the Unforce picks p's runner-up, which no state does.
+func TestResolveNotTorn(t *testing.T) {
+	pr, rr, f := decisionWorld(t, 1, 120)
+	lon := pr.Net.PoP("LON")
+	p, _, _ := widestPrefix(pr)
+	geoBest, ok := f.Resolve(lon, p)
+	if !ok {
+		t.Fatalf("%v has no route", p)
+	}
+	// a: p's candidate router with the least geo preference, so a force
+	// to it moves p and the runner-up is not a.
+	pi, _ := pr.Topo.PrefixInfoFor(p)
+	var a netip.Addr
+	worst := ^uint32(0)
+	for _, c := range pr.Candidates(pi.Origin) {
+		if lp := rr.Assign(c.Session.Router, p).LocalPref; c.Session.PoP.ID != geoBest.PoP && lp < worst {
+			a, worst = c.Session.Router, lp
+		}
+	}
+	// b: the LON egress router of the most other prefixes, neither p's
+	// geo-best router nor a.
+	exitsAt := map[netip.Addr][]netip.Prefix{}
+	for i := range pr.Topo.Prefixes {
+		q := pr.Topo.Prefixes[i].Prefix
+		if nh, ok := f.Resolve(lon, q); ok && q != p && nh.Router != geoBest.Router && nh.Router != a {
+			exitsAt[nh.Router] = append(exitsAt[nh.Router], q)
+		}
+	}
+	var b netip.Addr
+	for r, qs := range exitsAt {
+		if len(qs) > len(exitsAt[b]) || len(qs) == len(exitsAt[b]) && r.Less(b) {
+			b = r
+		}
+	}
+	watched := append([]netip.Prefix{p}, exitsAt[b][:min(4, len(exitsAt[b]))]...)
+	steps := []func(){
+		func() {
+			if err := rr.ForceExit(p, a); err != nil {
+				t.Error(err)
+			}
+		},
+		func() { rr.SetEgressDown(b, true) },
+		func() { rr.Unforce(p) },
+		func() { rr.SetEgressDown(b, false) },
+	}
+
+	type answer struct {
+		nh fib.NextHop
+		ok bool
+	}
+	type key struct {
+		pop int
+		pfx netip.Prefix
+	}
+	allowed := map[key]map[answer]bool{}
+	record := func() {
+		for _, v := range pr.Net.PoPs {
+			for _, q := range watched {
+				k := key{v.ID, q}
+				if allowed[k] == nil {
+					allowed[k] = map[answer]bool{}
+				}
+				nh, ok := f.Resolve(v, q)
+				allowed[k][answer{nh, ok}] = true
+			}
+		}
+	}
+	record()
+	for _, step := range steps {
+		step()
+		record()
+	}
+	if n := len(allowed[key{lon.ID, p}]); n < 2 {
+		t.Fatalf("%v has %d answer(s) at LON over the cycle; the cycle moves nothing", p, n)
+	}
+
+	const readers, rounds = 2, 40
+	stop := make(chan struct{})
+	var torn atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			for _, step := range steps {
+				step()
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	var rw sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		rw.Add(1)
+		go func() {
+			defer rw.Done()
+			for r := 0; r < rounds; r++ {
+				for _, v := range pr.Net.PoPs {
+					for _, q := range watched {
+						nh, ok := f.Resolve(v, q)
+						if !allowed[key{v.ID, q}][answer{nh, ok}] && torn.Add(1) <= 3 {
+							t.Errorf("%s: Resolve(%v) = %v %v, which no policy state in the cycle gives", v.Code, q, nh, ok)
+						}
+					}
+				}
+			}
+		}()
+	}
+	rw.Wait()
+	close(stop)
+	wg.Wait()
+	if n := torn.Load(); n > 0 {
+		t.Errorf("%d torn decisions", n)
+	}
+}

@@ -368,9 +368,9 @@ type routerPref struct {
 // read.
 type routerPrefs [numEgress]routerPref
 
-// read fills p for cands: one GeoRR.EgressDown and, for a router in
-// service, one GeoRR.Assign per distinct router.
-func (p *routerPrefs) read(rr *core.GeoRR, cands []Candidate, prefix netip.Prefix) {
+// read fills p for cands under one reflector policy: one EgressDown
+// and, for a router in service, one Assign per distinct router.
+func (p *routerPrefs) read(pol *core.Policy, cands []Candidate, prefix netip.Prefix) {
 	var seen [numEgress]bool
 	for _, c := range cands {
 		s := c.Session
@@ -378,9 +378,9 @@ func (p *routerPrefs) read(rr *core.GeoRR, cands []Candidate, prefix netip.Prefi
 			continue
 		}
 		seen[s.egress] = true
-		pref := routerPref{down: rr.EgressDown(s.Router)}
+		pref := routerPref{down: pol.EgressDown(s.Router)}
 		if !pref.down {
-			pref.lp = rr.Assign(s.Router, prefix).LocalPref
+			pref.lp = pol.Assign(s.Router, prefix).LocalPref
 		}
 		p[s.egress] = pref
 	}
@@ -390,14 +390,15 @@ func (p *routerPrefs) read(rr *core.GeoRR, cands []Candidate, prefix netip.Prefi
 // PoP: the GeoRR assigns each route a distance-derived LOCAL_PREF, which
 // dominates every later step, so the geographically closest egress (per
 // the GeoIP database) wins network-wide and the vantage only breaks ties
-// through its IGP metric. It is pickGeo over freshly read facts: each
-// distinct router among the candidates costs one liveness read and one
-// GeoRR.Assign, and the vantage's IGP row one read. A candidate whose
-// router is withdrawn (GeoRR.EgressDown) or whose PoP the vantage cannot
-// reach is skipped; ok=false when none is left.
+// through its IGP metric. It is pickGeo over facts freshly read under
+// the reflector's current policy: each distinct router among the
+// candidates costs one liveness read and one Assign, and the vantage's
+// IGP row one read. A candidate whose router is withdrawn
+// (Policy.EgressDown) or whose PoP the vantage cannot reach is skipped;
+// ok=false when none is left.
 func (pr *Peering) SelectGeo(rr *core.GeoRR, vantage *PoP, cands []Candidate, prefix netip.Prefix) (Candidate, bool) {
 	var prefs routerPrefs
-	prefs.read(rr, cands, prefix)
+	prefs.read(rr.Policy(), cands, prefix)
 	igp := pr.Net.igpRow(vantage)
 	if i := pickGeo(vantage, cands, prefix, &prefs, &igp); i >= 0 {
 		return cands[i], true
