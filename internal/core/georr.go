@@ -240,10 +240,10 @@ func (rr *GeoRR) OnChangeBatch(fn func([]netip.Prefix)) {
 }
 
 // NotifyChanged fans a change event out to every subscriber — the
-// notification every management mutation performs. The wire reflector
-// (RRServer) uses it to deliver one batched event per UPDATE after
-// processing every NLRI through ProcessUpdateQuiet, so the forwarding
-// plane sees one invalidation per UPDATE instead of one per prefix.
+// notification every management mutation performs. Reflector.Ingest
+// uses it to deliver one batched event per UPDATE after processing
+// every NLRI through ProcessUpdateQuiet, so the forwarding plane sees
+// one invalidation per UPDATE instead of one per prefix.
 // It may be called from anywhere, a subscriber included.
 func (rr *GeoRR) NotifyChanged(prefixes ...netip.Prefix) {
 	if len(prefixes) == 0 {
@@ -300,13 +300,13 @@ func put[K, V comparable](m *map[K]V, k K, v V) bool {
 // ProcessUpdateQuiet applies geo-routing to one received UPDATE from
 // an egress router and returns it with the geo local-pref rewrite on a
 // copy of its attributes; withdrawals pass through. The RFC 4456
-// reflection attributes are the wire reflector's to stamp (RRServer),
-// since they carry its identity. It does not notify change
-// subscribers: a caller ingesting a whole UPDATE (RRServer) processes
-// every NLRI through this, then delivers one NotifyChanged for the
-// union, so the forwarding plane's per-PoP publishers flush once per
-// UPDATE — and so the convergence span's geo-assignment stage does not
-// overlap its forwarding stage. The assignment reads the policy current
+// reflection attributes are the Reflector's to stamp, since they carry
+// its identity. It does not notify change subscribers: a caller
+// ingesting a whole UPDATE (Reflector.Ingest) processes every NLRI
+// through this, then delivers one NotifyChanged for the union, so the
+// forwarding plane's per-PoP publishers flush once per UPDATE — and so
+// the convergence span's geo-assignment stage does not overlap its
+// forwarding stage. The assignment reads the policy current
 // when it runs and takes no lock, so a caller may hold its own.
 func (rr *GeoRR) ProcessUpdateQuiet(from netip.Addr, u bgp.Update) bgp.Update {
 	out := bgp.Update{Withdrawn: u.Withdrawn}

@@ -138,7 +138,7 @@ func (m *MgmtServer) Execute(line string) string {
 			cover := func(sub netip.Prefix) bool {
 				m.srv.mu.Lock()
 				defer m.srv.mu.Unlock()
-				for _, cp := range m.srv.table.Prefixes() {
+				for _, cp := range m.srv.ref.table.Prefixes() {
 					if cp.Contains(sub.Addr()) && cp.Bits() < sub.Bits() {
 						return true
 					}

@@ -149,71 +149,114 @@ func seededUpdates(seed uint64, n int) []bgp.Update {
 	return us
 }
 
+// sameStream requires got to equal want message by message.
+func sameStream(t *testing.T, name string, got, want []bgp.Update) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d messages, want %d\n got %+v\nwant %+v", name, len(got), len(want), got, want)
+	}
+	for i := range want {
+		if !sameUpdate(got[i], want[i]) {
+			t.Fatalf("%s: message %d of %d\n got %+v\nwant %+v", name, i, len(want), got[i], want[i])
+		}
+	}
+}
+
+// streamScript is one seed's exchange: AMS sends a seeded UPDATE
+// sequence, HK then announces and later retracts a barrier route, and
+// AMS's session ends between the two.
+type streamScript struct {
+	seq              []bgp.Update
+	barrier, retract bgp.Update
+}
+
+func newStreamScript(seed uint64) streamScript {
+	barrier := bgp.Update{
+		Attrs: bgp.Attrs{ASPath: []bgp.ASPathSegment{{ASNs: []uint16{300}}}, NextHop: addr("192.0.2.3")},
+		NLRI:  []netip.Prefix{prefix("10.3.250.0/24")},
+	}
+	return streamScript{seq: seededUpdates(seed, 30), barrier: barrier, retract: bgp.Update{Withdrawn: barrier.NLRI}}
+}
+
 // TestRRServerWireStreamMatchesReference pins the reflector's output
-// stream message by message: one peer sends a seeded UPDATE sequence,
-// and every other peer must decode exactly the reference's messages in
-// the reference's order — gated single-prefix withdrawals, then one
-// single-prefix announcement per NLRI with its geo LOCAL_PREF and
-// RFC 4456 attributes, then, when the sender's session ends, its
-// routes' packed withdrawals. The sender receives none of it. The test
-// reads only decoded messages, so it holds whatever the syscall
-// boundaries are.
+// stream message by message against the reference rule: gated
+// single-prefix withdrawals, then one single-prefix announcement per
+// NLRI with its geo LOCAL_PREF and RFC 4456 attributes, and, when a
+// peer's session ends, its routes' packed withdrawals. Each seed checks
+// Reflector.Ingest and Purge directly; seed 1 also runs the exchange
+// over TCP, where every other peer must decode exactly what Ingest and
+// Purge returned, in order, and the sender receives none of its own.
+// The wire half reads only decoded messages, so it holds whatever the
+// syscall boundaries are.
 func TestRRServerWireStreamMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			srv := wireRR(t)
-			src := dialEgress(t, srv, "10.0.1.1")   // AMS, the announcer
-			hk := dialEgress(t, srv, "10.0.3.1")    // HK, sends the barriers
-			ash := dialEgress(t, srv, "10.0.2.1")   // ASH
-			other := dialEgress(t, srv, "10.0.4.1") // not a GeoRR egress
-			waitFor(t, "peers", func() bool { return srv.NumPeers() == 4 })
-			receivers := map[string]*bgp.Session{"HK": hk, "ASH": ash, "other": other}
-			names := []string{"ASH", "HK", "other"}
-
-			ref := &refReflector{rr: srv.GeoRR(), from: addr("10.0.1.1")}
-			var want []bgp.Update
-			for _, u := range seededUpdates(seed, 30) {
-				if err := src.SendUpdate(u); err != nil {
-					t.Fatal(err)
-				}
-				want = append(want, ref.update(u)...)
+			sc := newStreamScript(seed)
+			ref := testReflector(t)
+			amsRef := &refReflector{rr: ref.rr, from: amsID}
+			hkRef := &refReflector{rr: ref.rr, from: hkID}
+			for i, u := range sc.seq {
+				sameStream(t, fmt.Sprintf("update %d", i), ref.Ingest(amsID, u), amsRef.update(u))
 			}
-			for _, name := range names {
-				expectStream(t, name, receivers[name], want)
+			sameStream(t, "barrier", ref.Ingest(hkID, sc.barrier), hkRef.update(sc.barrier))
+			sameStream(t, "purge", ref.Purge(amsID), amsRef.purge())
+			sameStream(t, "retract", ref.Ingest(hkID, sc.retract), hkRef.update(sc.retract))
+			if seed == 1 {
+				wireStreamMatchesIngest(t, sc)
 			}
-
-			// A barrier from HK: it must be the first thing the sender
-			// ever receives, so nothing of its own stream came back.
-			hkRef := &refReflector{rr: srv.GeoRR(), from: addr("10.0.3.1")}
-			barrier := bgp.Update{
-				Attrs: bgp.Attrs{ASPath: []bgp.ASPathSegment{{ASNs: []uint16{300}}}, NextHop: addr("192.0.2.3")},
-				NLRI:  []netip.Prefix{prefix("10.3.250.0/24")},
-			}
-			if err := hk.SendUpdate(barrier); err != nil {
-				t.Fatal(err)
-			}
-			barrierOut := hkRef.update(barrier)
-			expectStream(t, "sender", src, barrierOut)
-			expectStream(t, "ASH", ash, barrierOut)
-			expectStream(t, "other", other, barrierOut)
-
-			// The sender's session ends: its routes' withdrawals, packed.
-			purge := ref.purge()
-			src.Close()
-			for _, name := range names {
-				expectStream(t, name, receivers[name], purge)
-			}
-			// And nothing after them: the next message is HK's
-			// withdrawal of the barrier.
-			retract := bgp.Update{Withdrawn: barrier.NLRI}
-			if err := hk.SendUpdate(retract); err != nil {
-				t.Fatal(err)
-			}
-			retractOut := hkRef.update(retract)
-			expectStream(t, "ASH", ash, retractOut)
-			expectStream(t, "other", other, retractOut)
 		})
 	}
+}
+
+// wireStreamMatchesIngest plays sc over TCP and requires every peer to
+// decode exactly what a Reflector over the server's GeoRR returns for
+// the same calls.
+func wireStreamMatchesIngest(t *testing.T, sc streamScript) {
+	srv := wireRR(t)
+	src := dialEgress(t, srv, "10.0.1.1")   // AMS, the announcer
+	hk := dialEgress(t, srv, "10.0.3.1")    // HK, sends the barriers
+	ash := dialEgress(t, srv, "10.0.2.1")   // ASH
+	other := dialEgress(t, srv, "10.0.4.1") // not a GeoRR egress
+	waitFor(t, "peers", func() bool { return srv.NumPeers() == 4 })
+	receivers := map[string]*bgp.Session{"HK": hk, "ASH": ash, "other": other}
+	names := []string{"ASH", "HK", "other"}
+
+	ref := NewReflector(srv.GeoRR(), reflectorID, nil)
+	var want []bgp.Update
+	for _, u := range sc.seq {
+		if err := src.SendUpdate(u); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, ref.Ingest(amsID, u)...)
+	}
+	for _, name := range names {
+		expectStream(t, name, receivers[name], want)
+	}
+
+	// The barrier from HK must be the first thing the sender ever
+	// receives, so nothing of its own stream came back.
+	if err := hk.SendUpdate(sc.barrier); err != nil {
+		t.Fatal(err)
+	}
+	barrierOut := ref.Ingest(hkID, sc.barrier)
+	expectStream(t, "sender", src, barrierOut)
+	expectStream(t, "ASH", ash, barrierOut)
+	expectStream(t, "other", other, barrierOut)
+
+	// The sender's session ends: its routes' withdrawals, packed.
+	purge := ref.Purge(amsID)
+	src.Close()
+	for _, name := range names {
+		expectStream(t, name, receivers[name], purge)
+	}
+	// And nothing after them: the next message is HK's withdrawal of
+	// the barrier.
+	if err := hk.SendUpdate(sc.retract); err != nil {
+		t.Fatal(err)
+	}
+	retractOut := ref.Ingest(hkID, sc.retract)
+	expectStream(t, "ASH", ash, retractOut)
+	expectStream(t, "other", other, retractOut)
 }
 
 // countingListener hands out conns that count their Write calls into

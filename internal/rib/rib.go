@@ -1,8 +1,8 @@
 // Package rib implements BGP route storage and selection: routes with
 // their learning context, the full RFC 4271 §9.1 decision process with
 // the RFC 4456 tiebreak refinements, and one Loc-RIB type, ShardedTable,
-// ingesting batched route transitions. The wire reflector
-// (core.RRServer) and the soak study run it at GOMAXPROCS shards;
+// ingesting batched route transitions. The reflector (core.Reflector)
+// and the soak study run it at GOMAXPROCS shards;
 // NewSharded(1), the sequential table, is the reference the sharding
 // oracles and BenchmarkRIBChurn compare against.
 package rib

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"vns/internal/adaptive"
+	"vns/internal/core"
 	"vns/internal/experiments"
 	"vns/internal/fib"
 	"vns/internal/flowsim"
@@ -121,12 +122,25 @@ func newEngine(spec *Spec) (*engine, error) {
 	if cfg.NumAS == 0 {
 		cfg.NumAS = defaultNumAS
 	}
+	env := experiments.NewEnv(cfg)
+	// The egress routers' announcements fill the Loc-RIB through the one
+	// ingest path before the forwarding plane exists, so they cost it no
+	// pass. No convergence layer: set-up opens no event.
+	ref := core.NewReflector(env.RR, experiments.ReflectorID, env.Telemetry)
+	anns := vns.EgressAnnouncements(env.DP, 0)
+	for _, pop := range env.Net.PoPs {
+		for _, router := range pop.Routers {
+			for _, u := range anns[router] {
+				ref.Ingest(router, u)
+			}
+		}
+	}
 	e := &engine{
 		// Telemetry rides the sim clock (no wall ConvergenceClock): metric
 		// state is a pure function of the spec, and trace spans carry
 		// virtual timestamps, so checkpoints can pin both in the goldens. A
 		// zero debounce recompiles synchronously.
-		Deployment: experiments.Deploy(cfg, vns.ForwardingConfig{}),
+		Deployment: env.Deploy(vns.ForwardingConfig{}),
 		spec:       spec,
 		faults:     make(map[[2]int]faultRec),
 		manualDown: make(map[netip.Addr]bool),

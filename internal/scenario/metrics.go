@@ -32,6 +32,7 @@ var declaredFamilies = []struct{ name, why string }{
 	{"health_session_ups", "liveness sessions the detector declared up"},
 	{"netsim_link_drops_total", "fabric drop partition, by link and cause"},
 	{"netsim_link_tx_packets_total", "packets each fabric link carried"},
+	{"rib_best_changes_total", "Loc-RIB best paths the reflector's ingest moved"},
 }
 
 func declared(family string) bool {

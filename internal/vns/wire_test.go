@@ -11,7 +11,11 @@ import (
 	"vns/internal/topo"
 )
 
-func wireDeployment(t *testing.T, maxPrefixes int) (*WireDeployment, *Peering) {
+// wireDeployment starts a wire deployment over a seed-5 world and
+// connects its egress routers, which announce up to maxPrefixes
+// prefixes; it returns the deployment, the peering and how many
+// announcements the routers wrote.
+func wireDeployment(t *testing.T, maxPrefixes int) (*WireDeployment, *Peering, int) {
 	t.Helper()
 	n := NewNetwork()
 	tp := topo.Generate(topo.GenConfig{Seed: 5, NumAS: 300})
@@ -37,28 +41,26 @@ func wireDeployment(t *testing.T, maxPrefixes int) (*WireDeployment, *Peering) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { w.Close() })
-	if err := w.ConnectEgresses(maxPrefixes); err != nil {
+	sent, err := w.ConnectEgresses(maxPrefixes)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return w, pr
+	return w, pr, sent
 }
 
-// awaitIngest blocks until the reflector has ingested every
-// announcement the egress routers wrote. ConnectEgresses returns once
+// awaitIngest blocks until the reflector has ingested the sent
+// announcements the egress routers wrote. ConnectEgresses returns once
 // the bytes are on the sockets; the reflector's 22 session goroutines
 // are still decoding them. The barrier is the GeoRR's processed count:
-// RRServer.handleUpdate runs each announced prefix through Assign
-// exactly once, inside the critical section that also applies the
+// Reflector.Ingest runs each announced prefix through Assign exactly
+// once, inside the shell's critical section that also applies the
 // UPDATE to the Loc-RIB, so once the count reaches the number of
 // announcements every later RRServer read (they take the same lock)
 // sees the full table. It holds while nothing else calls Assign — no
 // Forwarding is attached to this reflector.
-func awaitIngest(t *testing.T, w *WireDeployment) {
+func awaitIngest(t *testing.T, w *WireDeployment, sent int) {
 	t.Helper()
-	want := uint64(0)
-	for _, c := range w.AnnounceCounts() {
-		want += uint64(c)
-	}
+	want := uint64(sent)
 	rr := w.RR.GeoRR()
 	deadline := time.Now().Add(30 * time.Second)
 	for got, _ := rr.Stats(); got < want; got, _ = rr.Stats() {
@@ -70,7 +72,7 @@ func awaitIngest(t *testing.T, w *WireDeployment) {
 }
 
 func TestWireDeploymentAllRoutersConnect(t *testing.T) {
-	w, pr := wireDeployment(t, 50)
+	w, pr, _ := wireDeployment(t, 50)
 	routers := 0
 	for _, p := range pr.Net.PoPs {
 		routers += len(p.Routers)
@@ -85,8 +87,8 @@ func TestWireDeploymentAllRoutersConnect(t *testing.T) {
 }
 
 func TestWireDeploymentRoutesConvergeToGeo(t *testing.T) {
-	w, pr := wireDeployment(t, 60)
-	awaitIngest(t, w)
+	w, pr, sent := wireDeployment(t, 60)
+	awaitIngest(t, w, sent)
 	if got := w.RR.NumRoutes(); got != 60 {
 		t.Fatalf("routes = %d, want 60", got)
 	}
@@ -127,14 +129,9 @@ func TestWireDeploymentRoutesConvergeToGeo(t *testing.T) {
 }
 
 func TestWireDeploymentAnnounceCounts(t *testing.T) {
-	w, _ := wireDeployment(t, 40)
-	counts := w.AnnounceCounts()
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
+	_, _, sent := wireDeployment(t, 40)
 	// 40 prefixes x 11 PoPs' best-external announcements.
-	if total != 40*11 {
-		t.Errorf("total announcements = %d, want %d", total, 440)
+	if sent != 40*11 {
+		t.Errorf("total announcements = %d, want %d", sent, 440)
 	}
 }
