@@ -18,7 +18,7 @@ import (
 // returns an httptest server on the admin mux.
 func newTestAdmin(t *testing.T) (*httptest.Server, *experiments.Env) {
 	t.Helper()
-	d := experiments.Deploy(experiments.Config{Seed: 7, NumAS: 64}, vns.ForwardingConfig{})
+	d := experiments.NewEnv(experiments.Config{Seed: 7, NumAS: 64}).Deploy(vns.ForwardingConfig{})
 	if err := d.Listen("127.0.0.1:0", "127.0.0.1:0"); err != nil {
 		t.Fatalf("Listen: %v", err)
 	}

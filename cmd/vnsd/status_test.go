@@ -58,7 +58,7 @@ func TestConvStatusLine(t *testing.T) {
 //
 //	go test ./cmd/vnsd -run Golden -update
 func TestFIBStatusGolden(t *testing.T) {
-	d := experiments.Deploy(experiments.Config{NumAS: 60}, vns.ForwardingConfig{}) // synchronous recompiles
+	d := experiments.NewEnv(experiments.Config{NumAS: 60}).Deploy(vns.ForwardingConfig{}) // synchronous recompiles
 
 	var b strings.Builder
 	snapshot := func(label string) {

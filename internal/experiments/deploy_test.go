@@ -17,7 +17,7 @@ import (
 // vnsd's debounce, and starts the wire reflector and management server.
 func listened(t *testing.T) *Deployment {
 	t.Helper()
-	d := Deploy(Config{Seed: 1, NumAS: 120}, vns.ForwardingConfig{Debounce: 50 * time.Millisecond})
+	d := NewEnv(Config{Seed: 1, NumAS: 120}).Deploy(vns.ForwardingConfig{Debounce: 50 * time.Millisecond})
 	if err := d.Listen("127.0.0.1:0", "127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestDeployMgmtDrainRepublishesFIB(t *testing.T) {
 // liveness transitions from the simulation goroutine reconverge one at
 // a time, so the FIBs end congruent with the control plane.
 func TestDrainConcurrentWithApply(t *testing.T) {
-	d := Deploy(Config{Seed: 3, NumAS: 60}, vns.ForwardingConfig{})
+	d := NewEnv(Config{Seed: 3, NumAS: 60}).Deploy(vns.ForwardingConfig{})
 	sin, syd := d.Net.PoP("SIN"), d.Net.PoP("SYD")
 	drained := d.Net.PoP("LON").Routers[0]
 	done := make(chan struct{})

@@ -73,7 +73,7 @@ type FailoverResult struct {
 // runs the SIN-SYD failure scenario under an active stream, and
 // returns the measurements. The scenario is deterministic in cfg.
 func FailoverStudy(cfg Config) *FailoverResult {
-	d := Deploy(cfg, vns.ForwardingConfig{})
+	d := NewEnv(cfg).Deploy(vns.ForwardingConfig{})
 	fwd, sim, mon := d.Fwd, d.Sim, d.Monitor
 	lon, sin, syd := d.Net.PoP("LON"), d.Net.PoP("SIN"), d.Net.PoP("SYD")
 

@@ -90,7 +90,7 @@ func TestFailoverStudyDeterministic(t *testing.T) {
 // must collapse six flap cycles into at most one withdraw/restore
 // cycle per router.
 func TestControllerFlapSuppression(t *testing.T) {
-	d := Deploy(Config{Seed: 11, NumAS: 400}, vns.ForwardingConfig{})
+	d := NewEnv(Config{Seed: 11, NumAS: 400}).Deploy(vns.ForwardingConfig{})
 	sin, syd := d.Net.PoP("SIN"), d.Net.PoP("SYD")
 
 	d.Injector.FlapLink(sin, syd, 1.0, 0.5, 6)
@@ -128,7 +128,7 @@ func TestControllerFlapSuppression(t *testing.T) {
 // before the event. A LON–ASH failure republishes most PoPs as deltas,
 // and the sample is the slowest of those builds.
 func TestControllerRepublishMs(t *testing.T) {
-	d := Deploy(Config{Seed: 11, NumAS: 400}, vns.ForwardingConfig{})
+	d := NewEnv(Config{Seed: 11, NumAS: 400}).Deploy(vns.ForwardingConfig{})
 	fwd, ctl := d.Fwd, d.Controller
 	// fail downs the a–b link and returns the worst build among the PoPs
 	// that republished, and how many did.
