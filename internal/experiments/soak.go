@@ -167,8 +167,8 @@ func SoakStudy(cfg SoakConfig) *SoakResult {
 		})
 	reg.MarkVolatile("soak_goroutines", "soak_heap_alloc_bytes", "soak_gc_cycles_total")
 
-	// Routing plane: a full-Internet-shaped sharded table feeding one
-	// compiled FIB through the dirty-prefix publisher, compiles
+	// Routing plane: a full-Internet-shaped sharded table whose changed
+	// prefixes' best routes are published to one compiled FIB, compiles
 	// attributed back to the in-flight convergence event — the same
 	// event-ID round trip the deployment runs, minus the TCP.
 	prefixes := internetPrefixes(cfg.Prefixes)
@@ -186,16 +186,20 @@ func SoakStudy(cfg SoakConfig) *SoakResult {
 		return 100 + h%400
 	}
 
-	pub := fib.NewPublisher(fib.Config{
-		Resolve: func(_ int, pfx netip.Prefix) (fib.NextHop, bool) {
-			r := table.Best(pfx)
-			if r == nil {
-				return fib.NextHop{}, false
+	// decide is the batch of best-route decisions for prefixes, given in
+	// detsort.PrefixCompare order: no best route withdraws the prefix.
+	decide := func(prefixes []netip.Prefix) []fib.Entry {
+		batch := make([]fib.Entry, len(prefixes))
+		for i, pfx := range prefixes {
+			batch[i].Prefix = pfx
+			if r := table.Best(pfx); r != nil {
+				batch[i].NextHop = fib.NextHop{PoP: int(r.PeerID.As4()[3]), Router: r.PeerID}
 			}
-			return fib.NextHop{PoP: int(r.PeerID.As4()[3]), Router: r.PeerID}, true
-		},
-		PublishObserver: vns.CompileObserver(reg, conv, true),
-	})
+		}
+		return batch
+	}
+	pub := fib.NewEngine(1, nil).Publisher()
+	compiles := vns.NewCompileRecorder(reg, conv, true)
 
 	// Full-table download, chunked like session resets, as one "update"
 	// convergence event.
@@ -224,7 +228,9 @@ func SoakStudy(cfg SoakConfig) *SoakResult {
 	res.LoadSelectSec = wallNow() - t0
 	ev.Stage(telemetry.StageSelect, mark)
 	mark = ev.Mark()
-	res.LoadCompileSec = pub.ResolveAll(prefixes).CompileDuration().Seconds()
+	loaded := pub.Publish(decide(prefixes))
+	compiles.Record(0, loaded)
+	res.LoadCompileSec = loaded.CompileDuration().Seconds()
 	ev.StageExclusive(telemetry.StageForwarding, mark)
 	ev.Finish()
 
@@ -279,11 +285,11 @@ func SoakStudy(cfg SoakConfig) *SoakResult {
 			changed := table.ApplyBatch(ops)
 			ev.Stage(telemetry.StageSelect, mark)
 			mark = ev.Mark()
-			// The rib→fib boundary: the publisher is stamped with the
-			// active event, so its publish reports the compile back.
-			// ApplyBatch's changed set is already the sorted, unique
-			// batch InvalidateEvent takes.
-			pub.InvalidateEvent(conv.ActiveID(), changed...)
+			// The rib→fib boundary: the publish is recorded against the
+			// active event, which attributes the compile back to it.
+			// ApplyBatch's changed set is already sorted and unique, as
+			// Publish's batch must be.
+			compiles.Record(conv.ActiveID(), pub.Publish(decide(changed)))
 			ev.StageExclusive(telemetry.StageForwarding, mark)
 			total, stages := ev.Finish()
 			res.Events++
@@ -472,7 +478,8 @@ func synthRoute(pfx netip.Prefix, peer int) *rib.Route {
 
 // internetPrefixes builds an n-prefix set shaped like a full Internet
 // table: dense /24 coverage under consecutive /8s plus /16 covers,
-// concentrated so trie node count (memory) stays realistic.
+// concentrated so trie node count (memory) stays realistic. The set is
+// in detsort.PrefixCompare order, as a publish batch must be.
 func internetPrefixes(n int) []netip.Prefix {
 	out := make([]netip.Prefix, 0, n)
 	for a := 1; len(out) < n && a < 224; a++ {

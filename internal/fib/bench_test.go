@@ -127,15 +127,11 @@ func BenchmarkEngineLookupBesideWriter(b *testing.B) {
 		a[3] = byte(rng.Float64() * 256)
 		probe[k], inside[k] = netip.AddrFrom4(a), true
 	}
-	// Only the writer goroutine touches table: InvalidateEvent resolves
-	// before it returns.
+	// Only the writer goroutine touches table after this.
 	engines := make([]*Engine, pops)
 	for i := range engines {
-		engines[i] = NewEngine(i+1, Config{Resolve: func(_ int, p netip.Prefix) (NextHop, bool) {
-			h, ok := table[p]
-			return h, ok
-		}}, nil)
-		engines[i].Publisher().ResolveAll(universe)
+		engines[i] = NewEngine(i+1, nil)
+		engines[i].Publisher().Publish(entriesOf(table))
 	}
 
 	stop := make(chan struct{})
@@ -155,7 +151,7 @@ func BenchmarkEngineLookupBesideWriter(b *testing.B) {
 			h.Neighbor ^= 1
 			table[pfx] = h
 			for _, e := range engines {
-				e.Publisher().InvalidateEvent(0, pfx)
+				e.Publisher().Publish([]Entry{{Prefix: pfx, NextHop: h}})
 			}
 		}
 	}()
@@ -238,32 +234,24 @@ func BenchmarkFIBFullCompile400k(b *testing.B) {
 	}
 }
 
-// BenchmarkPublisherInvalidate measures one incremental dirty-prefix
-// recompile cycle (resolve + rebuild + swap) on a 100k-prefix table.
+// BenchmarkPublisherInvalidate measures one incremental single-prefix
+// publish (diff + delta patch + swap) on a 100k-prefix table.
 func BenchmarkPublisherInvalidate(b *testing.B) {
 	entries, _ := benchTable(100_000)
 	table := make(map[netip.Prefix]NextHop, len(entries))
-	universe := make([]netip.Prefix, 0, len(entries))
 	for _, e := range entries {
-		p := e.Prefix.Masked()
-		if _, ok := table[p]; !ok {
-			universe = append(universe, p)
-		}
-		table[p] = e.NextHop
+		table[e.Prefix.Masked()] = e.NextHop
 	}
-	flip := false
-	pub := NewPublisher(Config{Resolve: func(_ int, p netip.Prefix) (NextHop, bool) {
-		h, ok := table[p]
-		if ok && flip {
-			h.Neighbor++
-		}
-		return h, ok
-	}})
-	b.ReportMetric(float64(pub.ResolveAll(universe).Size()), "prefixes")
+	universe := entriesOf(table)
+	pub := NewEngine(1, nil).Publisher()
+	b.ReportMetric(float64(pub.Publish(universe).Size()), "prefixes")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		flip = !flip
-		pub.InvalidateEvent(0, universe[i%len(universe)])
+		e := universe[i%len(universe)]
+		if i%2 == 0 {
+			e.NextHop.Neighbor++
+		}
+		pub.Publish([]Entry{e})
 	}
 	b.StopTimer()
 	if s := pub.Stats(); s.LastCompile > 0 {

@@ -288,22 +288,19 @@ func TestPublisherDeltaPath(t *testing.T) {
 		mustPrefix("10.0.0.0/8"):  nh(1),
 		mustPrefix("10.1.0.0/16"): nh(2),
 	}
-	e := NewEngine(1, Config{Resolve: func(_ int, pfx netip.Prefix) (NextHop, bool) {
-		h, ok := routes[pfx]
-		return h, ok
-	}}, nil)
+	e := NewEngine(1, nil)
 	p := e.Publisher()
-	p.ResolveAll([]netip.Prefix{mustPrefix("10.0.0.0/8"), mustPrefix("10.1.0.0/16")})
+	p.Publish(decided(routes, mustPrefix("10.0.0.0/8"), mustPrefix("10.1.0.0/16")))
 
 	// Single-prefix churn: must go through the delta path.
 	routes[mustPrefix("10.1.0.0/16")] = nh(3)
-	p.InvalidateEvent(0, mustPrefix("10.1.0.0/16"))
+	p.Publish(decided(routes, mustPrefix("10.1.0.0/16")))
 	s := p.Stats()
 	if s.DeltaCompiles != 1 {
 		t.Fatalf("DeltaCompiles = %d, want 1 (single-prefix churn must patch)", s.DeltaCompiles)
 	}
 	if s.Compiles != 1 {
-		t.Errorf("Compiles = %d, want 1 (only the initial ResolveAll)", s.Compiles)
+		t.Errorf("Compiles = %d, want 1 (only the initial publish)", s.Compiles)
 	}
 	if got, _ := e.Lookup(netip.MustParseAddr("10.1.2.3")); got.PoP != 3 {
 		t.Errorf("after delta publish: got pop%d, want 3", got.PoP)
@@ -314,7 +311,7 @@ func TestPublisherDeltaPath(t *testing.T) {
 
 	// A withdrawal via delta: span falls back to the /8.
 	delete(routes, mustPrefix("10.1.0.0/16"))
-	p.InvalidateEvent(0, mustPrefix("10.1.0.0/16"))
+	p.Publish(decided(routes, mustPrefix("10.1.0.0/16")))
 	if got, _ := e.Lookup(netip.MustParseAddr("10.1.2.3")); got.PoP != 1 {
 		t.Errorf("after delta withdraw: got pop%d, want 1 (cover)", got.PoP)
 	}
@@ -328,15 +325,12 @@ func TestPublisherDeltaPath(t *testing.T) {
 // probe the same way.
 func TestPublisherDeltaMatchesCompile(t *testing.T) {
 	routes := map[netip.Prefix]NextHop{mustPrefix("10.0.0.0/8"): nh(1)}
-	e := NewEngine(1, Config{Resolve: func(_ int, pfx netip.Prefix) (NextHop, bool) {
-		h, ok := routes[pfx]
-		return h, ok
-	}}, nil)
+	e := NewEngine(1, nil)
 	p := e.Publisher()
-	p.ResolveAll([]netip.Prefix{mustPrefix("10.0.0.0/8")})
+	p.Publish(decided(routes, mustPrefix("10.0.0.0/8")))
 	routes[mustPrefix("10.0.0.0/8")] = nh(2)
 	routes[mustPrefix("10.1.0.0/16")] = nh(3)
-	p.InvalidateEvent(0, mustPrefix("10.0.0.0/8"), mustPrefix("10.1.0.0/16"))
+	p.Publish(decided(routes, mustPrefix("10.0.0.0/8"), mustPrefix("10.1.0.0/16")))
 	if s := p.Stats(); s.DeltaCompiles != 1 || s.Compiles != 1 {
 		t.Fatalf("DeltaCompiles=%d Compiles=%d, want 1, 1", s.DeltaCompiles, s.Compiles)
 	}
@@ -354,34 +348,35 @@ func TestPublisherDeltaMatchesCompile(t *testing.T) {
 // TestPublisherDeltaThresholdRoutesLargeBatch pins the eligibility cut:
 // a batch over the threshold recompiles (and resets the delta counter).
 func TestPublisherDeltaThresholdRoutesLargeBatch(t *testing.T) {
-	routes := make(map[netip.Prefix]NextHop)
-	e := NewEngine(1, Config{
-		Resolve: func(_ int, pfx netip.Prefix) (NextHop, bool) {
-			h, ok := routes[pfx]
-			return h, ok
-		},
-	}, nil)
+	first := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 0, 0, 0}), 16)
+	routes := map[netip.Prefix]NextHop{first: nh(1)}
+	e := NewEngine(1, nil)
 	p := e.Publisher()
-	// One batch of deltaThreshold+1 new prefixes: full compile.
+	p.Publish(decided(routes, first))
+	routes[first] = nh(2)
+	p.Publish(decided(routes, first))
+	if d := e.Current().Deltas(); d != 1 {
+		t.Fatalf("Deltas() = %d after one small change, want 1", d)
+	}
+	// One batch of deltaThreshold+1 changed prefixes: full compile.
 	var batch []netip.Prefix
 	for i := 0; i <= deltaThreshold; i++ {
 		pfx := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i), 0, 0}), 16)
-		routes[pfx] = nh(1 + i%11)
+		routes[pfx] = nh(3 + i%9)
 		batch = append(batch, pfx)
 	}
-	p.InvalidateEvent(0, batch...)
-	if s := p.Stats(); s.Compiles != 1 || s.DeltaCompiles != 0 {
-		t.Fatalf("large batch: Compiles=%d DeltaCompiles=%d, want 1, 0", s.Compiles, s.DeltaCompiles)
+	p.Publish(decided(routes, batch...))
+	if s := p.Stats(); s.Compiles != 2 || s.DeltaCompiles != 1 {
+		t.Fatalf("large batch: Compiles=%d DeltaCompiles=%d, want 2, 1", s.Compiles, s.DeltaCompiles)
 	}
 	if e.Current().Deltas() != 0 {
 		t.Errorf("Deltas() = %d, want 0 after full compile", e.Current().Deltas())
 	}
 	// One more single-prefix change: back on the delta path.
-	pfx := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 0, 0, 0}), 16)
-	routes[pfx] = nh(9)
-	p.InvalidateEvent(0, pfx)
-	if s := p.Stats(); s.DeltaCompiles != 1 {
-		t.Errorf("small follow-up: DeltaCompiles = %d, want 1", s.DeltaCompiles)
+	routes[first] = nh(1)
+	p.Publish(decided(routes, first))
+	if s := p.Stats(); s.DeltaCompiles != 2 {
+		t.Errorf("small follow-up: DeltaCompiles = %d, want 2", s.DeltaCompiles)
 	}
 }
 

@@ -17,10 +17,6 @@ type Fabric interface {
 	Path(fromPoP, toPoP int) *netsim.Path
 }
 
-// reader is the read side of one PoP's FIB: the pointer every lookup
-// loads. Only the Publisher feeding it stores through it.
-type reader struct{ cur atomic.Pointer[FIB] }
-
 // Engine is one PoP's forwarding engine: it resolves destinations
 // against the PoP's compiled FIB and drives packets hop by hop through
 // the internal fabric to the egress PoP. It owns the PoP's published
@@ -28,7 +24,8 @@ type reader struct{ cur atomic.Pointer[FIB] }
 // picked up by the next packet — exactly the semantics of swapping a
 // router's FIB under live traffic. A lookup writes nothing.
 type Engine struct {
-	reader
+	// cur is the published FIB every lookup loads; only pub stores it.
+	cur    atomic.Pointer[FIB]
 	pop    int
 	pub    *Publisher
 	fabric Fabric
@@ -40,12 +37,12 @@ type Engine struct {
 }
 
 // NewEngine builds the engine for the 1-based PoP id, with a Publisher
-// configured by cfg that publishes into the engine's FIB pointer, and
-// forwards over fabric. The engine starts at the publisher's empty
-// generation-0 FIB.
-func NewEngine(pop int, cfg Config, fabric Fabric) *Engine {
+// that publishes into the engine's FIB pointer, and forwards over
+// fabric. The engine starts at an empty generation-0 FIB.
+func NewEngine(pop int, fabric Fabric) *Engine {
 	e := &Engine{pop: pop, fabric: fabric}
-	e.pub = newPublisher(cfg, &e.reader)
+	e.pub = &Publisher{eng: e}
+	e.cur.Store(Compile(nil, 0))
 	return e
 }
 

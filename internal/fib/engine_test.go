@@ -26,10 +26,8 @@ func TestEngineForward(t *testing.T) {
 	link := netsim.NewLink("a-b", 10, 1000, nil, nil)
 	want := NextHop{PoP: 2, Router: netip.MustParseAddr("10.0.2.1"), Neighbor: 1}
 	routed := mustPrefix("203.0.113.0/24")
-	eng := NewEngine(1, Config{Resolve: func(_ int, p netip.Prefix) (NextHop, bool) {
-		return want, p == routed
-	}}, oneLinkFabric{link})
-	eng.Publisher().ResolveAll([]netip.Prefix{routed})
+	eng := NewEngine(1, oneLinkFabric{link})
+	eng.Publisher().Publish([]Entry{{Prefix: routed, NextHop: want}})
 	dst := netip.MustParseAddr("203.0.113.7")
 
 	var sim netsim.Sim
@@ -73,19 +71,16 @@ func TestEngineForward(t *testing.T) {
 // TestEngineSeesEveryPublish pins the one published pointer per PoP: an
 // Engine starts at its Publisher's empty generation-0 FIB, reads the
 // initial full compile and every later delta and full publish, and
-// stays on the same table across an invalidation that changes nothing.
+// stays on the same table across a publish that changes nothing.
 func TestEngineSeesEveryPublish(t *testing.T) {
 	sub := mustPrefix("10.1.0.0/16")
 	routes := map[netip.Prefix]NextHop{mustPrefix("10.0.0.0/8"): nh(1)}
-	e := NewEngine(1, Config{Resolve: func(_ int, pfx netip.Prefix) (NextHop, bool) {
-		h, ok := routes[pfx]
-		return h, ok
-	}}, nil)
+	e := NewEngine(1, nil)
 	p := e.Publisher()
 	if f := e.Current(); f.Generation() != 0 || f.Size() != 0 {
 		t.Fatalf("engine starts at generation %d with %d prefixes, want an empty generation 0", f.Generation(), f.Size())
 	}
-	if first := p.ResolveAll([]netip.Prefix{mustPrefix("10.0.0.0/8")}); e.Current() != first {
+	if first := p.Publish(decided(routes, mustPrefix("10.0.0.0/8"))); e.Current() != first {
 		t.Fatalf("engine reads generation %d, want the published %d", e.Current().Generation(), first.Generation())
 	}
 
@@ -101,16 +96,16 @@ func TestEngineSeesEveryPublish(t *testing.T) {
 		publish bool
 		pop     int
 	}{
-		{"delta", func() { routes[sub] = nh(2); p.InvalidateEvent(0, sub) }, true, 2},
-		{"skipped", func() { p.InvalidateEvent(0, sub) }, false, 2},
+		{"delta", func() { routes[sub] = nh(2); p.Publish(decided(routes, sub)) }, true, 2},
+		{"skipped", func() { p.Publish(decided(routes, sub)) }, false, 2},
 		{"full", func() {
 			routes[sub] = nh(3)
 			for _, pfx := range bulk[1:] {
 				routes[pfx] = nh(4)
 			}
-			p.InvalidateEvent(0, bulk...)
+			p.Publish(decided(routes, bulk...))
 		}, true, 3},
-		{"delta-withdraw", func() { delete(routes, sub); p.InvalidateEvent(0, sub) }, true, 1},
+		{"delta-withdraw", func() { delete(routes, sub); p.Publish(decided(routes, sub)) }, true, 1},
 	} {
 		before := e.Current()
 		step.do()

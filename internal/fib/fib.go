@@ -1,7 +1,8 @@
 // Package fib is the compiled forwarding plane: it turns the control
-// plane's per-prefix route decisions (a Resolve callback per Publisher)
-// into an immutable longest-prefix-match structure that the data path
-// queries lock-free, the way a router's FIB is compiled from its RIB.
+// plane's per-prefix route decisions (sorted entry batches, handed to
+// each PoP's Publisher) into an immutable longest-prefix-match
+// structure that the data path queries lock-free, the way a router's
+// FIB is compiled from its RIB.
 //
 // The lookup structure is an 8-bit-stride leaf-pushed multibit trie for
 // IPv4: at most four array indexes per lookup, no comparisons against

@@ -139,34 +139,36 @@ func randomAddr(rng *loss.RNG) netip.Addr {
 	return netip.AddrFrom4([4]byte{byte(rng.Float64() * 32), byte(rng.Float64() * 8), byte(rng.Float64() * 256), byte(rng.Float64() * 256)})
 }
 
+// decided is the batch a control plane publishes for prefixes, given
+// in detsort.PrefixCompare order, under its current routes: a prefix
+// without a route gets an invalid next hop, which withdraws it.
+func decided(routes map[netip.Prefix]NextHop, prefixes ...netip.Prefix) []Entry {
+	batch := make([]Entry, len(prefixes))
+	for i, pfx := range prefixes {
+		batch[i] = Entry{Prefix: pfx, NextHop: routes[pfx]}
+	}
+	return batch
+}
+
 func TestPublisherResolveAndInvalidate(t *testing.T) {
 	routes := map[netip.Prefix]NextHop{
 		mustPrefix("10.0.0.0/8"):     nh(1),
 		mustPrefix("10.1.0.0/16"):    nh(2),
 		mustPrefix("192.168.0.0/16"): nh(3),
 	}
-	var mu sync.Mutex
-	e := NewEngine(1, Config{Resolve: func(_ int, pfx netip.Prefix) (NextHop, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		h, ok := routes[pfx]
-		return h, ok
-	}}, nil)
+	e := NewEngine(1, nil)
 	p := e.Publisher()
 
-	universe := []netip.Prefix{mustPrefix("10.0.0.0/8"), mustPrefix("10.1.0.0/16"), mustPrefix("192.168.0.0/16")}
-	f := p.ResolveAll(universe)
+	f := p.Publish(decided(routes, mustPrefix("10.0.0.0/8"), mustPrefix("10.1.0.0/16"), mustPrefix("192.168.0.0/16")))
 	if f.Size() != 3 || f.Generation() != 1 {
 		t.Fatalf("initial compile: size=%d gen=%d", f.Size(), f.Generation())
 	}
 
 	// A changed route recompiles and is visible to readers.
-	mu.Lock()
 	routes[mustPrefix("10.1.0.0/16")] = nh(9)
-	mu.Unlock()
-	p.InvalidateEvent(0, mustPrefix("10.1.0.0/16"))
+	p.Publish(decided(routes, mustPrefix("10.1.0.0/16")))
 	if got, _ := e.Lookup(netip.MustParseAddr("10.1.2.3")); got.PoP != 9 {
-		t.Errorf("after invalidate: got pop%d, want 9", got.PoP)
+		t.Errorf("after publish: got pop%d, want 9", got.PoP)
 	}
 	if gen := e.Current().Generation(); gen != 2 {
 		t.Errorf("generation = %d, want 2", gen)
@@ -174,30 +176,28 @@ func TestPublisherResolveAndInvalidate(t *testing.T) {
 
 	// An attribute-identical re-resolution must NOT publish a new FIB
 	// (no spurious churn).
-	p.InvalidateEvent(0, mustPrefix("10.0.0.0/8"))
+	if f := p.Publish(decided(routes, mustPrefix("10.0.0.0/8"))); f != nil {
+		t.Errorf("unchanged publish returned generation %d, want nil", f.Generation())
+	}
 	if gen := e.Current().Generation(); gen != 2 {
-		t.Errorf("unchanged invalidate bumped generation to %d", gen)
+		t.Errorf("unchanged publish bumped generation to %d", gen)
 	}
 	if s := p.Stats(); s.SkippedCompiles != 1 {
 		t.Errorf("SkippedCompiles = %d, want 1", s.SkippedCompiles)
 	}
 
 	// A withdrawn route disappears.
-	mu.Lock()
 	delete(routes, mustPrefix("192.168.0.0/16"))
-	mu.Unlock()
-	p.InvalidateEvent(0, mustPrefix("192.168.0.0/16"))
+	p.Publish(decided(routes, mustPrefix("192.168.0.0/16")))
 	if _, ok := e.Lookup(netip.MustParseAddr("192.168.1.1")); ok {
 		t.Error("withdrawn prefix still resolves")
 	}
 
-	// A brand-new prefix appears via Invalidate alone.
-	mu.Lock()
+	// A brand-new prefix appears through a later publish alone.
 	routes[mustPrefix("172.16.0.0/12")] = nh(4)
-	mu.Unlock()
-	p.InvalidateEvent(0, mustPrefix("172.16.0.0/12"))
+	p.Publish(decided(routes, mustPrefix("172.16.0.0/12")))
 	if got, ok := e.Lookup(netip.MustParseAddr("172.20.0.1")); !ok || got.PoP != 4 {
-		t.Errorf("new prefix via invalidate: got %v ok=%v", got, ok)
+		t.Errorf("new prefix via publish: got %v ok=%v", got, ok)
 	}
 }
 
@@ -210,20 +210,9 @@ func TestConcurrentLookupDuringRecompile(t *testing.T) {
 		mustPrefix("10.0.0.0/8"):  nh(1),
 		mustPrefix("10.1.0.0/16"): nh(2),
 	}
-	gen := 0
-	e := NewEngine(1, Config{Resolve: func(_ int, pfx netip.Prefix) (NextHop, bool) {
-		h, ok := base[pfx]
-		if !ok {
-			return NextHop{}, false
-		}
-		// Alternate the /16's next hop so every invalidation really swaps.
-		if pfx == mustPrefix("10.1.0.0/16") {
-			h = nh(2 + gen%2)
-		}
-		return h, ok
-	}}, nil)
+	e := NewEngine(1, nil)
 	p := e.Publisher()
-	p.ResolveAll([]netip.Prefix{mustPrefix("10.0.0.0/8"), mustPrefix("10.1.0.0/16")})
+	p.Publish(decided(base, mustPrefix("10.0.0.0/8"), mustPrefix("10.1.0.0/16")))
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -245,9 +234,9 @@ func TestConcurrentLookupDuringRecompile(t *testing.T) {
 			}
 		}()
 	}
-	for i := 0; i < 300; i++ {
-		gen++
-		p.InvalidateEvent(0, mustPrefix("10.1.0.0/16"))
+	// Alternate the /16's next hop so every publish really swaps.
+	for i := 1; i <= 300; i++ {
+		p.Publish([]Entry{{Prefix: mustPrefix("10.1.0.0/16"), NextHop: nh(2 + i%2)}})
 	}
 	stop.Store(true)
 	wg.Wait()

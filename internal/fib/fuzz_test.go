@@ -2,7 +2,6 @@ package fib
 
 import (
 	"net/netip"
-	"sync"
 	"testing"
 
 	"vns/internal/loss"
@@ -11,8 +10,8 @@ import (
 // FuzzFIB differentially tests the compiled trie against the reference
 // linear LPM: a pseudo-random prefix set (seeded by the fuzz inputs) is
 // compiled and probed with random addresses, then mutated through a
-// randomized sequence of upserts and withdrawals driven through a
-// Publisher — whose recompiles must stay equivalent to a linear scan
+// randomized sequence of upserts and withdrawals published one prefix
+// at a time through a Publisher — whose publishes must stay equivalent to a linear scan
 // over the same mutated entry set at every step.
 func FuzzFIB(f *testing.F) {
 	f.Add(uint64(1), uint16(64), uint16(128))
@@ -42,29 +41,18 @@ func FuzzFIB(f *testing.F) {
 			}
 		}
 
-		// Phase 2: equivalence across upsert/withdraw-driven recompiles,
+		// Phase 2: equivalence across upsert/withdraw-driven publishes,
 		// read through the Engine the Publisher feeds.
-		var mu sync.Mutex
 		table := make(map[netip.Prefix]NextHop, len(entries))
 		for _, e := range entries {
 			table[e.Prefix.Masked()] = e.NextHop
 		}
-		eng := NewEngine(1, Config{Resolve: func(_ int, p netip.Prefix) (NextHop, bool) {
-			mu.Lock()
-			defer mu.Unlock()
-			h, ok := table[p]
-			return h, ok
-		}}, nil)
+		eng := NewEngine(1, nil)
 		pub := eng.Publisher()
-		universe := make([]netip.Prefix, 0, len(table))
-		for p := range table {
-			universe = append(universe, p)
-		}
-		pub.ResolveAll(universe)
+		pub.Publish(entriesOf(table))
 
 		for op := 0; op < int(numOps); op++ {
 			var dirty netip.Prefix
-			mu.Lock()
 			if rng.Float64() < 0.4 && len(table) > 0 {
 				// Withdraw a random existing prefix (deterministic pick:
 				// n-th map key by iteration is fine — equivalence is
@@ -81,24 +69,16 @@ func FuzzFIB(f *testing.F) {
 			} else {
 				e := randomEntries(rng, 1)
 				if len(e) == 0 {
-					mu.Unlock()
 					continue
 				}
 				dirty = e[0].Prefix.Masked()
 				table[dirty] = e[0].NextHop
 			}
-			mu.Unlock()
-			pub.InvalidateEvent(0, dirty)
+			pub.Publish(decided(table, dirty))
 
 			// Spot-check equivalence after the recompile: addresses near
 			// the mutated prefix plus a few random ones.
-			mu.Lock()
-			cur := make([]Entry, 0, len(table))
-			for p, h := range table {
-				cur = append(cur, Entry{Prefix: p, NextHop: h})
-			}
-			mu.Unlock()
-			ref := NewLinear(cur)
+			ref := NewLinear(entriesOf(table))
 			probes := []netip.Addr{dirty.Addr(), randomAddr(rng), randomAddr(rng)}
 			for _, addr := range probes {
 				gotNH, gotOK := eng.Lookup(addr)

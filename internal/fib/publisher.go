@@ -9,30 +9,8 @@ import (
 	"vns/internal/detsort"
 )
 
-// Config configures a Publisher.
-type Config struct {
-	// Resolve computes the forwarding action for one prefix from the
-	// control plane's current state; i is the prefix's index in the
-	// slice ResolveAll or InvalidateEvent was given, so a caller that
-	// read a batch's facts up front can look them up by position.
-	// Returning ok=false withdraws the prefix from the FIB. It is called
-	// once per prefix, in slice order, with the Publisher's internal lock
-	// held, so it must not call back into the Publisher.
-	Resolve func(i int, pfx netip.Prefix) (NextHop, bool)
-	// PublishObserver, when non-nil, receives every publish — full
-	// compiles and delta patches alike — with its build duration and the
-	// convergence event ID InvalidateEvent carried (0 for ResolveAll and
-	// for an unattributed invalidation). This is how a compile is
-	// causally tied back to the routing-plane event that triggered it
-	// without fib depending on telemetry. Like Resolve it runs with the
-	// Publisher's internal lock held and must not call back into the
-	// Publisher.
-	PublishObserver func(event uint64, d time.Duration)
-}
-
-// deltaThreshold is the changed-prefix count up to which an
-// invalidation publishes a copy-on-write delta patch (FIB.Delta) in
-// place of a full rebuild. Steady-state churn is single-prefix; above
+// deltaThreshold is the changed-prefix count up to which a publish is
+// a copy-on-write delta patch (FIB.Delta) in place of a full rebuild. Steady-state churn is single-prefix; above
 // this size a full compile is both cheaper per prefix and the natural
 // compaction point.
 const deltaThreshold = 64
@@ -53,9 +31,9 @@ type Stats struct {
 	LastCompile time.Duration
 	// Compiles counts full trie builds; DeltaCompiles counts publishes
 	// that patched the current trie copy-on-write instead (FIB.Delta);
-	// SkippedCompiles counts invalidations whose prefixes all resolved
-	// to unchanged next hops, so no publish was needed (the
-	// no-spurious-churn fast path).
+	// SkippedCompiles counts Publish calls whose entries all kept their
+	// next hops, so nothing was published (the no-spurious-churn fast
+	// path).
 	Compiles        uint64
 	DeltaCompiles   uint64
 	SkippedCompiles uint64
@@ -63,111 +41,75 @@ type Stats struct {
 	LastDelta time.Duration
 }
 
-// Publisher owns the write side of a FIB: the resolved entry set and
-// every publish. Readers go through the Engine it feeds and never block;
-// control plane goroutines drive ResolveAll/InvalidateEvent under an
-// internal lock. It batches nothing itself: a caller that wants a burst
-// to cost one publish hands it over as one batch (vns.Forwarding owns
-// the deployment's debounce).
+// Publisher owns the write side of a FIB: the installed entry set and
+// every publish. It decides nothing: the control plane decides each
+// prefix and hands the decisions over in one Publish. It has one
+// writer — the caller serializes Publish, as vns.Forwarding's pass lock
+// does — beside any number of readers, which go through the Engine it
+// feeds and never block. It batches nothing itself: a caller that wants
+// a burst to cost one publish hands it over as one batch (vns.Forwarding
+// owns the deployment's debounce).
 type Publisher struct {
-	cfg Config
+	// eng is the Engine whose published pointer every publish stores.
+	eng *Engine
 
-	mu sync.Mutex
-	// out is where publishes are stored: the owning Engine's pointer, or
-	// a reader of the Publisher's own when it has no Engine.
-	out     *reader
+	// mu guards the write state against Stats readers.
+	mu      sync.Mutex
 	entries map[netip.Prefix]NextHop
 	gen     uint64
 	stats   Stats
 }
 
-// NewPublisher creates a Publisher with no Engine, for pipelines that
-// only publish. Like an Engine's, it starts out publishing an empty
-// generation-0 FIB.
-func NewPublisher(cfg Config) *Publisher { return newPublisher(cfg, new(reader)) }
-
-// newPublisher creates a Publisher that stores every publish through
-// out, starting with an empty generation-0 FIB.
-func newPublisher(cfg Config, out *reader) *Publisher {
-	p := &Publisher{
-		cfg:     cfg,
-		out:     out,
-		entries: make(map[netip.Prefix]NextHop),
-	}
-	p.out.cur.Store(Compile(nil, 0))
-	return p
-}
-
-// ResolveAll resolves every given prefix from scratch and publishes a
-// full compile: the initial table download, or a full reconvergence.
-func (p *Publisher) ResolveAll(prefixes []netip.Prefix) *FIB {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.entries = make(map[netip.Prefix]NextHop, len(prefixes))
-	for i, pfx := range prefixes {
-		//vnslint:lockheld Resolve is documented to run under the lock and must not call back (see Config.Resolve)
-		if nh, ok := p.cfg.Resolve(i, pfx); ok {
-			p.entries[pfx] = nh
-		}
-	}
-	f := p.compileLocked()
-	p.observe(0, f)
-	return f
-}
-
-// InvalidateEvent re-resolves a batch of prefixes and, if any next hop
-// changed, publishes before it returns: a copy-on-write delta for a
-// small batch, a full compile otherwise. The batch must be sorted by
-// detsort.PrefixCompare without duplicates, so Resolve callbacks fire
-// in a reproducible order and the delta patch applies covers before the
-// prefixes they contain (the order puts a covering prefix ahead of its
-// contents); an unsorted batch panics. event is the convergence event ID the batch belongs to: the
-// publish reports it to Config.PublishObserver, tying the compile cost
-// back to the routing-plane event that caused it.
-func (p *Publisher) InvalidateEvent(event uint64, prefixes ...netip.Prefix) {
-	for i := 1; i < len(prefixes); i++ {
-		if detsort.PrefixCompare(prefixes[i-1], prefixes[i]) >= 0 {
-			panic(fmt.Sprintf("fib: invalidation batch not sorted and unique at %v, %v", prefixes[i-1], prefixes[i]))
+// Publish installs a batch of decided entries and publishes the result
+// before it returns. The batch must be sorted by detsort.PrefixCompare
+// without duplicates, so the delta patch applies covers before the
+// prefixes they contain; an unsorted batch panics. An entry with an
+// invalid NextHop withdraws its prefix.
+//
+// The first publish is the initial table download and always a full
+// compile. Later ones publish only when a next hop moved: a
+// copy-on-write delta for a small change set, a full compile otherwise.
+// Publish returns the published FIB, or nil when nothing moved.
+func (p *Publisher) Publish(batch []Entry) *FIB {
+	for i := 1; i < len(batch); i++ {
+		if detsort.PrefixCompare(batch[i-1].Prefix, batch[i].Prefix) >= 0 {
+			panic(fmt.Sprintf("fib: publish batch not sorted and unique at %v, %v", batch[i-1].Prefix, batch[i].Prefix))
 		}
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(prefixes) == 0 {
-		return
+	if p.gen == 0 {
+		p.entries = make(map[netip.Prefix]NextHop, len(batch))
+		for _, e := range batch {
+			if e.NextHop.IsValid() {
+				p.entries[e.Prefix] = e.NextHop
+			}
+		}
+		return p.compileLocked()
+	}
+	if len(batch) == 0 {
+		return nil
 	}
 	patches := make([]Patch, 0, 8)
-	for i, pfx := range prefixes {
-		//vnslint:lockheld Resolve is documented to run under the lock and must not call back (see Config.Resolve)
-		nh, ok := p.cfg.Resolve(i, pfx)
-		old, had := p.entries[pfx]
+	for _, e := range batch {
+		old, had := p.entries[e.Prefix]
 		switch {
-		case ok && (!had || old != nh):
-			p.entries[pfx] = nh
-			patches = append(patches, Patch{Prefix: pfx, Install: true, NextHop: nh, Existed: had})
-		case !ok && had:
-			delete(p.entries, pfx)
-			patches = append(patches, Patch{Prefix: pfx, Existed: true})
+		case e.NextHop.IsValid() && (!had || old != e.NextHop):
+			p.entries[e.Prefix] = e.NextHop
+			patches = append(patches, Patch{Prefix: e.Prefix, Install: true, NextHop: e.NextHop, Existed: had})
+		case !e.NextHop.IsValid() && had:
+			delete(p.entries, e.Prefix)
+			patches = append(patches, Patch{Prefix: e.Prefix, Existed: true})
 		}
 	}
-	if len(patches) == 0 {
+	switch {
+	case len(patches) == 0:
 		p.stats.SkippedCompiles++
-		return
+		return nil
+	case p.deltaEligible(len(patches)):
+		return p.deltaLocked(patches)
 	}
-	var f *FIB
-	if p.deltaEligible(len(patches)) {
-		f = p.deltaLocked(patches)
-	} else {
-		f = p.compileLocked()
-	}
-	p.observe(event, f)
-}
-
-// observe reports one publish to Config.PublishObserver.
-func (p *Publisher) observe(event uint64, f *FIB) {
-	if p.cfg.PublishObserver != nil {
-		//vnslint:lockheld PublishObserver is documented to run under the lock and must not call back (see Config.PublishObserver)
-		p.cfg.PublishObserver(event, f.CompileDuration())
-	}
+	return p.compileLocked()
 }
 
 // deltaEligible reports whether a publish of n changed prefixes should
@@ -178,7 +120,7 @@ func (p *Publisher) deltaEligible(n int) bool {
 	}
 	// Compaction: a long run of patches accumulates orphaned nodes, so
 	// periodically pay for a fresh build.
-	return p.out.cur.Load().Deltas() < deltaCompactAfter
+	return p.eng.cur.Load().Deltas() < deltaCompactAfter
 }
 
 // deltaLocked publishes the patch batch as a copy-on-write delta of the
@@ -192,10 +134,10 @@ func (p *Publisher) deltaLocked(patches []Patch) *FIB {
 		}
 	}
 	p.gen++
-	f := p.out.cur.Load().Delta(patches, p.gen)
+	f := p.eng.cur.Load().Delta(patches, p.gen)
 	p.stats.DeltaCompiles++
 	p.stats.LastDelta = f.CompileDuration()
-	p.out.cur.Store(f)
+	p.eng.cur.Store(f)
 	return f
 }
 
@@ -225,7 +167,7 @@ func (p *Publisher) compileLocked() *FIB {
 	f := Compile(entries, p.gen)
 	p.stats.Compiles++
 	p.stats.LastCompile = f.CompileDuration()
-	p.out.cur.Store(f)
+	p.eng.cur.Store(f)
 	return f
 }
 
@@ -235,7 +177,7 @@ func (p *Publisher) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	s := p.stats
-	f := p.out.cur.Load()
+	f := p.eng.cur.Load()
 	s.Generation = f.Generation()
 	s.Prefixes = f.Size()
 	return s

@@ -8,94 +8,102 @@ import (
 	"testing"
 )
 
-// TestPublisherConcurrentInvalidate hammers one publisher from several
-// control-plane writers while a reader watches the published FIB. Two
-// invariants must hold: the published generation never goes backwards,
-// and once the writers are done no invalidated prefix is lost — every
-// prefix resolves to the last value its writer stored. (The debounced
-// form, with vns.Forwarding's timer between the writers and the
-// publishers, is vns.TestForwardingConcurrentInvalidate.)
-func TestPublisherConcurrentInvalidate(t *testing.T) {
+// TestPublisherOneWriterConcurrentReaders runs the Publisher's contract:
+// one writer publishes batch after batch while readers look up through
+// the Engine and read Stats. The published generation never goes
+// backwards at any reader, and once the writer is done the table is
+// exactly the last batch's decisions, withdrawals included. (Concurrent
+// invalidations are serialized by the layer above the Publisher; that
+// is vns.TestForwardingConcurrentInvalidate.)
+func TestPublisherOneWriterConcurrentReaders(t *testing.T) {
 	const (
 		nPrefixes = 64
-		nWriters  = 4
-		nRounds   = 100
+		nReaders  = 3
+		nRounds   = 200
 	)
 	prefixes := make([]netip.Prefix, nPrefixes)
-	want := make([]atomic.Int64, nPrefixes)
 	for i := range prefixes {
 		prefixes[i] = netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i), 0, 0}), 16)
-		want[i].Store(1)
 	}
-	e := NewEngine(1, Config{
-		Resolve: func(_ int, pfx netip.Prefix) (NextHop, bool) {
-			return NextHop{PoP: int(want[pfx.Addr().As4()[1]].Load())}, true
-		},
-	}, nil)
+	// round's batch names a quarter of the prefixes and withdraws about
+	// a seventh of those.
+	round := func(r int) []Entry {
+		var batch []Entry
+		for i := r % 4; i < nPrefixes; i += 4 {
+			d := Entry{Prefix: prefixes[i]}
+			if (r+i)%7 != 0 {
+				d.NextHop = nh(1 + (r+i)%11)
+			}
+			batch = append(batch, d)
+		}
+		return batch
+	}
+	e := NewEngine(1, nil)
 	p := e.Publisher()
-	p.ResolveAll(prefixes)
+	p.Publish(nil)
 
 	stop := make(chan struct{})
-	var readerErr atomic.Value
+	errs := make(chan string, nReaders)
 	var readers sync.WaitGroup
-	readers.Add(1)
-	go func() {
-		defer readers.Done()
-		var lastGen uint64
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			gen := e.Current().Generation()
-			if gen < lastGen {
-				readerErr.Store(fmt.Sprintf("generation went backwards: %d after %d", gen, lastGen))
-				return
-			}
-			lastGen = gen
-			e.Lookup(prefixes[int(gen)%nPrefixes].Addr())
-		}
-	}()
-
-	// Each writer owns an interleaved subset of prefixes, so two writers
-	// never race on the same want cell; publishing the value before
-	// invalidating mirrors how a control plane updates its RIB and then
-	// notifies.
-	var writers sync.WaitGroup
-	for w := 0; w < nWriters; w++ {
-		writers.Add(1)
-		go func(w int) {
-			defer writers.Done()
-			for r := 0; r < nRounds; r++ {
-				for i := w; i < nPrefixes; i += nWriters {
-					want[i].Store(int64(2 + (r*nPrefixes+i)%100))
-					p.InvalidateEvent(0, prefixes[i])
+	var lookups atomic.Uint64
+	for r := 0; r < nReaders; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			var lastGen uint64
+			for {
+				select {
+				case <-stop:
+					return
+				default:
 				}
+				gen := e.Current().Generation()
+				if s := p.Stats(); s.Generation < gen {
+					errs <- fmt.Sprintf("Stats generation %d behind the engine's %d", s.Generation, gen)
+					return
+				}
+				if gen < lastGen {
+					errs <- fmt.Sprintf("generation went backwards: %d after %d", gen, lastGen)
+					return
+				}
+				lastGen = gen
+				e.Lookup(prefixes[int(gen)%nPrefixes].Addr())
+				lookups.Add(1)
 			}
-		}(w)
+		}()
 	}
-	writers.Wait()
+
+	want := make(map[netip.Prefix]NextHop)
+	for r := 0; r < nRounds; r++ {
+		batch := round(r)
+		for _, d := range batch {
+			want[d.Prefix] = d.NextHop
+		}
+		p.Publish(batch)
+	}
 	close(stop)
 	readers.Wait()
-	if err := readerErr.Load(); err != nil {
-		t.Fatal(err)
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if lookups.Load() == 0 {
+		t.Error("the readers never ran")
 	}
 
-	for i, pfx := range prefixes {
-		nh, ok := e.Lookup(pfx.Addr())
-		if !ok || int64(nh.PoP) != want[i].Load() {
-			t.Fatalf("prefix %v: got (%v, %v), want pop %d — invalidated prefix lost",
-				pfx, nh, ok, want[i].Load())
+	for _, pfx := range prefixes {
+		got, ok := e.Lookup(pfx.Addr())
+		if w := want[pfx]; ok != w.IsValid() || (ok && got != w) {
+			t.Fatalf("prefix %v: got (%v, %v), want %v — a published decision was lost", pfx, got, ok, w)
 		}
 	}
 }
 
-// TestPublisherRejectsUnsortedBatch pins InvalidateEvent's precondition:
-// a batch out of detsort.PrefixCompare order, or with a duplicate, would
+// TestPublisherRejectsUnsortedBatch pins Publish's precondition: a
+// batch out of detsort.PrefixCompare order, or with a duplicate, would
 // patch a contained prefix before its cover, so it panics instead.
 func TestPublisherRejectsUnsortedBatch(t *testing.T) {
-	p := NewPublisher(Config{Resolve: func(int, netip.Prefix) (NextHop, bool) { return nh(1), true }})
+	p := NewEngine(1, nil).Publisher()
 	for _, batch := range [][]netip.Prefix{
 		{mustPrefix("10.1.0.0/16"), mustPrefix("10.0.0.0/8")},
 		{mustPrefix("10.0.0.0/8"), mustPrefix("10.0.0.0/8")},
@@ -103,10 +111,10 @@ func TestPublisherRejectsUnsortedBatch(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("InvalidateEvent(%v) did not panic", batch)
+					t.Errorf("Publish(%v) did not panic", batch)
 				}
 			}()
-			p.InvalidateEvent(0, batch...)
+			p.Publish([]Entry{{Prefix: batch[0], NextHop: nh(1)}, {Prefix: batch[1], NextHop: nh(1)}})
 		}()
 	}
 	if s := p.Stats(); s.Generation != 0 {

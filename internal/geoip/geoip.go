@@ -52,11 +52,19 @@ func New() *DB {
 // Len returns the number of records in the database.
 func (d *DB) Len() int { return d.size }
 
-// Insert adds or replaces the record for rec.Prefix. It returns an error
-// if the prefix is invalid.
+// Insert adds or replaces the record for rec.Prefix. An IPv4-mapped IPv6
+// prefix of 96 bits or more is stored as the IPv4 prefix it maps
+// (::ffff:10.0.0.0/120 as 10.0.0.0/24). It returns an error if the
+// prefix is invalid or a shorter IPv4-mapped one.
 func (d *DB) Insert(rec Record) error {
 	if !rec.Prefix.IsValid() {
 		return fmt.Errorf("geoip: invalid prefix %v", rec.Prefix)
+	}
+	if a := rec.Prefix.Addr(); a.Is4In6() {
+		if rec.Prefix.Bits() < 96 {
+			return fmt.Errorf("geoip: IPv4-mapped prefix %v shorter than /96", rec.Prefix)
+		}
+		rec.Prefix = netip.PrefixFrom(a.Unmap(), rec.Prefix.Bits()-96)
 	}
 	rec.Prefix = rec.Prefix.Masked()
 	n := d.root(rec.Prefix.Addr())
@@ -78,11 +86,13 @@ func (d *DB) Insert(rec Record) error {
 	return nil
 }
 
-// Lookup returns the longest-prefix-match record for addr.
+// Lookup returns the longest-prefix-match record for addr; an
+// IPv4-mapped IPv6 address is looked up as the IPv4 address it maps.
 func (d *DB) Lookup(addr netip.Addr) (Record, bool) {
 	if !addr.IsValid() {
 		return Record{}, false
 	}
+	addr = addr.Unmap()
 	n := d.root(addr)
 	as16 := addr.As16()
 	off := addrBitOffset(addr)
@@ -136,7 +146,7 @@ func (d *DB) Walk(fn func(Record) bool) {
 }
 
 func (d *DB) root(addr netip.Addr) *trieNode {
-	if addr.Is4() || addr.Is4In6() {
+	if addr.Is4() {
 		return d.v4
 	}
 	return d.v6
@@ -145,7 +155,7 @@ func (d *DB) root(addr netip.Addr) *trieNode {
 // addrBitOffset returns the starting bit of the address within its As16
 // representation: IPv4 addresses occupy the final 4 bytes.
 func addrBitOffset(addr netip.Addr) int {
-	if addr.Is4() || addr.Is4In6() {
+	if addr.Is4() {
 		return 96
 	}
 	return 0

@@ -45,12 +45,19 @@ func TestLongestPrefixMatch(t *testing.T) {
 	db.Insert(Record{Prefix: mustPrefix("10.0.0.0/8"), Country: "US"})
 	db.Insert(Record{Prefix: mustPrefix("10.1.0.0/16"), Country: "NL"})
 	db.Insert(Record{Prefix: mustPrefix("10.1.2.0/24"), Country: "DE"})
+	// An IPv4-mapped /128 is the IPv4 /32 it maps, found by either form.
+	if err := db.Insert(Record{Prefix: mustPrefix("::ffff:10.1.2.7/128"), Country: "HOST"}); err != nil {
+		t.Fatal(err)
+	}
 
 	cases := map[string]string{
-		"10.1.2.3":  "DE",
-		"10.1.3.1":  "NL",
-		"10.9.0.1":  "US",
-		"10.1.2.99": "DE",
+		"10.1.2.3":        "DE",
+		"10.1.3.1":        "NL",
+		"10.9.0.1":        "US",
+		"10.1.2.99":       "DE",
+		"10.1.2.7":        "HOST",
+		"::ffff:10.1.2.7": "HOST",
+		"::ffff:10.1.2.8": "DE",
 	}
 	for addr, want := range cases {
 		rec, ok := db.Lookup(netip.MustParseAddr(addr))
@@ -81,6 +88,12 @@ func TestInsertInvalid(t *testing.T) {
 	db := New()
 	if err := db.Insert(Record{}); err == nil {
 		t.Error("inserting invalid prefix should fail")
+	}
+	if err := db.Insert(Record{Prefix: mustPrefix("::ffff:10.0.0.0/95")}); err == nil {
+		t.Error("inserting an IPv4-mapped prefix shorter than /96 should fail")
+	}
+	if db.Len() != 0 {
+		t.Errorf("Len = %d after rejected inserts, want 0", db.Len())
 	}
 }
 

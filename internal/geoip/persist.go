@@ -171,7 +171,7 @@ func (d *DB) ReadFrom(r io.Reader) (int64, error) {
 			return n, fmt.Errorf("%w: record %d position", ErrBadFormat, i)
 		}
 		if err := d.Insert(rec); err != nil {
-			return n, err
+			return n, fmt.Errorf("%w: record %d: %v", ErrBadFormat, i, err)
 		}
 	}
 	return n, nil

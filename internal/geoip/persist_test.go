@@ -2,15 +2,17 @@ package geoip
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"net/netip"
+	"slices"
 	"testing"
 
 	"vns/internal/geo"
 	"vns/internal/loss"
 )
 
-func populatedDB(t *testing.T, n int) *DB {
+func populatedDB(t testing.TB, n int) *DB {
 	t.Helper()
 	db := New()
 	rng := loss.NewRNG(9)
@@ -99,6 +101,7 @@ func TestPersistRejectsGarbage(t *testing.T) {
 			b[12] = 9
 			return b
 		}(),
+		mappedRecord(90), // an IPv4-mapped prefix shorter than /96
 	}
 	for i, c := range cases {
 		db := New()
@@ -108,6 +111,78 @@ func TestPersistRejectsGarbage(t *testing.T) {
 			t.Errorf("case %d: err = %v, want ErrBadFormat", i, err)
 		}
 	}
+}
+
+// mappedRecord is a one-record database stream, in WriteTo's format,
+// holding a family-6 record for the IPv4-mapped prefix
+// ::ffff:10.0.0.0/bits — a record WriteTo never writes, since Insert
+// stores such a prefix as IPv4.
+func mappedRecord(bits uint8) []byte {
+	var buf bytes.Buffer
+	for _, v := range []any{
+		dbMagic, uint32(1),
+		uint8(6), netip.MustParseAddr("::ffff:10.0.0.0").As16(), bits,
+		float64(59.9), float64(10.7), uint8(geo.RegionEU), uint8(0),
+		uint8(2), []byte("NO"),
+	} {
+		binary.Write(&buf, binary.BigEndian, v)
+	}
+	return buf.Bytes()
+}
+
+// TestPersistUnmapsMappedRecord reads an IPv4-mapped /120 from a
+// crafted file: it loads as the IPv4 /24 it maps, and both address
+// forms find it.
+func TestPersistUnmapsMappedRecord(t *testing.T) {
+	db := New()
+	if _, err := db.ReadFrom(bytes.NewReader(mappedRecord(120))); err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []string{"10.0.0.9", "::ffff:10.0.0.9"} {
+		rec, ok := db.Lookup(netip.MustParseAddr(a))
+		if !ok || rec.Prefix != netip.MustParsePrefix("10.0.0.0/24") || rec.Country != "NO" {
+			t.Errorf("Lookup(%s) = %+v, %v; want the record as 10.0.0.0/24", a, rec, ok)
+		}
+	}
+}
+
+// records lists a database's records in Walk order.
+func records(db *DB) []Record {
+	var out []Record
+	db.Walk(func(r Record) bool {
+		out = append(out, r)
+		return true
+	})
+	return out
+}
+
+// FuzzReadFrom feeds the loader arbitrary streams: ReadFrom never
+// panics, and a database it accepts round-trips through WriteTo and
+// ReadFrom to the same records.
+func FuzzReadFrom(f *testing.F) {
+	var valid bytes.Buffer
+	populatedDB(f, 20).WriteTo(&valid)
+	f.Add(valid.Bytes())
+	f.Add(mappedRecord(120))
+	f.Add(mappedRecord(90))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		db := New()
+		if _, err := db.ReadFrom(bytes.NewReader(data)); err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if _, err := db.WriteTo(&buf); err != nil {
+			t.Fatalf("WriteTo an accepted database: %v", err)
+		}
+		back := New()
+		if _, err := back.ReadFrom(&buf); err != nil {
+			t.Fatalf("ReadFrom WriteTo's output: %v", err)
+		}
+		if got, want := records(back), records(db); !slices.Equal(got, want) {
+			t.Fatalf("round trip changed the records:\n got %+v\nwant %+v", got, want)
+		}
+	})
 }
 
 func TestPersistMergesIntoExisting(t *testing.T) {

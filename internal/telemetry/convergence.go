@@ -150,9 +150,10 @@ func (c *Convergence) Begin(kind string) *ConvEvent {
 }
 
 // ActiveID returns the event ID of the in-flight convergence event, 0
-// when none. The forwarding plane stamps FIB invalidations with it
-// (fib.Publisher.InvalidateEvent), which is how the ID crosses the
-// rib→fib boundary.
+// when none. The forwarding plane stamps its dirty set with it
+// (vns.Forwarding.InvalidateBatch), and the pass that set causes
+// records its publishes against the stamp: that is how the ID crosses
+// the rib→fib boundary.
 func (c *Convergence) ActiveID() uint64 {
 	if c == nil {
 		return 0
@@ -166,8 +167,8 @@ func (c *Convergence) ActiveID() uint64 {
 }
 
 // ObserveCompileFor attributes one published FIB compile of the given
-// duration to the event that invalidated it (the fib.Publisher's
-// PublishObserver calls this with the event ID it was handed). A compile
+// duration to the event that invalidated it (vns.CompileRecorder calls
+// this with the event ID the publishing pass carried). A compile
 // whose event is no longer active — a debounced flush landing after
 // Finish — is left to the fib_compile_seconds family alone.
 func (c *Convergence) ObserveCompileFor(event uint64, seconds float64) {

@@ -58,30 +58,28 @@ type ForwardingConfig struct {
 // each dirty prefix's vantage-independent facts once — the statics
 // pinned to it, the origin's candidate sessions, and each distinct
 // candidate router's liveness and Assign — and then every PoP, in id
-// order, reads its IGP row once and publishes the batch, deciding each
-// prefix from those shared facts. Nothing read in a pass outlives it.
+// order, reads its IGP row once, decides every prefix from those shared
+// facts and hands the decisions to its fib.Publisher. Nothing read in a
+// pass outlives it.
 type Forwarding struct {
 	Peering *Peering
 	RR      *core.GeoRR
 
-	// pops[id-1] is the PoP with that id; a pass publishes in this order.
-	pops []*popPass
+	engines []*fib.Engine // by PoP id−1, the order a pass publishes in
 
 	fabric *L2Fabric
 
 	debounce time.Duration
 
-	// Lock order: mu → a fib.Publisher's lock → the Network's read
-	// lock (the GeoRR's policy takes none). mu serializes passes and
-	// guards facts.
+	// mu serializes passes, which makes each fib.Publisher
+	// single-writer. Lock order: mu → the Network's read lock, and mu →
+	// a fib.Publisher's lock, neither nested in the other (the GeoRR's
+	// policy takes none).
 	// dirtyMu guards the dirty set; it nests inside mu and is never held
 	// while a pass resolves, so a debounced invalidation — the
 	// reflector's InvalidateBatch runs under its own lock — never waits
 	// on a running pass.
 	mu sync.Mutex
-	// facts[i] holds the running pass's facts for the i-th prefix of its
-	// batch; nil between passes.
-	facts []prefixFacts
 
 	dirtyMu sync.Mutex
 	dirty   map[netip.Prefix]struct{} // nil from a pass until the next invalidation
@@ -91,7 +89,8 @@ type Forwarding struct {
 	pendingEvent uint64
 	timer        *time.Timer
 
-	tracer *telemetry.Tracer
+	tracer   *telemetry.Tracer
+	compiles *CompileRecorder // records each publish; nil without telemetry
 	// conv is the deployment's shared convergence span layer (nil
 	// without telemetry): the reflector, failover controller, and
 	// adaptive controller all borrow this instance, because event-ID
@@ -102,14 +101,6 @@ type Forwarding struct {
 	mediaSent     *telemetry.Counter
 	mediaReceived *telemetry.Counter
 	mediaLost     *telemetry.Counter
-}
-
-// popPass is one PoP's share of a pass: its engine, whose publisher the
-// pass publishes to, and the IGP row the pass read for it first.
-type popPass struct {
-	pop *PoP
-	eng *fib.Engine
-	igp igpRow
 }
 
 // staticFact is a static more-specific as a pass reads it: the pinned
@@ -140,36 +131,28 @@ func NewForwarding(pr *Peering, rr *core.GeoRR, cfg ForwardingConfig) *Forwardin
 		debounce: cfg.Debounce,
 		tracer:   cfg.Tracer,
 	}
-	var publishObs func(uint64, time.Duration)
 	if cfg.Telemetry != nil {
-		// The convergence span layer: each publish reports the event ID
-		// its pass carried, closing the causal loop from routing-plane
-		// event to FIB compile.
+		// The convergence span layer: each publish is recorded against
+		// the event ID its pass carried, closing the causal loop from
+		// routing-plane event to FIB compile.
 		f.conv = telemetry.NewConvergence(cfg.Telemetry, cfg.Tracer, cfg.ConvergenceClock)
-		publishObs = CompileObserver(cfg.Telemetry, f.conv, cfg.ConvergenceClock != nil)
+		f.compiles = NewCompileRecorder(cfg.Telemetry, f.conv, cfg.ConvergenceClock != nil)
 	}
 	for _, p := range pr.Net.PoPs {
-		v := &popPass{pop: p}
-		v.eng = fib.NewEngine(p.ID, fib.Config{
-			// Publishers only run inside a pass, which holds mu and has
-			// filled facts for exactly the batch being published.
-			Resolve:         func(i int, pfx netip.Prefix) (fib.NextHop, bool) { return v.decide(&f.facts[i], pfx) },
-			PublishObserver: publishObs,
-		}, f)
-		f.pops = append(f.pops, v)
+		f.engines = append(f.engines, fib.NewEngine(p.ID, f))
 	}
 	if cfg.Telemetry != nil {
 		f.registerTelemetry(cfg.Telemetry)
 	}
-	// Subscribe before the initial compile (the table download) so no
+	// Subscribe before the initial pass (the table download) so no
 	// change can fall between them. The batch form hands each change
 	// event's full prefix set over in one call, so a multi-prefix UPDATE
 	// costs one pass (typically one delta publish per PoP) instead of
-	// one per prefix.
+	// one per prefix. The initial pass is a batch like any other; Flush
+	// runs it now even under a debounce.
 	rr.OnChangeBatch(f.InvalidateBatch)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.pass(0, f.universe(), true)
+	f.InvalidateAll()
+	f.Flush()
 	return f
 }
 
@@ -196,8 +179,8 @@ func (f *Forwarding) universe() []netip.Prefix {
 // timer, and the pass resolves everything dirty when that fires.
 func (f *Forwarding) InvalidateBatch(prefixes []netip.Prefix) {
 	// Stamp the dirty set with the in-flight convergence event, so the
-	// pass this invalidation causes reports its compiles back to it
-	// (fib.Config.PublishObserver) — the event ID's rib→fib crossing.
+	// pass this invalidation causes records its publishes against it
+	// (CompileRecorder) — the event ID's rib→fib crossing.
 	event := f.conv.ActiveID()
 	f.dirtyMu.Lock()
 	if event != 0 {
@@ -222,10 +205,9 @@ func (f *Forwarding) InvalidateBatch(prefixes []netip.Prefix) {
 
 // InvalidateAll marks the whole universe dirty — the failover
 // controller's reconvergence path after a link or PoP event or a drain.
-// Unlike the initial compile it goes through the dirty set like any
-// batch, so prefixes whose next hop is unaffected cost their share of
-// the pass but no publish (the Publisher's no-spurious-churn fast
-// path).
+// It goes through the dirty set like any batch, so prefixes whose next
+// hop is unaffected cost their share of the pass but no publish (the
+// Publisher's no-spurious-churn fast path).
 func (f *Forwarding) InvalidateAll() {
 	f.InvalidateBatch(f.universe())
 }
@@ -260,10 +242,11 @@ func (f *Forwarding) Flush() {
 	event := f.pendingEvent
 	f.pendingEvent = 0
 	f.dirtyMu.Unlock()
-	// Sorted so the publishers resolve in a reproducible order and patch
-	// covers before the prefixes they contain (fib.Publisher's batch).
+	// Sorted so the pass decides in a reproducible order and the
+	// publishers patch covers before the prefixes they contain
+	// (fib.Publisher.Publish's batch).
 	slices.SortFunc(batch, detsort.PrefixCompare)
-	f.pass(event, batch, false)
+	f.pass(event, batch)
 }
 
 // Pending returns the number of dirty prefixes awaiting the next pass.
@@ -275,25 +258,25 @@ func (f *Forwarding) Pending() int {
 
 // pass is one resolve pass over batch, with f.mu held: it reads every
 // prefix's vantage-independent facts once, all under one reflector
-// policy, then publishes the batch at each PoP in id order, the initial
-// download (full) as a full compile and anything later through the
-// Publisher's delta/skip path with event attributed. The facts are
-// dropped with the pass, so nothing read here can answer a later one.
-func (f *Forwarding) pass(event uint64, batch []netip.Prefix, full bool) {
+// policy, then at each PoP in id order decides every prefix and
+// publishes the decisions, recording each publish against event. The
+// facts are dropped with the pass, so nothing read here can answer a
+// later one.
+func (f *Forwarding) pass(event uint64, batch []netip.Prefix) {
 	pol := f.RR.Policy()
-	f.facts = make([]prefixFacts, len(batch))
+	facts := make([]prefixFacts, len(batch))
 	for i, pfx := range batch {
-		f.readFacts(&f.facts[i], pol, pfx)
+		f.readFacts(&facts[i], pol, pfx)
 	}
-	for _, v := range f.pops {
-		v.igp = f.Peering.Net.igpRow(v.pop)
-		if full {
-			v.eng.Publisher().ResolveAll(batch)
-		} else {
-			v.eng.Publisher().InvalidateEvent(event, batch...)
+	decided := make([]fib.Entry, len(batch))
+	for k, eng := range f.engines {
+		v := f.Peering.Net.PoPs[k]
+		igp := f.Peering.Net.igpRow(v)
+		for i, pfx := range batch {
+			decided[i] = fib.Entry{Prefix: pfx, NextHop: decide(v, &igp, &facts[i], pfx)}
 		}
+		f.compiles.Record(event, eng.Publisher().Publish(decided))
 	}
-	f.facts = nil
 }
 
 // readFacts fills r, a zero prefixFacts, with prefix's
@@ -312,26 +295,27 @@ func (f *Forwarding) readFacts(r *prefixFacts, pol *core.Policy, prefix netip.Pr
 	}
 }
 
-// decide is a PoP's decision for one prefix from the prefix's facts and
-// the vantage's IGP row: the first static whose router is up and whose
-// PoP the vantage reaches pins the egress; everything else is the geo
-// decision process over the candidates (pickGeo).
-func (v *popPass) decide(r *prefixFacts, prefix netip.Prefix) (fib.NextHop, bool) {
+// decide is a vantage's decision for one prefix from the prefix's facts
+// and the vantage's IGP row: the first static whose router is up and
+// whose PoP the vantage reaches pins the egress; everything else is the
+// geo decision process over the candidates (pickGeo). An invalid next
+// hop means no route.
+func decide(vantage *PoP, igp *igpRow, r *prefixFacts, prefix netip.Prefix) fib.NextHop {
 	for _, s := range r.statics {
-		if s.pop != nil && !s.down && v.igp[s.pop.ID-1] < igpInf {
-			return fib.NextHop{PoP: s.pop.ID, Router: s.router}, true
+		if s.pop != nil && !s.down && igp[s.pop.ID-1] < igpInf {
+			return fib.NextHop{PoP: s.pop.ID, Router: s.router}
 		}
 	}
-	i := pickGeo(v.pop, r.cands, prefix, &r.prefs, &v.igp)
+	i := pickGeo(vantage, r.cands, prefix, &r.prefs, igp)
 	if i < 0 {
-		return fib.NextHop{}, false
+		return fib.NextHop{}
 	}
 	s := r.cands[i].Session
-	return fib.NextHop{PoP: s.PoP.ID, Router: s.Router, Neighbor: s.Neighbor.Index}, true
+	return fib.NextHop{PoP: s.PoP.ID, Router: s.Router, Neighbor: s.Neighbor.Index}
 }
 
 // Resolve computes the control-plane decision for one prefix as seen
-// from a vantage PoP: the decision a pass makes (popPass.decide), over
+// from a vantage PoP: the decision a pass makes (decide), over
 // facts read fresh under one reflector policy for this one call. It is
 // the reference answer the compiled per-PoP FIBs are differentially
 // tested against (internal/scenario's three-way agreement invariant,
@@ -339,8 +323,9 @@ func (v *popPass) decide(r *prefixFacts, prefix netip.Prefix) (fib.NextHop, bool
 func (f *Forwarding) Resolve(vantage *PoP, prefix netip.Prefix) (fib.NextHop, bool) {
 	var r prefixFacts
 	f.readFacts(&r, f.RR.Policy(), prefix)
-	v := popPass{pop: vantage, igp: f.Peering.Net.igpRow(vantage)}
-	return v.decide(&r, prefix)
+	igp := f.Peering.Net.igpRow(vantage)
+	nh := decide(vantage, &igp, &r, prefix)
+	return nh, nh.IsValid()
 }
 
 // Path implements fib.Fabric: the internal netsim path between two
@@ -363,21 +348,17 @@ func (f *Forwarding) Engine(code string) *fib.Engine {
 
 // EngineByID returns the forwarding engine of the PoP with the given
 // paper number.
-func (f *Forwarding) EngineByID(id int) *fib.Engine { return f.pops[id-1].eng }
+func (f *Forwarding) EngineByID(id int) *fib.Engine { return f.engines[id-1] }
 
 // Engines returns all engines in PoP-id order.
 func (f *Forwarding) Engines() []*fib.Engine {
-	out := make([]*fib.Engine, 0, len(f.pops))
-	for _, v := range f.pops {
-		out = append(out, v.eng)
-	}
-	return out
+	return slices.Clone(f.engines)
 }
 
 // Congruence checks the compiled data plane against the control plane:
 // for every originated prefix it compares the egress PoP the vantage
-// engine's FIB selects with a fresh control-plane decision (SelectGeo
-// plus management overrides). It returns the number of destinations
+// engine's FIB selects with a fresh control-plane decision (Resolve). It
+// returns the number of destinations
 // where both agree and the number with a route on either side; the two
 // should match for (nearly) all destinations whenever the FIB is
 // caught up.

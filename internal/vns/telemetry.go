@@ -3,7 +3,6 @@ package vns
 import (
 	"net/netip"
 	"strconv"
-	"time"
 
 	"vns/internal/fib"
 	"vns/internal/telemetry"
@@ -15,26 +14,40 @@ import (
 // collectors (no added per-packet cost, no double counting), while the
 // media flow driver holds pre-resolved counter handles.
 
-// CompileObserver registers fib_compile_seconds in reg and returns the
-// fib.Config.PublishObserver a deployment's publishers share: every
-// publish lands in the histogram and is attributed to the convergence
-// event that invalidated it. Compile latency is wall-clock, so the family
-// is volatile: rendered on the admin endpoint, excluded from
-// deterministic snapshots. The stage families must stay on conv's clock:
-// unless wall says conv runs on wall seconds, a compile takes zero
-// simulated time and is recorded as 0, which keeps the observation
+// CompileRecorder records FIB publishes for the forwarding plane's pass
+// and the soak: in fib_compile_seconds, and against their event.
+type CompileRecorder struct {
+	hist *telemetry.Histogram
+	conv *telemetry.Convergence
+	wall bool
+}
+
+// NewCompileRecorder registers fib_compile_seconds in reg and returns
+// the recorder that feeds it and conv. Compile latency is wall-clock,
+// so the family is volatile: rendered on the admin endpoint, excluded
+// from deterministic snapshots. The stage families must stay on conv's
+// clock: unless wall says conv runs on wall seconds, a compile takes
+// zero simulated time and is recorded as 0, which keeps the observation
 // counts pinnable and the sums deterministic.
-func CompileObserver(reg *telemetry.Registry, conv *telemetry.Convergence, wall bool) func(event uint64, d time.Duration) {
+func NewCompileRecorder(reg *telemetry.Registry, conv *telemetry.Convergence, wall bool) *CompileRecorder {
 	h := reg.Histogram("fib_compile_seconds", "FIB trie compile latency", telemetry.DefBuckets)
 	reg.MarkVolatile("fib_compile_seconds")
-	return func(event uint64, d time.Duration) {
-		h.Observe(d.Seconds())
-		sec := 0.0
-		if wall {
-			sec = d.Seconds()
-		}
-		conv.ObserveCompileFor(event, sec)
+	return &CompileRecorder{hist: h, conv: conv, wall: wall}
+}
+
+// Record records one publish, f as fib.Publisher.Publish returned it,
+// against event (0 for none). A nil f — a publish in which no next hop
+// moved — and a nil recorder record nothing.
+func (r *CompileRecorder) Record(event uint64, f *fib.FIB) {
+	if r == nil || f == nil {
+		return
 	}
+	d := f.CompileDuration()
+	r.hist.Observe(d.Seconds())
+	if !r.wall {
+		d = 0
+	}
+	r.conv.ObserveCompileFor(event, d.Seconds())
 }
 
 // registerTelemetry registers the forwarding plane's metric families in
@@ -43,8 +56,8 @@ func (f *Forwarding) registerTelemetry(reg *telemetry.Registry) {
 	engineCounter := func(name, help string, get func(fib.EngineStats) uint64) {
 		reg.RegisterFunc(name, help, telemetry.KindCounter, []string{"pop"},
 			func(emit func([]string, float64)) {
-				for _, v := range f.pops {
-					emit([]string{v.pop.Code}, float64(get(v.eng.Stats())))
+				for i, e := range f.engines {
+					emit([]string{f.Peering.Net.PoPs[i].Code}, float64(get(e.Stats())))
 				}
 			})
 	}
@@ -66,8 +79,8 @@ func (f *Forwarding) registerTelemetry(reg *telemetry.Registry) {
 	engineGauge := func(name, help string, get func(fib.EngineStats) float64) {
 		reg.RegisterFunc(name, help, telemetry.KindGauge, []string{"pop"},
 			func(emit func([]string, float64)) {
-				for _, v := range f.pops {
-					emit([]string{v.pop.Code}, get(v.eng.Stats()))
+				for i, e := range f.engines {
+					emit([]string{f.Peering.Net.PoPs[i].Code}, get(e.Stats()))
 				}
 			})
 	}
