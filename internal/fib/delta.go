@@ -1,7 +1,10 @@
 package fib
 
 import (
+	"maps"
 	"net/netip"
+	"slices"
+	"sync/atomic"
 	"time"
 )
 
@@ -13,7 +16,10 @@ import (
 // of prefixes at a time. Delta patches the affected stride nodes only,
 // under copy-on-write: every node on a modified path is cloned into
 // the new generation, so the previously published *FIB stays immutable
-// and readers of either generation remain wait-free.
+// and readers of either generation remain wait-free. The next-hop table
+// is shared with the parent generation too, and copied only when a
+// patch brings a next hop it does not hold: a patch costs the nodes it
+// clones and one FIB header, not a pass over the table.
 //
 // Ownership is tracked per leaf slot (node.leafBits): a slot records
 // the length of the prefix whose action occupies it. A patch for
@@ -46,20 +52,31 @@ type Patch struct {
 	CoverBits int
 }
 
+// deltaSessions hands every Delta call a unique owner ID. The
+// generation cannot serve: it is caller-chosen, so two sessions may
+// share one, and a reused stamp would let a session write in place
+// into nodes a published FIB holds.
+var deltaSessions atomic.Uint64
+
 // delta tracks one in-progress copy-on-write patch session: the FIB
-// being built and the set of nodes already cloned into it, so a batch
-// touching overlapping paths clones each node once.
+// being built, the owner ID stamped on every node cloned into it (so a
+// batch touching overlapping paths clones each node once), and whether
+// the FIB's next-hop table is still the parent's.
 type delta struct {
-	f     *FIB
-	owned map[*node]bool
+	f        *FIB
+	id       uint64
+	sharedNH bool
 }
 
 // Delta returns a new FIB equal to f with the given patches applied,
 // tagged with the given generation. The receiver is not modified: every
-// touched node is cloned (copy-on-write), untouched subtrees are shared
-// between generations. Cost is proportional to the patched address
-// space, not the table size. Non-IPv4 prefixes and no-op withdrawals
-// are ignored, mirroring Compile's input normalization.
+// touched node is cloned (copy-on-write), untouched subtrees and the
+// next-hop table are shared between generations, the table being
+// copied only if a patch brings a next hop it does not hold. Cost is
+// proportional to the patched address space, not the table size.
+// Prefixes are normalized as Compile does them; non-IPv4 prefixes and
+// no-op withdrawals are ignored. Any number of Deltas may be taken off
+// one FIB, each independent of the others.
 //
 // Correctness contract (differentially fuzzed by FuzzDeltaCompile):
 // for any entry set E and patch batch B, Delta(E)(B) is
@@ -68,34 +85,26 @@ func (f *FIB) Delta(patches []Patch, gen uint64) *FIB {
 	start := time.Now() //vnslint:wallclock measures real patch cost, not simulated time
 
 	nf := &FIB{
-		nexthops: append([]NextHop(nil), f.nexthops...),
-		nhIndex:  make(map[NextHop]int32, len(f.nhIndex)+1),
+		nexthops: f.nexthops,
+		nhIndex:  f.nhIndex,
 		gen:      gen,
 		prefixes: f.prefixes,
 		nodes:    f.nodes,
 		deltas:   f.deltas + 1,
 	}
-	//vnslint:maprange map-to-map index copy; destination is a map, order cannot escape
-	for nh, idx := range f.nhIndex {
-		nf.nhIndex[nh] = idx
-	}
-	d := &delta{f: nf, owned: make(map[*node]bool, 16)}
+	d := delta{f: nf, id: deltaSessions.Add(1), sharedNH: true}
 	nf.root = d.clone(f.root)
 
 	for _, p := range patches {
-		pfx := p.Prefix
-		if pfx.Addr().Is4In6() {
-			pfx = netip.PrefixFrom(pfx.Addr().Unmap(), pfx.Bits())
-		}
-		if !pfx.Addr().Is4() {
+		pfx, ok := normalize(p.Prefix)
+		if !ok {
 			continue
 		}
-		pfx = pfx.Masked()
 		if p.Install {
 			if !p.NextHop.IsValid() {
 				continue
 			}
-			d.install(pfx, nf.internNextHop(p.NextHop))
+			d.install(pfx, d.intern(p.NextHop))
 			if !p.Existed {
 				nf.prefixes++
 			}
@@ -105,7 +114,7 @@ func (f *FIB) Delta(patches []Patch, gen uint64) *FIB {
 			}
 			coverIdx := int32(0)
 			if p.Cover.IsValid() {
-				coverIdx = nf.internNextHop(p.Cover)
+				coverIdx = d.intern(p.Cover)
 			}
 			d.withdraw(pfx, coverIdx, int8(p.CoverBits))
 			nf.prefixes--
@@ -120,16 +129,32 @@ func (f *FIB) Delta(patches []Patch, gen uint64) *FIB {
 // full compile (0 for a freshly compiled table).
 func (f *FIB) Deltas() int { return f.deltas }
 
+// intern returns nh's 1-based index in the new generation's next-hop
+// table. The table starts out as the parent's; the first next hop it
+// lacks copies it (and its index) before the append, so the parent's
+// table, and every other generation sharing it, is never written.
+func (d *delta) intern(nh NextHop) int32 {
+	if idx, ok := d.f.nhIndex[nh]; ok {
+		return idx
+	}
+	if d.sharedNH {
+		d.f.nexthops = slices.Clone(d.f.nexthops)
+		d.f.nhIndex = maps.Clone(d.f.nhIndex)
+		d.sharedNH = false
+	}
+	return d.f.internNextHop(nh)
+}
+
 // clone returns a node owned by this delta session: n itself when a
 // previous patch in the batch already cloned it, a fresh copy
 // otherwise. The caller stores the result back into its parent slot.
 func (d *delta) clone(n *node) *node {
-	if d.owned[n] {
+	if n.owner == d.id {
 		return n
 	}
 	c := new(node)
 	*c = *n
-	d.owned[c] = true
+	c.owner = d.id
 	return c
 }
 
@@ -146,8 +171,7 @@ func (d *delta) walk(pfx netip.Prefix) (n *node, lo, span int) {
 		b := addr[depth]
 		c := n.child[b]
 		if c == nil {
-			c = new(node)
-			d.owned[c] = true
+			c = &node{owner: d.id}
 			d.f.nodes++
 			// Leaf-push: the covering route at this slot applies to the
 			// whole new subtree until the patch overwrites part of it.

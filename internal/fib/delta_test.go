@@ -1,6 +1,7 @@
 package fib
 
 import (
+	"maps"
 	"net/netip"
 	"testing"
 
@@ -235,13 +236,13 @@ func TestDeltaRandomizedSequence(t *testing.T) {
 			model[e.Prefix.Masked()] = e.NextHop
 		}
 		cur := Compile(entriesOf(model), 1)
-		gen := uint64(1)
+		gen, fresh := uint64(1), 0
 		for batch := 0; batch < 40; batch++ {
 			before := make(map[netip.Prefix]NextHop, len(model))
 			for p, h := range model {
 				before[p] = h
 			}
-			touched := mutateModel(rng, model, 1+int(rng.Float64()*6))
+			touched := mutateModel(rng, model, 1+int(rng.Float64()*6), &fresh)
 			patches := modelPatches(before, model, touched)
 			gen++
 			cur = cur.Delta(patches, gen)
@@ -254,8 +255,12 @@ func TestDeltaRandomizedSequence(t *testing.T) {
 }
 
 // mutateModel applies n random announce/withdraw/change ops to the
-// model in place and returns the touched prefix set.
-func mutateModel(rng *loss.RNG, model map[netip.Prefix]NextHop, n int) map[netip.Prefix]struct{} {
+// model in place and returns the touched prefix set. About half the
+// installs take one of the eleven next hops randomEntries deals out,
+// which a table built from it already holds; the rest bring a next hop
+// no table has seen (a neighbor index above 100, counted up in *fresh),
+// so a Delta both shares its parent's next-hop table and copies it.
+func mutateModel(rng *loss.RNG, model map[netip.Prefix]NextHop, n int, fresh *int) map[netip.Prefix]struct{} {
 	touched := make(map[netip.Prefix]struct{}, n)
 	for i := 0; i < n; i++ {
 		if rng.Float64() < 0.4 && len(model) > 0 {
@@ -275,10 +280,68 @@ func mutateModel(rng *loss.RNG, model map[netip.Prefix]NextHop, n int) map[netip
 			continue
 		}
 		p := e[0].Prefix.Masked()
-		model[p] = e[0].NextHop
+		h := nh(1 + int(rng.Float64()*11))
+		if rng.Float64() < 0.5 {
+			*fresh++
+			h.Neighbor = 100 + *fresh
+		}
+		model[p] = h
 		touched[p] = struct{}{}
 	}
 	return touched
+}
+
+// TestDeltaSiblingsIndependent takes two Deltas off one parent, each
+// interning a next hop the parent's table lacks, and a third off the
+// first under the first's own generation. Every table must keep its
+// own answers: the siblings must not append into one shared next-hop
+// array, and a reused generation must not let a session write in place
+// into a published generation's nodes.
+func TestDeltaSiblingsIndependent(t *testing.T) {
+	base := map[netip.Prefix]NextHop{
+		mustPrefix("10.0.0.0/8"):  nh(1),
+		mustPrefix("10.1.0.0/16"): nh(2),
+		mustPrefix("20.0.0.0/8"):  nh(3),
+	}
+	parent := Compile(entriesOf(base), 1)
+	if cap(parent.nexthops) == len(parent.nexthops) {
+		t.Fatal("the parent's next-hop table has no spare capacity, so a shared append could not show")
+	}
+	pa, pb, pc := mustPrefix("10.1.2.0/24"), mustPrefix("20.1.0.0/16"), mustPrefix("10.1.3.0/24")
+	fresh := func(n int) NextHop { h := nh(4); h.Neighbor = 100 + n; return h }
+	with := func(m map[netip.Prefix]NextHop, pfx netip.Prefix, h NextHop) map[netip.Prefix]NextHop {
+		out := maps.Clone(m)
+		out[pfx] = h
+		return out
+	}
+	install := func(f *FIB, pfx netip.Prefix, h NextHop) *FIB {
+		return f.Delta([]Patch{{Prefix: pfx, Install: true, NextHop: h}}, 2)
+	}
+	a, b := install(parent, pa, fresh(1)), install(parent, pb, fresh(2))
+	c := install(a, pc, fresh(3))
+	modelA := with(base, pa, fresh(1))
+
+	rng := loss.NewRNG(0x51B)
+	for _, g := range []struct {
+		name  string
+		f     *FIB
+		model map[netip.Prefix]NextHop
+	}{
+		{"parent", parent, base},
+		{"first sibling", a, modelA},
+		{"second sibling", b, with(base, pb, fresh(2))},
+		{"child under a reused generation", c, with(modelA, pc, fresh(3))},
+	} {
+		checkDeltaEquiv(t, g.f, g.model, rng, g.name)
+		// Probe each table where the others were patched too.
+		ref := NewLinear(entriesOf(g.model))
+		for _, pfx := range []netip.Prefix{pa, pb, pc} {
+			want, _ := ref.Lookup(pfx.Addr())
+			if got, _ := g.f.Lookup(pfx.Addr()); got != want {
+				t.Errorf("%s: Lookup(%v) = %v, want %v: another Delta wrote into this table", g.name, pfx.Addr(), got, want)
+			}
+		}
+	}
 }
 
 // TestPublisherDeltaPath drives the Publisher through its delta-eligible
@@ -386,7 +449,10 @@ func TestPublisherDeltaThresholdRoutesLargeBatch(t *testing.T) {
 // recompiled) and to a model map; after every batch the patched trie
 // must be lookup-equivalent to a from-scratch reference over the
 // model — probed exhaustively at every prefix's first and last address
-// plus random samples — with Size() exact.
+// plus random samples — with Size() exact. The generation it was
+// patched from must still match the model it was built from: a batch
+// mixes next hops the shared table holds with new ones (mutateModel),
+// and neither may reach the parent's table or nodes.
 func FuzzDeltaCompile(f *testing.F) {
 	f.Add(uint64(1), uint16(64), uint16(32))
 	f.Add(uint64(42), uint16(512), uint16(16))
@@ -407,19 +473,77 @@ func FuzzDeltaCompile(f *testing.F) {
 			model[e.Prefix.Masked()] = e.NextHop
 		}
 		cur := Compile(entriesOf(model), 1)
-		gen := uint64(1)
+		gen, fresh := uint64(1), 0
 		for batch := 0; batch < int(numBatches); batch++ {
 			before := make(map[netip.Prefix]NextHop, len(model))
 			for p, h := range model {
 				before[p] = h
 			}
-			touched := mutateModel(rng, model, 1+int(rng.Float64()*8))
+			touched := mutateModel(rng, model, 1+int(rng.Float64()*8), &fresh)
 			gen++
+			prev := cur
 			cur = cur.Delta(modelPatches(before, model, touched), gen)
 			if cur.Generation() != gen {
 				t.Fatalf("batch %d: generation = %d, want %d", batch, cur.Generation(), gen)
 			}
 			checkDeltaEquiv(t, cur, model, rng, "fuzz")
+			checkDeltaEquiv(t, prev, before, rng, "fuzz/parent")
 		}
 	})
+}
+
+// TestDeltaBudgetTest is the delta patch's allocation budget in CI
+// (`go test -run BudgetTest ./internal/fib`). On a table shaped like
+// the seed-1 world's (358 consecutive /20s over 95 next hops), a
+// single-prefix /20 install whose next hop the table already holds
+// allocates the three path nodes it clones and the FIB header: nothing
+// that grows with the table. A Publish of that change allocates no
+// more than the Delta it makes. Skips under -race and -short, where
+// allocation counts reflect instrumentation, not design.
+func TestDeltaBudgetTest(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instruments the patch path; budget not meaningful")
+	}
+	if testing.Short() {
+		t.Skip("skipping budget measurement in -short mode")
+	}
+	const budget = 4 // root, depth-1 and depth-2 clones, plus the FIB
+	routes := make(map[netip.Prefix]NextHop, 358)
+	for i := 0; i < 358; i++ {
+		a := uint32(1)<<24 | uint32(i)<<12
+		pfx := netip.PrefixFrom(netip.AddrFrom4([4]byte{byte(a >> 24), byte(a >> 16), byte(a >> 8), 0}), 20)
+		h := nh(1 + i%95%11)
+		h.Neighbor = i % 95
+		routes[pfx] = h
+	}
+	universe := entriesOf(routes)
+	pfx := universe[0].Prefix
+	hops := [2]NextHop{universe[1].NextHop, universe[0].NextHop}
+
+	cur := Compile(universe, 1)
+	k := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		k++
+		cur.Delta([]Patch{{Prefix: pfx, Install: true, NextHop: hops[k%2], Existed: true}}, uint64(k+1))
+	})
+	t.Logf("Delta: %.0f allocations per single-prefix install over %d next hops", allocs, len(cur.nexthops))
+	if allocs > budget {
+		t.Errorf("Delta of one /20 makes %.0f allocations, budget %d", allocs, budget)
+	}
+
+	p := NewEngine(1, nil).Publisher()
+	p.Publish(universe)
+	allocs = testing.AllocsPerRun(100, func() {
+		k++
+		if p.Publish([]Entry{{Prefix: pfx, NextHop: hops[k%2]}}) == nil {
+			t.Fatal("a moved next hop published nothing")
+		}
+	})
+	t.Logf("Publish: %.0f allocations per single-prefix change", allocs)
+	if allocs > budget {
+		t.Errorf("Publish of one /20 makes %.0f allocations, budget %d", allocs, budget)
+	}
+	if s := p.Stats(); s.Compiles != 1 {
+		t.Errorf("Compiles = %d, want 1: every measured publish must take the delta path", s.Compiles)
+	}
 }

@@ -58,6 +58,10 @@ type Entry struct {
 // compiles (Delta) honor this by copy-on-write cloning every node they
 // touch into the new generation.
 type node struct {
+	// owner is the ID of the Delta session that created or cloned the
+	// node (0 for Compile's). A session writes in place only into nodes
+	// stamped with its own ID; any other belongs to a published FIB.
+	owner uint64
 	child [256]*node
 	// leaf holds 1-based indexes into FIB.nexthops; 0 means no route.
 	// When child[i] is non-nil the covering route has been pushed down
@@ -78,7 +82,10 @@ type node struct {
 // FIB is one immutable compiled forwarding table. All methods are safe
 // for unsynchronized concurrent use.
 type FIB struct {
-	root     *node
+	root *node
+	// nexthops is the action table leaf indexes point into. Deltas
+	// share it (and nhIndex) across generations; a published table is
+	// never written (delta.intern copies before it appends).
 	nexthops []NextHop
 	// nhIndex maps a next hop to its 1-based index in nexthops, so
 	// delta compiles can extend the action table without rescanning it.
@@ -93,10 +100,29 @@ type FIB struct {
 	deltas int
 }
 
+// normalize returns the masked IPv4 prefix p names. An IPv4-mapped
+// prefix of 96 bits or more maps to the IPv4 prefix it embeds
+// (::ffff:10.1.0.0/112 is 10.1.0.0/16), as geoip.DB.Insert stores it.
+// It reports false for a shorter mapped prefix and for every other
+// non-IPv4 or invalid prefix: the forwarding plane carries IPv4 only.
+func normalize(p netip.Prefix) (netip.Prefix, bool) {
+	if a := p.Addr(); a.Is4In6() {
+		if p.Bits() < 96 {
+			return netip.Prefix{}, false
+		}
+		p = netip.PrefixFrom(a.Unmap(), p.Bits()-96)
+	}
+	if !p.IsValid() || !p.Addr().Is4() {
+		return netip.Prefix{}, false
+	}
+	return p.Masked(), true
+}
+
 // Compile builds a FIB from entries, tagged with the given generation.
 // Later duplicates of the same prefix win, mirroring table replacement
-// semantics. Non-IPv4 prefixes are ignored (the forwarding plane is
-// IPv4, like the paper's deployment).
+// semantics. Prefixes are normalized: an IPv4-mapped one is the IPv4
+// prefix it embeds, other non-IPv4 ones are ignored (the forwarding
+// plane is IPv4, like the paper's deployment).
 func Compile(entries []Entry, gen uint64) *FIB {
 	start := time.Now() //vnslint:wallclock measures real compile cost, not simulated time
 
@@ -106,14 +132,9 @@ func Compile(entries []Entry, gen uint64) *FIB {
 	// longer prefixes split them.
 	dedup := make(map[netip.Prefix]NextHop, len(entries))
 	for _, e := range entries {
-		p := e.Prefix
-		if p.Addr().Is4In6() {
-			p = netip.PrefixFrom(p.Addr().Unmap(), p.Bits())
+		if p, ok := normalize(e.Prefix); ok && e.NextHop.IsValid() {
+			dedup[p] = e.NextHop
 		}
-		if !p.Addr().Is4() || !e.NextHop.IsValid() {
-			continue
-		}
-		dedup[p.Masked()] = e.NextHop
 	}
 	ordered := make([]Entry, 0, len(dedup))
 	for p, nh := range dedup {
@@ -136,7 +157,7 @@ func Compile(entries []Entry, gen uint64) *FIB {
 }
 
 // internNextHop returns nh's 1-based index in f.nexthops, appending it
-// on first sight.
+// on first sight. f must own its table (see delta.intern).
 func (f *FIB) internNextHop(nh NextHop) int32 {
 	idx, ok := f.nhIndex[nh]
 	if !ok {

@@ -98,6 +98,53 @@ func TestCompileIgnoresInvalid(t *testing.T) {
 	}
 }
 
+// TestMappedPrefixNormalized holds every write path to one reading of
+// an IPv4-mapped prefix: ::ffff:10.1.0.0/112 is 10.1.0.0/16, and a
+// mapped prefix shorter than /96 is ignored like any IPv6 one. A
+// withdrawal of the mapped form falls back to the IPv4 cover.
+func TestMappedPrefixNormalized(t *testing.T) {
+	cover, mapped, short := mustPrefix("10.0.0.0/8"), mustPrefix("::ffff:10.1.0.0/112"), mustPrefix("::ffff:0:0/95")
+	inside, outside := netip.MustParseAddr("10.1.2.3"), netip.MustParseAddr("10.2.0.1")
+	cases := []struct {
+		name  string
+		build func() *FIB
+		// want is the PoP each probe resolves to.
+		want map[netip.Addr]int
+		size int
+	}{
+		{"compile", func() *FIB {
+			return Compile([]Entry{{cover, nh(1)}, {mapped, nh(2)}, {short, nh(3)}}, 1)
+		}, map[netip.Addr]int{inside: 2, outside: 1}, 2},
+		{"delta-install", func() *FIB {
+			return Compile([]Entry{{cover, nh(1)}}, 1).Delta([]Patch{
+				{Prefix: mapped, Install: true, NextHop: nh(2)},
+				{Prefix: short, Install: true, NextHop: nh(3)},
+			}, 2)
+		}, map[netip.Addr]int{inside: 2, outside: 1}, 2},
+		{"publish-withdraw-under-cover", func() *FIB {
+			p := NewEngine(1, nil).Publisher()
+			p.Publish([]Entry{{cover, nh(1)}, {mapped, nh(2)}})
+			return p.Publish([]Entry{{Prefix: mapped}})
+		}, map[netip.Addr]int{inside: 1, outside: 1}, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := tc.build()
+			if f == nil {
+				t.Fatal("nothing was published")
+			}
+			if f.Size() != tc.size {
+				t.Errorf("Size() = %d, want %d", f.Size(), tc.size)
+			}
+			for addr, pop := range tc.want {
+				if got, ok := f.Lookup(addr); !ok || got.PoP != pop {
+					t.Errorf("Lookup(%v) = %v, %v; want pop%d", addr, got, ok, pop)
+				}
+			}
+		})
+	}
+}
+
 // TestTrieMatchesLinearRandom cross-checks the trie against the
 // reference linear LPM on deterministic pseudo-random prefix sets; the
 // fuzz target extends this under `-fuzz` with mutation.

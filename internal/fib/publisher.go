@@ -54,8 +54,12 @@ type Publisher struct {
 	eng *Engine
 
 	// mu guards the write state against Stats readers.
-	mu      sync.Mutex
+	mu sync.Mutex
+	// entries is the installed set, keyed by normalized prefix.
 	entries map[netip.Prefix]NextHop
+	// patches is the one writer's patch buffer, reused by every publish
+	// small enough to patch.
+	patches []Patch
 	gen     uint64
 	stats   Stats
 }
@@ -64,7 +68,9 @@ type Publisher struct {
 // before it returns. The batch must be sorted by detsort.PrefixCompare
 // without duplicates, so the delta patch applies covers before the
 // prefixes they contain; an unsorted batch panics. An entry with an
-// invalid NextHop withdraws its prefix.
+// invalid NextHop withdraws its prefix. Prefixes are normalized as
+// Compile does them: an IPv4-mapped prefix installs or withdraws the
+// IPv4 prefix it embeds, and other non-IPv4 prefixes are ignored.
 //
 // The first publish is the initial table download and always a full
 // compile. Later ones publish only when a next hop moved: a
@@ -81,8 +87,8 @@ func (p *Publisher) Publish(batch []Entry) *FIB {
 	if p.gen == 0 {
 		p.entries = make(map[netip.Prefix]NextHop, len(batch))
 		for _, e := range batch {
-			if e.NextHop.IsValid() {
-				p.entries[e.Prefix] = e.NextHop
+			if pfx, ok := normalize(e.Prefix); ok && e.NextHop.IsValid() {
+				p.entries[pfx] = e.NextHop
 			}
 		}
 		return p.compileLocked()
@@ -90,17 +96,26 @@ func (p *Publisher) Publish(batch []Entry) *FIB {
 	if len(batch) == 0 {
 		return nil
 	}
-	patches := make([]Patch, 0, 8)
+	patches := p.patches[:0]
 	for _, e := range batch {
-		old, had := p.entries[e.Prefix]
+		pfx, ok := normalize(e.Prefix)
+		if !ok {
+			continue
+		}
+		old, had := p.entries[pfx]
 		switch {
 		case e.NextHop.IsValid() && (!had || old != e.NextHop):
-			p.entries[e.Prefix] = e.NextHop
-			patches = append(patches, Patch{Prefix: e.Prefix, Install: true, NextHop: e.NextHop, Existed: had})
+			p.entries[pfx] = e.NextHop
+			patches = append(patches, Patch{Prefix: pfx, Install: true, NextHop: e.NextHop, Existed: had})
 		case !e.NextHop.IsValid() && had:
-			delete(p.entries, e.Prefix)
-			patches = append(patches, Patch{Prefix: e.Prefix, Existed: true})
+			delete(p.entries, pfx)
+			patches = append(patches, Patch{Prefix: pfx, Existed: true})
 		}
+	}
+	if cap(patches) <= deltaThreshold {
+		// Keep the buffer for the next publish, but not one grown by a
+		// batch that compiles in full anyway.
+		p.patches = patches
 	}
 	switch {
 	case len(patches) == 0:

@@ -12,9 +12,13 @@ import (
 // one writer publishes batch after batch while readers look up through
 // the Engine and read Stats. The published generation never goes
 // backwards at any reader, and once the writer is done the table is
-// exactly the last batch's decisions, withdrawals included. (Concurrent
-// invalidations are serialized by the layer above the Publisher; that
-// is vns.TestForwardingConcurrentInvalidate.)
+// exactly the last batch's decisions, withdrawals included. Every other
+// round interns next hops no table has held, so the writer copies the
+// next-hop table it otherwise shares; readers also keep a FIB they
+// loaded earlier and look up in it, and its answers must not change
+// under them. Run it under -race. (Concurrent invalidations are
+// serialized by the layer above the Publisher; that is
+// vns.TestForwardingConcurrentInvalidate.)
 func TestPublisherOneWriterConcurrentReaders(t *testing.T) {
 	const (
 		nPrefixes = 64
@@ -26,13 +30,16 @@ func TestPublisherOneWriterConcurrentReaders(t *testing.T) {
 		prefixes[i] = netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i), 0, 0}), 16)
 	}
 	// round's batch names a quarter of the prefixes and withdraws about
-	// a seventh of those.
+	// a seventh of those; an odd round's next hops are new ones.
 	round := func(r int) []Entry {
 		var batch []Entry
 		for i := r % 4; i < nPrefixes; i += 4 {
 			d := Entry{Prefix: prefixes[i]}
 			if (r+i)%7 != 0 {
 				d.NextHop = nh(1 + (r+i)%11)
+				if r%2 == 1 {
+					d.NextHop.Neighbor = 100 + r
+				}
 			}
 			batch = append(batch, d)
 		}
@@ -51,7 +58,9 @@ func TestPublisherOneWriterConcurrentReaders(t *testing.T) {
 		go func() {
 			defer readers.Done()
 			var lastGen uint64
-			for {
+			var held *FIB
+			answers := make([]NextHop, nPrefixes)
+			for k := 0; ; k++ {
 				select {
 				case <-stop:
 					return
@@ -68,6 +77,16 @@ func TestPublisherOneWriterConcurrentReaders(t *testing.T) {
 				}
 				lastGen = gen
 				e.Lookup(prefixes[int(gen)%nPrefixes].Addr())
+				if k%256 == 0 {
+					held = e.Current()
+					for i, pfx := range prefixes {
+						answers[i], _ = held.Lookup(pfx.Addr())
+					}
+				}
+				if got, _ := held.Lookup(prefixes[k%nPrefixes].Addr()); got != answers[k%nPrefixes] {
+					errs <- fmt.Sprintf("generation %d answered %v for %v, then %v", held.Generation(), answers[k%nPrefixes], prefixes[k%nPrefixes], got)
+					return
+				}
 				lookups.Add(1)
 			}
 		}()

@@ -3,6 +3,8 @@ package vns
 import (
 	"net/netip"
 	"testing"
+
+	"vns/internal/loss"
 )
 
 // widestPrefix returns the prefix of the world with the most candidate
@@ -62,4 +64,55 @@ func TestBudgetTest(t *testing.T) {
 			t.Errorf("%s: Resolve(%v) makes %.0f allocations, budget 1", v.Code, pfx, allocs)
 		}
 	}
+}
+
+// BenchmarkOverride measures one management override and its undo on
+// the seed-1 world: ForceExit of a seeded prefix to a router other than
+// its current egress, then Unforce, each through the GeoRR, the
+// forwarding plane's resolve pass and eleven Publishers' delta
+// publishes. One op is the pair; publishes/op counts the delta
+// publishes it cost across the PoPs.
+func BenchmarkOverride(b *testing.B) {
+	pr, rr, f := decisionWorld(b, 1, 120)
+	type override struct {
+		pfx netip.Prefix
+		to  netip.Addr
+	}
+	lon := f.Engine("LON")
+	rng := loss.NewRNG(0x0E1)
+	var picks []override
+	for try := 0; len(picks) < 64 && try < 64*len(pr.Topo.Prefixes); try++ {
+		pi := &pr.Topo.Prefixes[int(rng.Float64()*float64(len(pr.Topo.Prefixes)))]
+		cur, ok := lon.Lookup(pi.Prefix.Addr())
+		if !ok {
+			continue
+		}
+		for _, c := range pr.Candidates(pi.Origin) {
+			if c.Session.Router != cur.Router {
+				picks = append(picks, override{pi.Prefix, c.Session.Router})
+				break
+			}
+		}
+	}
+	if len(picks) == 0 {
+		b.Fatal("no prefix with a second egress router")
+	}
+	deltas := func() (n uint64) {
+		for _, e := range f.Engines() {
+			n += e.Publisher().Stats().DeltaCompiles
+		}
+		return n
+	}
+	before := deltas()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o := picks[i%len(picks)]
+		if err := rr.ForceExit(o.pfx, o.to); err != nil {
+			b.Fatal(err)
+		}
+		rr.Unforce(o.pfx)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(deltas()-before)/float64(b.N), "publishes/op")
 }
