@@ -165,18 +165,22 @@ func (c *Controller) Apply(a, b *vns.PoP, up bool) time.Duration {
 // whether its state changed. A drain moves no route in the reflector, so
 // like a liveness withdrawal it republishes every PoP's FIB itself, in
 // one universe-wide resolve pass: one "drain" convergence event,
-// serialized with Apply.
+// serialized with Apply. A drain that changes nothing (egress-down of a
+// router already down) returns before the event, like Apply's stale
+// transitions, and starts no pass.
 func (c *Controller) Drain(router netip.Addr, down bool) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if !c.rr.SetEgressDown(router, down) {
+		return false
+	}
 	ev := c.fwd.Convergence().Begin(telemetry.ConvDrain)
 	mark := ev.Mark()
-	changed := c.rr.SetEgressDown(router, down)
 	c.fwd.InvalidateAll()
 	c.fwd.Flush()
 	ev.StageExclusive(telemetry.StageForwarding, mark)
 	ev.Finish()
-	return changed
+	return true
 }
 
 // popIsolated reports whether every L2 adjacency of p is down — the

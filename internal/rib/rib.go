@@ -79,22 +79,13 @@ func (r *Route) String() string {
 	return fmt.Sprintf("%v via AS%d (%s, lp=%d, igp=%d)", r.Prefix, r.PeerAS, kind, r.LocalPref(), r.IGPMetric)
 }
 
-// Compare implements the decision process: it returns a negative value
-// if a is preferred over b, positive if b is preferred, and 0 only for
-// routes indistinguishable at every step.
-//
-// Steps, in order (RFC 4271 §9.1.2.2 plus the RFC 4456 refinement):
-//  1. highest LOCAL_PREF
-//  2. shortest AS path
-//  3. lowest ORIGIN
-//  4. lowest MED, compared only between routes from the same
-//     neighboring AS (missing MED treated as 0 per common default)
-//  5. eBGP preferred over iBGP
-//  6. lowest IGP metric to the NEXT_HOP (hot potato)
-//  7. shortest CLUSTER_LIST (RFC 4456 §9)
-//  8. lowest ORIGINATOR_ID / router ID
-//  9. lowest peer address
-func Compare(a, b *Route) int {
+// CompareAttrs is the decision process's steps 1–3, the ones a route's
+// own attributes decide: highest LOCAL_PREF (DefaultLocalPref when the
+// attribute is absent), then shortest AS path, then lowest ORIGIN. It
+// reads nothing about where the route was learned or who compares it,
+// so two routes rank the same here from every vantage, and Compare
+// never reverses a nonzero answer. 0 means the later steps decide.
+func CompareAttrs(a, b *Route) int {
 	if la, lb := a.LocalPref(), b.LocalPref(); la != lb {
 		if la > lb {
 			return -1
@@ -112,6 +103,30 @@ func Compare(a, b *Route) int {
 			return -1
 		}
 		return 1
+	}
+	return 0
+}
+
+// Compare implements the decision process: it returns a negative value
+// if a is preferred over b, positive if b is preferred, and 0 only for
+// routes indistinguishable at every step.
+//
+// Steps, in order (RFC 4271 §9.1.2.2 plus the RFC 4456 refinement):
+//  1. highest LOCAL_PREF
+//  2. shortest AS path
+//  3. lowest ORIGIN
+//  4. lowest MED, compared only between routes from the same
+//     neighboring AS (missing MED treated as 0 per common default)
+//  5. eBGP preferred over iBGP
+//  6. lowest IGP metric to the NEXT_HOP (hot potato)
+//  7. shortest CLUSTER_LIST (RFC 4456 §9)
+//  8. lowest ORIGINATOR_ID / router ID
+//  9. lowest peer address
+//
+// Steps 1–3 are CompareAttrs; the rest read the learning context.
+func Compare(a, b *Route) int {
+	if c := CompareAttrs(a, b); c != 0 {
+		return c
 	}
 	if a.PeerAS == b.PeerAS {
 		ma, mb := a.med(), b.med()

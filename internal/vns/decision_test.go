@@ -212,11 +212,11 @@ func refUniverse(pr *Peering, rr *core.GeoRR) []netip.Prefix {
 
 // driveDecisionStates walks the world through a seeded sequence of
 // states, calling check in each. The states cover every input the
-// decision reads: an isolated PoP with its routers withdrawn, an IGP
-// change that withdraws nothing, a drained egress, a force-exit to one
-// router of a two-router PoP (a preference keyed by PoP instead of
-// router fails here), exemption, an adaptive override, and a static
-// more-specific whose egress is then drained.
+// decision reads: an isolated PoP with its routers in service and then
+// withdrawn, an IGP change that withdraws nothing, a drained egress, a
+// force-exit to one router of a two-router PoP (a preference keyed by
+// PoP instead of router fails here), exemption, an adaptive override,
+// and a static more-specific whose egress is then drained.
 func driveDecisionStates(t *testing.T, pr *Peering, rr *core.GeoRR, check func(state string)) {
 	t.Helper()
 	net := pr.Net
@@ -224,10 +224,14 @@ func driveDecisionStates(t *testing.T, pr *Peering, rr *core.GeoRR, check func(s
 
 	check("steady")
 
-	// SIN–SYD down isolates SYD; the failover controller withdraws its
-	// routers.
+	// SIN–SYD down isolates SYD. Until the failover controller's
+	// withdrawal sweep, its routers are still in service: every other
+	// vantage has to look past SYD's candidates, the best on their own
+	// attributes for many prefixes, to ones that rank lower. Then the
+	// sweep withdraws them.
 	sin, syd := net.PoP("SIN"), net.PoP("SYD")
 	net.SetL2LinkState(sin, syd, false)
+	check("SIN-SYD down, SYD in service")
 	for _, r := range syd.Routers {
 		rr.SetEgressDown(r, true)
 	}

@@ -56,11 +56,11 @@ type ForwardingConfig struct {
 // InvalidateBatch or InvalidateAll without a debounce, or one debounced
 // flush. A pass loads the reflector's policy once and reads from it
 // each dirty prefix's vantage-independent facts once — the statics
-// pinned to it, the origin's candidate sessions, and each distinct
-// candidate router's liveness and Assign — and then every PoP, in id
-// order, reads its IGP row once, decides every prefix from those shared
-// facts and hands the decisions to its fib.Publisher. Nothing read in a
-// pass outlives it.
+// pinned to it, the origin's candidate sessions, each distinct
+// candidate router's liveness and Assign, and the attribute tier those
+// decide — and then every PoP, in id order, reads its IGP row once,
+// decides every prefix from those shared facts and hands the decisions
+// to its fib.Publisher. Nothing read in a pass outlives it.
 type Forwarding struct {
 	Peering *Peering
 	RR      *core.GeoRR
@@ -118,6 +118,41 @@ type prefixFacts struct {
 	statics []staticFact // the statics for this prefix, in installation order
 	cands   []Candidate  // the origin's candidate sessions
 	prefs   routerPrefs  // each distinct candidate router's preference
+	// tier is the attribute tier (appendTier): the indexes of the
+	// in-service candidates tied for best on the decision steps a
+	// route's own attributes decide (rib.CompareAttrs). Every other
+	// candidate loses to each of them before any vantage-dependent step,
+	// so wherever one of them is usable the decision is among them.
+	tier []int32
+}
+
+// readCandidates fills r's candidate facts for prefix under pol: cands,
+// with one liveness read and one Assign per distinct candidate router,
+// and the attribute tier, which it appends to tiers. It returns the
+// grown buffer, whose entries from len(tiers) on are r's tier; the
+// caller slices r.tier from it, so a buffer on the caller's stack stays
+// there.
+func (r *prefixFacts) readCandidates(pol *core.Policy, cands []Candidate, prefix netip.Prefix, tiers []int32) []int32 {
+	r.cands = cands
+	r.prefs.read(pol, cands, prefix)
+	return appendTier(tiers, cands, &r.prefs)
+}
+
+// pick is the geo decision at a vantage over r's candidates: pickGeo
+// over the attribute tier, and only when no tier candidate is usable
+// here — the tier's PoPs are cut off from the vantage while their
+// routers are still in service — pickGeo over every candidate. Both
+// answer what pickGeo over every candidate would: a candidate outside
+// the tier loses to each tier candidate at rib.CompareAttrs, from every
+// vantage, so it never displaces a usable tier candidate from pickGeo's
+// running best, and the tier scan makes the same comparisons among tier
+// candidates, in the same order, as the full one. It returns the
+// winner's index into r.cands, or -1.
+func (r *prefixFacts) pick(vantage *PoP, igp *igpRow, prefix netip.Prefix) int {
+	if i := pickGeo(vantage, r.cands, r.tier, prefix, &r.prefs, igp); i >= 0 {
+		return i
+	}
+	return pickGeo(vantage, r.cands, candOrder[:len(r.cands)], prefix, &r.prefs, igp)
 }
 
 // NewForwarding compiles the initial per-PoP FIBs and subscribes to the
@@ -265,8 +300,14 @@ func (f *Forwarding) Pending() int {
 func (f *Forwarding) pass(event uint64, batch []netip.Prefix) {
 	pol := f.RR.Policy()
 	facts := make([]prefixFacts, len(batch))
+	// The pass's tiers share one buffer, with room for two candidates a
+	// prefix (seed 1 averages 1.69) and a few more; append grows it past
+	// that.
+	tiers := make([]int32, 0, 2*len(batch)+8)
 	for i, pfx := range batch {
-		f.readFacts(&facts[i], pol, pfx)
+		n := len(tiers)
+		tiers = f.readFacts(&facts[i], pol, pfx, tiers)
+		facts[i].tier = tiers[n:]
 	}
 	decided := make([]fib.Entry, len(batch))
 	for k, eng := range f.engines {
@@ -282,31 +323,37 @@ func (f *Forwarding) pass(event uint64, batch []netip.Prefix) {
 // readFacts fills r, a zero prefixFacts, with prefix's
 // vantage-independent facts under pol: its statics, each with its
 // router's PoP and liveness, and for an originated prefix the origin's
-// candidates with one liveness read and one Assign per distinct
-// candidate router.
-func (f *Forwarding) readFacts(r *prefixFacts, pol *core.Policy, prefix netip.Prefix) {
+// candidates (readCandidates), whose attribute tier it appends to
+// tiers. It returns the grown buffer; r's tier is its entries from
+// len(tiers) on.
+func (f *Forwarding) readFacts(r *prefixFacts, pol *core.Policy, prefix netip.Prefix, tiers []int32) []int32 {
+	// Gathered in a local and stored once: an append to r.statics in
+	// place reads r, which the escape analysis would count as r's
+	// content leaking, moving a caller's stack tier buffer to the heap.
+	var statics []staticFact
 	for _, s := range pol.StaticsFor(prefix) {
 		p, _ := f.Peering.Net.RouterPoP(s.Egress)
-		r.statics = append(r.statics, staticFact{router: s.Egress, pop: p, down: pol.EgressDown(s.Egress)})
+		statics = append(statics, staticFact{router: s.Egress, pop: p, down: pol.EgressDown(s.Egress)})
 	}
+	r.statics = statics
 	if pi, ok := f.Peering.Topo.PrefixInfoFor(prefix); ok {
-		r.cands = f.Peering.Candidates(pi.Origin)
-		r.prefs.read(pol, r.cands, prefix)
+		tiers = r.readCandidates(pol, f.Peering.Candidates(pi.Origin), prefix, tiers)
 	}
+	return tiers
 }
 
 // decide is a vantage's decision for one prefix from the prefix's facts
 // and the vantage's IGP row: the first static whose router is up and
 // whose PoP the vantage reaches pins the egress; everything else is the
-// geo decision process over the candidates (pickGeo). An invalid next
-// hop means no route.
+// geo decision process over the candidates (prefixFacts.pick). An
+// invalid next hop means no route.
 func decide(vantage *PoP, igp *igpRow, r *prefixFacts, prefix netip.Prefix) fib.NextHop {
 	for _, s := range r.statics {
 		if s.pop != nil && !s.down && igp[s.pop.ID-1] < igpInf {
 			return fib.NextHop{PoP: s.pop.ID, Router: s.router}
 		}
 	}
-	i := pickGeo(vantage, r.cands, prefix, &r.prefs, igp)
+	i := r.pick(vantage, igp, prefix)
 	if i < 0 {
 		return fib.NextHop{}
 	}
@@ -322,7 +369,8 @@ func decide(vantage *PoP, igp *igpRow, r *prefixFacts, prefix netip.Prefix) fib.
 // Congruence).
 func (f *Forwarding) Resolve(vantage *PoP, prefix netip.Prefix) (fib.NextHop, bool) {
 	var r prefixFacts
-	f.readFacts(&r, f.RR.Policy(), prefix)
+	var buf [8]int32 // the tier, on the stack unless it is wider
+	r.tier = f.readFacts(&r, f.RR.Policy(), prefix, buf[:0])
 	igp := f.Peering.Net.igpRow(vantage)
 	nh := decide(vantage, &igp, &r, prefix)
 	return nh, nh.IsValid()

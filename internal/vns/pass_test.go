@@ -122,7 +122,9 @@ func distinctRouters(pr *Peering, pfx netip.Prefix) int {
 // over it. One InvalidateBatch of the widest seed-1 prefix calls
 // GeoRR.Assign at most once per distinct candidate router across all
 // eleven PoPs, and one InvalidateAll at most the sum of that over the
-// universe.
+// universe. Outside -race, one InvalidateAll also makes at most
+// passAllocBudget allocations: a pass allocates per batch, never per
+// prefix or per PoP.
 func TestPassBudgetTest(t *testing.T) {
 	pr, rr, f := decisionWorld(t, 1, 120)
 	pfx, _, routers := widestPrefix(pr)
@@ -145,7 +147,22 @@ func TestPassBudgetTest(t *testing.T) {
 	if got := int(after - before); got > budget {
 		t.Errorf("InvalidateAll called Assign %d times, budget %d (one per prefix and router)", got, budget)
 	}
+
+	if raceEnabled {
+		t.Log("race detector instruments the pass; allocation budget skipped")
+		return
+	}
+	allocs := testing.AllocsPerRun(10, f.InvalidateAll)
+	t.Logf("InvalidateAll: %.0f allocations, budget %d", allocs, passAllocBudget)
+	if allocs > passAllocBudget {
+		t.Errorf("InvalidateAll makes %.0f allocations, budget %d", allocs, passAllocBudget)
+	}
 }
+
+// passAllocBudget is what one universe-wide pass that moves nothing may
+// allocate: the universe list, the dirty set's map (four objects), the
+// sorted batch, and the pass's facts, tier buffer and decisions.
+const passAllocBudget = 9
 
 // BenchmarkInvalidateAll measures one universe-wide resolve pass over
 // the seed-1 world: the failover controller's reconvergence, minus the

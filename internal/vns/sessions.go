@@ -305,8 +305,7 @@ var dummySegments = func() [][]bgp.ASPathSegment {
 
 // fillRoute writes into r, field by field, the route candidate c offers
 // as seen from the vantage PoP, igpMs away over the IGP. lp == 0 means
-// no LOCAL_PREF attribute (pre-geo routing). The AS_PATH is synthetic
-// (only its length enters the decision process). The fields it leaves
+// no LOCAL_PREF attribute (pre-geo routing). The fields it leaves
 // alone stay zero for a route only fillRoute writes, so a decision can
 // refill two routes in turn without copying either.
 func fillRoute(r *rib.Route, vantage *PoP, c Candidate, prefix netip.Prefix, igpMs float64, lp uint32) {
@@ -324,6 +323,13 @@ func fillRoute(r *rib.Route, vantage *PoP, c Candidate, prefix netip.Prefix, igp
 	r.PeerID = s.Router
 	r.PeerAddr = s.peerAddr
 	r.IGPMetric = int(igpMs*1000) + s.PoP.ID
+	fillAttrs(r, c, lp)
+}
+
+// fillAttrs writes the attributes of the route candidate c offers, the
+// same from every vantage: the AS_PATH, synthetic since only its length
+// enters the decision process, and the LOCAL_PREF lp (0 for none).
+func fillAttrs(r *rib.Route, c Candidate, lp uint32) {
 	r.Attrs.ASPath = dummySegments[min(c.PathLen, len(dummyPath))]
 	r.Attrs.LocalPref = lp
 	r.Attrs.HasLocalPref = lp > 0
@@ -390,35 +396,84 @@ func (p *routerPrefs) read(pol *core.Policy, cands []Candidate, prefix netip.Pre
 // PoP: the GeoRR assigns each route a distance-derived LOCAL_PREF, which
 // dominates every later step, so the geographically closest egress (per
 // the GeoIP database) wins network-wide and the vantage only breaks ties
-// through its IGP metric. It is pickGeo over facts freshly read under
-// the reflector's current policy: each distinct router among the
-// candidates costs one liveness read and one Assign, and the vantage's
-// IGP row one read. A candidate whose router is withdrawn
-// (Policy.EgressDown) or whose PoP the vantage cannot reach is skipped;
-// ok=false when none is left.
+// through its IGP metric. It is the decision a resolve pass makes
+// (prefixFacts.pick), over facts freshly read under the reflector's
+// current policy: each distinct router among the candidates costs one
+// liveness read and one Assign, and the vantage's IGP row one read. A
+// candidate whose router is withdrawn (Policy.EgressDown) or whose PoP
+// the vantage cannot reach is skipped; ok=false when none is left.
 func (pr *Peering) SelectGeo(rr *core.GeoRR, vantage *PoP, cands []Candidate, prefix netip.Prefix) (Candidate, bool) {
-	var prefs routerPrefs
-	prefs.read(rr.Policy(), cands, prefix)
+	var r prefixFacts
+	var buf [8]int32 // the tier, on the stack unless it is wider
+	r.tier = r.readCandidates(rr.Policy(), cands, prefix, buf[:0])
 	igp := pr.Net.igpRow(vantage)
-	if i := pickGeo(vantage, cands, prefix, &prefs, &igp); i >= 0 {
+	if i := r.pick(vantage, &igp, prefix); i >= 0 {
 		return cands[i], true
 	}
 	return Candidate{}, false
 }
 
-// pickGeo is the geo decision itself, the one both SelectGeo and every
-// forwarding-plane decision run: over the candidates in their given
-// order, skip those on a withdrawn router or an unreachable PoP, and
-// keep the best by rib.Compare of each candidate's route with its
-// router's LOCAL_PREF and the vantage's IGP metric. It returns the
-// winner's index, or -1. The candidate and the running best are two
-// routes on the stack that swap roles when the candidate wins, so no
-// route is copied or allocated.
-func pickGeo(vantage *PoP, cands []Candidate, prefix netip.Prefix, prefs *routerPrefs, igp *igpRow) int {
+// maxSessions bounds a candidate list: every session is one neighbor at
+// one PoP, and an origin's candidates hold each session at most once.
+const maxSessions = (numUpstreams + numPeers) * len(popSpec)
+
+// candOrder is 0, 1, …: its first n entries index every candidate of a
+// list of n, in order — pickGeo's scan over all of them.
+var candOrder = func() (o [maxSessions]int32) {
+	for i := range o {
+		o[i] = int32(i)
+	}
+	return o
+}()
+
+// appendTier appends to tier the attribute tier of cands: the indexes,
+// in candidate order, of the candidates whose router is in service and
+// that tie for best under rib.CompareAttrs. It is one scan, and it reads
+// only what a route's own attributes hold (its router's LOCAL_PREF and
+// its AS-path length), so the tier is the same at every vantage.
+func appendTier(tier []int32, cands []Candidate, prefs *routerPrefs) []int32 {
+	var routes [2]rib.Route
+	r, top := &routes[0], &routes[1]
+	start := len(tier)
+	for i, c := range cands {
+		p := prefs[c.Session.egress]
+		if p.down {
+			continue
+		}
+		fillAttrs(r, c, p.lp)
+		if len(tier) > start {
+			cmp := rib.CompareAttrs(r, top)
+			if cmp > 0 {
+				continue
+			}
+			if cmp < 0 {
+				tier = tier[:start]
+			}
+		}
+		if len(tier) == start {
+			r, top = top, r // the tier's new representative
+		}
+		tier = append(tier, int32(i))
+	}
+	return tier
+}
+
+// pickGeo is the geo decision itself, the one every forwarding-plane
+// decision and SelectGeo run (prefixFacts.pick): over the candidates
+// that order indexes, in that order, skip those on a withdrawn router or
+// an unreachable PoP, and keep the best by rib.Compare of each
+// candidate's route with its router's LOCAL_PREF and the vantage's IGP
+// metric. It returns the winner's index into cands, or -1. The candidate
+// and the running best are two routes on the stack that swap roles when
+// the candidate wins, so no route is copied or allocated.
+//
+//vnslint:hotpath
+func pickGeo(vantage *PoP, cands []Candidate, order []int32, prefix netip.Prefix, prefs *routerPrefs, igp *igpRow) int {
 	var routes [2]rib.Route
 	r, bestRoute := &routes[0], &routes[1]
 	best := -1
-	for i, c := range cands {
+	for _, i := range order {
+		c := cands[i]
 		s := c.Session
 		p, ms := prefs[s.egress], igp[s.PoP.ID-1]
 		if p.down || ms >= igpInf {
@@ -426,7 +481,7 @@ func pickGeo(vantage *PoP, cands []Candidate, prefix netip.Prefix, prefs *router
 		}
 		fillRoute(r, vantage, c, prefix, ms, p.lp)
 		if best < 0 || rib.Compare(r, bestRoute) < 0 {
-			r, bestRoute, best = bestRoute, r, i
+			r, bestRoute, best = bestRoute, r, int(i)
 		}
 	}
 	return best
