@@ -102,6 +102,7 @@ var allocFreeFuncs = map[string]bool{
 	"(net/netip.Addr).Is6":    true,
 	"(net/netip.Addr).Unmap":  true,
 	"(net/netip.Addr).As4":    true,
+	"(net/netip.Addr).As16":   true,
 	"(net/netip.Addr).Less":   true,
 	"(net/netip.Addr).Compare": true,
 	"(net/netip.Addr).IsValid": true,

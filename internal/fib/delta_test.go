@@ -197,34 +197,6 @@ func TestDeltaBatch(t *testing.T) {
 	checkDeltaEquiv(t, got, after, loss.NewRNG(0xBA7C), "batch")
 }
 
-// TestDeltaSharesUntouchedSubtrees pins the copy-on-write contract: a
-// patch confined to one /8 must reuse (pointer-share) the subtree of an
-// unrelated /8 rather than clone it.
-func TestDeltaSharesUntouchedSubtrees(t *testing.T) {
-	model := map[netip.Prefix]NextHop{
-		mustPrefix("10.1.2.0/24"): nh(1),
-		mustPrefix("20.3.4.0/24"): nh(2),
-	}
-	cur := Compile(entriesOf(model), 1)
-	nodesBefore := cur.Nodes()
-
-	got := cur.Delta([]Patch{{Prefix: mustPrefix("10.1.9.0/24"), Install: true, NextHop: nh(3)}}, 2)
-	if cur.root == got.root {
-		t.Fatal("root was not cloned")
-	}
-	if cur.root.child[20] != got.root.child[20] {
-		t.Error("untouched 20/8 subtree was cloned instead of shared")
-	}
-	if cur.root.child[10] == got.root.child[10] {
-		t.Error("patched 10/8 subtree is shared with the old generation")
-	}
-	// 10.1.9.0/24 lands in the existing depth-2 node under 10.1: the
-	// clone adds no nodes beyond the copied path.
-	if got.Nodes() != nodesBefore {
-		t.Errorf("Nodes() = %d, want %d (patch within existing node)", got.Nodes(), nodesBefore)
-	}
-}
-
 // TestDeltaRandomizedSequence runs long randomized churn sequences,
 // re-checking delta-vs-compile equivalence after every batch — the
 // deterministic always-on sibling of FuzzDeltaCompile.

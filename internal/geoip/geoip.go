@@ -1,7 +1,8 @@
 // Package geoip implements the geolocation database the geo-based route
-// reflector queries: a longest-prefix-match trie from IP prefixes to
-// geographic records, plus the error model that makes the synthetic
-// database behave like a commercial one.
+// reflector queries: a longest-prefix match (lpm's stride trie, one per
+// address family) from IP prefixes to geographic records, plus the
+// error model that makes the synthetic database behave like a
+// commercial one.
 //
 // The paper uses the MaxMind database exposed to the Quagga route
 // reflector through a SQL interface. Poese et al. (SIGCOMM CCR 2011)
@@ -16,8 +17,11 @@ package geoip
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 
+	"vns/internal/detsort"
 	"vns/internal/geo"
+	"vns/internal/lpm"
 )
 
 // Record is one geolocation database entry.
@@ -34,87 +38,71 @@ type Record struct {
 // DB is a longest-prefix-match geolocation database. It is safe for
 // concurrent readers after construction; writers must not race readers.
 type DB struct {
-	v4   *trieNode
-	v6   *trieNode
-	size int
-}
-
-type trieNode struct {
-	child [2]*trieNode
-	rec   *Record // non-nil if a record terminates here
+	// v4 and v6 map each stored prefix of their family to its 1-based
+	// index in recs.
+	v4, v6 lpm.Trie
+	// recs holds the records in insertion order.
+	recs []Record
+	// index maps a stored prefix to its index in recs. The tries cannot
+	// answer an exact match: a prefix whose every slot longer prefixes
+	// own (10.0.0.0/7 under 10.0.0.0/8 and 11.0.0.0/8) leaves no trace
+	// in them.
+	index map[netip.Prefix]int32
 }
 
 // New returns an empty database.
 func New() *DB {
-	return &DB{v4: &trieNode{}, v6: &trieNode{}}
+	return &DB{index: make(map[netip.Prefix]int32)}
 }
 
 // Len returns the number of records in the database.
-func (d *DB) Len() int { return d.size }
+func (d *DB) Len() int { return len(d.recs) }
 
 // Insert adds or replaces the record for rec.Prefix. An IPv4-mapped IPv6
 // prefix of 96 bits or more is stored as the IPv4 prefix it maps
 // (::ffff:10.0.0.0/120 as 10.0.0.0/24). It returns an error if the
 // prefix is invalid or a shorter IPv4-mapped one.
 func (d *DB) Insert(rec Record) error {
-	if !rec.Prefix.IsValid() {
-		return fmt.Errorf("geoip: invalid prefix %v", rec.Prefix)
+	p, ok := lpm.Canonical(rec.Prefix)
+	if !ok {
+		return fmt.Errorf("geoip: invalid prefix %v (an IPv4-mapped one must be /96 or longer)", rec.Prefix)
 	}
-	if a := rec.Prefix.Addr(); a.Is4In6() {
-		if rec.Prefix.Bits() < 96 {
-			return fmt.Errorf("geoip: IPv4-mapped prefix %v shorter than /96", rec.Prefix)
-		}
-		rec.Prefix = netip.PrefixFrom(a.Unmap(), rec.Prefix.Bits()-96)
+	rec.Prefix = p
+	if i, ok := d.index[p]; ok {
+		d.recs[i-1] = rec
+		return nil
 	}
-	rec.Prefix = rec.Prefix.Masked()
-	n := d.root(rec.Prefix.Addr())
-	bits := rec.Prefix.Bits()
-	addr := rec.Prefix.Addr().As16()
-	off := addrBitOffset(rec.Prefix.Addr())
-	for i := 0; i < bits; i++ {
-		b := bitAt(addr, off+i)
-		if n.child[b] == nil {
-			n.child[b] = &trieNode{}
-		}
-		n = n.child[b]
+	d.recs = append(d.recs, rec)
+	i := int32(len(d.recs))
+	d.index[p] = i
+	if p.Addr().Is4() {
+		d.v4.Insert(p, i)
+	} else {
+		d.v6.Insert(p, i)
 	}
-	if n.rec == nil {
-		d.size++
-	}
-	r := rec
-	n.rec = &r
 	return nil
 }
 
 // Lookup returns the longest-prefix-match record for addr; an
 // IPv4-mapped IPv6 address is looked up as the IPv4 address it maps.
+// Every GeoRR assignment makes one.
+//
+//vnslint:hotpath
 func (d *DB) Lookup(addr netip.Addr) (Record, bool) {
-	if !addr.IsValid() {
-		return Record{}, false
-	}
 	addr = addr.Unmap()
-	n := d.root(addr)
-	as16 := addr.As16()
-	off := addrBitOffset(addr)
-	maxBits := addr.BitLen()
-	var best *Record
-	if n.rec != nil {
-		best = n.rec
+	var i int32
+	switch {
+	case addr.Is4():
+		a := addr.As4()
+		i = d.v4.Lookup(a[:])
+	case addr.Is6():
+		a := addr.As16()
+		i = d.v6.Lookup(a[:])
 	}
-	for i := 0; i < maxBits; i++ {
-		b := bitAt(as16, off+i)
-		n = n.child[b]
-		if n == nil {
-			break
-		}
-		if n.rec != nil {
-			best = n.rec
-		}
-	}
-	if best == nil {
+	if i == 0 {
 		return Record{}, false
 	}
-	return *best, true
+	return d.recs[i-1], true
 }
 
 // LookupPrefix returns the record covering the first address of p, the
@@ -127,40 +115,16 @@ func (d *DB) LookupPrefix(p netip.Prefix) (Record, bool) {
 	return d.Lookup(p.Masked().Addr())
 }
 
-// Walk visits every record in the database in trie order. Returning
-// false from fn stops the walk.
+// Walk visits every record in prefix order (detsort.PrefixCompare:
+// IPv4 before IPv6, then by address, then by length, so a prefix comes
+// before every prefix it covers). Returning false from fn stops the
+// walk.
 func (d *DB) Walk(fn func(Record) bool) {
-	var walk func(n *trieNode) bool
-	walk = func(n *trieNode) bool {
-		if n == nil {
-			return true
+	recs := slices.Clone(d.recs)
+	slices.SortFunc(recs, func(a, b Record) int { return detsort.PrefixCompare(a.Prefix, b.Prefix) })
+	for _, rec := range recs {
+		if !fn(rec) {
+			return
 		}
-		if n.rec != nil {
-			if !fn(*n.rec) {
-				return false
-			}
-		}
-		return walk(n.child[0]) && walk(n.child[1])
 	}
-	_ = walk(d.v4) && walk(d.v6)
-}
-
-func (d *DB) root(addr netip.Addr) *trieNode {
-	if addr.Is4() {
-		return d.v4
-	}
-	return d.v6
-}
-
-// addrBitOffset returns the starting bit of the address within its As16
-// representation: IPv4 addresses occupy the final 4 bytes.
-func addrBitOffset(addr netip.Addr) int {
-	if addr.Is4() {
-		return 96
-	}
-	return 0
-}
-
-func bitAt(a [16]byte, i int) int {
-	return int(a[i/8]>>(7-i%8)) & 1
 }
