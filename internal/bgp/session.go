@@ -274,14 +274,19 @@ func (s *Session) write(m Message) error {
 }
 
 // send is the one write path: buf holds n messages of type t, written
-// with one Write under one 10 s deadline and counted once written.
+// with one Write under one 10 s deadline and counted once written. A
+// failed write closes the connection (RFC 4271 drops a session on a
+// transport failure; a partial write broke the framing anyway) and the
+// read loop ends the session: not shutdown, whose Cease comes through here.
 func (s *Session) send(buf []byte, t MessageType, n int) error {
 	s.sendMu.Lock()
 	defer s.sendMu.Unlock()
-	if err := s.conn.SetWriteDeadline(time.Now().Add(10 * time.Second)); err != nil {
-		return err
+	err := s.conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
+	if err == nil {
+		_, err = s.conn.Write(buf)
 	}
-	if _, err := s.conn.Write(buf); err != nil {
+	if err != nil {
+		s.conn.Close()
 		return err
 	}
 	s.cfg.Metrics.msgsSent(t, n)
@@ -365,9 +370,8 @@ func (s *Session) keepaliveLoop() {
 	for {
 		select {
 		case <-t.C:
-			if err := s.write(Keepalive{}); err != nil {
-				s.shutdown(fmt.Errorf("bgp: keepalive write: %w", err), false)
-				return
+			if s.write(Keepalive{}) != nil {
+				return // send closed the connection; the read loop ends the session
 			}
 		case <-s.closed:
 			return

@@ -198,9 +198,10 @@ func TestStaticRoutes(t *testing.T) {
 }
 
 // TestAddStaticCoverRunsUnlocked: hasCover is the caller's code (the
-// mgmt server's takes RRServer.mu, which handleUpdate holds while it
-// assigns routes through the GeoRR), so AddStatic must not run it while
-// holding anything a GeoRR reader or writer waits on. A cover that
+// mgmt server's is RRServer.hasCover, which takes RRServer.mu, held by
+// each UPDATE from its GeoRR assignments through its reflections), so
+// AddStatic must not run it while holding anything a GeoRR reader or
+// writer waits on. A cover that
 // re-enters the GeoRR — reads its policy, assigns, mutates it —
 // deadlocks if it does.
 func TestAddStaticCoverRunsUnlocked(t *testing.T) {

@@ -135,17 +135,7 @@ func (m *MgmtServer) Execute(line string) string {
 		case "static":
 			// The wire server holds routes for covering prefixes; a
 			// more-specific is accepted when any covering route exists.
-			cover := func(sub netip.Prefix) bool {
-				m.srv.mu.Lock()
-				defer m.srv.mu.Unlock()
-				for _, cp := range m.srv.ref.table.Prefixes() {
-					if cp.Contains(sub.Addr()) && cp.Bits() < sub.Bits() {
-						return true
-					}
-				}
-				return false
-			}
-			if err := rr.AddStatic(p, a, cover); err != nil {
+			if err := rr.AddStatic(p, a, m.srv.hasCover); err != nil {
 				return "ERR " + err.Error()
 			}
 		case "unstatic":

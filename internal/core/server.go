@@ -15,18 +15,20 @@ import (
 
 // RRServer runs the GeoRR as a real BGP speaker: the TCP shell around a
 // Reflector. It accepts iBGP sessions from egress routers and writes
-// what the Reflector returns to every other peer. s.mu serializes the
-// Reflector's calls with the peer map, so each call and the peer set
-// its output goes to are one snapshot.
+// what the Reflector returns to every other peer. Each control-plane
+// step — one received UPDATE, a session's end, a replacement — is one
+// critical section under s.mu, from the peer-map check through Ingest
+// or Purge to the last write, so every peer receives reflections in
+// the order the Loc-RIB applied them.
 type RRServer struct {
 	ref *Reflector
 	cfg bgp.SessionConfig
 	ln  net.Listener
 
-	mu    sync.Mutex
-	peers map[netip.Addr]*bgp.Session
-	fanMu map[netip.Addr]*sync.Mutex // per router ID; see unlockAndFanOut
-	wg    sync.WaitGroup
+	mu     sync.Mutex
+	peers  map[netip.Addr]*bgp.Session
+	closed bool // Close has begun: a session that registers later is closed at once
+	wg     sync.WaitGroup
 
 	closeOnce sync.Once
 }
@@ -49,7 +51,6 @@ func newRRServer(ln net.Listener, rr *GeoRR, localAS uint16, routerID netip.Addr
 		cfg:   bgp.SessionConfig{LocalAS: localAS, LocalID: routerID},
 		ln:    ln,
 		peers: make(map[netip.Addr]*bgp.Session),
-		fanMu: make(map[netip.Addr]*sync.Mutex),
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -87,6 +88,7 @@ func (s *RRServer) Close() error {
 	s.closeOnce.Do(func() {
 		err = s.ln.Close()
 		s.mu.Lock()
+		s.closed = true
 		//vnslint:maprange closing every session; each Close is independent, order cannot escape
 		for _, sess := range s.peers {
 			sess.Close()
@@ -146,31 +148,32 @@ func (s *RRServer) serveConn(conn net.Conn) {
 	}
 	peerID := sess.PeerID()
 	s.mu.Lock()
-	// A second session with the same router ID replaces the first, and
-	// the first's routes go with it: its own cleanup below no longer owns
-	// the router ID, and by then the new session may have announced.
-	var outs []bgp.Update
+	if s.closed { // Close has swept the peer map already
+		s.mu.Unlock()
+		sess.Close()
+		return
+	}
+	// A second session with the same router ID replaces the first, in one
+	// critical section: the first is closed, its routes purged and the
+	// withdrawals sent, so its own cleanup below no longer owns the ID.
 	if old, dup := s.peers[peerID]; dup {
 		old.Close()
-		outs = s.ref.Purge(peerID)
+		s.fanOut(peerID, s.ref.Purge(peerID))
 	}
 	s.peers[peerID] = sess
-	s.unlockAndFanOut(peerID, outs)
-
+	s.mu.Unlock()
 	defer func() {
 		// A dead peer's routes are withdrawn and the withdrawals
 		// propagated, so a crashed egress router leaves no stale
 		// geo-routed paths behind.
 		sess.Close()
 		s.mu.Lock()
-		var outs []bgp.Update
+		defer s.mu.Unlock()
 		if s.peers[peerID] == sess {
 			delete(s.peers, peerID)
-			outs = s.ref.Purge(peerID)
+			s.fanOut(peerID, s.ref.Purge(peerID))
 		}
-		s.unlockAndFanOut(peerID, outs)
 	}()
-
 	for u := range sess.Updates() {
 		s.handleUpdate(sess, peerID, u)
 	}
@@ -182,41 +185,38 @@ func (s *RRServer) serveConn(conn net.Conn) {
 // and the router ID belongs to the new session now.
 func (s *RRServer) handleUpdate(sess *bgp.Session, from netip.Addr, u bgp.Update) {
 	s.mu.Lock()
-	if s.peers[from] != sess {
-		s.mu.Unlock()
-		return
+	defer s.mu.Unlock()
+	if s.peers[from] == sess {
+		s.fanOut(from, s.ref.Ingest(from, u))
 	}
-	s.unlockAndFanOut(from, s.ref.Ingest(from, u))
 }
 
-// unlockAndFanOut releases s.mu, which the caller holds, and sends outs
-// from router from to every other session in router ID order, encoded
-// once, in one write per target; send errors are left to each session's
-// serveConn. from's fan lock, taken before s.mu is released, orders a
-// replacement's purge after the replaced session's last reflections.
-func (s *RRServer) unlockAndFanOut(from netip.Addr, outs []bgp.Update) {
+// fanOut sends outs from router from to every other session, with s.mu
+// held, in router ID order: encoded once, one write per target. A
+// failed write closes its session, whose serveConn then purges it.
+func (s *RRServer) fanOut(from netip.Addr, outs []bgp.Update) {
 	if len(outs) == 0 {
-		s.mu.Unlock()
 		return
 	}
-	targets := make([]*bgp.Session, 0, len(s.peers))
+	enc, _ := bgp.EncodeUpdates(outs)
 	for _, id := range detsort.KeysFunc(s.peers, netip.Addr.Compare) {
 		if id != from {
-			targets = append(targets, s.peers[id])
+			_ = s.peers[id].Send(enc)
 		}
 	}
-	fm := s.fanMu[from]
-	if fm == nil {
-		fm = new(sync.Mutex)
-		s.fanMu[from] = fm
+}
+
+// hasCover reports whether the Loc-RIB holds a strictly less-specific
+// route covering sub: the management server's static cover check.
+func (s *RRServer) hasCover(sub netip.Prefix) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, cp := range s.ref.table.Prefixes() {
+		if cp.Contains(sub.Addr()) && cp.Bits() < sub.Bits() {
+			return true
+		}
 	}
-	fm.Lock()
-	defer fm.Unlock()
-	s.mu.Unlock()
-	enc, _ := bgp.EncodeUpdates(outs)
-	for _, sess := range targets {
-		_ = sess.Send(enc)
-	}
+	return false
 }
 
 // ErrNotEstablished reports a dial that never reached Established.

@@ -22,14 +22,17 @@ import (
 // each publisher's no-spurious-churn fast path keeping the prefixes
 // whose next hop didn't move free of publishes. Recovery reverses each
 // step, and Drain gives an operator's egress drain the same republish.
+// A router is out of service if and only if it is drained or its PoP
+// is isolated, so a liveness transition never undoes a drain.
 type Controller struct {
 	fwd *vns.Forwarding
 	rr  *core.GeoRR
 	met *ControllerMetrics // nil when uninstrumented
 
-	// mu serializes reconvergence: events can arrive from a simulation
-	// goroutine while a management drain runs elsewhere.
-	mu sync.Mutex
+	// mu serializes reconvergence — Apply runs on the simulation
+	// goroutine, Drain on management connections — and guards drained.
+	mu      sync.Mutex
+	drained map[netip.Addr]bool // routers an operator took out of service
 }
 
 // ControllerMetrics are the failover controller's pre-resolved
@@ -51,7 +54,7 @@ type ControllerMetrics struct {
 // reflector, registering its metric families in reg; a nil reg leaves
 // it uninstrumented.
 func NewController(fwd *vns.Forwarding, rr *core.GeoRR, reg *telemetry.Registry) *Controller {
-	c := &Controller{fwd: fwd, rr: rr}
+	c := &Controller{fwd: fwd, rr: rr, drained: make(map[netip.Addr]bool)}
 	if reg != nil {
 		c.met = &ControllerMetrics{
 			Withdrawals:    reg.Counter("failover_withdrawals", "egress routers withdrawn because their PoP lost its last adjacency"),
@@ -117,11 +120,12 @@ func (c *Controller) Apply(a, b *vns.PoP, up bool) time.Duration {
 	for _, p := range [2]*vns.PoP{a, b} {
 		isolated := popIsolated(net, p)
 		for _, r := range p.Routers {
-			if !c.rr.SetEgressDown(r, isolated) {
+			down := isolated || c.drained[r]
+			if !c.rr.SetEgressDown(r, down) {
 				continue
 			}
 			if c.met != nil {
-				if isolated {
+				if down {
 					c.met.Withdrawals.Inc()
 				} else {
 					c.met.Restores.Inc()
@@ -162,15 +166,22 @@ func (c *Controller) Apply(a, b *vns.PoP, up bool) time.Duration {
 
 // Drain takes an egress router out of service (down) or returns it, as
 // the management interface's egress-down and egress-up do, and reports
-// whether its state changed. A drain moves no route in the reflector, so
-// like a liveness withdrawal it republishes every PoP's FIB itself, in
-// one universe-wide resolve pass: one "drain" convergence event,
-// serialized with Apply. A drain that changes nothing (egress-down of a
-// router already down) returns before the event, like Apply's stale
-// transitions, and starts no pass.
+// whether its state changed. A router returned at an isolated PoP stays
+// down until the PoP regains an adjacency. A drain moves no route in
+// the reflector, so like a liveness withdrawal it republishes every
+// PoP's FIB itself, in one universe-wide resolve pass: one "drain"
+// convergence event, serialized with Apply. A drain that changes
+// nothing (egress-down of a router already down) returns before the
+// event, like Apply's stale transitions, and starts no pass.
 func (c *Controller) Drain(router netip.Addr, down bool) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	delete(c.drained, router)
+	if net := c.fwd.Fabric().Network(); down {
+		c.drained[router] = true
+	} else if p, ok := net.RouterPoP(router); ok {
+		down = popIsolated(net, p)
+	}
 	if !c.rr.SetEgressDown(router, down) {
 		return false
 	}

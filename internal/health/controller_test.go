@@ -1,6 +1,7 @@
 package health
 
 import (
+	"net/netip"
 	"testing"
 
 	"vns/internal/core"
@@ -60,4 +61,45 @@ func TestDrainUnchangedStartsNoPass(t *testing.T) {
 			t.Errorf("step %d: a drain that changed nothing made %d Assign calls and %d events, want none", i, after-assigns, conv.Events()-events)
 		}
 	}
+}
+
+// TestDrainSurvivesLivenessTransitions checks the controller's one
+// rule for an egress router's service state: down if and only if an
+// operator drained it or its PoP is isolated. A link transition at a
+// drained router's PoP that leaves the PoP connected keeps the drain,
+// and an egress-up at an isolated PoP keeps the router down until the
+// PoP regains an adjacency.
+func TestDrainSurvivesLivenessTransitions(t *testing.T) {
+	fwd, rr := controllerWorld(t)
+	c := NewController(fwd, rr, nil)
+	net := fwd.Peering.Net
+	hk, sin, syd := net.PoP("HK"), net.PoP("SIN"), net.PoP("SYD")
+	down := func(step string, r netip.Addr, want bool) {
+		t.Helper()
+		if got := rr.Policy().EgressDown(r); got != want {
+			t.Fatalf("%s: EgressDown(%v) = %v, want %v", step, r, got, want)
+		}
+	}
+
+	drained := hk.Routers[0]
+	c.Drain(drained, true)
+	c.Apply(hk, sin, false) // HK keeps its TOK link: not isolated
+	down("link down at a drained router's PoP", drained, true)
+	c.Apply(hk, sin, true)
+	down("link up at a drained router's PoP", drained, true)
+	c.Drain(drained, false)
+	down("egress-up at a connected PoP", drained, false)
+
+	r := syd.Routers[0]
+	c.Apply(sin, syd, false) // SYD's only link: isolated
+	down("isolated PoP", r, true)
+	if c.Drain(r, false) {
+		t.Error("egress-up at an isolated PoP reported a change")
+	}
+	down("egress-up at an isolated PoP", r, true)
+	c.Drain(r, true)
+	c.Apply(sin, syd, true)
+	down("PoP reconnected while drained", r, true)
+	c.Drain(r, false)
+	down("egress-up after the PoP reconnected", r, false)
 }

@@ -348,8 +348,8 @@ func TestForwardingEventReachesCompileRecorder(t *testing.T) {
 	pops := uint64(len(pr.Net.PoPs))
 	base, published := conv.StageCount(telemetry.StageFIBCompile), hist.Count()
 	stamp := func() uint64 {
-		f.dirtyMu.Lock()
-		defer f.dirtyMu.Unlock()
+		f.mu.Lock()
+		defer f.mu.Unlock()
 		return f.pendingEvent
 	}
 	check := func(step string, attributed, publishes uint64) {

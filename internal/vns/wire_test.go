@@ -53,9 +53,9 @@ func wireDeployment(t *testing.T, maxPrefixes int) (*WireDeployment, *Peering, i
 // the bytes are on the sockets; the reflector's 22 session goroutines
 // are still decoding them. The barrier is the GeoRR's processed count:
 // Reflector.Ingest runs each announced prefix through Assign exactly
-// once, inside the shell's critical section that also applies the
-// UPDATE to the Loc-RIB, so once the count reaches the number of
-// announcements every later RRServer read (they take the same lock)
+// once, inside the RRServer critical section that applies the UPDATE
+// to the Loc-RIB and reflects it, so once the count reaches the number
+// of announcements every later RRServer read (they take the same lock)
 // sees the full table. It holds while nothing else calls Assign — no
 // Forwarding is attached to this reflector.
 func awaitIngest(t *testing.T, w *WireDeployment, sent int) {
