@@ -14,8 +14,8 @@ import (
 	"time"
 
 	"vns/internal/adaptive"
+	"vns/internal/experiments"
 	"vns/internal/flowsim"
-	"vns/internal/telemetry"
 	"vns/internal/vns"
 )
 
@@ -28,33 +28,36 @@ import (
 //	              prefixes, and (with ?paths=1) per-path estimates
 //	/flows        aggregate flow engine state: totals, drop partition,
 //	              reorder-buffer wait, per-group offload mode
+//	/mgmt         the management interface: POST one command line
+//	              (force, exempt, static, egress-down, show, ...)
 //	/debug/pprof  the standard Go profiling endpoints
 //
-// actl may be nil (adaptive routing disabled), as may feng (no -flows
+// The handlers read d, a deployment after Listen, per request. actl may
+// be nil (adaptive routing disabled), as may feng (no -flows
 // population). Split from startAdmin so tests can drive it through
 // httptest.
-func newAdminMux(reg *telemetry.Registry, tr *telemetry.Tracer, fwd *vns.Forwarding, network *vns.Network, actl *adaptive.Controller, feng *flowsim.Engine) *http.ServeMux {
+func newAdminMux(d *experiments.Deployment, actl *adaptive.Controller, feng *flowsim.Engine) *http.ServeMux {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		io.WriteString(w, reg.Render())
+		io.WriteString(w, d.Telemetry.Render())
 	})
 
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
 		// Ring evictions are otherwise silent; the header lets clients
 		// (vnsctl trace) tell a quiet system from a span dump with holes.
-		w.Header().Set("X-Trace-Dropped", strconv.FormatUint(tr.Dropped(), 10))
+		w.Header().Set("X-Trace-Dropped", strconv.FormatUint(d.Tracer.Dropped(), 10))
 		from, dst := r.URL.Query().Get("from"), r.URL.Query().Get("dst")
 		if from == "" && dst == "" {
 			w.Header().Set("Content-Type", "application/x-ndjson")
-			tr.WriteJSONL(w)
+			d.Tracer.WriteJSONL(w)
 			return
 		}
 		// Network.PoP panics on unknown codes; scan instead so a bad
 		// query string cannot take the daemon down.
 		var pop *vns.PoP
-		for _, p := range network.PoPs {
+		for _, p := range d.Net.PoPs {
 			if p.Code == from {
 				pop = p
 				break
@@ -69,13 +72,13 @@ func newAdminMux(reg *telemetry.Registry, tr *telemetry.Tracer, fwd *vns.Forward
 			http.Error(w, fmt.Sprintf("bad dst %q: %v", dst, err), http.StatusBadRequest)
 			return
 		}
-		id := fwd.TraceRoute(pop, addr)
+		id := d.Fwd.TraceRoute(pop, addr)
 		if id == 0 {
 			http.Error(w, "tracing disabled", http.StatusServiceUnavailable)
 			return
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		for _, s := range tr.Spans() {
+		for _, s := range d.Tracer.Spans() {
 			if s.Trace == id {
 				io.WriteString(w, s.JSON())
 				io.WriteString(w, "\n")
@@ -101,6 +104,8 @@ func newAdminMux(reg *telemetry.Registry, tr *telemetry.Tracer, fwd *vns.Forward
 		io.WriteString(w, renderFlows(feng))
 	})
 
+	mux.Handle("/mgmt", d.Mgmt)
+
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -112,7 +117,7 @@ func newAdminMux(reg *telemetry.Registry, tr *telemetry.Tracer, fwd *vns.Forward
 			http.NotFound(w, r)
 			return
 		}
-		io.WriteString(w, "vnsd admin: /metrics /trace[?from=POP&dst=ADDR] /adaptive[?paths=1] /flows /debug/pprof/\n")
+		io.WriteString(w, "vnsd admin: /metrics /trace[?from=POP&dst=ADDR] /adaptive[?paths=1] /flows /mgmt (POST a command) /debug/pprof/\n")
 	})
 	return mux
 }
@@ -147,13 +152,13 @@ func renderAdaptive(actl *adaptive.Controller, withPaths bool) string {
 // when the serve goroutine has fully exited — the join handle that
 // makes shutdown deterministic instead of racing process exit against
 // an orphaned accept loop.
-func startAdmin(addr string, reg *telemetry.Registry, tr *telemetry.Tracer, fwd *vns.Forwarding, network *vns.Network, actl *adaptive.Controller, feng *flowsim.Engine) (*http.Server, string, <-chan struct{}, error) {
+func startAdmin(addr string, d *experiments.Deployment, actl *adaptive.Controller, feng *flowsim.Engine) (*http.Server, string, <-chan struct{}, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, "", nil, err
 	}
 	srv := &http.Server{
-		Handler:           newAdminMux(reg, tr, fwd, network, actl, feng),
+		Handler:           newAdminMux(d, actl, feng),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 	done := make(chan struct{})

@@ -1,11 +1,14 @@
 package main
 
 import (
+	"bufio"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"vns/internal/adaptive"
 	"vns/internal/experiments"
@@ -13,17 +16,17 @@ import (
 )
 
 // newTestAdmin deploys a small environment the way main() does — wire
-// reflector and management server, forwarding plane, liveness and
+// reflector and management interface, forwarding plane, liveness and
 // failover, tracer, and an adaptive controller on the same clock — and
 // returns an httptest server on the admin mux.
 func newTestAdmin(t *testing.T) (*httptest.Server, *experiments.Env) {
 	t.Helper()
 	d := experiments.NewEnv(experiments.Config{Seed: 7, NumAS: 64}).Deploy(vns.ForwardingConfig{})
-	if err := d.Listen("127.0.0.1:0", "127.0.0.1:0"); err != nil {
+	if err := d.Listen("127.0.0.1:0"); err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
 	t.Cleanup(d.Close)
-	env, sim, fwd := d.Env, d.Sim, d.Fwd
+	env, sim := d.Env, d.Sim
 	d.Monitor.Start()
 
 	actl := adaptive.NewController(adaptive.Config{
@@ -46,7 +49,7 @@ func newTestAdmin(t *testing.T) (*httptest.Server, *experiments.Env) {
 	}
 	sim.Run(12)
 
-	srv := httptest.NewServer(newAdminMux(env.Telemetry, d.Tracer, fwd, env.Net, actl, feng))
+	srv := httptest.NewServer(newAdminMux(d, actl, feng))
 	t.Cleanup(srv.Close)
 	return srv, env
 }
@@ -131,6 +134,24 @@ func TestAdminTraceRoute(t *testing.T) {
 	}
 }
 
+// TestAdminMgmt: the management interface is the admin endpoint's
+// /mgmt, for POSTs only.
+func TestAdminMgmt(t *testing.T) {
+	srv, _ := newTestAdmin(t)
+	resp, err := http.Post(srv.URL+"/mgmt", "text/plain", strings.NewReader("stats"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || !strings.HasPrefix(string(body), "peers=") {
+		t.Errorf("POST /mgmt stats = %d %q, %v; want 200 peers=…", resp.StatusCode, body, err)
+	}
+	if code, _ := get(t, srv.URL+"/mgmt"); code != http.StatusMethodNotAllowed {
+		t.Errorf("GET /mgmt status = %d, want 405", code)
+	}
+}
+
 func TestAdminAdaptive(t *testing.T) {
 	srv, _ := newTestAdmin(t)
 
@@ -156,9 +177,9 @@ func TestAdminAdaptive(t *testing.T) {
 }
 
 func TestAdminAdaptiveDisabled(t *testing.T) {
-	// Only the /adaptive handler touches the controller, so the other
-	// mux dependencies can be nil for this probe.
-	srv := httptest.NewServer(newAdminMux(nil, nil, nil, nil, nil, nil))
+	// Only the /adaptive handler touches the controller, so the
+	// deployment can be empty for this probe.
+	srv := httptest.NewServer(newAdminMux(&experiments.Deployment{}, nil, nil))
 	defer srv.Close()
 
 	code, body := get(t, srv.URL+"/adaptive")
@@ -194,7 +215,7 @@ func TestAdminFlows(t *testing.T) {
 }
 
 func TestAdminFlowsDisabled(t *testing.T) {
-	srv := httptest.NewServer(newAdminMux(nil, nil, nil, nil, nil, nil))
+	srv := httptest.NewServer(newAdminMux(&experiments.Deployment{}, nil, nil))
 	defer srv.Close()
 
 	code, body := get(t, srv.URL+"/flows")
@@ -203,5 +224,47 @@ func TestAdminFlowsDisabled(t *testing.T) {
 	}
 	if !strings.Contains(body, "aggregate flows disabled") {
 		t.Errorf("404 body missing hint: %q", body)
+	}
+}
+
+// TestAdminIdleConnectionDoesNotBlockShutdown: clients that hold a
+// connection open and send nothing more — one after a served request,
+// one that never sent a byte — do not keep vnsd's shutdown (close the
+// admin server, join its serve goroutine) waiting.
+func TestAdminIdleConnectionDoesNotBlockShutdown(t *testing.T) {
+	srv, addr, done, err := startAdmin("127.0.0.1:0", &experiments.Deployment{}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer served.Close()
+	if _, err := io.WriteString(served, "GET /flows HTTP/1.1\r\nHost: vnsd\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(served), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	silent, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+
+	stopped := make(chan struct{})
+	go func() {
+		srv.Close()
+		<-done
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(time.Second):
+		t.Fatal("admin shutdown still blocked 1 s after it began, on two idle connections")
 	}
 }

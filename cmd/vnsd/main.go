@@ -3,9 +3,10 @@
 // eleven PoPs' egress routers are spawned in-process, dial in, and
 // announce their best-external routes from a synthetic Internet. The
 // reflector assigns geo-based local preferences and reflects routes;
-// cmd/vnsctl drives the management interface.
+// cmd/vnsctl drives the management interface, which the admin HTTP
+// endpoint serves as /mgmt beside /metrics and /trace.
 //
-//	vnsd -listen 127.0.0.1:1790 -mgmt 127.0.0.1:1791 -numas 800
+//	vnsd -listen 127.0.0.1:1790 -admin 127.0.0.1:1792 -numas 800
 package main
 
 import (
@@ -26,8 +27,7 @@ import (
 
 func main() {
 	listen := flag.String("listen", "127.0.0.1:1790", "BGP listen address of the route reflector")
-	mgmt := flag.String("mgmt", "127.0.0.1:1791", "management interface listen address")
-	admin := flag.String("admin", "127.0.0.1:1792", "admin HTTP listen address (/metrics, /trace, /debug/pprof)")
+	admin := flag.String("admin", "127.0.0.1:1792", "admin HTTP listen address (/metrics, /trace, /mgmt, /debug/pprof)")
 	numAS := flag.Int("numas", 800, "synthetic Internet size")
 	seed := flag.Uint64("seed", 1, "world seed")
 	egress := flag.Bool("egress", true, "spawn in-process egress routers that dial the reflector")
@@ -67,13 +67,12 @@ func main() {
 	log.Printf("world: %d eBGP sessions to %d neighbors", len(env.Peering.Sessions()), len(env.Peering.Neighbors))
 	log.Printf("forwarding plane: %d per-PoP FIBs compiled", len(fwd.Engines()))
 
-	if err := d.Listen(*listen, *mgmt); err != nil {
+	if err := d.Listen(*listen); err != nil {
 		log.Fatalf("starting reflector: %v", err)
 	}
 	defer d.Close()
 	w := d.Wire
 	log.Printf("geo route reflector listening on %s (cluster id %v)", w.RR.Addr(), experiments.ReflectorID)
-	log.Printf("management interface on %s", d.Mgmt.Addr())
 
 	// Measured-delay adaptive routing: probe rounds ride the health
 	// clock, overrides land on the same reflector vnsctl manages.
@@ -115,7 +114,7 @@ func main() {
 			*flowsN, *flowsRate, len(conferencePairs), *flowsOffload)
 	}
 
-	adminSrv, adminAddr, adminDone, err := startAdmin(*admin, env.Telemetry, d.Tracer, fwd, env.Net, actl, feng)
+	adminSrv, adminAddr, adminDone, err := startAdmin(*admin, d, actl, feng)
 	if err != nil {
 		log.Fatalf("starting admin endpoint: %v", err)
 	}
@@ -123,7 +122,7 @@ func main() {
 		adminSrv.Close()
 		<-adminDone // join the serve goroutine before exiting
 	}()
-	log.Printf("admin endpoint on http://%s (/metrics /trace /adaptive /flows /debug/pprof)", adminAddr)
+	log.Printf("admin endpoint on http://%s (/metrics /trace /adaptive /flows /mgmt /debug/pprof)", adminAddr)
 
 	// Liveness and failover: BFD-lite sessions over every L2 link of the
 	// shared fabric, detected failures feeding the failover controller.

@@ -156,7 +156,7 @@ func TestEndToEndWireControlPlane(t *testing.T) {
 		t.Skip("integration test")
 	}
 	d := experiments.NewEnv(experiments.Config{Seed: 321, NumAS: 400}).Deploy(vns.ForwardingConfig{})
-	if err := d.Listen("127.0.0.1:0", "127.0.0.1:0"); err != nil {
+	if err := d.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()

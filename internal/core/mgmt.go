@@ -1,17 +1,17 @@
 package core
 
 import (
-	"bufio"
+	"errors"
 	"fmt"
-	"net"
+	"io"
+	"net/http"
 	"net/netip"
 	"strings"
-	"sync"
 )
 
-// MgmtServer exposes the paper's management interface over a line-based
-// TCP protocol, so operators (cmd/vnsctl) can correct the cases where
-// geography picks the wrong exit:
+// Mgmt interprets the paper's management interface, so operators
+// (cmd/vnsctl) can correct the cases where geography picks the wrong
+// exit:
 //
 //	force <prefix> <egress-router>   pin a prefix's exit PoP
 //	unforce <prefix>                 remove the pin
@@ -25,72 +25,60 @@ import (
 //	egresses                         registered egress routers
 //	stats                            counters
 //
-// Responses are a single "OK", "ERR <reason>", or data lines terminated
-// by a blank line. Overrides reach the FIBs through the reflector's change
-// notifications; drains change no route, so they go through the server's
-// drain function, which in a deployment republishes every PoP's FIB
-// (health.Controller.Drain).
-type MgmtServer struct {
+// A reply is one line, "OK", "ERR <reason>" or a datum, except that
+// egresses answers one line per router. Overrides reach the FIBs through
+// the reflector's change notifications; drains change no route, so they
+// go through the drain function, which in a deployment republishes
+// every PoP's FIB (health.Controller.Drain). Mgmt has no listener of its
+// own: vnsd serves it as /mgmt on its admin HTTP endpoint (ServeHTTP).
+type Mgmt struct {
 	srv   *RRServer
 	drain func(router netip.Addr, down bool) bool
-	ln    net.Listener
-	wg    sync.WaitGroup
-
-	closeOnce sync.Once
 }
 
-// NewMgmtServer starts the management listener on addr. drain takes an
-// egress router out of service (down) or returns it and reports whether
-// its state changed.
-func NewMgmtServer(addr string, srv *RRServer, drain func(router netip.Addr, down bool) bool) (*MgmtServer, error) {
-	ln, err := net.Listen("tcp", addr)
+// NewMgmt returns the interpreter over srv. drain takes an egress router
+// out of service (down) or returns it and reports whether its state
+// changed.
+func NewMgmt(srv *RRServer, drain func(router netip.Addr, down bool) bool) *Mgmt {
+	return &Mgmt{srv: srv, drain: drain}
+}
+
+// maxCommand caps a POSTed command line: the longest command is a verb
+// and two addresses.
+const maxCommand = 1 << 10
+
+// ServeHTTP runs the command line a POST carries as its body and replies
+// with Execute's text and a newline: status 200, or 400 for an ERR
+// reply. Any other method is refused with 405, so no GET can change
+// routing.
+func (m *Mgmt) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost {
+		w.Header().Set("Allow", http.MethodPost)
+		http.Error(w, "ERR method "+r.Method+" not allowed: POST one command line", http.StatusMethodNotAllowed)
+		return
+	}
+	line, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxCommand))
 	if err != nil {
-		return nil, err
-	}
-	m := &MgmtServer{srv: srv, drain: drain, ln: ln}
-	m.wg.Add(1)
-	go m.acceptLoop()
-	return m, nil
-}
-
-// Addr returns the listening address.
-func (m *MgmtServer) Addr() string { return m.ln.Addr().String() }
-
-// Close stops the listener.
-func (m *MgmtServer) Close() error {
-	var err error
-	m.closeOnce.Do(func() {
-		err = m.ln.Close()
-		m.wg.Wait()
-	})
-	return err
-}
-
-func (m *MgmtServer) acceptLoop() {
-	defer m.wg.Done()
-	for {
-		conn, err := m.ln.Accept()
-		if err != nil {
-			return
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
 		}
-		m.wg.Add(1)
-		go func() {
-			defer m.wg.Done()
-			defer conn.Close()
-			sc := bufio.NewScanner(conn)
-			for sc.Scan() {
-				resp := m.Execute(sc.Text())
-				if _, err := fmt.Fprintf(conn, "%s\n", resp); err != nil {
-					return
-				}
-			}
-		}()
+		http.Error(w, "ERR reading command: "+err.Error(), status)
+		return
 	}
+	reply := m.Execute(string(line))
+	if strings.HasPrefix(reply, "ERR") {
+		http.Error(w, reply, http.StatusBadRequest)
+		return
+	}
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	_, _ = io.WriteString(w, reply+"\n") // a client that hung up needs no reply
 }
 
 // Execute runs one management command and returns the response text
 // (without trailing newline).
-func (m *MgmtServer) Execute(line string) string {
+func (m *Mgmt) Execute(line string) string {
 	fields := strings.Fields(line)
 	if len(fields) == 0 {
 		return "ERR empty command"
@@ -194,16 +182,15 @@ func (m *MgmtServer) Execute(line string) string {
 		return fmt.Sprintf("%v via %v lp=%d%s", p, best.PeerID, best.LocalPref(), flags)
 
 	case "egresses":
-		var b strings.Builder
+		var lines []string
 		for _, e := range pol.Egresses() {
 			state := ""
 			if pol.EgressDown(e.ID) {
 				state = " down"
 			}
-			fmt.Fprintf(&b, "%s %v %v%s\n", e.PoP, e.ID, e.Pos, state)
+			lines = append(lines, fmt.Sprintf("%s %v %v%s", e.PoP, e.ID, e.Pos, state))
 		}
-		b.WriteString("end")
-		return b.String()
+		return strings.Join(lines, "\n")
 
 	case "stats":
 		processed, misses := rr.Stats()

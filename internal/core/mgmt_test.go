@@ -1,22 +1,16 @@
 package core
 
 import (
-	"bufio"
-	"fmt"
-	"net"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 )
 
-func mgmtSetup(t *testing.T) (*MgmtServer, *RRServer) {
+func mgmtSetup(t *testing.T) (*Mgmt, *RRServer) {
 	t.Helper()
 	srv := wireRR(t)
-	m, err := NewMgmtServer("127.0.0.1:0", srv, srv.GeoRR().SetEgressDown)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { m.Close() })
-	return m, srv
+	return NewMgmt(srv, srv.GeoRR().SetEgressDown), srv
 }
 
 func TestMgmtExecuteCommands(t *testing.T) {
@@ -51,7 +45,10 @@ func TestMgmtStatsAndEgresses(t *testing.T) {
 		t.Errorf("stats = %q", stats)
 	}
 	eg := m.Execute("egresses")
-	for _, want := range []string{"AMS", "ASH", "HK", "end"} {
+	if lines := strings.Split(eg, "\n"); len(lines) != 3 {
+		t.Errorf("egresses answered %d lines, want one per router:\n%s", len(lines), eg)
+	}
+	for _, want := range []string{"AMS", "ASH", "HK"} {
 		if !strings.Contains(eg, want) {
 			t.Errorf("egresses missing %q:\n%s", want, eg)
 		}
@@ -97,28 +94,33 @@ func TestMgmtStaticRequiresCover(t *testing.T) {
 	}
 }
 
-func TestMgmtOverTCP(t *testing.T) {
+// TestMgmtOverHTTP pins the /mgmt contract: a POSTed command line
+// answers Execute's text, an ERR reply is a 400 with the same text, and
+// neither another method nor an oversized body reaches Execute.
+func TestMgmtOverHTTP(t *testing.T) {
 	m, _ := mgmtSetup(t)
-	conn, err := net.Dial("tcp", m.Addr())
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		method, body string
+		code         int
+		want         string
+	}{
+		{http.MethodPost, "force 10.1.0.0/16 10.0.3.1", http.StatusOK, "OK\n"},
+		{http.MethodPost, "force 10.1.0.0/16 10.99.9.9", http.StatusBadRequest, "ERR core: unknown egress 10.99.9.9\n"},
+		{http.MethodPost, "stats", http.StatusOK, "peers=0 routes=0 processed=0 geo-misses=0 statics=0 egress-down=0\n"},
+		{http.MethodGet, "unforce 10.1.0.0/16", http.StatusMethodNotAllowed, ""},
+		{http.MethodPost, "show " + strings.Repeat("1", maxCommand), http.StatusRequestEntityTooLarge, ""},
 	}
-	defer conn.Close()
-	r := bufio.NewReader(conn)
-	fmt.Fprintln(conn, "exempt 10.1.0.0/16")
-	line, err := r.ReadString('\n')
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range cases {
+		rec := httptest.NewRecorder()
+		m.ServeHTTP(rec, httptest.NewRequest(c.method, "/mgmt", strings.NewReader(c.body)))
+		if rec.Code != c.code {
+			t.Errorf("%s %q: status %d, want %d", c.method, c.body, rec.Code, c.code)
+		}
+		if c.want != "" && rec.Body.String() != c.want {
+			t.Errorf("%s %q: body %q, want %q", c.method, c.body, rec.Body.String(), c.want)
+		}
 	}
-	if strings.TrimSpace(line) != "OK" {
-		t.Errorf("response = %q", line)
-	}
-	fmt.Fprintln(conn, "stats")
-	line, err = r.ReadString('\n')
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(line, "peers=") {
-		t.Errorf("stats response = %q", line)
+	if _, ok := m.srv.GeoRR().Policy().ForcedExit(prefix("10.1.0.0/16")); !ok {
+		t.Error("the refused GET unforced 10.1.0.0/16")
 	}
 }

@@ -25,10 +25,13 @@ type RRServer struct {
 	cfg bgp.SessionConfig
 	ln  net.Listener
 
-	mu     sync.Mutex
-	peers  map[netip.Addr]*bgp.Session
-	closed bool // Close has begun: a session that registers later is closed at once
-	wg     sync.WaitGroup
+	mu    sync.Mutex
+	peers map[netip.Addr]*bgp.Session
+	// pending holds each accepted connection until its handshake ends,
+	// so Close can close one whose peer never sends an OPEN.
+	pending map[net.Conn]struct{}
+	closed  bool // Close has begun: a connection that arrives later is closed at once
+	wg      sync.WaitGroup
 
 	closeOnce sync.Once
 }
@@ -47,10 +50,11 @@ func NewRRServer(addr string, rr *GeoRR, localAS uint16, routerID netip.Addr) (*
 // newRRServer starts the reflector accepting sessions on ln.
 func newRRServer(ln net.Listener, rr *GeoRR, localAS uint16, routerID netip.Addr) *RRServer {
 	s := &RRServer{
-		ref:   NewReflector(rr, routerID, nil),
-		cfg:   bgp.SessionConfig{LocalAS: localAS, LocalID: routerID},
-		ln:    ln,
-		peers: make(map[netip.Addr]*bgp.Session),
+		ref:     NewReflector(rr, routerID, nil),
+		cfg:     bgp.SessionConfig{LocalAS: localAS, LocalID: routerID},
+		ln:      ln,
+		peers:   make(map[netip.Addr]*bgp.Session),
+		pending: make(map[net.Conn]struct{}),
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -93,6 +97,10 @@ func (s *RRServer) Close() error {
 		for _, sess := range s.peers {
 			sess.Close()
 		}
+		//vnslint:maprange closing every handshake; each Close is independent, order cannot escape
+		for conn := range s.pending {
+			conn.Close()
+		}
 		s.mu.Unlock()
 		s.wg.Wait()
 	})
@@ -130,24 +138,32 @@ func (s *RRServer) acceptLoop() {
 		if err != nil {
 			return
 		}
+		s.mu.Lock()
+		if s.closed { // Close has swept the handshakes already
+			s.mu.Unlock()
+			conn.Close()
+			continue
+		}
+		s.pending[conn] = struct{}{}
+		cfg := s.cfg
 		s.wg.Add(1)
+		s.mu.Unlock()
 		go func() {
 			defer s.wg.Done()
-			s.serveConn(conn)
+			s.serveConn(conn, cfg)
 		}()
 	}
 }
 
-func (s *RRServer) serveConn(conn net.Conn) {
-	s.mu.Lock()
-	cfg := s.cfg
-	s.mu.Unlock()
+func (s *RRServer) serveConn(conn net.Conn, cfg bgp.SessionConfig) {
 	sess, err := bgp.Handshake(conn, cfg)
+	s.mu.Lock()
+	delete(s.pending, conn)
 	if err != nil {
+		s.mu.Unlock()
 		return
 	}
 	peerID := sess.PeerID()
-	s.mu.Lock()
 	if s.closed { // Close has swept the peer map already
 		s.mu.Unlock()
 		sess.Close()
@@ -207,7 +223,7 @@ func (s *RRServer) fanOut(from netip.Addr, outs []bgp.Update) {
 }
 
 // hasCover reports whether the Loc-RIB holds a strictly less-specific
-// route covering sub: the management server's static cover check.
+// route covering sub: the management interface's static cover check.
 func (s *RRServer) hasCover(sub netip.Prefix) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()

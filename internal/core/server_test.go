@@ -365,7 +365,7 @@ func TestRRServerWriteFailureDropsPeer(t *testing.T) {
 }
 
 // TestRRServerCloseDuringHandshake: a session whose handshake completes
-// after Close began is closed at once, so Close returns instead of
+// while Close runs is closed at once, so Close returns instead of
 // waiting for the remote end to hang up.
 func TestRRServerCloseDuringHandshake(t *testing.T) {
 	leakCheck(t)
@@ -374,22 +374,55 @@ func TestRRServerCloseDuringHandshake(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-ln.conns // accepted: the reflector waits for the OPEN
+	<-ln.conns
+	waitFor(t, "handshake", func() bool {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return len(srv.pending) == 1
+	})
+	// Holding the server's lock, finish the handshake and start Close:
+	// the session cannot register before Close has begun.
+	srv.mu.Lock()
+	sess, err := bgp.Handshake(conn, bgp.SessionConfig{LocalAS: 65000, LocalID: addr("10.0.1.1")})
+	if err != nil {
+		srv.mu.Unlock()
+		t.Fatal(err)
+	}
+	defer sess.Close()
 	closed := make(chan struct{})
 	go func() {
 		srv.Close()
 		close(closed)
 	}()
 	<-ln.closed
-	sess, err := bgp.Handshake(conn, bgp.SessionConfig{LocalAS: 65000, LocalID: addr("10.0.1.1")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
+	srv.mu.Unlock()
 	select {
 	case <-closed:
 	case <-time.After(3 * time.Second):
 		t.Fatal("Close still blocked 3 s after a handshake completed during it")
+	}
+}
+
+// TestRRServerCloseDuringSilentHandshake: a connection that never sends
+// an OPEN does not hold Close until the handshake's hold timer fires.
+func TestRRServerCloseDuringSilentHandshake(t *testing.T) {
+	leakCheck(t)
+	srv, ln := hookRR(t)
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	<-ln.conns // accepted: the reflector waits for an OPEN that never comes
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(time.Second):
+		t.Fatal("Close still blocked 1 s after it began, on a connection that sent nothing")
 	}
 }
 

@@ -29,10 +29,10 @@ type Deployment struct {
 	Monitor    *health.Monitor
 	Controller *health.Controller
 	Injector   *health.Injector
-	// Wire and Mgmt are the wire reflector and the management server,
-	// nil until Listen starts them.
+	// Wire is the wire reflector and Mgmt the management interface over
+	// it, nil until Listen starts the reflector.
 	Wire *vns.WireDeployment
-	Mgmt *core.MgmtServer
+	Mgmt *core.Mgmt
 }
 
 // Deploy builds a deployment over the world: a simulated clock with a
@@ -59,28 +59,22 @@ func (e *Env) Deploy(fc vns.ForwardingConfig) *Deployment {
 }
 
 // Listen starts the wire reflector on bgpAddr, with the deployment's
-// telemetry and convergence span layer, and the management server on
-// mgmtAddr, whose drains go through the failover controller.
-func (d *Deployment) Listen(bgpAddr, mgmtAddr string) error {
+// telemetry and convergence span layer, and builds the management
+// interface over it, whose drains go through the failover controller.
+func (d *Deployment) Listen(bgpAddr string) error {
 	w, err := vns.StartWireDeployment(bgpAddr, d.DP, d.RR, ReflectorID)
 	if err != nil {
 		return err
 	}
 	w.RR.SetTelemetry(d.Telemetry)
 	w.RR.SetConvergence(d.Fwd.Convergence())
-	mg, err := core.NewMgmtServer(mgmtAddr, w.RR, d.Controller.Drain)
-	if err != nil {
-		w.Close()
-		return err
-	}
-	d.Wire, d.Mgmt = w, mg
+	d.Wire, d.Mgmt = w, core.NewMgmt(w.RR, d.Controller.Drain)
 	return nil
 }
 
-// Close stops what Listen started.
+// Close stops the wire reflector Listen started.
 func (d *Deployment) Close() {
-	if d.Mgmt != nil {
-		d.Mgmt.Close()
+	if d.Wire != nil {
 		d.Wire.Close()
 	}
 }

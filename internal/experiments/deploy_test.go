@@ -1,10 +1,12 @@
 package experiments
 
 import (
-	"bufio"
-	"net"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"net/netip"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,11 +16,11 @@ import (
 )
 
 // listened deploys vnsd's default world at the benchmark's size, with
-// vnsd's debounce, and starts the wire reflector and management server.
+// vnsd's debounce, and starts the wire reflector.
 func listened(t *testing.T) *Deployment {
 	t.Helper()
 	d := NewEnv(Config{Seed: 1, NumAS: 120}).Deploy(vns.ForwardingConfig{Debounce: 50 * time.Millisecond})
-	if err := d.Listen("127.0.0.1:0", "127.0.0.1:0"); err != nil {
+	if err := d.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(d.Close)
@@ -80,22 +82,21 @@ func TestDeployReflectsWithClusterID(t *testing.T) {
 // back.
 func TestDeployMgmtDrainRepublishesFIB(t *testing.T) {
 	d := listened(t)
-	conn, err := net.Dial("tcp", d.Mgmt.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	replies := bufio.NewScanner(conn)
+	srv := httptest.NewServer(d.Mgmt)
+	defer srv.Close()
 	execute := func(cmd string) {
 		t.Helper()
-		if _, err := conn.Write([]byte(cmd + "\n")); err != nil {
+		resp, err := http.Post(srv.URL+"/mgmt", "text/plain", strings.NewReader(cmd))
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !replies.Scan() {
-			t.Fatalf("%s: no reply: %v", cmd, replies.Err())
+		defer resp.Body.Close()
+		reply, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("%s: reading the reply: %v", cmd, err)
 		}
-		if got := replies.Text(); got != "OK" {
-			t.Fatalf("%s = %q, want OK", cmd, got)
+		if resp.StatusCode != http.StatusOK || string(reply) != "OK\n" {
+			t.Fatalf("%s = %d %q, want 200 OK", cmd, resp.StatusCode, reply)
 		}
 	}
 

@@ -30,7 +30,7 @@ type Controller struct {
 	met *ControllerMetrics // nil when uninstrumented
 
 	// mu serializes reconvergence — Apply runs on the simulation
-	// goroutine, Drain on management connections — and guards drained.
+	// goroutine, Drain on the admin endpoint's /mgmt handler — and guards drained.
 	mu      sync.Mutex
 	drained map[netip.Addr]bool // routers an operator took out of service
 }
