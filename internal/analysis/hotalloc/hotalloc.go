@@ -110,6 +110,7 @@ var allocFreeFuncs = map[string]bool{
 	"(net/netip.Prefix).Bits":  true,
 	"(net/netip.Prefix).Contains": true,
 	"(net/netip.Prefix).IsValid":  true,
+	"(net/netip.Prefix).Masked":   true,
 	"net/netip.AddrFrom4":         true,
 	"net/netip.PrefixFrom":        true,
 	"(time.Duration).Seconds":      true,

@@ -111,23 +111,42 @@ type georrMetrics struct {
 	transitions map[bool]*telemetry.Counter // egress liveness, keyed by down
 }
 
-// assignReasons are the reason labels of core_assignments_total; "geo"
-// is the successful distance-based assignment, the rest mirror
-// Decision.Reason.
-var assignReasons = []string{
+// Reason is the outcome of one Assign, and the reason label it counts
+// under in core_assignments_total.
+type Reason uint8
+
+// The Assign outcomes. ReasonGeo, the zero value, is the distance-based
+// assignment; every other outcome leaves LOCAL_PREF 0 but for
+// ReasonForcedHere and ReasonAdaptive.
+const (
+	ReasonGeo Reason = iota
+	ReasonExempt
+	ReasonUnknownEgress
+	ReasonEgressDown
+	ReasonForcedHere
+	ReasonForcedOther
+	ReasonNoGeolocation
+	ReasonAdaptive
+	numReasons
+)
+
+var reasonLabels = [numReasons]string{
 	"geo", "exempt", "unknown_egress", "egress_down",
-	"forced_here", "forced_other", "no_geolocation",
+	"forced_here", "forced_other", "no_geolocation", "adaptive",
 }
 
-func newGeorrMetrics(rr *GeoRR, reg *telemetry.Registry) (*georrMetrics, map[string]*telemetry.Counter) {
+// String returns r's core_assignments_total label.
+func (r Reason) String() string { return reasonLabels[r] }
+
+func newGeorrMetrics(rr *GeoRR, reg *telemetry.Registry) (*georrMetrics, [numReasons]*telemetry.Counter) {
 	vec := reg.CounterVec("core_assignments_total", "geo local-pref assignments, by outcome", "reason")
-	assign := make(map[string]*telemetry.Counter, len(assignReasons))
-	for _, reason := range assignReasons {
-		assign[reason] = vec.With(reason)
-	}
+	var assign [numReasons]*telemetry.Counter
 	// The "adaptive" child is NOT pre-created: it appears (at zero) in
 	// rendered output the moment it exists, and only adaptive-enabled
 	// runs should see it. SetOverride creates it on first use.
+	for r := range ReasonAdaptive {
+		assign[r] = vec.With(r.String())
+	}
 	trans := reg.CounterVec("core_egress_transitions_total", "egress liveness withdrawals and restores", "state")
 	m := &georrMetrics{assignVec: vec, transitions: map[bool]*telemetry.Counter{true: trans.With("down"), false: trans.With("up")}}
 	reg.RegisterFunc("core_routes_processed_total", "routes run through geo assignment",
@@ -169,15 +188,50 @@ func New(cfg Config) *GeoRR {
 // belongs to one state of the GeoRR, whatever mutations land meanwhile.
 func (rr *GeoRR) Policy() *Policy { return rr.policy.Load() }
 
-// AddEgress registers an egress router with its location.
+// AddEgress registers an egress router with its location, and builds
+// its distance row over the GeoIP DB as it stands. Registering the same
+// router at the same location again changes nothing unless the DB has
+// taken an Insert since, in which case it rebuilds the row.
 func (rr *GeoRR) AddEgress(e Egress) {
+	reg := registered{e, rr.distances(e.Pos)}
 	rr.update(func(p *Policy) (bool, error) {
-		if !put(&p.egresses, e.ID, e) {
+		if old, ok := p.egresses[e.ID]; ok && old.Egress == e && old.row.gen == reg.row.gen {
 			return false, nil
 		}
-		p.egressList = slices.SortedFunc(maps.Values(p.egresses), func(a, b Egress) int { return a.ID.Compare(b.ID) })
+		put(&p.egresses, e.ID, reg)
+		i, found := slices.BinarySearchFunc(p.egressList, e.ID, func(a Egress, id netip.Addr) int { return a.ID.Compare(id) })
+		if p.egressList = slices.Clone(p.egressList); found {
+			p.egressList[i] = e
+		} else {
+			p.egressList = slices.Insert(p.egressList, i, e)
+		}
 		return true, nil
 	}, netip.Prefix{})
+}
+
+// registered is one registered egress router with its distance row.
+type registered struct {
+	Egress
+	row *distRow
+}
+
+// distRow is one egress router's great-circle distance to every record
+// of the GeoIP DB at generation gen: km[i] is the distance to the record
+// with index i (km[0] is unused). Assign reads it only while the DB is
+// still at gen.
+type distRow struct {
+	gen uint64
+	km  []float64
+}
+
+// distances builds the distance row of an egress router at pos.
+func (rr *GeoRR) distances(pos geo.LatLon) *distRow {
+	db := rr.cfg.DB
+	row := &distRow{gen: db.Generation(), km: make([]float64, db.Len()+1)}
+	for i := 1; i < len(row.km); i++ {
+		row.km[i] = geo.DistanceKm(pos, db.At(i).Pos)
+	}
+	return row
 }
 
 // Decision is the outcome of geo-processing one route.
@@ -185,13 +239,11 @@ type Decision struct {
 	// LocalPref is the assigned preference; 0 means "leave the route
 	// unmodified" (exempt prefix or no geolocation).
 	LocalPref uint32
-	// DistanceKm is the computed egress-to-prefix distance.
+	// DistanceKm is the egress-to-prefix distance of a ReasonGeo
+	// assignment.
 	DistanceKm float64
-	// Record is the database record used.
-	Record geoip.Record
-	// Reason explains non-assignment ("exempt", "no geolocation",
-	// "forced to other egress", "") for logs and tests.
-	Reason string
+	// Reason is the outcome.
+	Reason Reason
 }
 
 // Assign computes the local preference for a route to prefix learned

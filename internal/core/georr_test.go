@@ -105,7 +105,7 @@ func TestAssignUnknownEgress(t *testing.T) {
 func TestAssignNoGeolocation(t *testing.T) {
 	rr, _ := testRR(t)
 	dec := rr.Assign(addr("10.0.1.1"), prefix("172.16.0.0/12"))
-	if dec.LocalPref != 0 || dec.Reason != "no geolocation" {
+	if dec.LocalPref != 0 || dec.Reason != ReasonNoGeolocation {
 		t.Errorf("dec = %+v", dec)
 	}
 	_, misses := rr.Stats()
@@ -121,7 +121,7 @@ func TestExempt(t *testing.T) {
 	if !rr.Policy().IsExempt(p) {
 		t.Fatal("not exempt")
 	}
-	if dec := rr.Assign(addr("10.0.1.1"), p); dec.LocalPref != 0 || dec.Reason != "exempt" {
+	if dec := rr.Assign(addr("10.0.1.1"), p); dec.LocalPref != 0 || dec.Reason != ReasonExempt {
 		t.Errorf("dec = %+v", dec)
 	}
 	rr.Unexempt(p)
@@ -208,7 +208,7 @@ func TestAddStaticCoverRunsUnlocked(t *testing.T) {
 	rr, _ := testRR(t)
 	cover := func(p netip.Prefix) bool {
 		rr.Exempt(prefix("10.2.0.0/16"))
-		return len(rr.Policy().Egresses()) > 0 && rr.Assign(addr("10.0.3.1"), p).Reason == ""
+		return len(rr.Policy().Egresses()) > 0 && rr.Assign(addr("10.0.3.1"), p).Reason == ReasonGeo
 	}
 	done := make(chan error, 1)
 	go func() { done <- rr.AddStatic(prefix("10.1.200.0/24"), addr("10.0.3.1"), cover) }()
@@ -300,16 +300,19 @@ func TestEgressesListing(t *testing.T) {
 	}
 }
 
+// BenchmarkAssign times one geo assignment: the policy checks, the
+// GeoIP walk and the distance-row read. The arguments are parsed before
+// the timer starts.
 func BenchmarkAssign(b *testing.B) {
 	db := geoip.New()
 	db.Insert(geoip.Record{Prefix: prefix("10.1.0.0/16"), Pos: geo.MustLookup("Amsterdam").Pos})
 	rr := New(Config{DB: db})
 	rr.AddEgress(Egress{ID: addr("10.0.1.1"), Pos: geo.MustLookup("London").Pos})
-	p := prefix("10.1.0.0/16")
+	from, p := addr("10.0.1.1"), prefix("10.1.0.0/16")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rr.Assign(addr("10.0.1.1"), p)
+		rr.Assign(from, p)
 	}
 }
 
@@ -329,7 +332,7 @@ func TestEgressDownWithdraws(t *testing.T) {
 	if !rr.Policy().EgressDown(ams) {
 		t.Fatal("EgressDown = false after withdraw")
 	}
-	if dec := rr.Assign(ams, p); dec.LocalPref != 0 || dec.Reason != "egress down" {
+	if dec := rr.Assign(ams, p); dec.LocalPref != 0 || dec.Reason != ReasonEgressDown {
 		t.Fatalf("down egress decision = %+v", dec)
 	}
 	// Other egresses are untouched.

@@ -36,10 +36,10 @@ func (rr *GeoRR) SetOverride(prefix netip.Prefix, egress netip.Addr) error {
 		if _, ok := p.egresses[egress]; !ok {
 			return false, fmt.Errorf("core: unknown egress %v", egress)
 		}
-		if rr.metrics != nil && p.assign["adaptive"] == nil {
+		if rr.metrics != nil && p.assign[ReasonAdaptive] == nil {
 			// Only now, so runs that never install an override render
 			// (and digest) exactly as before this subsystem existed.
-			put(&p.assign, "adaptive", rr.metrics.assignVec.With("adaptive"))
+			p.assign[ReasonAdaptive] = rr.metrics.assignVec.With(ReasonAdaptive.String())
 		}
 		return p.setOverride(prefix, Override{prefix, egress}), nil
 	}, prefix)

@@ -10,7 +10,7 @@ func TestSetOverrideAssigns(t *testing.T) {
 	p := prefix("10.3.0.0/16") // geolocated in Hong Kong
 
 	// Geo baseline: HK egress is closest, AMS far behind.
-	if d := rr.Assign(addr("10.0.3.1"), p); d.LocalPref <= 1000 || d.Reason != "" {
+	if d := rr.Assign(addr("10.0.3.1"), p); d.LocalPref <= 1000 || d.Reason != ReasonGeo {
 		t.Fatalf("geo baseline at HK: %+v", d)
 	}
 
@@ -18,7 +18,7 @@ func TestSetOverrideAssigns(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := rr.Assign(addr("10.0.1.1"), p)
-	if d.LocalPref != AdaptiveLocalPref || d.Reason != "adaptive" {
+	if d.LocalPref != AdaptiveLocalPref || d.Reason != ReasonAdaptive {
 		t.Fatalf("override egress: %+v, want LOCAL_PREF %d reason adaptive", d, AdaptiveLocalPref)
 	}
 	// Other egresses keep their geographic preference, always below the
@@ -53,7 +53,7 @@ func TestOverrideOrdering(t *testing.T) {
 	// Egress-down outranks the override at that router (the route is
 	// withdrawn from preference; geography takes over elsewhere).
 	rr.SetEgressDown(addr("10.0.1.1"), true)
-	if d := rr.Assign(addr("10.0.1.1"), p); d.Reason != "egress down" {
+	if d := rr.Assign(addr("10.0.1.1"), p); d.Reason != ReasonEgressDown {
 		t.Fatalf("down override egress: %+v", d)
 	}
 	if d := rr.Assign(addr("10.0.3.1"), p); d.LocalPref <= 1000 {
@@ -111,7 +111,7 @@ func TestOverrideLifecycle(t *testing.T) {
 	if _, ok := rr.Policy().OverrideFor(p); ok {
 		t.Fatal("override survived clear")
 	}
-	if d := rr.Assign(addr("10.0.2.1"), p); d.Reason == "adaptive" {
+	if d := rr.Assign(addr("10.0.2.1"), p); d.Reason == ReasonAdaptive {
 		t.Fatalf("cleared override still assigns: %+v", d)
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"net/netip"
 
 	"vns/internal/bgp"
@@ -19,7 +18,7 @@ import (
 type Policy struct {
 	rr *GeoRR // the configuration, counters and metrics Assign reports to
 
-	egresses   map[netip.Addr]Egress
+	egresses   map[netip.Addr]registered
 	egressList []Egress // by router id
 	down       map[netip.Addr]bool
 	downList   []netip.Addr // by address
@@ -32,7 +31,7 @@ type Policy struct {
 	overrideList []Override // by prefix text
 	// assign counts core_assignments_total by reason (nil without
 	// telemetry); SetOverride adds "adaptive" with the first override.
-	assign map[string]*telemetry.Counter
+	assign [numReasons]*telemetry.Counter
 
 	onBatch []func([]netip.Prefix) // the change subscribers
 	// changed is the prefix whose change published this policy (zero
@@ -43,35 +42,35 @@ type Policy struct {
 
 // Assign computes the local preference for a route to prefix learned
 // from egress router from, under this policy. This is the heart of the
-// paper's mechanism. Every call counts in the GeoRR's Stats.
+// paper's mechanism. Every call counts in the GeoRR's Stats. The
+// distance is a read from the egress's row, which holds what
+// geo.DistanceKm returns for every GeoIP record; LOCAL_PREF is the
+// configured function of it, applied per call.
+//
+//vnslint:hotpath
 func (p *Policy) Assign(from netip.Addr, prefix netip.Prefix) Decision {
 	rr := p.rr
 	rr.processed.Add(1)
 	if p.exempt[prefix] {
-		p.assigned("exempt")
-		return Decision{Reason: "exempt"}
+		return p.assigned(Decision{Reason: ReasonExempt})
 	}
 	eg, ok := p.egresses[from]
 	if !ok {
-		p.assigned("unknown_egress")
-		return Decision{Reason: fmt.Sprintf("unknown egress %v", from)}
+		return p.assigned(Decision{Reason: ReasonUnknownEgress})
 	}
 	if p.down[from] {
 		// Withdrawn by liveness monitoring: no preference, so the route
 		// never beats a geo-processed alternative while the egress is
 		// out of service.
-		p.assigned("egress_down")
-		return Decision{Reason: "egress down"}
+		return p.assigned(Decision{Reason: ReasonEgressDown})
 	}
 	if forcedTo, ok := p.forced[prefix]; ok {
 		// A forced prefix gets maximum preference at its designated
 		// egress and none elsewhere, overriding geography.
 		if forcedTo == from {
-			p.assigned("forced_here")
-			return Decision{LocalPref: 4000, Reason: "forced here"}
+			return p.assigned(Decision{LocalPref: 4000, Reason: ReasonForcedHere})
 		}
-		p.assigned("forced_other")
-		return Decision{Reason: "forced to other egress"}
+		return p.assigned(Decision{Reason: ReasonForcedOther})
 	}
 	if over, ok := p.overrides[prefix]; ok && over.Egress == from {
 		// Measured delay contradicts geography here: the adaptive
@@ -79,29 +78,35 @@ func (p *Policy) Assign(from netip.Addr, prefix netip.Prefix) Decision {
 		// geographic preference (always below AdaptiveLocalPref), so if
 		// this router is withdrawn the prefix degrades to geo-routing
 		// instead of losing all preference.
-		p.assigned("adaptive")
-		return Decision{LocalPref: AdaptiveLocalPref, Reason: "adaptive"}
+		return p.assigned(Decision{LocalPref: AdaptiveLocalPref, Reason: ReasonAdaptive})
 	}
-	rec, ok := rr.cfg.DB.LookupPrefix(prefix)
-	if !ok {
+	db := rr.cfg.DB
+	i := db.IndexPrefix(prefix)
+	if i == 0 {
 		rr.misses.Add(1)
-		p.assigned("no_geolocation")
-		return Decision{Reason: "no geolocation"}
+		return p.assigned(Decision{Reason: ReasonNoGeolocation})
 	}
-	d := geo.DistanceKm(eg.Pos, rec.Pos)
-	p.assigned("geo")
-	return Decision{
-		LocalPref:  rr.cfg.LocalPref(d),
-		DistanceKm: d,
-		Record:     rec,
+	var d float64
+	if eg.row.gen == db.Generation() {
+		d = eg.row.km[i]
+	} else {
+		// The DB took an Insert after the row was built (a deployment
+		// loads its DB before it builds the GeoRR, so only a caller that
+		// edits it later gets here): its records may have moved.
+		d = geo.DistanceKm(eg.Pos, db.At(i).Pos)
 	}
+	// Dynamic dispatch hotalloc cannot chase: every LocalPrefFunc in
+	// the tree (LinearLocalPref, StepLocalPref) is float arithmetic.
+	lp := rr.cfg.LocalPref(d) //vnslint:hotalloc
+	return p.assigned(Decision{LocalPref: lp, DistanceKm: d})
 }
 
-// assigned counts one Assign outcome.
-func (p *Policy) assigned(reason string) {
-	if c := p.assign[reason]; c != nil {
+// assigned counts one Assign outcome and returns it.
+func (p *Policy) assigned(d Decision) Decision {
+	if c := p.assign[d.Reason]; c != nil {
 		c.Inc()
 	}
+	return d
 }
 
 // Egresses returns the registered egress routers in router-id order, so

@@ -37,6 +37,13 @@ type Record struct {
 
 // DB is a longest-prefix-match geolocation database. It is safe for
 // concurrent readers after construction; writers must not race readers.
+//
+// Each record has a 1-based index (IndexPrefix, At) that names it for
+// the database's life: Insert appends a new prefix's record and replaces
+// an existing prefix's in place. Every Insert bumps the generation
+// (Generation), so a value derived from the records — the GeoRR's
+// per-egress distance rows, one entry per index — is current exactly
+// while the generation it was derived at still is.
 type DB struct {
 	// v4 and v6 map each stored prefix of their family to its 1-based
 	// index in recs.
@@ -48,6 +55,8 @@ type DB struct {
 	// own (10.0.0.0/7 under 10.0.0.0/8 and 11.0.0.0/8) leaves no trace
 	// in them.
 	index map[netip.Prefix]int32
+	// gen counts the Inserts that succeeded.
+	gen uint64
 }
 
 // New returns an empty database.
@@ -68,6 +77,7 @@ func (d *DB) Insert(rec Record) error {
 		return fmt.Errorf("geoip: invalid prefix %v (an IPv4-mapped one must be /96 or longer)", rec.Prefix)
 	}
 	rec.Prefix = p
+	d.gen++
 	if i, ok := d.index[p]; ok {
 		d.recs[i-1] = rec
 		return nil
@@ -83,22 +93,18 @@ func (d *DB) Insert(rec Record) error {
 	return nil
 }
 
+// Generation returns the number of Inserts the database has taken.
+func (d *DB) Generation() uint64 { return d.gen }
+
+// At returns the record with 1-based index i, 1 ≤ i ≤ Len().
+func (d *DB) At(i int) Record { return d.recs[i-1] }
+
 // Lookup returns the longest-prefix-match record for addr; an
 // IPv4-mapped IPv6 address is looked up as the IPv4 address it maps.
-// Every GeoRR assignment makes one.
 //
 //vnslint:hotpath
 func (d *DB) Lookup(addr netip.Addr) (Record, bool) {
-	addr = addr.Unmap()
-	var i int32
-	switch {
-	case addr.Is4():
-		a := addr.As4()
-		i = d.v4.Lookup(a[:])
-	case addr.Is6():
-		a := addr.As16()
-		i = d.v6.Lookup(a[:])
-	}
+	i := d.lookup(addr)
 	if i == 0 {
 		return Record{}, false
 	}
@@ -109,10 +115,37 @@ func (d *DB) Lookup(addr netip.Addr) (Record, bool) {
 // same convention the paper's probing uses (probe the first IP in each
 // destination prefix).
 func (d *DB) LookupPrefix(p netip.Prefix) (Record, bool) {
-	if !p.IsValid() {
+	i := d.IndexPrefix(p)
+	if i == 0 {
 		return Record{}, false
 	}
-	return d.Lookup(p.Masked().Addr())
+	return d.recs[i-1], true
+}
+
+// IndexPrefix returns the index of the record LookupPrefix(p) returns,
+// or 0 when it returns none. Every GeoRR assignment makes one.
+//
+//vnslint:hotpath
+func (d *DB) IndexPrefix(p netip.Prefix) int {
+	if !p.IsValid() {
+		return 0
+	}
+	return int(d.lookup(p.Masked().Addr()))
+}
+
+// lookup returns the index of addr's longest-prefix-match record, 0 for
+// none.
+func (d *DB) lookup(addr netip.Addr) int32 {
+	addr = addr.Unmap()
+	switch {
+	case addr.Is4():
+		a := addr.As4()
+		return d.v4.Lookup(a[:])
+	case addr.Is6():
+		a := addr.As16()
+		return d.v6.Lookup(a[:])
+	}
+	return 0
 }
 
 // Walk visits every record in prefix order (detsort.PrefixCompare:

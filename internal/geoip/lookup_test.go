@@ -111,7 +111,8 @@ func TestWalkOrder(t *testing.T) {
 // any insert sequence (IPv4, IPv6, IPv4-mapped, /0 through /32 and
 // /128, replacements) must answer Lookup and LookupPrefix as the
 // longest matching record does, at every record's first and last
-// address and at random ones.
+// address and at random ones. Every insert, a replacement included,
+// bumps the generation.
 //
 // Each 6-byte chunk of the input is one insert: a kind byte (family
 // and record tag), a length byte and four address bytes, which an IPv6
@@ -147,6 +148,9 @@ func FuzzLookup(f *testing.F) {
 			rec := Record{Prefix: p, Country: fmt.Sprint(i)}
 			if err := db.Insert(rec); err != nil {
 				t.Fatalf("Insert(%v): %v", p, err)
+			}
+			if g := db.Generation(); g != uint64(i+1) {
+				t.Fatalf("generation %d after insert %d", g, i+1)
 			}
 			rec.Prefix = stored
 			ref[stored] = rec
@@ -208,9 +212,9 @@ func seed1DB() *DB {
 
 // TestLookupBudgetTest is the control-plane lookup's allocation budget
 // in CI (`go test -run BudgetTest ./internal/geoip`): every GeoRR
-// assignment geolocates its prefix, so Lookup and LookupPrefix must not
-// allocate. Skips under -race, where allocation counts reflect
-// instrumentation, not design.
+// assignment geolocates its prefix, so Lookup, LookupPrefix and
+// IndexPrefix must not allocate. Skips under -race, where allocation
+// counts reflect instrumentation, not design.
 func TestLookupBudgetTest(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instruments the lookup path; budget not meaningful")
@@ -226,5 +230,8 @@ func TestLookupBudgetTest(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { db.LookupPrefix(pfx) }); allocs != 0 {
 		t.Errorf("LookupPrefix makes %.0f allocations, budget 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { db.IndexPrefix(pfx) }); allocs != 0 {
+		t.Errorf("IndexPrefix makes %.0f allocations, budget 0", allocs)
 	}
 }
