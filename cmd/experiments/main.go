@@ -157,7 +157,7 @@ func main() {
 
 	// The soak study holds the combined churn + flow load for real wall
 	// time, so it runs only when named explicitly — never under "all".
-	// It builds its own world (registry, table, publisher, flow engine)
+	// It builds its own world (registry, routing plane, flow engine)
 	// and fails the process when a soak gate (scrape gaps, counter
 	// regressions, flow conservation, stage additivity) is violated.
 	soakFailed := false

@@ -119,7 +119,7 @@ func TestEndToEndForwardingCongruence(t *testing.T) {
 		t.Fatal("no forceable prefix found")
 	}
 	sub := netip.PrefixFrom(env.Topo.Prefixes[1].Prefix.Addr(), 24)
-	if err := env.RR.AddStatic(sub, env.Net.PoP("SIN").Routers[0], nil); err != nil {
+	if err := env.RR.AddStatic(sub, env.Net.PoP("SIN").Routers[0], func(netip.Prefix) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
 	match, total = fwd.Congruence(lon)

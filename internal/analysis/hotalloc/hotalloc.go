@@ -90,29 +90,29 @@ var allocFreePkgs = map[string]bool{
 // and methods (keyed by types.Func.FullName) that appear on hot paths:
 // mutex fast paths, netip value-type accessors, duration arithmetic.
 var allocFreeFuncs = map[string]bool{
-	"(*sync.Mutex).Lock":      true,
-	"(*sync.Mutex).Unlock":    true,
-	"(*sync.Mutex).TryLock":   true,
-	"(*sync.RWMutex).RLock":   true,
-	"(*sync.RWMutex).RUnlock": true,
-	"(*sync.RWMutex).Lock":    true,
-	"(*sync.RWMutex).Unlock":  true,
-	"(net/netip.Addr).Is4":    true,
-	"(net/netip.Addr).Is4In6": true,
-	"(net/netip.Addr).Is6":    true,
-	"(net/netip.Addr).Unmap":  true,
-	"(net/netip.Addr).As4":    true,
-	"(net/netip.Addr).As16":   true,
-	"(net/netip.Addr).Less":   true,
-	"(net/netip.Addr).Compare": true,
-	"(net/netip.Addr).IsValid": true,
-	"(net/netip.Prefix).Addr":  true,
-	"(net/netip.Prefix).Bits":  true,
-	"(net/netip.Prefix).Contains": true,
-	"(net/netip.Prefix).IsValid":  true,
-	"(net/netip.Prefix).Masked":   true,
-	"net/netip.AddrFrom4":         true,
-	"net/netip.PrefixFrom":        true,
+	"(*sync.Mutex).Lock":           true,
+	"(*sync.Mutex).Unlock":         true,
+	"(*sync.Mutex).TryLock":        true,
+	"(*sync.RWMutex).RLock":        true,
+	"(*sync.RWMutex).RUnlock":      true,
+	"(*sync.RWMutex).Lock":         true,
+	"(*sync.RWMutex).Unlock":       true,
+	"(net/netip.Addr).Is4":         true,
+	"(net/netip.Addr).Is4In6":      true,
+	"(net/netip.Addr).Is6":         true,
+	"(net/netip.Addr).Unmap":       true,
+	"(net/netip.Addr).As4":         true,
+	"(net/netip.Addr).As16":        true,
+	"(net/netip.Addr).Less":        true,
+	"(net/netip.Addr).Compare":     true,
+	"(net/netip.Addr).IsValid":     true,
+	"(net/netip.Prefix).Addr":      true,
+	"(net/netip.Prefix).Bits":      true,
+	"(net/netip.Prefix).Contains":  true,
+	"(net/netip.Prefix).IsValid":   true,
+	"(net/netip.Prefix).Masked":    true,
+	"net/netip.AddrFrom4":          true,
+	"net/netip.PrefixFrom":         true,
 	"(time.Duration).Seconds":      true,
 	"(time.Duration).Milliseconds": true,
 	"(time.Duration).Microseconds": true,

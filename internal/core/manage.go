@@ -52,12 +52,12 @@ func (rr *GeoRR) Unexempt(prefix netip.Prefix) {
 // egress announces prefix into iBGP even though it is not present in the
 // global table, covering subnets whose real location is far from their
 // covering prefix. hasCover must confirm the egress holds a route to a
-// covering less-specific; the paper requires this so traffic can
-// actually be delivered. hasCover is the caller's code and may take its
-// own locks or call back into the GeoRR; it runs once, before the new
-// policy is built.
+// covering less-specific (Reflector.HasCover); the paper requires this
+// so traffic can actually be delivered. hasCover is the caller's code
+// and may take its own locks or call back into the GeoRR; it runs once,
+// before the new policy is built.
 func (rr *GeoRR) AddStatic(prefix netip.Prefix, egress netip.Addr, hasCover func(netip.Prefix) bool) error {
-	covered := hasCover == nil || hasCover(prefix)
+	covered := hasCover(prefix)
 	key := prefix.Masked()
 	_, err := rr.update(func(p *Policy) (bool, error) {
 		if _, ok := p.egresses[egress]; !ok {

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"net/netip"
 	"strings"
+
+	"vns/internal/telemetry"
 )
 
 // Mgmt interprets the paper's management interface, so operators
@@ -27,7 +29,8 @@ import (
 //
 // A reply is one line, "OK", "ERR <reason>" or a datum, except that
 // egresses answers one line per router. Overrides reach the FIBs through
-// the reflector's change notifications; drains change no route, so they
+// the reflector's change notifications, each inside one "mgmt"
+// convergence event; drains change no route, so they
 // go through the drain function, which in a deployment republishes
 // every PoP's FIB (health.Controller.Drain). Mgmt has no listener of its
 // own: vnsd serves it as /mgmt on its admin HTTP endpoint (ServeHTTP).
@@ -103,49 +106,50 @@ func (m *Mgmt) Execute(line string) string {
 	}
 
 	switch cmd {
-	case "force", "static", "unstatic":
-		if len(fields) != 3 {
-			return "ERR usage: " + cmd + " <prefix> <egress-router>"
+	case "force", "static", "unstatic", "unforce", "exempt", "unexempt":
+		usage, n := " <prefix>", 2
+		if cmd == "force" || cmd == "static" || cmd == "unstatic" {
+			usage, n = usage+" <egress-router>", 3
+		}
+		if len(fields) != n {
+			return "ERR usage: " + cmd + usage
 		}
 		p, e := parsePrefix(fields[1])
 		if e != "" {
 			return e
 		}
-		a, e := parseAddr(fields[2])
-		if e != "" {
-			return e
+		var a netip.Addr
+		if n == 3 {
+			if a, e = parseAddr(fields[2]); e != "" {
+				return e
+			}
 		}
+		// One "mgmt" convergence event per override handed to the GeoRR:
+		// its forwarding stage is the change notification the override
+		// causes, compile time excluded, as a drain's is.
+		ev := m.srv.convergence().Begin(telemetry.ConvMgmt)
+		mark := ev.Mark()
+		var err error
 		switch cmd {
 		case "force":
-			if err := rr.ForceExit(p, a); err != nil {
-				return "ERR " + err.Error()
-			}
+			err = rr.ForceExit(p, a)
 		case "static":
 			// The wire server holds routes for covering prefixes; a
 			// more-specific is accepted when any covering route exists.
-			if err := rr.AddStatic(p, a, m.srv.hasCover); err != nil {
-				return "ERR " + err.Error()
-			}
+			err = rr.AddStatic(p, a, m.srv.hasCover)
 		case "unstatic":
 			rr.RemoveStatic(p, a)
-		}
-		return "OK"
-
-	case "unforce", "exempt", "unexempt":
-		if len(fields) != 2 {
-			return "ERR usage: " + cmd + " <prefix>"
-		}
-		p, e := parsePrefix(fields[1])
-		if e != "" {
-			return e
-		}
-		switch cmd {
 		case "unforce":
 			rr.Unforce(p)
 		case "exempt":
 			rr.Exempt(p)
 		case "unexempt":
 			rr.Unexempt(p)
+		}
+		ev.StageExclusive(telemetry.StageForwarding, mark)
+		ev.Finish()
+		if err != nil {
+			return "ERR " + err.Error()
 		}
 		return "OK"
 

@@ -123,6 +123,7 @@ func TestOverrideLifecycle(t *testing.T) {
 func TestNoOpMutationsNotifyNobody(t *testing.T) {
 	p, ams, hk := prefix("10.1.0.0/16"), addr("10.0.1.1"), addr("10.0.3.1")
 	sub := prefix("10.1.200.0/24")
+	covered := func(netip.Prefix) bool { return true }
 	cases := []struct {
 		name   string
 		setup  func(rr *GeoRR)
@@ -133,8 +134,8 @@ func TestNoOpMutationsNotifyNobody(t *testing.T) {
 		{"Unforce with nothing forced", nil, func(rr *GeoRR) { rr.Unforce(p) }},
 		{"ForceExit to the forced egress", func(rr *GeoRR) { _ = rr.ForceExit(p, hk) }, func(rr *GeoRR) { _ = rr.ForceExit(p, hk) }},
 		{"ForceExit to an unknown egress", nil, func(rr *GeoRR) { _ = rr.ForceExit(p, addr("10.9.9.9")) }},
-		{"AddStatic of an installed static", func(rr *GeoRR) { _ = rr.AddStatic(sub, hk, nil) }, func(rr *GeoRR) { _ = rr.AddStatic(sub, hk, nil) }},
-		{"RemoveStatic of an absent static", func(rr *GeoRR) { _ = rr.AddStatic(sub, hk, nil) }, func(rr *GeoRR) { rr.RemoveStatic(sub, ams) }},
+		{"AddStatic of an installed static", func(rr *GeoRR) { _ = rr.AddStatic(sub, hk, covered) }, func(rr *GeoRR) { _ = rr.AddStatic(sub, hk, covered) }},
+		{"RemoveStatic of an absent static", func(rr *GeoRR) { _ = rr.AddStatic(sub, hk, covered) }, func(rr *GeoRR) { rr.RemoveStatic(sub, ams) }},
 		{"SetOverride of the installed override", func(rr *GeoRR) { _ = rr.SetOverride(p, hk) }, func(rr *GeoRR) { _ = rr.SetOverride(p, hk) }},
 		{"ClearOverride with nothing installed", nil, func(rr *GeoRR) { rr.ClearOverride(p) }},
 		{"SetEgressDown of a live egress to up", nil, func(rr *GeoRR) { rr.SetEgressDown(ams, false) }},

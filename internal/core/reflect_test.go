@@ -221,7 +221,7 @@ func wireStreamMatchesIngest(t *testing.T, sc streamScript) {
 	receivers := map[string]*bgp.Session{"HK": hk, "ASH": ash, "other": other}
 	names := []string{"ASH", "HK", "other"}
 
-	ref := NewReflector(srv.GeoRR(), reflectorID, nil)
+	ref := NewReflector(srv.GeoRR(), reflectorID, nil, nil)
 	var want []bgp.Update
 	for _, u := range sc.seq {
 		if err := src.SendUpdate(u); err != nil {

@@ -24,9 +24,10 @@ type Reflector struct {
 }
 
 // NewReflector returns a reflector over an empty Loc-RIB whose decision
-// churn counts into reg (nil: uncounted).
-func NewReflector(rr *GeoRR, clusterID netip.Addr, reg *telemetry.Registry) *Reflector {
-	r := &Reflector{rr: rr, table: rib.NewSharded(0), clusterID: clusterID}
+// churn counts into reg (nil: uncounted) and whose UPDATEs each open one
+// convergence event in conv (nil: none).
+func NewReflector(rr *GeoRR, clusterID netip.Addr, reg *telemetry.Registry, conv *telemetry.Convergence) *Reflector {
+	r := &Reflector{rr: rr, table: rib.NewSharded(0), clusterID: clusterID, conv: conv}
 	r.table.SetMetrics(rib.NewMetrics(reg))
 	return r
 }
@@ -52,9 +53,8 @@ func (r *Reflector) Ingest(from netip.Addr, u bgp.Update) []bgp.Update {
 	for _, w := range u.Withdrawn {
 		ops = append(ops, rib.WithdrawOp(w, from, from))
 	}
-	ev.Stage(telemetry.StageIngest, mark)
+	mark = ev.Stage(telemetry.StageIngest, mark)
 
-	mark = ev.Mark()
 	geoOuts := make([]bgp.Update, 0, len(u.NLRI))
 	for _, p := range u.NLRI {
 		single := bgp.Update{Attrs: u.Attrs, NLRI: []netip.Prefix{p}}
@@ -69,30 +69,29 @@ func (r *Reflector) Ingest(from netip.Addr, u bgp.Update) []bgp.Update {
 		}))
 		geoOuts = append(geoOuts, out)
 	}
-	ev.Stage(telemetry.StageGeoRR, mark)
+	mark = ev.Stage(telemetry.StageGeoRR, mark)
 
-	mark = ev.Mark()
 	changed := r.table.ApplyBatch(ops)
-	ev.Stage(telemetry.StageSelect, mark)
-	var outs []bgp.Update
-	for _, w := range u.Withdrawn {
-		// Only a withdrawal that moved the best path propagates. An
-		// announce of the same prefix in this UPDATE supersedes it in the
-		// batch, and its reflection carries the news.
-		if _, moved := slices.BinarySearchFunc(changed, w, detsort.PrefixCompare); moved {
-			outs = append(outs, bgp.Update{Withdrawn: []netip.Prefix{w}})
-		}
-	}
-	outs = append(outs, geoOuts...)
+	mark = ev.Stage(telemetry.StageSelect, mark)
 
 	// One notification for the whole UPDATE (ProcessUpdateQuiet deferred
 	// it), so each PoP's publisher flushes once. Compile time inside the
 	// flushes is attributed to this event and excluded here.
-	mark = ev.Mark()
 	r.rr.NotifyChanged(append(slices.Clip(u.Withdrawn), u.NLRI...)...)
 	ev.StageExclusive(telemetry.StageForwarding, mark)
-	ev.Finish() // sending the reflections is propagation, not convergence
-	return outs
+	ev.Finish()
+
+	// Building and sending the reflections is propagation, not
+	// convergence. Only a withdrawal that moved the best path
+	// propagates: an announce of the same prefix in this UPDATE
+	// supersedes it in the batch, and its reflection carries the news.
+	var outs []bgp.Update
+	for _, w := range u.Withdrawn {
+		if _, moved := slices.BinarySearchFunc(changed, w, detsort.PrefixCompare); moved {
+			outs = append(outs, bgp.Update{Withdrawn: []netip.Prefix{w}})
+		}
+	}
+	return append(outs, geoOuts...)
 }
 
 // Purge withdraws every route learned from peer, whose session ended,
@@ -111,6 +110,15 @@ func (r *Reflector) Purge(peer netip.Addr) []bgp.Update {
 	}
 	r.table.ApplyBatch(ops)
 	return bgp.PackWithdrawals(gone)
+}
+
+// HasCover reports whether the Loc-RIB holds a strictly less-specific
+// route covering sub: the cover check a static more-specific needs
+// (GeoRR.AddStatic).
+func (r *Reflector) HasCover(sub netip.Prefix) bool {
+	return slices.ContainsFunc(r.table.Prefixes(), func(cp netip.Prefix) bool {
+		return cp.Contains(sub.Addr()) && cp.Bits() < sub.Bits()
+	})
 }
 
 // Best returns the current best route for a prefix.

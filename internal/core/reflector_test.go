@@ -18,7 +18,7 @@ var (
 func testReflector(tb testing.TB) *Reflector {
 	tb.Helper()
 	rr, _ := testRR(tb)
-	return NewReflector(rr, reflectorID, nil)
+	return NewReflector(rr, reflectorID, nil, nil)
 }
 
 func TestReflectorReflectsWithGeoPref(t *testing.T) {
@@ -126,6 +126,23 @@ func TestReflectorPurge(t *testing.T) {
 	}
 	if outs := ref.Purge(addr("10.0.2.1")); outs != nil {
 		t.Errorf("purge of a silent peer = %+v", outs)
+	}
+}
+
+// TestReflectorHasCover: only a strictly less-specific route in the
+// Loc-RIB covers a prefix.
+func TestReflectorHasCover(t *testing.T) {
+	ref := testReflector(t)
+	ref.Ingest(amsID, announce([]netip.Prefix{prefix("10.1.0.0/16")}))
+	for p, want := range map[string]bool{
+		"10.1.200.0/24": true,  // under the /16
+		"10.1.0.0/16":   false, // the route itself
+		"10.0.0.0/8":    false, // a less-specific of it
+		"10.2.1.0/24":   false, // elsewhere
+	} {
+		if got := ref.HasCover(prefix(p)); got != want {
+			t.Errorf("HasCover(%s) = %v, want %v", p, got, want)
+		}
 	}
 }
 

@@ -50,7 +50,7 @@ func NewRRServer(addr string, rr *GeoRR, localAS uint16, routerID netip.Addr) (*
 // newRRServer starts the reflector accepting sessions on ln.
 func newRRServer(ln net.Listener, rr *GeoRR, localAS uint16, routerID netip.Addr) *RRServer {
 	s := &RRServer{
-		ref:     NewReflector(rr, routerID, nil),
+		ref:     NewReflector(rr, routerID, nil, nil),
 		cfg:     bgp.SessionConfig{LocalAS: localAS, LocalID: routerID},
 		ln:      ln,
 		peers:   make(map[netip.Addr]*bgp.Session),
@@ -222,17 +222,20 @@ func (s *RRServer) fanOut(from netip.Addr, outs []bgp.Update) {
 	}
 }
 
-// hasCover reports whether the Loc-RIB holds a strictly less-specific
-// route covering sub: the management interface's static cover check.
+// hasCover is the Loc-RIB's Reflector.HasCover: the management
+// interface's static cover check.
 func (s *RRServer) hasCover(sub netip.Prefix) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, cp := range s.ref.table.Prefixes() {
-		if cp.Contains(sub.Addr()) && cp.Bits() < sub.Bits() {
-			return true
-		}
-	}
-	return false
+	return s.ref.HasCover(sub)
+}
+
+// convergence returns the span layer SetConvergence attached (nil:
+// none), which the management interface opens its events in.
+func (s *RRServer) convergence() *telemetry.Convergence {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.ref.conv
 }
 
 // ErrNotEstablished reports a dial that never reached Established.

@@ -82,23 +82,7 @@ func TestDeployReflectsWithClusterID(t *testing.T) {
 // back.
 func TestDeployMgmtDrainRepublishesFIB(t *testing.T) {
 	d := listened(t)
-	srv := httptest.NewServer(d.Mgmt)
-	defer srv.Close()
-	execute := func(cmd string) {
-		t.Helper()
-		resp, err := http.Post(srv.URL+"/mgmt", "text/plain", strings.NewReader(cmd))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		reply, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatalf("%s: reading the reply: %v", cmd, err)
-		}
-		if resp.StatusCode != http.StatusOK || string(reply) != "OK\n" {
-			t.Fatalf("%s = %d %q, want 200 OK", cmd, resp.StatusCode, reply)
-		}
-	}
+	execute := mgmtPoster(t, d)
 
 	lon := d.Net.PoP("LON")
 	eng := d.Fwd.EngineByID(lon.ID)
@@ -120,6 +104,42 @@ func TestDeployMgmtDrainRepublishesFIB(t *testing.T) {
 	execute("egress-up " + before.Router.String())
 	if got, _ := eng.Lookup(p.Addr()); got != before {
 		t.Errorf("LON FIB after egress-up %v: %+v, want %+v", before.Router, got, before)
+	}
+}
+
+// mgmtPoster serves d's management interface over HTTP and returns a
+// function that POSTs one command to it and fails the test unless the
+// reply is OK.
+func mgmtPoster(t *testing.T, d *Deployment) func(cmd string) {
+	srv := httptest.NewServer(d.Mgmt)
+	t.Cleanup(srv.Close)
+	return func(cmd string) {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/mgmt", "text/plain", strings.NewReader(cmd))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		reply, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("%s: reading the reply: %v", cmd, err)
+		}
+		if resp.StatusCode != http.StatusOK || string(reply) != "OK\n" {
+			t.Fatalf("%s = %d %q, want 200 OK", cmd, resp.StatusCode, reply)
+		}
+	}
+}
+
+// TestDeployMgmtOverridesOpenEvents: each management override the live
+// daemon hands to the GeoRR is one "mgmt" convergence event.
+func TestDeployMgmtOverridesOpenEvents(t *testing.T) {
+	d := listened(t)
+	execute := mgmtPoster(t, d)
+	p := d.Topo.Prefixes[0].Prefix
+	execute("force " + p.String() + " " + d.Net.PoP("SIN").Routers[0].String())
+	execute("unforce " + p.String())
+	if want := `convergence_events_total{kind="mgmt"} 2` + "\n"; !strings.Contains(d.Telemetry.Render(), want) {
+		t.Errorf("metrics lack %q after force and unforce", want)
 	}
 }
 

@@ -2,39 +2,45 @@ package experiments
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/netip"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"vns/internal/bgp"
+	"vns/internal/core"
+	"vns/internal/detsort"
 	"vns/internal/fib"
 	"vns/internal/flowsim"
+	"vns/internal/geo"
+	"vns/internal/geoip"
 	"vns/internal/loss"
 	"vns/internal/netsim"
-	"vns/internal/rib"
 	"vns/internal/telemetry"
 	"vns/internal/vns"
 )
 
 // The soak study is the continuous-performance harness: it drives a
-// full-Internet-shaped table (internetPrefixes) through the sharded RIB
-// and a delta-compiling FIB publisher, and the million-flow aggregate
-// population (flow study's load), at the same time for a configurable
-// wall duration, while self-scraping its own /metrics endpoint over
-// loopback HTTP on a fixed interval into schema-stable JSONL. Every churn burst is one convergence event whose
-// stage decomposition (ingest → georr → select → fib_compile →
-// forwarding) must tile the observed end-to-end latency — the run
-// fails if the summed stages drift more than 5% from the end-to-end
-// totals, if a scrape interval is missed, or if any counter moves
-// backwards between scrapes.
+// full-Internet-shaped table (internetPrefixes) through the daemon's
+// GeoRR and core.Reflector into a delta-compiling FIB, and the
+// million-flow aggregate population (flow study's load), at the same
+// time for a configurable wall duration, while self-scraping its own
+// /metrics endpoint over loopback HTTP on a fixed interval into
+// schema-stable JSONL. Ingest stages every churn UPDATE's convergence
+// event (ingest → georr → select → fib_compile → forwarding), and the
+// stages must tile the observed end-to-end latency — the run fails if
+// the summed stages drift more than 5% from the end-to-end totals, if
+// a scrape interval is missed, or if any counter moves backwards.
 
 // SoakConfig sizes the soak run. Zero fields take the defaults shown.
 type SoakConfig struct {
@@ -54,22 +60,13 @@ type SoakConfig struct {
 	Out io.Writer
 }
 
+// withDefaults gives each zero or negative field its default.
 func (c SoakConfig) withDefaults() SoakConfig {
-	if c.Prefixes <= 0 {
-		c.Prefixes = 400_000
-	}
-	if c.Flows <= 0 {
-		c.Flows = 1_000_000
-	}
-	if c.DurationSec <= 0 {
-		c.DurationSec = 30
-	}
-	if c.ScrapeIntervalSec <= 0 {
-		c.ScrapeIntervalSec = 1
-	}
-	if c.Seed == 0 {
-		c.Seed = 0x51B5CA1E
-	}
+	c.Prefixes = cmp.Or(max(c.Prefixes, 0), 400_000)
+	c.Flows = cmp.Or(max(c.Flows, 0), 1_000_000)
+	c.DurationSec = cmp.Or(max(c.DurationSec, 0), 30)
+	c.ScrapeIntervalSec = cmp.Or(max(c.ScrapeIntervalSec, 0), 1)
+	c.Seed = cmp.Or(c.Seed, 0x51B5CA1E)
 	return c
 }
 
@@ -88,24 +85,19 @@ type SoakResult struct {
 	Cfg SoakConfig
 
 	Prefixes int
-	Routes   int
 	WallSec  float64
 
-	// The full-table load, the run's first convergence event: its select
-	// stage (every route through the sharded table's batched ingest) and
-	// the initial full FIB compile, in wall seconds.
-	LoadSelectSec, LoadCompileSec float64
+	// The full-table load: its wall seconds through Ingest, and the
+	// initial full FIB compile.
+	LoadSec, LoadCompileSec float64
 
-	// Churn side.
-	Events      uint64 // churn convergence events driven
-	OpsApplied  uint64
-	BestChanged uint64
+	// Churn side: UPDATEs ingested (one convergence event each), ops
+	// they carried, and the Loc-RIB's best-path changes.
+	Events, OpsApplied, BestChanged uint64
 	// TotalConvSec and StageSumSec are the summed end-to-end and
 	// summed per-stage convergence seconds across every churn event;
 	// AdditivityErr is their relative difference (must be <= 0.05).
-	TotalConvSec  float64
-	StageSumSec   float64
-	AdditivityErr float64
+	TotalConvSec, StageSumSec, AdditivityErr float64
 
 	// Flow side.
 	FlowTotals       flowsim.Totals
@@ -113,9 +105,7 @@ type SoakResult struct {
 	SimSec           float64
 
 	// Scrape side.
-	Scrapes                int
-	ScrapeGaps             int
-	ConservationViolations int
+	Scrapes, ScrapeGaps, ConservationViolations int
 
 	// Stage latency summary (wall seconds) at the end of the run.
 	StageP50, StageP99 map[string]float64
@@ -167,72 +157,16 @@ func SoakStudy(cfg SoakConfig) *SoakResult {
 		})
 	reg.MarkVolatile("soak_goroutines", "soak_heap_alloc_bytes", "soak_gc_cycles_total")
 
-	// Routing plane: a full-Internet-shaped sharded table whose changed
-	// prefixes' best routes are published to one compiled FIB, compiles
-	// attributed back to the in-flight convergence event — the same
-	// event-ID round trip the deployment runs, minus the TCP.
-	prefixes := internetPrefixes(cfg.Prefixes)
-	res.Prefixes = len(prefixes)
-	res.Routes = len(prefixes) * synthPeers
-	table := rib.NewSharded(0)
-	table.SetMetrics(rib.NewMetrics(reg))
-
-	// The synthetic geo step: localpref from the prefix's address bits,
-	// standing in for the geoip lookup + distance ranking the GeoRR
-	// runs per announcement.
-	geoPref := func(pfx netip.Prefix, peer int) uint32 {
-		a := pfx.Addr().As4()
-		h := uint32(a[0])*131 + uint32(a[1])*31 + uint32(a[2])*7 + uint32(peer)
-		return 100 + h%400
-	}
-
-	// decide is the batch of best-route decisions for prefixes, given in
-	// detsort.PrefixCompare order: no best route withdraws the prefix.
-	decide := func(prefixes []netip.Prefix) []fib.Entry {
-		batch := make([]fib.Entry, len(prefixes))
-		for i, pfx := range prefixes {
-			batch[i].Prefix = pfx
-			if r := table.Best(pfx); r != nil {
-				batch[i].NextHop = fib.NextHop{PoP: int(r.PeerID.As4()[3]), Router: r.PeerID}
-			}
-		}
-		return batch
-	}
-	pub := fib.NewEngine(1, nil).Publisher()
-	compiles := vns.NewCompileRecorder(reg, conv, true)
-
-	// Full-table download, chunked like session resets, as one "update"
-	// convergence event.
-	const loadChunk = 8192
-	ev := conv.Begin(telemetry.ConvUpdate)
-	mark := ev.Mark()
-	load := make([]rib.Op, 0, res.Routes)
-	for _, pfx := range prefixes {
-		for p := 0; p < synthPeers; p++ {
-			load = append(load, rib.Announce(synthRoute(pfx, p)))
-		}
-	}
-	ev.Stage(telemetry.StageIngest, mark)
-	mark = ev.Mark()
-	for i := range load {
-		r := load[i].Route
-		r.Attrs.LocalPref = geoPref(r.Prefix, int(r.PeerID.As4()[3])-1)
-	}
-	ev.Stage(telemetry.StageGeoRR, mark)
-	mark = ev.Mark()
+	// Routing plane: the daemon's GeoRR and Reflector over a
+	// full-Internet-shaped table, each router's whole table announced
+	// through Ingest as a session reset would, every UPDATE its own
+	// "update" convergence event.
+	plane := newSoakPlane(cfg.Prefixes, reg, conv)
+	res.Prefixes = len(plane.prefixes)
 	t0 := wallNow()
-	for lo := 0; lo < len(load); lo += loadChunk {
-		hi := min(lo+loadChunk, len(load))
-		table.ApplyBatch(load[lo:hi])
-	}
-	res.LoadSelectSec = wallNow() - t0
-	ev.Stage(telemetry.StageSelect, mark)
-	mark = ev.Mark()
-	loaded := pub.Publish(decide(prefixes))
-	compiles.Record(0, loaded)
-	res.LoadCompileSec = loaded.CompileDuration().Seconds()
-	ev.StageExclusive(telemetry.StageForwarding, mark)
-	ev.Finish()
+	plane.load()
+	res.LoadSec = wallNow() - t0
+	res.LoadCompileSec = plane.serve().CompileDuration().Seconds()
 
 	// Flow plane: the million-flow aggregate population on its own
 	// virtual clock, advanced in fixed slices per wall tick by its own
@@ -247,61 +181,43 @@ func SoakStudy(cfg SoakConfig) *SoakResult {
 	addTemplateFlows(feng, cfg.Flows)
 
 	stop := make(chan struct{})
-	churnDone := make(chan struct{})
-	flowDone := make(chan struct{})
-	var simSecBits atomic.Uint64
+	var running sync.WaitGroup // the churn and flow clock drivers
+	running.Add(2)
 
+	best0, total0, stages0 := soakTotals(reg)
 	go func() { // churn driver
-		defer close(churnDone)
+		defer running.Done()
 		for {
 			select {
 			case <-stop:
 				return
 			case <-time.After(soakChurnPause): //vnslint:wallclock paces the sustained churn against real time
 			}
-			ev := conv.Begin(telemetry.ConvChurn)
-			mark := ev.Mark()
-			ops := make([]rib.Op, 0, soakBatchSize)
-			picks := make([]int, 0, soakBatchSize)
-			for j := 0; j < soakBatchSize; j++ {
-				pi := int(rng.Float64() * float64(len(prefixes)))
-				peer := int(rng.Float64() * synthPeers)
-				picks = append(picks, peer)
+			// One burst: soakBatchSize random announces and withdrawals,
+			// one UPDATE per router that drew any.
+			ups := make([]bgp.Update, len(plane.routers))
+			for range soakBatchSize {
+				pfx := plane.prefixes[int(rng.Float64()*float64(len(plane.prefixes)))]
+				u := &ups[int(rng.Float64()*float64(len(ups)))]
 				if rng.Float64() < 0.25 {
-					ops = append(ops, rib.WithdrawOp(prefixes[pi], synthPeerID(peer), synthPeerID(peer)))
+					u.Withdrawn = append(u.Withdrawn, pfx)
 				} else {
-					ops = append(ops, rib.Announce(synthRoute(prefixes[pi], peer)))
+					u.NLRI = append(u.NLRI, pfx)
 				}
 			}
-			ev.Stage(telemetry.StageIngest, mark)
-			mark = ev.Mark()
-			for i := range ops {
-				if r := ops[i].Route; r != nil {
-					r.Attrs.LocalPref = geoPref(r.Prefix, picks[i]) + uint32(rng.Float64()*50)
+			for i, u := range ups {
+				if len(u.Withdrawn)+len(u.NLRI) > 0 {
+					u.Attrs = plane.attrs[i]
+					plane.ref.Ingest(plane.routers[i], u)
+					res.Events++
 				}
 			}
-			ev.Stage(telemetry.StageGeoRR, mark)
-			mark = ev.Mark()
-			changed := table.ApplyBatch(ops)
-			ev.Stage(telemetry.StageSelect, mark)
-			mark = ev.Mark()
-			// The rib→fib boundary: the publish is recorded against the
-			// active event, which attributes the compile back to it.
-			// ApplyBatch's changed set is already sorted and unique, as
-			// Publish's batch must be.
-			compiles.Record(conv.ActiveID(), pub.Publish(decide(changed)))
-			ev.StageExclusive(telemetry.StageForwarding, mark)
-			total, stages := ev.Finish()
-			res.Events++
-			res.OpsApplied += uint64(len(ops))
-			res.BestChanged += uint64(len(changed))
-			res.TotalConvSec += total
-			res.StageSumSec += stages
+			res.OpsApplied += soakBatchSize
 		}
 	}()
 
 	go func() { // flow clock driver
-		defer close(flowDone)
+		defer running.Done()
 		feng.Start()
 		const wallTick = 100 * time.Millisecond
 		const simSlice = 0.25            // simulated seconds per tick
@@ -313,7 +229,7 @@ func SoakStudy(cfg SoakConfig) *SoakResult {
 			case <-stop:
 				feng.Stop()
 				sim.RunAll()
-				simSecBits.Store(uint64(sim.Now() * 1000))
+				res.SimSec = sim.Now()
 				return
 			case <-tick.C:
 				simT += simSlice
@@ -358,11 +274,8 @@ run:
 			break run
 		case <-scrapeTick.C:
 			now := time.Now() //vnslint:wallclock gap detection compares real scrape spacing
-			gap := now.Sub(lastScrape) > interval+interval/2
 			metrics, err := soakScrape(client, url)
-			if err != nil {
-				gap = true
-			}
+			gap := err != nil || now.Sub(lastScrape) > interval+interval/2
 			lastScrape = now
 			res.Scrapes++
 			if gap {
@@ -377,33 +290,27 @@ run:
 				}
 			}
 			if out != nil {
-				rec := soakScrapeRecord{Seq: res.Scrapes, TSec: wallNow(), Gap: gap, Metrics: metrics}
-				b, _ := json.Marshal(rec)
-				out.Write(b)
-				out.WriteByte('\n')
+				b, _ := json.Marshal(soakScrapeRecord{Seq: res.Scrapes, TSec: wallNow(), Gap: gap, Metrics: metrics})
+				out.Write(append(b, '\n'))
 			}
 		}
 	}
 
 	close(stop)
-	<-churnDone
-	<-flowDone
+	running.Wait()
 	srv.Close()
 	<-srvDone
 	if out != nil {
 		out.Flush()
 	}
 
+	best1, total1, stages1 := soakTotals(reg)
+	res.BestChanged, res.TotalConvSec, res.StageSumSec = best1-best0, total1-total0, stages1-stages0
 	res.WallSec = wallNow()
-	res.SimSec = float64(simSecBits.Load()) / 1000
 	res.FlowTotals = feng.Totals()
 	res.FlowConservation = feng.CheckConservation()
 	if res.TotalConvSec > 0 {
-		res.AdditivityErr = res.TotalConvSec - res.StageSumSec
-		if res.AdditivityErr < 0 {
-			res.AdditivityErr = -res.AdditivityErr
-		}
-		res.AdditivityErr /= res.TotalConvSec
+		res.AdditivityErr = math.Abs(res.TotalConvSec-res.StageSumSec) / res.TotalConvSec
 	}
 	res.StageP50 = make(map[string]float64, len(telemetry.ConvStages))
 	res.StageP99 = make(map[string]float64, len(telemetry.ConvStages))
@@ -427,53 +334,127 @@ func soakScrape(client *http.Client, url string) (map[string]float64, error) {
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
 		sp := strings.LastIndexByte(line, ' ')
-		if sp < 0 {
+		if sp < 0 || strings.HasPrefix(line, "#") {
 			continue
 		}
-		name, valstr := line[:sp], line[sp+1:]
-		keep := false
-		for _, p := range soakScrapePrefixes {
-			if strings.HasPrefix(name, p) {
-				keep = true
-				break
-			}
-		}
-		if !keep {
+		name := line[:sp]
+		if !slices.ContainsFunc(soakScrapePrefixes, func(p string) bool { return strings.HasPrefix(name, p) }) {
 			continue
 		}
-		v, err := strconv.ParseFloat(valstr, 64)
-		if err != nil {
-			continue
+		if v, err := strconv.ParseFloat(line[sp+1:], 64); err == nil {
+			out[name] = v
 		}
-		out[name] = v
 	}
 	return out, sc.Err()
 }
 
-// synthPeers is the number of egress routers advertising every prefix
-// of the synthetic full-Internet table, so each prefix has a real
-// decision to run.
-const synthPeers = 4
-
-// synthPeerID is the router ID of the soak's p-th synthetic peer.
-func synthPeerID(p int) netip.Addr { return netip.AddrFrom4([4]byte{10, 255, 0, byte(1 + p)}) }
-
-// synthRoute is the eBGP route the p-th synthetic peer announces for
-// pfx; the soak's geo step sets its local preference.
-func synthRoute(pfx netip.Prefix, peer int) *rib.Route {
-	id := synthPeerID(peer)
-	return &rib.Route{
-		Prefix:   pfx,
-		Attrs:    bgp.Attrs{HasLocalPref: true, NextHop: id},
-		EBGP:     true,
-		PeerAS:   uint16(64500 + peer),
-		PeerID:   id,
-		PeerAddr: id,
+// soakTotals reads the running totals the churn gates compare from the
+// families the deployment exposes: the Loc-RIB's best-path changes, and
+// the end-to-end and summed per-stage convergence seconds.
+func soakTotals(reg *telemetry.Registry) (bestChanges uint64, total, stages float64) {
+	bestChanges = reg.Counter("rib_best_changes_total", "").Value()
+	total = reg.Histogram("convergence_seconds", "", nil).Sum()
+	vec := reg.HistogramVec("convergence_stage_seconds", "", nil, "stage")
+	for _, st := range telemetry.ConvStages {
+		stages += vec.With(st).Sum()
 	}
+	return bestChanges, total, stages
+}
+
+// soakPoPs are the PoPs whose first egress router announces every
+// prefix of the soak's table, so each prefix has a real decision to run.
+var soakPoPs = []string{"LON", "ASH", "SIN", "SJS"}
+
+// soakPlane is the soak's routing plane, built from the daemon's parts:
+// a GeoRR over a GeoIP DB placing the table, with one egress router per
+// soakPoPs entry, and the Reflector whose Loc-RIB feeds one FIB.
+type soakPlane struct {
+	prefixes []netip.Prefix
+	routers  []netip.Addr
+	attrs    []bgp.Attrs // what routers[i] announces with
+	rr       *core.GeoRR
+	ref      *core.Reflector
+	fib      *fib.Engine
+	compiles *vns.CompileRecorder
+	conv     *telemetry.Convergence
+}
+
+// soakLoadChunk is the prefixes per UPDATE of the full-table load.
+const soakLoadChunk = 8192
+
+// newSoakPlane builds the plane over an n-prefix internetPrefixes table
+// with metrics in reg and convergence events in conv. Geography comes
+// from a fixed place list, as a generated table would be geolocated:
+// one record per /16, cycling through the catalog's places; each /24
+// resolves to its /16's record by longest-prefix match.
+func newSoakPlane(n int, reg *telemetry.Registry, conv *telemetry.Convergence) *soakPlane {
+	var places []geo.Place
+	for _, r := range geo.Regions() {
+		places = append(places, geo.PlacesInRegion(r)...)
+	}
+	s := &soakPlane{prefixes: internetPrefixes(n), conv: conv}
+	db := geoip.New()
+	for _, p := range s.prefixes {
+		if p.Bits() == 16 {
+			pl := places[db.Len()%len(places)]
+			if err := db.Insert(geoip.Record{Prefix: p, Pos: pl.Pos, Country: pl.Country, Region: pl.Region}); err != nil {
+				panic(err)
+			}
+		}
+	}
+	s.rr = core.New(core.Config{DB: db, Telemetry: reg})
+	network := vns.NewNetwork()
+	for i, code := range soakPoPs {
+		pop := network.PoP(code)
+		id := pop.Routers[0]
+		s.rr.AddEgress(core.Egress{ID: id, Pos: pop.Place.Pos, PoP: code})
+		s.routers = append(s.routers, id)
+		s.attrs = append(s.attrs, bgp.Attrs{ASPath: []bgp.ASPathSegment{{ASNs: []uint16{uint16(64500 + i)}}}, NextHop: id})
+	}
+	s.ref = core.NewReflector(s.rr, ReflectorID, reg, conv)
+	s.fib = fib.NewEngine(1, nil)
+	s.compiles = vns.NewCompileRecorder(reg, conv, true)
+	return s
+}
+
+// load announces the whole table from every router in turn,
+// soakLoadChunk prefixes an UPDATE.
+func (s *soakPlane) load() {
+	for i, id := range s.routers {
+		for lo := 0; lo < len(s.prefixes); lo += soakLoadChunk {
+			s.ref.Ingest(id, bgp.Update{Attrs: s.attrs[i], NLRI: s.prefixes[lo:min(lo+soakLoadChunk, len(s.prefixes))]})
+		}
+	}
+}
+
+// serve publishes the loaded table and returns that FIB, then, as the
+// scenario harness's forwarding plane does after its load, subscribes
+// to the GeoRR: each change set Ingest notifies is published, sorted
+// and unique, its compile recorded against the event in flight.
+func (s *soakPlane) serve() *fib.FIB {
+	loaded := s.publish(s.prefixes)
+	s.compiles.Record(0, loaded)
+	s.rr.OnChangeBatch(func(changed []netip.Prefix) {
+		set := slices.Clone(changed)
+		slices.SortFunc(set, detsort.PrefixCompare)
+		s.compiles.Record(s.conv.ActiveID(), s.publish(slices.Compact(set)))
+	})
+	return loaded
+}
+
+// publish publishes the Loc-RIB's best route for each of prefixes
+// (sorted, unique) to the FIB; a prefix with none is withdrawn.
+func (s *soakPlane) publish(prefixes []netip.Prefix) *fib.FIB {
+	batch := make([]fib.Entry, len(prefixes))
+	for i, p := range prefixes {
+		batch[i].Prefix = p
+		if r := s.ref.Best(p); r != nil {
+			// Egress routers are 10.0.<PoP id>.<n> (vns.NewNetwork).
+			batch[i].NextHop = fib.NextHop{PoP: int(r.PeerID.As4()[2]), Router: r.PeerID}
+		}
+	}
+	return s.fib.Publisher().Publish(batch)
 }
 
 // internetPrefixes builds an n-prefix set shaped like a full Internet
@@ -505,13 +486,13 @@ func (r *SoakResult) Passed() bool {
 // "soak: FAIL ..." for script-level gating.
 func (r *SoakResult) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Soak: %d prefixes × %d peers, %d flows, %.0fs wall (scrape every %.1fs)\n",
-		r.Prefixes, synthPeers, r.FlowTotals.Flows, r.WallSec, r.Cfg.ScrapeIntervalSec)
-	fmt.Fprintf(&b, "  load: %d routes through the sharded table in %.3fs (select), initial FIB compile %.1fms\n",
-		r.Routes, r.LoadSelectSec, 1e3*r.LoadCompileSec)
-	fmt.Fprintf(&b, "  churn: %d events, %d ops, %d best-path changes (%.0f events/s)\n",
+	fmt.Fprintf(&b, "Soak: %d prefixes × %d routers, %d flows, %.0fs wall (scrape every %.1fs)\n",
+		r.Prefixes, len(soakPoPs), r.FlowTotals.Flows, r.WallSec, r.Cfg.ScrapeIntervalSec)
+	fmt.Fprintf(&b, "  load: %d routes through Reflector.Ingest in %.3fs, initial FIB compile %.1fms\n",
+		r.Prefixes*len(soakPoPs), r.LoadSec, 1e3*r.LoadCompileSec)
+	fmt.Fprintf(&b, "  churn: %d UPDATE events, %d ops, %d best-path changes (%.0f events/s)\n",
 		r.Events, r.OpsApplied, r.BestChanged, float64(r.Events)/max(r.WallSec, 1e-9))
-	fmt.Fprintf(&b, "  convergence: end-to-end %.3fs vs stage sum %.3fs over all events (drift %.2f%%, gate 5%%)\n",
+	fmt.Fprintf(&b, "  convergence: end-to-end %.3fs vs stage sum %.3fs over every churn UPDATE (drift %.2f%%, gate 5%%)\n",
 		r.TotalConvSec, r.StageSumSec, 100*r.AdditivityErr)
 	for _, s := range telemetry.ConvStages {
 		fmt.Fprintf(&b, "  stage %-12s p50=%8.1fus  p99=%8.1fus\n", s, r.StageP50[s]*1e6, r.StageP99[s]*1e6)

@@ -6,6 +6,9 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"vns/internal/loss"
+	"vns/internal/telemetry"
 )
 
 // TestSoakStudyShort holds a CI-sized combined load for ~1.5 wall
@@ -23,6 +26,7 @@ func TestSoakStudyShort(t *testing.T) {
 		Out:               &out,
 	})
 
+	t.Logf("stage additivity drift %.2f%% over %d UPDATE events", 100*res.AdditivityErr, res.Events)
 	if !res.Passed() {
 		t.Fatalf("soak gates failed:\n%s", res.Render())
 	}
@@ -35,8 +39,8 @@ func TestSoakStudyShort(t *testing.T) {
 	if res.AdditivityErr > 0.05 {
 		t.Errorf("stage additivity drift %.2f%% over 5%% gate", 100*res.AdditivityErr)
 	}
-	if res.LoadSelectSec <= 0 || res.LoadCompileSec <= 0 {
-		t.Errorf("full-table load: select %vs, compile %vs, want both > 0", res.LoadSelectSec, res.LoadCompileSec)
+	if res.LoadSec <= 0 || res.LoadCompileSec <= 0 {
+		t.Errorf("full-table load: %vs, compile %vs, want both > 0", res.LoadSec, res.LoadCompileSec)
 	}
 	for _, s := range []string{"fib_compile", "select"} {
 		if res.StageP99[s] <= 0 {
@@ -67,7 +71,7 @@ func TestSoakStudyShort(t *testing.T) {
 		}
 		if schema == nil {
 			for _, want := range []string{
-				`convergence_events_total{kind="churn"}`,
+				`convergence_events_total{kind="update"}`,
 				`convergence_stage_seconds_count{stage="fib_compile"}`,
 				"flowsim_delivered_total",
 				"soak_goroutines",
@@ -88,10 +92,49 @@ func TestSoakStudyShort(t *testing.T) {
 	}
 
 	r := res.Render()
-	for _, want := range []string{"  load: 16000 routes through the sharded table", "soak: PASS"} {
+	for _, want := range []string{"  load: 16000 routes through Reflector.Ingest", "soak: PASS"} {
 		if !strings.Contains(r, want) {
 			t.Errorf("Render missing %q:\n%s", want, r)
 		}
+	}
+}
+
+// TestSoakPlaneFollowsGeography: after the load, the soak FIB sends
+// each of 256 seeded /24s to a router that Assign gives the highest
+// LOCAL_PREF of the four: the soak's geo step is the GeoRR's. Geography
+// must decide most of them (one router strictly ahead), so an Assign
+// that ranks nothing cannot pass.
+func TestSoakPlaneFollowsGeography(t *testing.T) {
+	s := newSoakPlane(20_000, telemetry.New(), nil)
+	s.load()
+	s.serve()
+	rng := loss.NewRNG(47)
+	decided := 0
+	for checked := 0; checked < 256; {
+		p := s.prefixes[int(rng.Float64()*float64(len(s.prefixes)))]
+		if p.Bits() != 24 {
+			continue
+		}
+		checked++
+		nh, ok := s.fib.Lookup(p.Addr())
+		if !ok {
+			t.Fatalf("soak FIB has no route to %v", p)
+		}
+		lp, ties := s.rr.Assign(nh.Router, p).LocalPref, 0
+		for _, r := range s.routers {
+			switch other := s.rr.Assign(r, p).LocalPref; {
+			case other > lp:
+				t.Errorf("%v: FIB exits via %v (LOCAL_PREF %d), but Assign gives %v %d", p, nh.Router, lp, r, other)
+			case other == lp && r != nh.Router:
+				ties++
+			}
+		}
+		if ties == 0 {
+			decided++
+		}
+	}
+	if decided < 200 {
+		t.Errorf("geography decided %d of 256 prefixes, want >= 200", decided)
 	}
 }
 

@@ -74,6 +74,9 @@ type faultRec struct {
 
 type engine struct {
 	*experiments.Deployment
+	// ref is the Loc-RIB the egress announcements filled at set-up; its
+	// HasCover is the cover check announce-burst's statics pass.
+	ref      *core.Reflector
 	spec     *Spec
 	vantages []*vns.PoP
 
@@ -126,7 +129,7 @@ func newEngine(spec *Spec) (*engine, error) {
 	// The egress routers' announcements fill the Loc-RIB through the one
 	// ingest path before the forwarding plane exists, so they cost it no
 	// pass. No convergence layer: set-up opens no event.
-	ref := core.NewReflector(env.RR, experiments.ReflectorID, env.Telemetry)
+	ref := core.NewReflector(env.RR, experiments.ReflectorID, env.Telemetry, nil)
 	anns := vns.EgressAnnouncements(env.DP, 0)
 	for _, pop := range env.Net.PoPs {
 		for _, router := range pop.Routers {
@@ -141,6 +144,7 @@ func newEngine(spec *Spec) (*engine, error) {
 		// virtual timestamps, so checkpoints can pin both in the goldens. A
 		// zero debounce recompiles synchronously.
 		Deployment: env.Deploy(vns.ForwardingConfig{}),
+		ref:        ref,
 		spec:       spec,
 		faults:     make(map[[2]int]faultRec),
 		manualDown: make(map[netip.Addr]bool),
@@ -500,7 +504,7 @@ func (e *engine) announceBurst(ev *Event) error {
 		e.usedCovers[cover] = true
 		sub := upperHalf(cover)
 		router := pop.Routers[installed%len(pop.Routers)]
-		if err := e.RR.AddStatic(sub, router, nil); err != nil {
+		if err := e.RR.AddStatic(sub, router, e.ref.HasCover); err != nil {
 			return err
 		}
 		e.statics = append(e.statics, [2]string{sub.String(), router.String()})

@@ -135,10 +135,9 @@ func (c *Convergence) Begin(kind string) *ConvEvent {
 	if c == nil {
 		return nil
 	}
-	start := c.clock()
 	c.mu.Lock()
 	c.nextID++
-	ev := &ConvEvent{conv: c, id: c.nextID, kind: kind, start: start}
+	ev := &ConvEvent{conv: c, id: c.nextID, kind: kind}
 	c.active = ev
 	c.mu.Unlock()
 	if ctr, ok := c.events[kind]; ok {
@@ -146,6 +145,7 @@ func (c *Convergence) Begin(kind string) *ConvEvent {
 	} else {
 		c.vec.With(kind).Inc()
 	}
+	ev.start = c.clock() // the bookkeeping above is not the event's
 	return ev
 }
 
@@ -256,40 +256,41 @@ func (ev *ConvEvent) Mark() ConvMark {
 	if ev == nil {
 		return ConvMark{}
 	}
+	return ev.markAt(ev.conv.clock())
+}
+
+// markAt is the stage start at clock reading t.
+func (ev *ConvEvent) markAt(t float64) ConvMark {
 	ev.mu.Lock()
-	comp := ev.compile
-	ev.mu.Unlock()
-	return ConvMark{t: ev.conv.clock(), compile: comp}
+	defer ev.mu.Unlock()
+	return ConvMark{t: t, compile: ev.compile}
 }
 
 // Stage closes one stage opened at m: the elapsed clock time is
 // observed into convergence_stage_seconds{stage} and remembered for
-// span emission at Finish.
-func (ev *ConvEvent) Stage(stage string, m ConvMark) {
+// span emission at Finish. It returns the next stage's start, at the
+// same clock reading, so stages chained through it tile the event with
+// no unmeasured gap between them.
+func (ev *ConvEvent) Stage(stage string, m ConvMark) ConvMark {
 	if ev == nil {
-		return
+		return ConvMark{}
 	}
-	ev.record(stage, m.t, ev.conv.clock()-m.t)
+	next := ev.markAt(ev.conv.clock())
+	ev.record(stage, m.t, next.t-m.t)
+	return next
 }
 
-// StageExclusive closes one stage opened at m, excluding the FIB
-// compile time attributed to the event inside the window — the
-// forwarding stage wraps publisher flushes whose compiles are already
-// the fib_compile stage, and the stages must tile the event without
-// double counting.
-func (ev *ConvEvent) StageExclusive(stage string, m ConvMark) {
+// StageExclusive is Stage excluding the FIB compile time attributed to
+// the event inside the window — the forwarding stage wraps publisher
+// flushes whose compiles are already the fib_compile stage, and the
+// stages must tile the event without double counting.
+func (ev *ConvEvent) StageExclusive(stage string, m ConvMark) ConvMark {
 	if ev == nil {
-		return
+		return ConvMark{}
 	}
-	end := ev.conv.clock()
-	ev.mu.Lock()
-	comp := ev.compile
-	ev.mu.Unlock()
-	d := (end - m.t) - (comp - m.compile)
-	if d < 0 {
-		d = 0
-	}
-	ev.record(stage, m.t, d)
+	next := ev.markAt(ev.conv.clock())
+	ev.record(stage, m.t, (next.t-m.t)-(next.compile-m.compile))
+	return next
 }
 
 func (ev *ConvEvent) record(stage string, start, seconds float64) {
@@ -326,29 +327,22 @@ func (ev *ConvEvent) observeCompile(seconds float64) {
 // Finish closes the event: end-to-end latency lands in
 // convergence_seconds, the active slot is released, and the event's
 // decomposition is recorded into the tracer as one trace — a parent
-// span of the event's kind plus one child span per stage. It returns
-// the end-to-end and summed-stage seconds, so harnesses (the soak
-// run's additivity check) can verify the stages tile the event.
-func (ev *ConvEvent) Finish() (total, stageSum float64) {
+// span of the event's kind plus one child span per stage. Whether the
+// stages tile the event is read from the two families' sums (the soak
+// run's additivity gate).
+func (ev *ConvEvent) Finish() {
 	if ev == nil {
-		return 0, 0
+		return
 	}
 	c := ev.conv
 	end := c.clock()
-	total = end - ev.start
-	if total < 0 {
-		total = 0
-	}
-	c.total.Observe(total)
+	c.total.Observe(max(end-ev.start, 0))
 
 	ev.mu.Lock()
 	obs := ev.obs
 	compiles := ev.compiles
 	ev.done = true
 	ev.mu.Unlock()
-	for _, o := range obs {
-		stageSum += o.seconds
-	}
 
 	c.mu.Lock()
 	if c.active == ev {
@@ -365,5 +359,4 @@ func (ev *ConvEvent) Finish() (total, stageSum float64) {
 				Uint("event", ev.id))
 		}
 	}
-	return total, stageSum
 }

@@ -14,6 +14,14 @@ type fakeClock struct{ t float64 }
 func (f *fakeClock) now() float64      { return f.t }
 func (f *fakeClock) advance(d float64) { f.t += d }
 
+// sums returns c's summed end-to-end and summed per-stage seconds.
+func sums(c *Convergence) (total, stageSum float64) {
+	for _, h := range c.stages {
+		stageSum += h.Sum()
+	}
+	return c.total.Sum(), stageSum
+}
+
 func TestConvergenceStageTiling(t *testing.T) {
 	r := New()
 	clk := &fakeClock{}
@@ -34,7 +42,8 @@ func TestConvergenceStageTiling(t *testing.T) {
 	c.ObserveCompileFor(ev.id, 0.005)
 	ev.StageExclusive(StageForwarding, m)
 
-	total, stageSum := ev.Finish()
+	ev.Finish()
+	total, stageSum := sums(c)
 	if want := 0.060; math.Abs(total-want) > 1e-12 {
 		t.Errorf("total = %v, want %v", total, want)
 	}
@@ -50,6 +59,23 @@ func TestConvergenceStageTiling(t *testing.T) {
 	}
 	if got := c.Events(); got != 1 {
 		t.Errorf("events = %d, want 1", got)
+	}
+}
+
+// TestConvergenceStagesChain: a stage closed with Stage or
+// StageExclusive starts the next at its own closing clock reading, so
+// chained stages leave no gap but the one before the first mark and the
+// one before Finish. The clock here advances one second per reading.
+func TestConvergenceStagesChain(t *testing.T) {
+	clk := &fakeClock{}
+	c := NewConvergence(New(), nil, func() float64 { clk.advance(1); return clk.t })
+	ev := c.Begin(ConvUpdate)
+	m := ev.Stage(StageIngest, ev.Mark())
+	m = ev.StageExclusive(StageSelect, m)
+	ev.Stage(StageForwarding, m)
+	ev.Finish()
+	if total, stageSum := sums(c); stageSum != 3 || total != 5 {
+		t.Errorf("total %v, stage sum %v; want 5 and 3 (three one-second stages, two gaps)", total, stageSum)
 	}
 }
 
@@ -72,9 +98,9 @@ func TestConvergenceEventIDHandoff(t *testing.T) {
 	c.ObserveCompileFor(0, 0.003)        // unstamped flush: not attributed
 	c.ObserveCompileFor(second.id, 0.004)
 
-	_, stageSum := second.Finish()
-	if want := 0.004; math.Abs(stageSum-want) > 1e-12 {
-		t.Errorf("attributed stage sum = %v, want %v", stageSum, want)
+	second.Finish()
+	if _, stageSum := sums(c); math.Abs(stageSum-0.004) > 1e-12 {
+		t.Errorf("attributed stage sum = %v, want 0.004", stageSum)
 	}
 	if got := c.ActiveID(); got != 0 {
 		t.Errorf("ActiveID after Finish = %d, want 0", got)
@@ -148,9 +174,7 @@ func TestConvergenceNilSafe(t *testing.T) {
 	m := ev.Mark()
 	ev.Stage(StageIngest, m)
 	ev.StageExclusive(StageForwarding, m)
-	if total, sum := ev.Finish(); total != 0 || sum != 0 {
-		t.Error("nil event Finish must return zeros")
-	}
+	ev.Finish()
 }
 
 // TestConvergenceZeroQuantilesDeterministic pins the virtual-clock

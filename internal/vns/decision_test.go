@@ -334,7 +334,7 @@ func driveDecisionStates(t *testing.T, pr *Peering, rr *core.GeoRR, check func(s
 	}
 	p = net.PoPs[rng.Intn(len(net.PoPs))]
 	pinned := p.Routers[rng.Intn(len(p.Routers))]
-	if err := rr.AddStatic(more, pinned, nil); err != nil {
+	if err := rr.AddStatic(more, pinned, func(netip.Prefix) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
 	check("static " + more.String())

@@ -137,7 +137,7 @@ func TestForwardingStaticMoreSpecific(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rr.AddStatic(more, pin.Routers[0], nil); err != nil {
+	if err := rr.AddStatic(more, pin.Routers[0], func(netip.Prefix) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
 
