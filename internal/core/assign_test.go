@@ -13,15 +13,17 @@ import (
 	"vns/internal/telemetry"
 )
 
-// TestBudgetTest is Assign's allocation budget in CI (`go test -run
-// BudgetTest ./internal/core`): every one of its eight outcomes, with
-// telemetry on, makes no allocation, and counts under its own reason
-// label. Skips under -race, where allocation counts reflect
-// instrumentation, not design.
-func TestBudgetTest(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector instruments the hot path; budget not meaningful")
-	}
+// outcomeCase is one Assign call that lands on a known outcome.
+type outcomeCase struct {
+	pol  *Policy
+	from netip.Addr
+	pfx  netip.Prefix
+}
+
+// outcomeCases builds a GeoRR reporting to a fresh registry, with one
+// Assign call per outcome, indexed by Reason.
+func outcomeCases(t *testing.T) (*telemetry.Registry, *GeoRR, [numReasons]outcomeCase) {
+	t.Helper()
 	db := geoip.New()
 	for i, city := range []string{"Amsterdam", "NewYork", "HongKong", "Sydney"} {
 		pfx := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i + 1), 0, 0}), 16)
@@ -48,11 +50,7 @@ func TestBudgetTest(t *testing.T) {
 	// Forced here needs the forced egress live.
 	rr.SetEgressDown(hk, false)
 	here := rr.Policy()
-	cases := [numReasons]struct {
-		pol  *Policy
-		from netip.Addr
-		pfx  netip.Prefix
-	}{
+	return reg, rr, [numReasons]outcomeCase{
 		ReasonGeo:           {pol, ams, prefix("10.1.0.0/16")},
 		ReasonExempt:        {pol, ams, prefix("10.2.0.0/16")},
 		ReasonUnknownEgress: {pol, addr("10.9.9.9"), prefix("10.1.0.0/16")},
@@ -62,6 +60,18 @@ func TestBudgetTest(t *testing.T) {
 		ReasonNoGeolocation: {pol, ams, prefix("172.16.0.0/12")},
 		ReasonAdaptive:      {pol, ash, prefix("10.4.0.0/16")},
 	}
+}
+
+// TestBudgetTest is Assign's allocation budget in CI (`go test -run
+// BudgetTest ./internal/core`): every one of its eight outcomes, with
+// telemetry on, makes no allocation, and counts under its own reason
+// label. Skips under -race, where allocation counts reflect
+// instrumentation, not design.
+func TestBudgetTest(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instruments the hot path; budget not meaningful")
+	}
+	reg, _, cases := outcomeCases(t)
 	for r, c := range cases {
 		reason := Reason(r)
 		t.Run(reason.String(), func(t *testing.T) {
@@ -77,6 +87,67 @@ func TestBudgetTest(t *testing.T) {
 				t.Errorf("core_assignments_total{reason=%q} rose by %d over 101 calls", reason, got)
 			}
 		})
+	}
+}
+
+// TestAssignOutcomesCountOnce: the rendered assignment families and
+// Stats read one record. After r+1 calls landing on each outcome r,
+// every core_assignments_total line reads its own count, Stats returns
+// their sum and the no_geolocation count, and the processed and miss
+// families render those two.
+func TestAssignOutcomesCountOnce(t *testing.T) {
+	reg, rr, cases := outcomeCases(t)
+	var sum int
+	for r, c := range cases {
+		for range r + 1 {
+			if got := c.pol.Assign(c.from, c.pfx).Reason; got != Reason(r) {
+				t.Fatalf("Assign(%v, %v) = %v, want %v", c.from, c.pfx, got, Reason(r))
+			}
+		}
+		if got := assignCount(reg, Reason(r)); got != r+1 {
+			t.Errorf("core_assignments_total{reason=%q} = %d, want %d", Reason(r), got, r+1)
+		}
+		sum += assignCount(reg, Reason(r))
+	}
+	processed, misses := rr.Stats()
+	if processed != uint64(sum) || misses != uint64(assignCount(reg, ReasonNoGeolocation)) {
+		t.Errorf("Stats() = (%d, %d), want (%d, %d): the rendered outcomes", processed, misses, sum, assignCount(reg, ReasonNoGeolocation))
+	}
+	out := reg.Render()
+	for _, want := range []string{
+		fmt.Sprintf("core_routes_processed_total %d\n", processed),
+		fmt.Sprintf("core_geo_misses_total %d\n", misses),
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("render missing %q", want)
+		}
+	}
+}
+
+// TestAssignAdaptiveLineAppearsWithOverride: core_assignments_total
+// renders reason="adaptive" only once a SetOverride names a registered
+// egress, at 0 until an override decides an Assign.
+func TestAssignAdaptiveLineAppearsWithOverride(t *testing.T) {
+	db := geoip.New()
+	reg := telemetry.New()
+	rr := New(Config{DB: db, Telemetry: reg})
+	line := `core_assignments_total{reason="adaptive"} `
+	if strings.Contains(reg.Render(), line) {
+		t.Fatal("adaptive line rendered before any override")
+	}
+	lon := addr("10.0.10.1")
+	if err := rr.SetOverride(prefix("10.1.0.0/16"), lon); err == nil {
+		t.Fatal("override on an unregistered egress accepted")
+	}
+	if strings.Contains(reg.Render(), line) {
+		t.Fatal("adaptive line rendered after a refused override")
+	}
+	rr.AddEgress(Egress{ID: lon, Pos: geo.MustLookup("London").Pos})
+	if err := rr.SetOverride(prefix("10.1.0.0/16"), lon); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(reg.Render(), line+"0\n") {
+		t.Errorf("adaptive line not rendered at 0 after the first override:\n%s", reg.Render())
 	}
 }
 

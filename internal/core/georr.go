@@ -82,8 +82,8 @@ type Config struct {
 	DB *geoip.DB
 	// LocalPref maps distance to preference; nil means LinearLocalPref.
 	LocalPref LocalPrefFunc
-	// Telemetry, when non-nil, receives assignment-outcome counters and
-	// collectors for the processed/miss totals.
+	// Telemetry, when non-nil, receives the assignment-outcome, processed
+	// and miss collectors and the egress transition counters.
 	Telemetry *telemetry.Registry
 }
 
@@ -96,19 +96,15 @@ type GeoRR struct {
 
 	policy atomic.Pointer[Policy]
 
-	// Counters for observability, shared by every Policy's Assign.
-	processed atomic.Uint64
-	misses    atomic.Uint64
+	// outcomes counts every Policy's Assign calls by Reason: the one
+	// record Stats and the core_* assignment families read.
+	outcomes [numReasons]atomic.Uint64
+	// overridden is set by the first SetOverride naming a registered
+	// egress; only from then on does core_assignments_total render its
+	// "adaptive" line.
+	overridden atomic.Bool
 
-	metrics *georrMetrics
-}
-
-// georrMetrics holds the GeoRR's pre-resolved metric handles. The
-// handle of each assignment outcome, which Assign pays one atomic add
-// into, is the Policy's (Policy.assign).
-type georrMetrics struct {
-	assignVec   *telemetry.CounterVec       // for the lazily added "adaptive" child
-	transitions map[bool]*telemetry.Counter // egress liveness, keyed by down
+	transitions map[bool]*telemetry.Counter // egress liveness, keyed by down; nil without telemetry
 }
 
 // Reason is the outcome of one Assign, and the reason label it counts
@@ -138,17 +134,20 @@ var reasonLabels = [numReasons]string{
 // String returns r's core_assignments_total label.
 func (r Reason) String() string { return reasonLabels[r] }
 
-func newGeorrMetrics(rr *GeoRR, reg *telemetry.Registry) (*georrMetrics, [numReasons]*telemetry.Counter) {
-	vec := reg.CounterVec("core_assignments_total", "geo local-pref assignments, by outcome", "reason")
-	var assign [numReasons]*telemetry.Counter
-	// The "adaptive" child is NOT pre-created: it appears (at zero) in
-	// rendered output the moment it exists, and only adaptive-enabled
-	// runs should see it. SetOverride creates it on first use.
-	for r := range ReasonAdaptive {
-		assign[r] = vec.With(r.String())
-	}
-	trans := reg.CounterVec("core_egress_transitions_total", "egress liveness withdrawals and restores", "state")
-	m := &georrMetrics{assignVec: vec, transitions: map[bool]*telemetry.Counter{true: trans.With("down"), false: trans.With("up")}}
+// register adds the GeoRR's metric families to reg. The assignment
+// families are collectors over rr.outcomes, so Assign pays one atomic
+// add whether or not telemetry is on.
+func (rr *GeoRR) register(reg *telemetry.Registry) {
+	reg.RegisterFunc("core_assignments_total", "geo local-pref assignments, by outcome",
+		telemetry.KindCounter, []string{"reason"}, func(emit func([]string, float64)) {
+			for r := range numReasons {
+				// Runs that never install an override render (and
+				// digest) exactly as before the adaptive subsystem.
+				if r != ReasonAdaptive || rr.overridden.Load() {
+					emit([]string{r.String()}, float64(rr.outcomes[r].Load()))
+				}
+			}
+		})
 	reg.RegisterFunc("core_routes_processed_total", "routes run through geo assignment",
 		telemetry.KindCounter, nil, func(emit func([]string, float64)) {
 			p, _ := rr.Stats()
@@ -159,7 +158,8 @@ func newGeorrMetrics(rr *GeoRR, reg *telemetry.Registry) (*georrMetrics, [numRea
 			_, misses := rr.Stats()
 			emit(nil, float64(misses))
 		})
-	return m, assign
+	trans := reg.CounterVec("core_egress_transitions_total", "egress liveness withdrawals and restores", "state")
+	rr.transitions = map[bool]*telemetry.Counter{true: trans.With("down"), false: trans.With("up")}
 }
 
 // StaticRoute is a more-specific prefix statically advertised from a
@@ -176,11 +176,10 @@ func New(cfg Config) *GeoRR {
 		cfg.LocalPref = LinearLocalPref
 	}
 	rr := &GeoRR{cfg: cfg}
-	first := &Policy{rr: rr}
 	if cfg.Telemetry != nil {
-		rr.metrics, first.assign = newGeorrMetrics(rr, cfg.Telemetry)
+		rr.register(cfg.Telemetry)
 	}
-	rr.policy.Store(first)
+	rr.policy.Store(&Policy{rr: rr})
 	return rr
 }
 
@@ -268,8 +267,8 @@ func (rr *GeoRR) SetEgressDown(id netip.Addr, down bool) bool {
 		p.downList = detsort.KeysFunc(p.down, netip.Addr.Compare)
 		return true, nil
 	}, netip.Prefix{})
-	if changed && rr.metrics != nil {
-		rr.metrics.transitions[down].Inc()
+	if changed && rr.transitions != nil {
+		rr.transitions[down].Inc()
 	}
 	return changed
 }
@@ -383,7 +382,11 @@ func (rr *GeoRR) ProcessUpdateQuiet(from netip.Addr, u bgp.Update) bgp.Update {
 // cross-layer route tracer looks prefixes up through it).
 func (rr *GeoRR) DB() *geoip.DB { return rr.cfg.DB }
 
-// Stats returns (routes processed, geolocation misses).
+// Stats returns (routes processed, geolocation misses): every Assign
+// outcome, and the no_geolocation one.
 func (rr *GeoRR) Stats() (processed, misses uint64) {
-	return rr.processed.Load(), rr.misses.Load()
+	for i := range rr.outcomes {
+		processed += rr.outcomes[i].Load()
+	}
+	return processed, rr.outcomes[ReasonNoGeolocation].Load()
 }

@@ -36,11 +36,9 @@ func (rr *GeoRR) SetOverride(prefix netip.Prefix, egress netip.Addr) error {
 		if _, ok := p.egresses[egress]; !ok {
 			return false, fmt.Errorf("core: unknown egress %v", egress)
 		}
-		if rr.metrics != nil && p.assign[ReasonAdaptive] == nil {
-			// Only now, so runs that never install an override render
-			// (and digest) exactly as before this subsystem existed.
-			p.assign[ReasonAdaptive] = rr.metrics.assignVec.With(ReasonAdaptive.String())
-		}
+		// Before any published policy carries an override, so every
+		// adaptive outcome renders; a rerun edit repeats it harmlessly.
+		rr.overridden.Store(true)
 		return p.setOverride(prefix, Override{prefix, egress}), nil
 	}, prefix)
 	return err

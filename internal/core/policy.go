@@ -5,7 +5,6 @@ import (
 
 	"vns/internal/bgp"
 	"vns/internal/geo"
-	"vns/internal/telemetry"
 )
 
 // Policy is one state of the reflector's routing policy: the registered
@@ -16,7 +15,7 @@ import (
 // reader that loads one (GeoRR.Policy) decides from one state and takes
 // no lock. Slices its accessors return are its own, not to be written.
 type Policy struct {
-	rr *GeoRR // the configuration, counters and metrics Assign reports to
+	rr *GeoRR // the configuration, and the outcome counters Assign adds to
 
 	egresses   map[netip.Addr]registered
 	egressList []Egress // by router id
@@ -29,9 +28,6 @@ type Policy struct {
 	staticList   []StaticRoute                  // by prefix text, then installation order
 	overrides    map[netip.Prefix]Override
 	overrideList []Override // by prefix text
-	// assign counts core_assignments_total by reason (nil without
-	// telemetry); SetOverride adds "adaptive" with the first override.
-	assign [numReasons]*telemetry.Counter
 
 	onBatch []func([]netip.Prefix) // the change subscribers
 	// changed is the prefix whose change published this policy (zero
@@ -50,7 +46,6 @@ type Policy struct {
 //vnslint:hotpath
 func (p *Policy) Assign(from netip.Addr, prefix netip.Prefix) Decision {
 	rr := p.rr
-	rr.processed.Add(1)
 	if p.exempt[prefix] {
 		return p.assigned(Decision{Reason: ReasonExempt})
 	}
@@ -83,7 +78,6 @@ func (p *Policy) Assign(from netip.Addr, prefix netip.Prefix) Decision {
 	db := rr.cfg.DB
 	i := db.IndexPrefix(prefix)
 	if i == 0 {
-		rr.misses.Add(1)
 		return p.assigned(Decision{Reason: ReasonNoGeolocation})
 	}
 	var d float64
@@ -103,9 +97,7 @@ func (p *Policy) Assign(from netip.Addr, prefix netip.Prefix) Decision {
 
 // assigned counts one Assign outcome and returns it.
 func (p *Policy) assigned(d Decision) Decision {
-	if c := p.assign[d.Reason]; c != nil {
-		c.Inc()
-	}
+	p.rr.outcomes[d.Reason].Add(1)
 	return d
 }
 

@@ -91,6 +91,9 @@ func (r *Reflector) Ingest(from netip.Addr, u bgp.Update) []bgp.Update {
 			outs = append(outs, bgp.Update{Withdrawn: []netip.Prefix{w}})
 		}
 	}
+	if outs == nil {
+		return geoOuts
+	}
 	return append(outs, geoOuts...)
 }
 

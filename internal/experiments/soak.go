@@ -354,10 +354,13 @@ func soakScrape(client *http.Client, url string) (map[string]float64, error) {
 // the end-to-end and summed per-stage convergence seconds.
 func soakTotals(reg *telemetry.Registry) (bestChanges uint64, total, stages float64) {
 	bestChanges = reg.Counter("rib_best_changes_total", "").Value()
-	total = reg.Histogram("convergence_seconds", "", nil).Sum()
-	vec := reg.HistogramVec("convergence_stage_seconds", "", nil, "stage")
+	totals := reg.HistogramVec("convergence_seconds", "", nil, "kind")
+	for _, k := range telemetry.ConvKinds {
+		total += totals.With(k).Sum()
+	}
+	stageVec := reg.HistogramVec("convergence_stage_seconds", "", nil, "stage")
 	for _, st := range telemetry.ConvStages {
-		stages += vec.With(st).Sum()
+		stages += stageVec.With(st).Sum()
 	}
 	return bestChanges, total, stages
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"vns/internal/core"
-	"vns/internal/measure"
 	"vns/internal/telemetry"
 	"vns/internal/vns"
 )
@@ -36,18 +35,14 @@ type Controller struct {
 }
 
 // ControllerMetrics are the failover controller's pre-resolved
-// telemetry handles.
+// telemetry handles. How long each reconvergence took is its "failover"
+// convergence event's: convergence_seconds{kind="failover"}.
 type ControllerMetrics struct {
 	// Withdrawals and Restores count egress routers taken out of and
 	// returned to service; the link events count effective liveness
 	// transitions (stale ones never reach the counters).
 	Withdrawals, Restores        *telemetry.Counter
 	LinkUpEvents, LinkDownEvents *telemetry.Counter
-	// ConvergeMs holds whole-reconvergence wall times, RepublishMs the
-	// worst per-PoP FIB build (full or delta) each one published, 0 when
-	// it published none; both are bounded windows, exposed as volatile
-	// count/mean/p99 gauges.
-	ConvergeMs, RepublishMs *telemetry.Reservoir
 }
 
 // NewController builds a controller over the forwarding plane and its
@@ -61,29 +56,9 @@ func NewController(fwd *vns.Forwarding, rr *core.GeoRR, reg *telemetry.Registry)
 			Restores:       reg.Counter("failover_restores", "egress routers restored after their PoP regained an adjacency"),
 			LinkUpEvents:   reg.Counter("failover_link_up_events", "effective link-up transitions reconverged"),
 			LinkDownEvents: reg.Counter("failover_link_down_events", "effective link-down transitions reconverged"),
-			ConvergeMs:     sampleSeries(reg, "failover_converge_ms", "wall time of one reconvergence (ms)"),
-			RepublishMs:    sampleSeries(reg, "failover_republish_ms", "worst per-PoP FIB build (full or delta) one reconvergence published, 0 if none (ms)"),
 		}
 	}
 	return c
-}
-
-// sampleSeries registers a bounded window of wall-clock samples as a
-// volatile count/mean/p99 collector family and returns the window.
-func sampleSeries(reg *telemetry.Registry, name, help string) *telemetry.Reservoir {
-	res := telemetry.NewReservoir(0)
-	reg.RegisterFunc(name, help, telemetry.KindGauge, []string{"stat"},
-		func(emit func([]string, float64)) {
-			xs := res.Snapshot()
-			if len(xs) == 0 {
-				return
-			}
-			emit([]string{"count"}, float64(res.Count()))
-			emit([]string{"mean"}, measure.Summarize(xs).Mean)
-			emit([]string{"p99"}, measure.NewCDF(xs).Percentile(0.99))
-		})
-	reg.MarkVolatile(name)
-	return res
 }
 
 // Metrics returns the controller's telemetry handles, nil when it was
@@ -133,14 +108,7 @@ func (c *Controller) Apply(a, b *vns.PoP, up bool) time.Duration {
 			}
 		}
 	}
-	ev.Stage(telemetry.StageGeoRR, mark)
-	var gens []uint64 // per-PoP FIB generations before the republish
-	if c.met != nil {
-		for _, eng := range c.fwd.Engines() {
-			gens = append(gens, eng.Current().Generation())
-		}
-	}
-	mark = ev.Mark()
+	mark = ev.Stage(telemetry.StageGeoRR, mark)
 	c.fwd.InvalidateAll()
 	c.fwd.Flush()
 	ev.StageExclusive(telemetry.StageForwarding, mark)
@@ -152,14 +120,6 @@ func (c *Controller) Apply(a, b *vns.PoP, up bool) time.Duration {
 		} else {
 			c.met.LinkDownEvents.Inc()
 		}
-		c.met.ConvergeMs.Observe(float64(took) / 1e6)
-		var worst time.Duration
-		for i, eng := range c.fwd.Engines() {
-			if f := eng.Current(); f.Generation() != gens[i] && f.CompileDuration() > worst {
-				worst = f.CompileDuration()
-			}
-		}
-		c.met.RepublishMs.Observe(float64(worst) / 1e6)
 	}
 	return took
 }

@@ -94,12 +94,23 @@ func (s *ShardedTable) ApplyBatch(ops []Op) []netip.Prefix {
 	if len(ops) == 0 {
 		return nil
 	}
-	perShard := make([][]Op, len(s.shards))
+	// A counting pass sizes each shard's run of one backing array, so
+	// partitioning allocates twice whatever the batch size.
+	var counts [maxShards]int
 	last := 0
 	for _, op := range ops {
 		i := s.shardOf(op.Prefix)
-		perShard[i] = append(perShard[i], op)
+		counts[i]++
 		last = max(last, i)
+	}
+	perShard := make([][]Op, len(s.shards))
+	buf := make([]Op, len(ops))
+	for i, n := range counts[:len(s.shards)] {
+		perShard[i], buf = buf[:0:n], buf[n:]
+	}
+	for _, op := range ops {
+		i := s.shardOf(op.Prefix)
+		perShard[i] = append(perShard[i], op)
 	}
 	changed := make([][]netip.Prefix, len(s.shards))
 	var wg sync.WaitGroup

@@ -126,14 +126,6 @@ func BenchmarkGaugeSet(b *testing.B) {
 	}
 }
 
-func BenchmarkReservoirObserve(b *testing.B) {
-	r := NewReservoir(1024)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.Observe(float64(i))
-	}
-}
-
 func BenchmarkRender(b *testing.B) {
 	r := goldenRegistry()
 	b.ReportAllocs()

@@ -10,7 +10,7 @@ import (
 // causally through ingest, best-path selection, geo assignment, FIB
 // compilation, and forwarding-plane invalidation. Each stage records
 // its latency into convergence_stage_seconds{stage}, the whole event
-// into convergence_seconds, and the event's decomposition into the
+// into convergence_seconds{kind}, and the event's decomposition into the
 // Tracer as one trace of per-stage spans. The layer is clock-agnostic:
 // a virtual-clock harness (internal/scenario) observes all-zero
 // durations and stays byte-deterministic, while wall-clock deployments
@@ -44,8 +44,9 @@ const (
 	ConvMgmt     = "mgmt"     // management force/exempt override
 )
 
-// ConvKinds lists every event kind; the counters are pre-created so the
-// family renders deterministically whether or not a kind has fired.
+// ConvKinds lists every event kind; the kind-labelled children are
+// pre-created so the families render deterministically whether or not
+// a kind has fired.
 var ConvKinds = []string{ConvChurn, ConvDrain, ConvFailover, ConvMgmt, ConvOverride, ConvUpdate}
 
 // ConvVolatileFamilies are the convergence families whose values derive
@@ -61,20 +62,20 @@ var ConvVolatileFamilies = []string{
 
 // Convergence owns the convergence-event metric families and the
 // currently active event. One instance is shared by every layer of a
-// deployment (the forwarding plane constructs it; the reflector,
-// failover controller, and adaptive controller borrow it), because the
-// event ID handoff — "this FIB compile belongs to that UPDATE" — is
-// per-instance state, not per-registry state. All methods are safe for
-// concurrent use and safe on a nil *Convergence, so instrumentation
-// sites call unconditionally.
+// deployment (the forwarding plane constructs it; the reflector, the
+// management interface (core.Mgmt), the failover controller, and the
+// adaptive controller borrow it), because the event ID handoff — "this
+// FIB compile belongs to that UPDATE" — is per-instance state, not
+// per-registry state. All methods are safe for concurrent use and safe
+// on a nil *Convergence, so instrumentation sites call unconditionally.
 type Convergence struct {
 	tracer *Tracer
 	clock  func() float64
 
-	events map[string]*Counter
-	vec    *CounterVec
+	kinds  map[string]convKind // pre-created per ConvKinds, read-only
+	events *CounterVec
+	totals *HistogramVec
 	stages map[string]*Histogram
-	total  *Histogram
 
 	mu     sync.Mutex
 	nextID uint64
@@ -95,18 +96,18 @@ func NewConvergence(reg *Registry, tracer *Tracer, clock func() float64) *Conver
 	c := &Convergence{
 		tracer: tracer,
 		clock:  clock,
-		events: make(map[string]*Counter, len(ConvKinds)),
+		kinds:  make(map[string]convKind, len(ConvKinds)),
+		events: reg.CounterVec("convergence_events_total", "routing-plane convergence events, by kind", "kind"),
+		totals: reg.HistogramVec("convergence_seconds", "end-to-end convergence latency per event, by kind", DefBuckets, "kind"),
 		stages: make(map[string]*Histogram, len(ConvStages)),
 	}
-	c.vec = reg.CounterVec("convergence_events_total", "routing-plane convergence events, by kind", "kind")
 	for _, k := range ConvKinds {
-		c.events[k] = c.vec.With(k)
+		c.kinds[k] = c.kind(k)
 	}
 	stageVec := reg.HistogramVec("convergence_stage_seconds", "per-stage convergence latency", DefBuckets, "stage")
 	for _, s := range ConvStages {
 		c.stages[s] = stageVec.With(s)
 	}
-	c.total = reg.Histogram("convergence_seconds", "end-to-end convergence latency per event", DefBuckets)
 	reg.RegisterFunc("convergence_stage_quantile_seconds", "stage-latency quantiles (p50/p99)",
 		KindGauge, []string{"quantile", "stage"}, func(emit func([]string, float64)) {
 			for _, s := range ConvStages {
@@ -124,27 +125,40 @@ func NewConvergence(reg *Registry, tracer *Tracer, clock func() float64) *Conver
 	return c
 }
 
+// convKind is one event kind's children of convergence_events_total
+// and convergence_seconds.
+type convKind struct {
+	events *Counter
+	total  *Histogram
+}
+
+// kind resolves kind's children, creating them on first use.
+func (c *Convergence) kind(kind string) convKind {
+	return convKind{c.events.With(kind), c.totals.With(kind)}
+}
+
 // Begin opens a convergence event of the given kind, makes it the
 // active event (the one FIB compiles are attributed to), and returns
 // it. Returns nil on a nil receiver. Mutation paths are serialized in
-// every deployment (the reflector's batch lock, the failover
-// controller's mutex, the simulation goroutine), so at most one event
-// is normally in flight; under genuine concurrency the newest event
-// wins the attribution and earlier ones still record their own stages.
+// every deployment (RRServer.mu's one critical section per step, the
+// failover controller's mutex, the simulation goroutine), so at most
+// one event is normally in flight; under genuine concurrency the newest
+// event wins the attribution and earlier ones still record their own
+// stages.
 func (c *Convergence) Begin(kind string) *ConvEvent {
 	if c == nil {
 		return nil
 	}
+	k, ok := c.kinds[kind]
+	if !ok {
+		k = c.kind(kind)
+	}
 	c.mu.Lock()
 	c.nextID++
-	ev := &ConvEvent{conv: c, id: c.nextID, kind: kind}
+	ev := &ConvEvent{conv: c, id: c.nextID, kind: kind, total: k.total}
 	c.active = ev
 	c.mu.Unlock()
-	if ctr, ok := c.events[kind]; ok {
-		ctr.Inc()
-	} else {
-		c.vec.With(kind).Inc()
-	}
+	k.events.Inc()
 	ev.start = c.clock() // the bookkeeping above is not the event's
 	return ev
 }
@@ -241,6 +255,7 @@ type ConvEvent struct {
 	conv  *Convergence
 	id    uint64
 	kind  string
+	total *Histogram // the kind's convergence_seconds child
 	start float64
 
 	mu       sync.Mutex
@@ -325,7 +340,7 @@ func (ev *ConvEvent) observeCompile(seconds float64) {
 }
 
 // Finish closes the event: end-to-end latency lands in
-// convergence_seconds, the active slot is released, and the event's
+// convergence_seconds{kind}, the active slot is released, and the event's
 // decomposition is recorded into the tracer as one trace — a parent
 // span of the event's kind plus one child span per stage. Whether the
 // stages tile the event is read from the two families' sums (the soak
@@ -336,7 +351,7 @@ func (ev *ConvEvent) Finish() {
 	}
 	c := ev.conv
 	end := c.clock()
-	c.total.Observe(max(end-ev.start, 0))
+	ev.total.Observe(max(end-ev.start, 0))
 
 	ev.mu.Lock()
 	obs := ev.obs

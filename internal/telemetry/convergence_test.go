@@ -19,7 +19,10 @@ func sums(c *Convergence) (total, stageSum float64) {
 	for _, h := range c.stages {
 		stageSum += h.Sum()
 	}
-	return c.total.Sum(), stageSum
+	for _, k := range c.kinds {
+		total += k.total.Sum()
+	}
+	return total, stageSum
 }
 
 func TestConvergenceStageTiling(t *testing.T) {
@@ -157,6 +160,41 @@ func TestConvergenceSpans(t *testing.T) {
 	}
 }
 
+// TestConvergenceSecondsByKind: each event's end-to-end time lands in
+// its own kind's convergence_seconds child, and every kind's child
+// counts what its convergence_events_total child counts.
+func TestConvergenceSecondsByKind(t *testing.T) {
+	r := New()
+	clk := &fakeClock{}
+	c := NewConvergence(r, nil, clk.now)
+	for _, d := range []float64{0.002, 0.004} {
+		ev := c.Begin(ConvFailover)
+		clk.advance(d)
+		ev.Finish()
+	}
+	ev := c.Begin(ConvUpdate)
+	clk.advance(0.5)
+	ev.Finish()
+
+	out := r.Render()
+	for _, want := range []string{
+		`convergence_seconds_count{kind="failover"} 2`,
+		`convergence_seconds_sum{kind="failover"} 0.006`,
+		`convergence_seconds_count{kind="update"} 1`,
+		`convergence_seconds_sum{kind="update"} 0.5`,
+		`convergence_seconds_count{kind="drain"} 0`,
+	} {
+		if !strings.Contains(out, want+"\n") {
+			t.Errorf("render missing %q", want)
+		}
+	}
+	for _, k := range ConvKinds {
+		if got, want := c.kinds[k].total.Count(), c.kinds[k].events.Value(); got != want {
+			t.Errorf("kind %s: convergence_seconds count %d, convergence_events_total %d", k, got, want)
+		}
+	}
+}
+
 func TestConvergenceNilSafe(t *testing.T) {
 	var c *Convergence
 	if ev := c.Begin(ConvUpdate); ev != nil {
@@ -178,9 +216,9 @@ func TestConvergenceNilSafe(t *testing.T) {
 }
 
 // TestConvergenceZeroQuantilesDeterministic pins the virtual-clock
-// rendering: all-zero observations interpolate inside the first bucket,
-// so the quantile gauges are nonzero but exact — safe to pin in
-// scenario goldens.
+// rendering: all-zero observations interpolate inside the first bucket
+// (up to 1µs), so the quantile gauges are nonzero but exact — safe to
+// pin in scenario goldens.
 func TestConvergenceZeroQuantilesDeterministic(t *testing.T) {
 	r := New()
 	clk := &fakeClock{}
@@ -191,10 +229,10 @@ func TestConvergenceZeroQuantilesDeterministic(t *testing.T) {
 		ev.Stage(StageIngest, m)
 		ev.Finish()
 	}
-	if got, want := c.StageQuantile(StageIngest, 0.5), 5e-05; math.Abs(got-want) > 1e-15 {
+	if got, want := c.StageQuantile(StageIngest, 0.5), 5e-07; math.Abs(got-want) > 1e-15 {
 		t.Errorf("all-zero p50 = %v, want %v", got, want)
 	}
-	if got, want := c.StageQuantile(StageIngest, 0.99), 9.9e-05; math.Abs(got-want) > 1e-15 {
+	if got, want := c.StageQuantile(StageIngest, 0.99), 9.9e-07; math.Abs(got-want) > 1e-15 {
 		t.Errorf("all-zero p99 = %v, want %v", got, want)
 	}
 	if r.Render() != r.Render() {

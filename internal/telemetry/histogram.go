@@ -7,8 +7,10 @@ import (
 )
 
 // DefBuckets is the default latency bucket layout in seconds, spanning
-// sub-millisecond FIB compiles to multi-second reconvergence.
+// single-prefix FIB deltas and convergence stages of a few
+// microseconds to multi-second reconvergence.
 var DefBuckets = []float64{
+	0.000001, 0.0000025, 0.000005, 0.00001, 0.000025, 0.00005,
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
 	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5,
 }

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -121,36 +122,24 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
-func TestReservoirBounded(t *testing.T) {
-	r := NewReservoir(4)
-	for i := 1; i <= 10; i++ {
-		r.Observe(float64(i))
-	}
-	if r.Count() != 10 {
-		t.Fatalf("lifetime count = %d, want 10", r.Count())
-	}
-	got := r.Snapshot()
-	want := []float64{7, 8, 9, 10}
-	if len(got) != len(want) {
-		t.Fatalf("snapshot = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("snapshot = %v, want %v", got, want)
+// TestDefBucketsResolveMicroseconds: a convergence stage of a few
+// microseconds (a single-prefix FIB delta takes that) reads back inside
+// its own DefBuckets bucket, not interpolated across a wider one.
+func TestDefBucketsResolveMicroseconds(t *testing.T) {
+	for _, v := range []float64{3e-6, 40e-6} {
+		h := newHistogram(DefBuckets)
+		for range 100 {
+			h.Observe(v)
 		}
-	}
-}
-
-func TestReservoirPartialWindow(t *testing.T) {
-	r := NewReservoir(100)
-	r.Observe(3)
-	r.Observe(1)
-	got := r.Snapshot()
-	if len(got) != 2 || got[0] != 3 || got[1] != 1 {
-		t.Fatalf("snapshot = %v, want [3 1]", got)
-	}
-	if len(NewReservoir(0).buf) != DefaultReservoirCap {
-		t.Fatal("default capacity not applied")
+		i := sort.SearchFloat64s(DefBuckets, v)
+		if i == 0 {
+			t.Errorf("%gs samples fall in the first bucket, (0, %g]", v, DefBuckets[0])
+			continue
+		}
+		lo, hi := DefBuckets[i-1], DefBuckets[i]
+		if q := h.Quantile(0.5); q <= lo || q > hi {
+			t.Errorf("%gs samples: p50 %g outside their bucket (%g, %g]", v, q, lo, hi)
+		}
 	}
 }
 

@@ -15,7 +15,6 @@ func TestConcurrentHammer(t *testing.T) {
 	g := r.Gauge("hammer_depth_current", "")
 	h := r.Histogram("hammer_latency_seconds", "", nil)
 	v := r.CounterVec("hammer_hits_total", "", "pop")
-	res := NewReservoir(64)
 	tr := NewTracer(nil, 128)
 
 	const workers = 8
@@ -33,7 +32,6 @@ func TestConcurrentHammer(t *testing.T) {
 				g.Set(float64(i))
 				h.Observe(float64(i%100) / 1000)
 				handle.Inc()
-				res.Observe(float64(i))
 				tr.Event(id, "test", "tick", Int("i", i))
 			}
 		}(w)
@@ -46,7 +44,6 @@ func TestConcurrentHammer(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				_ = r.Render()
 				_ = r.Snapshot()
-				_ = res.Snapshot()
 				_ = tr.WriteJSONL(io.Discard)
 			}
 		}()
@@ -59,9 +56,6 @@ func TestConcurrentHammer(t *testing.T) {
 	}
 	if got := h.Count(); got != workers*iters {
 		t.Errorf("histogram count = %d, want %d", got, workers*iters)
-	}
-	if got := res.Count(); got != workers*iters {
-		t.Errorf("reservoir count = %d, want %d", got, workers*iters)
 	}
 	var sum uint64
 	for _, pop := range []string{"LON", "NYC", "SIN"} {
