@@ -33,8 +33,9 @@ func NewReflector(rr *GeoRR, clusterID netip.Addr, reg *telemetry.Registry, conv
 }
 
 // Ingest applies one UPDATE from an egress router to the Loc-RIB as one
-// coalesced ApplyBatch (withdraw ops first, so an announce+withdraw of
-// the same prefix resolves as sequential RFC 4271 processing would),
+// ApplyBatch (withdraw ops first; the batch keeps each prefix's ops in
+// that order, so a withdraw+announce of the same prefix resolves as
+// sequential RFC 4271 processing would),
 // notifies the forwarding plane once, and returns the reflections: the
 // withdrawals that moved a best path, then one single-prefix
 // announcement per NLRI (each prefix geolocates on its own) with its
@@ -56,8 +57,10 @@ func (r *Reflector) Ingest(from netip.Addr, u bgp.Update) []bgp.Update {
 	mark = ev.Stage(telemetry.StageIngest, mark)
 
 	geoOuts := make([]bgp.Update, 0, len(u.NLRI))
-	for _, p := range u.NLRI {
-		single := bgp.Update{Attrs: u.Attrs, NLRI: []netip.Prefix{p}}
+	for i, p := range u.NLRI {
+		// The full slice expression caps the reflection's NLRI, so an
+		// append to it cannot overwrite the caller's next prefix.
+		single := bgp.Update{Attrs: u.Attrs, NLRI: u.NLRI[i : i+1 : i+1]}
 		out := r.rr.ProcessUpdateQuiet(from, single)
 		out.Attrs = reflectAttrs(out.Attrs, from, r.clusterID)
 		ops = append(ops, rib.Announce(&rib.Route{

@@ -102,7 +102,6 @@ func FailoverStudy(cfg Config) *FailoverResult {
 			if _, ok := eng.Lookup(pi.Prefix.Addr()); ok {
 				if err := d.RR.ForceExit(pi.Prefix, syd.Routers[0]); err == nil {
 					res.Prefix, res.Forced = pi.Prefix, true
-					fwd.Flush()
 					break
 				}
 			}

@@ -1,15 +1,9 @@
 package rib
 
-import (
-	"net/netip"
-	"sort"
-
-	"vns/internal/detsort"
-)
+import "net/netip"
 
 // This file implements batched UPDATE ingestion: a set of route
-// transitions lands as one unit, churn inside the batch is coalesced
-// per (prefix, peer) before any selection runs, and the decision
+// transitions lands as one unit, sorted by prefix, and the decision
 // process reruns exactly once per touched prefix. At Internet scale
 // the per-UPDATE path (mutate → reselect → notify) is dominated by
 // reselection and downstream fan-out, and real UPDATE streams arrive
@@ -17,8 +11,8 @@ import (
 // convergence events flap the same prefixes repeatedly. Batching turns
 // those bursts into one reselect per prefix and one sorted changed-set
 // for the FIB, which is also what makes sharding (ShardedTable)
-// worthwhile — shards process disjoint prefix ranges of a batch in
-// parallel and their sorted changed-sets concatenate.
+// worthwhile — shards walk disjoint prefix ranges of the sorted batch
+// in parallel and their sorted changed-sets concatenate.
 
 // Op is one route transition in a batch: an announce (or implicit
 // replacement) when Route is non-nil, a withdrawal otherwise. The key
@@ -42,83 +36,56 @@ func WithdrawOp(prefix netip.Prefix, peerID, peerAddr netip.Addr) Op {
 	return Op{Prefix: prefix, PeerID: peerID, PeerAddr: peerAddr}
 }
 
-// opKey identifies the candidate slot an op targets; later ops on the
-// same slot supersede earlier ones within a batch.
-type opKey struct {
-	prefix   netip.Prefix
-	peerID   netip.Addr
-	peerAddr netip.Addr
-}
-
-// ApplyBatch applies a batch of transitions as one unit and returns the
-// sorted (detsort.PrefixCompare order) prefixes whose best path changed
-// by value. Within the batch, ops on the same (prefix, peer) slot
-// coalesce last-writer-wins — an announce followed by a withdrawal of
-// the same route in one batch applies only the withdrawal, exactly the
-// state sequential application would reach, minus the intermediate
-// reselects. Selection reruns once per touched prefix after all
-// mutations land, so a prefix flapped n times in a batch costs one
-// decision-process run, not n.
-func (t *table) ApplyBatch(ops []Op) []netip.Prefix {
-	if len(ops) == 0 {
-		return nil
-	}
-	// Coalesce: only the last op per slot survives.
-	last := make(map[opKey]int, len(ops))
+// apply walks one shard's run of a batch, which must be sorted by
+// prefix with each prefix's ops in arrival order, and returns the
+// prefixes whose best path changed by value, in the same order. It
+// applies every op of a prefix, so a withdraw-then-announce of one
+// slot resolves as RFC 4271's op-at-a-time processing would, then
+// reselects once if any op touched a candidate: a prefix flapped n
+// times in a batch costs one decision-process run, not n.
+func (t *table) apply(ops []Op) []netip.Prefix {
+	var changed []netip.Prefix
+	touched := false
 	for i, op := range ops {
-		last[opKey{op.Prefix, op.PeerID, op.PeerAddr}] = i
-	}
-	touched := make(map[netip.Prefix]struct{}, len(last))
-	for i, op := range ops {
-		if last[opKey{op.Prefix, op.PeerID, op.PeerAddr}] != i {
-			continue
-		}
+		e := t.entries[op.Prefix]
 		if op.Route != nil {
-			e := t.entries[op.Prefix]
 			if e == nil {
 				e = &entry{}
 				t.entries[op.Prefix] = e
 			}
 			e.upsert(op.Route)
-			touched[op.Prefix] = struct{}{}
+			touched = true
 			if m := t.metrics; m != nil {
 				m.Upserts.Inc()
 			}
-		} else {
-			e := t.entries[op.Prefix]
-			if e == nil || !e.remove(op.PeerID, op.PeerAddr) {
-				continue
-			}
-			touched[op.Prefix] = struct{}{}
+		} else if e != nil && e.remove(op.PeerID, op.PeerAddr) {
+			touched = true
 			if m := t.metrics; m != nil {
 				m.Withdraws.Inc()
 			}
 		}
-	}
-	changed := make([]netip.Prefix, 0, len(touched))
-	//vnslint:maprange per-prefix reselects are independent and changed is sorted below; order cannot escape
-	for p := range touched {
-		e := t.entries[p]
+		// Reselect at the end of the prefix's run, if it touched a
+		// candidate.
+		if !touched || i+1 < len(ops) && ops[i+1].Prefix == op.Prefix {
+			continue
+		}
+		touched = false
 		if len(e.routes) == 0 {
 			if e.best != nil {
-				changed = append(changed, p)
+				changed = append(changed, op.Prefix)
 			}
-			delete(t.entries, p)
+			delete(t.entries, op.Prefix)
 			continue
 		}
 		if e.reselect() {
-			changed = append(changed, p)
+			changed = append(changed, op.Prefix)
 		}
 		if m := t.metrics; m != nil {
 			m.Reselects.Inc()
 		}
 	}
-	sort.Slice(changed, func(i, j int) bool {
-		return detsort.PrefixCompare(changed[i], changed[j]) < 0
-	})
 	if m := t.metrics; m != nil {
 		m.BestChanges.Add(uint64(len(changed)))
-		m.Prefixes.Set(float64(len(t.entries)))
 	}
 	return changed
 }

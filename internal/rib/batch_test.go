@@ -32,7 +32,7 @@ func TestApplyBatchIncremental(t *testing.T) {
 	pfx := batchPfx
 	for _, tc := range batchCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			tbl := newTable()
+			tbl := NewSharded(1)
 			tbl.ApplyBatch(batchSetup())
 
 			changed := tbl.ApplyBatch(tc.ops())
@@ -185,14 +185,16 @@ func batchCases() []batchCase {
 	}
 }
 
-// TestApplyBatchMatchesSequential cross-checks batched application
-// against the op-at-a-time oracle (oracle_test.go) on randomized
-// workloads: same final table, and the batch's changed-set equal to the
-// sorted set of prefixes whose best differs by value across the batch.
+// TestApplyBatchMatchesSequential cross-checks batched application on
+// the sequential table, NewSharded(1), against the op-at-a-time oracle
+// (oracle_test.go) on randomized workloads of IPv4, IPv6 and 4-in-6
+// prefixes: same final table, candidate order included, and the
+// batch's changed-set equal to the sorted set of prefixes whose best
+// differs by value across the batch.
 func TestApplyBatchMatchesSequential(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		rng := loss.NewRNG(seed)
-		batched, sequential := newTable(), newTable()
+		batched, sequential := NewSharded(1), newTable()
 		for round := 0; round < 50; round++ {
 			ops := randomOps(rng, 1+int(rng.Float64()*20))
 			changed, want := batched.ApplyBatch(ops), applySequential(sequential, ops)
@@ -204,29 +206,24 @@ func TestApplyBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-func comparePrefixes(a, b netip.Prefix) int {
-	if c := a.Addr().Compare(b.Addr()); c != 0 {
-		return c
-	}
-	switch {
-	case a.Bits() < b.Bits():
-		return -1
-	case a.Bits() > b.Bits():
-		return 1
-	}
-	return 0
-}
-
 // randomOps builds a batch over a clustered universe of prefixes and
 // peers so replacements, withdrawals of absent slots, and intra-batch
-// flaps all occur.
+// flaps all occur. Most prefixes are IPv4, in four /8s spread over the
+// address space so every shard count splits them; the rest are IPv6 and
+// 4-in-6, which sort after every IPv4 prefix.
 func randomOps(rng *loss.RNG, n int) []Op {
 	ops := make([]Op, 0, n)
 	for i := 0; i < n; i++ {
-		pfx := netip.PrefixFrom(
-			netip.AddrFrom4([4]byte{byte(10 + int(rng.Float64()*4)), byte(rng.Float64() * 8), byte(rng.Float64() * 4 * 64), 0}),
-			16+int(rng.Float64()*9),
-		).Masked()
+		v4 := netip.AddrFrom4([4]byte{byte(10 + 64*int(rng.Float64()*4)), byte(rng.Float64() * 8), byte(rng.Float64() * 4 * 64), 0})
+		bits := 16 + int(rng.Float64()*9)
+		pfx := netip.PrefixFrom(v4, bits)
+		switch f := rng.Float64(); {
+		case f < 0.15:
+			pfx = netip.PrefixFrom(netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, byte(rng.Float64() * 4), byte(rng.Float64() * 8)}), 16+bits)
+		case f < 0.25:
+			pfx = netip.PrefixFrom(netip.AddrFrom16(v4.As16()), 96+bits)
+		}
+		pfx = pfx.Masked()
 		peer := 1 + int(rng.Float64()*5)
 		if rng.Float64() < 0.35 {
 			id := netip.AddrFrom4([4]byte{10, 0, 0, byte(peer)})
@@ -248,7 +245,8 @@ type ribLike interface {
 }
 
 // assertTablesEqual requires byte-match equivalence: same prefix list
-// in the same order, same best route by value, same candidate sets.
+// in the same order, same best route by value, same candidate lists in
+// the same order.
 func assertTablesEqual(t *testing.T, got, want ribLike) {
 	t.Helper()
 	if got.Len() != want.Len() {
@@ -266,20 +264,8 @@ func assertTablesEqual(t *testing.T, got, want ribLike) {
 			t.Fatalf("Best(%v): got %v, want %v", gp[i], gb, wb)
 		}
 		gc, wc := got.Candidates(gp[i]), want.Candidates(wp[i])
-		if len(gc) != len(wc) {
-			t.Fatalf("Candidates(%v): got %d, want %d", gp[i], len(gc), len(wc))
-		}
-		// Candidate insertion order can differ between batched and
-		// sequential application (coalescing skips superseded inserts),
-		// so match as a set keyed by peer slot.
-		bySlot := make(map[opKey]*Route, len(wc))
-		for _, r := range wc {
-			bySlot[opKey{r.Prefix, r.PeerID, r.PeerAddr}] = r
-		}
-		for _, r := range gc {
-			if !r.Equal(bySlot[opKey{r.Prefix, r.PeerID, r.PeerAddr}]) {
-				t.Fatalf("Candidates(%v): route %v differs from sequential", gp[i], r)
-			}
+		if !slices.EqualFunc(gc, wc, (*Route).Equal) {
+			t.Fatalf("Candidates(%v): got %v, want %v (order must match)", gp[i], gc, wc)
 		}
 	}
 }
@@ -293,7 +279,7 @@ func TestShardedMatchesSequential(t *testing.T) {
 		for seed := uint64(1); seed <= 3; seed++ {
 			rng := loss.NewRNG(seed)
 			sharded := NewSharded(nshards)
-			sequential := newTable()
+			sequential := NewSharded(1)
 			for round := 0; round < 40; round++ {
 				ops := randomOps(rng, 1+int(rng.Float64()*30))
 				gotChanged := sharded.ApplyBatch(ops)
@@ -311,8 +297,8 @@ func TestShardedMatchesSequential(t *testing.T) {
 			// The linear LPM over the sequential shard names a best
 			// route; the sharded table must hold the same one.
 			for i := 0; i < 200; i++ {
-				a := netip.AddrFrom4([4]byte{byte(10 + int(rng.Float64()*4)), byte(rng.Float64() * 8), byte(rng.Float64() * 256), byte(rng.Float64() * 256)})
-				if wb := sequential.Lookup(a); wb != nil && !sharded.Best(wb.Prefix).Equal(wb) {
+				a := netip.AddrFrom4([4]byte{byte(10 + 64*int(rng.Float64()*4)), byte(rng.Float64() * 8), byte(rng.Float64() * 256), byte(rng.Float64() * 256)})
+				if wb := sequential.shards[0].Lookup(a); wb != nil && !sharded.Best(wb.Prefix).Equal(wb) {
 					t.Fatalf("shards=%d seed=%d: Lookup(%v) = %v, sharded best %v", nshards, seed, a, wb, sharded.Best(wb.Prefix))
 				}
 			}
@@ -322,9 +308,9 @@ func TestShardedMatchesSequential(t *testing.T) {
 
 // BenchmarkRIBChurn measures batched UPDATE churn against a full-scale
 // table: each op is a batch of 16 announce/withdraw transitions over a
-// 100k-prefix Loc-RIB with 4 candidates per prefix, the coalesce +
-// incremental-reselect path a route reflector runs per burst. One
-// shard is the sequential table.
+// 100k-prefix Loc-RIB with 4 candidates per prefix, the sort +
+// walk-and-reselect path a route reflector runs per burst. One shard is
+// the sequential table.
 func BenchmarkRIBChurn(b *testing.B) { benchChurn(b, NewSharded(1)) }
 
 // BenchmarkShardedRIBChurn is BenchmarkRIBChurn at GOMAXPROCS shards —

@@ -10,9 +10,9 @@ package rib
 import (
 	"fmt"
 	"net/netip"
-	"sort"
 
 	"vns/internal/bgp"
+	"vns/internal/detsort"
 )
 
 // DefaultLocalPref is the local preference assumed for routes that do
@@ -223,8 +223,8 @@ func newTable() *table {
 func (t *table) Len() int { return len(t.entries) }
 
 // upsert installs or replaces the candidate from r's peer without
-// rerunning selection; ApplyBatch defers reselection until a batch's
-// mutations have all landed.
+// rerunning selection; apply defers reselection until every op of a
+// prefix's run has landed.
 func (e *entry) upsert(r *Route) {
 	for i, existing := range e.routes {
 		if existing.PeerID == r.PeerID && existing.PeerAddr == r.PeerAddr {
@@ -281,17 +281,7 @@ func (t *table) Candidates(prefix netip.Prefix) []*Route {
 	return nil
 }
 
-// Prefixes returns all prefixes in deterministic (sorted) order.
+// Prefixes returns all prefixes in detsort.PrefixCompare order.
 func (t *table) Prefixes() []netip.Prefix {
-	out := make([]netip.Prefix, 0, len(t.entries))
-	for p := range t.entries {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if c := out[i].Addr().Compare(out[j].Addr()); c != 0 {
-			return c < 0
-		}
-		return out[i].Bits() < out[j].Bits()
-	})
-	return out
+	return detsort.KeysFunc(t.entries, detsort.PrefixCompare)
 }

@@ -3,23 +3,27 @@ package rib
 import (
 	"net/netip"
 	"runtime"
+	"slices"
 	"sync"
+
+	"vns/internal/detsort"
 )
 
 // ShardedTable is the Loc-RIB, partitioned across per-prefix-range
 // shards so batched ingestion runs the decision process on all cores
-// (one shard is the sequential table). Sharding is
-// by the top 16 bits of a prefix's (masked) IPv4 address, split into
-// contiguous ranges: every prefix lives in exactly one shard, ops on
-// distinct shards touch disjoint state, and — because the ranges are
-// contiguous in address order — concatenating the shards' sorted
+// (one shard is the sequential table). Sharding is monotone in
+// detsort.PrefixCompare order: IPv4 prefixes split by the top 16 bits
+// of their address into contiguous ranges, and every other prefix
+// (IPv6, 4-in-6) lives in the last shard. So a batch sorted by prefix
+// splits into one contiguous run per shard, ops on distinct shards
+// touch disjoint state, and concatenating the shards' sorted
 // changed-sets or prefix lists in shard order is globally sorted
 // without a merge step.
 //
 // The correctness contract (pinned by TestShardedMatchesSequential and
 // exercised under -race) is byte-for-byte equivalence with a single
 // shard fed the same batches, and of that shard with an op-at-a-time
-// walk (TestApplyBatchMatchesSequential): same best routes, same
+// walk (TestOneShardMatchesSequentialOracle): same best routes, same
 // changed sets, same iteration order. Sharding is a scheduling change,
 // never a semantic one.
 //
@@ -52,19 +56,18 @@ func NewSharded(n int) *ShardedTable {
 	return s
 }
 
-// shardOf maps a prefix to its shard: the top 16 bits of the masked
-// address, scaled into the shard count. Contiguity of the resulting
-// ranges is what keeps per-shard sorted output globally sorted. It runs
-// once per op on the ingest path, so it must stay allocation-free.
+// shardOf maps a prefix to its shard: an IPv4 prefix by the top 16
+// bits of its address, scaled into the shard count, and any other
+// prefix to the last shard, since detsort.PrefixCompare orders every
+// IPv4 address first. Monotonicity in that order is what keeps per-shard
+// sorted output globally sorted. It runs in ApplyBatch's binary search
+// and once per lookup, so it must stay allocation-free.
 //
 //vnslint:hotpath
 func (s *ShardedTable) shardOf(p netip.Prefix) int {
 	a := p.Addr()
-	if a.Is4In6() {
-		a = a.Unmap()
-	}
 	if !a.Is4() {
-		return 0
+		return len(s.shards) - 1
 	}
 	b := a.As4()
 	top := uint32(b[0])<<8 | uint32(b[1])
@@ -83,61 +86,41 @@ func (s *ShardedTable) SetMetrics(m *Metrics) {
 	}
 }
 
-// ApplyBatch partitions the batch by shard, runs each shard's
-// coalesce/mutate/reselect in its own goroutine, but the last non-empty
-// shard's on the caller's, which would only wait, so a one-shard batch
-// spawns nothing (spawn-and-join: all workers are WaitGroup-joined
-// before return), and returns the globally
-// sorted prefixes whose best path changed by value — identical to what
-// one shard applying the same ops would return.
+// ApplyBatch sorts a copy of the batch by prefix, stably so each
+// prefix's ops keep their arrival order, and walks each shard's
+// contiguous run of it in its own goroutine, but the last run on the
+// caller's, which would only wait, so a one-shard batch spawns nothing
+// (spawn-and-join: all workers are WaitGroup-joined before return). It
+// returns the globally sorted prefixes whose best path changed by
+// value — identical to what one shard applying the same ops would
+// return.
 func (s *ShardedTable) ApplyBatch(ops []Op) []netip.Prefix {
 	if len(ops) == 0 {
 		return nil
 	}
-	// A counting pass sizes each shard's run of one backing array, so
-	// partitioning allocates twice whatever the batch size.
-	var counts [maxShards]int
-	last := 0
-	for _, op := range ops {
-		i := s.shardOf(op.Prefix)
-		counts[i]++
-		last = max(last, i)
-	}
-	perShard := make([][]Op, len(s.shards))
-	buf := make([]Op, len(ops))
-	for i, n := range counts[:len(s.shards)] {
-		perShard[i], buf = buf[:0:n], buf[n:]
-	}
-	for _, op := range ops {
-		i := s.shardOf(op.Prefix)
-		perShard[i] = append(perShard[i], op)
-	}
+	rest := slices.Clone(ops)
+	slices.SortStableFunc(rest, func(a, b Op) int { return detsort.PrefixCompare(a.Prefix, b.Prefix) })
 	changed := make([][]netip.Prefix, len(s.shards))
 	var wg sync.WaitGroup
-	for i := range last {
-		if len(perShard[i]) == 0 {
-			continue
+	for {
+		i := s.shardOf(rest[0].Prefix)
+		n, _ := slices.BinarySearchFunc(rest, i+1, func(op Op, shard int) int { return s.shardOf(op.Prefix) - shard })
+		if n == len(rest) {
+			changed[i] = s.shards[i].apply(rest)
+			break
 		}
 		wg.Add(1)
-		go func(i int) {
+		go func(run []Op) {
 			defer wg.Done()
-			changed[i] = s.shards[i].ApplyBatch(perShard[i])
-		}(i)
+			changed[i] = s.shards[i].apply(run)
+		}(rest[:n])
+		rest = rest[n:]
 	}
-	changed[last] = s.shards[last].ApplyBatch(perShard[last])
 	wg.Wait()
-	total := 0
-	for _, c := range changed {
-		total += len(c)
-	}
-	out := make([]netip.Prefix, 0, total)
-	for _, c := range changed {
-		out = append(out, c...)
-	}
 	if m := s.metrics; m != nil {
 		m.Prefixes.Set(float64(s.Len()))
 	}
-	return out
+	return slices.Concat(changed...)
 }
 
 // Len returns the number of prefixes with at least one candidate.
@@ -159,8 +142,8 @@ func (s *ShardedTable) Candidates(prefix netip.Prefix) []*Route {
 	return s.shards[s.shardOf(prefix)].Candidates(prefix)
 }
 
-// Prefixes returns all prefixes in globally sorted order: shard ranges
-// are contiguous in address order, so per-shard sorted lists
+// Prefixes returns all prefixes in detsort.PrefixCompare order: shard
+// ranges are contiguous in that order, so per-shard sorted lists
 // concatenate.
 func (s *ShardedTable) Prefixes() []netip.Prefix {
 	out := make([]netip.Prefix, 0, s.Len())

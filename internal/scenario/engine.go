@@ -226,7 +226,6 @@ func (e *engine) resolveSelector(sel string) (netip.Prefix, error) {
 				if err := e.RR.ForceExit(topoPfx[i].Prefix, router); err != nil {
 					return netip.Prefix{}, err
 				}
-				e.Fwd.Flush()
 				out = topoPfx[i].Prefix
 				break
 			}
@@ -290,7 +289,6 @@ func (e *engine) run() (*Result, error) {
 		cp++
 		cpAt := ev.checkpointAt()
 		e.Sim.Run(cpAt)
-		e.Fwd.Flush()
 		if err := e.checkpoint(cp, describe(ev), cpAt, false); err != nil {
 			return res, err
 		}
@@ -313,7 +311,6 @@ func (e *engine) run() (*Result, error) {
 		e.flowEng.Stop()
 	}
 	e.Sim.RunAll()
-	e.Fwd.Flush()
 	return res, e.checkpoint(cp+1, "final", endAt, true)
 }
 
