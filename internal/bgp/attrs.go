@@ -289,7 +289,7 @@ func unmarshalAttrs(buf []byte) (Attrs, error) {
 	if len(buf) == 0 {
 		return a, nil
 	}
-	seen := map[byte]bool{}
+	var seen [256]bool // by attribute type
 	for len(buf) > 0 {
 		if len(buf) < 3 {
 			return a, fmt.Errorf("%w: attribute header truncated", ErrTruncated)
@@ -354,6 +354,9 @@ func unmarshalAttrs(buf []byte) (Attrs, error) {
 			if len(body)%4 != 0 {
 				return a, fmt.Errorf("%w: COMMUNITIES", ErrBadAttributes)
 			}
+			if len(body) > 0 {
+				a.Communities = make([]Community, 0, len(body)/4)
+			}
 			for i := 0; i < len(body); i += 4 {
 				a.Communities = append(a.Communities, Community(binary.BigEndian.Uint32(body[i:i+4])))
 			}
@@ -365,6 +368,9 @@ func unmarshalAttrs(buf []byte) (Attrs, error) {
 		case attrClusterList:
 			if len(body)%4 != 0 {
 				return a, fmt.Errorf("%w: CLUSTER_LIST", ErrBadAttributes)
+			}
+			if len(body) > 0 {
+				a.ClusterList = make([]netip.Addr, 0, len(body)/4)
 			}
 			for i := 0; i < len(body); i += 4 {
 				a.ClusterList = append(a.ClusterList, netip.AddrFrom4([4]byte(body[i:i+4])))

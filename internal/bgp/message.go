@@ -221,26 +221,66 @@ func marshalNotification(n Notification) ([]byte, error) {
 	return body, nil
 }
 
-// ReadMessage reads and decodes one message from r.
-func ReadMessage(r io.Reader) (Message, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+// peeker is what nextFrame reads from: the session's *bufio.Reader, or
+// an exactReader for ReadMessage.
+type peeker interface {
+	Peek(n int) ([]byte, error)
+}
+
+// nextFrame frames the next message in r: it checks the marker and the
+// length and returns the message's type and body. The body aliases r's
+// buffer, so it must be decoded (every decoded field is a copy) before
+// r moves on; a *bufio.Reader moves on with Discard(headerLen+len(body)).
+func nextFrame(r peeker) (MessageType, []byte, error) {
+	hdr, err := r.Peek(headerLen)
+	if err != nil {
+		return 0, nil, err
 	}
-	for i := 0; i < markerLen; i++ {
-		if hdr[i] != 0xFF {
-			return nil, ErrBadMarker
+	if len(hdr) < headerLen {
+		return 0, nil, ErrTruncated
+	}
+	if [markerLen]byte(hdr[:markerLen]) != marker {
+		return 0, nil, ErrBadMarker
+	}
+	length := int(binary.BigEndian.Uint16(hdr[16:18]))
+	if length < minMsgLen || length > maxMsgLen {
+		return 0, nil, fmt.Errorf("%w: %d", ErrBadLength, length)
+	}
+	msg, err := r.Peek(length)
+	if err != nil {
+		return 0, nil, fmt.Errorf("%w: %w", ErrTruncated, err)
+	}
+	if len(msg) < length {
+		return 0, nil, ErrTruncated
+	}
+	return MessageType(msg[18]), msg[headerLen:length], nil
+}
+
+// exactReader is a peeker over an unbuffered source that reads no byte
+// past what Peek asks for, so the source's next message stays unread.
+type exactReader struct {
+	r   io.Reader
+	buf []byte
+}
+
+func (e *exactReader) Peek(n int) ([]byte, error) {
+	if have := len(e.buf); have < n {
+		e.buf = slices.Grow(e.buf, n-have)[:n]
+		if _, err := io.ReadFull(e.r, e.buf[have:]); err != nil {
+			return nil, err
 		}
 	}
-	length := binary.BigEndian.Uint16(hdr[16:18])
-	if length < minMsgLen || length > maxMsgLen {
-		return nil, fmt.Errorf("%w: %d", ErrBadLength, length)
+	return e.buf[:n], nil
+}
+
+// ReadMessage reads and decodes one message from r, reading no byte
+// past it.
+func ReadMessage(r io.Reader) (Message, error) {
+	t, body, err := nextFrame(&exactReader{r: r})
+	if err != nil {
+		return nil, err
 	}
-	body := make([]byte, int(length)-headerLen)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrTruncated, err)
-	}
-	return unmarshalBody(MessageType(hdr[18]), body)
+	return unmarshalBody(t, body)
 }
 
 // Unmarshal decodes one complete wire message from buf.
@@ -265,7 +305,11 @@ func unmarshalBody(t MessageType, body []byte) (Message, error) {
 	case MsgOpen:
 		return unmarshalOpen(body)
 	case MsgUpdate:
-		return unmarshalUpdate(body)
+		u, err := decodeUpdate(body)
+		if err != nil {
+			return nil, err
+		}
+		return u, nil
 	case MsgNotification:
 		if len(body) < 2 {
 			return nil, fmt.Errorf("%w: NOTIFICATION body %d bytes", ErrTruncated, len(body))
@@ -301,33 +345,35 @@ func unmarshalOpen(body []byte) (Message, error) {
 	}, nil
 }
 
-func unmarshalUpdate(body []byte) (Message, error) {
+// decodeUpdate decodes an UPDATE body into a value of its own: no field
+// aliases body.
+func decodeUpdate(body []byte) (Update, error) {
 	if len(body) < 4 {
-		return nil, fmt.Errorf("%w: UPDATE body %d bytes", ErrTruncated, len(body))
+		return Update{}, fmt.Errorf("%w: UPDATE body %d bytes", ErrTruncated, len(body))
 	}
 	wLen := int(binary.BigEndian.Uint16(body[0:2]))
 	if 2+wLen > len(body) {
-		return nil, fmt.Errorf("%w: withdrawn length %d", ErrBadLength, wLen)
+		return Update{}, fmt.Errorf("%w: withdrawn length %d", ErrBadLength, wLen)
 	}
 	withdrawn, err := unmarshalNLRI(body[2 : 2+wLen])
 	if err != nil {
-		return nil, err
+		return Update{}, err
 	}
 	rest := body[2+wLen:]
 	if len(rest) < 2 {
-		return nil, fmt.Errorf("%w: attribute length field", ErrTruncated)
+		return Update{}, fmt.Errorf("%w: attribute length field", ErrTruncated)
 	}
 	aLen := int(binary.BigEndian.Uint16(rest[0:2]))
 	if 2+aLen > len(rest) {
-		return nil, fmt.Errorf("%w: attribute length %d", ErrBadLength, aLen)
+		return Update{}, fmt.Errorf("%w: attribute length %d", ErrBadLength, aLen)
 	}
 	attrs, err := unmarshalAttrs(rest[2 : 2+aLen])
 	if err != nil {
-		return nil, err
+		return Update{}, err
 	}
 	nlri, err := unmarshalNLRI(rest[2+aLen:])
 	if err != nil {
-		return nil, err
+		return Update{}, err
 	}
 	return Update{Withdrawn: withdrawn, Attrs: attrs, NLRI: nlri}, nil
 }

@@ -27,9 +27,13 @@ func marshalNLRI(prefixes []netip.Prefix) ([]byte, error) {
 	return out, nil
 }
 
-// unmarshalNLRI decodes a sequence of <length, prefix> entries.
+// unmarshalNLRI decodes a sequence of <length, prefix> entries into a
+// slice sized once: a packed UPDATE carries hundreds.
 func unmarshalNLRI(buf []byte) ([]netip.Prefix, error) {
 	var out []netip.Prefix
+	if n := countNLRI(buf); n > 0 {
+		out = make([]netip.Prefix, 0, n)
+	}
 	for len(buf) > 0 {
 		bits := int(buf[0])
 		if bits > 32 {
@@ -49,4 +53,15 @@ func unmarshalNLRI(buf []byte) ([]netip.Prefix, error) {
 		buf = buf[1+nbytes:]
 	}
 	return out, nil
+}
+
+// countNLRI counts the <length, prefix> entries in buf by their length
+// octets alone. Only a malformed buffer, which the decode rejects, can
+// make it miscount.
+func countNLRI(buf []byte) int {
+	n := 0
+	for i := 0; i < len(buf); i += 1 + (int(buf[i])+7)/8 {
+		n++
+	}
+	return n
 }

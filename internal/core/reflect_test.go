@@ -398,10 +398,66 @@ func TestRRServerReflectWritesOncePerPeer(t *testing.T) {
 	}
 }
 
+// TestRRServerDrainedRunWritesOncePerPeer: UPDATEs that queue on a
+// session while the reflector is busy are reflected as one run, each
+// still ingested on its own but all their reflections written to each
+// peer at once. The test holds the reflector's lock while a source
+// sends N single-prefix UPDATEs: the first waits for the lock, the rest
+// queue behind it. Once the lock is released, every observer receives
+// all N reflections in send order, and the reflector has made at most
+// 2·(n−1) writes: the first UPDATE's, then the run's.
+func TestRRServerDrainedRunWritesOncePerPeer(t *testing.T) {
+	const n, N = 4, 50
+	srv, ln := countingRR(t)
+	peers := dialPeers(t, srv, n)
+	src := peers[0]
+	var obs []*recorder
+	for _, sess := range peers[1:] {
+		obs = append(obs, record(sess))
+	}
+	want := slash24s(N)
+
+	srv.mu.Lock()
+	queue := srv.peers[addr("10.0.1.1")].Updates() // src, as the reflector holds it
+	before := ln.writes.Load()
+	for _, p := range want {
+		if err := src.SendUpdate(announce([]netip.Prefix{p})); err != nil {
+			srv.mu.Unlock()
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); len(queue) < N-1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			srv.mu.Unlock()
+			t.Fatalf("%d of %d UPDATEs queued", len(queue), N-1)
+		}
+	}
+	srv.mu.Unlock()
+
+	for i, o := range obs {
+		waitFor(t, fmt.Sprintf("the run at observer %d", i), func() bool { return len(o.updates()) >= N })
+		got := o.updates()
+		if len(got) != N {
+			t.Fatalf("observer %d received %d reflections, want %d", i, len(got), N)
+		}
+		for k, u := range got {
+			if !slices.Equal(u.NLRI, want[k:k+1]) || len(u.Withdrawn) != 0 {
+				t.Fatalf("observer %d: reflection %d is NLRI %v withdrawn %v, want NLRI %v", i, k, u.NLRI, u.Withdrawn, want[k])
+			}
+		}
+	}
+	if got := ln.writes.Load() - before; got > 2*(n-1) {
+		t.Errorf("%d queued UPDATEs to %d peers took %d writes, want at most %d", N, n-1, got, 2*(n-1))
+	}
+}
+
 // BenchmarkRRServerReflect: 22 loopback egress sessions, the size of
 // the deployment; one op is one 6-prefix UPDATE from the first,
 // finished when its last reflection reaches the last peer the reflector
-// writes to. writes/op is the reflector's Write calls per op.
+// writes to. writes/op is the reflector's Write calls per op. lockstep
+// sends each UPDATE once the previous one's reflections arrived, so
+// every UPDATE is a run of one (21 writes); pipelined sends them back
+// to back, so UPDATEs queue and are reflected in runs.
 func BenchmarkRRServerReflect(b *testing.B) {
 	const n, k = 22, 6
 	srv, ln := countingRR(b)
@@ -414,20 +470,45 @@ func BenchmarkRRServerReflect(b *testing.B) {
 		}()
 	}
 	u := announce(slash24s(k))
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	before := ln.writes.Load()
-	for i := 0; i < b.N; i++ {
-		if err := src.SendUpdate(u); err != nil {
-			b.Fatal(err)
-		}
-		for j := 0; j < k; j++ {
+	// receive reads m reflections from the last peer.
+	receive := func(b *testing.B, m int) {
+		for range m {
 			if _, ok := <-last.Updates(); !ok {
 				b.Fatal("last peer's session closed")
 			}
 		}
 	}
-	b.StopTimer()
-	b.ReportMetric(float64(ln.writes.Load()-before)/float64(b.N), "writes/op")
+
+	b.Run("lockstep", func(b *testing.B) {
+		b.ReportAllocs()
+		before := ln.writes.Load()
+		for i := 0; i < b.N; i++ {
+			if err := src.SendUpdate(u); err != nil {
+				b.Fatal(err)
+			}
+			receive(b, k)
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(ln.writes.Load()-before)/float64(b.N), "writes/op")
+	})
+	b.Run("pipelined", func(b *testing.B) {
+		b.ReportAllocs()
+		before := ln.writes.Load()
+		sent := make(chan error, 1)
+		go func() {
+			for i := 0; i < b.N; i++ {
+				if err := src.SendUpdate(u); err != nil {
+					sent <- err
+					return
+				}
+			}
+			sent <- nil
+		}()
+		receive(b, b.N*k)
+		if err := <-sent; err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(ln.writes.Load()-before)/float64(b.N), "writes/op")
+	})
 }

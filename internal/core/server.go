@@ -16,10 +16,13 @@ import (
 // RRServer runs the GeoRR as a real BGP speaker: the TCP shell around a
 // Reflector. It accepts iBGP sessions from egress routers and writes
 // what the Reflector returns to every other peer. Each control-plane
-// step — one received UPDATE, a session's end, a replacement — is one
-// critical section under s.mu, from the peer-map check through Ingest
-// or Purge to the last write, so every peer receives reflections in
-// the order the Loc-RIB applied them.
+// step — a drained run of received UPDATEs, a session's end, a
+// replacement — is one critical section under s.mu, from the peer-map
+// check through Ingest or Purge to the last write, so every peer
+// receives reflections in the order the Loc-RIB applied them. A run is
+// the UPDATE that woke the session's goroutine and every UPDATE already
+// queued behind it: each is still ingested on its own, and the run is
+// written to each peer once (handleUpdate).
 type RRServer struct {
 	ref *Reflector
 	cfg bgp.SessionConfig
@@ -195,16 +198,37 @@ func (s *RRServer) serveConn(conn net.Conn, cfg bgp.SessionConfig) {
 	}
 }
 
-// handleUpdate ingests one UPDATE from the session sess of router from
-// and reflects the result to every other peer. An UPDATE still arriving
-// on a replaced session is dropped: its router's routes were purged,
-// and the router ID belongs to the new session now.
+// handleUpdate ingests u, one UPDATE from the session sess of router
+// from, and then every UPDATE already queued on sess, at most the
+// queue's capacity, without waiting for more. Each is its own Ingest
+// (its own batch, convergence event and forwarding pass); their
+// reflections are concatenated in order and sent in one fan-out, so a
+// run of queued UPDATEs costs one write per peer, and a lone UPDATE is
+// a run of one. Every announcement in the run is published to the
+// forwarding plane before any of it is reflected. UPDATEs still
+// arriving on a replaced session are dropped: its router's routes were
+// purged, and the router ID belongs to the new session now.
 func (s *RRServer) handleUpdate(sess *bgp.Session, from netip.Addr, u bgp.Update) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.peers[from] == sess {
-		s.fanOut(from, s.ref.Ingest(from, u))
+	if s.peers[from] != sess {
+		return
 	}
+	outs := s.ref.Ingest(from, u)
+	queue := sess.Updates()
+drain:
+	for range cap(queue) {
+		select {
+		case u, ok := <-queue:
+			if !ok {
+				break drain
+			}
+			outs = append(outs, s.ref.Ingest(from, u)...)
+		default:
+			break drain
+		}
+	}
+	s.fanOut(from, outs)
 }
 
 // fanOut sends outs from router from to every other session, with s.mu
