@@ -1,9 +1,7 @@
 package fib
 
 import (
-	"maps"
 	"net/netip"
-	"slices"
 	"time"
 )
 
@@ -15,13 +13,15 @@ import (
 // of prefixes at a time. Delta patches a fork of the published trie
 // (lpm.Trie.Fork), which copies only the stride nodes the patches
 // touch, so the previously published *FIB stays immutable and readers
-// of either generation remain wait-free. The next-hop table is shared
+// of either generation remain wait-free. The vector table is shared
 // with the parent generation too, and copied only when a patch brings a
-// next hop it does not hold: a patch costs the nodes it copies and one
-// FIB header, not a pass over the table. A withdrawal names the
-// withdrawn prefix's covering route, because only the owner of the
-// authoritative entry set (the Publisher) can name the next-longest
-// match once the prefix is gone.
+// vector it does not hold: a patch costs the nodes it copies and one
+// FIB header per column it moves, not a pass over the table. A
+// withdrawal names the withdrawn prefix's covering route, because only
+// the owner of the authoritative entry set (the Publisher's writer) can
+// name the next-longest match once the prefix is gone. Delta is the
+// one-column form, over Patches; a plane's writer patches its shared
+// trie the same way, over vector ids (writer.patch).
 
 // Patch is one prefix transition for Delta: an install (announce or
 // next-hop change) when Install is true, a withdrawal otherwise.
@@ -45,39 +45,30 @@ type Patch struct {
 	CoverBits int
 }
 
-// delta tracks one in-progress patch session: the FIB being built and
-// whether its next-hop table is still the parent's.
-type delta struct {
-	f        *FIB
-	sharedNH bool
-}
-
-// Delta returns a new FIB equal to f with the given patches applied,
-// tagged with the given generation. The receiver is not modified: every
-// touched node is cloned (copy-on-write), untouched subtrees and the
-// next-hop table are shared between generations, the table being
-// copied only if a patch brings a next hop it does not hold. Cost is
-// proportional to the patched address space, not the table size.
-// Prefixes are normalized as Compile does them; non-IPv4 prefixes and
-// no-op withdrawals are ignored. Any number of Deltas may be taken off
-// one FIB, each independent of the others.
+// Delta returns a new single-column FIB equal to f with the given
+// patches applied, tagged with the given generation. The receiver is
+// not modified: every touched node is cloned (copy-on-write), untouched
+// subtrees and the next-hop table are shared between generations, the
+// table being copied only if a patch brings a next hop it does not
+// hold. Cost is proportional to the patched address space, not the
+// table size. Prefixes are normalized as Compile does them; non-IPv4
+// prefixes and no-op withdrawals are ignored. Any number of Deltas may
+// be taken off one FIB, each independent of the others. f must have
+// one column (Compile's, Delta's, or a one-engine Publisher's); a
+// multi-column plane is patched by its writer.
 //
 // Correctness contract (differentially fuzzed by FuzzDeltaCompile):
 // for any entry set E and patch batch B, Delta(E)(B) is
 // lookup-equivalent to Compile(E after B).
 func (f *FIB) Delta(patches []Patch, gen uint64) *FIB {
+	if f.cols != 1 {
+		panic("fib: Delta of a multi-column FIB")
+	}
 	start := time.Now() //vnslint:wallclock measures real patch cost, not simulated time
 
-	nf := &FIB{
-		trie:     f.trie.Fork(),
-		nexthops: f.nexthops,
-		nhIndex:  f.nhIndex,
-		gen:      gen,
-		prefixes: f.prefixes,
-		deltas:   f.deltas + 1,
-	}
-	d := delta{f: nf, sharedNH: true}
-
+	v := vectors{cols: 1, nexthops: f.nexthops, index: f.index, shared: true}
+	t := f.trie.Fork()
+	prefixes := f.prefixes
 	for _, p := range patches {
 		pfx, ok := normalize(p.Prefix)
 		if !ok {
@@ -87,43 +78,28 @@ func (f *FIB) Delta(patches []Patch, gen uint64) *FIB {
 			if !p.NextHop.IsValid() {
 				continue
 			}
-			nf.trie.Insert(pfx, d.intern(p.NextHop))
+			t.Insert(pfx, v.intern([]NextHop{p.NextHop}))
 			if !p.Existed {
-				nf.prefixes++
+				prefixes++
 			}
 		} else {
 			if !p.Existed {
 				continue
 			}
-			coverIdx := int32(0)
+			coverID := int32(0)
 			if p.Cover.IsValid() {
-				coverIdx = d.intern(p.Cover)
+				coverID = v.intern([]NextHop{p.Cover})
 			}
-			nf.trie.Withdraw(pfx, coverIdx, p.CoverBits)
-			nf.prefixes--
+			t.Withdraw(pfx, coverID, p.CoverBits)
+			prefixes--
 		}
 	}
 
-	nf.compile = time.Since(start) //vnslint:wallclock measures real patch cost, not simulated time
-	return nf
+	return &FIB{trie: t, nexthops: v.nexthops, index: v.index, cols: 1, gen: gen,
+		prefixes: prefixes, deltas: f.deltas + 1,
+		compile: time.Since(start)} //vnslint:wallclock measures real patch cost, not simulated time
 }
 
 // Deltas returns the number of delta generations applied since the last
 // full compile (0 for a freshly compiled table).
 func (f *FIB) Deltas() int { return f.deltas }
-
-// intern returns nh's 1-based index in the new generation's next-hop
-// table. The table starts out as the parent's; the first next hop it
-// lacks copies it (and its index) before the append, so the parent's
-// table, and every other generation sharing it, is never written.
-func (d *delta) intern(nh NextHop) int32 {
-	if idx, ok := d.f.nhIndex[nh]; ok {
-		return idx
-	}
-	if d.sharedNH {
-		d.f.nexthops = slices.Clone(d.f.nexthops)
-		d.f.nhIndex = maps.Clone(d.f.nhIndex)
-		d.sharedNH = false
-	}
-	return d.f.internNextHop(nh)
-}

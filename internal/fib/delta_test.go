@@ -32,6 +32,19 @@ func modelPatches(before, after map[netip.Prefix]NextHop, touched map[netip.Pref
 	return patches
 }
 
+// coverOf returns the next hop and length of the longest entry strictly
+// shorter than pfx that contains it, or a zero next hop when nothing
+// covers it: the cover a withdrawal Patch names.
+func coverOf(entries map[netip.Prefix]NextHop, pfx netip.Prefix) (NextHop, int) {
+	for bits := pfx.Bits() - 1; bits >= 0; bits-- {
+		q, _ := pfx.Addr().Prefix(bits)
+		if nh, ok := entries[q]; ok {
+			return nh, bits
+		}
+	}
+	return NextHop{}, 0
+}
+
 func entriesOf(m map[netip.Prefix]NextHop) []Entry {
 	entries := make([]Entry, 0, len(m))
 	for _, p := range detsort.KeysFunc(m, detsort.PrefixCompare) {
@@ -470,8 +483,11 @@ func FuzzDeltaCompile(f *testing.F) {
 // single-prefix /20 install whose next hop the table already holds
 // allocates the three path nodes it clones and the FIB header: nothing
 // that grows with the table. A Publish of that change allocates no
-// more than the Delta it makes. Skips under -race and -short, where
-// allocation counts reflect instrumentation, not design.
+// more than the Delta it makes. On an eleven-column plane over the same
+// table, a publish of one prefix's row allocates the same three path
+// clones and one header per column it moves, whether it moves all
+// eleven or two. Skips under -race and -short, where allocation counts
+// reflect instrumentation, not design.
 func TestDeltaBudgetTest(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instruments the patch path; budget not meaningful")
@@ -517,5 +533,68 @@ func TestDeltaBudgetTest(t *testing.T) {
 	}
 	if s := p.Stats(); s.Compiles != 1 {
 		t.Errorf("Compiles = %d, want 1: every measured publish must take the delta path", s.Compiles)
+	}
+
+	// The plane: prefix i's next hop at column c is the single-column
+	// table's next hop of prefix i+c, so row 1 differs from row 0 in
+	// every column, except row 2, which is row 0 with its first two
+	// columns taken from row 1.
+	const cols = 11
+	pops := make([]int, cols)
+	for c := range pops {
+		pops[c] = c + 1
+	}
+	plane := make([]Entry, 0, len(universe)*cols)
+	for i, e := range universe {
+		for c := range cols {
+			plane = append(plane, Entry{Prefix: e.Prefix, NextHop: universe[(i+c)%len(universe)].NextHop})
+		}
+	}
+	for c := range cols {
+		from := 0
+		if c < 2 {
+			from = 1
+		}
+		plane[2*cols+c].NextHop = plane[from*cols+c].NextHop
+	}
+	engines := NewEngines(pops, nil)
+	mp := engines[0].Publisher()
+	mp.Publish(plane)
+	for _, tc := range []struct {
+		name  string
+		moved int
+		rows  [2][]Entry // the row for pfx alternates between these
+	}{
+		{"every column", cols, [2][]Entry{plane[cols : 2*cols], plane[:cols]}},
+		{"two columns", 2, [2][]Entry{plane[2*cols : 3*cols], plane[:cols]}},
+	} {
+		batches := [2][]Entry{}
+		for j, r := range tc.rows {
+			for _, e := range r {
+				batches[j] = append(batches[j], Entry{Prefix: pfx, NextHop: e.NextHop})
+			}
+		}
+		mp.Publish(batches[1])
+		before := engines[cols-1].Publisher().Stats().DeltaCompiles
+		next := 0
+		allocs = testing.AllocsPerRun(100, func() {
+			if mp.Publish(batches[next]) == nil {
+				t.Fatal("a moved row published nothing")
+			}
+			next = 1 - next
+		})
+		budget := 3 + tc.moved
+		t.Logf("%s: %.0f allocations per one-row publish that moves %s", tc.name, allocs, tc.name)
+		if allocs > float64(budget) {
+			t.Errorf("%s: a one-row publish makes %.0f allocations, budget %d (three path clones, one header per moved column)", tc.name, allocs, budget)
+		}
+		if moved := engines[cols-1].Publisher().Stats().DeltaCompiles > before; moved != (tc.moved == cols) {
+			t.Errorf("%s: the last column moved = %v", tc.name, moved)
+		}
+	}
+	for _, e := range engines {
+		if s := e.Publisher().Stats(); s.Compiles != 1 {
+			t.Errorf("column %d: Compiles = %d, want 1: every measured publish must take the delta path", e.PoP(), s.Compiles)
+		}
 	}
 }

@@ -24,7 +24,8 @@ type Fabric interface {
 // picked up by the next packet — exactly the semantics of swapping a
 // router's FIB under live traffic. A lookup writes nothing.
 type Engine struct {
-	// cur is the published FIB every lookup loads; only pub stores it.
+	// cur is the published FIB every lookup loads; only the plane's
+	// writer stores it.
 	cur    atomic.Pointer[FIB]
 	pop    int
 	pub    *Publisher
@@ -36,20 +37,19 @@ type Engine struct {
 	noRoute    atomic.Uint64
 }
 
-// NewEngine builds the engine for the 1-based PoP id, with a Publisher
-// that publishes into the engine's FIB pointer, and forwards over
-// fabric. The engine starts at an empty generation-0 FIB.
+// NewEngine builds the engine for the 1-based PoP id, forwarding over
+// fabric, as a plane of its own: one column, whose Publisher publishes
+// into the engine's FIB pointer alone (NewEngines builds engines that
+// share one). The engine starts at an empty generation-0 FIB.
 func NewEngine(pop int, fabric Fabric) *Engine {
-	e := &Engine{pop: pop, fabric: fabric}
-	e.pub = &Publisher{eng: e}
-	e.cur.Store(Compile(nil, 0))
-	return e
+	return NewEngines([]int{pop}, fabric)[0]
 }
 
 // PoP returns the owning PoP's 1-based id.
 func (e *Engine) PoP() int { return e.pop }
 
-// Publisher returns the engine's FIB publisher (for stats and tests).
+// Publisher returns the engine's handle on its plane's publisher: its
+// Stats are the engine's column's, its Publish publishes every column.
 func (e *Engine) Publisher() *Publisher { return e.pub }
 
 // Current returns the FIB lookups read now. The table is immutable, so

@@ -1,22 +1,35 @@
 // Package fib is the compiled forwarding plane: it turns the control
-// plane's per-prefix route decisions (sorted entry batches, handed to
-// each PoP's Publisher) into an immutable longest-prefix-match
-// structure that the data path queries lock-free, the way a router's
-// FIB is compiled from its RIB.
+// plane's per-prefix route decisions (sorted, prefix-major batches of
+// one decision per PoP, handed to one Publisher) into an immutable
+// longest-prefix-match structure that every PoP's data path queries
+// lock-free, the way a router's FIB is compiled from its RIB.
 //
-// The lookup structure is lpm's 8-bit-stride leaf-pushed multibit trie,
-// over IPv4 only: at most four array indexes per lookup, no comparisons
-// against prefix lists, no locks. A compiled FIB is immutable; updates are
-// published by compiling a fresh trie and atomically swapping the
-// pointer (owned by the Engine, the read side; stored by the Publisher,
-// the write side), so readers are wait-free while the control plane
-// recompiles. The reference linear-scan LPM it is differentially tested
-// against lives in the package's tests (linear_test.go).
+// All PoPs share one trie: lpm's 8-bit-stride leaf-pushed multibit
+// trie, over IPv4 only. Its value for a prefix is the id of an interned
+// decision vector, the prefix's next hop at every PoP; geography makes
+// most PoPs decide alike, so vectors are few and shared. A PoP's FIB is
+// a small header over the trie and the vector table naming its column,
+// so a lookup is at most four array indexes and one table read, no
+// comparisons against prefix lists, no locks. A prefix with no route at
+// one PoP holds its cover's next hop there, so each column answers
+// exactly as a trie of that PoP's routes alone would. A compiled FIB is
+// immutable; a publish compiles or patches (copy-on-write) one trie and
+// atomically swaps a new header into each PoP whose next hops moved
+// (the pointer is owned by the Engine, the read side; stored by the
+// Publisher, the write side), so readers are wait-free while the
+// control plane recompiles, and a PoP nothing moved at keeps its
+// generation. One column is the single-PoP case: Compile, Delta and a
+// one-engine Publisher. The reference linear-scan LPM it is
+// differentially tested against lives in the package's tests
+// (linear_test.go).
 package fib
 
 import (
+	"encoding/binary"
 	"fmt"
+	"maps"
 	"net/netip"
+	"slices"
 	"sort"
 	"time"
 
@@ -53,24 +66,35 @@ type Entry struct {
 	NextHop NextHop
 }
 
-// FIB is one immutable compiled forwarding table. All methods are safe
-// for unsynchronized concurrent use.
+// FIB is one PoP's published forwarding table: its column of a compiled
+// plane. A plane is one trie and one vector table shared by every PoP
+// it serves; a PoP's FIB is a small header naming its column, with its
+// own generation, size and compile stats. All methods are safe for
+// unsynchronized concurrent use.
 type FIB struct {
-	// trie maps each installed prefix to its 1-based index in nexthops.
+	// trie maps each installed prefix to the 1-based id of its decision
+	// vector in nexthops.
 	trie lpm.Trie
-	// nexthops is the action table leaf indexes point into. Deltas
-	// share it (and nhIndex) across generations; a published table is
-	// never written (delta.intern copies before it appends).
-	nexthops []NextHop
-	// nhIndex maps a next hop to its 1-based index in nexthops, so
-	// delta compiles can extend the action table without rescanning it.
-	nhIndex map[NextHop]int32
+	// nexthops is the vector table, cols next hops per vector: vector
+	// v's next hop at column c is nexthops[(v-1)*cols+c]. A prefix with
+	// no route at a column holds its cover's next hop there (the
+	// effective vector; see writer), or the zero NextHop when nothing
+	// covers it. Deltas share the table (and index) across generations;
+	// a published table is never written (vectors.intern copies before
+	// it appends).
+	nexthops  []NextHop
+	cols, col int
+	// index maps a vector's hash to its id (vectors.intern), so a delta
+	// can extend the table without rescanning it.
+	index map[uint64]int32
 
-	gen      uint64
+	gen uint64
+	// prefixes counts the prefixes with a route at this column.
 	prefixes int
 	compile  time.Duration
-	// deltas counts Delta generations since the last full Compile (0
-	// for a fresh build); the Publisher uses it to bound patch drift.
+	// deltas counts Delta generations of the trie since its last full
+	// compile (0 for a fresh build); the writer uses it to bound patch
+	// drift.
 	deltas int
 }
 
@@ -83,56 +107,134 @@ func normalize(p netip.Prefix) (netip.Prefix, bool) {
 	return p, ok && p.Addr().Is4()
 }
 
-// Compile builds a FIB from entries, tagged with the given generation.
-// Later duplicates of the same prefix win, mirroring table replacement
-// semantics. Prefixes are normalized: an IPv4-mapped one is the IPv4
-// prefix it embeds, other non-IPv4 ones are ignored (the forwarding
-// plane is IPv4, like the paper's deployment).
+// Compile builds a single-column FIB from entries, tagged with the
+// given generation. Later duplicates of the same prefix win, mirroring
+// table replacement semantics. Prefixes are normalized: an IPv4-mapped
+// one is the IPv4 prefix it embeds, other non-IPv4 ones are ignored
+// (the forwarding plane is IPv4, like the paper's deployment).
 func Compile(entries []Entry, gen uint64) *FIB {
 	start := time.Now() //vnslint:wallclock measures real compile cost, not simulated time
-
-	// Deduplicate, normalize and order by prefix length: shorter
-	// (covering) prefixes first, leaf-pushed into child nodes as longer
-	// prefixes split them, so no insert has to push down into children.
 	dedup := make(map[netip.Prefix]NextHop, len(entries))
 	for _, e := range entries {
 		if p, ok := normalize(e.Prefix); ok && e.NextHop.IsValid() {
 			dedup[p] = e.NextHop
 		}
 	}
-	ordered := make([]Entry, 0, len(dedup))
+	hops := make([]NextHop, 0, len(dedup))
+	rows := make([]row, 0, len(dedup))
+	//vnslint:maprange build sorts the rows before it reads them
 	for p, nh := range dedup {
-		ordered = append(ordered, Entry{Prefix: p, NextHop: nh})
+		hops = append(hops, nh)
+		rows = append(rows, row{pfx: p, vec: hops[len(hops)-1:]})
 	}
-	sort.Slice(ordered, func(i, j int) bool {
-		if ordered[i].Prefix.Bits() != ordered[j].Prefix.Bits() {
-			return ordered[i].Prefix.Bits() < ordered[j].Prefix.Bits()
+	t, v := build(rows, 1)
+	return &FIB{trie: t, nexthops: v.nexthops, index: v.index, cols: 1, gen: gen,
+		prefixes: len(rows), compile: time.Since(start)} //vnslint:wallclock measures real compile cost, not simulated time
+}
+
+// row is one prefix of a build: its vector and, once built, the
+// vector's id in the new table.
+type row struct {
+	pfx netip.Prefix
+	vec []NextHop
+	id  int32
+}
+
+// build compiles rows (canonical, unique prefixes) into a fresh trie
+// over a fresh table of cols-wide vectors, storing each row's id. Rows
+// are ordered by prefix length, shorter (covering) prefixes first,
+// leaf-pushed into child nodes as longer prefixes split them, so no
+// insert has to push down into children; the order also makes the ids
+// deterministic.
+func build(rows []row, cols int) (lpm.Trie, vectors) {
+	sort.Slice(rows, func(i, j int) bool {
+		if rows[i].pfx.Bits() != rows[j].pfx.Bits() {
+			return rows[i].pfx.Bits() < rows[j].pfx.Bits()
 		}
-		return ordered[i].Prefix.Addr().Less(ordered[j].Prefix.Addr())
+		return rows[i].pfx.Addr().Less(rows[j].pfx.Addr())
 	})
-
-	f := &FIB{gen: gen, prefixes: len(ordered), nhIndex: make(map[NextHop]int32, 64)}
-	for _, e := range ordered {
-		f.trie.Insert(e.Prefix, f.internNextHop(e.NextHop))
+	v := vectors{cols: cols, index: make(map[uint64]int32, 64)}
+	var t lpm.Trie
+	for i := range rows {
+		rows[i].id = v.intern(rows[i].vec)
+		t.Insert(rows[i].pfx, rows[i].id)
 	}
-	f.compile = time.Since(start) //vnslint:wallclock measures real compile cost, not simulated time
-	return f
+	return t, v
 }
 
-// internNextHop returns nh's 1-based index in f.nexthops, appending it
-// on first sight. f must own its table (see delta.intern).
-func (f *FIB) internNextHop(nh NextHop) int32 {
-	idx, ok := f.nhIndex[nh]
-	if !ok {
-		f.nexthops = append(f.nexthops, nh)
-		idx = int32(len(f.nexthops))
-		f.nhIndex[nh] = idx
-	}
-	return idx
+// vectors is a vector table being built or extended: cols next hops per
+// vector, the index over them, and whether both still belong to a
+// published FIB.
+type vectors struct {
+	cols     int
+	nexthops []NextHop
+	index    map[uint64]int32
+	shared   bool
 }
 
-// Lookup returns the longest-prefix-match next hop for addr. It is
-// wait-free: at most four array indexes, no locks, no allocation.
+// vec returns vector id's next hops, a view into the table.
+func (v *vectors) vec(id int32) []NextHop {
+	return v.nexthops[int(id-1)*v.cols : int(id)*v.cols]
+}
+
+// intern returns the id of vec (cols next hops), appending it on first
+// sight. A shared table and index are copied before the first append,
+// so a published table, and every generation sharing it, is never
+// written. The index maps a vector's hash to the first vector seen
+// with it; a vector whose hash another holds is found by a scan of the
+// table, which only a 64-bit hash collision costs.
+func (v *vectors) intern(vec []NextHop) int32 {
+	h := hashVector(vec)
+	head, hashed := v.index[h]
+	if hashed {
+		if slices.Equal(v.vec(head), vec) {
+			return head
+		}
+		for id := int32(1); int(id)*v.cols <= len(v.nexthops); id++ {
+			if slices.Equal(v.vec(id), vec) {
+				return id
+			}
+		}
+	}
+	if v.shared {
+		v.nexthops = slices.Clip(v.nexthops) // the append below copies
+		v.index = maps.Clone(v.index)
+		v.shared = false
+	}
+	v.nexthops = append(v.nexthops, vec...)
+	id := int32(len(v.nexthops) / v.cols)
+	if !hashed {
+		v.index[h] = id
+	}
+	return id
+}
+
+// hashVector hashes each next hop's PoP, neighbor and router address
+// (an IPv6 one by its low half) into one FNV-1a step per next hop. Equal
+// vectors hash equally; an IPv6 router's high half and zone are left
+// out, so vectors differing only there collide and intern tells them
+// apart.
+func hashVector(vec []NextHop) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for i := range vec {
+		nh := &vec[i]
+		x := uint64(nh.PoP) ^ uint64(nh.Neighbor)<<32
+		if nh.Router.Is4() {
+			a := nh.Router.As4()
+			x ^= uint64(binary.BigEndian.Uint32(a[:])) << 8
+		} else {
+			a := nh.Router.As16()
+			x ^= binary.LittleEndian.Uint64(a[8:])
+		}
+		h = (h ^ x*0x9E3779B97F4A7C15) * prime
+	}
+	return h
+}
+
+// Lookup returns the longest-prefix-match next hop for addr at the
+// FIB's column. It is wait-free: at most four array indexes and one
+// table read, no locks, no allocation.
 //
 //vnslint:hotpath
 func (f *FIB) Lookup(addr netip.Addr) (NextHop, bool) {
@@ -143,8 +245,9 @@ func (f *FIB) Lookup(addr netip.Addr) (NextHop, bool) {
 		return NextHop{}, false
 	}
 	a := addr.As4()
-	if idx := f.trie.Lookup(a[:]); idx != 0 {
-		return f.nexthops[idx-1], true
+	if id := f.trie.Lookup(a[:]); id != 0 {
+		nh := f.nexthops[int(id-1)*f.cols+f.col]
+		return nh, nh.IsValid()
 	}
 	return NextHop{}, false
 }
@@ -152,7 +255,7 @@ func (f *FIB) Lookup(addr netip.Addr) (NextHop, bool) {
 // Generation returns the compile generation the table was built at.
 func (f *FIB) Generation() uint64 { return f.gen }
 
-// Size returns the number of installed prefixes.
+// Size returns the number of prefixes with a route at the FIB's column.
 func (f *FIB) Size() int { return f.prefixes }
 
 // CompileDuration returns how long the compile took.

@@ -120,23 +120,40 @@ func TestPublisherOneWriterConcurrentReaders(t *testing.T) {
 
 // TestPublisherRejectsUnsortedBatch pins Publish's precondition: a
 // batch out of detsort.PrefixCompare order, or with a duplicate, would
-// patch a contained prefix before its cover, so it panics instead.
+// derive a contained prefix before its cover, so it panics instead; so
+// does a plane's batch that is not whole rows of one prefix each.
 func TestPublisherRejectsUnsortedBatch(t *testing.T) {
-	p := NewEngine(1, nil).Publisher()
-	for _, batch := range [][]netip.Prefix{
-		{mustPrefix("10.1.0.0/16"), mustPrefix("10.0.0.0/8")},
-		{mustPrefix("10.0.0.0/8"), mustPrefix("10.0.0.0/8")},
+	a, b := mustPrefix("10.0.0.0/8"), mustPrefix("10.1.0.0/16")
+	one := NewEngine(1, nil).Publisher()
+	two := NewEngines([]int{1, 2}, nil)[0].Publisher()
+	for _, tc := range []struct {
+		name  string
+		p     *Publisher
+		batch []netip.Prefix
+	}{
+		{"unsorted", one, []netip.Prefix{b, a}},
+		{"duplicate", one, []netip.Prefix{a, a}},
+		{"unsorted rows", two, []netip.Prefix{b, b, a, a}},
+		{"row of two prefixes", two, []netip.Prefix{a, b}},
+		{"ragged", two, []netip.Prefix{a, a, b}},
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("Publish(%v) did not panic", batch)
+					t.Errorf("%s: Publish(%v) did not panic", tc.name, tc.batch)
 				}
 			}()
-			p.Publish([]Entry{{Prefix: batch[0], NextHop: nh(1)}, {Prefix: batch[1], NextHop: nh(1)}})
+			batch := make([]Entry, len(tc.batch))
+			for i, pfx := range tc.batch {
+				batch[i] = Entry{Prefix: pfx, NextHop: nh(1)}
+			}
+			tc.p.Publish(batch)
 		}()
 	}
-	if s := p.Stats(); s.Generation != 0 {
+	if s := one.Stats(); s.Generation != 0 {
 		t.Errorf("a rejected batch published: generation %d", s.Generation)
+	}
+	if s := two.Stats(); s.Generation != 0 {
+		t.Errorf("a rejected plane batch published: generation %d", s.Generation)
 	}
 }

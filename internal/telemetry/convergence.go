@@ -181,8 +181,9 @@ func (c *Convergence) ActiveID() uint64 {
 }
 
 // ObserveCompileFor attributes one published FIB compile of the given
-// duration to the event that invalidated it (vns.CompileRecorder calls
-// this with the event ID the publishing pass carried). A compile
+// duration — one plane publish, however many PoPs it moved — to the
+// event that invalidated it (vns.CompileRecorder calls this with the
+// event ID the publishing pass carried). A compile
 // whose event is no longer active — a debounced flush landing after
 // Finish — is left to the fib_compile_seconds family alone.
 func (c *Convergence) ObserveCompileFor(event uint64, seconds float64) {

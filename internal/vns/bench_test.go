@@ -2,8 +2,10 @@ package vns
 
 import (
 	"net/netip"
+	"runtime"
 	"testing"
 
+	"vns/internal/core"
 	"vns/internal/loss"
 )
 
@@ -66,18 +68,15 @@ func TestBudgetTest(t *testing.T) {
 	}
 }
 
-// BenchmarkOverride measures one management override and its undo on
-// the seed-1 world: ForceExit of a seeded prefix to a router other than
-// its current egress, then Unforce, each through the GeoRR, the
-// forwarding plane's resolve pass and eleven Publishers' delta
-// publishes. One op is the pair; publishes/op counts the delta
-// publishes it cost across the PoPs.
-func BenchmarkOverride(b *testing.B) {
-	pr, rr, f := decisionWorld(b, 1, 120)
-	type override struct {
-		pfx netip.Prefix
-		to  netip.Addr
-	}
+// override is one management override: pin pfx to router to.
+type override struct {
+	pfx netip.Prefix
+	to  netip.Addr
+}
+
+// overridePicks draws up to 64 seeded overrides on f's world, each a
+// prefix and a candidate router other than its current egress at LON.
+func overridePicks(tb testing.TB, pr *Peering, f *Forwarding) []override {
 	lon := f.Engine("LON")
 	rng := loss.NewRNG(0x0E1)
 	var picks []override
@@ -95,8 +94,28 @@ func BenchmarkOverride(b *testing.B) {
 		}
 	}
 	if len(picks) == 0 {
-		b.Fatal("no prefix with a second egress router")
+		tb.Fatal("no prefix with a second egress router")
 	}
+	return picks
+}
+
+// forceAndUnforce applies one override and its undo.
+func forceAndUnforce(tb testing.TB, rr *core.GeoRR, o override) {
+	if err := rr.ForceExit(o.pfx, o.to); err != nil {
+		tb.Fatal(err)
+	}
+	rr.Unforce(o.pfx)
+}
+
+// BenchmarkOverride measures one management override and its undo on
+// the seed-1 world: ForceExit of a seeded prefix to a router other than
+// its current egress, then Unforce, each through the GeoRR, the
+// forwarding plane's resolve pass and one plane publish, a delta of
+// the shared trie that moves every PoP. One op is the pair;
+// publishes/op counts the delta publishes it cost across the PoPs.
+func BenchmarkOverride(b *testing.B) {
+	pr, rr, f := decisionWorld(b, 1, 120)
+	picks := overridePicks(b, pr, f)
 	deltas := func() (n uint64) {
 		for _, e := range f.Engines() {
 			n += e.Publisher().Stats().DeltaCompiles
@@ -107,12 +126,48 @@ func BenchmarkOverride(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		o := picks[i%len(picks)]
-		if err := rr.ForceExit(o.pfx, o.to); err != nil {
-			b.Fatal(err)
-		}
-		rr.Unforce(o.pfx)
+		forceAndUnforce(b, rr, picks[i%len(picks)])
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(deltas()-before)/float64(b.N), "publishes/op")
+}
+
+// overrideBudget is the most one ForceExit and its Unforce may
+// allocate on the seed-1 world, in bytes: per publish, the three trie
+// nodes on a /20's path (3.4 KB each), one FIB header per PoP, and the
+// pass and the GeoRR's own.
+const overrideBudget = 32 << 10
+
+// TestOverrideBudgetTest enforces the override path's allocation budget
+// in CI (`go test -run BudgetTest ./internal/vns`): on the seed-1 world,
+// after one round over the seeded overrides, one ForceExit and its
+// Unforce allocate at most overrideBudget bytes on average, where
+// copying the trie path once per PoP took 234 KB. Skips under -race and
+// -short, where allocation counts reflect instrumentation, not design.
+func TestOverrideBudgetTest(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instruments the override path; budget not meaningful")
+	}
+	if testing.Short() {
+		t.Skip("skipping budget measurement in -short mode")
+	}
+	pr, rr, f := decisionWorld(t, 1, 120)
+	picks := overridePicks(t, pr, f)
+	for _, o := range picks {
+		forceAndUnforce(t, rr, o) // every vector an override makes is interned
+	}
+	const rounds = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range rounds {
+		for _, o := range picks {
+			forceAndUnforce(t, rr, o)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perPair := (after.TotalAlloc - before.TotalAlloc) / uint64(rounds*len(picks))
+	t.Logf("ForceExit+Unforce: %d B allocated per pair over %d pairs", perPair, rounds*len(picks))
+	if perPair > overrideBudget {
+		t.Errorf("ForceExit+Unforce allocates %d B per pair, budget %d", perPair, overrideBudget)
+	}
 }

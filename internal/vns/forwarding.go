@@ -47,10 +47,10 @@ type ForwardingConfig struct {
 	ConvergenceClock func() float64
 }
 
-// Forwarding is the deployment's forwarding plane: one fib.Publisher
-// and fib.Engine per PoP, compiled from the GeoRR's post-policy routes,
-// plus the shared L2 fabric the engines forward over. It implements
-// fib.Fabric.
+// Forwarding is the deployment's forwarding plane: one fib.Engine per
+// PoP, all fed by one publisher over one shared trie, compiled from the
+// GeoRR's post-policy routes, plus the shared L2 fabric the engines
+// forward over. It implements fib.Fabric.
 //
 // Its unit of work is the resolve pass: the initial download, one
 // InvalidateBatch or InvalidateAll without a debounce, or one debounced
@@ -58,21 +58,21 @@ type ForwardingConfig struct {
 // each dirty prefix's vantage-independent facts once — the statics
 // pinned to it, the origin's candidate sessions, each distinct
 // candidate router's liveness and Assign, and the attribute tier those
-// decide — and then every PoP, in id order, reads its IGP row once,
-// decides every prefix from those shared facts and hands the decisions
-// to its fib.Publisher. Nothing read in a pass outlives it.
+// decide — and then reads every PoP's IGP row once, decides every
+// prefix at every PoP from those shared facts and hands the decisions
+// to the plane's one publish. Nothing read in a pass outlives it.
 type Forwarding struct {
 	Peering *Peering
 	RR      *core.GeoRR
 
-	engines []*fib.Engine // by PoP id−1, the order a pass publishes in
+	engines []*fib.Engine // by PoP id−1: the plane's columns, in order
 
 	fabric *L2Fabric
 
 	debounce time.Duration
 
 	// mu guards the dirty set, the pending event and the timer, and
-	// serializes passes, which makes each fib.Publisher single-writer.
+	// serializes passes, which makes the plane's publisher single-writer.
 	mu    sync.Mutex
 	dirty map[netip.Prefix]struct{} // nil from a pass until the next invalidation
 	// pendingEvent is the convergence event the next pass is attributed
@@ -165,9 +165,11 @@ func NewForwarding(pr *Peering, rr *core.GeoRR, cfg ForwardingConfig) *Forwardin
 		f.conv = telemetry.NewConvergence(cfg.Telemetry, cfg.Tracer, cfg.ConvergenceClock)
 		f.compiles = NewCompileRecorder(cfg.Telemetry, f.conv, cfg.ConvergenceClock != nil)
 	}
-	for _, p := range pr.Net.PoPs {
-		f.engines = append(f.engines, fib.NewEngine(p.ID, f))
+	ids := make([]int, len(pr.Net.PoPs))
+	for i, p := range pr.Net.PoPs {
+		ids[i] = p.ID
 	}
+	f.engines = fib.NewEngines(ids, f)
 	if cfg.Telemetry != nil {
 		f.registerTelemetry(cfg.Telemetry)
 	}
@@ -199,8 +201,9 @@ func (f *Forwarding) universe() []netip.Prefix {
 
 // InvalidateBatch marks a set of prefixes dirty at every PoP. It is the
 // rr.OnChangeBatch callback: the whole batch joins the dirty set at
-// once, so a change event costs at most one pass — a copy-on-write
-// delta per PoP when the batch is small — rather than one per prefix.
+// once, so a change event costs at most one pass — one copy-on-write
+// delta of the shared trie when the batch is small — rather than one
+// per prefix.
 // Without a debounce the pass runs before it returns, under the same
 // lock; with one, it arms the forwarding plane's one timer, and the
 // pass resolves everything dirty when that fires. An invalidation
@@ -272,7 +275,7 @@ func (f *Forwarding) flush() {
 	event := f.pendingEvent
 	f.pendingEvent = 0
 	// Sorted so the pass decides in a reproducible order and the
-	// publishers patch covers before the prefixes they contain
+	// publisher derives covers before the prefixes they contain
 	// (fib.Publisher.Publish's batch).
 	slices.SortFunc(batch, detsort.PrefixCompare)
 	f.pass(event, batch)
@@ -287,10 +290,10 @@ func (f *Forwarding) Pending() int {
 
 // pass is one resolve pass over batch, with f.mu held: it reads every
 // prefix's vantage-independent facts once, all under one reflector
-// policy, then at each PoP in id order decides every prefix and
-// publishes the decisions, recording each publish against event. The
-// facts are dropped with the pass, so nothing read here can answer a
-// later one.
+// policy, then decides every prefix at each PoP, in id order, and
+// publishes the decisions to the plane in one prefix-major batch,
+// recording the publish against event. The facts are dropped with the
+// pass, so nothing read here can answer a later one.
 func (f *Forwarding) pass(event uint64, batch []netip.Prefix) {
 	pol := f.RR.Policy()
 	facts := make([]prefixFacts, len(batch))
@@ -303,15 +306,20 @@ func (f *Forwarding) pass(event uint64, batch []netip.Prefix) {
 		tiers = f.readFacts(&facts[i], pol, pfx, tiers)
 		facts[i].tier = tiers[n:]
 	}
-	decided := make([]fib.Entry, len(batch))
-	for k, eng := range f.engines {
-		v := f.Peering.Net.PoPs[k]
-		igp := f.Peering.Net.igpRow(v)
-		for i, pfx := range batch {
-			decided[i] = fib.Entry{Prefix: pfx, NextHop: decide(v, &igp, &facts[i], pfx)}
-		}
-		f.compiles.Record(event, eng.Publisher().Publish(decided))
+	pops := f.Peering.Net.PoPs
+	var igps [len(popSpec)]igpRow
+	for k, v := range pops {
+		igps[k] = f.Peering.Net.igpRow(v)
 	}
+	decided := make([]fib.Entry, len(batch)*len(pops))
+	for i, pfx := range batch {
+		row := decided[i*len(pops) : (i+1)*len(pops)]
+		for k, v := range pops {
+			row[k] = fib.Entry{Prefix: pfx, NextHop: decide(v, &igps[k], &facts[i], pfx)}
+		}
+	}
+	// Every engine's Publisher publishes the whole plane.
+	f.compiles.Record(event, f.engines[0].Publisher().Publish(decided))
 }
 
 // readFacts fills r, a zero prefixFacts, with prefix's

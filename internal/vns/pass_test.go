@@ -300,7 +300,7 @@ func TestForwardingFlushForcesPending(t *testing.T) {
 }
 
 // TestForwardingStaleEventNotAttributed pins the event attribution of a
-// debounced pass: it reports its compiles to the latest event that
+// debounced pass: it reports its publish to the latest event that
 // invalidated since the last pass while that event is still open, and a
 // pass that lands after its event finished is not attributed to it (it
 // belongs to fib_compile_seconds alone).
@@ -316,23 +316,23 @@ func TestForwardingStaleEventNotAttributed(t *testing.T) {
 	prefixes, _ := forcedBurst(t, pr, f, 1)
 	f.Flush()
 	ev.Finish()
-	if got := conv.StageCount(telemetry.StageFIBCompile) - base; got != uint64(len(pr.Net.PoPs)) {
-		t.Fatalf("attributed compiles = %d, want one per PoP (%d)", got, len(pr.Net.PoPs))
+	if got := conv.StageCount(telemetry.StageFIBCompile) - base; got != 1 {
+		t.Fatalf("attributed compiles = %d, want the pass's one publish", got)
 	}
 
 	late := conv.Begin(telemetry.ConvChurn)
 	rr.Unforce(prefixes[0])
 	late.Finish()
 	f.Flush() // the debounce elapses after the event closed
-	if got := conv.StageCount(telemetry.StageFIBCompile) - base; got != uint64(len(pr.Net.PoPs)) {
-		t.Errorf("attributed compiles after a stale pass = %d, want still %d", got, len(pr.Net.PoPs))
+	if got := conv.StageCount(telemetry.StageFIBCompile) - base; got != 1 {
+		t.Errorf("attributed compiles after a stale pass = %d, want still 1", got)
 	}
 }
 
 // TestForwardingEventReachesCompileRecorder pins the event ID's rib→fib
 // crossing: an invalidation inside an event stamps the next pass with
-// that event's ID, and the pass records its publishes against it (one
-// per PoP, in the stage family and in fib_compile_seconds); an
+// that event's ID, and the pass records its publish against it (one for
+// the whole plane, in the stage family and in fib_compile_seconds); an
 // invalidation outside any event leaves the next pass unstamped, so it
 // inherits no earlier event; and a pass in which no next hop moved
 // records nothing.
@@ -345,7 +345,6 @@ func TestForwardingEventReachesCompileRecorder(t *testing.T) {
 	})
 	conv := f.Convergence()
 	hist := reg.Histogram("fib_compile_seconds", "", nil)
-	pops := uint64(len(pr.Net.PoPs))
 	base, published := conv.StageCount(telemetry.StageFIBCompile), hist.Count()
 	stamp := func() uint64 {
 		f.mu.Lock()
@@ -369,26 +368,26 @@ func TestForwardingEventReachesCompileRecorder(t *testing.T) {
 	}
 	f.Flush()
 	ev.Finish()
-	check("an event's pass", pops, pops)
+	check("an event's pass", 1, 1)
 
 	forcedBurst(t, pr, f, 2) // no event in flight
 	if got := stamp(); got != 0 {
 		t.Errorf("an invalidation outside any event stamped the next pass with event %d, want 0", got)
 	}
 	f.Flush()
-	check("an event-0 pass", pops, 2*pops)
+	check("an event-0 pass", 1, 2)
 
 	idle := conv.Begin(telemetry.ConvUpdate)
 	f.InvalidateBatch(prefixes)
 	f.Flush()
 	idle.Finish()
-	check("a pass in which nothing moved", pops, 2*pops)
+	check("a pass in which nothing moved", 1, 2)
 }
 
 // TestForwardingEventRoundTrip wires the deployment topology — a
 // synchronous forwarding plane on a real Convergence that runs on wall
-// seconds — and checks the span layer ends up with every PoP's compile
-// attributed to the event that caused it, at the duration each publish
+// seconds — and checks the span layer ends up with the plane's one
+// publish attributed to the event that caused it, at the duration it
 // took.
 func TestForwardingEventRoundTrip(t *testing.T) {
 	reg := telemetry.New()
@@ -403,13 +402,11 @@ func TestForwardingEventRoundTrip(t *testing.T) {
 	ev.Finish()
 	// The event has no other stage: its stage sum is its attributed compiles.
 	stageSum := reg.HistogramVec("convergence_stage_seconds", "", nil, "stage").With(telemetry.StageFIBCompile).Sum()
-	if got := conv.StageCount(telemetry.StageFIBCompile) - base; got != uint64(len(pr.Net.PoPs)) {
-		t.Fatalf("attributed compiles = %d, want one per PoP (%d)", got, len(pr.Net.PoPs))
+	if got := conv.StageCount(telemetry.StageFIBCompile) - base; got != 1 {
+		t.Fatalf("attributed compiles = %d, want the pass's one publish", got)
 	}
-	var want float64
-	for _, e := range f.Engines() {
-		want += e.Current().CompileDuration().Seconds()
-	}
+	// Every PoP the publish moved holds its FIB, at the one duration.
+	want := f.Engines()[0].Current().CompileDuration().Seconds()
 	if stageSum != want {
 		t.Errorf("attributed stage sum = %v, want the publishes' %v", stageSum, want)
 	}

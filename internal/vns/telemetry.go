@@ -15,7 +15,9 @@ import (
 // media flow driver holds pre-resolved counter handles.
 
 // CompileRecorder records FIB publishes for the forwarding plane's pass
-// and the soak: in fib_compile_seconds, and against their event.
+// and the soak: in fib_compile_seconds, and against their event. A
+// publish is one plane publish — one trie build or patch for every PoP
+// it moves — so it is one sample, not one per PoP.
 type CompileRecorder struct {
 	hist *telemetry.Histogram
 	conv *telemetry.Convergence
@@ -30,14 +32,17 @@ type CompileRecorder struct {
 // zero simulated time and is recorded as 0, which keeps the observation
 // counts pinnable and the sums deterministic.
 func NewCompileRecorder(reg *telemetry.Registry, conv *telemetry.Convergence, wall bool) *CompileRecorder {
-	h := reg.Histogram("fib_compile_seconds", "FIB trie compile latency", telemetry.DefBuckets)
+	h := reg.Histogram("fib_compile_seconds", "FIB trie compile latency, one sample per plane publish (all PoPs it moved)", telemetry.DefBuckets)
 	reg.MarkVolatile("fib_compile_seconds")
 	return &CompileRecorder{hist: h, conv: conv, wall: wall}
 }
 
-// Record records one publish, f as fib.Publisher.Publish returned it,
-// against event (0 for none). A nil f — a publish in which no next hop
-// moved — and a nil recorder record nothing.
+// Record records one plane publish, f as fib.Publisher.Publish returned
+// it, against event (0 for none): one fib_compile_seconds sample and
+// one convergence fib_compile stage sample, however many PoPs the
+// publish moved (their FIBs share its one compile duration). A nil f —
+// a publish in which no next hop moved — and a nil recorder record
+// nothing.
 func (r *CompileRecorder) Record(event uint64, f *fib.FIB) {
 	if r == nil || f == nil {
 		return
