@@ -11,14 +11,14 @@ import (
 )
 
 // Reflector is the modified Quagga reflector's per-UPDATE rule with no
-// transport: the GeoRR over one sharded Loc-RIB (rib.ShardedTable),
-// which every route enters through Ingest — from RRServer's sessions
-// and from the scenario harness. What Ingest and Purge return is what
-// every other peer is sent. Like the table it has one writer: it takes
-// no lock, and the caller serializes every call.
+// transport: the GeoRR over one Loc-RIB (rib.Table), which every route
+// enters through Ingest — from RRServer's sessions and from the
+// scenario harness. What Ingest and Purge return is what every other
+// peer is sent. Like the table it has one writer: it takes no lock, and
+// the caller serializes every call.
 type Reflector struct {
 	rr        *GeoRR
-	table     *rib.ShardedTable
+	table     *rib.Table
 	clusterID netip.Addr             // the RFC 4456 cluster ID: the router ID
 	conv      *telemetry.Convergence // nil: no convergence events
 }
@@ -27,7 +27,7 @@ type Reflector struct {
 // churn counts into reg (nil: uncounted) and whose UPDATEs each open one
 // convergence event in conv (nil: none).
 func NewReflector(rr *GeoRR, clusterID netip.Addr, reg *telemetry.Registry, conv *telemetry.Convergence) *Reflector {
-	r := &Reflector{rr: rr, table: rib.NewSharded(0), clusterID: clusterID, conv: conv}
+	r := &Reflector{rr: rr, table: rib.NewTable(), clusterID: clusterID, conv: conv}
 	r.table.SetMetrics(rib.NewMetrics(reg))
 	return r
 }

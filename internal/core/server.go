@@ -81,7 +81,7 @@ func (s *RRServer) SetTelemetry(reg *telemetry.Registry) {
 // SetConvergence attaches the deployment's shared convergence span
 // layer (the forwarding plane constructs it; see vns.Forwarding): every
 // subsequently received UPDATE becomes one "update" convergence event
-// whose stage latencies — op ingest, geo assignment, sharded best-path
+// whose stage latencies — op ingest, geo assignment, best-path
 // selection, forwarding-plane invalidation — are recorded per batch.
 func (s *RRServer) SetConvergence(c *telemetry.Convergence) {
 	s.mu.Lock()

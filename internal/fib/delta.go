@@ -99,7 +99,3 @@ func (f *FIB) Delta(patches []Patch, gen uint64) *FIB {
 		prefixes: prefixes, deltas: f.deltas + 1,
 		compile: time.Since(start)} //vnslint:wallclock measures real patch cost, not simulated time
 }
-
-// Deltas returns the number of delta generations applied since the last
-// full compile (0 for a freshly compiled table).
-func (f *FIB) Deltas() int { return f.deltas }

@@ -171,8 +171,8 @@ func TestDeltaTransitions(t *testing.T) {
 			if got.Generation() != 2 {
 				t.Errorf("generation = %d, want 2", got.Generation())
 			}
-			if got.Deltas() != 1 {
-				t.Errorf("Deltas() = %d, want 1", got.Deltas())
+			if got.deltas != 1 {
+				t.Errorf("deltas = %d, want 1", got.deltas)
 			}
 			checkDeltaEquiv(t, got, after, loss.NewRNG(0xD17A), tc.name)
 
@@ -233,8 +233,8 @@ func TestDeltaRandomizedSequence(t *testing.T) {
 			cur = cur.Delta(patches, gen)
 			checkDeltaEquiv(t, cur, model, rng, "seed")
 		}
-		if cur.Deltas() != 40 {
-			t.Errorf("Deltas() = %d, want 40", cur.Deltas())
+		if cur.deltas != 40 {
+			t.Errorf("deltas = %d, want 40", cur.deltas)
 		}
 	}
 }
@@ -403,8 +403,8 @@ func TestPublisherDeltaThresholdRoutesLargeBatch(t *testing.T) {
 	p.Publish(decided(routes, first))
 	routes[first] = nh(2)
 	p.Publish(decided(routes, first))
-	if d := e.Current().Deltas(); d != 1 {
-		t.Fatalf("Deltas() = %d after one small change, want 1", d)
+	if d := e.Current().deltas; d != 1 {
+		t.Fatalf("deltas = %d after one small change, want 1", d)
 	}
 	// One batch of deltaThreshold+1 changed prefixes: full compile.
 	var batch []netip.Prefix
@@ -417,8 +417,8 @@ func TestPublisherDeltaThresholdRoutesLargeBatch(t *testing.T) {
 	if s := p.Stats(); s.Compiles != 2 || s.DeltaCompiles != 1 {
 		t.Fatalf("large batch: Compiles=%d DeltaCompiles=%d, want 2, 1", s.Compiles, s.DeltaCompiles)
 	}
-	if e.Current().Deltas() != 0 {
-		t.Errorf("Deltas() = %d, want 0 after full compile", e.Current().Deltas())
+	if e.Current().deltas != 0 {
+		t.Errorf("deltas = %d, want 0 after full compile", e.Current().deltas)
 	}
 	// One more single-prefix change: back on the delta path.
 	routes[first] = nh(1)

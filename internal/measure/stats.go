@@ -10,44 +10,6 @@ import (
 	"sort"
 )
 
-// Summary holds basic descriptive statistics of a sample.
-type Summary struct {
-	N      int
-	Min    float64
-	Max    float64
-	Mean   float64
-	Stddev float64
-}
-
-// Summarize computes descriptive statistics. An empty sample yields a
-// zero Summary.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(xs), Min: math.Inf(1), Max: math.Inf(-1)}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(s.N)
-	var ss float64
-	for _, x := range xs {
-		d := x - s.Mean
-		ss += d * d
-	}
-	if s.N > 1 {
-		s.Stddev = math.Sqrt(ss / float64(s.N-1))
-	}
-	return s
-}
-
 // CDF is an empirical cumulative distribution function over a sample.
 // The zero value is unusable; construct with NewCDF.
 type CDF struct {

@@ -2,27 +2,12 @@ package measure
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
 )
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Min != 1 || s.Max != 5 || s.Mean != 3 {
-		t.Errorf("bad summary: %+v", s)
-	}
-	if math.Abs(s.Stddev-math.Sqrt(2.5)) > 1e-9 {
-		t.Errorf("stddev = %v, want sqrt(2.5)", s.Stddev)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	if s := Summarize(nil); s.N != 0 || s.Mean != 0 {
-		t.Errorf("empty summary not zero: %+v", s)
-	}
-}
 
 func TestCDFBasics(t *testing.T) {
 	c := NewCDF([]float64{1, 2, 3, 4})
@@ -125,8 +110,7 @@ func TestPercentileWithinRangeProperty(t *testing.T) {
 		c := NewCDF(clean)
 		qq := math.Mod(math.Abs(q), 1)
 		v := c.Percentile(qq)
-		s := Summarize(clean)
-		return v >= s.Min-1e-9 && v <= s.Max+1e-9
+		return v >= slices.Min(clean)-1e-9 && v <= slices.Max(clean)+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -1,6 +1,11 @@
 package rib
 
-import "net/netip"
+import (
+	"net/netip"
+	"slices"
+
+	"vns/internal/detsort"
+)
 
 // This file implements batched UPDATE ingestion: a set of route
 // transitions lands as one unit, sorted by prefix, and the decision
@@ -10,9 +15,7 @@ import "net/netip"
 // bursty: a session reset replays hundreds of thousands of routes,
 // convergence events flap the same prefixes repeatedly. Batching turns
 // those bursts into one reselect per prefix and one sorted changed-set
-// for the FIB, which is also what makes sharding (ShardedTable)
-// worthwhile — shards walk disjoint prefix ranges of the sorted batch
-// in parallel and their sorted changed-sets concatenate.
+// for the FIB.
 
 // Op is one route transition in a batch: an announce (or implicit
 // replacement) when Route is non-nil, a withdrawal otherwise. The key
@@ -36,14 +39,31 @@ func WithdrawOp(prefix netip.Prefix, peerID, peerAddr netip.Addr) Op {
 	return Op{Prefix: prefix, PeerID: peerID, PeerAddr: peerAddr}
 }
 
-// apply walks one shard's run of a batch, which must be sorted by
-// prefix with each prefix's ops in arrival order, and returns the
-// prefixes whose best path changed by value, in the same order. It
-// applies every op of a prefix, so a withdraw-then-announce of one
-// slot resolves as RFC 4271's op-at-a-time processing would, then
-// reselects once if any op touched a candidate: a prefix flapped n
-// times in a batch costs one decision-process run, not n.
-func (t *table) apply(ops []Op) []netip.Prefix {
+// ApplyBatch sorts a copy of the batch by prefix, stably so each
+// prefix's ops keep their arrival order, applies it, and returns the
+// prefixes whose best path changed by value, in detsort.PrefixCompare
+// order.
+func (t *Table) ApplyBatch(ops []Op) []netip.Prefix {
+	if len(ops) == 0 {
+		return nil
+	}
+	sorted := slices.Clone(ops)
+	slices.SortStableFunc(sorted, func(a, b Op) int { return detsort.PrefixCompare(a.Prefix, b.Prefix) })
+	changed := t.apply(sorted)
+	if m := t.metrics; m != nil {
+		m.Prefixes.Set(float64(t.Len()))
+	}
+	return changed
+}
+
+// apply walks a batch, which must be sorted by prefix with each
+// prefix's ops in arrival order, and returns the prefixes whose best
+// path changed by value, in the same order. It applies every op of a
+// prefix, so a withdraw-then-announce of one slot resolves as RFC
+// 4271's op-at-a-time processing would, then reselects once if any op
+// touched a candidate: a prefix flapped n times in a batch costs one
+// decision-process run, not n.
+func (t *Table) apply(ops []Op) []netip.Prefix {
 	var changed []netip.Prefix
 	touched := false
 	for i, op := range ops {

@@ -32,7 +32,7 @@ func TestApplyBatchIncremental(t *testing.T) {
 	pfx := batchPfx
 	for _, tc := range batchCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			tbl := NewSharded(1)
+			tbl := NewTable()
 			tbl.ApplyBatch(batchSetup())
 
 			changed := tbl.ApplyBatch(tc.ops())
@@ -185,16 +185,15 @@ func batchCases() []batchCase {
 	}
 }
 
-// TestApplyBatchMatchesSequential cross-checks batched application on
-// the sequential table, NewSharded(1), against the op-at-a-time oracle
-// (oracle_test.go) on randomized workloads of IPv4, IPv6 and 4-in-6
-// prefixes: same final table, candidate order included, and the
-// batch's changed-set equal to the sorted set of prefixes whose best
-// differs by value across the batch.
+// TestApplyBatchMatchesSequential cross-checks batched application
+// against the op-at-a-time oracle (oracle_test.go) on randomized
+// workloads of IPv4, IPv6 and 4-in-6 prefixes: same final table,
+// candidate order included, and the batch's changed-set equal to the
+// sorted set of prefixes whose best differs by value across the batch.
 func TestApplyBatchMatchesSequential(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		rng := loss.NewRNG(seed)
-		batched, sequential := NewSharded(1), newTable()
+		batched, sequential := NewTable(), NewTable()
 		for round := 0; round < 50; round++ {
 			ops := randomOps(rng, 1+int(rng.Float64()*20))
 			changed, want := batched.ApplyBatch(ops), applySequential(sequential, ops)
@@ -209,8 +208,8 @@ func TestApplyBatchMatchesSequential(t *testing.T) {
 // randomOps builds a batch over a clustered universe of prefixes and
 // peers so replacements, withdrawals of absent slots, and intra-batch
 // flaps all occur. Most prefixes are IPv4, in four /8s spread over the
-// address space so every shard count splits them; the rest are IPv6 and
-// 4-in-6, which sort after every IPv4 prefix.
+// address space; the rest are IPv6 and 4-in-6, which sort after every
+// IPv4 prefix.
 func randomOps(rng *loss.RNG, n int) []Op {
 	ops := make([]Op, 0, n)
 	for i := 0; i < n; i++ {
@@ -235,19 +234,10 @@ func randomOps(rng *loss.RNG, n int) []Op {
 	return ops
 }
 
-// ribLike is the read surface a shard and ShardedTable share, for
-// equivalence assertions.
-type ribLike interface {
-	Len() int
-	Prefixes() []netip.Prefix
-	Best(netip.Prefix) *Route
-	Candidates(netip.Prefix) []*Route
-}
-
 // assertTablesEqual requires byte-match equivalence: same prefix list
 // in the same order, same best route by value, same candidate lists in
 // the same order.
-func assertTablesEqual(t *testing.T, got, want ribLike) {
+func assertTablesEqual(t *testing.T, got, want *Table) {
 	t.Helper()
 	if got.Len() != want.Len() {
 		t.Fatalf("Len: got %d, want %d", got.Len(), want.Len())
@@ -270,55 +260,12 @@ func assertTablesEqual(t *testing.T, got, want ribLike) {
 	}
 }
 
-// TestShardedMatchesSequential is the sharded-vs-sequential decision
-// equivalence oracle (run under -race in CI): identical batches fed to
-// a ShardedTable and a single shard must produce identical changed-sets,
-// identical iteration order, and value-identical routes.
-func TestShardedMatchesSequential(t *testing.T) {
-	for _, nshards := range []int{1, 2, 4, 7} {
-		for seed := uint64(1); seed <= 3; seed++ {
-			rng := loss.NewRNG(seed)
-			sharded := NewSharded(nshards)
-			sequential := NewSharded(1)
-			for round := 0; round < 40; round++ {
-				ops := randomOps(rng, 1+int(rng.Float64()*30))
-				gotChanged := sharded.ApplyBatch(ops)
-				wantChanged := sequential.ApplyBatch(ops)
-				if len(gotChanged) != len(wantChanged) {
-					t.Fatalf("shards=%d seed=%d round=%d: changed %v, want %v", nshards, seed, round, gotChanged, wantChanged)
-				}
-				for i := range gotChanged {
-					if gotChanged[i] != wantChanged[i] {
-						t.Fatalf("shards=%d seed=%d round=%d: changed[%d]=%v, want %v", nshards, seed, round, i, gotChanged[i], wantChanged[i])
-					}
-				}
-				assertTablesEqual(t, sharded, sequential)
-			}
-			// The linear LPM over the sequential shard names a best
-			// route; the sharded table must hold the same one.
-			for i := 0; i < 200; i++ {
-				a := netip.AddrFrom4([4]byte{byte(10 + 64*int(rng.Float64()*4)), byte(rng.Float64() * 8), byte(rng.Float64() * 256), byte(rng.Float64() * 256)})
-				if wb := sequential.shards[0].Lookup(a); wb != nil && !sharded.Best(wb.Prefix).Equal(wb) {
-					t.Fatalf("shards=%d seed=%d: Lookup(%v) = %v, sharded best %v", nshards, seed, a, wb, sharded.Best(wb.Prefix))
-				}
-			}
-		}
-	}
-}
-
 // BenchmarkRIBChurn measures batched UPDATE churn against a full-scale
 // table: each op is a batch of 16 announce/withdraw transitions over a
 // 100k-prefix Loc-RIB with 4 candidates per prefix, the sort +
-// walk-and-reselect path a route reflector runs per burst. One shard is
-// the sequential table.
-func BenchmarkRIBChurn(b *testing.B) { benchChurn(b, NewSharded(1)) }
-
-// BenchmarkShardedRIBChurn is BenchmarkRIBChurn at GOMAXPROCS shards —
-// the ratio is the sharding speedup (≈1 on a single-core runner, where
-// it mostly measures spawn overhead).
-func BenchmarkShardedRIBChurn(b *testing.B) { benchChurn(b, NewSharded(0)) }
-
-func benchChurn(b *testing.B, tbl *ShardedTable) {
+// walk-and-reselect path a route reflector runs per burst.
+func BenchmarkRIBChurn(b *testing.B) {
+	tbl := NewTable()
 	rng := loss.NewRNG(0x51B)
 	prefixes := make([]netip.Prefix, 0, 100_000)
 	var load []Op

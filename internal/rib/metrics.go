@@ -4,7 +4,7 @@ import "vns/internal/telemetry"
 
 // Metrics holds pre-resolved telemetry handles for one Loc-RIB, so the
 // update path (one ApplyBatch per received UPDATE) pays atomic adds
-// only. Attach with ShardedTable.SetMetrics; a table without metrics
+// only. Attach with Table.SetMetrics; a table without metrics
 // pays a single nil check per operation.
 type Metrics struct {
 	// Upserts and Withdraws count mutating operations that touched a

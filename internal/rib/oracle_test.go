@@ -8,7 +8,7 @@ import (
 	"vns/internal/detsort"
 )
 
-// This file holds the test-side oracles the batched, sharded Loc-RIB is
+// This file holds the test-side oracles the batched Loc-RIB is
 // differentially proven against: the op-at-a-time walk (mutate one
 // candidate, reselect, report) and the linear-scan longest-prefix match.
 // Neither has a production caller; they are the simplest statement of
@@ -16,7 +16,7 @@ import (
 
 // Upsert installs or replaces the candidate from r's peer for r's
 // prefix, reruns selection, and reports whether the best path changed.
-func (t *table) Upsert(r *Route) (bestChanged bool) {
+func (t *Table) Upsert(r *Route) (bestChanged bool) {
 	e := t.entries[r.Prefix]
 	if e == nil {
 		e = &entry{}
@@ -29,7 +29,7 @@ func (t *table) Upsert(r *Route) (bestChanged bool) {
 // Withdraw removes the candidate learned from the given peer and reports
 // whether the best path changed. Removing the last candidate deletes the
 // prefix.
-func (t *table) Withdraw(prefix netip.Prefix, peerID, peerAddr netip.Addr) (bestChanged bool) {
+func (t *Table) Withdraw(prefix netip.Prefix, peerID, peerAddr netip.Addr) (bestChanged bool) {
 	e := t.entries[prefix]
 	if e == nil || !e.remove(peerID, peerAddr) {
 		return false
@@ -45,7 +45,7 @@ func (t *table) Withdraw(prefix netip.Prefix, peerID, peerAddr netip.Addr) (best
 // or nil when no installed prefix covers it, by scanning every entry.
 // Two distinct prefixes of equal length cannot both contain addr, so the
 // strict > comparison admits exactly one winner in any iteration order.
-func (t *table) Lookup(addr netip.Addr) *Route {
+func (t *Table) Lookup(addr netip.Addr) *Route {
 	addr = addr.Unmap()
 	var best *Route
 	bestBits := -1
@@ -60,7 +60,7 @@ func (t *table) Lookup(addr netip.Addr) *Route {
 // applySequential feeds ops to the oracle one at a time and returns the
 // sorted prefixes whose best differs by value from before the batch —
 // the changed set ApplyBatch must report.
-func applySequential(t *table, ops []Op) []netip.Prefix {
+func applySequential(t *Table, ops []Op) []netip.Prefix {
 	before := make(map[netip.Prefix]*Route)
 	for _, op := range ops {
 		if _, seen := before[op.Prefix]; !seen {
@@ -82,21 +82,19 @@ func applySequential(t *table, ops []Op) []netip.Prefix {
 	return changed
 }
 
-// TestOneShardMatchesSequentialOracle is the sequential table's own
-// differential proof on the hand-written batch fixtures: NewSharded(1)
-// — the sequential table production code can build — must report
-// exactly the oracle's changed sets and reach its state, candidate
-// order included. TestApplyBatchMatchesSequential does the same on
-// random batches.
+// TestOneShardMatchesSequentialOracle is the table's differential proof
+// on the hand-written batch fixtures: ApplyBatch must report exactly the
+// oracle's changed sets and reach its state, candidate order included.
+// TestApplyBatchMatchesSequential does the same on random batches.
 func TestOneShardMatchesSequentialOracle(t *testing.T) {
 	for _, tc := range batchCases() {
-		sharded, oracle := NewSharded(1), newTable()
-		sharded.ApplyBatch(batchSetup())
+		batched, oracle := NewTable(), NewTable()
+		batched.ApplyBatch(batchSetup())
 		applySequential(oracle, batchSetup())
-		got, want := sharded.ApplyBatch(tc.ops()), applySequential(oracle, tc.ops())
+		got, want := batched.ApplyBatch(tc.ops()), applySequential(oracle, tc.ops())
 		if !slices.Equal(got, want) || !slices.Equal(got, tc.wantChanged) {
 			t.Errorf("%s: changed %v, oracle %v, fixture %v", tc.name, got, want, tc.wantChanged)
 		}
-		assertTablesEqual(t, sharded, oracle)
+		assertTablesEqual(t, batched, oracle)
 	}
 }

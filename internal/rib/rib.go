@@ -1,10 +1,8 @@
 // Package rib implements BGP route storage and selection: routes with
 // their learning context, the full RFC 4271 §9.1 decision process with
-// the RFC 4456 tiebreak refinements, and one Loc-RIB type, ShardedTable,
-// ingesting batched route transitions. The reflector (core.Reflector)
-// and the soak study run it at GOMAXPROCS shards;
-// NewSharded(1), the sequential table, is the reference the sharding
-// oracles and BenchmarkRIBChurn compare against.
+// the RFC 4456 tiebreak refinements, and the Loc-RIB, Table, which
+// ingests batched route transitions on one goroutine, as Quagga's bgpd
+// does. The reflector (core.Reflector) and the soak study run it.
 package rib
 
 import (
@@ -203,9 +201,11 @@ func Best(routes []*Route) *Route {
 	return best
 }
 
-// table is one shard of a Loc-RIB: all candidate routes per prefix plus
-// the current best path. It is not safe for concurrent use.
-type table struct {
+// Table is the Loc-RIB: all candidate routes per prefix plus the
+// current best path. It has one writer: concurrent ApplyBatch calls, or
+// reads concurrent with a batch, need external synchronization
+// (core.Reflector's caller serializes every call).
+type Table struct {
 	entries map[netip.Prefix]*entry
 	metrics *Metrics
 }
@@ -215,12 +215,22 @@ type entry struct {
 	best   *Route
 }
 
-func newTable() *table {
-	return &table{entries: make(map[netip.Prefix]*entry)}
+// NewTable returns an empty Loc-RIB.
+func NewTable() *Table {
+	return &Table{entries: make(map[netip.Prefix]*entry)}
 }
 
+// Kept for bench/vnsbench/probes.go, its only caller: whatever count it
+// is passed, it returns NewTable(). ROADMAP item 17's rewrite of bench/
+// deletes it.
+func NewSharded(int) *Table { return NewTable() }
+
+// SetMetrics attaches metrics (nil detaches); it is not safe to call
+// concurrently with mutations.
+func (t *Table) SetMetrics(m *Metrics) { t.metrics = m }
+
 // Len returns the number of prefixes with at least one candidate.
-func (t *table) Len() int { return len(t.entries) }
+func (t *Table) Len() int { return len(t.entries) }
 
 // upsert installs or replaces the candidate from r's peer without
 // rerunning selection; apply defers reselection until every op of a
@@ -264,7 +274,7 @@ func (e *entry) reselect() bool {
 }
 
 // Best returns the best route for prefix, or nil.
-func (t *table) Best(prefix netip.Prefix) *Route {
+func (t *Table) Best(prefix netip.Prefix) *Route {
 	if e := t.entries[prefix]; e != nil {
 		return e.best
 	}
@@ -272,7 +282,7 @@ func (t *table) Best(prefix netip.Prefix) *Route {
 }
 
 // Candidates returns all candidate routes for prefix.
-func (t *table) Candidates(prefix netip.Prefix) []*Route {
+func (t *Table) Candidates(prefix netip.Prefix) []*Route {
 	if e := t.entries[prefix]; e != nil {
 		out := make([]*Route, len(e.routes))
 		copy(out, e.routes)
@@ -282,6 +292,6 @@ func (t *table) Candidates(prefix netip.Prefix) []*Route {
 }
 
 // Prefixes returns all prefixes in detsort.PrefixCompare order.
-func (t *table) Prefixes() []netip.Prefix {
+func (t *Table) Prefixes() []netip.Prefix {
 	return detsort.KeysFunc(t.entries, detsort.PrefixCompare)
 }

@@ -177,7 +177,7 @@ func TestBestEmpty(t *testing.T) {
 }
 
 func TestTableUpsertWithdraw(t *testing.T) {
-	tb := newTable()
+	tb := NewTable()
 	r1 := baseRoute()
 	if !tb.Upsert(r1) {
 		t.Error("first route should change best")
@@ -220,7 +220,7 @@ func TestTableUpsertWithdraw(t *testing.T) {
 }
 
 func TestTableUpsertReplacesSamePeer(t *testing.T) {
-	tb := newTable()
+	tb := NewTable()
 	r1 := baseRoute()
 	tb.Upsert(r1)
 	r1b := baseRoute()
@@ -235,7 +235,7 @@ func TestTableUpsertReplacesSamePeer(t *testing.T) {
 }
 
 func TestPrefixesSorted(t *testing.T) {
-	tb := NewSharded(1)
+	tb := NewTable()
 	for _, p := range []string{"10.2.0.0/16", "10.1.0.0/16", "10.1.0.0/24", "9.0.0.0/8"} {
 		r := baseRoute()
 		r.Prefix = prefix(p)
@@ -279,7 +279,7 @@ func BenchmarkCompare(b *testing.B) {
 }
 
 func BenchmarkTableUpsert(b *testing.B) {
-	tb := newTable()
+	tb := NewTable()
 	routes := make([]*Route, 1000)
 	for i := range routes {
 		r := baseRoute()
@@ -294,7 +294,7 @@ func BenchmarkTableUpsert(b *testing.B) {
 }
 
 func TestUpsertIdenticalReannouncementNoChange(t *testing.T) {
-	tb := newTable()
+	tb := NewTable()
 	if !tb.Upsert(baseRoute()) {
 		t.Fatal("first announcement must change best")
 	}
@@ -344,7 +344,7 @@ func TestRouteEqual(t *testing.T) {
 }
 
 func TestTableLookupLongestPrefix(t *testing.T) {
-	tb := newTable()
+	tb := NewTable()
 	add := func(p string, peerID string) {
 		r := baseRoute()
 		r.Prefix = prefix(p)
@@ -378,7 +378,7 @@ func TestTableLookupLongestPrefix(t *testing.T) {
 	}
 
 	// Without a default route, uncovered addresses miss.
-	tb2 := newTable()
+	tb2 := NewTable()
 	r := baseRoute()
 	r.Prefix = prefix("172.16.0.0/12")
 	tb2.Upsert(r)
