@@ -65,8 +65,8 @@ func outcomeCases(t *testing.T) (*telemetry.Registry, *GeoRR, [numReasons]outcom
 // TestBudgetTest is Assign's allocation budget in CI (`go test -run
 // BudgetTest ./internal/core`): every one of its eight outcomes, with
 // telemetry on, makes no allocation, and counts under its own reason
-// label. Skips under -race, where allocation counts reflect
-// instrumentation, not design.
+// label; the liveness-blind Preference makes none either. Skips under
+// -race, where allocation counts reflect instrumentation, not design.
 func TestBudgetTest(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instruments the hot path; budget not meaningful")
@@ -85,6 +85,9 @@ func TestBudgetTest(t *testing.T) {
 			// AllocsPerRun makes one warm-up call besides its 100.
 			if got := assignCount(reg, reason) - before; got != 101 {
 				t.Errorf("core_assignments_total{reason=%q} rose by %d over 101 calls", reason, got)
+			}
+			if allocs := testing.AllocsPerRun(100, func() { c.pol.Preference(c.from, c.pfx) }); allocs != 0 {
+				t.Errorf("Preference makes %.0f allocations, budget 0", allocs)
 			}
 		})
 	}
@@ -329,5 +332,25 @@ func TestAssignFollowsGeography(t *testing.T) {
 	want("row rebuilt", hk, sub, "HongKong", "Sydney")
 	if got := rr.Policy().Egresses(); len(got) != 4 || got[0].ID != ams || got[0].Pos != geo.MustLookup("Tokyo").Pos || got[3].ID != syd {
 		t.Errorf("Egresses = %+v", got)
+	}
+}
+
+// TestPreferenceIgnoresLiveness: Preference is Assign as if the router
+// were in service. For every outcome case and under the policy with the
+// Hong Kong egress withdrawn, it decides what Assign decides under the
+// policy with it restored, counting once under that outcome; for a
+// router in service the two agree.
+func TestPreferenceIgnoresLiveness(t *testing.T) {
+	reg, _, cases := outcomeCases(t)
+	up := cases[ReasonForcedHere].pol // the Hong Kong egress in service
+	for r, c := range cases {
+		want := up.Assign(c.from, c.pfx)
+		before := assignCount(reg, want.Reason)
+		if got := c.pol.Preference(c.from, c.pfx); got != want {
+			t.Errorf("%v: Preference(%v, %v) = %+v, want %+v", Reason(r), c.from, c.pfx, got, want)
+		}
+		if got := assignCount(reg, want.Reason) - before; got != 1 {
+			t.Errorf("%v: core_assignments_total{reason=%q} rose by %d, want 1", Reason(r), want.Reason, got)
+		}
 	}
 }

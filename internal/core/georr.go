@@ -190,7 +190,11 @@ func (rr *GeoRR) Policy() *Policy { return rr.policy.Load() }
 // AddEgress registers an egress router with its location, and builds
 // its distance row over the GeoIP DB as it stands. Registering the same
 // router at the same location again changes nothing unless the DB has
-// taken an Insert since, in which case it rebuilds the row.
+// taken an Insert since, in which case it rebuilds the row. It notifies
+// no change subscriber, though a new router may move any prefix's
+// preferences: a forwarding plane reads them when it is built
+// (vns.NewForwarding) and after notifications, so every egress is
+// registered before the plane is built.
 func (rr *GeoRR) AddEgress(e Egress) {
 	reg := registered{e, rr.distances(e.Pos)}
 	rr.update(func(p *Policy) (bool, error) {
@@ -255,10 +259,14 @@ func (rr *GeoRR) Assign(from netip.Addr, prefix netip.Prefix) Decision {
 // restored (down=false) for liveness purposes and reports whether the
 // state changed. While down, Assign refuses to prefer the router's
 // routes, so reselection falls to the geographically next-best healthy
-// egress. It republishes nothing: the failover controller
-// (internal/health) calls it from its link-state sweep and its Drain,
-// and republishes the FIBs itself; Drain is what the management
-// interface's egress-down and egress-up reach in a deployment.
+// egress. It is the one policy change that notifies no change
+// subscriber: liveness moves no prefix's preferences (Preference), only
+// how they resolve, so a forwarding plane re-resolves its path-lists
+// when told to (vns.Forwarding.InvalidateAll) rather than reading any
+// prefix again. The failover controller (internal/health) calls it from
+// its link-state sweep and its Drain and then does exactly that; Drain
+// is what the management interface's egress-down and egress-up reach in
+// a deployment. Every other mutation notifies the prefixes it changes.
 func (rr *GeoRR) SetEgressDown(id netip.Addr, down bool) bool {
 	changed, _ := rr.update(func(p *Policy) (bool, error) {
 		if !put(&p.down, id, down) {

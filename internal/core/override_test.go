@@ -159,3 +159,49 @@ func TestNoOpMutationsNotifyNobody(t *testing.T) {
 		})
 	}
 }
+
+// TestPrefixMutationsNotifyTheirPrefix is the other half of the
+// forwarding plane's invalidation contract: every mutation scoped to a
+// prefix that changes it — force, unforce, exempt, unexempt, static,
+// its removal, override, its clearing — publishes a new policy and
+// notifies exactly that prefix, once. The forwarding plane reads a
+// prefix's path-list again only when notified; only liveness changes
+// (SetEgressDown) move no path-list and notify nobody.
+func TestPrefixMutationsNotifyTheirPrefix(t *testing.T) {
+	p, hk := prefix("10.1.0.0/16"), addr("10.0.3.1")
+	sub := prefix("10.1.200.0/24")
+	covered := func(netip.Prefix) bool { return true }
+	cases := []struct {
+		name   string
+		setup  func(rr *GeoRR)
+		mutate func(rr *GeoRR)
+		want   netip.Prefix
+	}{
+		{"ForceExit", nil, func(rr *GeoRR) { _ = rr.ForceExit(p, hk) }, p},
+		{"Unforce", func(rr *GeoRR) { _ = rr.ForceExit(p, hk) }, func(rr *GeoRR) { rr.Unforce(p) }, p},
+		{"Exempt", nil, func(rr *GeoRR) { rr.Exempt(p) }, p},
+		{"Unexempt", func(rr *GeoRR) { rr.Exempt(p) }, func(rr *GeoRR) { rr.Unexempt(p) }, p},
+		{"AddStatic", nil, func(rr *GeoRR) { _ = rr.AddStatic(sub, hk, covered) }, sub},
+		{"RemoveStatic", func(rr *GeoRR) { _ = rr.AddStatic(sub, hk, covered) }, func(rr *GeoRR) { rr.RemoveStatic(sub, hk) }, sub},
+		{"SetOverride", nil, func(rr *GeoRR) { _ = rr.SetOverride(p, hk) }, p},
+		{"ClearOverride", func(rr *GeoRR) { _ = rr.SetOverride(p, hk) }, func(rr *GeoRR) { rr.ClearOverride(p) }, p},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rr, _ := testRR(t)
+			if c.setup != nil {
+				c.setup(rr)
+			}
+			var got []netip.Prefix
+			rr.OnChangeBatch(func(pfxs []netip.Prefix) { got = append(got, pfxs...) })
+			before := rr.Policy()
+			c.mutate(rr)
+			if rr.Policy() == before {
+				t.Fatal("published no new policy")
+			}
+			if len(got) != 1 || got[0] != c.want {
+				t.Errorf("notified %v, want [%v]", got, c.want)
+			}
+		})
+	}
+}

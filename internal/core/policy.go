@@ -42,9 +42,24 @@ type Policy struct {
 // distance is a read from the egress's row, which holds what
 // geo.DistanceKm returns for every GeoIP record; LOCAL_PREF is the
 // configured function of it, applied per call.
+func (p *Policy) Assign(from netip.Addr, prefix netip.Prefix) Decision {
+	return p.assign(from, prefix, true)
+}
+
+// Preference is Assign as if from were in service: the same decision
+// and count for every router liveness monitoring has not withdrawn,
+// and for a withdrawn one the preference it would have. The forwarding
+// plane's path-lists read it (vns), so a liveness change moves no
+// path-list, only how its routers resolve.
+func (p *Policy) Preference(from netip.Addr, prefix netip.Prefix) Decision {
+	return p.assign(from, prefix, false)
+}
+
+// assign is Assign, reading the router's liveness when live is set and
+// Preference otherwise; it counts its one outcome.
 //
 //vnslint:hotpath
-func (p *Policy) Assign(from netip.Addr, prefix netip.Prefix) Decision {
+func (p *Policy) assign(from netip.Addr, prefix netip.Prefix, live bool) Decision {
 	rr := p.rr
 	if p.exempt[prefix] {
 		return p.assigned(Decision{Reason: ReasonExempt})
@@ -53,7 +68,7 @@ func (p *Policy) Assign(from netip.Addr, prefix netip.Prefix) Decision {
 	if !ok {
 		return p.assigned(Decision{Reason: ReasonUnknownEgress})
 	}
-	if p.down[from] {
+	if live && p.down[from] {
 		// Withdrawn by liveness monitoring: no preference, so the route
 		// never beats a geo-processed alternative while the egress is
 		// out of service.

@@ -13,15 +13,16 @@ import (
 // of prefixes at a time. Delta patches a fork of the published trie
 // (lpm.Trie.Fork), which copies only the stride nodes the patches
 // touch, so the previously published *FIB stays immutable and readers
-// of either generation remain wait-free. The vector table is shared
-// with the parent generation too, and copied only when a patch brings a
-// vector it does not hold: a patch costs the nodes it copies and one
-// FIB header per column it moves, not a pass over the table. A
-// withdrawal names the withdrawn prefix's covering route, because only
-// the owner of the authoritative entry set (the Publisher's writer) can
-// name the next-longest match once the prefix is gone. Delta is the
-// one-column form, over Patches; a plane's writer patches its shared
-// trie the same way, over vector ids (writer.patch).
+// of either generation remain wait-free. The row table is shared with
+// the parent generation too, and copied only when a patch brings a next
+// hop it does not hold: a patch costs the nodes it copies and one FIB
+// header per column it moves, not a pass over the table. A withdrawal
+// names the withdrawn prefix's covering route, because only the owner
+// of the authoritative entry set (the Publisher's writer) can name the
+// next-longest match once the prefix is gone. Delta is the one-column
+// form, over Patches and the table's next-hop rows (hopRows); a plane's
+// writer patches its shared trie the same way, over row ids
+// (writer.patch).
 
 // Patch is one prefix transition for Delta: an install (announce or
 // next-hop change) when Install is true, a withdrawal otherwise.
@@ -66,7 +67,7 @@ func (f *FIB) Delta(patches []Patch, gen uint64) *FIB {
 	}
 	start := time.Now() //vnslint:wallclock measures real patch cost, not simulated time
 
-	v := vectors{cols: 1, nexthops: f.nexthops, index: f.index, shared: true}
+	h := hopRows{rows: f.rows, index: f.index, shared: true}
 	t := f.trie.Fork()
 	prefixes := f.prefixes
 	for _, p := range patches {
@@ -78,7 +79,7 @@ func (f *FIB) Delta(patches []Patch, gen uint64) *FIB {
 			if !p.NextHop.IsValid() {
 				continue
 			}
-			t.Insert(pfx, v.intern([]NextHop{p.NextHop}))
+			t.Insert(pfx, h.row(p.NextHop))
 			if !p.Existed {
 				prefixes++
 			}
@@ -88,14 +89,14 @@ func (f *FIB) Delta(patches []Patch, gen uint64) *FIB {
 			}
 			coverID := int32(0)
 			if p.Cover.IsValid() {
-				coverID = v.intern([]NextHop{p.Cover})
+				coverID = h.row(p.Cover)
 			}
 			t.Withdraw(pfx, coverID, p.CoverBits)
 			prefixes--
 		}
 	}
 
-	return &FIB{trie: t, nexthops: v.nexthops, index: v.index, cols: 1, gen: gen,
+	return &FIB{trie: t, rows: h.rows, comps: f.comps, index: h.index, cols: 1, gen: gen,
 		prefixes: prefixes, deltas: f.deltas + 1,
 		compile: time.Since(start)} //vnslint:wallclock measures real patch cost, not simulated time
 }

@@ -45,6 +45,20 @@ func coverOf(entries map[netip.Prefix]NextHop, pfx netip.Prefix) (NextHop, int) 
 	return NextHop{}, 0
 }
 
+// rowsOf appends to rows one row for each prefix of batch, a
+// prefix-major batch of cols entries a prefix, and returns the points
+// that point each prefix at its row, with the grown table.
+func rowsOf(batch []Entry, cols int, rows []NextHop) ([]Point, []NextHop) {
+	var points []Point
+	for i := 0; i < len(batch); i += cols {
+		for _, e := range batch[i : i+cols] {
+			rows = append(rows, e.NextHop)
+		}
+		points = append(points, Point{batch[i].Prefix, int32(len(rows) / cols)})
+	}
+	return points, rows
+}
+
 func entriesOf(m map[netip.Prefix]NextHop) []Entry {
 	entries := make([]Entry, 0, len(m))
 	for _, p := range detsort.KeysFunc(m, detsort.PrefixCompare) {
@@ -289,7 +303,7 @@ func TestDeltaSiblingsIndependent(t *testing.T) {
 		mustPrefix("20.0.0.0/8"):  nh(3),
 	}
 	parent := Compile(entriesOf(base), 1)
-	if cap(parent.nexthops) == len(parent.nexthops) {
+	if cap(parent.rows) == len(parent.rows) {
 		t.Fatal("the parent's next-hop table has no spare capacity, so a shared append could not show")
 	}
 	pa, pb, pc := mustPrefix("10.1.2.0/24"), mustPrefix("20.1.0.0/16"), mustPrefix("10.1.3.0/24")
@@ -484,9 +498,9 @@ func FuzzDeltaCompile(f *testing.F) {
 // allocates the three path nodes it clones and the FIB header: nothing
 // that grows with the table. A Publish of that change allocates no
 // more than the Delta it makes. On an eleven-column plane over the same
-// table, a publish of one prefix's row allocates the same three path
-// clones and one header per column it moves, whether it moves all
-// eleven or two. Skips under -race and -short, where allocation counts
+// table, a Repoint of one prefix to another row allocates the same
+// three path clones and one header per column it moves, whether it
+// moves all eleven or two. Skips under -race and -short, where allocation counts
 // reflect instrumentation, not design.
 func TestDeltaBudgetTest(t *testing.T) {
 	if raceEnabled {
@@ -514,7 +528,7 @@ func TestDeltaBudgetTest(t *testing.T) {
 		k++
 		cur.Delta([]Patch{{Prefix: pfx, Install: true, NextHop: hops[k%2], Existed: true}}, uint64(k+1))
 	})
-	t.Logf("Delta: %.0f allocations per single-prefix install over %d next hops", allocs, len(cur.nexthops))
+	t.Logf("Delta: %.0f allocations per single-prefix install over %d next hops", allocs, len(cur.rows))
 	if allocs > budget {
 		t.Errorf("Delta of one /20 makes %.0f allocations, budget %d", allocs, budget)
 	}
@@ -559,34 +573,29 @@ func TestDeltaBudgetTest(t *testing.T) {
 	}
 	engines := NewEngines(pops, nil)
 	mp := engines[0].Publisher()
-	mp.Publish(plane)
+	points, rows := rowsOf(plane, cols, nil)
+	mp.Repoint(points, rows)
 	for _, tc := range []struct {
 		name  string
 		moved int
-		rows  [2][]Entry // the row for pfx alternates between these
+		rows  [2]int32 // pfx alternates between these rows
 	}{
-		{"every column", cols, [2][]Entry{plane[cols : 2*cols], plane[:cols]}},
-		{"two columns", 2, [2][]Entry{plane[2*cols : 3*cols], plane[:cols]}},
+		{"every column", cols, [2]int32{points[1].Row, points[0].Row}},
+		{"two columns", 2, [2]int32{points[2].Row, points[0].Row}},
 	} {
-		batches := [2][]Entry{}
-		for j, r := range tc.rows {
-			for _, e := range r {
-				batches[j] = append(batches[j], Entry{Prefix: pfx, NextHop: e.NextHop})
-			}
-		}
-		mp.Publish(batches[1])
+		mp.Repoint([]Point{{pfx, tc.rows[1]}}, rows)
 		before := engines[cols-1].Publisher().Stats().DeltaCompiles
 		next := 0
 		allocs = testing.AllocsPerRun(100, func() {
-			if mp.Publish(batches[next]) == nil {
+			if mp.Repoint([]Point{{pfx, tc.rows[next]}}, rows) == nil {
 				t.Fatal("a moved row published nothing")
 			}
 			next = 1 - next
 		})
 		budget := 3 + tc.moved
-		t.Logf("%s: %.0f allocations per one-row publish that moves %s", tc.name, allocs, tc.name)
+		t.Logf("%s: %.0f allocations per one-point publish that moves %s", tc.name, allocs, tc.name)
 		if allocs > float64(budget) {
-			t.Errorf("%s: a one-row publish makes %.0f allocations, budget %d (three path clones, one header per moved column)", tc.name, allocs, budget)
+			t.Errorf("%s: a one-point publish makes %.0f allocations, budget %d (three path clones, one header per moved column)", tc.name, allocs, budget)
 		}
 		if moved := engines[cols-1].Publisher().Stats().DeltaCompiles > before; moved != (tc.moved == cols) {
 			t.Errorf("%s: the last column moved = %v", tc.name, moved)

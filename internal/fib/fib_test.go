@@ -2,7 +2,6 @@ package fib
 
 import (
 	"net/netip"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -290,26 +289,5 @@ func TestConcurrentLookupDuringRecompile(t *testing.T) {
 	wg.Wait()
 	if g := e.Current().Generation(); g < 100 {
 		t.Errorf("generation = %d, want many swaps", g)
-	}
-}
-
-// TestInternHashCollision drives intern's scan path: with the index
-// naming another vector under a vector's hash, as a 64-bit collision
-// would, the vector still interns once, to an id of its own, and the
-// indexed one keeps its id.
-func TestInternHashCollision(t *testing.T) {
-	v := vectors{cols: 2, index: map[uint64]int32{}}
-	a, b := []NextHop{nh(1), nh(2)}, []NextHop{nh(3), {}}
-	ia := v.intern(a)
-	v.index[hashVector(b)] = ia
-	ib := v.intern(b)
-	if ib == ia || !slices.Equal(v.vec(ib), b) {
-		t.Fatalf("intern(b) = %d holding %v, want a new id holding %v", ib, v.vec(ib), b)
-	}
-	if got := v.intern(b); got != ib {
-		t.Errorf("intern(b) again = %d, want %d", got, ib)
-	}
-	if got := v.intern(a); got != ia {
-		t.Errorf("intern(a) again = %d, want %d", got, ia)
 	}
 }

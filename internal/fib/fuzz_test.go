@@ -96,25 +96,32 @@ func FuzzFIB(f *testing.F) {
 	})
 }
 
-// FuzzSharedFIB is the shared plane's differential oracle. Random
-// batches over a pool of nested prefixes are published to a plane of
-// one to eleven columns: each prefix gets a decision per column, some of
-// them no route (the column falls through to the prefix's cover), some
-// rows no route at any column (a withdrawal), next hops both held by the
-// vector table and new to it, and now and then a batch over
-// deltaThreshold. After every publish, at every column, a lookup through
-// the engine must equal a single-column Compile of that column's
-// routes alone — probed at the first and last address of every pool
-// prefix — and the linear LPM at the touched prefixes and random
-// addresses; Size must count the column's routes, and a column's
-// generation moves exactly when one of its routes did. The FIBs of the
-// previous generation must still answer as they did, and one publish,
-// chosen by the seed, is due a compaction and must compile in full.
+// FuzzSharedFIB is the shared plane's differential oracle. A plane of
+// one to eleven columns is fed the way vns.Forwarding feeds it: a row
+// table of next hops per column, some of them no route (a prefix falls
+// through to its cover there), and batches over a pool of nested
+// prefixes interleaved with row-table replacements. A point batch
+// points each touched prefix at a row (Repoint): one other prefixes
+// use, a new one appended to the table, or, after a replacement, a row
+// no prefix has pointed at since, rewritten in place as a freed row is;
+// some points withdraw, and now and then a batch is over
+// deltaThreshold. A replacement (Resolve) deals every row new next
+// hops. After every publish, at every column, a lookup through the
+// engine must equal a single-column Compile of the column's effective
+// decisions — each installed prefix's row's next hop there, where it
+// has one — probed at the first and last address of every pool prefix,
+// and the linear LPM at the touched prefixes and random addresses; Size
+// must count the column's routes, and a column's generation moves
+// exactly when one of its routes did. A replacement must touch no trie
+// and compile nothing. The FIBs of the previous generation must still
+// answer as they did, and one point batch, chosen by the seed, is due a
+// compaction and must compile in full.
 func FuzzSharedFIB(f *testing.F) {
 	f.Add(uint64(1), uint8(10), uint16(64), uint16(24))
 	f.Add(uint64(42), uint8(2), uint16(300), uint16(12))
 	f.Add(uint64(7), uint8(0), uint16(32), uint16(40))
 	f.Add(uint64(0xC0FFEE), uint8(4), uint16(8), uint16(64))
+	f.Add(uint64(0x5EED), uint8(10), uint16(24), uint16(96))
 
 	f.Fuzz(func(t *testing.T, seed uint64, colsIn uint8, numPrefixes, numBatches uint16) {
 		cols := 1 + int(colsIn)%11
@@ -137,15 +144,14 @@ func FuzzSharedFIB(f *testing.F) {
 		}
 		engines := NewEngines(pops, nil)
 		pub := engines[0].Publisher()
-		models := make([]map[netip.Prefix]NextHop, cols)
-		for c := range models {
-			models[c] = map[netip.Prefix]NextHop{}
-		}
-		// hop deals a next hop: mostly one of eight, so vectors repeat,
+		// hop deals a next hop: a quarter no route, mostly one of eight,
 		// otherwise one no table has held.
 		fresh := 0
 		hop := func() NextHop {
-			if rng.Float64() < 0.8 {
+			switch x := rng.Float64(); {
+			case x < 0.25:
+				return NextHop{}
+			case x < 0.85:
 				return nh(1 + int(rng.Float64()*8))
 			}
 			fresh++
@@ -153,66 +159,121 @@ func FuzzSharedFIB(f *testing.F) {
 			h.Neighbor = 100 + fresh
 			return h
 		}
+		var rows []NextHop
+		deal := func(row []NextHop) {
+			for c := range row {
+				row[c] = hop()
+			}
+		}
+		pointed := map[netip.Prefix]int32{} // each installed prefix's row
+		// free holds the rows no prefix pointed at when the table was
+		// last replaced and none has since: a caller may rewrite them.
+		var free []int32
+		models := func() []map[netip.Prefix]NextHop {
+			out := make([]map[netip.Prefix]NextHop, cols)
+			for c := range out {
+				out[c] = map[netip.Prefix]NextHop{}
+			}
+			for p, r := range pointed {
+				for c := range cols {
+					if h := rows[int(r-1)*cols+c]; h.IsValid() {
+						out[c][p] = h
+					}
+				}
+			}
+			return out
+		}
 		compact := 1 + int(rng.Float64()*float64(numBatches))
 		prev := make([]*FIB, cols)
-		prevModels := make([]map[netip.Prefix]NextHop, cols)
+		prevModels := models()
 		for b := 0; b < int(numBatches); b++ {
-			touched := pool
-			if b > 0 {
-				n := 1 + int(rng.Float64()*8)
-				if rng.Float64() < 0.1 {
-					n = deltaThreshold + 16
-				}
-				touched = nil
-				for range n {
-					touched = append(touched, pool[int(rng.Float64()*float64(len(pool)))])
-				}
-				slices.SortFunc(touched, detsort.PrefixCompare)
-				touched = slices.Compact(touched)
-			}
 			for c, eng := range engines {
-				prev[c], prevModels[c] = eng.Current(), maps.Clone(models[c])
+				prev[c] = eng.Current()
 			}
-			batch := make([]Entry, 0, len(touched)*cols)
-			for _, p := range touched {
-				withdrawn := rng.Float64() < 0.15
-				for c := range cols {
-					h := NextHop{}
-					if !withdrawn && rng.Float64() >= 0.25 {
-						h = hop()
-					}
-					if h.IsValid() {
-						models[c][p] = h
-					} else {
-						delete(models[c], p)
-					}
-					batch = append(batch, Entry{Prefix: p, NextHop: h})
+			var touched []netip.Prefix
+			if b > 0 && rng.Float64() < 0.3 {
+				// A re-resolution: every row dealt anew, in a new table.
+				rows = slices.Clone(rows)
+				deal(rows)
+				live := map[int32]bool{}
+				for _, r := range pointed {
+					live[r] = true
 				}
+				free = free[:0]
+				for r := int32(1); int(r)*cols <= len(rows); r++ {
+					if !live[r] {
+						free = append(free, r)
+					}
+				}
+				trie, compiles := pub.w.trie, pub.Stats().Compiles
+				pub.Resolve(rows)
+				if pub.w.trie != trie || pub.Stats().Compiles != compiles {
+					t.Fatalf("batch %d: a re-resolution touched the trie", b)
+				}
+			} else {
+				touched = pool
+				if b > 0 {
+					n := 1 + int(rng.Float64()*8)
+					if rng.Float64() < 0.1 {
+						n = deltaThreshold + 16
+					}
+					touched = nil
+					for range n {
+						touched = append(touched, pool[int(rng.Float64()*float64(len(pool)))])
+					}
+					slices.SortFunc(touched, detsort.PrefixCompare)
+					touched = slices.Compact(touched)
+				}
+				points := make([]Point, 0, len(touched))
+				for _, p := range touched {
+					var r int32
+					switch x := rng.Float64(); {
+					case x < 0.15: // withdrawn
+					case x < 0.5 && len(pointed) > 0: // a row in use
+						in := detsort.KeysFunc(pointed, detsort.PrefixCompare)
+						r = pointed[in[int(rng.Float64()*float64(len(in)))]]
+					case x < 0.65 && len(free) > 0:
+						r, free = free[len(free)-1], free[:len(free)-1]
+						deal(rows[int(r-1)*cols : int(r)*cols])
+					default:
+						rows = append(rows, make([]NextHop, cols)...)
+						deal(rows[len(rows)-cols:])
+						r = int32(len(rows) / cols)
+					}
+					if r == 0 {
+						delete(pointed, p)
+					} else {
+						pointed[p] = r
+						free = slices.DeleteFunc(free, func(q int32) bool { return q == r })
+					}
+					points = append(points, Point{Prefix: p, Row: r})
+				}
+				if b == compact {
+					pub.w.deltas = deltaCompactAfter
+				}
+				pub.Repoint(points, rows)
 			}
-			if b == compact {
-				pub.w.deltas = deltaCompactAfter
-			}
-			pub.Publish(batch)
 
+			cur := models()
 			moved := false
 			for c, eng := range engines {
-				cur := eng.Current()
 				// The first publish is the initial download: it moves
 				// every column.
-				changed := b == 0 || !maps.Equal(models[c], prevModels[c])
+				changed := b == 0 || !maps.Equal(cur[c], prevModels[c])
 				moved = moved || changed
-				if got, want := cur.Generation(), prev[c].Generation(); changed && got != want+1 || !changed && got != want {
+				if got, want := eng.Current().Generation(), prev[c].Generation(); changed && got != want+1 || !changed && got != want {
 					t.Fatalf("batch %d column %d: generation %d -> %d, changed %v", b, c, want, got, changed)
 				}
-				if cur.Size() != len(models[c]) {
-					t.Fatalf("batch %d column %d: Size() = %d, want %d", b, c, cur.Size(), len(models[c]))
+				if eng.Current().Size() != len(cur[c]) {
+					t.Fatalf("batch %d column %d: Size() = %d, want %d", b, c, eng.Current().Size(), len(cur[c]))
 				}
-				checkColumn(t, eng.Current(), models[c], pool, touched, rng, fmt.Sprintf("batch %d column %d", b, c))
+				checkColumn(t, eng.Current(), cur[c], pool, touched, rng, fmt.Sprintf("batch %d column %d", b, c))
 				checkColumn(t, prev[c], prevModels[c], pool, nil, nil, fmt.Sprintf("batch %d column %d before it", b, c))
 			}
-			if b == compact && moved && pub.w.deltas != 0 {
+			if b == compact && touched != nil && moved && pub.w.deltas != 0 {
 				t.Fatalf("batch %d: a publish due a compaction patched (%d deltas)", b, pub.w.deltas)
 			}
+			prevModels = cur
 		}
 	})
 }

@@ -118,36 +118,47 @@ func TestPublisherOneWriterConcurrentReaders(t *testing.T) {
 	}
 }
 
-// TestPublisherRejectsUnsortedBatch pins Publish's precondition: a
+// TestPublisherRejectsUnsortedBatch pins the publishes' precondition: a
 // batch out of detsort.PrefixCompare order, or with a duplicate, would
-// derive a contained prefix before its cover, so it panics instead; so
-// does a plane's batch that is not whole rows of one prefix each.
+// derive a contained prefix before its cover, so it panics instead, for
+// Publish's entries and Repoint's points alike; so does Publish on a
+// plane of two columns, whose rows are not next hops.
 func TestPublisherRejectsUnsortedBatch(t *testing.T) {
 	a, b := mustPrefix("10.0.0.0/8"), mustPrefix("10.1.0.0/16")
 	one := NewEngine(1, nil).Publisher()
 	two := NewEngines([]int{1, 2}, nil)[0].Publisher()
+	entries := func(ps ...netip.Prefix) []Entry {
+		batch := make([]Entry, len(ps))
+		for i, pfx := range ps {
+			batch[i] = Entry{Prefix: pfx, NextHop: nh(1)}
+		}
+		return batch
+	}
+	points := func(ps ...netip.Prefix) []Point {
+		batch := make([]Point, len(ps))
+		for i, pfx := range ps {
+			batch[i] = Point{Prefix: pfx, Row: 1}
+		}
+		return batch
+	}
+	rows := []NextHop{nh(1), nh(2)}
 	for _, tc := range []struct {
-		name  string
-		p     *Publisher
-		batch []netip.Prefix
+		name    string
+		publish func()
 	}{
-		{"unsorted", one, []netip.Prefix{b, a}},
-		{"duplicate", one, []netip.Prefix{a, a}},
-		{"unsorted rows", two, []netip.Prefix{b, b, a, a}},
-		{"row of two prefixes", two, []netip.Prefix{a, b}},
-		{"ragged", two, []netip.Prefix{a, a, b}},
+		{"unsorted", func() { one.Publish(entries(b, a)) }},
+		{"duplicate", func() { one.Publish(entries(a, a)) }},
+		{"unsorted points", func() { two.Repoint(points(b, a), rows) }},
+		{"duplicate points", func() { two.Repoint(points(a, a), rows) }},
+		{"entries on two columns", func() { two.Publish(entries(a)) }},
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%s: Publish(%v) did not panic", tc.name, tc.batch)
+					t.Errorf("%s: the publish did not panic", tc.name)
 				}
 			}()
-			batch := make([]Entry, len(tc.batch))
-			for i, pfx := range tc.batch {
-				batch[i] = Entry{Prefix: pfx, NextHop: nh(1)}
-			}
-			tc.p.Publish(batch)
+			tc.publish()
 		}()
 	}
 	if s := one.Stats(); s.Generation != 0 {

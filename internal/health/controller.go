@@ -15,12 +15,12 @@ import (
 // it marks the link failed in the IGP (rerouting internal paths); when
 // a PoP loses its last adjacency it withdraws the PoP's egress routers
 // from the GeoRR, so reselection falls to the geographically next-best
-// healthy egress everywhere. Either way it then invalidates the whole
-// prefix universe and flushes the forwarding plane: one resolve pass
-// that reads each prefix's router preferences once for all PoPs, with
-// each publisher's no-spurious-churn fast path keeping the prefixes
-// whose next hop didn't move free of publishes. Recovery reverses each
-// step, and Drain gives an operator's egress drain the same republish.
+// healthy egress everywhere. Either way it then re-resolves the
+// forwarding plane (vns.Forwarding.InvalidateAll and Flush): every
+// shared path-list decided anew at every PoP, no prefix read and no
+// trie touched, with a PoP republished only where a list some prefix
+// uses moved. Recovery reverses each step, and Drain gives an
+// operator's egress drain the same re-resolution.
 // A router is out of service if and only if it is drained or its PoP
 // is isolated, so a liveness transition never undoes a drain.
 type Controller struct {
@@ -74,8 +74,8 @@ func (c *Controller) Bind(m *Monitor) {
 // the a-b link and returns how long the reconvergence took (zero when
 // the event was stale — the IGP already agreed). It is the whole
 // failover path: IGP update, egress withdrawal/restoration, and one
-// universe-wide resolve pass that republishes every PoP's FIB before it
-// returns (Flush runs it even under a debounce).
+// re-resolution that republishes every PoP whose next hops moved before
+// it returns (Flush runs it even under a debounce).
 func (c *Controller) Apply(a, b *vns.PoP, up bool) time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -87,8 +87,8 @@ func (c *Controller) Apply(a, b *vns.PoP, up bool) time.Duration {
 	// One "failover" convergence event per effective liveness transition
 	// (stale events returned above and never begin one). The georr stage
 	// is the egress withdrawal/restoration sweep; the forwarding stage is
-	// the universe republish, minus the compile time the publishers
-	// attribute back through the event ID.
+	// the re-resolution of every path-list, minus the publish time the
+	// publisher attributes back through the event ID.
 	ev := c.fwd.Convergence().Begin(telemetry.ConvFailover)
 	mark := ev.Mark()
 	net := fab.Network()
@@ -128,11 +128,11 @@ func (c *Controller) Apply(a, b *vns.PoP, up bool) time.Duration {
 // the management interface's egress-down and egress-up do, and reports
 // whether its state changed. A router returned at an isolated PoP stays
 // down until the PoP regains an adjacency. A drain moves no route in
-// the reflector, so like a liveness withdrawal it republishes every
-// PoP's FIB itself, in one universe-wide resolve pass: one "drain"
-// convergence event, serialized with Apply. A drain that changes
-// nothing (egress-down of a router already down) returns before the
-// event, like Apply's stale transitions, and starts no pass.
+// the reflector, so like a liveness withdrawal it republishes the FIBs
+// itself, in one re-resolution: one "drain" convergence event,
+// serialized with Apply. A drain that changes nothing (egress-down of a
+// router already down) returns before the event, like Apply's stale
+// transitions, and starts no pass.
 func (c *Controller) Drain(router netip.Addr, down bool) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()

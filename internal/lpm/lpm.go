@@ -5,9 +5,10 @@
 // an IPv6 one sixteen, and a lookup is one array read per level, with
 // no comparisons against prefix lists and no locks.
 //
-// Values are 1-based int32 indexes into a table the caller owns (fib's
-// next-hop table, geoip's records), so a node's size does not depend on
-// what the caller stores. 0 means no route.
+// Values are nonzero int32s naming entries of tables the caller owns
+// (fib's rows, positive, and composite rows, negative; geoip's records),
+// so a node's size does not depend on what the caller stores. 0 means
+// no route.
 //
 // Writes are copy-on-write: a trie taken by Fork shares every node of
 // the trie it came from and copies each one on its first write to it,
@@ -112,7 +113,7 @@ func (t *Trie) Lookup(key []byte) int32 {
 	return 0
 }
 
-// Insert installs canonical prefix p (see Canonical) with value v ≥ 1,
+// Insert installs canonical prefix p (see Canonical) with value v ≠ 0,
 // replacing p's previous value. Within p's span, every slot owned by a
 // prefix no longer than p takes v, and existing children under those
 // slots inherit it by leaf-pushing: the state inserting the same set in

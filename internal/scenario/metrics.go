@@ -24,7 +24,7 @@ var declaredFamilies = []struct{ name, why string }{
 	{"failover_restores", "egress routers restored after a PoP regained an adjacency"},
 	{"failover_withdrawals", "egress routers withdrawn because their PoP was isolated"},
 	{"fib_compiles_total", "FIB publishes that rebuilt the trie, per PoP"},
-	{"fib_delta_compiles_total", "FIB publishes that patched the trie, per PoP"},
+	{"fib_delta_compiles_total", "FIB publishes that did not rebuild the trie, per PoP"},
 	{"flowsim_delivered_total", "flowsim conservation: packets delivered"},
 	{"flowsim_drops_total", "flowsim conservation: packets dropped, by cause"},
 	{"flowsim_scheduled_total", "flowsim conservation: packets emitted"},

@@ -1,6 +1,7 @@
 package vns
 
 import (
+	"cmp"
 	"fmt"
 	"net/netip"
 	"testing"
@@ -340,4 +341,38 @@ func driveDecisionStates(t *testing.T, pr *Peering, rr *core.GeoRR, check func(s
 	check("static " + more.String())
 	rr.SetEgressDown(pinned, true)
 	check("static egress drained")
+}
+
+// TestAttrKeyOrdersAsCompareAttrs holds the attribute tier's key to the
+// decision process: for every pair of routes a candidate list offers —
+// the widest seed-1 prefix's candidates plus path lengths around the
+// synthetic AS_PATH's clamp, under seeded router ranks — attrKey orders
+// them as rib.CompareAttrs orders the routes fillAttrs builds.
+func TestAttrKeyOrdersAsCompareAttrs(t *testing.T) {
+	pr, _, _ := decisionWorld(t, 1, 120)
+	pfx, _, _ := widestPrefix(pr)
+	pi, _ := pr.Topo.PrefixInfoFor(pfx)
+	cands := pr.Candidates(pi.Origin)
+	// On one session, so they tie on the rank and differ by path alone.
+	for _, n := range []int{1, 2, len(dummyPath) - 1, len(dummyPath), len(dummyPath) + 1, 255} {
+		cands = append(cands, Candidate{Session: cands[0].Session, PathLen: n})
+	}
+	rng := loss.NewRNG(0xA77)
+	var rank [numEgress]uint8
+	for e := range rank {
+		rank[e] = uint8(1 + rng.Intn(4))
+	}
+	var a, b rib.Route
+	sign := func(x int) int { return cmp.Compare(x, 0) }
+	for _, x := range cands {
+		for _, y := range cands {
+			kx, ky := attrKey(x, rank[x.Session.egress]), attrKey(y, rank[y.Session.egress])
+			fillAttrs(&a, x, uint32(rank[x.Session.egress]))
+			fillAttrs(&b, y, uint32(rank[y.Session.egress]))
+			if got, want := sign(int(ky)-int(kx)), sign(rib.CompareAttrs(&a, &b)); got != want {
+				t.Fatalf("path lengths %d, %d at ranks %d, %d: attrKey orders %d, CompareAttrs %d",
+					x.PathLen, y.PathLen, rank[x.Session.egress], rank[y.Session.egress], got, want)
+			}
+		}
+	}
 }

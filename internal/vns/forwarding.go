@@ -52,15 +52,17 @@ type ForwardingConfig struct {
 // GeoRR's post-policy routes, plus the shared L2 fabric the engines
 // forward over. It implements fib.Fabric.
 //
-// Its unit of work is the resolve pass: the initial download, one
-// InvalidateBatch or InvalidateAll without a debounce, or one debounced
-// flush. A pass loads the reflector's policy once and reads from it
-// each dirty prefix's vantage-independent facts once — the statics
-// pinned to it, the origin's candidate sessions, each distinct
-// candidate router's liveness and Assign, and the attribute tier those
-// decide — and then reads every PoP's IGP row once, decides every
-// prefix at every PoP from those shared facts and hands the decisions
-// to the plane's one publish. Nothing read in a pass outlives it.
+// The trie points every prefix at a path-list (pathList): what its
+// decision reads that no liveness or IGP change can move. Its unit of
+// work is the pass, one per invalidation without a debounce or per
+// debounced flush, of one of two kinds. A prefix pass (InvalidateBatch,
+// and the initial download) reads each dirty prefix's path-list under
+// one reflector policy, resolves at every PoP the lists no prefix held
+// before, and re-points the prefixes whose list changed. A
+// re-resolution (InvalidateAll) decides every list some prefix points
+// at, at every PoP, under the current liveness and IGP into a new row
+// table and publishes the columns it moved: no prefix is read and no
+// trie touched.
 type Forwarding struct {
 	Peering *Peering
 	RR      *core.GeoRR
@@ -71,15 +73,23 @@ type Forwarding struct {
 
 	debounce time.Duration
 
-	// mu guards the dirty set, the pending event and the timer, and
-	// serializes passes, which makes the plane's publisher single-writer.
+	// mu guards the dirty set, the pending re-resolution, the pending
+	// event, the timer and the path-lists, and serializes passes, which
+	// makes the plane's publisher single-writer.
 	mu    sync.Mutex
 	dirty map[netip.Prefix]struct{} // nil from a pass until the next invalidation
+	// stale marks a re-resolution due at the next flush.
+	stale bool
 	// pendingEvent is the convergence event the next pass is attributed
 	// to: the latest nonzero event ID any invalidation carried since the
 	// last pass.
 	pendingEvent uint64
 	timer        *time.Timer
+	lists        pathLists
+	// A prefix pass's buffers, reused under mu: its sorted batch and
+	// its points.
+	batch  []netip.Prefix
+	points []fib.Point
 
 	tracer   *telemetry.Tracer
 	compiles *CompileRecorder // records each publish; nil without telemetry
@@ -95,58 +105,6 @@ type Forwarding struct {
 	mediaLost     *telemetry.Counter
 }
 
-// staticFact is a static more-specific as a pass reads it: the pinned
-// router, its PoP (nil for an unknown router) and whether liveness has
-// withdrawn it.
-type staticFact struct {
-	router netip.Addr
-	pop    *PoP
-	down   bool
-}
-
-// prefixFacts is everything a prefix's decision reads that is the same
-// at every vantage.
-type prefixFacts struct {
-	statics []staticFact // the statics for this prefix, in installation order
-	cands   []Candidate  // the origin's candidate sessions
-	prefs   routerPrefs  // each distinct candidate router's preference
-	// tier is the attribute tier (appendTier): the indexes of the
-	// in-service candidates tied for best on the decision steps a
-	// route's own attributes decide (rib.CompareAttrs). Every other
-	// candidate loses to each of them before any vantage-dependent step,
-	// so wherever one of them is usable the decision is among them.
-	tier []int32
-}
-
-// readCandidates fills r's candidate facts for prefix under pol: cands,
-// with one liveness read and one Assign per distinct candidate router,
-// and the attribute tier, which it appends to tiers. It returns the
-// grown buffer, whose entries from len(tiers) on are r's tier; the
-// caller slices r.tier from it, so a buffer on the caller's stack stays
-// there.
-func (r *prefixFacts) readCandidates(pol *core.Policy, cands []Candidate, prefix netip.Prefix, tiers []int32) []int32 {
-	r.cands = cands
-	r.prefs.read(pol, cands, prefix)
-	return appendTier(tiers, cands, &r.prefs)
-}
-
-// pick is the geo decision at a vantage over r's candidates: pickGeo
-// over the attribute tier, and only when no tier candidate is usable
-// here — the tier's PoPs are cut off from the vantage while their
-// routers are still in service — pickGeo over every candidate. Both
-// answer what pickGeo over every candidate would: a candidate outside
-// the tier loses to each tier candidate at rib.CompareAttrs, from every
-// vantage, so it never displaces a usable tier candidate from pickGeo's
-// running best, and the tier scan makes the same comparisons among tier
-// candidates, in the same order, as the full one. It returns the
-// winner's index into r.cands, or -1.
-func (r *prefixFacts) pick(vantage *PoP, igp *igpRow, prefix netip.Prefix) int {
-	if i := pickGeo(vantage, r.cands, r.tier, prefix, &r.prefs, igp); i >= 0 {
-		return i
-	}
-	return pickGeo(vantage, r.cands, candOrder[:len(r.cands)], prefix, &r.prefs, igp)
-}
-
 // NewForwarding compiles the initial per-PoP FIBs and subscribes to the
 // reflector's change notifications, so later management overrides and
 // re-advertisements trigger incremental recompiles.
@@ -157,6 +115,7 @@ func NewForwarding(pr *Peering, rr *core.GeoRR, cfg ForwardingConfig) *Forwardin
 		fabric:   NewL2Fabric(pr.Net),
 		debounce: cfg.Debounce,
 		tracer:   cfg.Tracer,
+		lists:    pathLists{index: make(map[uint64]int32)},
 	}
 	if cfg.Telemetry != nil {
 		// The convergence span layer: each publish is recorded against
@@ -177,10 +136,10 @@ func NewForwarding(pr *Peering, rr *core.GeoRR, cfg ForwardingConfig) *Forwardin
 	// change can fall between them. The batch form hands each change
 	// event's full prefix set over in one call, so a multi-prefix UPDATE
 	// costs one pass (typically one delta publish per PoP) instead of
-	// one per prefix. The initial pass is a batch like any other; Flush
-	// runs it now even under a debounce.
+	// one per prefix. The initial pass is a prefix pass like any other;
+	// Flush runs it now even under a debounce.
 	rr.OnChangeBatch(f.InvalidateBatch)
-	f.InvalidateAll()
+	f.InvalidateBatch(f.universe())
 	f.Flush()
 	return f
 }
@@ -199,7 +158,8 @@ func (f *Forwarding) universe() []netip.Prefix {
 	return out
 }
 
-// InvalidateBatch marks a set of prefixes dirty at every PoP. It is the
+// InvalidateBatch marks a set of prefixes dirty at every PoP: their
+// path-lists are read again at the next prefix pass. It is the
 // rr.OnChangeBatch callback: the whole batch joins the dirty set at
 // once, so a change event costs at most one pass — one copy-on-write
 // delta of the shared trie when the batch is small — rather than one
@@ -207,7 +167,7 @@ func (f *Forwarding) universe() []netip.Prefix {
 // Without a debounce the pass runs before it returns, under the same
 // lock; with one, it arms the forwarding plane's one timer, and the
 // pass resolves everything dirty when that fires. An invalidation
-// waits for a running pass: at most one, about 0.1–3 ms at seed 1.
+// waits for a running pass: at most one, about 0.05–1 ms at seed 1.
 func (f *Forwarding) InvalidateBatch(prefixes []netip.Prefix) {
 	// Stamp the dirty set with the in-flight convergence event, so the
 	// pass this invalidation causes records its publishes against it
@@ -225,21 +185,45 @@ func (f *Forwarding) InvalidateBatch(prefixes []netip.Prefix) {
 	for _, pfx := range prefixes {
 		f.dirty[pfx] = struct{}{}
 	}
+	f.schedule()
+}
+
+// InvalidateAll re-resolves every path-list at every PoP under the
+// current liveness and IGP: the failover controller's reconvergence
+// path after a link or PoP event or a drain. It reads no prefix and
+// touches no trie; a PoP gets a new FIB header only where a list some
+// prefix points at moved, so prefixes whose next hop is unaffected cost
+// nothing (the Publisher's no-spurious-churn fast path). It runs when
+// InvalidateBatch's pass would, before that pass when both are due.
+//
+// The split is the invalidation contract: a liveness change
+// (core.GeoRR.SetEgressDown, an L2 link's state) moves no path-list,
+// so it notifies nobody and its caller runs InvalidateAll; every other
+// policy change notifies the prefixes it changes (OnChangeBatch), whose
+// lists the next prefix pass reads again. A change that would move
+// every prefix's list without notifying, an egress registered
+// (core.GeoRR.AddEgress) after the forwarding plane is built, is not
+// supported: egresses are registered first.
+func (f *Forwarding) InvalidateAll() {
+	event := f.conv.ActiveID() // stamped as InvalidateBatch stamps
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if event != 0 {
+		f.pendingEvent = event
+	}
+	f.stale = true
+	f.schedule()
+}
+
+// schedule runs the due passes now without a debounce, or arms the
+// forwarding plane's one timer, with f.mu held.
+func (f *Forwarding) schedule() {
 	if f.debounce == 0 {
 		f.flush()
-	} else if f.timer == nil && len(f.dirty) > 0 {
+	} else if f.timer == nil && (f.stale || len(f.dirty) > 0) {
 		//vnslint:wallclock the debounce batches real control-plane bursts in vnsd; sim tests use Debounce=0
 		f.timer = time.AfterFunc(f.debounce, f.Flush)
 	}
-}
-
-// InvalidateAll marks the whole universe dirty — the failover
-// controller's reconvergence path after a link or PoP event or a drain.
-// It goes through the dirty set like any batch, so prefixes whose next
-// hop is unaffected cost their share of the pass but no publish (the
-// Publisher's no-spurious-churn fast path).
-func (f *Forwarding) InvalidateAll() {
-	f.InvalidateBatch(f.universe())
 }
 
 // Convergence returns the deployment's shared convergence span layer
@@ -248,10 +232,10 @@ func (f *Forwarding) InvalidateAll() {
 // the ID space the publishers attribute compiles against.
 func (f *Forwarding) Convergence() *telemetry.Convergence { return f.conv }
 
-// Flush runs the pending pass now, if anything is dirty: the debounce
-// timer's callback, and what a test, a shutdown or the failover
-// controller calls for a consistent state. Without a debounce every
-// invalidation has already run its pass, so it finds nothing to do.
+// Flush runs the due passes now, if any: the debounce timer's
+// callback, and what a test, a shutdown or the failover controller
+// calls for a consistent state. Without a debounce every invalidation
+// has already run its pass, so it finds nothing to do.
 func (f *Forwarding) Flush() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -264,19 +248,26 @@ func (f *Forwarding) flush() {
 		f.timer.Stop()
 		f.timer = nil
 	}
+	if !f.stale && len(f.dirty) == 0 {
+		return
+	}
+	event := f.pendingEvent
+	f.pendingEvent = 0
+	if f.stale {
+		f.stale = false
+		f.resolveAll(event)
+	}
 	if len(f.dirty) == 0 {
 		return
 	}
-	batch := make([]netip.Prefix, 0, len(f.dirty))
+	batch := f.batch[:0]
 	for pfx := range f.dirty {
 		batch = append(batch, pfx)
 	}
-	f.dirty = nil
-	event := f.pendingEvent
-	f.pendingEvent = 0
+	f.dirty, f.batch = nil, batch[:0]
 	// Sorted so the pass decides in a reproducible order and the
 	// publisher derives covers before the prefixes they contain
-	// (fib.Publisher.Publish's batch).
+	// (fib.Publisher.Repoint's points).
 	slices.SortFunc(batch, detsort.PrefixCompare)
 	f.pass(event, batch)
 }
@@ -288,93 +279,67 @@ func (f *Forwarding) Pending() int {
 	return len(f.dirty)
 }
 
-// pass is one resolve pass over batch, with f.mu held: it reads every
-// prefix's vantage-independent facts once, all under one reflector
-// policy, then decides every prefix at each PoP, in id order, and
-// publishes the decisions to the plane in one prefix-major batch,
-// recording the publish against event. The facts are dropped with the
-// pass, so nothing read here can answer a later one.
-func (f *Forwarding) pass(event uint64, batch []netip.Prefix) {
-	pol := f.RR.Policy()
-	facts := make([]prefixFacts, len(batch))
-	// The pass's tiers share one buffer, with room for two candidates a
-	// prefix (seed 1 averages 1.69) and a few more; append grows it past
-	// that.
-	tiers := make([]int32, 0, 2*len(batch)+8)
-	for i, pfx := range batch {
-		n := len(tiers)
-		tiers = f.readFacts(&facts[i], pol, pfx, tiers)
-		facts[i].tier = tiers[n:]
-	}
-	pops := f.Peering.Net.PoPs
-	var igps [len(popSpec)]igpRow
-	for k, v := range pops {
+// igpRows reads every PoP's IGP row, by PoP id−1.
+func (f *Forwarding) igpRows() (igps [len(popSpec)]igpRow) {
+	for k, v := range f.Peering.Net.PoPs {
 		igps[k] = f.Peering.Net.igpRow(v)
 	}
-	decided := make([]fib.Entry, len(batch)*len(pops))
-	for i, pfx := range batch {
-		row := decided[i*len(pops) : (i+1)*len(pops)]
-		for k, v := range pops {
-			row[k] = fib.Entry{Prefix: pfx, NextHop: decide(v, &igps[k], &facts[i], pfx)}
+	return igps
+}
+
+// pass is one prefix pass over batch, with f.mu held: it reads every
+// prefix's path-list under one reflector policy, interns it — resolving
+// a list no prefix held before at every PoP, in id order — and hands
+// the plane one point per prefix, its list's row, in one Repoint,
+// recording the publish against event.
+func (f *Forwarding) pass(event uint64, batch []netip.Prefix) {
+	pol := f.RR.Policy()
+	net := f.Peering.Net
+	down, igps := net.readLiveness(pol), f.igpRows()
+	points := f.points[:0]
+	for _, pfx := range batch {
+		var l pathList
+		f.readList(&l, pol, pfx)
+		var id int32
+		if len(l.statics) > 0 || len(l.cands) > 0 {
+			id = f.lists.intern(&l, &down, net.PoPs, &igps)
 		}
+		points = append(points, fib.Point{Prefix: pfx, Row: id})
 	}
+	f.points = points[:0]
 	// Every engine's Publisher publishes the whole plane.
-	f.compiles.Record(event, f.engines[0].Publisher().Publish(decided))
+	f.compiles.Record(event, f.engines[0].Publisher().Repoint(points, f.lists.rows))
 }
 
-// readFacts fills r, a zero prefixFacts, with prefix's
-// vantage-independent facts under pol: its statics, each with its
-// router's PoP and liveness, and for an originated prefix the origin's
-// candidates (readCandidates), whose attribute tier it appends to
-// tiers. It returns the grown buffer; r's tier is its entries from
-// len(tiers) on.
-func (f *Forwarding) readFacts(r *prefixFacts, pol *core.Policy, prefix netip.Prefix, tiers []int32) []int32 {
-	// Gathered in a local and stored once: an append to r.statics in
-	// place reads r, which the escape analysis would count as r's
-	// content leaking, moving a caller's stack tier buffer to the heap.
-	var statics []staticFact
-	for _, s := range pol.StaticsFor(prefix) {
-		p, _ := f.Peering.Net.RouterPoP(s.Egress)
-		statics = append(statics, staticFact{router: s.Egress, pop: p, down: pol.EgressDown(s.Egress)})
-	}
-	r.statics = statics
-	if pi, ok := f.Peering.Topo.PrefixInfoFor(prefix); ok {
-		tiers = r.readCandidates(pol, f.Peering.Candidates(pi.Origin), prefix, tiers)
-	}
-	return tiers
-}
-
-// decide is a vantage's decision for one prefix from the prefix's facts
-// and the vantage's IGP row: the first static whose router is up and
-// whose PoP the vantage reaches pins the egress; everything else is the
-// geo decision process over the candidates (prefixFacts.pick). An
-// invalid next hop means no route.
-func decide(vantage *PoP, igp *igpRow, r *prefixFacts, prefix netip.Prefix) fib.NextHop {
-	for _, s := range r.statics {
-		if s.pop != nil && !s.down && igp[s.pop.ID-1] < igpInf {
-			return fib.NextHop{PoP: s.pop.ID, Router: s.router}
-		}
-	}
-	i := r.pick(vantage, igp, prefix)
-	if i < 0 {
-		return fib.NextHop{}
-	}
-	s := r.cands[i].Session
-	return fib.NextHop{PoP: s.PoP.ID, Router: s.Router, Neighbor: s.Neighbor.Index}
+// resolveAll is one re-resolution, with f.mu held: every path-list some
+// prefix points at decided at every PoP under one reflector policy and
+// the current IGP rows, into a new row table the plane publishes
+// (fib.Publisher.Resolve), recording the publish against event.
+func (f *Forwarding) resolveAll(event uint64) {
+	net := f.Peering.Net
+	down, igps := net.readLiveness(f.RR.Policy()), f.igpRows()
+	pub := f.engines[0].Publisher()
+	rows := f.lists.resolveAll(pub, &down, net.PoPs, &igps)
+	f.compiles.Record(event, pub.Resolve(rows))
 }
 
 // Resolve computes the control-plane decision for one prefix as seen
-// from a vantage PoP: the decision a pass makes (decide), over
-// facts read fresh under one reflector policy for this one call. It is
-// the reference answer the compiled per-PoP FIBs are differentially
+// from a vantage PoP: the decision a pass makes, over the prefix's
+// path-list read fresh under one reflector policy for this one call. It
+// is the reference answer the compiled per-PoP FIBs are differentially
 // tested against (internal/scenario's three-way agreement invariant,
 // Congruence).
 func (f *Forwarding) Resolve(vantage *PoP, prefix netip.Prefix) (fib.NextHop, bool) {
-	var r prefixFacts
-	var buf [8]int32 // the tier, on the stack unless it is wider
-	r.tier = f.readFacts(&r, f.RR.Policy(), prefix, buf[:0])
+	pol := f.RR.Policy()
+	var l pathList
+	f.readList(&l, pol, prefix)
+	down := f.Peering.Net.readLiveness(pol)
+	var prefs routerPrefs
+	l.standing(&prefs, &down)
+	var buf [maxSessions]uint16
+	tier := l.tier(&prefs, buf[:0])
 	igp := f.Peering.Net.igpRow(vantage)
-	nh := decide(vantage, &igp, &r, prefix)
+	nh := l.decide(vantage, &igp, &down, tier, &prefs)
 	return nh, nh.IsValid()
 }
 

@@ -361,53 +361,41 @@ func (pr *Peering) SelectHotPotato(vantage *PoP, cands []Candidate, prefix netip
 // ranges over it).
 const numEgress = len(popSpec) * RoutersPerPoP
 
-// routerPref is an egress router's standing for one prefix, the same at
-// every vantage: withdrawn by liveness (down), or else the LOCAL_PREF
-// the GeoRR assigns its route.
+// routerPref is an egress router's standing in one decision, the same
+// at every vantage: withdrawn by liveness (down), or else its
+// preference, a rank among the candidate routers' LOCAL_PREFs
+// (pathList.rank).
 type routerPref struct {
 	lp   uint32
 	down bool
 }
 
-// routerPrefs holds, by Session.egress, the preference of each distinct
-// router among a prefix's candidates; slots of other routers are never
-// read.
+// routerPrefs holds, by Session.egress, the standing of each distinct
+// router among a decision's candidates; slots of other routers are
+// never read.
 type routerPrefs [numEgress]routerPref
-
-// read fills p for cands under one reflector policy: one EgressDown
-// and, for a router in service, one Assign per distinct router.
-func (p *routerPrefs) read(pol *core.Policy, cands []Candidate, prefix netip.Prefix) {
-	var seen [numEgress]bool
-	for _, c := range cands {
-		s := c.Session
-		if seen[s.egress] {
-			continue
-		}
-		seen[s.egress] = true
-		pref := routerPref{down: pol.EgressDown(s.Router)}
-		if !pref.down {
-			pref.lp = pol.Assign(s.Router, prefix).LocalPref
-		}
-		p[s.egress] = pref
-	}
-}
 
 // SelectGeo runs the post-geo-routing decision process from the vantage
 // PoP: the GeoRR assigns each route a distance-derived LOCAL_PREF, which
 // dominates every later step, so the geographically closest egress (per
 // the GeoIP database) wins network-wide and the vantage only breaks ties
-// through its IGP metric. It is the decision a resolve pass makes
-// (prefixFacts.pick), over facts freshly read under the reflector's
-// current policy: each distinct router among the candidates costs one
-// liveness read and one Assign, and the vantage's IGP row one read. A
-// candidate whose router is withdrawn (Policy.EgressDown) or whose PoP
-// the vantage cannot reach is skipped; ok=false when none is left.
+// through its IGP metric. It is the decision a forwarding-plane pass
+// makes (pathList.pick), over the candidates' path-list freshly read
+// under the reflector's current policy: each distinct router among the
+// candidates costs one Preference and one liveness read, and the
+// vantage's IGP row one read. A candidate whose router is withdrawn
+// (Policy.EgressDown) or whose PoP the vantage cannot reach is skipped;
+// ok=false when none is left.
 func (pr *Peering) SelectGeo(rr *core.GeoRR, vantage *PoP, cands []Candidate, prefix netip.Prefix) (Candidate, bool) {
-	var r prefixFacts
-	var buf [8]int32 // the tier, on the stack unless it is wider
-	r.tier = r.readCandidates(rr.Policy(), cands, prefix, buf[:0])
+	pol := rr.Policy()
+	l := pathList{cands: cands, rank: readRanks(pol, cands, prefix)}
+	down := pr.Net.readLiveness(pol)
+	var prefs routerPrefs
+	l.standing(&prefs, &down)
+	var buf [maxSessions]uint16
+	tier := l.tier(&prefs, buf[:0])
 	igp := pr.Net.igpRow(vantage)
-	if i := r.pick(vantage, &igp, prefix); i >= 0 {
+	if i := l.pick(vantage, &igp, tier, &prefs); i >= 0 {
 		return cands[i], true
 	}
 	return Candidate{}, false
@@ -419,56 +407,25 @@ const maxSessions = (numUpstreams + numPeers) * len(popSpec)
 
 // candOrder is 0, 1, …: its first n entries index every candidate of a
 // list of n, in order — pickGeo's scan over all of them.
-var candOrder = func() (o [maxSessions]int32) {
+var candOrder = func() (o [maxSessions]uint16) {
 	for i := range o {
-		o[i] = int32(i)
+		o[i] = uint16(i)
 	}
 	return o
 }()
 
-// appendTier appends to tier the attribute tier of cands: the indexes,
-// in candidate order, of the candidates whose router is in service and
-// that tie for best under rib.CompareAttrs. It is one scan, and it reads
-// only what a route's own attributes hold (its router's LOCAL_PREF and
-// its AS-path length), so the tier is the same at every vantage.
-func appendTier(tier []int32, cands []Candidate, prefs *routerPrefs) []int32 {
-	var routes [2]rib.Route
-	r, top := &routes[0], &routes[1]
-	start := len(tier)
-	for i, c := range cands {
-		p := prefs[c.Session.egress]
-		if p.down {
-			continue
-		}
-		fillAttrs(r, c, p.lp)
-		if len(tier) > start {
-			cmp := rib.CompareAttrs(r, top)
-			if cmp > 0 {
-				continue
-			}
-			if cmp < 0 {
-				tier = tier[:start]
-			}
-		}
-		if len(tier) == start {
-			r, top = top, r // the tier's new representative
-		}
-		tier = append(tier, int32(i))
-	}
-	return tier
-}
-
 // pickGeo is the geo decision itself, the one every forwarding-plane
-// decision and SelectGeo run (prefixFacts.pick): over the candidates
-// that order indexes, in that order, skip those on a withdrawn router or
-// an unreachable PoP, and keep the best by rib.Compare of each
-// candidate's route with its router's LOCAL_PREF and the vantage's IGP
-// metric. It returns the winner's index into cands, or -1. The candidate
-// and the running best are two routes on the stack that swap roles when
-// the candidate wins, so no route is copied or allocated.
+// decision and SelectGeo run (pathList.pick): over the candidates that
+// order indexes, in that order, skip those on a withdrawn router or an
+// unreachable PoP, and keep the best by rib.Compare of each candidate's
+// route with its router's preference and the vantage's IGP metric. It
+// returns the winner's index into cands, or -1. The candidate and the
+// running best are two routes on the stack that swap roles when the
+// candidate wins, so no route is copied or allocated. The routes carry
+// no prefix: a path-list decides alike for every prefix pointing at it.
 //
 //vnslint:hotpath
-func pickGeo(vantage *PoP, cands []Candidate, order []int32, prefix netip.Prefix, prefs *routerPrefs, igp *igpRow) int {
+func pickGeo(vantage *PoP, cands []Candidate, order []uint16, prefs *routerPrefs, igp *igpRow) int {
 	var routes [2]rib.Route
 	r, bestRoute := &routes[0], &routes[1]
 	best := -1
@@ -479,7 +436,10 @@ func pickGeo(vantage *PoP, cands []Candidate, order []int32, prefix netip.Prefix
 		if p.down || ms >= igpInf {
 			continue
 		}
-		fillRoute(r, vantage, c, prefix, ms, p.lp)
+		if fillAttrs(r, c, p.lp); best >= 0 && rib.CompareAttrs(r, bestRoute) > 0 {
+			continue // it loses before any step the vantage decides
+		}
+		fillRoute(r, vantage, c, netip.Prefix{}, ms, p.lp)
 		if best < 0 || rib.Compare(r, bestRoute) < 0 {
 			r, bestRoute, best = bestRoute, r, int(i)
 		}

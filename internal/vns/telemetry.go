@@ -76,7 +76,7 @@ func (f *Forwarding) registerTelemetry(reg *telemetry.Registry) {
 		func(s fib.EngineStats) uint64 { return s.NoRoute })
 	engineCounter("fib_compiles_total", "published full trie builds per PoP",
 		func(s fib.EngineStats) uint64 { return s.FIB.Compiles })
-	engineCounter("fib_delta_compiles_total", "published incremental (delta-patched) tries per PoP",
+	engineCounter("fib_delta_compiles_total", "published FIBs that did not rebuild the trie (delta patches and re-resolutions) per PoP",
 		func(s fib.EngineStats) uint64 { return s.FIB.DeltaCompiles })
 	engineCounter("fib_skipped_compiles_total", "flushes that resolved to no next-hop change",
 		func(s fib.EngineStats) uint64 { return s.FIB.SkippedCompiles })
